@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -30,7 +31,8 @@ class InputError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Deterministic JSON emission: fixed field order, floats as %.12e
+# Deterministic JSON emission: fixed field order, floats as %.12e, non-finite
+# floats as null (JSON has no inf or nan)
 # ---------------------------------------------------------------------------
 
 def _emit(obj, parts):
@@ -43,7 +45,7 @@ def _emit(obj, parts):
     elif isinstance(obj, (int, np.integer)):
         parts.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        parts.append("%.12e" % float(obj))
+        parts.append("%.12e" % float(obj) if math.isfinite(obj) else "null")
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
     elif isinstance(obj, dict):
@@ -399,7 +401,7 @@ def cmd_solve(args) -> int:
         R = [[players[i].kalman.R if i == j else np.zeros((system.m[j], system.m[j]))
               for j in range(N)] for i in range(N)]
         costs = CostParameters(Qs, R)
-    ok, cert = verify_nash(system, profile, costs, tol=max(tol, 1e-8))
+    ok, cert = verify_nash(system, profile, costs, tol=max(tol, args.tol))
     report = {
         "status": "solved" if ok else "verification_failed",
         "players": [
@@ -423,7 +425,7 @@ def cmd_verify(args) -> int:
     if costs is None:
         raise InputError("players: Q and R_row required for verify")
     try:
-        ok, cert = verify_nash(system, profile, costs, tol=max(tol, args.tol or 0.0))
+        ok, cert = verify_nash(system, profile, costs, tol=max(tol, args.tol))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report = {
@@ -464,11 +466,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "equilibrium of a linear-quadratic differential game.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def tol_option(p):
         p.add_argument("--tol", type=float, default=1e-8,
-                       help="global residual tolerance")
+                       help="residual tolerance of the final Nash check; the larger "
+                            "of this and the problem file's tol is used")
+
+    def common(p):
         p.add_argument("--grid", type=int, default=CIRCLE_GRID_POINTS,
-                       help="circle-criterion grid points per decade")
+                       help="total count of log-spaced frequencies in [1e-3, 1e3] for "
+                            "the sampled circle test, used only for players with "
+                            "more than 3 inputs")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("-o", "--output", default=None,
                        help="write the report to this path instead of stdout")
@@ -485,6 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="recover Nash-inducing cost matrices")
     ps.add_argument("problem")
     common(ps)
+    tol_option(ps)
     ps.add_argument("--mode", choices=("q-only", "general"), default="general")
     ps.add_argument("--nearest", default=None, metavar="COSTS0_JSON",
                     help="project these reference costs onto the feasible set")
@@ -493,6 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="exact Nash check for supplied costs")
     pv.add_argument("problem")
     common(pv)
+    tol_option(pv)
     pv.set_defaults(func=cmd_verify)
 
     pe = sub.add_parser("example", help="write a bundled problem file")

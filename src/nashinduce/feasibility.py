@@ -16,23 +16,28 @@ import numpy as np
 
 from .forward import CostParameters, state_weight_with_cross_terms
 from .numerics import (
+    PROJECTION_CAP,
+    PROJECTION_TOL,
+    R_FLOOR,
+    RANK_TOL,
     DimensionError,
+    affine_slice,
+    cone_ok,
+    cone_project,
+    cone_verdict,
     is_pd,
     is_psd,
     kron,
     kron_sum,
+    nullspace,
+    project_affine_cone,
     psd_project,
-    solve_lyapunov,
+    sym_basis,
+    sym_blocks,
+    sym_dim,
     sym_pack,
-    sym_unpack,
-    unvec,
-    vec,
 )
 from .realization import GameSystem, StrategyProfile, closed_loop
-
-R_FLOOR = 1e-6
-PROJECTION_CAP = 10_000
-PROJECTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,7 @@ def build_vectorized_system(system: GameSystem, profile: StrategyProfile, i: int
     return np.vstack([top, bottom])
 
 
-def _player_nullspace(system, profile, i, tol: float = 1e-9):
+def _player_nullspace(system, profile, i, tol: float = RANK_TOL):
     """Nullspace of the vectorized system expressed over symmetric (Q, R, P).
 
     Columns of the returned basis are packed [Q; R; P] in the isometric
@@ -122,20 +127,10 @@ def _player_nullspace(system, profile, i, tol: float = 1e-9):
     """
     n, m = system.n, system.m[i]
     M = build_vectorized_system(system, profile, i)
-    nq, nr, npk = n * (n + 1) // 2, m * (m + 1) // 2, n * (n + 1) // 2
-    cols = []
-    for t in range(nq + nr + npk):
-        e = np.zeros(nq + nr + npk)
-        e[t] = 1.0
-        Q = sym_unpack(e[:nq], n)
-        R = sym_unpack(e[nq:nq + nr], m)
-        P = sym_unpack(e[nq + nr:], n)
-        cols.append(M @ np.concatenate([vec(Q), vec(R), vec(P)]))
-    Msym = np.column_stack(cols)
-    u, sv, vh = np.linalg.svd(Msym)
-    cutoff = tol * max(1.0, sv[0] if sv.size else 1.0)
-    rank = int(np.sum(sv > cutoff))
-    return vh[rank:].T, (nq, nr, npk)
+    Sn = sym_basis(n)
+    Msym = np.hstack([M[:, :n * n] @ Sn, M[:, n * n:n * n + m * m] @ sym_basis(m),
+                      M[:, n * n + m * m:] @ Sn])
+    return nullspace(Msym, tol), (sym_dim(n), sym_dim(m), sym_dim(n))
 
 
 @dataclass(frozen=True)
@@ -155,72 +150,26 @@ def solve_feasibility_projection(system: GameSystem, profile: StrategyProfile,
     yields "indeterminate"; infeasibility is certified only when the solution
     ray itself leaves no room in the cone.
     """
-    N = system.num_players
     Qs, Rs, Ps = [], [], []
-    for i in range(N):
+    for i in range(system.num_players):
         n, m = system.n, system.m[i]
-        Z, (nq, nr, npk) = _player_nullspace(system, profile, i)
-        if Z.shape[1] == 0:
+        Z, (nq, _, npk) = _player_nullspace(system, profile, i)
+        trace_row = np.concatenate([np.zeros(nq), sym_pack(np.eye(m)), np.zeros(npk)])
+        affine = affine_slice(Z, trace_row, m)
+        if affine is None:
+            # No solution, or trace(R_ii) vanishes on all of them: no R_ii > 0.
             return FeasibilityResult("infeasible_certified_by_identity", None)
-        tr = np.zeros(nq + nr + npk)
-        idx = nq
-        for k in range(m):
-            for l in range(k, m):
-                if k == l:
-                    tr[idx] = 1.0
-                idx += 1
-        a = Z.T @ tr
-        if np.linalg.norm(a) < 1e-12:
-            # trace(R_ii) vanishes on the whole solution space: no R_ii > 0.
-            return FeasibilityResult("infeasible_certified_by_identity", None)
-
-        def unpack(theta):
-            return (sym_unpack(theta[:nq], n), sym_unpack(theta[nq:nq + nr], m),
-                    sym_unpack(theta[nq + nr:], n))
-
-        def proj_affine(theta):
-            c = Z.T @ theta
-            c = c + a * ((m - a @ c) / (a @ a))
-            return Z @ c
-
-        if Z.shape[1] == 1:
-            theta = proj_affine(Z[:, 0] * float(m))
-            Q, R, P = unpack(theta)
-            if _cone_ok(Q, R, P, rho):
-                Qs.append(Q), Rs.append(R), Ps.append(P)
-                continue
-            return FeasibilityResult("infeasible_certified_by_identity", None)
-
-        theta = proj_affine(np.zeros(nq + nr + npk))
-        ok = False
-        for _ in range(cap):
-            Q, R, P = unpack(theta)
-            theta_cone = np.concatenate([
-                sym_pack(psd_project(Q)),
-                sym_pack(psd_project(R, floor=rho)),
-                sym_pack(psd_project(P)),
-            ])
-            theta_next = proj_affine(theta_cone)
-            gap = float(np.linalg.norm(theta_next - theta_cone))
-            theta = theta_next
-            if gap <= tol * max(1.0, float(np.linalg.norm(theta))):
-                ok = True
-                break
-        Q, R, P = unpack(theta)
-        if not (ok and _cone_ok(Q, R, P, rho, slack=1e-6)):
+        layout = [(n, 0.0), (m, rho), (n, 0.0)]
+        theta, reason = project_affine_cone(*affine, layout, cap, tol)
+        ok = cone_verdict(theta, reason, layout, slack=1e-6)
+        if ok is None:
             return FeasibilityResult("indeterminate", None)
+        if not ok:
+            return FeasibilityResult("infeasible_certified_by_identity", None)
+        Q, R, P = sym_blocks(theta, layout)
         Qs.append(Q), Rs.append(R), Ps.append(P)
     costs = _assemble_costs(system, Qs, Rs)
     return FeasibilityResult("feasible", ThetaPoint(costs, Ps))
-
-
-def _cone_ok(Q, R, P, rho: float, slack: float = 1e-9) -> bool:
-    def mineig(M):
-        return float(np.linalg.eigvalsh(0.5 * (M + M.T)).min())
-
-    sq = max(1.0, float(np.linalg.norm(Q)), float(np.linalg.norm(P)))
-    return (mineig(Q) >= -slack * sq and mineig(P) >= -slack * sq
-            and mineig(R) >= rho * (1.0 - 1e-3) - slack)
 
 
 def _assemble_costs(system: GameSystem, Qs, Rs) -> CostParameters:
@@ -235,42 +184,28 @@ def _assemble_costs(system: GameSystem, Qs, Rs) -> CostParameters:
 # ---------------------------------------------------------------------------
 
 def _stationarity_map(system, profile, i):
-    """Linear map x -> stationarity residual, over packed (Q_i, R_i1..R_iN).
+    """Linear map x -> stationarity residual R_ii K_i - B_i' P_i (row-major),
+    over packed (Q_i, R_i1..R_iN).
 
     P_i is eliminated: the Riccati row determines it as the Lyapunov solution
-    for the folded state weight, which is affine in the packed variables and
-    automatically positive semidefinite on the cone.
+    for the folded state weight W = Q_i + sum_j K_j' R_ij K_j, which is linear
+    in the packed variables and automatically positive semidefinite on the
+    cone.
     """
     n = system.n
-    ms = system.m
     Acl = closed_loop(system, profile.K)
-    dims = [n * (n + 1) // 2] + [mj * (mj + 1) // 2 for mj in ms]
-    total = sum(dims)
-    cols = []
-    for t in range(total):
-        e = np.zeros(total)
-        e[t] = 1.0
-        Q, Rrow, P = _lift_linear(system, profile, e, dims, Acl)
-        cols.append((Rrow[i] @ profile.K[i] - system.B[i].T @ P).ravel())
-    return np.column_stack(cols), dims
-
-
-def _lift_linear(system, profile, x, dims, Acl):
-    n = system.n
-    N = system.num_players
-    offs = np.cumsum([0] + dims)
-    Q = sym_unpack(x[offs[0]:offs[1]], n)
-    Rrow = [sym_unpack(x[offs[1 + j]:offs[2 + j]], system.m[j]) for j in range(N)]
-    W = Q.copy()
-    for j in range(N):
-        W += profile.K[j].T @ Rrow[j] @ profile.K[j]
-    W = 0.5 * (W + W.T)
-    # Linear (not just affine) in x, so basis columns superpose exactly.
-    n2 = n * n
-    Ksum = kron_sum(Acl.T, Acl.T)
-    p = np.linalg.solve(Ksum, -vec(W))
-    P = unvec(p, n, n)
-    return Q, Rrow, 0.5 * (P + P.T)
+    Ki, mi = profile.K[i], system.m[i]
+    # vec(W) over the packed variables.
+    W = np.hstack([sym_basis(n)] + [kron(Kj.T, Kj.T) @ sym_basis(mj)
+                                    for Kj, mj in zip(profile.K, system.m)])
+    # L vec(P) = -vec(W) with L = kron_sum(Acl', Acl'), and the row-major
+    # vec(B_i' P) is G vec(P); G L^{-1} is one solve against L' with n m_i
+    # right-hand sides.
+    G = kron(system.B[i].T, np.eye(n))
+    M = np.linalg.solve(kron_sum(Acl.T, Acl.T).T, G.T).T @ W
+    off = sym_dim(n) + sum(sym_dim(mj) for mj in system.m[:i])
+    M[:, off:off + sym_dim(mi)] += kron(np.eye(mi), Ki.T) @ sym_basis(mi)
+    return M
 
 
 @dataclass(frozen=True)
@@ -288,7 +223,8 @@ def nearest_params(costs0: CostParameters, system: GameSystem, profile: Strategy
     Per player: variables (Q_i, R_i1..R_iN) with P_i eliminated through the
     Lyapunov map, alternating between the stationarity subspace and the
     semidefinite cone with Dykstra corrections so the limit is the Frobenius
-    projection, not just any feasible point.
+    projection, not just any feasible point.  The subspace step needs no
+    correction: it would lie in range(Z)-perp and never change an iterate.
     """
     costs0.validate(system, tol=1e-6)
     N = system.num_players
@@ -296,38 +232,19 @@ def nearest_params(costs0: CostParameters, system: GameSystem, profile: Strategy
     Rrows = []
     dist2 = 0.0
     for i in range(N):
-        M, dims = _stationarity_map(system, profile, i)
-        u, sv, vh = np.linalg.svd(M)
-        cutoff = 1e-9 * max(1.0, sv[0] if sv.size else 1.0)
-        rank = int(np.sum(sv > cutoff))
-        Z = vh[rank:].T  # nullspace: feasible identity directions
+        Z = nullspace(_stationarity_map(system, profile, i))  # feasible identity directions
         if Z.shape[1] == 0:
             return NearestResult("infeasible_certified_by_identity", None, float("inf"))
-
+        layout = [(system.n, 0.0)] + [(mj, rho if j == i else 0.0)
+                                      for j, mj in enumerate(system.m)]
         x0 = np.concatenate([sym_pack(costs0.Q[i])] +
                             [sym_pack(costs0.R[i][j]) for j in range(N)])
-
-        def proj_sub(x):
-            return Z @ (Z.T @ x)
-
-        def proj_cone(x):
-            offs = np.cumsum([0] + dims)
-            Q = psd_project(sym_unpack(x[offs[0]:offs[1]], system.n))
-            parts = [sym_pack(Q)]
-            for j in range(N):
-                Rj = sym_unpack(x[offs[1 + j]:offs[2 + j]], system.m[j])
-                floor = rho if j == i else 0.0
-                parts.append(sym_pack(psd_project(Rj, floor=floor)))
-            return np.concatenate(parts)
-
         x = x0.copy()
-        p_corr = np.zeros_like(x)
         q_corr = np.zeros_like(x)
         converged = False
         for _ in range(cap):
-            y = proj_sub(x + p_corr)
-            p_corr = x + p_corr - y
-            x_new = proj_cone(y + q_corr)
+            y = Z @ (Z.T @ x)
+            x_new = cone_project(y + q_corr, layout)
             q_corr = y + q_corr - x_new
             if float(np.linalg.norm(x_new - x)) <= tol * max(1.0, float(np.linalg.norm(x_new))) \
                     and float(np.linalg.norm(x_new - y)) <= 1e-6 * max(1.0, float(np.linalg.norm(x_new))):
@@ -338,42 +255,31 @@ def nearest_params(costs0: CostParameters, system: GameSystem, profile: Strategy
         if converged:
             # A Dykstra limit must actually lie in both sets; an empty
             # intersection can still produce small update gaps.
-            offs = np.cumsum([0] + dims)
-            on_sub = float(np.linalg.norm(x - proj_sub(x))) <= 1e-7 * max(1.0, float(np.linalg.norm(x)))
-            Rii = sym_unpack(x[offs[1 + i]:offs[2 + i]], system.m[i])
-            in_cone = float(np.linalg.eigvalsh(Rii).min()) >= rho * (1.0 - 1e-3)
-            if not (on_sub and in_cone):
-                converged = False
+            on_sub = float(np.linalg.norm(x - Z @ (Z.T @ x))) <= 1e-7 * max(1.0, float(np.linalg.norm(x)))
+            converged = on_sub and cone_ok(x, layout)
         if not converged:
             # Certify emptiness on a one-dimensional solution ray, else punt.
             if Z.shape[1] == 1:
                 z = Z[:, 0]
-                if not (_ray_in_cone(z, dims, system, i, rho) or
-                        _ray_in_cone(-z, dims, system, i, rho)):
+                if not (_ray_in_cone(z, layout) or _ray_in_cone(-z, layout)):
                     return NearestResult("infeasible_certified_by_identity", None, float("inf"))
             return NearestResult("indeterminate", None, float("inf"))
-        offs = np.cumsum([0] + dims)
-        Qi = sym_unpack(x[offs[0]:offs[1]], system.n)
-        Rrow = [sym_unpack(x[offs[1 + j]:offs[2 + j]], system.m[j]) for j in range(N)]
         dist2 += float(np.linalg.norm(x - x0) ** 2)
-        Qs.append(psd_project(Qi))
-        Rrows.append([psd_project(Rj, floor=(rho if j == i else 0.0)) for j, Rj in enumerate(Rrow)])
+        Qi, *Rrow = [psd_project(X, floor) for X, (_, floor) in zip(sym_blocks(x, layout), layout)]
+        Qs.append(Qi)
+        Rrows.append(Rrow)
     costs = CostParameters(Qs, Rrows)
     return NearestResult("feasible", costs, float(np.sqrt(dist2)))
 
 
-def _ray_in_cone(z, dims, system, i, rho) -> bool:
-    offs = np.cumsum([0] + dims)
-    Q = sym_unpack(z[offs[0]:offs[1]], system.n)
-    flags = [float(np.linalg.eigvalsh(Q).min()) >= -1e-9]
-    for j in range(system.num_players):
-        Rj = sym_unpack(z[offs[1 + j]:offs[2 + j]], system.m[j])
-        w = float(np.linalg.eigvalsh(Rj).min())
-        if j == i:
-            flags.append(w > 1e-12)  # positive scaling can reach R >= rho I
-        else:
-            flags.append(w >= -1e-9)
-    return all(flags)
+def _ray_in_cone(z, layout) -> bool:
+    """Some positive multiple of z meets the cones: floored blocks need a
+    positive minimum eigenvalue, the others must be PSD."""
+    for X, (_, floor) in zip(sym_blocks(z, layout), layout):
+        w = float(np.linalg.eigvalsh(X).min())
+        if not (w > 1e-12 if floor > 0.0 else w >= -1e-9):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from .numerics import (
     as_matrix,
     eig,
     is_hurwitz,
+    is_pd,
     is_psd,
     solve_lyapunov,
     sym_pack,
@@ -61,7 +62,6 @@ class CostParameters:
             for j in range(N):
                 if self.R[i][j].shape != (system.m[j], system.m[j]):
                     raise DimensionError(f"R[{i}][{j}] has wrong shape")
-            from .numerics import is_pd
             if not is_pd(self.R[i][i], tol):
                 raise ValueError(f"R[{i}][{i}] is not positive definite")
             for j in range(N):

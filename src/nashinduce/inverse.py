@@ -10,16 +10,25 @@ unknown weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import polymat
 from .numerics import (
+    KALMAN_PROJECTION_TOL,
+    PROJECTION_CAP,
+    R_FLOOR,
     NumericalFailureError,
+    affine_slice,
+    cone_verdict,
+    nullspace,
+    project_affine_cone,
     psd_project,
     psd_sqrt_factor,
+    sym_basis,
+    sym_blocks,
     sym_dim,
     sym_pack,
     sym_unpack,
@@ -36,9 +45,6 @@ from .realization import (
 
 PARA_HERMITIAN_TOL = 1e-8
 CIRCLE_GRID_POINTS = 400
-PROJECTION_CAP = 10_000
-PROJECTION_TOL = 1e-9
-R_FLOOR = 1e-6
 
 
 def build_phi(fac: CoprimeFactorization) -> PolyMatrix:
@@ -212,7 +218,6 @@ class PhiAnalysis:
     circle_ok: bool
     circle_witness: float | None
     circle_method: str
-    grid: np.ndarray = field(repr=False, default=None)
 
 
 def analyze_phi(fac: CoprimeFactorization, grid=None,
@@ -221,9 +226,8 @@ def analyze_phi(fac: CoprimeFactorization, grid=None,
     L, phi_tilde, p = compress_columns(phi)
     unimodular_det_constant(L)
     ok, witness, method = circle_criterion(phi, grid, points_per_decade=points_per_decade)
-    used = _default_grid(points_per_decade) if grid is None else np.asarray(grid, dtype=float)
     return PhiAnalysis(phi=phi, L=L, phi_tilde=phi_tilde, p=p,
-                       circle_ok=ok, circle_witness=witness, circle_method=method, grid=used)
+                       circle_ok=ok, circle_witness=witness, circle_method=method)
 
 
 @dataclass(frozen=True)
@@ -318,6 +322,21 @@ def _coeff_stack(P: PolyMatrix, dmax: int) -> np.ndarray:
     return C.ravel()
 
 
+def _para_map(L: PolyMatrix, R: PolyMatrix, dmax: int) -> np.ndarray:
+    """Coefficient stack (as _coeff_stack lays it out) of X -> L'(-s) X R(s),
+    acting on packed symmetric X.
+
+    Coefficient k of the product is sum_{a+b=k} (-1)^a L_a' X R_b, whose
+    row-major vectorization is (-1)^a kron(L_a', R_b') vec(X).
+    """
+    n = L.rows
+    blocks = np.zeros((dmax, L.cols * R.cols, n * n))
+    for a, La in enumerate(L.coeffs):
+        for b, Rb in enumerate(R.coeffs):
+            blocks[a + b] += (-1.0) ** a * np.kron(La.T, Rb.T)
+    return blocks.reshape(-1, n * n) @ sym_basis(n)
+
+
 def solve_kalman_Q(fac: CoprimeFactorization, phi: PolyMatrix,
                    tol: float = 1e-8, cap: int = PROJECTION_CAP) -> KalmanSolution:
     """Find symmetric Q with S'(-s) Q S(s) = Phi(s); R is pinned to I.
@@ -329,55 +348,21 @@ def solve_kalman_Q(fac: CoprimeFactorization, phi: PolyMatrix,
     N(s) = Q^{1/2} S(s) is attached.
     """
     _require_para_hermitian(phi)
-    n, m = fac.n, fac.m
-    S_para = fac.S.paraconjugate()
+    n = fac.n
     dmax = int(2 * max(fac.S.degree, 0) + max(phi.degree, 0) + 2)
-    cols = []
-    for t in range(sym_dim(n)):
-        e = np.zeros(sym_dim(n))
-        e[t] = 1.0
-        Eb = sym_unpack(e, n)
-        G = S_para @ PolyMatrix.constant(Eb) @ fac.S
-        cols.append(_coeff_stack(G, dmax))
-    A = np.column_stack(cols)
+    A = _para_map(fac.S, fac.S, dmax)
     b = _coeff_stack(phi, dmax)
     q, *_ = np.linalg.lstsq(A, b, rcond=None)
-    resid = float(np.linalg.norm(A @ q - b))
-    rel = resid / max(1.0, float(np.linalg.norm(b)))
-    # Kernel of the homogeneous map.
-    u, sv, vh = np.linalg.svd(A)
-    cutoff = 1e-9 * max(1.0, sv[0] if sv.size else 1.0)
-    rank = int(np.sum(sv > cutoff))
-    Z = vh[rank:].T
-    kernel_dim = Z.shape[1]
+    scale = max(1.0, float(np.linalg.norm(b)))
+    rel = float(np.linalg.norm(A @ q - b)) / scale
+    Z = nullspace(A)
     if rel > tol:
-        return KalmanSolution(Q=sym_unpack(q, n), R=np.eye(m), residual=rel,
-                              kernel_dim=kernel_dim, psd_ok=False, status="no_solution")
-    # PSD search over the affine set q + range(Z).
-    Q_aff = q.copy()
-    scale = max(1.0, float(np.linalg.norm(q)))
-    converged = False
-    for _ in range(cap):
-        Qm = psd_project(sym_unpack(Q_aff, n))
-        q_psd = sym_pack(Qm)
-        Q_next = q + Z @ (Z.T @ (q_psd - q))
-        gap = float(np.linalg.norm(Q_next - q_psd))
-        Q_aff = Q_next
-        if gap <= PROJECTION_TOL * scale:
-            converged = True
-            break
-    Q = sym_unpack(Q_aff, n)
-    w = np.linalg.eigvalsh(Q)
-    psd_ok = bool(converged and w.min() >= -1e-7 * max(1.0, float(np.abs(w).max())))
-    resid_final = float(np.linalg.norm(A @ sym_pack(Q) - b)) / max(1.0, float(np.linalg.norm(b)))
-    N = None
-    status = "solved" if psd_ok else ("indeterminate" if not converged else "infeasible")
-    if psd_ok:
-        C = psd_sqrt_factor(psd_project(Q))
-        if C.shape[0] > 0:
-            N = PolyMatrix.constant(C) @ fac.S
-    return KalmanSolution(Q=Q, R=np.eye(m), residual=resid_final, kernel_dim=kernel_dim,
-                          psd_ok=psd_ok, status=status, N_factor=N)
+        return KalmanSolution(Q=sym_unpack(q, n), R=np.eye(fac.m), residual=rel,
+                              kernel_dim=Z.shape[1], psd_ok=False, status="no_solution")
+    layout = [(n, 0.0)]
+    x, reason = project_affine_cone(q, Z, layout, cap, KALMAN_PROJECTION_TOL)
+    resid = float(np.linalg.norm(A @ x - b)) / scale
+    return _kalman_solution(fac, x, reason, layout, resid, Z.shape[1])
 
 
 def solve_kalman_general(fac: CoprimeFactorization, tol: float = 1e-8,
@@ -390,94 +375,31 @@ def solve_kalman_general(fac: CoprimeFactorization, tol: float = 1e-8,
     if fac.D_tilde is None:
         raise ValueError("factorization has no feedback attached")
     n, m = fac.n, fac.m
-    S_para = fac.S.paraconjugate()
-    D_para = fac.D.paraconjugate()
-    Dt_para = fac.D_tilde.paraconjugate()
     dmax = int(2 * max(fac.S.degree, fac.D.degree, fac.D_tilde.degree, 0) + 2)
-    nq, nr = sym_dim(n), sym_dim(m)
-    cols = []
-    for t in range(nq):
-        e = np.zeros(nq)
-        e[t] = 1.0
-        G = S_para @ PolyMatrix.constant(sym_unpack(e, n)) @ fac.S
-        cols.append(-_coeff_stack(G, dmax))
-    for t in range(nr):
-        e = np.zeros(nr)
-        e[t] = 1.0
-        Rb = PolyMatrix.constant(sym_unpack(e, m))
-        G = Dt_para @ Rb @ fac.D_tilde - D_para @ Rb @ fac.D
-        cols.append(_coeff_stack(G, dmax))
-    A = np.column_stack(cols)
-    u, sv, vh = np.linalg.svd(A)
-    cutoff = 1e-9 * max(1.0, sv[0] if sv.size else 1.0)
-    rank = int(np.sum(sv > cutoff))
-    Z = vh[rank:].T  # basis of the homogeneous solution cone's span
-    kernel_dim = Z.shape[1]
-
-    def unpack(theta):
-        return sym_unpack(theta[:nq], n), sym_unpack(theta[nq:], m)
-
-    def residual_of(theta):
-        return float(np.linalg.norm(A @ theta)) / max(1.0, float(np.linalg.norm(A @ theta) + 1.0))
-
-    if kernel_dim == 0:
+    A = np.hstack([-_para_map(fac.S, fac.S, dmax),
+                   _para_map(fac.D_tilde, fac.D_tilde, dmax) - _para_map(fac.D, fac.D, dmax)])
+    Z = nullspace(A)  # basis of the homogeneous solution cone's span
+    trace_row = np.concatenate([np.zeros(sym_dim(n)), sym_pack(np.eye(m))])
+    affine = affine_slice(Z, trace_row, m)
+    if affine is None:
+        # No solution, or every solution has trace(R) = 0: no positive-definite R.
         return KalmanSolution(Q=np.zeros((n, n)), R=np.zeros((m, m)), residual=0.0,
-                              kernel_dim=0, psd_ok=False, status="infeasible")
-    # Normalization slice trace(R) = m in kernel coordinates.
-    tr = np.zeros(nq + nr)
-    for idx, (k, l) in enumerate([(k, l) for k in range(m) for l in range(k, m)]):
-        if k == l:
-            tr[nq + idx] = 1.0
-    a = Z.T @ tr
-    if np.linalg.norm(a) < 1e-12:
-        # Every solution has trace(R) = 0; no positive-definite R exists.
-        return KalmanSolution(Q=np.zeros((n, n)), R=np.zeros((m, m)), residual=0.0,
-                              kernel_dim=kernel_dim, psd_ok=False, status="infeasible")
-    c0 = a * (float(m) / float(a @ a))
-
-    def proj_affine(theta):
-        c = Z.T @ theta
-        c = c + a * ((m - a @ c) / (a @ a))
-        return Z @ c
-
-    if kernel_dim == 1:
-        theta = proj_affine(Z @ c0)
-        Qm, Rm = unpack(theta)
-        ok = _cone_ok(Qm, Rm, rho)
-        resid = float(np.linalg.norm(A @ theta)) / max(1.0, float(np.linalg.norm(theta)))
-        status = "solved" if ok else "infeasible"
-        N = _spectral_factor(fac, Qm) if ok else None
-        return KalmanSolution(Q=Qm, R=Rm, residual=resid, kernel_dim=1,
-                              psd_ok=ok, status=status, N_factor=N)
-
-    theta = Z @ c0
-    converged = False
-    for _ in range(cap):
-        Qm, Rm = unpack(theta)
-        theta_cone = np.concatenate([
-            sym_pack(psd_project(Qm)),
-            sym_pack(psd_project(Rm, floor=rho)),
-        ])
-        theta_next = proj_affine(theta_cone)
-        gap = float(np.linalg.norm(theta_next - theta_cone))
-        theta = theta_next
-        if gap <= PROJECTION_TOL * max(1.0, float(np.linalg.norm(theta))):
-            converged = True
-            break
-    Qm, Rm = unpack(theta)
-    ok = bool(converged and _cone_ok(Qm, Rm, rho, slack=1e-7))
+                              kernel_dim=Z.shape[1], psd_ok=False, status="infeasible")
+    layout = [(n, 0.0), (m, rho)]
+    theta, reason = project_affine_cone(*affine, layout, cap, KALMAN_PROJECTION_TOL)
     resid = float(np.linalg.norm(A @ theta)) / max(1.0, float(np.linalg.norm(theta)))
-    status = "solved" if ok else "indeterminate"
-    N = _spectral_factor(fac, Qm) if ok else None
-    return KalmanSolution(Q=Qm, R=Rm, residual=resid, kernel_dim=kernel_dim,
-                          psd_ok=ok, status=status, N_factor=N)
+    return _kalman_solution(fac, theta, reason, layout, resid, Z.shape[1])
 
 
-def _cone_ok(Q, R, rho: float, slack: float = 1e-9) -> bool:
-    wq = np.linalg.eigvalsh(0.5 * (Q + Q.T))
-    wr = np.linalg.eigvalsh(0.5 * (R + R.T))
-    sq = max(1.0, float(np.abs(wq).max())) if wq.size else 1.0
-    return bool(wq.min() >= -slack * sq and wr.min() >= rho * (1.0 - 1e-3) - slack)
+def _kalman_solution(fac, x, reason, layout, residual, kernel_dim) -> KalmanSolution:
+    """Solution record for a projection over packed Q (R = I) or packed (Q, R)."""
+    ok = cone_verdict(x, reason, layout, slack=1e-7)
+    blocks = sym_blocks(x, layout)
+    Q = blocks[0]
+    R = blocks[1] if len(blocks) > 1 else np.eye(fac.m)
+    status = "solved" if ok else ("infeasible" if ok is False else "indeterminate")
+    return KalmanSolution(Q=Q, R=R, residual=residual, kernel_dim=kernel_dim, psd_ok=bool(ok),
+                          status=status, N_factor=_spectral_factor(fac, Q) if ok else None)
 
 
 def _spectral_factor(fac: CoprimeFactorization, Q) -> PolyMatrix | None:

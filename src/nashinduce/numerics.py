@@ -7,6 +7,8 @@ entry points reject NaN/Inf.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # Default tolerances.  Callers may override per call; nothing below hard-codes
@@ -15,6 +17,10 @@ PSD_TOL = 1e-8
 RANK_TOL = 1e-9
 HURWITZ_MARGIN = 1e-9
 LYAPUNOV_RESIDUAL_TOL = 1e-9
+R_FLOOR = 1e-6                 # eigenvalue floor imposed on each R_ii
+PROJECTION_CAP = 10_000        # iteration cap of every projection loop
+PROJECTION_TOL = 1e-10         # stop rule of the oracle and nearest-parameter loops
+KALMAN_PROJECTION_TOL = 1e-9   # stop rule of the Kalman-equation searches
 
 
 class DimensionError(ValueError):
@@ -173,30 +179,133 @@ def psd_sqrt_factor(Q, tol: float = RANK_TOL) -> np.ndarray:
 
 # Packing of symmetric matrices into vectors that preserves the Frobenius
 # inner product (off-diagonals scaled by sqrt(2)), so Euclidean projections in
-# packed coordinates are Frobenius projections on matrices.
+# packed coordinates are Frobenius projections on matrices.  Entry t of the
+# packed vector is (k, l), k <= l, in row-major upper-triangle order.
 
-def sym_basis_indices(n: int):
-    return [(k, l) for k in range(n) for l in range(k, n)]
+@functools.lru_cache(maxsize=64)
+def _sym_layout(n: int):
+    """Read-only (rows, cols, weights) of the packed upper triangle of n x n."""
+    rows, cols = np.triu_indices(n)
+    weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    for a in (rows, cols, weights):
+        a.setflags(write=False)
+    return rows, cols, weights
 
 
 def sym_pack(M) -> np.ndarray:
     A = symmetrize(M)
-    n = A.shape[0]
-    r2 = np.sqrt(2.0)
-    return np.array([A[k, l] * (1.0 if k == l else r2) for k, l in sym_basis_indices(n)])
+    rows, cols, weights = _sym_layout(A.shape[0])
+    return A[rows, cols] * weights
 
 
 def sym_unpack(v, n: int) -> np.ndarray:
-    v = np.asarray(v, dtype=float).ravel()
+    rows, cols, weights = _sym_layout(n)
+    x = np.asarray(v, dtype=float).ravel() / weights
     A = np.zeros((n, n))
-    r2 = np.sqrt(2.0)
-    for x, (k, l) in zip(v, sym_basis_indices(n)):
-        if k == l:
-            A[k, k] = x
-        else:
-            A[k, l] = A[l, k] = x / r2
+    A[rows, cols] = x
+    A[cols, rows] = x
     return A
 
 
 def sym_dim(n: int) -> int:
     return n * (n + 1) // 2
+
+
+def sym_basis(n: int) -> np.ndarray:
+    """Isometric duplication matrix: vec(sym_unpack(v, n)) = sym_basis(n) @ v.
+
+    Its transpose packs: sym_pack(M) = sym_basis(n).T @ vec(M) for symmetric M.
+    """
+    rows, cols, weights = _sym_layout(n)
+    t = np.arange(rows.size)
+    D = np.zeros((n * n, rows.size))
+    D[rows + n * cols, t] = 1.0 / weights
+    D[cols + n * rows, t] = 1.0 / weights
+    return D
+
+
+# ---------------------------------------------------------------------------
+# Projection onto an affine set intersected with a product of PSD cones
+# ---------------------------------------------------------------------------
+# A block layout [(size, floor), ...] describes a packed vector as consecutive
+# symmetric blocks, block b constrained to {X : X >= floor_b I}.
+
+def sym_blocks(x, layout) -> list:
+    """The symmetric blocks of a packed vector, in layout order."""
+    blocks, start = [], 0
+    for size, _ in layout:
+        stop = start + sym_dim(size)
+        blocks.append(sym_unpack(x[start:stop], size))
+        start = stop
+    return blocks
+
+
+def cone_project(x, layout) -> np.ndarray:
+    """Frobenius projection of a packed vector onto the layout's cone product."""
+    return np.concatenate([sym_pack(psd_project(X, floor))
+                           for X, (_, floor) in zip(sym_blocks(x, layout), layout)])
+
+
+def cone_ok(x, layout, slack: float = 1e-9) -> bool:
+    """True iff every block of x lies in its cone within slack.
+
+    Floor-zero blocks may dip to -slack times the largest Frobenius norm among
+    them (at least 1); a block with a positive floor must keep its minimum
+    eigenvalue above floor * (1 - 1e-3) - slack.
+    """
+    blocks = sym_blocks(x, layout)
+    scale = max([1.0] + [float(np.linalg.norm(X))
+                         for X, (_, floor) in zip(blocks, layout) if floor == 0.0])
+    for X, (_, floor) in zip(blocks, layout):
+        bound = -slack * scale if floor == 0.0 else floor * (1.0 - 1e-3) - slack
+        if float(np.linalg.eigvalsh(X).min()) < bound:
+            return False
+    return True
+
+
+def affine_slice(Z, a, value: float):
+    """The points Z c of span(Z) with a . (Z c) = value, as (x_p, Y).
+
+    Z has orthonormal columns; x_p is the minimum-norm point and Y an
+    orthonormal basis of the slice's directions.  None when a vanishes on
+    span(Z), so that no point of the span reaches a nonzero value.
+    """
+    g = Z.T @ a
+    norm = float(np.linalg.norm(g))
+    if norm < 1e-12:
+        return None
+    return Z @ (g * (value / norm**2)), Z @ nullspace(g[None, :] / norm)
+
+
+def project_affine_cone(x_p, Y, layout, cap: int = PROJECTION_CAP,
+                        tol: float = PROJECTION_TOL):
+    """Alternating projections between {x_p + Y c} and the layout's cones.
+
+    Y has orthonormal columns and x_p lies in the affine set.  From x_p,
+    iterate c = P_cone(x), x' = P_aff(c) until |x' - c| <= tol * max(1, |x'|).
+    Returns (x', reason) with reason "converged", "cap" after cap iterations,
+    or "point" when Y has no columns and x_p is the whole set.
+    """
+    if Y.shape[1] == 0:
+        return x_p, "point"
+    x = x_p
+    for _ in range(cap):
+        c = cone_project(x, layout)
+        x = x_p + Y @ (Y.T @ (c - x_p))
+        if float(np.linalg.norm(x - c)) <= tol * max(1.0, float(np.linalg.norm(x))):
+            return x, "converged"
+    return x, "cap"
+
+
+def cone_verdict(x, reason: str, layout, slack: float):
+    """Whether a projection result lies in the cones: True, False, or None.
+
+    A single point is tested strictly and decides either way.  A converged
+    point lies only within the stop tolerance of the cones, so it is tested
+    with `slack` and decides nothing when it fails; neither does a capped run.
+    """
+    if reason == "point":
+        return cone_ok(x, layout)
+    if reason == "converged" and cone_ok(x, layout, slack):
+        return True
+    return None

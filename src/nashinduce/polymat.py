@@ -234,14 +234,6 @@ class PolyMatrix:
 
     __rmul__ = __mul__
 
-    def scale_s(self, power: int) -> "PolyMatrix":
-        """Multiply the whole matrix by s**power."""
-        if power == 0:
-            return self.copy()
-        C = np.zeros((self.coeffs.shape[0] + power, self.rows, self.cols))
-        C[power:] = self.coeffs
-        return PolyMatrix(C)
-
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(np.transpose(self.coeffs, (0, 2, 1)))
 

@@ -127,15 +127,13 @@ def reduced_system(system: GameSystem, profile: StrategyProfile, i: int):
 class CoprimeFactorization:
     """Right-coprime factors of (sI - A_tilde)^{-1} B = S D^{-1}.
 
-    H maps S into stacked power-basis form; when the pair is uncontrollable
-    only the leading controllable block of H S is structured and
-    `controllable` is False.
+    When the pair is uncontrollable the factors describe the controllable
+    part only and `controllable` is False.
     """
 
     S: PolyMatrix
     D: PolyMatrix
     sigma: tuple
-    H: np.ndarray
     A_tilde: np.ndarray
     B: np.ndarray
     controllable: bool
@@ -197,7 +195,7 @@ def _power_basis(sigma) -> PolyMatrix:
 
 
 def right_coprime_factorization(A_tilde, B, tol: float = RANK_TOL) -> CoprimeFactorization:
-    """Construct (S, D, sigma, H) for the pair (A_tilde, B).
+    """Construct (S, D, sigma) for the pair (A_tilde, B).
 
     Route: restrict to the controllable subspace, transform to controller
     canonical form via the controllability-matrix column-selection scheme,
@@ -262,17 +260,10 @@ def right_coprime_factorization(A_tilde, B, tol: float = RANK_TOL) -> CoprimeFac
     D = PolyMatrix(Dc)
 
     S = PolyMatrix.constant(U @ Tinv) @ Sbar  # n x m in original coordinates
-    if controllable:
-        H = T @ U.T
-    else:
-        comp = np.linalg.svd(U.T, full_matrices=True)[2][n_c:]
-        H = np.vstack([T @ U.T, comp])
-
     fac = CoprimeFactorization(
         S=S,
         D=D,
         sigma=tuple(int(s) for s in sigma),
-        H=H,
         A_tilde=A,
         B=Bm,
         controllable=controllable,

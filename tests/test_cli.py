@@ -219,3 +219,39 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     json.loads(out_path.read_text())
+
+
+def test_solve_nearest_not_feasible_is_valid_json(tmp_path, capsys):
+    path = write_example(tmp_path, "scalar_infeasible")
+    costs0 = tmp_path / "costs0.json"
+    costs0.write_text('{"Q": [[[1.0]]], "R": [[[[1.0]]]]}')
+    code, out, _ = run_cli(capsys, "solve", path, "--nearest", str(costs0))
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] != "feasible"
+    assert report["distance"] is None
+
+
+def test_check_rejects_tol(tmp_path, capsys):
+    path = write_example(tmp_path, "scalar_feasible")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", path, "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_solve_tol_reaches_verify_nash(tmp_path, capsys, monkeypatch):
+    import nashinduce.cli as cli
+
+    seen = []
+    real = cli.verify_nash
+
+    def spy(*args, tol, **kwargs):
+        seen.append(tol)
+        return real(*args, tol=tol, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_nash", spy)
+    path = write_example(tmp_path, "two_player_scalar")
+    code, _, _ = run_cli(capsys, "solve", path, "--tol", "1e-5")
+    assert code == 0
+    assert seen == [1e-5]

@@ -1,0 +1,166 @@
+"""Closed-form linear maps against unit-vector probe builders.
+
+The probe builders below push each packed basis vector through sym_unpack and
+the defining operation (polynomial products, the Kronecker system, one
+Lyapunov solve per column).  They are slow but obviously right, and are kept
+here as the reference implementations of the maps the package builds in
+closed form.
+"""
+
+import numpy as np
+import pytest
+
+from nashinduce import (
+    GameSystem,
+    PolyMatrix,
+    StrategyProfile,
+    attach_feedback,
+    build_vectorized_system,
+    closed_loop,
+    is_stabilizing,
+    right_coprime_factorization,
+)
+from nashinduce.feasibility import _player_nullspace, _stationarity_map
+from nashinduce.inverse import _coeff_stack, _para_map
+from nashinduce.numerics import (
+    kron_sum,
+    nullspace,
+    sym_basis,
+    sym_dim,
+    sym_pack,
+    sym_unpack,
+    unvec,
+    vec,
+)
+
+SIZES = [(n, m) for n in range(2, 11) for m in (1, 2, 3) if m <= n]
+
+
+def loop_sym_pack(M):
+    A = 0.5 * (M + M.T)
+    r2 = np.sqrt(2.0)
+    n = A.shape[0]
+    return np.array([A[k, l] * (1.0 if k == l else r2)
+                     for k in range(n) for l in range(k, n)])
+
+
+def loop_sym_unpack(v, n):
+    A = np.zeros((n, n))
+    r2 = np.sqrt(2.0)
+    idx = [(k, l) for k in range(n) for l in range(k, n)]
+    for x, (k, l) in zip(v, idx):
+        if k == l:
+            A[k, k] = x
+        else:
+            A[k, l] = A[l, k] = x / r2
+    return A
+
+
+def probe(dim, apply):
+    """Matrix of a linear map from its images of the unit vectors."""
+    cols = []
+    for t in range(dim):
+        e = np.zeros(dim)
+        e[t] = 1.0
+        cols.append(apply(e))
+    return np.column_stack(cols)
+
+
+def probe_para_map(L, R, dmax):
+    n = L.rows
+    L_para = L.paraconjugate()
+    return probe(sym_dim(n), lambda e: _coeff_stack(
+        L_para @ PolyMatrix.constant(sym_unpack(e, n)) @ R, dmax))
+
+
+def probe_player_map(system, profile, i):
+    n, m = system.n, system.m[i]
+    M = build_vectorized_system(system, profile, i)
+    nq, nr = sym_dim(n), sym_dim(m)
+
+    def apply(e):
+        Q, R, P = sym_unpack(e[:nq], n), sym_unpack(e[nq:nq + nr], m), sym_unpack(e[nq + nr:], n)
+        return M @ np.concatenate([vec(Q), vec(R), vec(P)])
+
+    return probe(2 * nq + nr, apply)
+
+
+def probe_stationarity_map(system, profile, i):
+    n, N = system.n, system.num_players
+    Acl = closed_loop(system, profile.K)
+    offs = np.cumsum([0, sym_dim(n)] + [sym_dim(mj) for mj in system.m])
+
+    def apply(e):
+        Q = sym_unpack(e[offs[0]:offs[1]], n)
+        Rrow = [sym_unpack(e[offs[1 + j]:offs[2 + j]], system.m[j]) for j in range(N)]
+        W = Q + sum(profile.K[j].T @ Rrow[j] @ profile.K[j] for j in range(N))
+        P = unvec(np.linalg.solve(kron_sum(Acl.T, Acl.T), -vec(0.5 * (W + W.T))), n, n)
+        P = 0.5 * (P + P.T)
+        return (Rrow[i] @ profile.K[i] - system.B[i].T @ P).ravel()
+
+    return probe(offs[-1], apply)
+
+
+def assert_same_map(M, ref):
+    assert M.shape == ref.shape
+    assert np.max(np.abs(M - ref)) <= 1e-9 * max(1.0, float(np.max(np.abs(ref))))
+    assert nullspace(M).shape[1] == nullspace(ref).shape[1]
+
+
+def random_factorization(n, m, seed):
+    rng = np.random.default_rng([n, m, seed])
+    A = rng.standard_normal((n, n)) / np.sqrt(n)
+    B = rng.standard_normal((n, m))
+    K = rng.standard_normal((m, n))
+    return attach_feedback(right_coprime_factorization(A, B), K)
+
+
+def stable_game(n, m, seed):
+    """Two players (m and 1 inputs) with small gains on a Hurwitz plant."""
+    rng = np.random.default_rng([n, m, seed])
+    A = rng.standard_normal((n, n)) / np.sqrt(n)
+    A -= (max(0.0, float(np.max(np.linalg.eigvals(A).real))) + 1.0) * np.eye(n)
+    Bs = [rng.standard_normal((n, m)), rng.standard_normal((n, 1))]
+    Ks = [0.1 / n * rng.standard_normal((B.shape[1], n)) for B in Bs]
+    system = GameSystem(A, Bs)
+    assert is_stabilizing(system, Ks)
+    return system, StrategyProfile.stabilizing(system, Ks)
+
+
+@pytest.mark.parametrize("n, m", SIZES)
+def test_kalman_maps_match_probe(n, m):
+    fac = random_factorization(n, m, 0)
+    dmax = int(2 * max(fac.S.degree, fac.D.degree, fac.D_tilde.degree) + 2)
+    pairs = [(fac.S, fac.S), (fac.D_tilde, fac.D_tilde), (fac.D, fac.D)]
+    maps = [_para_map(L, R, dmax) for L, R in pairs]
+    refs = [probe_para_map(L, R, dmax) for L, R in pairs]
+    for M, ref in zip(maps, refs):
+        assert_same_map(M, ref)
+    # The joint (Q, R) map of solve_kalman_general, kernel dimension included.
+    assert_same_map(np.hstack([-maps[0], maps[1] - maps[2]]),
+                    np.hstack([-refs[0], refs[1] - refs[2]]))
+
+
+@pytest.mark.parametrize("n, m", SIZES)
+def test_time_domain_maps_match_probe(n, m):
+    system, profile = stable_game(n, m, 0)
+    for i in range(system.num_players):
+        Z, dims = _player_nullspace(system, profile, i)
+        ref = probe_player_map(system, profile, i)
+        assert dims == (sym_dim(n), sym_dim(system.m[i]), sym_dim(n))
+        assert Z.shape[1] == nullspace(ref).shape[1]
+        assert np.max(np.abs(ref @ Z)) <= 1e-9 * max(1.0, float(np.max(np.abs(ref))))
+        assert_same_map(_stationarity_map(system, profile, i),
+                        probe_stationarity_map(system, profile, i))
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_sym_packing_is_bit_identical_to_loops(n):
+    rng = np.random.default_rng(n)
+    for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+        C = scale * rng.standard_normal((n, n))
+        M = C + C.T
+        assert np.array_equal(sym_pack(M), loop_sym_pack(M))
+        v = scale * rng.standard_normal(sym_dim(n))
+        assert np.array_equal(sym_unpack(v, n), loop_sym_unpack(v, n))
+        assert np.allclose(sym_basis(n) @ v, vec(sym_unpack(v, n)), rtol=1e-15, atol=0.0)

@@ -15,8 +15,9 @@ from nashinduce import (
     verify_nash,
 )
 from nashinduce.feasibility import _player_nullspace
+from nashinduce.numerics import affine_slice, cone_verdict, project_affine_cone, sym_pack
 
-from conftest import random_pd, random_psd
+from conftest import converged_nash_games, random_pd, random_psd
 
 
 def scalar_game(k):
@@ -39,6 +40,34 @@ def test_player_nullspace_scalar():
     assert Z.shape == (3, 1)
     direction = Z[:, 0] / Z[1, 0]
     assert np.allclose(direction, [3.0, 1.0, 3.0], atol=1e-9)
+
+
+def oracle_slice(system, prof, i, rho=1e-6):
+    """The oracle's trace-normalized affine set and block layout for player i."""
+    Z, (nq, _, npk) = _player_nullspace(system, prof, i)
+    m = system.m[i]
+    trace_row = np.concatenate([np.zeros(nq), sym_pack(np.eye(m)), np.zeros(npk)])
+    return affine_slice(Z, trace_row, m), [(system.n, 0.0), (m, rho), (system.n, 0.0)]
+
+
+def test_projection_kernel_stop_reasons():
+    # One-dimensional kernel: the normalized slice is a single point.
+    (x_p, Y), layout = oracle_slice(*scalar_game(3.0), 0)
+    assert Y.shape[1] == 0
+    x, reason = project_affine_cone(x_p, Y, layout)
+    assert reason == "point"
+    assert np.allclose(x, [3.0, 1.0, 3.0])
+    assert cone_verdict(x, reason, layout, slack=1e-6) is True
+    # Known-Nash game with a larger kernel: converges, or stops at the cap.
+    system, _, prof, _ = converged_nash_games(seed=7, count=1)[0]
+    (x_p, Y), layout = oracle_slice(system, prof, 0)
+    assert Y.shape[1] > 1
+    x, reason = project_affine_cone(x_p, Y, layout)
+    assert reason == "converged"
+    assert cone_verdict(x, reason, layout, slack=1e-6) is True
+    x, reason = project_affine_cone(x_p, Y, layout, cap=1)
+    assert reason == "cap"
+    assert cone_verdict(x, reason, layout, slack=1e-6) is None
 
 
 def test_check_membership_scalar():
