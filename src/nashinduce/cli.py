@@ -20,7 +20,7 @@ import numpy as np
 
 from .forward import CostParameters, verify_nash
 from .feasibility import nearest_params, solve_feasibility_projection
-from .inverse import CIRCLE_GRID_POINTS, analyze_player, is_nash_inducible
+from .inverse import _min_eig_at, analyze_player, is_nash_inducible
 from .numerics import DimensionError, NumericalFailureError
 from .problems import BUNDLED
 from .realization import GameSystem, StrategyProfile
@@ -295,8 +295,7 @@ def cmd_check(args) -> int:
     if args.player is not None:
         if not (0 <= args.player < system.num_players):
             raise InputError(f"--player {args.player}: out of range")
-        players = [analyze_player(system, profile, args.player,
-                                  points_per_decade=args.grid)]
+        players = [analyze_player(system, profile, args.player)]
         freq_inducible = players[0].inducible
         degenerate = players[0].rank_certificate.degenerate
         verdict_freq = ("indeterminate" if degenerate
@@ -304,8 +303,7 @@ def cmd_check(args) -> int:
         for p in players:
             warnings.extend(p.warnings)
     else:
-        analysis = is_nash_inducible(system, profile,
-                                     points_per_decade=args.grid)
+        analysis = is_nash_inducible(system, profile)
         players = list(analysis.players)
         verdict_freq = _frequency_verdict(analysis)
         for p in players:
@@ -365,26 +363,19 @@ def cmd_solve(args) -> int:
     players = []
     failed = None
     for i in range(system.num_players):
-        pa = analyze_player(system, profile, i, solve_costs=True, mode=args.mode,
-                            points_per_decade=args.grid)
+        pa = analyze_player(system, profile, i, solve_costs=True, mode=args.mode)
         players.append(pa)
         if failed is None and (pa.kalman is None or pa.kalman.status != "solved"
                                or not pa.inducible):
             failed = pa
     if failed is not None:
+        w = failed.phi_analysis.circle_witness
         report = {
             "status": "infeasible",
             "failing_player": failed.index,
             "circle_ok": bool(failed.circle_ok),
-            "circle_witness": (None if failed.phi_analysis.circle_witness is None
-                               else float(failed.phi_analysis.circle_witness)),
-            "phi_at_witness": (None if failed.phi_analysis.circle_witness is None
-                               else float(np.linalg.eigvalsh(
-                                   0.5 * (failed.phi_analysis.phi.eval(
-                                       1j * failed.phi_analysis.circle_witness)
-                                       + failed.phi_analysis.phi.eval(
-                                           1j * failed.phi_analysis.circle_witness)
-                                       .conj().T)).min().real)),
+            "circle_witness": None if w is None else float(w),
+            "phi_at_witness": None if w is None else _min_eig_at(failed.phi_analysis.phi, w),
             "rank_ok": bool(failed.rank_ok),
             "kalman_status": failed.kalman.status if failed.kalman else None,
             "players": [_player_report(p) for p in players],
@@ -472,10 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "of this and the problem file's tol is used")
 
     def common(p):
-        p.add_argument("--grid", type=int, default=CIRCLE_GRID_POINTS,
-                       help="total count of log-spaced frequencies in [1e-3, 1e3] for "
-                            "the sampled circle test, used only for players with "
-                            "more than 3 inputs")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("-o", "--output", default=None,
                        help="write the report to this path instead of stdout")

@@ -262,7 +262,6 @@ def solve_coupled_are(system: GameSystem, costs: CostParameters, init: StrategyP
     K = [Ki.copy() for Ki in init.K]
     if not is_hurwitz(closed_loop(system, K)):
         raise ValueError("initial profile must stabilize the closed loop")
-    from .realization import StrategyProfile as SP
 
     P = [np.zeros((system.n, system.n)) for _ in range(system.num_players)]
     converged = False
@@ -317,7 +316,7 @@ def solve_coupled_are(system: GameSystem, costs: CostParameters, init: StrategyP
                for i in range(system.num_players))
     if max(res) <= residual_tol * scale and stat <= residual_tol * scale:
         converged = True
-    profile = SP(K)
+    profile = StrategyProfile(K)
     return profile, P, converged
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import polymat
 from .numerics import (
@@ -44,7 +43,6 @@ from .realization import (
 )
 
 PARA_HERMITIAN_TOL = 1e-8
-CIRCLE_GRID_POINTS = 400
 
 
 def build_phi(fac: CoprimeFactorization) -> PolyMatrix:
@@ -62,149 +60,41 @@ def _require_para_hermitian(phi: PolyMatrix, tol: float = PARA_HERMITIAN_TOL) ->
         raise ValueError("matrix is not para-Hermitian")
 
 
-def _default_grid(points_per_decade: int = CIRCLE_GRID_POINTS):
-    ws = np.logspace(-3.0, 3.0, points_per_decade)
-    return np.concatenate([[0.0], ws, -ws])
-
-
 def _min_eig_at(phi: PolyMatrix, w: float) -> float:
     M = phi.eval(1j * w)
     M = 0.5 * (M + M.conj().T)
     return float(np.linalg.eigvalsh(M).min())
 
 
-def _principal_minor_polys(phi: PolyMatrix):
-    """All principal minors of Phi(jw) as real polynomials in w (m <= 3)."""
-    import itertools
+def circle_criterion(phi: PolyMatrix, tol: float = 1e-9):
+    """Test Phi(jw) >= 0 for all real w, exactly.
 
-    m = phi.rows
-    # Entry (i, j) as a complex polynomial in w: c_k s^k -> c_k j^k w^k.
-    entries = {}
-    for i in range(m):
-        for j in range(m):
-            c = phi.coeffs[:, i, j].astype(complex)
-            for k in range(c.size):
-                c[k] *= 1j**k
-            entries[(i, j)] = c
-    minors = []
-    for r in range(1, m + 1):
-        for idx in itertools.combinations(range(m), r):
-            det = _det_poly(entries, idx)
-            if np.max(np.abs(det.imag)) > 1e-7 * max(1.0, np.max(np.abs(det))):
-                raise NumericalFailureError("principal minor of a Hermitian matrix came out complex")
-            minors.append(polymat.poly_trim(det.real))
-    return minors
-
-
-def _det_poly(entries, idx):
-    import itertools
-
-    n = len(idx)
-    if n == 1:
-        return entries[(idx[0], idx[0])]
-    det = np.zeros(1, dtype=complex)
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        term = np.ones(1, dtype=complex)
-        for r, c in enumerate(perm):
-            term = npoly.polymul(term, entries[(idx[r], idx[c])])
-        det = npoly.polyadd(det, sign * term)
-    return np.atleast_1d(det)
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _poly_nonneg_on_reals(g, tol: float):
-    """Check g(w) >= -tol for all real w; return (ok, witness or None)."""
-    g = polymat.poly_trim(g)
-    if polymat.is_zero_poly(g):
-        return True, None
-    scale = float(np.max(np.abs(g)))
-    roots = polymat.poly_roots(g)
-    real_roots = sorted({round(float(r.real), 9) for r in roots if abs(r.imag) < 1e-6})
-    candidates = [0.0]
-    if real_roots:
-        lo, hi = real_roots[0] - 1.0, real_roots[-1] + 1.0
-        candidates += [lo, hi]
-        candidates += real_roots
-        for a, b in zip(real_roots, real_roots[1:]):
-            candidates.append(0.5 * (a + b))
-    for w in candidates:
-        val = float(npoly.polyval(w, g))
-        if val < -tol * max(1.0, scale):
-            return False, float(w)
-    # Behaviour at infinity: odd degree or negative even leading coefficient.
-    deg = g.size - 1
-    lead = g[-1]
-    if deg > 0 and (deg % 2 == 1 or lead < 0):
-        w = (real_roots[-1] + 2.0 if real_roots else 2.0) if lead > 0 or deg % 2 == 1 else 0.0
-        # Walk outward until the sign settles.
-        w = abs(w)
-        for _ in range(60):
-            if float(npoly.polyval(w, g)) < -tol * max(1.0, scale):
-                return False, float(w)
-            if float(npoly.polyval(-w, g)) < -tol * max(1.0, scale):
-                return False, float(-w)
-            w *= 2.0
-    return True, None
-
-
-def circle_criterion(phi: PolyMatrix, grid=None, tol: float = 1e-9,
-                     points_per_decade: int = CIRCLE_GRID_POINTS):
-    """Test Phi(jw) >= 0 for all real w.
-
-    Grid evaluation with bisection refinement at sign changes; for sizes up
-    to 3 an exact principal-minor root-isolation pass removes grid risk.
-    Returns (ok, witness, method) with method "exact" or "sampled".
+    With p the normal rank of Phi, e_p(jw) (the sum of the p x p principal
+    minor determinants) is the product of the p eigenvalues of Phi(jw) that
+    are not identically zero, so none of them crosses zero between two real
+    roots of e_p(jw).
+    One lambda_min probe per interval between its real roots (near-real roots
+    count by their real parts) therefore decides the sign on the whole axis;
+    a failing probe is the witness, w = 0 first.  Returns (ok, witness,
+    "exact").
     """
     _require_para_hermitian(phi)
     if phi.is_zero():
         return True, None, "exact"
     scale = max(1.0, phi.coeff_norm())
-    if phi.rows <= 3:
-        # Grid-free: all principal minors of Phi(jw), root-isolated over w.
-        for g in _principal_minor_polys(phi):
-            ok, w = _poly_nonneg_on_reals(g / max(1.0, np.max(np.abs(g))), tol)
-            if not ok:
-                return False, w, "exact"
-        return True, None, "exact"
-    ws = _default_grid(points_per_decade) if grid is None else np.asarray(grid, dtype=float)
-    vals = np.array([_min_eig_at(phi, w) for w in ws])
-    bad = np.nonzero(vals < -tol * scale)[0]
-    if bad.size:
-        w_star = float(ws[bad[np.argmin(np.abs(ws[bad]))]])
-        return False, w_star, "sampled"
-    # Bisection refinement near local minima that approach zero.
-    order = np.argsort(ws)
-    ws_sorted, vals_sorted = ws[order], vals[order]
-    for k in range(1, len(ws_sorted) - 1):
-        if vals_sorted[k] <= min(vals_sorted[k - 1], vals_sorted[k + 1]):
-            a, b = ws_sorted[k - 1], ws_sorted[k + 1]
-            for _ in range(50):
-                mid1 = a + (b - a) / 3.0
-                mid2 = b - (b - a) / 3.0
-                if _min_eig_at(phi, mid1) < _min_eig_at(phi, mid2):
-                    b = mid2
-                else:
-                    a = mid1
-            w_star = 0.5 * (a + b)
-            if _min_eig_at(phi, w_star) < -tol * scale:
-                return False, float(w_star), "sampled"
-    return True, None, "sampled"
+    e = phi.charpoly()
+    ep = e[polymat.charpoly_rank(e, scale, tol)]
+    g = (ep * 1j ** np.arange(ep.size)).real  # e_p(jw) as a real polynomial in w
+    roots = polymat.poly_roots(g)
+    real_roots = np.unique(roots[np.abs(roots.imag) < 1e-6].real)
+    candidates = [0.0]
+    if real_roots.size:
+        candidates += [real_roots[0] - 1.0, real_roots[-1] + 1.0]
+        candidates += list(0.5 * (real_roots[1:] + real_roots[:-1]))
+    for w in candidates:
+        if _min_eig_at(phi, w) < -tol * scale:
+            return False, float(w), "exact"
+    return True, None, "exact"
 
 
 @dataclass(frozen=True)
@@ -220,12 +110,11 @@ class PhiAnalysis:
     circle_method: str
 
 
-def analyze_phi(fac: CoprimeFactorization, grid=None,
-                points_per_decade: int = CIRCLE_GRID_POINTS) -> PhiAnalysis:
+def analyze_phi(fac: CoprimeFactorization) -> PhiAnalysis:
     phi = build_phi(fac)
     L, phi_tilde, p = compress_columns(phi)
     unimodular_det_constant(L)
-    ok, witness, method = circle_criterion(phi, grid, points_per_decade=points_per_decade)
+    ok, witness, method = circle_criterion(phi)
     return PhiAnalysis(phi=phi, L=L, phi_tilde=phi_tilde, p=p,
                        circle_ok=ok, circle_witness=witness, circle_method=method)
 
@@ -365,8 +254,8 @@ def solve_kalman_Q(fac: CoprimeFactorization, phi: PolyMatrix,
     return _kalman_solution(fac, x, reason, layout, resid, Z.shape[1])
 
 
-def solve_kalman_general(fac: CoprimeFactorization, tol: float = 1e-8,
-                         rho: float = R_FLOOR, cap: int = PROJECTION_CAP) -> KalmanSolution:
+def solve_kalman_general(fac: CoprimeFactorization, rho: float = R_FLOOR,
+                         cap: int = PROJECTION_CAP) -> KalmanSolution:
     """Joint unknowns (Q, R):  Dt'(-s) R Dt(s) - D'(-s) R D(s) = S'(-s) Q S(s).
 
     The solution set is a cone; trace(R) = m is imposed as the normalization
@@ -442,19 +331,16 @@ class InducibilityAnalysis:
 
 
 def analyze_player(system: GameSystem, profile: StrategyProfile, i: int,
-                   solve_costs: bool = True, mode: str = "general",
-                   points_per_decade: int = CIRCLE_GRID_POINTS) -> PlayerAnalysis:
+                   solve_costs: bool = True, mode: str = "general") -> PlayerAnalysis:
     A_tilde, _ = reduced_system(system, profile, i)
     fac = right_coprime_factorization(A_tilde, system.B[i])
     fac = attach_feedback(fac, profile.K[i])
-    analysis = analyze_phi(fac, points_per_decade=points_per_decade)
+    analysis = analyze_phi(fac)
     cert = check_rank_condition(fac, analysis)
     warnings = []
     if not fac.controllable:
         warnings.append(f"player {i}: uncontrollable subspace present; "
                         "frequency-domain statements restricted to the controllable part")
-    if analysis.circle_method == "sampled":
-        warnings.append(f"player {i}: circle criterion certified on a sampled grid only")
     for v in cert.violations:
         if not v.real_v_available:
             warnings.append(f"player {i}: rank violation at {v.s0} has a complex-only witness; "
@@ -472,14 +358,12 @@ def analyze_player(system: GameSystem, profile: StrategyProfile, i: int,
 
 
 def is_nash_inducible(system: GameSystem, profile: StrategyProfile,
-                      solve_costs: bool = True, mode: str = "general",
-                      points_per_decade: int = CIRCLE_GRID_POINTS) -> InducibilityAnalysis:
+                      solve_costs: bool = True, mode: str = "general") -> InducibilityAnalysis:
     """Per-player circle + rank verdicts; overall verdict is their conjunction."""
     players = []
     for i in range(system.num_players):
         try:
-            players.append(analyze_player(system, profile, i, solve_costs, mode,
-                                          points_per_decade))
+            players.append(analyze_player(system, profile, i, solve_costs, mode))
         except NumericalFailureError as exc:
             raise NumericalFailureError(f"player {i}: {exc}") from exc
     return InducibilityAnalysis(players=tuple(players),

@@ -9,7 +9,6 @@ degree.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,6 @@ from numpy.polynomial import polynomial as npoly
 from .numerics import DimensionError, NumericalFailureError, matrix_rank
 
 POLY_TRIM_TOL = 1e-9
-GCD_TOL = 1e-8
 RHP_MARGIN = 1e-7
 COEFF_GROWTH_BOUND = 1e12
 
@@ -51,66 +49,12 @@ def is_zero_poly(c, tol: float = POLY_TRIM_TOL) -> bool:
     return poly_degree(poly_trim(c, tol)) == -np.inf
 
 
-def poly_divmod(a, b, tol: float = GCD_TOL):
-    """Quotient and remainder of a / b with relative-tolerance truncation."""
-    a = poly_trim(a)
-    b = poly_trim(b)
-    if is_zero_poly(b):
-        raise ZeroDivisionError("polynomial division by zero")
-    q, r = npoly.polydiv(a, b)
-    return poly_trim(q, tol), poly_trim(r, tol)
-
-
-def poly_monic(c) -> np.ndarray:
-    a = poly_trim(c)
-    if is_zero_poly(a):
-        return a
-    return a / a[-1]
-
-
-def poly_gcd(a, b, tol: float = GCD_TOL) -> np.ndarray:
-    """Monic gcd via the Euclidean algorithm with tolerant remainder trim."""
-    f = poly_trim(a)
-    g = poly_trim(b)
-    if is_zero_poly(f):
-        return poly_monic(g)
-    if is_zero_poly(g):
-        return poly_monic(f)
-    while not is_zero_poly(g, tol):
-        _, r = poly_divmod(f, g, tol)
-        f, g = g, r
-    return poly_monic(f)
-
-
 def poly_roots(c) -> np.ndarray:
     """Roots via the companion matrix; empty array for constants."""
     a = poly_trim(c)
     if a.size <= 1:
         return np.zeros(0, dtype=complex)
     return np.asarray(npoly.polyroots(a), dtype=complex)
-
-
-def common_roots(polys, tol: float = 1e-6):
-    """Cluster-based common roots of a family of nonzero polynomials.
-
-    A candidate root of the lowest-degree member survives when every other
-    member nearly vanishes there (relative to its coefficient scale).
-    """
-    ps = [poly_trim(p) for p in polys if not is_zero_poly(p)]
-    if not ps:
-        return []
-    ps.sort(key=lambda p: p.size)
-    out = []
-    for r in poly_roots(ps[0]):
-        ok = True
-        for p in ps:
-            scale = float(np.max(np.abs(p))) * max(1.0, abs(r)) ** (p.size - 1)
-            if abs(npoly.polyval(r, p)) > tol * max(1.0, scale):
-                ok = False
-                break
-        if ok:
-            out.append(complex(r))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +166,7 @@ class PolyMatrix:
         other = _as_pm(other, None)
         if self.cols != other.rows:
             raise DimensionError(f"matmul shape mismatch {self.shape} @ {other.shape}")
-        da, db = self.coeffs.shape[0], other.coeffs.shape[0]
-        C = np.zeros((da + db - 1, self.rows, other.cols))
-        for i in range(da):
-            for j in range(db):
-                C[i + j] += self.coeffs[i] @ other.coeffs[j]
-        return PolyMatrix(C)
+        return PolyMatrix(_conv(self.coeffs, other.coeffs))
 
     def __mul__(self, scalar: float) -> "PolyMatrix":
         return PolyMatrix(self.coeffs * float(scalar))
@@ -294,67 +233,53 @@ class PolyMatrix:
     def is_column_reduced(self, tol: float = 1e-9) -> bool:
         return matrix_rank(self.leading_column_matrix(), tol) == self.cols
 
-    def poly_rank(self, tol: float = 1e-9) -> int:
-        """Normal rank via evaluation on a circle of sample points.
+    def _sample_points(self) -> np.ndarray:
+        """2 deg + 3 points on the circle of radius 1 + coeff_norm; an
+        irrational angle offset keeps them away from structured roots."""
+        npts = 2 * int(self.degree) + 3
+        radius = 1.0 + self.coeff_norm()
+        return radius * np.exp(1j * (2 * np.pi * np.arange(npts) / npts + 0.5))
 
-        Cross-checked against minor degeneracy for matrices with min
-        dimension <= 4 (larger matrices rely on sampling alone).
+    def poly_rank(self, tol: float = 1e-9) -> int:
+        """Normal rank, by sampling cross-checked against the characteristic
+        polynomial of P'(s) P(s).
+
+        By Cauchy-Binet e_k(P'P) is the sum of the squares of all k x k minor
+        determinants of P, so its last nonzero e_k is the normal rank of P.
         """
         if self.is_zero():
             return 0
-        maxdeg = int(self.degree)
-        npts = 2 * maxdeg + 3
-        radius = 1.0 + self.coeff_norm()
-        # Irrational angle offset keeps samples away from structured roots.
-        pts = radius * np.exp(1j * (2 * np.pi * np.arange(npts) / npts + 0.5))
-        r_sample = max(matrix_rank(self.eval(s), tol) for s in pts)
-        if min(self.rows, self.cols) <= 4:
-            r_minor = self._minor_rank(tol)
-            if r_minor != r_sample:
-                raise NumericalFailureError(
-                    f"polynomial rank ambiguous: sampling {r_sample}, minors {r_minor}"
-                )
+        r_sample = max(matrix_rank(self.eval(s), tol) for s in self._sample_points())
+        gram = self.transpose() @ self
+        r_gram = charpoly_rank(gram.charpoly(), max(1.0, gram.coeff_norm()), tol)
+        if r_gram != r_sample:
+            raise NumericalFailureError(
+                f"polynomial rank ambiguous: sampling {r_sample}, characteristic polynomial {r_gram}"
+            )
         return r_sample
 
-    def _minor_rank(self, tol: float = 1e-9) -> int:
-        scale = max(1.0, self.coeff_norm())
-        for k in range(min(self.rows, self.cols), 0, -1):
-            for rows in itertools.combinations(range(self.rows), k):
-                for cols in itertools.combinations(range(self.cols), k):
-                    d = self.select_rows(rows).select_columns(cols).determinant()
-                    if float(np.max(np.abs(d))) > tol * scale**k:
-                        return k
-        return 0
+    def charpoly(self) -> list:
+        """[e_0, ..., e_m]: e_k(s) is the sum of the k x k principal minor
+        determinants, so e_m is the determinant.
+
+        Faddeev-LeVerrier on coefficient tensors: M_1 = I,
+        e_k = (-1)^(k+1) tr(P M_k) / k, M_(k+1) = P M_k + (-1)^k e_k I.
+        """
+        if self.rows != self.cols:
+            raise DimensionError("characteristic polynomial of non-square PolyMatrix")
+        m = self.rows
+        eye = np.eye(m)
+        e = [np.ones(1)]
+        M = eye[None]
+        for k in range(1, m + 1):
+            PM = _conv(self.coeffs, M)
+            c = -np.trace(PM, axis1=1, axis2=2) / k
+            e.append((-1) ** k * c)
+            M = PM + c[:, None, None] * eye
+        return e
 
     def determinant(self) -> np.ndarray:
-        """Determinant polynomial by cofactor expansion (small matrices)."""
-        if self.rows != self.cols:
-            raise DimensionError("determinant of non-square PolyMatrix")
-        n = self.rows
-        if n == 1:
-            return self.entry(0, 0)
-        if n == 2:
-            a = npoly.polymul(self.entry(0, 0), self.entry(1, 1))
-            b = npoly.polymul(self.entry(0, 1), self.entry(1, 0))
-            return poly_trim(npoly.polysub(a, b))
-        det = np.zeros(1)
-        rest = list(range(1, n))
-        for j in range(n):
-            cols = [c for c in range(n) if c != j]
-            minor = self.select_rows(rest).select_columns(cols).determinant()
-            term = npoly.polymul(self.entry(0, j), minor)
-            det = npoly.polyadd(det, term if j % 2 == 0 else -term)
-        return poly_trim(det)
-
-    def minors(self, k: int):
-        """All k x k minor determinants (row-combination major order)."""
-        if min(self.rows, self.cols) > 4 and k < min(self.rows, self.cols):
-            raise DimensionError("minor enumeration supported only for min dim <= 4")
-        out = []
-        for rows in itertools.combinations(range(self.rows), k):
-            for cols in itertools.combinations(range(self.cols), k):
-                out.append(self.select_rows(rows).select_columns(cols).determinant())
-        return out
+        return poly_trim(self.charpoly()[-1])
 
     def allclose(self, other: "PolyMatrix", tol: float = 1e-8) -> bool:
         diff = self - other
@@ -366,6 +291,24 @@ def _as_pm(x, shape) -> PolyMatrix:
     if isinstance(x, PolyMatrix):
         return x
     return PolyMatrix.constant(np.atleast_2d(np.asarray(x, dtype=float)))
+
+
+def _conv(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Coefficient tensor of the product of two polynomial matrices."""
+    db = B.shape[0]
+    C = np.zeros((A.shape[0] + db - 1, A.shape[1], B.shape[2]))
+    for i in range(A.shape[0]):
+        C[i: i + db] += A[i] @ B
+    return C
+
+
+def charpoly_rank(e, scale: float, tol: float = 1e-9) -> int:
+    """Largest k with max|e_k| > tol * scale**k.
+
+    For a matrix whose values are Hermitian (P'P on the reals, a
+    para-Hermitian matrix on the imaginary axis) this is its normal rank.
+    """
+    return max(k for k, c in enumerate(e) if np.max(np.abs(c)) > tol * scale**k)
 
 
 def _trim_tensor(C: np.ndarray, tol: float = POLY_TRIM_TOL) -> np.ndarray:
@@ -498,42 +441,40 @@ def rhp_roots_poly(c, delta: float = RHP_MARGIN):
 def rhp_roots_matrix(T: PolyMatrix, delta: float = RHP_MARGIN, tol: float = 1e-7):
     """Closed-RHP rank-deficiency points of a tall polynomial matrix.
 
-    Candidates come from the monic gcd of all full-size minors (with a
-    root-clustering fallback for numerically fragile Euclid runs); each
-    candidate is confirmed by a singular-value test on T evaluated there, and
-    the associated null direction is attached.
+    With W the pseudo-inverse of T(s_bar) at the real sample point where T is
+    best conditioned, det(W T) equals 1 at s_bar and vanishes wherever T
+    loses rank, so its closed-RHP roots are the candidates.  Each is refined
+    by short Newton steps on det(W T(s)) evaluated pointwise, which stays
+    accurate where the coefficients of det(W T) do not (T ill conditioned), then
+    confirmed by a singular-value test on T there; the null direction is
+    attached.
     """
     if T.rows < T.cols:
         raise DimensionError("rhp_roots_matrix expects a tall (m x q, m >= q) matrix")
     if T.is_zero():
         raise ValueError("zero polynomial matrix is rank deficient everywhere (degenerate)")
-    q = T.cols
-    scale = max(1.0, T.coeff_norm())
-    minors = [d for d in T.minors(q) if not is_zero_poly(d / scale**q)]
-    if not minors:
+    best, W = 0.0, None
+    for s_bar in T._sample_points().real:
+        M = T.eval(s_bar).real
+        sv = np.linalg.svd(M, compute_uv=False)
+        if sv[-1] > best * sv[0]:
+            best, W = sv[-1] / sv[0], np.linalg.pinv(M)
+    if best <= tol:
         # Normal rank < q: rank deficient at every s; flagged as degenerate.
         raise ValueError("matrix has normal rank below its column count (degenerate)")
-    g = minors[0]
-    for d in minors[1:]:
-        g = poly_gcd(g, d)
-    candidates = [r.location for r in rhp_roots_poly(g, delta)] if poly_degree(g) > 0 else []
-    # Cross-check by clustering roots shared by every minor.
-    for r in common_roots(minors):
-        if r.real >= -delta and all(abs(r - c) > 1e-6 for c in candidates):
-            candidates.append(r)
+    d = (PolyMatrix.constant(W) @ T).determinant()
+    d_prime = npoly.polyder(d)
     out = []
-    for s0 in candidates:
-        M = T.eval(s0)
-        u, sv, vh = np.linalg.svd(M)
-        if sv[-1] > tol * max(1.0, float(sv[0]) if sv.size else 1.0):
+    for r in rhp_roots_poly(d, delta):
+        s0 = r.location
+        for _ in range(3):
+            step = np.linalg.det(W @ T.eval(s0)) / npoly.polyval(s0, d_prime)
+            if not abs(step) <= 1e-3 * max(1.0, abs(s0)):  # no root close by (or nan)
+                break
+            s0 -= step
+        u, sv, vh = np.linalg.svd(T.eval(s0))
+        if s0.real < -delta or sv[-1] > tol * max(1.0, float(sv[0])):
             continue
-        v = vh[-1].conj()
-        out.append(
-            RhpRoot(
-                complex(s0),
-                multiplicity=1,
-                boundary=abs(s0.real) <= delta,
-                null_direction=v,
-            )
-        )
+        out.append(RhpRoot(complex(s0), boundary=abs(s0.real) <= delta,
+                           null_direction=vh[-1].conj()))
     return out

@@ -240,6 +240,14 @@ def test_check_rejects_tol(tmp_path, capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+def test_grid_flag_removed(tmp_path, capsys):
+    path = write_example(tmp_path, "scalar_feasible")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", path, "--grid", "10"])
+    assert exc.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+
+
 def test_solve_tol_reaches_verify_nash(tmp_path, capsys, monkeypatch):
     import nashinduce.cli as cli
 

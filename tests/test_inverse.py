@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from nashinduce import (
     solve_kalman_Q,
     solve_kalman_general,
 )
+from nashinduce.cli import load_problem
+from nashinduce.forward import verify_nash
 from nashinduce.polymat import PolyMatrix
 from nashinduce.realization import reduced_system
 
@@ -196,3 +200,34 @@ def test_analyze_player_uncontrollable_warning():
     pa = analyze_player(system, prof, 1, solve_costs=False)
     assert not pa.factorization.controllable
     assert any("uncontrollable" in w for w in pa.warnings)
+
+
+# A closed-form Nash game (n = 8, three single-input players; B_i = P_i^-1 K_i'
+# makes stationarity hold with R_ii = I) on which the frequency pipeline is
+# wrong: Phi built from the polynomial factorization is negative near w = -8.8
+# (player 0) and -9.6 (player 1), where the state-space return difference
+# |1 + K_i (jwI - A_i)^-1 B_i|^2 - 1 is +0.21 and +0.28.  D reaches 2.5e6 and
+# Phi 3.3e12 in coefficient size.
+CLOSED_FORM_GAME = Path(__file__).parent / "data" / "closed_form_n8_N3_m1.json"
+
+
+def _return_difference(system, profile, i, w):
+    A_i, _ = reduced_system(system, profile, i)
+    G = np.linalg.solve(1j * w * np.eye(system.n) - A_i, system.B[i])
+    return abs(1.0 + (profile.K[i] @ G)[0, 0]) ** 2 - 1.0
+
+
+def test_closed_form_game_is_nash():
+    system, profile, costs, _, tol = load_problem(str(CLOSED_FORM_GAME))
+    assert verify_nash(system, profile, costs, tol=tol)[0]
+    for i in (0, 1):
+        for w in np.linspace(-20.0, 20.0, 401):
+            assert _return_difference(system, profile, i, w) > 0.0
+
+
+@pytest.mark.xfail(strict=True, reason="Phi from the polynomial factorization loses its sign "
+                   "at large coefficient scale (ROADMAP items 2 and 3)")
+def test_closed_form_game_circle_ok():
+    system, profile, _, _, _ = load_problem(str(CLOSED_FORM_GAME))
+    for i in (0, 1):
+        assert analyze_player(system, profile, i, solve_costs=False).circle_ok

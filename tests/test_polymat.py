@@ -3,12 +3,9 @@ import pytest
 
 from nashinduce.polymat import (
     PolyMatrix,
-    common_roots,
     compress_columns,
     is_zero_poly,
     poly_degree,
-    poly_gcd,
-    poly_monic,
     poly_roots,
     poly_trim,
     rhp_roots_matrix,
@@ -29,29 +26,9 @@ def test_poly_trim_and_degree():
     assert is_zero_poly([1e-12, 1.0]) is False
 
 
-def test_poly_gcd_known_factor():
-    # (s+1)(s-2) and (s+1)(s-3) share the factor (s+1).
-    a = np.array([-2.0, -1.0, 1.0])
-    b = np.array([-3.0, -2.0, 1.0])
-    g = poly_monic(poly_gcd(a, b))
-    assert np.allclose(g, [1.0, 1.0], atol=1e-10)
-
-
-def test_poly_gcd_coprime_is_constant():
-    g = poly_gcd([1.0, 1.0], [2.0, 1.0])
-    assert poly_degree(g) == 0
-
-
 def test_poly_roots():
     r = np.sort_complex(poly_roots([-1.0, 0.0, 1.0]))  # s^2 - 1
     assert np.allclose(r, [-1.0, 1.0], atol=1e-10)
-
-
-def test_common_roots():
-    polys = [np.array([-1.0, 1.0]), np.array([-1.0, 0.0, 1.0])]  # s-1, s^2-1
-    roots = common_roots(polys)
-    assert any(abs(r - 1.0) < 1e-8 for r in roots)
-    assert all(abs(r + 1.0) > 1e-6 for r in roots)
 
 
 def test_eval_horner():
