@@ -69,28 +69,31 @@ def _min_eig_at(phi: PolyMatrix, w: float) -> float:
 def circle_criterion(phi: PolyMatrix, tol: float = 1e-9):
     """Test Phi(jw) >= 0 for all real w, exactly.
 
-    With p the normal rank of Phi, e_p(jw) (the sum of the p x p principal
-    minor determinants) is the product of the p eigenvalues of Phi(jw) that
-    are not identically zero, so none of them crosses zero between two real
-    roots of e_p(jw).
-    One lambda_min probe per interval between its real roots (near-real roots
-    count by their real parts) therefore decides the sign on the whole axis;
-    a failing probe is the witness, w = 0 first.  Returns (ok, witness,
-    "exact").
+    The coefficients of the characteristic polynomial of the Hermitian
+    matrix Phi(jw) are +-e_k(jw), k = 1..m (e_k the sum of the k x k
+    principal minor determinants), and its roots are real, so by Descartes'
+    rule of signs the signs of the e_k(jw) fix how many eigenvalues are
+    negative.  Between two consecutive real parts of roots of the e_k(jw)
+    (taken over every root, so that round-off which pushes a multiple real
+    root off the axis moves no boundary) no e_k changes sign, and one
+    lambda_min probe per interval decides the whole axis.  No normal rank is
+    needed: an e_k that is round-off only adds probes, and a probe only fails
+    where Phi(jw) has a negative eigenvalue.  The first failing probe is the
+    witness, w = 0 first.  Returns (ok, witness, "exact").
     """
     _require_para_hermitian(phi)
     if phi.is_zero():
         return True, None, "exact"
     scale = max(1.0, phi.coeff_norm())
-    e = phi.charpoly()
-    ep = e[polymat.charpoly_rank(e, scale, tol)]
-    g = (ep * 1j ** np.arange(ep.size)).real  # e_p(jw) as a real polynomial in w
-    roots = polymat.poly_roots(g)
-    real_roots = np.unique(roots[np.abs(roots.imag) < 1e-6].real)
+    bounds = []
+    for e in phi.charpoly()[1:]:
+        g = (e * 1j ** np.arange(e.size)).real  # e_k(jw) as a real polynomial in w
+        bounds.extend(polymat.poly_roots(g).real)
+    bounds = np.unique(bounds)
     candidates = [0.0]
-    if real_roots.size:
-        candidates += [real_roots[0] - 1.0, real_roots[-1] + 1.0]
-        candidates += list(0.5 * (real_roots[1:] + real_roots[:-1]))
+    if bounds.size:
+        candidates += [bounds[0] - 1.0, bounds[-1] + 1.0]
+        candidates += list(0.5 * (bounds[1:] + bounds[:-1]))
     for w in candidates:
         if _min_eig_at(phi, w) < -tol * scale:
             return False, float(w), "exact"

@@ -10,6 +10,7 @@ degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -233,25 +234,24 @@ class PolyMatrix:
     def is_column_reduced(self, tol: float = 1e-9) -> bool:
         return matrix_rank(self.leading_column_matrix(), tol) == self.cols
 
-    def _sample_points(self) -> np.ndarray:
-        """2 deg + 3 points on the circle of radius 1 + coeff_norm; an
-        irrational angle offset keeps them away from structured roots."""
-        npts = 2 * int(self.degree) + 3
-        radius = 1.0 + self.coeff_norm()
-        return radius * np.exp(1j * (2 * np.pi * np.arange(npts) / npts + 0.5))
-
     def poly_rank(self, tol: float = 1e-9) -> int:
         """Normal rank, by sampling cross-checked against the characteristic
         polynomial of P'(s) P(s).
 
-        By Cauchy-Binet e_k(P'P) is the sum of the squares of all k x k minor
-        determinants of P, so its last nonzero e_k is the normal rank of P.
+        The 2 deg + 3 sample points lie on the circle of radius 1 + coeff_norm;
+        an irrational angle offset keeps them away from structured roots.  By
+        Cauchy-Binet e_k(P'P) is the sum of the squares of all k x k minor
+        determinants of P, so the largest k with max|e_k| > tol * scale^k is
+        the normal rank of P.
         """
         if self.is_zero():
             return 0
-        r_sample = max(matrix_rank(self.eval(s), tol) for s in self._sample_points())
+        npts = 2 * int(self.degree) + 3
+        pts = (1.0 + self.coeff_norm()) * np.exp(1j * (2 * np.pi * np.arange(npts) / npts + 0.5))
+        r_sample = max(matrix_rank(self.eval(s), tol) for s in pts)
         gram = self.transpose() @ self
-        r_gram = charpoly_rank(gram.charpoly(), max(1.0, gram.coeff_norm()), tol)
+        scale = max(1.0, gram.coeff_norm())
+        r_gram = max(k for k, c in enumerate(gram.charpoly()) if np.max(np.abs(c)) > tol * scale**k)
         if r_gram != r_sample:
             raise NumericalFailureError(
                 f"polynomial rank ambiguous: sampling {r_sample}, characteristic polynomial {r_gram}"
@@ -300,15 +300,6 @@ def _conv(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     for i in range(A.shape[0]):
         C[i: i + db] += A[i] @ B
     return C
-
-
-def charpoly_rank(e, scale: float, tol: float = 1e-9) -> int:
-    """Largest k with max|e_k| > tol * scale**k.
-
-    For a matrix whose values are Hermitian (P'P on the reals, a
-    para-Hermitian matrix on the imaginary axis) this is its normal rank.
-    """
-    return max(k for k, c in enumerate(e) if np.max(np.abs(c)) > tol * scale**k)
 
 
 def _trim_tensor(C: np.ndarray, tol: float = POLY_TRIM_TOL) -> np.ndarray:
@@ -441,40 +432,88 @@ def rhp_roots_poly(c, delta: float = RHP_MARGIN):
 def rhp_roots_matrix(T: PolyMatrix, delta: float = RHP_MARGIN, tol: float = 1e-7):
     """Closed-RHP rank-deficiency points of a tall polynomial matrix.
 
-    With W the pseudo-inverse of T(s_bar) at the real sample point where T is
-    best conditioned, det(W T) equals 1 at s_bar and vanishes wherever T
-    loses rank, so its closed-RHP roots are the candidates.  Each is refined
-    by short Newton steps on det(W T(s)) evaluated pointwise, which stays
-    accurate where the coefficients of det(W T) do not (T ill conditioned), then
-    confirmed by a singular-value test on T there; the null direction is
-    attached.
+    T's columns are first scaled to unit coefficient norm, which moves no
+    rank drop.  With W the pseudo-inverse of T at a real sample point s_bar,
+    det(W T(s)) vanishes wherever T loses rank and is 1 at s_bar; its roots
+    are the eigenvalues of a block companion matrix (`_pencil_roots`).  Where
+    T is not column reduced, det(W T) also has roots that are not rank drops,
+    some far out where T(s) is rank deficient to machine precision; they move
+    with W, so the candidates are the roots for W at the best-conditioned
+    sample point that are also roots for W at the second best.  Each is
+    confirmed by a singular-value test on the scaled T, and T's null
+    direction is attached.
     """
     if T.rows < T.cols:
         raise DimensionError("rhp_roots_matrix expects a tall (m x q, m >= q) matrix")
-    if T.is_zero():
-        raise ValueError("zero polynomial matrix is rank deficient everywhere (degenerate)")
-    best, W = 0.0, None
-    for s_bar in T._sample_points().real:
-        M = T.eval(s_bar).real
-        sv = np.linalg.svd(M, compute_uv=False)
-        if sv[-1] > best * sv[0]:
-            best, W = sv[-1] / sv[0], np.linalg.pinv(M)
-    if best <= tol:
+    col_norms = np.max(np.abs(T.coeffs), axis=(0, 1))
+    if not np.all(col_norms > 0.0):
+        raise ValueError("zero column: rank deficient everywhere (degenerate)")
+    Tn = T @ PolyMatrix.constant(np.diag(1.0 / col_norms))
+    # 2 deg + 3 real points, |s| up to about their count, none at s = 0; ten
+    # and a hundred times larger where T is rank deficient at all of them.
+    npts = 2 * int(T.degree) + 3
+    for scale in (1.0, 10.0, 100.0):
+        points = scale * np.tan(np.pi * ((np.arange(npts) + 0.6) / npts - 0.5))
+        samples = [Tn.eval(s).real for s in points]
+        ratios = [sv[-1] / sv[0] for sv in (np.linalg.svd(M, compute_uv=False) for M in samples)]
+        if max(ratios) > tol:
+            break
+    else:
         # Normal rank < q: rank deficient at every s; flagged as degenerate.
         raise ValueError("matrix has normal rank below its column count (degenerate)")
-    d = (PolyMatrix.constant(W) @ T).determinant()
-    d_prime = npoly.polyder(d)
+    best, second = np.argsort(ratios)[::-1][:2]
+    W, W2 = np.linalg.pinv(samples[best]), np.linalg.pinv(samples[second])
+    dTn = PolyMatrix(Tn.coeffs[1:] * np.arange(1, Tn.coeffs.shape[0])[:, None, None])
+    check = _pencil_roots(Tn, W2, points[second])
     out = []
-    for r in rhp_roots_poly(d, delta):
-        s0 = r.location
-        for _ in range(3):
-            step = np.linalg.det(W @ T.eval(s0)) / npoly.polyval(s0, d_prime)
-            if not abs(step) <= 1e-3 * max(1.0, abs(s0)):  # no root close by (or nan)
-                break
-            s0 -= step
-        u, sv, vh = np.linalg.svd(T.eval(s0))
-        if s0.real < -delta or sv[-1] > tol * max(1.0, float(sv[0])):
+    for s0 in _pencil_roots(Tn, W, points[best]):
+        s0 = _newton_polish(W, Tn, dTn, s0)
+        near = 1e-4 * max(1.0, abs(s0))
+        if s0.real < -delta or any(abs(r.location - s0) <= near for r in out):
             continue
+        s2 = _newton_polish(W2, Tn, dTn, check[np.argmin(abs(check - s0))]) if check.size else np.inf
+        if not abs(s2 - s0) <= near:
+            continue
+        u, sv, vh = np.linalg.svd(Tn.eval(s0))
+        if sv[-1] > tol * max(1.0, float(sv[0])):
+            continue
+        v = vh[-1].conj() / col_norms
         out.append(RhpRoot(complex(s0), boundary=abs(s0.real) <= delta,
-                           null_direction=vh[-1].conj()))
+                           null_direction=v / np.linalg.norm(v)))
     return out
+
+
+def _pencil_roots(T: PolyMatrix, W: np.ndarray, s_bar: float) -> np.ndarray:
+    """Finite roots of det(W T(s)) for W T(s_bar) = I, as eigenvalues.
+
+    With s = s_bar + 1/mu, mu^d W T(s_bar + 1/mu) = sum_j N_j mu^(d-j), where
+    N_j are the Taylor coefficients of W T at s_bar and N_0 = I, so the roots
+    are s_bar + 1/mu over the eigenvalues mu != 0 of the block companion
+    matrix of this monic polynomial; mu = 0 are the roots at infinity.
+    """
+    d = T.coeffs.shape[0] - 1
+    q = T.cols
+    if d == 0:
+        return np.zeros(0, dtype=complex)
+    shift = np.array([[comb(k, j) * s_bar ** (k - j) for k in range(d + 1)] for j in range(d + 1)])
+    N = np.einsum("jk,kab->jab", shift, W @ T.coeffs)
+    C = np.zeros((q * d, q * d))
+    C[:q] = -np.concatenate(N[1:], axis=1)
+    C[q:, :-q] = np.eye(q * (d - 1))
+    mu = np.linalg.eigvals(C)
+    return s_bar + 1.0 / mu[mu != 0.0]
+
+
+def _newton_polish(W: np.ndarray, T: PolyMatrix, dT: PolyMatrix, s: complex) -> complex:
+    """Up to three Newton steps on det(W T(s)), evaluated pointwise by
+    Jacobi's formula det(M)' = det(M) tr(M^-1 M'); a step longer than
+    1e-3 max(1, |s|) (no root close by) or nan is not taken."""
+    for _ in range(3):
+        try:
+            step = 1.0 / np.trace(np.linalg.solve(W @ T.eval(s), W @ dT.eval(s)))
+        except np.linalg.LinAlgError:
+            return s  # W T(s) exactly singular: s is a root
+        if not abs(step) <= 1e-3 * max(1.0, abs(s)):
+            return s
+        s -= step
+    return s

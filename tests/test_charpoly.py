@@ -195,7 +195,7 @@ def _planted(rng, rows, cols, zeros, column_reduced):
     the degree of f with left-half-plane roots and V1, V2 orthogonal;
     otherwise h_j = 1 and V1, V2 are Gaussian: T is then not column reduced
     and far out (|s| ~ 30..230) comes within 1e-8 of rank deficiency at
-    points that are not zeros."""
+    points that are not zeros, where det(W T) for a single W can have roots."""
     f = np.ones(1)
     for z in zeros:
         f = npoly.polymul(f, [-z.real, 1.0] if z.imag == 0 else [abs(z) ** 2, -2 * z.real, 1.0])
@@ -228,6 +228,23 @@ def _planted_cases(column_reduced):
         yield _planted(rng, rows, cols, zeros, column_reduced), planted
 
 
+def _close_zero_cases(column_reduced):
+    """100 seeded harder cases: up to four columns, RHP zeros from 0.05 to 5,
+    often two real ones close together, and complex pairs."""
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        cols = int(rng.integers(1, 5))
+        rows = cols + int(rng.integers(1, 3))
+        zeros = [complex(rng.uniform(0.05, 5.0)), complex(-rng.uniform(0.2, 3.0))]
+        if rng.random() < 0.5:
+            zeros.append(complex(rng.uniform(0.05, 3.0), rng.uniform(0.2, 3.0)))
+        if rng.random() < 0.3:
+            zeros.append(complex(rng.uniform(0.05, 5.0)))
+        planted = [z for z in zeros if z.real > 0]
+        planted += [z.conjugate() for z in planted if z.imag]
+        yield _planted(rng, rows, cols, zeros, column_reduced), planted
+
+
 @pytest.mark.parametrize("column_reduced", [True, False])
 def test_rank_drops_find_gcd_reference(column_reduced):
     for T, planted in _planted_cases(column_reduced):
@@ -241,12 +258,53 @@ def test_rank_drops_find_gcd_reference(column_reduced):
             assert len(found) == len(planted)
 
 
-@pytest.mark.xfail(strict=True, reason="det(W T) has roots far out where a T that is not column "
-                   "reduced is within 1e-7 of rank deficient; the singular-value test accepts "
-                   "them, while the gcd of all minors never proposed them (ROADMAP item 3)")
 def test_rank_drops_only_planted_when_not_column_reduced():
     for T, planted in _planted_cases(False):
         assert len(rhp_roots_matrix(T)) == len(planted)
+
+
+@pytest.mark.parametrize("column_reduced", [True, False])
+def test_rank_drops_of_close_zeros(column_reduced):
+    for T, planted in _close_zero_cases(column_reduced):
+        found = [r.location for r in rhp_roots_matrix(T)]
+        assert len(found) == len(planted)
+        for z in planted:
+            assert min(abs(np.array(found) - z)) <= 1e-6
+
+
+def test_rank_drops_double_and_far_zeros():
+    """A double zero is one point; zeros near |s| = 60 of a T that is
+    ill-conditioned at every moderate |s| are found, not "degenerate"."""
+    rng = np.random.default_rng(3)
+    cases = [
+        (PolyMatrix.from_entries([[npoly.polyfromroots([1, 1])], [npoly.polyfromroots([1, 1, -2])],
+                                  [npoly.polyfromroots([1, 1, -3, -0.5])]]), [1.0]),
+        (_planted(rng, 5, 2, [1.5, 1.5, -1.0], True), [1.5]),
+        (_planted(rng, 5, 3, [0.7, 0.7, complex(2.0, 1.0)], False), [0.7, 2 + 1j, 2 - 1j]),
+        (_planted(np.random.default_rng(0), 4, 2, [60.0, -40.0, complex(70, 30)], False),
+         [60.0, 70 + 30j, 70 - 30j]),
+    ]
+    for T, zeros in cases:
+        found = np.array([r.location for r in rhp_roots_matrix(T)])
+        assert len(found) == len(zeros)
+        for z in zeros:
+            assert min(abs(found - z)) <= 1e-6 * max(1.0, abs(z))
+
+
+def test_rank_drops_of_large_coefficient_matrices():
+    """Large coefficients, unequal column scales and a T that is not column
+    reduced still have full normal rank: the planted zeros come back and no
+    "degenerate" is raised; two proportional columns are degenerate."""
+    for T, planted in list(_planted_cases(False))[:40]:
+        big = PolyMatrix(2.5e6 * T.coeffs * np.logspace(0, 4, T.cols))
+        found = [r.location for r in rhp_roots_matrix(big)]
+        assert len(found) == len(planted)
+        for z in planted:
+            assert min(abs(np.array(found) - z)) <= 1e-6
+    assert rhp_roots_matrix(PolyMatrix.constant([[1e8, 0.0], [0.0, 1.0], [0.0, 0.0]])) == []
+    col = PolyMatrix.from_entries([[[1.0, 2.0]], [[-3.0, 0.0, 1.0]], [[0.5]]])
+    with pytest.raises(ValueError, match="degenerate"):
+        rhp_roots_matrix(col.hstack(-2.0 * col))
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +346,28 @@ def test_circle_accepts_psd_phi(seed, m, data):
     rank = data.draw(st.integers(1, m))  # rank < m makes Phi rank deficient
     C = rng.standard_normal((rank, m))
     assert circle_criterion(_phi(rng, m, C.T @ C)) == (True, None, "exact")
+
+
+@PROPERTY
+@given(a=st.floats(0.2, 5.0), gap=st.floats(0.2, 5.0), m=st.sampled_from([4, 5]))
+def test_circle_finds_band_of_repeated_eigenvalue(a, gap, m):
+    """Phi = f I_m with f(jw) = (w^2 - a^2)(w^2 - b^2): every eigenvalue
+    crosses zero at once, so e_k(jw) = C(m, k) f^k has real roots of
+    multiplicity k, which round-off can push off the real axis."""
+    b = a + gap
+    f = npoly.polymul([a * a, 0.0, 1.0], [b * b, 0.0, 1.0])  # s^2 = -w^2
+    phi = PolyMatrix(f[:, None, None] * np.eye(m))
+    ok, witness, method = circle_criterion(phi)
+    assert not ok and method == "exact"
+    assert a < abs(witness) < b
+
+
+def test_circle_finds_negative_tail():
+    """Phi = (1 + s^2) I_m is 1 - w^2 on the axis: negative only beyond the
+    last root, where the probe past the outermost boundary lies."""
+    for m in range(1, 6):
+        ok, witness, _ = circle_criterion(PolyMatrix(np.array([1.0, 0.0, 1.0])[:, None, None] * np.eye(m)))
+        assert not ok and abs(witness) > 1.0
 
 
 @PROPERTY
