@@ -57,6 +57,10 @@ def _emit(obj, parts):
             parts.append(": ")
             _emit(obj[key], parts)
         parts.append("}")
+    elif isinstance(obj, (list, tuple)) and all(type(x) is float for x in obj):
+        # Fast path for the rows of a matrix (one call per row, not per entry).
+        parts.append("[" + ", ".join("%.12e" % x if math.isfinite(x) else "null"
+                                     for x in obj) + "]")
     elif isinstance(obj, (list, tuple)):
         parts.append("[")
         for k, item in enumerate(obj):

@@ -32,7 +32,13 @@ from .numerics import (
     sym_pack,
     sym_unpack,
 )
-from .polymat import PolyMatrix, compress_columns, rhp_roots_matrix, unimodular_det_constant
+from .polymat import (
+    PolyMatrix,
+    compress_columns,
+    rhp_roots_matrix,
+    unimodular_det_constant,
+    unit_columns,
+)
 from .realization import (
     CoprimeFactorization,
     GameSystem,
@@ -159,6 +165,9 @@ def check_rank_condition(fac: CoprimeFactorization, analysis: PhiAnalysis,
     except ValueError:
         # Normal rank of T below its column count: deficient everywhere.
         return RankCertificate(satisfied=False, violations=(), degenerate=True)
+    # The null-vector test runs on the column-scaled T that confirmed each
+    # root, so large coefficients do not hide a real witness.
+    Tn, col_norms = unit_columns(T)
     violations = []
     for r in roots:
         u = r.null_direction
@@ -166,13 +175,13 @@ def check_rank_condition(fac: CoprimeFactorization, analysis: PhiAnalysis,
         real_ok = False
         v_real = None
         if abs(s0.imag) <= 1e-9:
-            Tr = T.eval(complex(s0.real)).real
-            ns = _null_vec(Tr)
+            Tr = Tn.eval(complex(s0.real)).real
+            ns = _null_vec(Tr, col_norms)
             if ns is not None:
                 real_ok, v_real = True, ns
         else:
-            M = T.eval(s0)
-            ns = _null_vec(np.vstack([M.real, M.imag]))
+            M = Tn.eval(s0)
+            ns = _null_vec(np.vstack([M.real, M.imag]), col_norms)
             if ns is not None:
                 real_ok, v_real = True, ns
         u_use = v_real if real_ok else u
@@ -183,12 +192,12 @@ def check_rank_condition(fac: CoprimeFactorization, analysis: PhiAnalysis,
     return RankCertificate(satisfied=satisfied, violations=tuple(violations))
 
 
-def _null_vec(M, tol: float = 1e-7):
+def _null_vec(M, col_norms, tol: float = 1e-7):
+    """Unit null vector of M diag(col_norms), found on the real column-scaled
+    M; None when M has no singular value below tol relative to its largest."""
     u, s, vh = np.linalg.svd(M)
     if s.size == 0 or s[-1] <= tol * max(1.0, s[0]):
-        v = vh[-1].conj()
-        if np.max(np.abs(v.imag)) < 1e-10:
-            v = v.real
+        v = vh[-1] / col_norms
         return v / np.linalg.norm(v)
     return None
 

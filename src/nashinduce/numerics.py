@@ -113,23 +113,23 @@ def kron_sum(N, M) -> np.ndarray:
 def solve_lyapunov(Acl, W, tol: float = LYAPUNOV_RESIDUAL_TOL) -> np.ndarray:
     """Solve P Acl + Acl' P = -W for symmetric W and Hurwitz Acl.
 
-    Solved by Kronecker vectorization (dense n^2 x n^2 system); intended for
-    the desk scales this package works at (n <= 32).
+    Bartels-Stewart: real Schur Acl' = U T U', trsyl on T Y + Y T' = -U' W U.
     """
+    import scipy.linalg  # deferred: commands that solve no Lyapunov skip it
     A = require_square(Acl, "Acl")
     Ws = symmetrize(W, name="W")
     if A.shape != Ws.shape:
         raise DimensionError("Acl and W must have the same shape")
-    if not is_hurwitz(A):
-        raise ValueError("Acl must be Hurwitz for a Lyapunov solve")
-    n = A.shape[0]
-    # vec(P Acl) = (Acl' (x) I) vec(P); vec(Acl' P) = (I (x) Acl') vec(P)
-    K = kron_sum(A.T, A.T)
     try:
-        p = np.linalg.solve(K, -vec(Ws))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"singular vectorized Lyapunov system: {exc}") from exc
-    P = unvec(p, n, n)
+        T, U = scipy.linalg.schur(A.T, check_finite=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise NumericalFailureError(f"Schur factorization failed: {exc}") from exc
+    if not np.diag(T).max() < -HURWITZ_MARGIN:  # 2x2 blocks hold Re(eig) on the diagonal
+        raise ValueError("Acl must be Hurwitz for a Lyapunov solve")
+    Y, scale, info = scipy.linalg.lapack.dtrsyl(T, T, -(U.T @ (Ws @ U)), tranb="T")
+    if info < 0:
+        raise NumericalFailureError(f"trsyl rejected argument {-info}")
+    P = U @ (Y / scale) @ U.T
     P = 0.5 * (P + P.T)
     resid = np.linalg.norm(P @ A + A.T @ P + Ws)
     if resid > tol * max(1.0, float(np.linalg.norm(Ws))):

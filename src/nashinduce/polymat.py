@@ -429,6 +429,18 @@ def rhp_roots_poly(c, delta: float = RHP_MARGIN):
     return out
 
 
+def unit_columns(T: PolyMatrix):
+    """(T diag(1/c), c) with c_j the largest coefficient magnitude of column j.
+
+    The scaling moves no rank drop; a zero column (rank deficient at every s)
+    raises ValueError.
+    """
+    col_norms = np.max(np.abs(T.coeffs), axis=(0, 1))
+    if not np.all(col_norms > 0.0):
+        raise ValueError("zero column: rank deficient everywhere (degenerate)")
+    return T @ PolyMatrix.constant(np.diag(1.0 / col_norms)), col_norms
+
+
 def rhp_roots_matrix(T: PolyMatrix, delta: float = RHP_MARGIN, tol: float = 1e-7):
     """Closed-RHP rank-deficiency points of a tall polynomial matrix.
 
@@ -445,10 +457,7 @@ def rhp_roots_matrix(T: PolyMatrix, delta: float = RHP_MARGIN, tol: float = 1e-7
     """
     if T.rows < T.cols:
         raise DimensionError("rhp_roots_matrix expects a tall (m x q, m >= q) matrix")
-    col_norms = np.max(np.abs(T.coeffs), axis=(0, 1))
-    if not np.all(col_norms > 0.0):
-        raise ValueError("zero column: rank deficient everywhere (degenerate)")
-    Tn = T @ PolyMatrix.constant(np.diag(1.0 / col_norms))
+    Tn, col_norms = unit_columns(T)
     # 2 deg + 3 real points, |s| up to about their count, none at s = 0; ten
     # and a hundred times larger where T is rank deficient at all of them.
     npts = 2 * int(T.degree) + 3

@@ -11,6 +11,7 @@ m = 4, 5.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from nashinduce import circle_criterion
+from nashinduce import check_rank_condition, circle_criterion
 from nashinduce.polymat import (
     PolyMatrix,
     is_zero_poly,
@@ -305,6 +306,27 @@ def test_rank_drops_of_large_coefficient_matrices():
     col = PolyMatrix.from_entries([[[1.0, 2.0]], [[-3.0, 0.0, 1.0]], [[0.5]]])
     with pytest.raises(ValueError, match="degenerate"):
         rhp_roots_matrix(col.hstack(-2.0 * col))
+
+
+def test_rank_certificates_of_large_coefficient_matrices():
+    """Coefficients x2.5e6 with column scales 1...1e4: every rank drop gets a
+    real witness, found on the column-scaled T and mapped back to T.  In
+    case 38, a single column, |T(s0)| is only about 1e-7 at the zeros."""
+    cases = list(_planted_cases(False))[:40]
+    assert cases[38][0].cols == 1
+    for T, planted in cases:
+        big = PolyMatrix(2.5e6 * T.coeffs * np.logspace(0, 4, T.cols))
+        p = big.rows - big.cols
+        zero = PolyMatrix(np.zeros((big.coeffs.shape[0], big.rows, p)))
+        fac = SimpleNamespace(m=big.rows, D=zero.hstack(big))  # D L = [0 | T]
+        analysis = SimpleNamespace(p=p, L=PolyMatrix.constant(np.eye(big.rows)))
+        cert = check_rank_condition(fac, analysis)
+        assert len(cert.violations) == len(planted)
+        assert not cert.satisfied
+        for v in cert.violations:
+            assert v.real_v_available
+            scale = big.coeff_norm() * max(1.0, abs(v.s0)) ** big.degree
+            assert np.linalg.norm(big.eval(v.s0) @ v.v[p:]) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------

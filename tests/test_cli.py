@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from nashinduce.cli import main
+from nashinduce.cli import dumps_report, main
 from nashinduce.problems import BUNDLED
 
 
@@ -263,3 +264,76 @@ def test_solve_tol_reaches_verify_nash(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "solve", path, "--tol", "1e-5")
     assert code == 0
     assert seen == [1e-5]
+
+
+def reference_emit(obj, parts):
+    """The emitter before its fast path for float rows: one call per value."""
+    if obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        parts.append("%.12e" % float(obj) if math.isfinite(obj) else "null")
+    elif isinstance(obj, str):
+        parts.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        parts.append("{")
+        for k, key in enumerate(obj):
+            if k:
+                parts.append(", ")
+            parts.append(json.dumps(str(key)))
+            parts.append(": ")
+            reference_emit(obj[key], parts)
+        parts.append("}")
+    elif isinstance(obj, (list, tuple)):
+        parts.append("[")
+        for k, item in enumerate(obj):
+            if k:
+                parts.append(", ")
+            reference_emit(item, parts)
+        parts.append("]")
+    elif isinstance(obj, np.ndarray):
+        reference_emit(obj.tolist(), parts)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _random_report(rng, depth):
+    """Nested dicts, lists, tuples and arrays of every value kind a report
+    holds: floats with nan, +-inf and -0.0, numpy scalars, ints, bools."""
+    specials = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-300, -1e300]
+
+    def leaf():
+        kind = int(rng.integers(9))
+        x = float(rng.standard_normal()) * 10.0 ** int(rng.integers(-20, 20))
+        return [x, specials[int(rng.integers(len(specials)))], np.float64(x),
+                np.float32(x), int(rng.integers(-9, 9)), np.int64(7), bool(kind % 2),
+                None, "s\u00e9\"q"][kind]
+
+    def rows():
+        M = rng.standard_normal((int(rng.integers(0, 4)), int(rng.integers(0, 5))))
+        M.flat[rng.integers(0, max(M.size, 1), size=min(M.size, 2))] = specials[:min(M.size, 2)]
+        return M if rng.random() < 0.5 else M.tolist()
+
+    if depth == 0:
+        return leaf() if rng.random() < 0.5 else rows()
+    kind = int(rng.integers(3))
+    items = [_random_report(rng, depth - 1) for _ in range(int(rng.integers(0, 5)))]
+    if kind == 0:
+        return {f"k{i}": item for i, item in enumerate(items)}
+    return items if kind == 1 else tuple(items)
+
+
+def test_emitter_fast_path_is_byte_identical():
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        report = _random_report(rng, int(rng.integers(0, 4)))
+        parts = []
+        reference_emit(report, parts)
+        assert dumps_report(report) == "".join(parts) + "\n"
+    assert dumps_report([1.0, -0.0, float("nan"), np.float64(2.0)]) == \
+        "[1.000000000000e+00, -0.000000000000e+00, null, 2.000000000000e+00]\n"

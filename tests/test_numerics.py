@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nashinduce.numerics import (
+    HURWITZ_MARGIN,
     DimensionError,
+    NumericalFailureError,
     eig,
     is_hurwitz,
     is_pd,
@@ -73,6 +76,87 @@ def test_solve_lyapunov_residual():
 def test_solve_lyapunov_rejects_unstable():
     with pytest.raises(ValueError):
         solve_lyapunov(np.array([[1.0]]), np.array([[1.0]]))
+
+
+# Reference: the dense n^2 x n^2 Kronecker system solve_lyapunov replaced.
+def kron_lyapunov(A, W):
+    n = A.shape[0]
+    P = unvec(np.linalg.solve(kron_sum(A.T, A.T), -vec(W)), n, n)
+    return 0.5 * (P + P.T)
+
+
+def _rotated(rng, T):
+    Q = np.linalg.qr(rng.standard_normal(T.shape))[0]
+    return Q @ T @ Q.T
+
+
+def _stable(rng, kind, n):
+    """A Hurwitz n x n matrix with real spectrum, complex pairs (2x2 Schur
+    blocks), or with a strictly upper triangular part of 1.5 times the
+    Frobenius norm of its diagonal (n >= 2), all in rotated coordinates."""
+    if kind == "real":
+        V = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+        return V @ np.diag(-rng.uniform(0.1, 5.0, n)) @ np.linalg.inv(V)
+    if kind == "complex":
+        T = np.diag(-rng.uniform(0.1, 2.0, n))
+        for k in range(0, n - 1, 2):
+            T[k, k + 1] = rng.uniform(0.5, 5.0)
+            T[k + 1, k], T[k + 1, k + 1] = -T[k, k + 1], T[k, k]
+        return _rotated(rng, T)
+    D = np.diag(-rng.uniform(0.5, 2.0, n))
+    N = np.triu(rng.standard_normal((n, n)), 1)
+    return _rotated(rng, D + 1.5 * np.linalg.norm(D) / max(np.linalg.norm(N), 1.0) * N)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "nonnormal"])
+def test_solve_lyapunov_matches_kronecker(kind):
+    rng = np.random.default_rng(6)
+    for n in range(1, 33):
+        A = _stable(rng, kind, n)
+        W = rng.standard_normal((n, n))
+        W = 10.0 ** (n % 5 * 4 - 8) * (W + W.T)  # 1e-8 ... 1e8
+        P, ref = solve_lyapunov(A, W), kron_lyapunov(A, W)
+        assert np.array_equal(P, P.T)
+        assert np.linalg.norm(P - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_schur_hurwitz_test_rejects_what_is_hurwitz_rejects():
+    """An eigenvalue or a complex pair's real part at 0 or -margin/2 is
+    rejected by both; at -2 margin both accept (W = 0 gives P = 0)."""
+    rng = np.random.default_rng(7)
+
+    def pair(a):  # eigenvalues a +- i, a 2x2 Schur block
+        return np.array([[a, 1.0], [-1.0, a]])
+
+    cases = [np.diag([0.0, -1.0, -2.0]),
+             np.diag([-HURWITZ_MARGIN / 2, -1.0, -2.0]),
+             scipy.linalg.block_diag(pair(0.0), -1.0),
+             scipy.linalg.block_diag(pair(-HURWITZ_MARGIN / 2), -1.0),
+             np.diag([-2 * HURWITZ_MARGIN, -1.0, -2.0]),
+             scipy.linalg.block_diag(pair(-2 * HURWITZ_MARGIN), -1.0)]
+    verdicts = []
+    for T in cases:
+        A = _rotated(rng, T)
+        verdicts.append(is_hurwitz(A))
+        if verdicts[-1]:
+            assert np.array_equal(solve_lyapunov(A, np.zeros((3, 3))), np.zeros((3, 3)))
+        else:
+            with pytest.raises(ValueError, match="Hurwitz"):
+                solve_lyapunov(A, np.zeros((3, 3)))
+    assert verdicts == [False] * 4 + [True] * 2
+
+
+def test_solve_lyapunov_failures_raise(monkeypatch):
+    rng = np.random.default_rng(8)
+    A, W = _stable(rng, "complex", 6), np.eye(6)
+    trsyl = scipy.linalg.lapack.dtrsyl
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl",
+                        lambda *a, **k: (2.0 * trsyl(*a, **k)[0], 1.0, 0))
+    with pytest.raises(NumericalFailureError, match="residual"):
+        solve_lyapunov(A, W)
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", lambda *a, **k: (None, 1.0, -3))
+    with pytest.raises(NumericalFailureError, match="argument 3"):
+        solve_lyapunov(A, W)
 
 
 def test_is_hurwitz():
