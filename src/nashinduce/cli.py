@@ -98,15 +98,26 @@ def _matrix(node, path, rows=None, cols=None):
     return M
 
 
-def load_problem(path: str):
-    """Parse a problem file into (system, profile, costs_or_None, x0, tol)."""
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+
+
+def _per_player(node, path, N):
+    """node as a list with one entry per player."""
+    if not isinstance(node, list) or len(node) != N:
+        raise InputError(f"{path}: must list one entry per player ({N})")
+    return node
+
+
+def load_problem(path: str):
+    """Parse a problem file into (system, profile, costs_or_None, x0, tol)."""
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise InputError(f"{path}: top level must be an object")
     if raw.get("schema_version") != "1":
@@ -136,9 +147,7 @@ def load_problem(path: str):
         Qs.append(_matrix(pl["Q"], f"players[{i}].Q", rows=n, cols=n)
                   if "Q" in pl else None)
         if "R_row" in pl:
-            row = pl["R_row"]
-            if not isinstance(row, list) or len(row) != N:
-                raise InputError(f"players[{i}].R_row: must list one block per player")
+            row = _per_player(pl["R_row"], f"players[{i}].R_row", N)
             Rrows.append([_matrix(row[j], f"players[{i}].R_row[{j}]")
                           for j in range(N)])
         else:
@@ -165,26 +174,22 @@ def load_problem(path: str):
         x0 = np.asarray(raw["x0"], dtype=float).ravel()
         if x0.size != n:
             raise InputError(f"x0: has length {x0.size}, expected {n}")
-    tol = float(raw.get("tol", 1e-8))
-    return system, profile, costs, x0, tol
+    tol = raw.get("tol", 1e-8)
+    if type(tol) not in (int, float) or not abs(tol) <= sys.float_info.max:
+        raise InputError("tol: must be a finite number")
+    return system, profile, costs, x0, float(tol)
 
 
 def load_costs(path: str, system: GameSystem) -> CostParameters:
     """Parse a standalone cost file: {"Q": [...], "R": [[...]]} per player."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    raw = _read_json(path)
     N = system.num_players
     if not isinstance(raw, dict) or "Q" not in raw or "R" not in raw:
         raise InputError(f"{path}: expected object with Q and R")
-    if len(raw["Q"]) != N or len(raw["R"]) != N:
-        raise InputError(f"{path}: Q and R must cover every player")
-    Qs = [_matrix(raw["Q"][i], f"Q[{i}]", rows=system.n, cols=system.n) for i in range(N)]
-    Rs = [[_matrix(raw["R"][i][j], f"R[{i}][{j}]",
+    Q = _per_player(raw["Q"], "Q", N)
+    R = [_per_player(row, f"R[{i}]", N) for i, row in enumerate(_per_player(raw["R"], "R", N))]
+    Qs = [_matrix(Q[i], f"Q[{i}]", rows=system.n, cols=system.n) for i in range(N)]
+    Rs = [[_matrix(R[i][j], f"R[{i}][{j}]",
                    rows=system.m[j], cols=system.m[j]) for j in range(N)]
           for i in range(N)]
     return CostParameters(Qs, Rs)
@@ -235,10 +240,10 @@ def _player_report(pa):
     }
 
 
-def _frequency_verdict(analysis):
-    if any(p.rank_certificate.degenerate for p in analysis.players):
+def _frequency_verdict(players):
+    if any(p.rank_certificate.degenerate for p in players):
         return "indeterminate"
-    return "inducible" if analysis.inducible else "not_inducible"
+    return "inducible" if all(p.inducible for p in players) else "not_inducible"
 
 
 def _oracle_verdict(status):
@@ -293,25 +298,16 @@ def _format_text(report, indent=0, key=None) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    system, profile, _, _, tol = load_problem(args.problem)
-    warnings = []
+    system, profile, _, _, _ = load_problem(args.problem)
     t0 = time.monotonic()
     if args.player is not None:
         if not (0 <= args.player < system.num_players):
             raise InputError(f"--player {args.player}: out of range")
         players = [analyze_player(system, profile, args.player)]
-        freq_inducible = players[0].inducible
-        degenerate = players[0].rank_certificate.degenerate
-        verdict_freq = ("indeterminate" if degenerate
-                        else "inducible" if freq_inducible else "not_inducible")
-        for p in players:
-            warnings.extend(p.warnings)
     else:
-        analysis = is_nash_inducible(system, profile)
-        players = list(analysis.players)
-        verdict_freq = _frequency_verdict(analysis)
-        for p in players:
-            warnings.extend(p.warnings)
+        players = list(is_nash_inducible(system, profile).players)
+    verdict_freq = _frequency_verdict(players)
+    warnings = [w for p in players for w in p.warnings]
     t_freq = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -388,14 +384,8 @@ def cmd_solve(args) -> int:
         return 1
 
     N = system.num_players
-    if args.mode == "q-only":
-        Qs = [p.kalman.Q for p in players]
-        costs = CostParameters.identity_R(Qs, system.m)
-    else:
-        Qs = [p.kalman.Q for p in players]
-        R = [[players[i].kalman.R if i == j else np.zeros((system.m[j], system.m[j]))
-              for j in range(N)] for i in range(N)]
-        costs = CostParameters(Qs, R)
+    costs = CostParameters.diagonal_R([p.kalman.Q for p in players],
+                                      [p.kalman.R for p in players])
     ok, cert = verify_nash(system, profile, costs, tol=max(tol, args.tol))
     report = {
         "status": "solved" if ok else "verification_failed",

@@ -168,15 +168,7 @@ def solve_feasibility_projection(system: GameSystem, profile: StrategyProfile,
             return FeasibilityResult("infeasible_certified_by_identity", None)
         Q, R, P = sym_blocks(theta, layout)
         Qs.append(Q), Rs.append(R), Ps.append(P)
-    costs = _assemble_costs(system, Qs, Rs)
-    return FeasibilityResult("feasible", ThetaPoint(costs, Ps))
-
-
-def _assemble_costs(system: GameSystem, Qs, Rs) -> CostParameters:
-    N = system.num_players
-    R = [[Rs[i] if i == j else np.zeros((system.m[j], system.m[j])) for j in range(N)]
-         for i in range(N)]
-    return CostParameters(Qs, R)
+    return FeasibilityResult("feasible", ThetaPoint(CostParameters.diagonal_R(Qs, Rs), Ps))
 
 
 # ---------------------------------------------------------------------------

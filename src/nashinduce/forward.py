@@ -18,7 +18,10 @@ from .numerics import (
     is_hurwitz,
     is_pd,
     is_psd,
+    kron_sum,
     solve_lyapunov,
+    sym_basis,
+    sym_dim,
     sym_pack,
     sym_unpack,
     symmetrize,
@@ -43,12 +46,17 @@ class CostParameters:
         object.__setattr__(self, "R", Rs)
 
     @classmethod
+    def diagonal_R(cls, Q, R_own) -> "CostParameters":
+        """Q as given, R_ii = R_own[i], R_ij = 0."""
+        m = [Ri.shape[0] for Ri in R_own]
+        R = [[Ri if i == j else np.zeros((mj, mj)) for j, mj in enumerate(m)]
+             for i, Ri in enumerate(R_own)]
+        return cls(Q, R)
+
+    @classmethod
     def identity_R(cls, Q, m) -> "CostParameters":
         """Q as given, R_ii = I, R_ij = 0."""
-        N = len(Q)
-        R = [[np.eye(m[j]) if i == j else np.zeros((m[j], m[j])) for j in range(N)]
-             for i in range(N)]
-        return cls(Q, R)
+        return cls.diagonal_R(Q, [np.eye(mj) for mj in m])
 
     def validate(self, system: GameSystem, tol: float = 1e-8) -> None:
         N = system.num_players
@@ -133,16 +141,8 @@ def verify_nash(system: GameSystem, profile: StrategyProfile, costs: CostParamet
 
 def coupled_are_residuals(system: GameSystem, costs: CostParameters, K, P):
     """Residual norms of the N coupled Riccati equations at gains K, values P."""
-    Acl = closed_loop(system, K)
-    out = []
-    for i in range(system.num_players):
-        acc = costs.Q[i] + P[i] @ Acl + Acl.T @ P[i]
-        for j in range(system.num_players):
-            Rjj_inv = np.linalg.inv(costs.R[j][j])
-            Gj = Rjj_inv @ system.B[j].T @ P[j]
-            acc += Gj.T @ costs.R[i][j] @ Gj
-        out.append(float(np.linalg.norm(acc)))
-    return out
+    F = _riccati_residuals(costs, P, _gains(system, costs, P), closed_loop(system, K))
+    return [float(np.linalg.norm(Fi)) for Fi in F]
 
 
 def newton_kleinman(A, B, Q, R, K0, tol: float = 1e-12, max_iter: int = 60):
@@ -176,69 +176,77 @@ def newton_kleinman(A, B, Q, R, K0, tol: float = 1e-12, max_iter: int = 60):
     return Rinv @ B.T @ P, P
 
 
-def _coupled_residual_mats(system: GameSystem, costs: CostParameters, P):
-    N = system.num_players
-    G = [np.linalg.solve(costs.R[j][j], system.B[j].T @ P[j]) for j in range(N)]
-    Acl = system.A - sum(system.B[j] @ G[j] for j in range(N))
+def _gains(system: GameSystem, costs: CostParameters, P) -> list:
+    """G_j = R_jj^-1 B_j' P_j, the gains the values P_j ask for."""
+    return [np.linalg.solve(costs.R[j][j], system.B[j].T @ Pj) for j, Pj in enumerate(P)]
+
+
+def _riccati_residuals(costs: CostParameters, P, G, Acl) -> list:
+    """F_i = Q_i + P_i Acl + Acl' P_i + sum_j G_j' R_ij G_j for every player i."""
     F = []
-    for i in range(N):
-        acc = costs.Q[i] + P[i] @ Acl + Acl.T @ P[i]
-        for j in range(N):
-            acc += G[j].T @ costs.R[i][j] @ G[j]
-        F.append(0.5 * (acc + acc.T))
-    return F, G, Acl
+    for i, Pi in enumerate(P):
+        acc = costs.Q[i] + Pi @ Acl + Acl.T @ Pi
+        for j, Gj in enumerate(G):
+            acc += Gj.T @ costs.R[i][j] @ Gj
+        F.append(acc)
+    return F
+
+
+def _coupled_residual_mats(system: GameSystem, costs: CostParameters, P):
+    """(F, G, Acl) at values P, with the closed loop Acl = A - sum_j B_j G_j."""
+    G = _gains(system, costs, P)
+    Acl = system.A - sum(Bj @ Gj for Bj, Gj in zip(system.B, G))
+    return _riccati_residuals(costs, P, G, Acl), G, Acl
+
+
+def _coupled_jacobian(system: GameSystem, costs: CostParameters, P, G, Acl) -> np.ndarray:
+    """Jacobian of the packed residuals sym_pack(F_i) over the packed P_j.
+
+    Along a symmetric dP_j, F_i moves by M_ij dP_j + dP_j M_ij' with
+    M_ij = (G_j' R_ij - P_i B_j) R_jj^-1 B_j', plus Acl' when i = j, and
+    vec(M X + X M') = kron_sum(M, M) vec(X).
+    """
+    N, D = system.num_players, sym_basis(system.n)
+    dim = D.shape[1]
+    J = np.empty((N * dim, N * dim))
+    for j in range(N):
+        Rjj_invBt = np.linalg.solve(costs.R[j][j], system.B[j].T)
+        for i in range(N):
+            M = (G[j].T @ costs.R[i][j] - P[i] @ system.B[j]) @ Rjj_invBt
+            if i == j:
+                M += Acl.T
+            J[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = D.T @ kron_sum(M, M) @ D
+    return J
 
 
 def _newton_polish(system: GameSystem, costs: CostParameters, P,
                    residual_tol: float, max_iter: int = 40):
     """Newton iteration on the stacked coupled-Riccati residuals.
 
-    Variables are the packed symmetric P_i; each Jacobian column is an exact
-    directional derivative.  Damped by halving while the residual does not
-    decrease and the induced closed loop stays Hurwitz.
+    Variables are the packed symmetric P_i; the Jacobian is built in closed
+    form.  Damped by halving while the residual does not decrease and the
+    induced closed loop stays Hurwitz.
     """
-    N = system.num_players
-    n = system.n
+    N, n = system.num_players, system.n
+    dim = sym_dim(n)
     P = [0.5 * (Pi + Pi.T) for Pi in P]
-    dim = n * (n + 1) // 2
-
-    def residual_vec(Plist):
-        F, _, _ = _coupled_residual_mats(system, costs, Plist)
-        return np.concatenate([sym_pack(Fi) for Fi in F])
-
+    F, G, Acl = _coupled_residual_mats(system, costs, P)
     for _ in range(max_iter):
-        F, G, Acl = _coupled_residual_mats(system, costs, P)
         r = np.concatenate([sym_pack(Fi) for Fi in F])
         scale = max(1.0, max(float(np.linalg.norm(Pi)) for Pi in P))
         if float(np.max(np.abs(r))) <= 0.1 * residual_tol * scale:
             break
-        J = np.zeros((N * dim, N * dim))
-        col = 0
-        for j in range(N):
-            Rjj_invBt = np.linalg.solve(costs.R[j][j], system.B[j].T)
-            for k in range(dim):
-                e = np.zeros(dim)
-                e[k] = 1.0
-                dPj = sym_unpack(e, n)
-                dGj = Rjj_invBt @ dPj
-                dAcl = -system.B[j] @ dGj
-                for i in range(N):
-                    dF = P[i] @ dAcl + dAcl.T @ P[i]
-                    if i == j:
-                        dF += dPj @ Acl + Acl.T @ dPj
-                    dF += dGj.T @ costs.R[i][j] @ G[j] + G[j].T @ costs.R[i][j] @ dGj
-                    J[i * dim:(i + 1) * dim, col] += sym_pack(0.5 * (dF + dF.T))
-                col += 1
+        J = _coupled_jacobian(system, costs, P, G, Acl)
         dx = np.linalg.lstsq(J, -r, rcond=None)[0]
         base = float(np.linalg.norm(r))
         damp = 1.0
         for _ in range(25):
             trial = [P[i] + damp * sym_unpack(dx[i * dim:(i + 1) * dim], n)
                      for i in range(N)]
-            Gt = [np.linalg.solve(costs.R[j][j], system.B[j].T @ trial[j]) for j in range(N)]
-            Acl_t = system.A - sum(system.B[j] @ Gt[j] for j in range(N))
-            if is_hurwitz(Acl_t) and float(np.linalg.norm(residual_vec(trial))) < base:
-                P = trial
+            F_t, G_t, Acl_t = _coupled_residual_mats(system, costs, trial)
+            if is_hurwitz(Acl_t) and float(np.linalg.norm(
+                    np.concatenate([sym_pack(Fi) for Fi in F_t]))) < base:
+                P, F, G, Acl = trial, F_t, G_t, Acl_t
                 break
             damp *= 0.5
         else:
@@ -269,15 +277,9 @@ def solve_coupled_are(system: GameSystem, costs: CostParameters, init: StrategyP
         max_change = 0.0
         rolled_back = False
         for i in range(system.num_players):
-            A_tilde = system.A.copy()
-            for j in range(system.num_players):
-                if j != i:
-                    A_tilde = A_tilde - system.B[j] @ K[j]
-            Qt = costs.Q[i].copy()
-            for j in range(system.num_players):
-                if j != i:
-                    Qt = Qt + K[j].T @ costs.R[i][j] @ K[j]
-            Qt = 0.5 * (Qt + Qt.T)
+            current = StrategyProfile(K)
+            A_tilde, _ = reduced_system(system, current, i)
+            Qt = state_weight_with_cross_terms(costs, current, i)
             try:
                 K_new, P_new = newton_kleinman(A_tilde, system.B[i], Qt, costs.R[i][i], K[i])
             except (ValueError, RuntimeError):
@@ -306,8 +308,7 @@ def solve_coupled_are(system: GameSystem, costs: CostParameters, init: StrategyP
     # neutral mode of symmetric games.
     if all(float(np.linalg.norm(Pi)) > 0 for Pi in P):
         P = _newton_polish(system, costs, P, residual_tol)
-        K_try = [np.linalg.solve(costs.R[i][i], system.B[i].T @ P[i])
-                 for i in range(system.num_players)]
+        K_try = _gains(system, costs, P)
         if is_hurwitz(closed_loop(system, K_try)):
             K = K_try
     res = coupled_are_residuals(system, costs, K, P)

@@ -152,8 +152,9 @@ class CoprimeFactorization:
 def _crate_indices(A: np.ndarray, B: np.ndarray, tol: float = RANK_TOL):
     """Controllability indices via left-to-right scan of [B, AB, A^2B, ...].
 
-    Returns (sigma, kept) where kept[k] lists the powers j for which A^j b_k
-    was retained.  Deterministic: first independent column wins.
+    Returns (sigma, kept): kept holds the retained columns grouped per input,
+    [b_k, A b_k, ..., A^{sigma_k-1} b_k] for each k in turn.  Deterministic:
+    first independent column wins.
     """
     n, m = B.shape
     sigma = [0] * m
@@ -175,9 +176,7 @@ def _crate_indices(A: np.ndarray, B: np.ndarray, tol: float = RANK_TOL):
                 kept_flat.append(powers[k].copy())
                 kept[k].append(powers[k].copy())
                 sigma[k] += 1
-    # Group the kept columns per input: [b_k, A b_k, ..., A^{sigma_k-1} b_k].
-    grouped = [v for k in range(m) for v in kept[k]]
-    return sigma, grouped, kept
+    return sigma, [v for k in range(m) for v in kept[k]]
 
 
 def _power_basis(sigma) -> PolyMatrix:
@@ -219,7 +218,7 @@ def right_coprime_factorization(A_tilde, B, tol: float = RANK_TOL) -> CoprimeFac
 
     A_r = U.T @ A @ U
     B_r = U.T @ Bm
-    sigma, kept_vectors, _ = _crate_indices(A_r, B_r, tol)
+    sigma, kept_vectors = _crate_indices(A_r, B_r, tol)
     if sum(sigma) != n_c:
         raise NumericalFailureError("controllability index selection inconsistent with subspace rank")
 

@@ -233,6 +233,35 @@ def test_solve_nearest_not_feasible_is_valid_json(tmp_path, capsys):
     assert report["distance"] is None
 
 
+def test_non_finite_tol_is_input_error(tmp_path, capsys):
+    raw = json.loads(BUNDLED["scalar_feasible"])
+    path = tmp_path / "tol.json"
+    for bad in ([1], "1e-8", True, None, math.inf, math.nan, 10 ** 400):
+        raw["tol"] = bad
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "check", str(path))
+        assert code == 2, bad
+        assert err.startswith("error: tol:"), err
+
+
+def test_scalar_cost_file_is_input_error(tmp_path, capsys):
+    path = write_example(tmp_path, "scalar_feasible")
+    costs0 = tmp_path / "costs0.json"
+    costs0.write_text('{"Q": 1, "R": 1}')
+    code, _, err = run_cli(capsys, "solve", path, "--nearest", str(costs0))
+    assert code == 2
+    assert err.startswith("error: Q:"), err
+
+
+def test_cost_file_r_row_not_a_list_is_input_error(tmp_path, capsys):
+    path = write_example(tmp_path, "scalar_feasible")
+    costs0 = tmp_path / "costs0.json"
+    costs0.write_text('{"Q": [[[1.0]]], "R": [5]}')
+    code, _, err = run_cli(capsys, "solve", path, "--nearest", str(costs0))
+    assert code == 2
+    assert err.startswith("error: R[0]:"), err
+
+
 def test_check_rejects_tol(tmp_path, capsys):
     path = write_example(tmp_path, "scalar_feasible")
     with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,8 @@ from nashinduce import (
     solve_coupled_are,
     verify_nash,
 )
-from nashinduce.numerics import DimensionError
+from nashinduce.forward import _coupled_jacobian, _coupled_residual_mats
+from nashinduce.numerics import DimensionError, sym_dim, sym_pack, sym_unpack
 
 
 def scalar_system():
@@ -131,6 +132,78 @@ def test_solve_coupled_are_random_games(nash_games):
         assert max(res) <= 1e-8 * scale
         ok, _ = verify_nash(system, profile, costs)
         assert ok
+
+
+def probe_jacobian(system, costs, P):
+    """Reference Jacobian of the packed residuals: column k of block j is the
+    directional derivative of every F_i along the k-th packed unit matrix dP_j."""
+    N, n = system.num_players, system.n
+    dim = sym_dim(n)
+    _, G, Acl = _coupled_residual_mats(system, costs, P)
+    J = np.zeros((N * dim, N * dim))
+    for j in range(N):
+        Rjj_invBt = np.linalg.solve(costs.R[j][j], system.B[j].T)
+        for k in range(dim):
+            dPj = sym_unpack(np.eye(dim)[k], n)
+            dGj = Rjj_invBt @ dPj
+            dAcl = -system.B[j] @ dGj
+            for i in range(N):
+                dF = P[i] @ dAcl + dAcl.T @ P[i]
+                if i == j:
+                    dF += dPj @ Acl + Acl.T @ dPj
+                dF += dGj.T @ costs.R[i][j] @ G[j] + G[j].T @ costs.R[i][j] @ dGj
+                J[i * dim:(i + 1) * dim, j * dim + k] = sym_pack(0.5 * (dF + dF.T))
+    return J
+
+
+def random_cross_penalty_game(rng, n, N, m):
+    """Random plant, values P and costs with R_jj != I and R_ij != 0."""
+    system = GameSystem(rng.standard_normal((n, n)),
+                        [rng.standard_normal((n, m)) for _ in range(N)])
+
+    def psd(k):
+        C = rng.standard_normal((k, k))
+        return C @ C.T
+
+    costs = CostParameters(
+        [psd(n) for _ in range(N)],
+        [[psd(m) + (0.5 * np.eye(m) if i == j else 0.0) for j in range(N)]
+         for i in range(N)])
+    return system, costs, [psd(n) for _ in range(N)]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_coupled_jacobian_matches_probe(N):
+    rng = np.random.default_rng(500 + N)
+    for n in range(1, 9):
+        for m in range(1, min(n, 3) + 1):
+            system, costs, P = random_cross_penalty_game(rng, n, N, m)
+            _, G, Acl = _coupled_residual_mats(system, costs, P)
+            J = _coupled_jacobian(system, costs, P, G, Acl)
+            ref = probe_jacobian(system, costs, P)
+            assert J.shape == ref.shape == (N * sym_dim(n), N * sym_dim(n))
+            assert np.max(np.abs(J - ref)) <= 1e-12 * np.max(np.abs(ref)), (n, N, m)
+
+
+def test_probe_jacobian_is_the_residual_derivative():
+    # F is quadratic in P, so a central difference with a unit step is exact.
+    rng = np.random.default_rng(77)
+    for n, N, m in [(1, 1, 1), (3, 2, 2), (5, 3, 1), (4, 2, 3)]:
+        system, costs, P = random_cross_penalty_game(rng, n, N, m)
+        dim = sym_dim(n)
+
+        def packed(Plist):
+            F, _, _ = _coupled_residual_mats(system, costs, Plist)
+            return np.concatenate([sym_pack(Fi) for Fi in F])
+
+        ref = probe_jacobian(system, costs, P)
+        for col in range(N * dim):
+            j, k = divmod(col, dim)
+            E = sym_unpack(np.eye(dim)[k], n)
+            up = [Pi + E if i == j else Pi for i, Pi in enumerate(P)]
+            down = [Pi - E if i == j else Pi for i, Pi in enumerate(P)]
+            diff = 0.5 * (packed(up) - packed(down))
+            assert np.allclose(diff, ref[:, col], rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
 
 
 def test_equilibrium_cost():
