@@ -14,7 +14,6 @@ from .realization import (
     StrategyProfile,
     attach_feedback,
     closed_loop,
-    coprimeness_ok,
     is_stabilizing,
     reduced_system,
     right_coprime_factorization,
@@ -87,7 +86,6 @@ __all__ = [
     "check_rank_condition",
     "circle_criterion",
     "closed_loop",
-    "coprimeness_ok",
     "coupled_are_residuals",
     "equilibrium_cost",
     "fold_cross_penalties",

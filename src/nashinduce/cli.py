@@ -116,7 +116,7 @@ def _per_player(node, path, N):
 
 
 def load_problem(path: str):
-    """Parse a problem file into (system, profile, costs_or_None, x0, tol)."""
+    """Parse a problem file into (system, profile, costs_or_None, tol)."""
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise InputError(f"{path}: top level must be an object")
@@ -169,15 +169,10 @@ def load_problem(path: str):
         costs = CostParameters(Qs, Rrows)
     elif any(has_costs) or any(Qs[i] is not None or Rrows[i] is not None for i in range(N)):
         raise InputError("players: Q and R_row must be supplied for every player or none")
-    x0 = None
-    if "x0" in raw:
-        x0 = np.asarray(raw["x0"], dtype=float).ravel()
-        if x0.size != n:
-            raise InputError(f"x0: has length {x0.size}, expected {n}")
     tol = raw.get("tol", 1e-8)
     if type(tol) not in (int, float) or not abs(tol) <= sys.float_info.max:
         raise InputError("tol: must be a finite number")
-    return system, profile, costs, x0, float(tol)
+    return system, profile, costs, float(tol)
 
 
 def load_costs(path: str, system: GameSystem) -> CostParameters:
@@ -240,6 +235,10 @@ def _player_report(pa):
     }
 
 
+def _kalman_iterations(players):
+    return [p.kalman.iterations for p in players]
+
+
 def _frequency_verdict(players):
     if any(p.rank_certificate.degenerate for p in players):
         return "indeterminate"
@@ -298,7 +297,7 @@ def _format_text(report, indent=0, key=None) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    system, profile, _, _, _ = load_problem(args.problem)
+    system, profile, _, _ = load_problem(args.problem)
     t0 = time.monotonic()
     if args.player is not None:
         if not (0 <= args.player < system.num_players):
@@ -311,11 +310,13 @@ def cmd_check(args) -> int:
     t_freq = time.monotonic() - t0
 
     t0 = time.monotonic()
+    oracle_iterations = None
     if args.no_oracle:
         verdict_oracle = "skipped"
     else:
         feas = solve_feasibility_projection(system, profile)
         verdict_oracle = _oracle_verdict(feas.status)
+        oracle_iterations = list(feas.iterations)
         if feas.status == "indeterminate":
             warnings.append("time-domain oracle did not reach a determinate verdict")
     t_oracle = time.monotonic() - t0
@@ -331,6 +332,8 @@ def cmd_check(args) -> int:
         "warnings": warnings,
         "timings_ms": {"frequency": int(round(1000 * t_freq)),
                        "oracle": int(round(1000 * t_oracle))},
+        "diagnostics": {"kalman_iterations": _kalman_iterations(players),
+                        "oracle_iterations": oracle_iterations},
     }
     _write_report(report, args)
     if disagreement:
@@ -343,7 +346,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    system, profile, _, _, tol = load_problem(args.problem)
+    system, profile, _, tol = load_problem(args.problem)
     if args.nearest:
         costs0 = load_costs(args.nearest, system)
         res = nearest_params(costs0, system, profile)
@@ -356,6 +359,7 @@ def cmd_solve(args) -> int:
                  "R_row": [Rij.tolist() for Rij in res.costs.R[i]]}
                 for i in range(system.num_players)
             ] if res.costs is not None else [],
+            "diagnostics": {"nearest_iterations": list(res.iterations)},
         }
         _write_report(report, args)
         return 0 if res.status == "feasible" else 1
@@ -379,6 +383,7 @@ def cmd_solve(args) -> int:
             "rank_ok": bool(failed.rank_ok),
             "kalman_status": failed.kalman.status if failed.kalman else None,
             "players": [_player_report(p) for p in players],
+            "diagnostics": {"kalman_iterations": _kalman_iterations(players)},
         }
         _write_report(report, args)
         return 1
@@ -400,13 +405,14 @@ def cmd_solve(args) -> int:
             for i in range(N)
         ],
         "verify_ok": bool(ok),
+        "diagnostics": {"kalman_iterations": _kalman_iterations(players)},
     }
     _write_report(report, args)
     return 0 if ok else 1
 
 
 def cmd_verify(args) -> int:
-    system, profile, costs, _, tol = load_problem(args.problem)
+    system, profile, costs, tol = load_problem(args.problem)
     if costs is None:
         raise InputError("players: Q and R_row required for verify")
     try:

@@ -137,6 +137,7 @@ def _player_nullspace(system, profile, i, tol: float = RANK_TOL):
 class FeasibilityResult:
     status: str  # "feasible" | "infeasible_certified_by_identity" | "indeterminate"
     point: ThetaPoint | None
+    iterations: tuple = ()  # projection iterations of each player searched
 
 
 def solve_feasibility_projection(system: GameSystem, profile: StrategyProfile,
@@ -150,7 +151,7 @@ def solve_feasibility_projection(system: GameSystem, profile: StrategyProfile,
     yields "indeterminate"; infeasibility is certified only when the solution
     ray itself leaves no room in the cone.
     """
-    Qs, Rs, Ps = [], [], []
+    Qs, Rs, Ps, iterations = [], [], [], []
     for i in range(system.num_players):
         n, m = system.n, system.m[i]
         Z, (nq, _, npk) = _player_nullspace(system, profile, i)
@@ -158,17 +159,19 @@ def solve_feasibility_projection(system: GameSystem, profile: StrategyProfile,
         affine = affine_slice(Z, trace_row, m)
         if affine is None:
             # No solution, or trace(R_ii) vanishes on all of them: no R_ii > 0.
-            return FeasibilityResult("infeasible_certified_by_identity", None)
+            return FeasibilityResult("infeasible_certified_by_identity", None, tuple(iterations))
         layout = [(n, 0.0), (m, rho), (n, 0.0)]
-        theta, reason = project_affine_cone(*affine, layout, cap, tol)
+        theta, reason, its = project_affine_cone(*affine, layout, cap, tol)
+        iterations.append(its)
         ok = cone_verdict(theta, reason, layout, slack=1e-6)
         if ok is None:
-            return FeasibilityResult("indeterminate", None)
+            return FeasibilityResult("indeterminate", None, tuple(iterations))
         if not ok:
-            return FeasibilityResult("infeasible_certified_by_identity", None)
+            return FeasibilityResult("infeasible_certified_by_identity", None, tuple(iterations))
         Q, R, P = sym_blocks(theta, layout)
         Qs.append(Q), Rs.append(R), Ps.append(P)
-    return FeasibilityResult("feasible", ThetaPoint(CostParameters.diagonal_R(Qs, Rs), Ps))
+    return FeasibilityResult("feasible", ThetaPoint(CostParameters.diagonal_R(Qs, Rs), Ps),
+                             tuple(iterations))
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +208,7 @@ class NearestResult:
     status: str
     costs: CostParameters | None
     distance: float
+    iterations: tuple = ()  # Dykstra iterations of each player searched
 
 
 def nearest_params(costs0: CostParameters, system: GameSystem, profile: StrategyProfile,
@@ -222,11 +226,13 @@ def nearest_params(costs0: CostParameters, system: GameSystem, profile: Strategy
     N = system.num_players
     Qs = []
     Rrows = []
+    iterations = []
     dist2 = 0.0
     for i in range(N):
         Z = nullspace(_stationarity_map(system, profile, i))  # feasible identity directions
         if Z.shape[1] == 0:
-            return NearestResult("infeasible_certified_by_identity", None, float("inf"))
+            return NearestResult("infeasible_certified_by_identity", None, float("inf"),
+                                 tuple(iterations))
         layout = [(system.n, 0.0)] + [(mj, rho if j == i else 0.0)
                                       for j, mj in enumerate(system.m)]
         x0 = np.concatenate([sym_pack(costs0.Q[i])] +
@@ -234,7 +240,8 @@ def nearest_params(costs0: CostParameters, system: GameSystem, profile: Strategy
         x = x0.copy()
         q_corr = np.zeros_like(x)
         converged = False
-        for _ in range(cap):
+        its = 0
+        for its in range(1, cap + 1):
             y = Z @ (Z.T @ x)
             x_new = cone_project(y + q_corr, layout)
             q_corr = y + q_corr - x_new
@@ -244,6 +251,7 @@ def nearest_params(costs0: CostParameters, system: GameSystem, profile: Strategy
                 converged = True
                 break
             x = x_new
+        iterations.append(its)
         if converged:
             # A Dykstra limit must actually lie in both sets; an empty
             # intersection can still produce small update gaps.
@@ -254,14 +262,15 @@ def nearest_params(costs0: CostParameters, system: GameSystem, profile: Strategy
             if Z.shape[1] == 1:
                 z = Z[:, 0]
                 if not (_ray_in_cone(z, layout) or _ray_in_cone(-z, layout)):
-                    return NearestResult("infeasible_certified_by_identity", None, float("inf"))
-            return NearestResult("indeterminate", None, float("inf"))
+                    return NearestResult("infeasible_certified_by_identity", None, float("inf"),
+                                         tuple(iterations))
+            return NearestResult("indeterminate", None, float("inf"), tuple(iterations))
         dist2 += float(np.linalg.norm(x - x0) ** 2)
         Qi, *Rrow = [psd_project(X, floor) for X, (_, floor) in zip(sym_blocks(x, layout), layout)]
         Qs.append(Qi)
         Rrows.append(Rrow)
     costs = CostParameters(Qs, Rrows)
-    return NearestResult("feasible", costs, float(np.sqrt(dist2)))
+    return NearestResult("feasible", costs, float(np.sqrt(dist2)), tuple(iterations))
 
 
 def _ray_in_cone(z, layout) -> bool:

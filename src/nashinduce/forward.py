@@ -111,19 +111,18 @@ def verify_nash(system: GameSystem, profile: StrategyProfile, costs: CostParamet
     costs.validate(system, tol)
     Acl = closed_loop(system, profile.K)
     margin = -float(np.max(eig(Acl).real))
-    Ps, are_res, stat_res, psd_flags = [], [], [], []
-    for i in range(system.num_players):
+    Qts = [state_weight_with_cross_terms(costs, profile, i) for i in range(system.num_players)]
+    Ps = list(solve_lyapunov(Acl, np.stack([
+        Qts[i] + Ki.T @ costs.R[i][i] @ Ki for i, Ki in enumerate(profile.K)])))
+    are_res, stat_res, psd_flags = [], [], []
+    for i, (Qt, P) in enumerate(zip(Qts, Ps)):
         Bi, Ki = system.B[i], profile.K[i]
         A_tilde, _ = reduced_system(system, profile, i)
-        Qt = state_weight_with_cross_terms(costs, profile, i)
         Rii = costs.R[i][i]
-        W = Qt + Ki.T @ Rii @ Ki
-        P = solve_lyapunov(Acl, W)
         stat = float(np.linalg.norm(Rii @ Ki - Bi.T @ P))
         Rinv = np.linalg.inv(Rii)
         are = float(np.linalg.norm(
             Qt + P @ A_tilde + A_tilde.T @ P - P @ Bi @ Rinv @ Bi.T @ P))
-        Ps.append(P)
         stat_res.append(stat)
         are_res.append(are)
         psd_flags.append(is_psd(P, tol))

@@ -215,6 +215,7 @@ class KalmanSolution:
     psd_ok: bool
     status: str  # "solved" | "no_solution" | "infeasible" | "indeterminate"
     N_factor: PolyMatrix | None = None
+    iterations: int = 0  # of the projection loop
 
 
 def _coeff_stack(P: PolyMatrix, dmax: int) -> np.ndarray:
@@ -261,9 +262,9 @@ def solve_kalman_Q(fac: CoprimeFactorization, phi: PolyMatrix,
         return KalmanSolution(Q=sym_unpack(q, n), R=np.eye(fac.m), residual=rel,
                               kernel_dim=Z.shape[1], psd_ok=False, status="no_solution")
     layout = [(n, 0.0)]
-    x, reason = project_affine_cone(q, Z, layout, cap, KALMAN_PROJECTION_TOL)
+    x, reason, iterations = project_affine_cone(q, Z, layout, cap, KALMAN_PROJECTION_TOL)
     resid = float(np.linalg.norm(A @ x - b)) / scale
-    return _kalman_solution(fac, x, reason, layout, resid, Z.shape[1])
+    return _kalman_solution(fac, x, reason, iterations, layout, resid, Z.shape[1])
 
 
 def solve_kalman_general(fac: CoprimeFactorization, rho: float = R_FLOOR,
@@ -287,12 +288,12 @@ def solve_kalman_general(fac: CoprimeFactorization, rho: float = R_FLOOR,
         return KalmanSolution(Q=np.zeros((n, n)), R=np.zeros((m, m)), residual=0.0,
                               kernel_dim=Z.shape[1], psd_ok=False, status="infeasible")
     layout = [(n, 0.0), (m, rho)]
-    theta, reason = project_affine_cone(*affine, layout, cap, KALMAN_PROJECTION_TOL)
+    theta, reason, iterations = project_affine_cone(*affine, layout, cap, KALMAN_PROJECTION_TOL)
     resid = float(np.linalg.norm(A @ theta)) / max(1.0, float(np.linalg.norm(theta)))
-    return _kalman_solution(fac, theta, reason, layout, resid, Z.shape[1])
+    return _kalman_solution(fac, theta, reason, iterations, layout, resid, Z.shape[1])
 
 
-def _kalman_solution(fac, x, reason, layout, residual, kernel_dim) -> KalmanSolution:
+def _kalman_solution(fac, x, reason, iterations, layout, residual, kernel_dim) -> KalmanSolution:
     """Solution record for a projection over packed Q (R = I) or packed (Q, R)."""
     ok = cone_verdict(x, reason, layout, slack=1e-7)
     blocks = sym_blocks(x, layout)
@@ -300,7 +301,8 @@ def _kalman_solution(fac, x, reason, layout, residual, kernel_dim) -> KalmanSolu
     R = blocks[1] if len(blocks) > 1 else np.eye(fac.m)
     status = "solved" if ok else ("infeasible" if ok is False else "indeterminate")
     return KalmanSolution(Q=Q, R=R, residual=residual, kernel_dim=kernel_dim, psd_ok=bool(ok),
-                          status=status, N_factor=_spectral_factor(fac, Q) if ok else None)
+                          status=status, N_factor=_spectral_factor(fac, Q) if ok else None,
+                          iterations=iterations)
 
 
 def _spectral_factor(fac: CoprimeFactorization, Q) -> PolyMatrix | None:

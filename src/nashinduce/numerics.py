@@ -114,11 +114,14 @@ def solve_lyapunov(Acl, W, tol: float = LYAPUNOV_RESIDUAL_TOL) -> np.ndarray:
     """Solve P Acl + Acl' P = -W for symmetric W and Hurwitz Acl.
 
     Bartels-Stewart: real Schur Acl' = U T U', trsyl on T Y + Y T' = -U' W U.
+    W may also be a (k, n, n) stack of right-hand sides: Acl is factored once,
+    and the k solutions come back as a stack, each residual-checked.
     """
     import scipy.linalg  # deferred: commands that solve no Lyapunov skip it
     A = require_square(Acl, "Acl")
-    Ws = symmetrize(W, name="W")
-    if A.shape != Ws.shape:
+    W = np.asarray(W, dtype=float)
+    stack = [symmetrize(Wk, name="W") for Wk in (W if W.ndim == 3 else [W])]
+    if any(Ws.shape != A.shape for Ws in stack):
         raise DimensionError("Acl and W must have the same shape")
     try:
         T, U = scipy.linalg.schur(A.T, check_finite=False)
@@ -126,15 +129,18 @@ def solve_lyapunov(Acl, W, tol: float = LYAPUNOV_RESIDUAL_TOL) -> np.ndarray:
         raise NumericalFailureError(f"Schur factorization failed: {exc}") from exc
     if not np.diag(T).max() < -HURWITZ_MARGIN:  # 2x2 blocks hold Re(eig) on the diagonal
         raise ValueError("Acl must be Hurwitz for a Lyapunov solve")
-    Y, scale, info = scipy.linalg.lapack.dtrsyl(T, T, -(U.T @ (Ws @ U)), tranb="T")
-    if info < 0:
-        raise NumericalFailureError(f"trsyl rejected argument {-info}")
-    P = U @ (Y / scale) @ U.T
-    P = 0.5 * (P + P.T)
-    resid = np.linalg.norm(P @ A + A.T @ P + Ws)
-    if resid > tol * max(1.0, float(np.linalg.norm(Ws))):
-        raise NumericalFailureError(f"Lyapunov residual {resid:.3e} above tolerance")
-    return P
+    Ps = []
+    for Ws in stack:
+        Y, scale, info = scipy.linalg.lapack.dtrsyl(T, T, -(U.T @ (Ws @ U)), tranb="T")
+        if info < 0:
+            raise NumericalFailureError(f"trsyl rejected argument {-info}")
+        P = U @ (Y / scale) @ U.T
+        P = 0.5 * (P + P.T)
+        resid = np.linalg.norm(P @ A + A.T @ P + Ws)
+        if resid > tol * max(1.0, float(np.linalg.norm(Ws))):
+            raise NumericalFailureError(f"Lyapunov residual {resid:.3e} above tolerance")
+        Ps.append(P)
+    return np.stack(Ps) if W.ndim == 3 else Ps[0]
 
 
 def nullspace(M, tol: float = RANK_TOL) -> np.ndarray:
@@ -230,20 +236,68 @@ def sym_basis(n: int) -> np.ndarray:
 # A block layout [(size, floor), ...] describes a packed vector as consecutive
 # symmetric blocks, block b constrained to {X : X >= floor_b I}.
 
+@functools.lru_cache(maxsize=64)
+def _cone_plan(layout: tuple):
+    """Read-only plan of a layout: (groups, packed length).
+
+    One group per distinct block size s: (s, positions, index, floors), with
+    positions the layout places of the size-s blocks, index[b] the packed
+    entries of block positions[b] (so x[index] holds the whole group) and
+    floors[b] its floor.
+    """
+    starts = np.cumsum([0] + [sym_dim(size) for size, _ in layout])
+    groups = []
+    for s in sorted({size for size, _ in layout}):
+        positions = tuple(b for b, (size, _) in enumerate(layout) if size == s)
+        index = starts[list(positions)][:, None] + np.arange(sym_dim(s))
+        floors = np.array([layout[b][1] for b in positions], dtype=float)
+        for a in (index, floors):
+            a.setflags(write=False)
+        groups.append((s, positions, index, floors))
+    return tuple(groups), int(starts[-1])
+
+
+def _grouped_blocks(x, layout):
+    """(group, (k, s, s) stack of its unpacked blocks) per size group of the plan."""
+    x = np.asarray(x, dtype=float)
+    groups, dim = _cone_plan(tuple(layout))
+    if x.shape != (dim,):
+        raise DimensionError(f"packed vector has shape {x.shape}, layout needs ({dim},)")
+    for group in groups:
+        size, _, index, _ = group
+        rows, cols, weights = _sym_layout(size)
+        v = x[index] / weights
+        X = np.zeros((index.shape[0], size, size))
+        X[:, rows, cols] = v
+        X[:, cols, rows] = v
+        yield group, X
+
+
 def sym_blocks(x, layout) -> list:
     """The symmetric blocks of a packed vector, in layout order."""
-    blocks, start = [], 0
-    for size, _ in layout:
-        stop = start + sym_dim(size)
-        blocks.append(sym_unpack(x[start:stop], size))
-        start = stop
+    blocks = [None] * len(layout)
+    for (_, positions, _, _), X in _grouped_blocks(x, layout):
+        for b, Xb in zip(positions, X):
+            blocks[b] = Xb
     return blocks
 
 
 def cone_project(x, layout) -> np.ndarray:
-    """Frobenius projection of a packed vector onto the layout's cone product."""
-    return np.concatenate([sym_pack(psd_project(X, floor))
-                           for X, (_, floor) in zip(sym_blocks(x, layout), layout)])
+    """Frobenius projection of a packed vector onto the layout's cone product.
+
+    Per block size, one batched eigh: every block V diag(w) V' becomes
+    V diag(max(w, floor)) V', repacked with sym_pack's arithmetic, so the
+    result is bitwise that of sym_pack(psd_project(X, floor)) block by block.
+    """
+    if not np.isfinite(x).all():
+        raise ValueError("matrix contains non-finite entries")
+    out = np.empty(len(x))
+    for (size, _, index, floors), X in _grouped_blocks(x, layout):
+        rows, cols, weights = _sym_layout(size)
+        w, V = np.linalg.eigh(X)
+        M = (V * np.maximum(w, floors[:, None])[:, None, :]) @ V.transpose(0, 2, 1)
+        out[index] = 0.5 * (M[:, rows, cols] + M[:, cols, rows]) * weights
+    return out
 
 
 def cone_ok(x, layout, slack: float = 1e-9) -> bool:
@@ -283,18 +337,19 @@ def project_affine_cone(x_p, Y, layout, cap: int = PROJECTION_CAP,
 
     Y has orthonormal columns and x_p lies in the affine set.  From x_p,
     iterate c = P_cone(x), x' = P_aff(c) until |x' - c| <= tol * max(1, |x'|).
-    Returns (x', reason) with reason "converged", "cap" after cap iterations,
-    or "point" when Y has no columns and x_p is the whole set.
+    Returns (x', reason, iterations) with reason "converged", "cap" after cap
+    iterations, or "point" (no iteration) when Y has no columns and x_p is the
+    whole set.
     """
     if Y.shape[1] == 0:
-        return x_p, "point"
+        return x_p, "point", 0
     x = x_p
-    for _ in range(cap):
+    for it in range(1, cap + 1):
         c = cone_project(x, layout)
         x = x_p + Y @ (Y.T @ (c - x_p))
         if float(np.linalg.norm(x - c)) <= tol * max(1.0, float(np.linalg.norm(x))):
-            return x, "converged"
-    return x, "cap"
+            return x, "converged", it
+    return x, "cap", cap
 
 
 def cone_verdict(x, reason: str, layout, slack: float):

@@ -290,12 +290,3 @@ def attach_feedback(fac: CoprimeFactorization, K) -> CoprimeFactorization:
         raise DimensionError(f"K has shape {Km.shape}, expected {(fac.m, fac.n)}")
     D_tilde = fac.D + PolyMatrix.constant(Km) @ fac.S
     return replace(fac, D_tilde=D_tilde, K=Km)
-
-
-def coprimeness_ok(fac: CoprimeFactorization, tol: float = 1e-7) -> bool:
-    """PBH-style check: [S; D] keeps full column rank at eigenvalues of A_tilde."""
-    stacked = fac.S.vstack(fac.D)
-    for lam in eig(fac.A_tilde):
-        if matrix_rank(stacked.eval(lam), tol) < fac.m:
-            return False
-    return True

@@ -17,7 +17,7 @@ from nashinduce import (
     is_stabilizing,
     solve_coupled_are,
 )
-from nashinduce.numerics import solve_lyapunov
+from nashinduce.numerics import psd_project, solve_lyapunov, sym_dim, sym_pack, sym_unpack
 
 
 def random_psd(rng, n, rank=None):
@@ -28,6 +28,35 @@ def random_psd(rng, n, rank=None):
 
 def random_pd(rng, n):
     return random_psd(rng, n) + (0.2 + rng.random()) * np.eye(n)
+
+
+# Per-block references of the fused cone kernel in numerics: one sym_unpack,
+# psd_project and sym_pack per block, and the alternating-projection loop over them.
+
+def loop_sym_blocks(x, layout):
+    blocks, start = [], 0
+    for size, _ in layout:
+        stop = start + sym_dim(size)
+        blocks.append(sym_unpack(x[start:stop], size))
+        start = stop
+    return blocks
+
+
+def loop_cone_project(x, layout):
+    return np.concatenate([sym_pack(psd_project(X, floor))
+                           for X, (_, floor) in zip(loop_sym_blocks(x, layout), layout)])
+
+
+def loop_project_affine_cone(x_p, Y, layout, cap, tol):
+    if Y.shape[1] == 0:
+        return x_p, "point", 0
+    x = x_p
+    for it in range(1, cap + 1):
+        c = loop_cone_project(x, layout)
+        x = x_p + Y @ (Y.T @ (c - x_p))
+        if float(np.linalg.norm(x - c)) <= tol * max(1.0, float(np.linalg.norm(x))):
+            return x, "converged", it
+    return x, "cap", cap
 
 
 def bass_seed(A, B):

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from nashinduce.cli import dumps_report, main
+from nashinduce.cli import dumps_report, load_problem, main
+from nashinduce.feasibility import solve_feasibility_projection
+from nashinduce.inverse import is_nash_inducible
 from nashinduce.problems import BUNDLED
 
 
@@ -242,6 +244,39 @@ def test_non_finite_tol_is_input_error(tmp_path, capsys):
         code, _, err = run_cli(capsys, "check", str(path))
         assert code == 2, bad
         assert err.startswith("error: tol:"), err
+
+
+def test_x0_is_ignored_like_any_unknown_key(tmp_path, capsys):
+    raw = json.loads(BUNDLED["scalar_feasible"])
+    path = tmp_path / "x0.json"
+    for x0 in ({"a": 1}, [1.0, 2.0], "x"):
+        raw["x0"] = x0
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "check", str(path), "--no-oracle")
+        assert code == 0, (x0, err)
+        assert json.loads(out)["verdict_frequency"] == "inducible"
+
+
+def test_reports_carry_loop_iterations(tmp_path, capsys):
+    path = write_example(tmp_path, "remark2")
+    system, profile, _, _ = load_problem(path)
+    kalman = [p.kalman.iterations for p in is_nash_inducible(system, profile).players]
+    oracle = list(solve_feasibility_projection(system, profile).iterations)
+    assert len(oracle) == system.num_players and all(its > 0 for its in oracle)
+    _, out, _ = run_cli(capsys, "check", path)
+    report = json.loads(out)
+    assert list(report)[-2:] == ["timings_ms", "diagnostics"]
+    assert report["diagnostics"] == {"kalman_iterations": kalman, "oracle_iterations": oracle}
+    _, out, _ = run_cli(capsys, "check", path, "--no-oracle")
+    assert json.loads(out)["diagnostics"]["oracle_iterations"] is None
+    _, out, _ = run_cli(capsys, "solve", path)
+    assert json.loads(out)["diagnostics"] == {"kalman_iterations": kalman}
+    path = write_example(tmp_path, "scalar_feasible")
+    costs0 = tmp_path / "costs0.json"
+    costs0.write_text('{"Q": [[[5.0]]], "R": [[[[1.0]]]]}')
+    _, out, _ = run_cli(capsys, "solve", path, "--nearest", str(costs0))
+    (its,) = json.loads(out)["diagnostics"]["nearest_iterations"]
+    assert 0 < its < 10_000
 
 
 def test_scalar_cost_file_is_input_error(tmp_path, capsys):

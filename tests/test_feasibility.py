@@ -15,9 +15,16 @@ from nashinduce import (
     verify_nash,
 )
 from nashinduce.feasibility import _player_nullspace
-from nashinduce.numerics import affine_slice, cone_verdict, project_affine_cone, sym_pack
+from nashinduce.numerics import (
+    PROJECTION_CAP,
+    PROJECTION_TOL,
+    affine_slice,
+    cone_verdict,
+    project_affine_cone,
+    sym_pack,
+)
 
-from conftest import converged_nash_games, random_pd, random_psd
+from conftest import converged_nash_games, loop_project_affine_cone, random_pd, random_psd
 
 
 def scalar_game(k):
@@ -54,20 +61,32 @@ def test_projection_kernel_stop_reasons():
     # One-dimensional kernel: the normalized slice is a single point.
     (x_p, Y), layout = oracle_slice(*scalar_game(3.0), 0)
     assert Y.shape[1] == 0
-    x, reason = project_affine_cone(x_p, Y, layout)
-    assert reason == "point"
+    x, reason, iterations = project_affine_cone(x_p, Y, layout)
+    assert (reason, iterations) == ("point", 0)
     assert np.allclose(x, [3.0, 1.0, 3.0])
     assert cone_verdict(x, reason, layout, slack=1e-6) is True
     # Known-Nash game with a larger kernel: converges, or stops at the cap.
     system, _, prof, _ = converged_nash_games(seed=7, count=1)[0]
     (x_p, Y), layout = oracle_slice(system, prof, 0)
     assert Y.shape[1] > 1
-    x, reason = project_affine_cone(x_p, Y, layout)
-    assert reason == "converged"
+    x, reason, iterations = project_affine_cone(x_p, Y, layout)
+    assert reason == "converged" and 0 < iterations < PROJECTION_CAP
     assert cone_verdict(x, reason, layout, slack=1e-6) is True
-    x, reason = project_affine_cone(x_p, Y, layout, cap=1)
-    assert reason == "cap"
+    x, reason, iterations = project_affine_cone(x_p, Y, layout, cap=1)
+    assert (reason, iterations) == ("cap", 1)
     assert cone_verdict(x, reason, layout, slack=1e-6) is None
+
+
+def test_projection_kernel_matches_per_block_loop():
+    slices = [oracle_slice(*scalar_game(3.0), 0)]
+    for system, _, prof, _ in converged_nash_games(seed=7, count=4):
+        slices += [oracle_slice(system, prof, i) for i in range(system.num_players)]
+    for (x_p, Y), layout in slices:
+        for cap, tol in ((PROJECTION_CAP, PROJECTION_TOL), (3, PROJECTION_TOL), (500, 1e-14)):
+            x, reason, its = project_affine_cone(x_p, Y, layout, cap, tol)
+            x_ref, reason_ref, its_ref = loop_project_affine_cone(x_p, Y, layout, cap, tol)
+            assert (reason, its) == (reason_ref, its_ref)
+            assert np.array_equal(x, x_ref)
 
 
 def test_check_membership_scalar():

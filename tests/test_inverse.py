@@ -218,7 +218,7 @@ def _return_difference(system, profile, i, w):
 
 
 def test_closed_form_game_is_nash():
-    system, profile, costs, _, tol = load_problem(str(CLOSED_FORM_GAME))
+    system, profile, costs, tol = load_problem(str(CLOSED_FORM_GAME))
     assert verify_nash(system, profile, costs, tol=tol)[0]
     for i in (0, 1):
         for w in np.linspace(-20.0, 20.0, 401):
@@ -228,6 +228,6 @@ def test_closed_form_game_is_nash():
 @pytest.mark.xfail(strict=True, reason="Phi from the polynomial factorization loses its sign "
                    "at large coefficient scale (ROADMAP items 2 and 3)")
 def test_closed_form_game_circle_ok():
-    system, profile, _, _, _ = load_problem(str(CLOSED_FORM_GAME))
+    system, profile, _, _ = load_problem(str(CLOSED_FORM_GAME))
     for i in (0, 1):
         assert analyze_player(system, profile, i, solve_costs=False).circle_ok

@@ -4,8 +4,11 @@ import scipy.linalg
 
 from nashinduce.numerics import (
     HURWITZ_MARGIN,
+    R_FLOOR,
     DimensionError,
     NumericalFailureError,
+    cone_ok,
+    cone_project,
     eig,
     is_hurwitz,
     is_pd,
@@ -17,6 +20,7 @@ from nashinduce.numerics import (
     psd_project,
     psd_sqrt_factor,
     solve_lyapunov,
+    sym_blocks,
     sym_dim,
     sym_pack,
     sym_unpack,
@@ -24,6 +28,8 @@ from nashinduce.numerics import (
     unvec,
     vec,
 )
+
+from conftest import loop_cone_project, loop_sym_blocks
 
 
 def test_vec_unvec_round_trip():
@@ -157,6 +163,63 @@ def test_solve_lyapunov_failures_raise(monkeypatch):
     monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", lambda *a, **k: (None, 1.0, -3))
     with pytest.raises(NumericalFailureError, match="argument 3"):
         solve_lyapunov(A, W)
+
+
+def test_stacked_lyapunov_is_bitwise_per_matrix(monkeypatch):
+    rng = np.random.default_rng(9)
+    schur = scipy.linalg.schur
+    factorizations = []
+    monkeypatch.setattr(scipy.linalg, "schur",
+                        lambda *a, **k: factorizations.append(1) or schur(*a, **k))
+    for kind in ("real", "complex", "nonnormal"):
+        for n in (1, 2, 5, 12, 32):
+            A = _stable(rng, kind, n)
+            W = np.stack([(lambda C: C.T @ C)(rng.standard_normal((n, n))) for _ in range(3)])
+            factorizations.clear()
+            P = solve_lyapunov(A, W)
+            assert len(factorizations) == 1
+            assert P.shape == (3, n, n)
+            assert np.array_equal(P, np.stack([solve_lyapunov(A, Wk) for Wk in W]))
+    with pytest.raises(DimensionError):
+        solve_lyapunov(-np.eye(3), np.zeros((2, 2, 2)))
+
+
+def _random_layout(rng):
+    """1-5 blocks of sizes 1..32 (often repeated) with floors mixed per block."""
+    pool = rng.integers(1, 33, size=int(rng.integers(1, 4)))
+    return [(int(rng.choice(pool)), float(rng.choice([0.0, R_FLOOR, 0.5, 3.0])))
+            for _ in range(int(rng.integers(1, 6)))]
+
+
+def test_cone_project_is_bitwise_the_per_block_loop():
+    rng = np.random.default_rng(12)
+    layouts = ([_random_layout(rng) for _ in range(150)]
+               + [[(s, 0.0), (s, 1.0), (s, R_FLOOR)] for s in range(1, 33)])
+    for layout in layouts:
+        dim = sum(sym_dim(size) for size, _ in layout)
+        x = rng.standard_normal(dim) * 10.0 ** rng.uniform(-8, 8)
+        assert np.array_equal(cone_project(x, layout), loop_cone_project(x, layout))
+        for X, Xref in zip(sym_blocks(x, layout), loop_sym_blocks(x, layout), strict=True):
+            assert np.array_equal(X, Xref)
+
+
+def test_cone_project_lands_in_the_cones():
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        layout = _random_layout(rng)
+        x = rng.standard_normal(sum(sym_dim(size) for size, _ in layout))
+        assert cone_ok(cone_project(x, layout), layout)
+
+
+def test_cone_project_rejects_bad_input():
+    layout = [(2, 0.0), (1, R_FLOOR)]
+    for bad in (np.nan, np.inf):
+        x = np.ones(4)
+        x[1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            cone_project(x, layout)
+    with pytest.raises(DimensionError):
+        cone_project(np.ones(5), layout)
 
 
 def test_is_hurwitz():

@@ -6,13 +6,18 @@ from nashinduce import (
     StrategyProfile,
     attach_feedback,
     closed_loop,
-    coprimeness_ok,
     is_stabilizing,
     reduced_system,
     right_coprime_factorization,
 )
-from nashinduce.numerics import DimensionError
+from nashinduce.numerics import DimensionError, eig, matrix_rank
 from nashinduce.polymat import PolyMatrix
+
+
+def coprimeness_ok(fac, tol: float = 1e-7) -> bool:
+    """PBH-style check: [S; D] keeps full column rank at eigenvalues of A_tilde."""
+    stacked = fac.S.vstack(fac.D)
+    return all(matrix_rank(stacked.eval(lam), tol) >= fac.m for lam in eig(fac.A_tilde))
 
 
 def remark2_data():
