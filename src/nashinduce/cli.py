@@ -235,8 +235,9 @@ def _player_report(pa):
     }
 
 
-def _kalman_iterations(players):
-    return [p.kalman.iterations for p in players]
+def _kalman_diagnostics(players):
+    return {"kalman_iterations": [p.kalman.iterations for p in players],
+            "kalman_gaps": [p.kalman.gap for p in players]}
 
 
 def _frequency_verdict(players):
@@ -310,13 +311,13 @@ def cmd_check(args) -> int:
     t_freq = time.monotonic() - t0
 
     t0 = time.monotonic()
-    oracle_iterations = None
+    oracle_iterations = oracle_gaps = None
     if args.no_oracle:
         verdict_oracle = "skipped"
     else:
         feas = solve_feasibility_projection(system, profile)
         verdict_oracle = _oracle_verdict(feas.status)
-        oracle_iterations = list(feas.iterations)
+        oracle_iterations, oracle_gaps = list(feas.iterations), list(feas.gaps)
         if feas.status == "indeterminate":
             warnings.append("time-domain oracle did not reach a determinate verdict")
     t_oracle = time.monotonic() - t0
@@ -332,8 +333,8 @@ def cmd_check(args) -> int:
         "warnings": warnings,
         "timings_ms": {"frequency": int(round(1000 * t_freq)),
                        "oracle": int(round(1000 * t_oracle))},
-        "diagnostics": {"kalman_iterations": _kalman_iterations(players),
-                        "oracle_iterations": oracle_iterations},
+        "diagnostics": {**_kalman_diagnostics(players),
+                        "oracle_iterations": oracle_iterations, "oracle_gaps": oracle_gaps},
     }
     _write_report(report, args)
     if disagreement:
@@ -383,7 +384,7 @@ def cmd_solve(args) -> int:
             "rank_ok": bool(failed.rank_ok),
             "kalman_status": failed.kalman.status if failed.kalman else None,
             "players": [_player_report(p) for p in players],
-            "diagnostics": {"kalman_iterations": _kalman_iterations(players)},
+            "diagnostics": _kalman_diagnostics(players),
         }
         _write_report(report, args)
         return 1
@@ -405,7 +406,7 @@ def cmd_solve(args) -> int:
             for i in range(N)
         ],
         "verify_ok": bool(ok),
-        "diagnostics": {"kalman_iterations": _kalman_iterations(players)},
+        "diagnostics": _kalman_diagnostics(players),
     }
     _write_report(report, args)
     return 0 if ok else 1

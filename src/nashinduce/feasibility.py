@@ -138,6 +138,7 @@ class FeasibilityResult:
     status: str  # "feasible" | "infeasible_certified_by_identity" | "indeterminate"
     point: ThetaPoint | None
     iterations: tuple = ()  # projection iterations of each player searched
+    gaps: tuple = ()  # each searched player's relative distance to the cones at stop
 
 
 def solve_feasibility_projection(system: GameSystem, profile: StrategyProfile,
@@ -151,7 +152,7 @@ def solve_feasibility_projection(system: GameSystem, profile: StrategyProfile,
     yields "indeterminate"; infeasibility is certified only when the solution
     ray itself leaves no room in the cone.
     """
-    Qs, Rs, Ps, iterations = [], [], [], []
+    Qs, Rs, Ps, iterations, gaps = [], [], [], [], []
     for i in range(system.num_players):
         n, m = system.n, system.m[i]
         Z, (nq, _, npk) = _player_nullspace(system, profile, i)
@@ -159,19 +160,22 @@ def solve_feasibility_projection(system: GameSystem, profile: StrategyProfile,
         affine = affine_slice(Z, trace_row, m)
         if affine is None:
             # No solution, or trace(R_ii) vanishes on all of them: no R_ii > 0.
-            return FeasibilityResult("infeasible_certified_by_identity", None, tuple(iterations))
+            return FeasibilityResult("infeasible_certified_by_identity", None,
+                                     tuple(iterations), tuple(gaps))
         layout = [(n, 0.0), (m, rho), (n, 0.0)]
-        theta, reason, its = project_affine_cone(*affine, layout, cap, tol)
+        theta, reason, its, gap = project_affine_cone(*affine, layout, cap, tol)
         iterations.append(its)
+        gaps.append(gap)
         ok = cone_verdict(theta, reason, layout, slack=1e-6)
         if ok is None:
-            return FeasibilityResult("indeterminate", None, tuple(iterations))
+            return FeasibilityResult("indeterminate", None, tuple(iterations), tuple(gaps))
         if not ok:
-            return FeasibilityResult("infeasible_certified_by_identity", None, tuple(iterations))
+            return FeasibilityResult("infeasible_certified_by_identity", None,
+                                     tuple(iterations), tuple(gaps))
         Q, R, P = sym_blocks(theta, layout)
         Qs.append(Q), Rs.append(R), Ps.append(P)
     return FeasibilityResult("feasible", ThetaPoint(CostParameters.diagonal_R(Qs, Rs), Ps),
-                             tuple(iterations))
+                             tuple(iterations), tuple(gaps))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from .numerics import (
     is_hurwitz,
     is_pd,
     is_psd,
-    kron_sum,
     solve_lyapunov,
     sym_basis,
     sym_dim,
@@ -202,11 +201,14 @@ def _coupled_jacobian(system: GameSystem, costs: CostParameters, P, G, Acl) -> n
     """Jacobian of the packed residuals sym_pack(F_i) over the packed P_j.
 
     Along a symmetric dP_j, F_i moves by M_ij dP_j + dP_j M_ij' with
-    M_ij = (G_j' R_ij - P_i B_j) R_jj^-1 B_j', plus Acl' when i = j, and
-    vec(M X + X M') = kron_sum(M, M) vec(X).
+    M_ij = (G_j' R_ij - P_i B_j) R_jj^-1 B_j', plus Acl' when i = j.  With
+    D = sym_basis(n), whose column t is vec(E_t) for a symmetric E_t, the
+    packed block is D' kron_sum(M, M) D = 2 D' (I (x) M) D, and column t of
+    (I (x) M) D is vec(M E_t).
     """
-    N, D = system.num_players, sym_basis(system.n)
+    N, n, D = system.num_players, system.n, sym_basis(system.n)
     dim = D.shape[1]
+    E = D.T.reshape(dim, n, n)
     J = np.empty((N * dim, N * dim))
     for j in range(N):
         Rjj_invBt = np.linalg.solve(costs.R[j][j], system.B[j].T)
@@ -214,7 +216,8 @@ def _coupled_jacobian(system: GameSystem, costs: CostParameters, P, G, Acl) -> n
             M = (G[j].T @ costs.R[i][j] - P[i] @ system.B[j]) @ Rjj_invBt
             if i == j:
                 M += Acl.T
-            J[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = D.T @ kron_sum(M, M) @ D
+            ME = (E @ M.T).reshape(dim, n * n)  # row t: E_t M' row-major, i.e. vec(M E_t)
+            J[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = 2.0 * (D.T @ ME.T)
     return J
 
 

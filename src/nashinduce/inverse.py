@@ -24,8 +24,7 @@ from .numerics import (
     cone_verdict,
     nullspace,
     project_affine_cone,
-    psd_project,
-    psd_sqrt_factor,
+    psd_project,  # noqa: F401  (perfbench's tracing test reads inverse.psd_project)
     sym_basis,
     sym_blocks,
     sym_dim,
@@ -214,8 +213,8 @@ class KalmanSolution:
     kernel_dim: int
     psd_ok: bool
     status: str  # "solved" | "no_solution" | "infeasible" | "indeterminate"
-    N_factor: PolyMatrix | None = None
     iterations: int = 0  # of the projection loop
+    gap: float = 0.0  # relative distance of the projection loop's point to the cones at stop
 
 
 def _coeff_stack(P: PolyMatrix, dmax: int) -> np.ndarray:
@@ -246,8 +245,7 @@ def solve_kalman_Q(fac: CoprimeFactorization, phi: PolyMatrix,
     The map from the independent entries of Q to the polynomial coefficients
     is linear; we take the minimum-norm solution, keep the kernel of the map,
     and search the affine solution set for a PSD point by alternating
-    projections.  When a PSD point is found the spectral factor
-    N(s) = Q^{1/2} S(s) is attached.
+    projections.
     """
     _require_para_hermitian(phi)
     n = fac.n
@@ -262,9 +260,9 @@ def solve_kalman_Q(fac: CoprimeFactorization, phi: PolyMatrix,
         return KalmanSolution(Q=sym_unpack(q, n), R=np.eye(fac.m), residual=rel,
                               kernel_dim=Z.shape[1], psd_ok=False, status="no_solution")
     layout = [(n, 0.0)]
-    x, reason, iterations = project_affine_cone(q, Z, layout, cap, KALMAN_PROJECTION_TOL)
+    x, *loop = project_affine_cone(q, Z, layout, cap, KALMAN_PROJECTION_TOL)
     resid = float(np.linalg.norm(A @ x - b)) / scale
-    return _kalman_solution(fac, x, reason, iterations, layout, resid, Z.shape[1])
+    return _kalman_solution(fac, x, loop, layout, resid, Z.shape[1])
 
 
 def solve_kalman_general(fac: CoprimeFactorization, rho: float = R_FLOOR,
@@ -288,28 +286,22 @@ def solve_kalman_general(fac: CoprimeFactorization, rho: float = R_FLOOR,
         return KalmanSolution(Q=np.zeros((n, n)), R=np.zeros((m, m)), residual=0.0,
                               kernel_dim=Z.shape[1], psd_ok=False, status="infeasible")
     layout = [(n, 0.0), (m, rho)]
-    theta, reason, iterations = project_affine_cone(*affine, layout, cap, KALMAN_PROJECTION_TOL)
+    theta, *loop = project_affine_cone(*affine, layout, cap, KALMAN_PROJECTION_TOL)
     resid = float(np.linalg.norm(A @ theta)) / max(1.0, float(np.linalg.norm(theta)))
-    return _kalman_solution(fac, theta, reason, iterations, layout, resid, Z.shape[1])
+    return _kalman_solution(fac, theta, loop, layout, resid, Z.shape[1])
 
 
-def _kalman_solution(fac, x, reason, iterations, layout, residual, kernel_dim) -> KalmanSolution:
-    """Solution record for a projection over packed Q (R = I) or packed (Q, R)."""
+def _kalman_solution(fac, x, loop, layout, residual, kernel_dim) -> KalmanSolution:
+    """Solution record for a projection over packed Q (R = I) or packed (Q, R);
+    loop is project_affine_cone's (reason, iterations, gap)."""
+    reason, iterations, gap = loop
     ok = cone_verdict(x, reason, layout, slack=1e-7)
     blocks = sym_blocks(x, layout)
     Q = blocks[0]
     R = blocks[1] if len(blocks) > 1 else np.eye(fac.m)
     status = "solved" if ok else ("infeasible" if ok is False else "indeterminate")
     return KalmanSolution(Q=Q, R=R, residual=residual, kernel_dim=kernel_dim, psd_ok=bool(ok),
-                          status=status, N_factor=_spectral_factor(fac, Q) if ok else None,
-                          iterations=iterations)
-
-
-def _spectral_factor(fac: CoprimeFactorization, Q) -> PolyMatrix | None:
-    C = psd_sqrt_factor(psd_project(Q))
-    if C.shape[0] == 0:
-        return None
-    return PolyMatrix.constant(C) @ fac.S
+                          status=status, iterations=iterations, gap=gap)
 
 
 # ---------------------------------------------------------------------------

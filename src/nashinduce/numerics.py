@@ -21,6 +21,9 @@ R_FLOOR = 1e-6                 # eigenvalue floor imposed on each R_ii
 PROJECTION_CAP = 10_000        # iteration cap of every projection loop
 PROJECTION_TOL = 1e-10         # stop rule of the oracle and nearest-parameter loops
 KALMAN_PROJECTION_TOL = 1e-9   # stop rule of the Kalman-equation searches
+ANDERSON_MEMORY = 5            # residual differences mixed by project_affine_cone
+ANDERSON_RESTART = 2.0         # fixed-point residual growth that clears that history
+ANDERSON_FLOOR = 1e-14         # relative residual below which mixing fits round-off only
 
 
 class DimensionError(ValueError):
@@ -173,16 +176,6 @@ def psd_project(M, floor: float = 0.0) -> np.ndarray:
     return V @ np.diag(w) @ V.T
 
 
-def psd_sqrt_factor(Q, tol: float = RANK_TOL) -> np.ndarray:
-    """Rank-revealing factor C with C'C = Q for PSD Q; C has rank(Q) rows."""
-    A = symmetrize(Q, name="Q")
-    w, V = np.linalg.eigh(A)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    keep = w > tol * scale
-    C = (np.sqrt(w[keep])[:, None] * V[:, keep].T)
-    return C
-
-
 # Packing of symmetric matrices into vectors that preserves the Frobenius
 # inner product (off-diagonals scaled by sqrt(2)), so Euclidean projections in
 # packed coordinates are Frobenius projections on matrices.  Entry t of the
@@ -333,23 +326,52 @@ def affine_slice(Z, a, value: float):
 
 def project_affine_cone(x_p, Y, layout, cap: int = PROJECTION_CAP,
                         tol: float = PROJECTION_TOL):
-    """Alternating projections between {x_p + Y c} and the layout's cones.
+    """Alternating projections between {x_p + Y z} and the layout's cones,
+    with type-II Anderson mixing (Walker & Ni 2011).
 
-    Y has orthonormal columns and x_p lies in the affine set.  From x_p,
-    iterate c = P_cone(x), x' = P_aff(c) until |x' - c| <= tol * max(1, |x'|).
-    Returns (x', reason, iterations) with reason "converged", "cap" after cap
-    iterations, or "point" (no iteration) when Y has no columns and x_p is the
-    whole set.
+    Y has orthonormal columns and x_p lies in the affine set.  The plain step
+    maps z to g = Y'(c - x_p), c = P_cone(x_p + Y z), whose image
+    x' = x_p + Y g is P_aff(c).  The mixed step is z = g - dG gamma, gamma the
+    least-squares fit of the last ANDERSON_MEMORY residual differences dF to
+    f = g - z.  The history is cleared when |f| grows by more than
+    ANDERSON_RESTART times.  The step stays plain from z = 0, while
+    |f| <= ANDERSON_FLOOR * max(1, |x'|) (a stalled loop, whose residual is
+    round-off), and when the mixed point is non-finite.
+    Stops when |x' - c| <= tol * max(1, |x'|).  Returns (x', reason,
+    iterations, gap), gap = |x' - c| / max(1, |x'|) at stop, with reason
+    "converged", "cap" after cap iterations, or "point" (no iteration, gap 0)
+    when Y has no columns and x_p is the whole set.
     """
     if Y.shape[1] == 0:
-        return x_p, "point", 0
-    x = x_p
+        return x_p, "point", 0, 0.0
+    x_next, z = x_p, np.zeros(Y.shape[1])
+    # Ring buffers of the differences; `added` counts them since the last restart.
+    dG, dF = np.empty((2, Y.shape[1], ANDERSON_MEMORY))
+    added, g_prev, f_prev, f_prev_norm = 0, None, None, np.inf
     for it in range(1, cap + 1):
-        c = cone_project(x, layout)
-        x = x_p + Y @ (Y.T @ (c - x_p))
-        if float(np.linalg.norm(x - c)) <= tol * max(1.0, float(np.linalg.norm(x))):
-            return x, "converged", it
-    return x, "cap", cap
+        c = cone_project(x_next, layout)
+        g = Y.T @ (c - x_p)
+        x = x_p + Y @ g
+        res, scale = float(np.linalg.norm(x - c)), max(1.0, float(np.linalg.norm(x)))
+        if res <= tol * scale:
+            return x, "converged", it, res / scale
+        f = g - z
+        f_norm = float(np.linalg.norm(f))
+        if f_norm > ANDERSON_RESTART * f_prev_norm:
+            added = 0
+        elif g_prev is not None:
+            slot = added % ANDERSON_MEMORY
+            dG[:, slot], dF[:, slot] = g - g_prev, f - f_prev
+            added += 1
+        g_prev, f_prev, f_prev_norm = g, f, f_norm
+        z, x_next = g, x
+        if added and f_norm > ANDERSON_FLOOR * scale:
+            kept = min(added, ANDERSON_MEMORY)
+            gamma = np.linalg.lstsq(dF[:, :kept], f, rcond=1e-10)[0]
+            mixed = g - dG[:, :kept] @ gamma
+            if np.isfinite(mixed).all():
+                z, x_next = mixed, x_p + Y @ mixed
+    return x, "cap", cap, res / scale
 
 
 def cone_verdict(x, reason: str, layout, slack: float):

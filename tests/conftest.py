@@ -17,7 +17,15 @@ from nashinduce import (
     is_stabilizing,
     solve_coupled_are,
 )
-from nashinduce.numerics import psd_project, solve_lyapunov, sym_dim, sym_pack, sym_unpack
+from nashinduce.numerics import (
+    RANK_TOL,
+    psd_project,
+    solve_lyapunov,
+    sym_dim,
+    sym_pack,
+    sym_unpack,
+    symmetrize,
+)
 
 
 def random_psd(rng, n, rank=None):
@@ -28,6 +36,14 @@ def random_psd(rng, n, rank=None):
 
 def random_pd(rng, n):
     return random_psd(rng, n) + (0.2 + rng.random()) * np.eye(n)
+
+
+def psd_sqrt_factor(Q, tol=RANK_TOL):
+    """Rank-revealing factor C with C'C = Q for PSD Q; C has rank(Q) rows."""
+    w, V = np.linalg.eigh(symmetrize(Q, name="Q"))
+    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
+    keep = w > tol * scale
+    return np.sqrt(w[keep])[:, None] * V[:, keep].T
 
 
 # Per-block references of the fused cone kernel in numerics: one sym_unpack,

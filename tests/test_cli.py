@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,11 @@ import pytest
 from nashinduce.cli import dumps_report, load_problem, main
 from nashinduce.feasibility import solve_feasibility_projection
 from nashinduce.inverse import is_nash_inducible
+from nashinduce.numerics import PROJECTION_TOL
 from nashinduce.problems import BUNDLED
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -260,17 +265,24 @@ def test_x0_is_ignored_like_any_unknown_key(tmp_path, capsys):
 def test_reports_carry_loop_iterations(tmp_path, capsys):
     path = write_example(tmp_path, "remark2")
     system, profile, _, _ = load_problem(path)
-    kalman = [p.kalman.iterations for p in is_nash_inducible(system, profile).players]
-    oracle = list(solve_feasibility_projection(system, profile).iterations)
-    assert len(oracle) == system.num_players and all(its > 0 for its in oracle)
+    players = is_nash_inducible(system, profile).players
+    feas = solve_feasibility_projection(system, profile)
+    assert len(feas.iterations) == system.num_players and all(its > 0 for its in feas.iterations)
+    assert all(gap <= PROJECTION_TOL for gap in feas.gaps)
+    # Gaps as the report prints them (12 digits).
+    kalman = {"kalman_iterations": [p.kalman.iterations for p in players],
+              "kalman_gaps": [float("%.12e" % p.kalman.gap) for p in players]}
+    oracle = {"oracle_iterations": list(feas.iterations),
+              "oracle_gaps": [float("%.12e" % gap) for gap in feas.gaps]}
     _, out, _ = run_cli(capsys, "check", path)
     report = json.loads(out)
     assert list(report)[-2:] == ["timings_ms", "diagnostics"]
-    assert report["diagnostics"] == {"kalman_iterations": kalman, "oracle_iterations": oracle}
+    assert report["diagnostics"] == {**kalman, **oracle}
     _, out, _ = run_cli(capsys, "check", path, "--no-oracle")
-    assert json.loads(out)["diagnostics"]["oracle_iterations"] is None
+    assert json.loads(out)["diagnostics"] == {**kalman, "oracle_iterations": None,
+                                              "oracle_gaps": None}
     _, out, _ = run_cli(capsys, "solve", path)
-    assert json.loads(out)["diagnostics"] == {"kalman_iterations": kalman}
+    assert json.loads(out)["diagnostics"] == kalman
     path = write_example(tmp_path, "scalar_feasible")
     costs0 = tmp_path / "costs0.json"
     costs0.write_text('{"Q": [[[5.0]]], "R": [[[[1.0]]]]}')
@@ -401,3 +413,12 @@ def test_emitter_fast_path_is_byte_identical():
         assert dumps_report(report) == "".join(parts) + "\n"
     assert dumps_report([1.0, -0.0, float("nan"), np.float64(2.0)]) == \
         "[1.000000000000e+00, -0.000000000000e+00, null, 2.000000000000e+00]\n"
+
+
+def test_check_ladder_n8_game_decided_by_both_methods(capsys):
+    # Game r2-ladder-n8-N2-m1 of the benchmark corpus (perfbench at CORPUS_SEED);
+    # plain alternating projections left its oracle at the 10k cap.
+    code, out, _ = run_cli(capsys, "check", str(DATA / "ladder_r2_n8_N2_m1.json"))
+    report = json.loads(out)
+    assert (code, report["verdict_frequency"], report["verdict_oracle"]) == (
+        0, "inducible", "inducible")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,17 +16,22 @@ from nashinduce import (
     unfold_cross_penalties,
     verify_nash,
 )
+from nashinduce.cli import load_problem
 from nashinduce.feasibility import _player_nullspace
 from nashinduce.numerics import (
     PROJECTION_CAP,
     PROJECTION_TOL,
     affine_slice,
+    cone_project,
     cone_verdict,
+    nullspace,
     project_affine_cone,
     sym_pack,
 )
 
 from conftest import converged_nash_games, loop_project_affine_cone, random_pd, random_psd
+
+DATA = Path(__file__).parent / "data"
 
 
 def scalar_game(k):
@@ -61,19 +68,20 @@ def test_projection_kernel_stop_reasons():
     # One-dimensional kernel: the normalized slice is a single point.
     (x_p, Y), layout = oracle_slice(*scalar_game(3.0), 0)
     assert Y.shape[1] == 0
-    x, reason, iterations = project_affine_cone(x_p, Y, layout)
-    assert (reason, iterations) == ("point", 0)
+    x, reason, iterations, gap = project_affine_cone(x_p, Y, layout)
+    assert (reason, iterations, gap) == ("point", 0, 0.0)
     assert np.allclose(x, [3.0, 1.0, 3.0])
     assert cone_verdict(x, reason, layout, slack=1e-6) is True
     # Known-Nash game with a larger kernel: converges, or stops at the cap.
     system, _, prof, _ = converged_nash_games(seed=7, count=1)[0]
     (x_p, Y), layout = oracle_slice(system, prof, 0)
     assert Y.shape[1] > 1
-    x, reason, iterations = project_affine_cone(x_p, Y, layout)
+    x, reason, iterations, gap = project_affine_cone(x_p, Y, layout)
     assert reason == "converged" and 0 < iterations < PROJECTION_CAP
+    assert gap <= PROJECTION_TOL
     assert cone_verdict(x, reason, layout, slack=1e-6) is True
-    x, reason, iterations = project_affine_cone(x_p, Y, layout, cap=1)
-    assert (reason, iterations) == ("cap", 1)
+    x, reason, iterations, gap = project_affine_cone(x_p, Y, layout, cap=1)
+    assert (reason, iterations) == ("cap", 1) and gap > PROJECTION_TOL
     assert cone_verdict(x, reason, layout, slack=1e-6) is None
 
 
@@ -81,12 +89,42 @@ def test_projection_kernel_matches_per_block_loop():
     slices = [oracle_slice(*scalar_game(3.0), 0)]
     for system, _, prof, _ in converged_nash_games(seed=7, count=4):
         slices += [oracle_slice(system, prof, i) for i in range(system.num_players)]
+    total, total_ref = 0, 0
     for (x_p, Y), layout in slices:
-        for cap, tol in ((PROJECTION_CAP, PROJECTION_TOL), (3, PROJECTION_TOL), (500, 1e-14)):
-            x, reason, its = project_affine_cone(x_p, Y, layout, cap, tol)
+        # The first step, from an empty history, is the plain one.
+        x, reason, _, _ = project_affine_cone(x_p, Y, layout, 1)
+        x_ref, reason_ref, _ = loop_project_affine_cone(x_p, Y, layout, 1, PROJECTION_TOL)
+        assert reason == reason_ref and np.array_equal(x, x_ref)
+        for cap, tol in ((PROJECTION_CAP, PROJECTION_TOL), (500, 1e-14)):
+            x, reason, its, gap = project_affine_cone(x_p, Y, layout, cap, tol)
             x_ref, reason_ref, its_ref = loop_project_affine_cone(x_p, Y, layout, cap, tol)
-            assert (reason, its) == (reason_ref, its_ref)
-            assert np.array_equal(x, x_ref)
+            scale = max(1.0, float(np.linalg.norm(x)))
+            assert np.linalg.norm(x - x_p - Y @ (Y.T @ (x - x_p))) <= 1e-12 * scale
+            if reason_ref == "converged":
+                assert reason == "converged"
+            if reason == "converged":
+                assert gap <= tol
+                assert np.linalg.norm(x - cone_project(x, layout)) <= tol * scale
+            verdict_ref = cone_verdict(x_ref, reason_ref, layout, slack=1e-6)
+            if verdict_ref is not None:
+                assert cone_verdict(x, reason, layout, slack=1e-6) == verdict_ref
+            if cap == PROJECTION_CAP:
+                total, total_ref = total + its, total_ref + its_ref
+    assert 5 * total <= total_ref, (total, total_ref)
+
+
+def test_projection_kernel_stalls_like_plain_loop_outside_cones():
+    # 3 x 3 symmetric matrices with trace -1 miss the PSD cone: both loops run
+    # to the cap at the same nearest pair, -I/3 and 0.
+    x_p = sym_pack(-np.eye(3) / 3.0)
+    Y = nullspace(x_p[None, :])
+    layout = [(3, 0.0)]
+    x, reason, its, gap = project_affine_cone(x_p, Y, layout, 50)
+    x_ref, reason_ref, its_ref = loop_project_affine_cone(x_p, Y, layout, 50, PROJECTION_TOL)
+    assert (reason, its) == (reason_ref, its_ref) == ("cap", 50)
+    assert np.allclose(x, x_ref, atol=1e-12)
+    assert gap == pytest.approx(float(np.linalg.norm(x_ref)), rel=1e-12)
+    assert cone_verdict(x, reason, layout, slack=1e-6) is None
 
 
 def test_check_membership_scalar():
@@ -209,3 +247,12 @@ def test_fold_preserves_nash(nash_games):
             for j in range(N):
                 if i != j:
                     assert np.allclose(folded.R[i][j], 0.0)
+
+
+def test_oracle_decides_ladder_n12_game():
+    # Game r0-ladder-n12-N2-m1 of the benchmark corpus (perfbench at CORPUS_SEED), Nash
+    # by construction; plain alternating projections stop at the 10k cap on player 0.
+    system, profile, _, _ = load_problem(str(DATA / "ladder_r0_n12_N2_m1.json"))
+    res = solve_feasibility_projection(system, profile)
+    assert res.status == "feasible"
+    assert check_membership(res.point, system, profile).member

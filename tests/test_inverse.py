@@ -19,8 +19,11 @@ from nashinduce import (
 )
 from nashinduce.cli import load_problem
 from nashinduce.forward import verify_nash
+from nashinduce.numerics import psd_project
 from nashinduce.polymat import PolyMatrix
 from nashinduce.realization import reduced_system
+
+from conftest import psd_sqrt_factor
 
 
 def scalar_factorization(a, b, k):
@@ -143,8 +146,9 @@ def test_solve_kalman_Q_remark2_family():
     assert np.allclose(
         [Q[0, 0], Q[0, 1], Q[1, 1], Q[0, 2], Q[2, 2]],
         [1.0, -1.0, 1.0, 0.0, 0.0], atol=1e-8)
-    # N factor realizes the spectral factorization
-    diff = sol.N_factor.paraconjugate() @ sol.N_factor - build_phi(fac)
+    # N = Q^{1/2} S realizes the spectral factorization
+    N = PolyMatrix.constant(psd_sqrt_factor(psd_project(Q))) @ fac.S
+    diff = N.paraconjugate() @ N - build_phi(fac)
     assert diff.coeff_norm() <= 1e-7
 
 

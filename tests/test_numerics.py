@@ -18,7 +18,6 @@ from nashinduce.numerics import (
     matrix_rank,
     nullspace,
     psd_project,
-    psd_sqrt_factor,
     solve_lyapunov,
     sym_blocks,
     sym_dim,
@@ -29,7 +28,7 @@ from nashinduce.numerics import (
     vec,
 )
 
-from conftest import loop_cone_project, loop_sym_blocks
+from conftest import loop_cone_project, loop_sym_blocks, psd_sqrt_factor
 
 
 def test_vec_unvec_round_trip():
