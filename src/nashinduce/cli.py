@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .forward import CostParameters, verify_nash
-from .feasibility import nearest_params, solve_feasibility_projection
+from .feasibility import nearest_params, player_feasibility, solve_feasibility_projection
 from .inverse import _min_eig_at, analyze_player, is_nash_inducible
 from .numerics import DimensionError, NumericalFailureError
 from .problems import BUNDLED
@@ -315,10 +315,14 @@ def cmd_check(args) -> int:
     if args.no_oracle:
         verdict_oracle = "skipped"
     else:
-        feas = solve_feasibility_projection(system, profile)
-        verdict_oracle = _oracle_verdict(feas.status)
-        oracle_iterations, oracle_gaps = list(feas.iterations), list(feas.gaps)
-        if feas.status == "indeterminate":
+        if args.player is not None:
+            status, _, iterations, gaps = player_feasibility(system, profile, args.player)
+        else:
+            feas = solve_feasibility_projection(system, profile)
+            status, iterations, gaps = feas.status, feas.iterations, feas.gaps
+        verdict_oracle = _oracle_verdict(status)
+        oracle_iterations, oracle_gaps = list(iterations), list(gaps)
+        if status == "indeterminate":
             warnings.append("time-domain oracle did not reach a determinate verdict")
     t_oracle = time.monotonic() - t0
 
@@ -474,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--no-oracle", action="store_true",
                     help="skip the time-domain feasibility oracle")
     pc.add_argument("--player", type=int, default=None,
-                    help="restrict the frequency-domain analysis to one player")
+                    help="restrict both methods, frequency domain and oracle, to one player")
     pc.set_defaults(func=cmd_check)
 
     ps = sub.add_parser("solve", help="recover Nash-inducing cost matrices")

@@ -148,34 +148,41 @@ def solve_feasibility_projection(system: GameSystem, profile: StrategyProfile,
     (with trace(R_ii) = m_i) and the semidefinite cone product.
 
     Players decouple once cross penalties are folded away, so the search runs
-    per player and the results are assembled.  Projection non-convergence
-    yields "indeterminate"; infeasibility is certified only when the solution
-    ray itself leaves no room in the cone.
+    per player (player_feasibility) and the results are assembled.
     """
-    Qs, Rs, Ps, iterations, gaps = [], [], [], [], []
+    Qs, Rs, Ps, iterations, gaps = [], [], [], (), ()
     for i in range(system.num_players):
-        n, m = system.n, system.m[i]
-        Z, (nq, _, npk) = _player_nullspace(system, profile, i)
-        trace_row = np.concatenate([np.zeros(nq), sym_pack(np.eye(m)), np.zeros(npk)])
-        affine = affine_slice(Z, trace_row, m)
-        if affine is None:
-            # No solution, or trace(R_ii) vanishes on all of them: no R_ii > 0.
-            return FeasibilityResult("infeasible_certified_by_identity", None,
-                                     tuple(iterations), tuple(gaps))
-        layout = [(n, 0.0), (m, rho), (n, 0.0)]
-        theta, reason, its, gap = project_affine_cone(*affine, layout, cap, tol)
-        iterations.append(its)
-        gaps.append(gap)
-        ok = cone_verdict(theta, reason, layout, slack=1e-6)
-        if ok is None:
-            return FeasibilityResult("indeterminate", None, tuple(iterations), tuple(gaps))
-        if not ok:
-            return FeasibilityResult("infeasible_certified_by_identity", None,
-                                     tuple(iterations), tuple(gaps))
-        Q, R, P = sym_blocks(theta, layout)
+        status, blocks, its, gap = player_feasibility(system, profile, i, rho, cap, tol)
+        iterations, gaps = iterations + its, gaps + gap
+        if status != "feasible":
+            return FeasibilityResult(status, None, iterations, gaps)
+        Q, R, P = blocks
         Qs.append(Q), Rs.append(R), Ps.append(P)
     return FeasibilityResult("feasible", ThetaPoint(CostParameters.diagonal_R(Qs, Rs), Ps),
-                             tuple(iterations), tuple(gaps))
+                             iterations, gaps)
+
+
+def player_feasibility(system: GameSystem, profile: StrategyProfile, i: int, rho: float = R_FLOOR,
+                       cap: int = PROJECTION_CAP, tol: float = PROJECTION_TOL):
+    """Player i's search: (status, (Q_i, R_ii, P_i) or None, iterations, gaps),
+    the last two empty when the identities alone decide.  Projection
+    non-convergence yields "indeterminate"; infeasibility is certified only
+    when the solution ray itself leaves no room in the cone.
+    """
+    n, m = system.n, system.m[i]
+    Z, (nq, _, npk) = _player_nullspace(system, profile, i)
+    trace_row = np.concatenate([np.zeros(nq), sym_pack(np.eye(m)), np.zeros(npk)])
+    affine = affine_slice(Z, trace_row, m)
+    if affine is None:
+        # No solution, or trace(R_ii) vanishes on all of them: no R_ii > 0.
+        return "infeasible_certified_by_identity", None, (), ()
+    layout = [(n, 0.0), (m, rho), (n, 0.0)]
+    theta, reason, its, gap = project_affine_cone(*affine, layout, cap, tol)
+    ok = cone_verdict(theta, reason, layout, slack=1e-6)
+    if not ok:
+        status = "indeterminate" if ok is None else "infeasible_certified_by_identity"
+        return status, None, (its,), (gap,)
+    return "feasible", sym_blocks(theta, layout), (its,), (gap,)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Frequency-domain Nash-inducibility pipeline.
 
 For each player: build the para-Hermitian mismatch matrix
-Phi = Dt'(-s) Dt(s) - D'(-s) D(s), test it on the imaginary axis (circle
-criterion), column-compress it to expose its normal rank, check the
-closed-right-half-plane rank condition, and recover cost matrices by solving
-the frequency-domain identity (Kalman equation) as a linear system in the
-unknown weights.
+Phi = Dt'(-s) Dt(s) - D'(-s) D(s) from the coprime factorization, test it on
+the imaginary axis (circle criterion), column-compress it to expose its
+normal rank, and check the closed-right-half-plane rank condition.  Cost
+matrices are recovered from the Kalman equation in its time-domain form:
+stationarity R K_i = B_i' P with P eliminated through the Lyapunov equation,
+a linear map in (Q, R) alone (feasibility._stationarity_map), so no Kalman
+solve touches the polynomial factors.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polymat
+from .feasibility import _stationarity_map
 from .numerics import (
     KALMAN_PROJECTION_TOL,
     PROJECTION_CAP,
@@ -25,7 +28,6 @@ from .numerics import (
     nullspace,
     project_affine_cone,
     psd_project,  # noqa: F401  (perfbench's tracing test reads inverse.psd_project)
-    sym_basis,
     sym_blocks,
     sym_dim,
     sym_pack,
@@ -217,67 +219,47 @@ class KalmanSolution:
     gap: float = 0.0  # relative distance of the projection loop's point to the cones at stop
 
 
-def _coeff_stack(P: PolyMatrix, dmax: int) -> np.ndarray:
-    C = np.zeros((dmax, P.rows, P.cols))
-    C[: P.coeffs.shape[0]] = P.coeffs
-    return C.ravel()
+def _kalman_map(system: GameSystem, profile: StrategyProfile, i: int):
+    """(M_Q, M_R): the columns of the Lyapunov-eliminated stationarity map
+    that act on packed Q_i and on packed R_ii (cross penalties left at zero)."""
+    M = _stationarity_map(system, profile, i)
+    nq = sym_dim(system.n)
+    off = nq + sum(sym_dim(mj) for mj in system.m[:i])
+    return M[:, :nq], M[:, off:off + sym_dim(system.m[i])]
 
 
-def _para_map(L: PolyMatrix, R: PolyMatrix, dmax: int) -> np.ndarray:
-    """Coefficient stack (as _coeff_stack lays it out) of X -> L'(-s) X R(s),
-    acting on packed symmetric X.
-
-    Coefficient k of the product is sum_{a+b=k} (-1)^a L_a' X R_b, whose
-    row-major vectorization is (-1)^a kron(L_a', R_b') vec(X).
-    """
-    n = L.rows
-    blocks = np.zeros((dmax, L.cols * R.cols, n * n))
-    for a, La in enumerate(L.coeffs):
-        for b, Rb in enumerate(R.coeffs):
-            blocks[a + b] += (-1.0) ** a * np.kron(La.T, Rb.T)
-    return blocks.reshape(-1, n * n) @ sym_basis(n)
-
-
-def solve_kalman_Q(fac: CoprimeFactorization, phi: PolyMatrix,
+def solve_kalman_Q(system: GameSystem, profile: StrategyProfile, i: int,
                    tol: float = 1e-8, cap: int = PROJECTION_CAP) -> KalmanSolution:
-    """Find symmetric Q with S'(-s) Q S(s) = Phi(s); R is pinned to I.
-
-    The map from the independent entries of Q to the polynomial coefficients
-    is linear; we take the minimum-norm solution, keep the kernel of the map,
-    and search the affine solution set for a PSD point by alternating
-    projections.
+    """Find Q >= 0 with K_i = B_i' P, P the Lyapunov solution for the state
+    weight Q + K_i' K_i (R pinned to I): the minimum-norm solution of this
+    linear equation, then alternating projections over its kernel.
     """
-    _require_para_hermitian(phi)
-    n = fac.n
-    dmax = int(2 * max(fac.S.degree, 0) + max(phi.degree, 0) + 2)
-    A = _para_map(fac.S, fac.S, dmax)
-    b = _coeff_stack(phi, dmax)
+    n, m = system.n, system.m[i]
+    A, MR = _kalman_map(system, profile, i)
+    b = -MR @ sym_pack(np.eye(m))
     q, *_ = np.linalg.lstsq(A, b, rcond=None)
     scale = max(1.0, float(np.linalg.norm(b)))
     rel = float(np.linalg.norm(A @ q - b)) / scale
     Z = nullspace(A)
     if rel > tol:
-        return KalmanSolution(Q=sym_unpack(q, n), R=np.eye(fac.m), residual=rel,
+        return KalmanSolution(Q=sym_unpack(q, n), R=np.eye(m), residual=rel,
                               kernel_dim=Z.shape[1], psd_ok=False, status="no_solution")
     layout = [(n, 0.0)]
     x, *loop = project_affine_cone(q, Z, layout, cap, KALMAN_PROJECTION_TOL)
     resid = float(np.linalg.norm(A @ x - b)) / scale
-    return _kalman_solution(fac, x, loop, layout, resid, Z.shape[1])
+    return _kalman_solution(m, x, loop, layout, resid, Z.shape[1])
 
 
-def solve_kalman_general(fac: CoprimeFactorization, rho: float = R_FLOOR,
-                         cap: int = PROJECTION_CAP) -> KalmanSolution:
-    """Joint unknowns (Q, R):  Dt'(-s) R Dt(s) - D'(-s) R D(s) = S'(-s) Q S(s).
+def solve_kalman_general(system: GameSystem, profile: StrategyProfile, i: int,
+                         rho: float = R_FLOOR, cap: int = PROJECTION_CAP) -> KalmanSolution:
+    """Joint unknowns (Q, R):  R K_i = B_i' P, P the Lyapunov solution for the
+    state weight Q + K_i' R K_i (the Kalman equation with P eliminated).
 
     The solution set is a cone; trace(R) = m is imposed as the normalization
     slice and alternating projections search for Q >= 0, R >= rho I.
     """
-    if fac.D_tilde is None:
-        raise ValueError("factorization has no feedback attached")
-    n, m = fac.n, fac.m
-    dmax = int(2 * max(fac.S.degree, fac.D.degree, fac.D_tilde.degree, 0) + 2)
-    A = np.hstack([-_para_map(fac.S, fac.S, dmax),
-                   _para_map(fac.D_tilde, fac.D_tilde, dmax) - _para_map(fac.D, fac.D, dmax)])
+    n, m = system.n, system.m[i]
+    A = np.hstack(_kalman_map(system, profile, i))
     Z = nullspace(A)  # basis of the homogeneous solution cone's span
     trace_row = np.concatenate([np.zeros(sym_dim(n)), sym_pack(np.eye(m))])
     affine = affine_slice(Z, trace_row, m)
@@ -288,17 +270,17 @@ def solve_kalman_general(fac: CoprimeFactorization, rho: float = R_FLOOR,
     layout = [(n, 0.0), (m, rho)]
     theta, *loop = project_affine_cone(*affine, layout, cap, KALMAN_PROJECTION_TOL)
     resid = float(np.linalg.norm(A @ theta)) / max(1.0, float(np.linalg.norm(theta)))
-    return _kalman_solution(fac, theta, loop, layout, resid, Z.shape[1])
+    return _kalman_solution(m, theta, loop, layout, resid, Z.shape[1])
 
 
-def _kalman_solution(fac, x, loop, layout, residual, kernel_dim) -> KalmanSolution:
+def _kalman_solution(m, x, loop, layout, residual, kernel_dim) -> KalmanSolution:
     """Solution record for a projection over packed Q (R = I) or packed (Q, R);
     loop is project_affine_cone's (reason, iterations, gap)."""
     reason, iterations, gap = loop
     ok = cone_verdict(x, reason, layout, slack=1e-7)
     blocks = sym_blocks(x, layout)
     Q = blocks[0]
-    R = blocks[1] if len(blocks) > 1 else np.eye(fac.m)
+    R = blocks[1] if len(blocks) > 1 else np.eye(m)
     status = "solved" if ok else ("infeasible" if ok is False else "indeterminate")
     return KalmanSolution(Q=Q, R=R, residual=residual, kernel_dim=kernel_dim, psd_ok=bool(ok),
                           status=status, iterations=iterations, gap=gap)
@@ -356,9 +338,9 @@ def analyze_player(system: GameSystem, profile: StrategyProfile, i: int,
     kalman = None
     if solve_costs:
         if mode == "q-only":
-            kalman = solve_kalman_Q(fac, analysis.phi)
+            kalman = solve_kalman_Q(system, profile, i)
         else:
-            kalman = solve_kalman_general(fac)
+            kalman = solve_kalman_general(system, profile, i)
     return PlayerAnalysis(index=i, factorization=fac, phi_analysis=analysis,
                           rank_certificate=cert, kalman=kalman, warnings=tuple(warnings))
 

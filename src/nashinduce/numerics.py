@@ -339,8 +339,9 @@ def project_affine_cone(x_p, Y, layout, cap: int = PROJECTION_CAP,
     round-off), and when the mixed point is non-finite.
     Stops when |x' - c| <= tol * max(1, |x'|).  Returns (x', reason,
     iterations, gap), gap = |x' - c| / max(1, |x'|) at stop, with reason
-    "converged", "cap" after cap iterations, or "point" (no iteration, gap 0)
-    when Y has no columns and x_p is the whole set.
+    "converged", "cap" after cap iterations (at once from an exact fixed point,
+    f = 0), or "point" (no iteration, gap 0) when Y has no columns and x_p is
+    the whole set.
     """
     if Y.shape[1] == 0:
         return x_p, "point", 0, 0.0
@@ -357,6 +358,9 @@ def project_affine_cone(x_p, Y, layout, cap: int = PROJECTION_CAP,
             return x, "converged", it, res / scale
         f = g - z
         f_norm = float(np.linalg.norm(f))
+        if f_norm == 0.0:
+            # Every later step would be plain and start from this same point.
+            return x, "cap", cap, res / scale
         if f_norm > ANDERSON_RESTART * f_prev_norm:
             added = 0
         elif g_prev is not None:

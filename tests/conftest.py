@@ -21,6 +21,7 @@ from nashinduce.numerics import (
     RANK_TOL,
     psd_project,
     solve_lyapunov,
+    sym_basis,
     sym_dim,
     sym_pack,
     sym_unpack,
@@ -73,6 +74,39 @@ def loop_project_affine_cone(x_p, Y, layout, cap, tol):
         if float(np.linalg.norm(x - c)) <= tol * max(1.0, float(np.linalg.norm(x))):
             return x, "converged", it
     return x, "cap", cap
+
+
+# Polynomial reference of the Kalman equation: the coefficient-matching map of
+# Dt'(-s) R Dt(s) - D'(-s) R D(s) = S'(-s) Q S(s) over the coprime factors,
+# which the package replaced by the Lyapunov-eliminated stationarity map.
+
+def coeff_stack(P, dmax):
+    C = np.zeros((dmax, P.rows, P.cols))
+    C[: P.coeffs.shape[0]] = P.coeffs
+    return C.ravel()
+
+
+def para_map(L, R, dmax):
+    """Coefficient stack (as coeff_stack lays it out) of X -> L'(-s) X R(s),
+    acting on packed symmetric X.
+
+    Coefficient k of the product is sum_{a+b=k} (-1)^a L_a' X R_b, whose
+    row-major vectorization is (-1)^a kron(L_a', R_b') vec(X).
+    """
+    n = L.rows
+    blocks = np.zeros((dmax, L.cols * R.cols, n * n))
+    for a, La in enumerate(L.coeffs):
+        for b, Rb in enumerate(R.coeffs):
+            blocks[a + b] += (-1.0) ** a * np.kron(La.T, Rb.T)
+    return blocks.reshape(-1, n * n) @ sym_basis(n)
+
+
+def poly_kalman_map(fac):
+    """The joint map over packed (Q, R) whose kernel is the polynomial
+    Kalman solution set of a factorization with feedback attached."""
+    dmax = int(2 * max(fac.S.degree, fac.D.degree, fac.D_tilde.degree, 0) + 2)
+    return np.hstack([-para_map(fac.S, fac.S, dmax),
+                      para_map(fac.D_tilde, fac.D_tilde, dmax) - para_map(fac.D, fac.D, dmax)])
 
 
 def bass_seed(A, B):

@@ -119,8 +119,8 @@ def test_criterion_3_worked_example_rank_certificate():
 
 
 def test_criterion_4_discrepancy_surfacing(tmp_path, capsys):
-    fac, system, profile = remark2_player1_factorization()
-    sol = solve_kalman_Q(fac, build_phi(fac))
+    system, profile = remark2()
+    sol = solve_kalman_Q(system, profile, 0)
     family_ok = (sol.residual <= 1e-8 and sol.psd_ok and np.allclose(
         [sol.Q[0, 0], sol.Q[0, 1], sol.Q[1, 1], sol.Q[0, 2], sol.Q[2, 2]],
         [1.0, -1.0, 1.0, 0.0, 0.0], atol=1e-8))
@@ -213,8 +213,7 @@ def test_criterion_7_cone_and_convexity(nash_games):
         N = system.num_players
         Qs, Rs = [], []
         for i in range(N):
-            sol = solve_kalman_general(analyze_player(
-                system, profile, i, solve_costs=False).factorization)
+            sol = solve_kalman_general(system, profile, i)
             if sol.status != "solved":
                 break
             Qs.append(sol.Q)

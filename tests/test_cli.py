@@ -96,6 +96,26 @@ def test_check_single_player_flag(tmp_path, capsys):
     assert report["players"][0]["index"] == 1
 
 
+def test_check_player_restricts_both_methods(tmp_path, capsys):
+    # Player 1 alone is inducible; player 0 is not (scalar circle criterion
+    # k >= 2a fails: k = 1.2 against the reduced plant a = 1 - 0.2).
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "schema_version": "1", "A": [[1.0]],
+        "players": [{"B": [[1.0]], "K_dagger": [[1.2]]},
+                    {"B": [[1.0]], "K_dagger": [[0.2]]}]}))
+    code, out, _ = run_cli(capsys, "check", str(path), "--player", "1")
+    report = json.loads(out)
+    assert (code, report["verdict_frequency"], report["verdict_oracle"]) == (
+        0, "inducible", "inducible")
+    assert len(report["diagnostics"]["oracle_iterations"]) <= 1
+    for argv in (("--player", "0"), ()):
+        code, out, _ = run_cli(capsys, "check", str(path), *argv)
+        report = json.loads(out)
+        assert (code, report["verdict_frequency"], report["verdict_oracle"]) == (
+            1, "not_inducible", "not_inducible")
+
+
 def test_check_determinism(tmp_path, capsys):
     path = write_example(tmp_path, "scalar_feasible")
     _, out1, _ = run_cli(capsys, "check", path)
@@ -115,6 +135,16 @@ def test_solve_two_player_scalar(tmp_path, capsys):
         assert pl["Q"] == [[pytest.approx(1.0)]]
         assert pl["R"] == [[pytest.approx(1.0)]]
         assert pl["P"] == [[pytest.approx(1.0)]]
+
+
+def test_solve_q_only_pins_r_to_identity(tmp_path, capsys):
+    path = write_example(tmp_path, "two_player_scalar")
+    code, out, _ = run_cli(capsys, "solve", path, "--mode", "q-only")
+    report = json.loads(out)
+    assert (code, report["status"], report["verify_ok"]) == (0, "solved", True)
+    for pl in report["players"]:
+        assert pl["R"] == [[1.0]]
+        assert pl["Q"] == [[pytest.approx(1.0)]]
 
 
 def test_solve_infeasible_scalar(tmp_path, capsys):
@@ -422,3 +452,12 @@ def test_check_ladder_n8_game_decided_by_both_methods(capsys):
     report = json.loads(out)
     assert (code, report["verdict_frequency"], report["verdict_oracle"]) == (
         0, "inducible", "inducible")
+
+
+def test_solve_ladder_n8_game_verifies(capsys):
+    # Game r0-ladder-n8-N3-m2 of the benchmark corpus (perfbench at CORPUS_SEED).
+    # The polynomial Kalman map's numerical kernel was too large here (26
+    # where the solution set has 23 dimensions), and its costs failed verify_nash.
+    code, out, _ = run_cli(capsys, "solve", str(DATA / "ladder_r0_n8_N3_m2.json"))
+    report = json.loads(out)
+    assert (code, report["status"], report["verify_ok"]) == (0, "solved", True)

@@ -21,7 +21,6 @@ from nashinduce import (
     right_coprime_factorization,
 )
 from nashinduce.feasibility import _player_nullspace, _stationarity_map
-from nashinduce.inverse import _coeff_stack, _para_map
 from nashinduce.numerics import (
     kron_sum,
     nullspace,
@@ -32,6 +31,8 @@ from nashinduce.numerics import (
     unvec,
     vec,
 )
+
+from conftest import coeff_stack, para_map, poly_kalman_map
 
 SIZES = [(n, m) for n in range(2, 11) for m in (1, 2, 3) if m <= n]
 
@@ -69,7 +70,7 @@ def probe(dim, apply):
 def probe_para_map(L, R, dmax):
     n = L.rows
     L_para = L.paraconjugate()
-    return probe(sym_dim(n), lambda e: _coeff_stack(
+    return probe(sym_dim(n), lambda e: coeff_stack(
         L_para @ PolyMatrix.constant(sym_unpack(e, n)) @ R, dmax))
 
 
@@ -132,13 +133,12 @@ def test_kalman_maps_match_probe(n, m):
     fac = random_factorization(n, m, 0)
     dmax = int(2 * max(fac.S.degree, fac.D.degree, fac.D_tilde.degree) + 2)
     pairs = [(fac.S, fac.S), (fac.D_tilde, fac.D_tilde), (fac.D, fac.D)]
-    maps = [_para_map(L, R, dmax) for L, R in pairs]
+    maps = [para_map(L, R, dmax) for L, R in pairs]
     refs = [probe_para_map(L, R, dmax) for L, R in pairs]
     for M, ref in zip(maps, refs):
         assert_same_map(M, ref)
-    # The joint (Q, R) map of solve_kalman_general, kernel dimension included.
-    assert_same_map(np.hstack([-maps[0], maps[1] - maps[2]]),
-                    np.hstack([-refs[0], refs[1] - refs[2]]))
+    # The joint (Q, R) map of the polynomial Kalman reference, kernel dimension included.
+    assert_same_map(poly_kalman_map(fac), np.hstack([-refs[0], refs[1] - refs[2]]))
 
 
 @pytest.mark.parametrize("n, m", SIZES)

@@ -16,6 +16,7 @@ from nashinduce import (
     unfold_cross_penalties,
     verify_nash,
 )
+from nashinduce import numerics
 from nashinduce.cli import load_problem
 from nashinduce.feasibility import _player_nullspace
 from nashinduce.numerics import (
@@ -125,6 +126,23 @@ def test_projection_kernel_stalls_like_plain_loop_outside_cones():
     assert np.allclose(x, x_ref, atol=1e-12)
     assert gap == pytest.approx(float(np.linalg.norm(x_ref)), rel=1e-12)
     assert cone_verdict(x, reason, layout, slack=1e-6) is None
+
+
+def test_projection_kernel_returns_at_an_exact_fixed_point(monkeypatch):
+    # The line {(-1, t)} misses the cones {x_1 >= 0, x_2 >= 0}; its nearest
+    # point to them is x_p itself, so the first plain step leaves z at 0.
+    calls = []
+
+    def counting(x, layout):
+        calls.append(1)
+        return cone_project(x, layout)
+
+    monkeypatch.setattr(numerics, "cone_project", counting)
+    x_p, Y = np.array([-1.0, 0.0]), np.array([[0.0], [1.0]])
+    x, reason, its, gap = project_affine_cone(x_p, Y, [(1, 0.0), (1, 0.0)])
+    assert (reason, its, gap) == ("cap", PROJECTION_CAP, 1.0)
+    assert np.array_equal(x, x_p)
+    assert len(calls) <= 2
 
 
 def test_check_membership_scalar():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nashinduce import (
+    CostParameters,
     GameSystem,
     StrategyProfile,
     analyze_phi,
@@ -19,11 +20,12 @@ from nashinduce import (
 )
 from nashinduce.cli import load_problem
 from nashinduce.forward import verify_nash
-from nashinduce.numerics import psd_project
+from nashinduce.inverse import _kalman_map
+from nashinduce.numerics import nullspace, psd_project
 from nashinduce.polymat import PolyMatrix
 from nashinduce.realization import reduced_system
 
-from conftest import psd_sqrt_factor
+from conftest import poly_kalman_map, psd_sqrt_factor
 
 
 def scalar_factorization(a, b, k):
@@ -31,15 +33,27 @@ def scalar_factorization(a, b, k):
     return attach_feedback(fac, np.array([[k]]))
 
 
-def remark2_player1():
+def scalar_game(a, b, k):
+    system = GameSystem(np.array([[a]]), [np.array([[b]])])
+    return system, StrategyProfile.stabilizing(system, [np.array([[k]])])
+
+
+def remark2_game():
     A = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     B1 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     B2 = np.array([[1.0], [0.0], [0.0]])
     r2 = 1.0 + np.sqrt(2.0)
     K1 = np.array([[1.0, 0.0, 1.0], [0.0, r2, r2]])
     K2 = np.array([[1.0, 0.0, 0.0]])
-    fac = right_coprime_factorization(A - B2 @ K2, B1)
-    return attach_feedback(fac, K1)
+    system = GameSystem(A, [B1, B2])
+    return system, StrategyProfile.stabilizing(system, [K1, K2])
+
+
+def remark2_player1():
+    system, profile = remark2_game()
+    A_tilde, _ = reduced_system(system, profile, 0)
+    fac = right_coprime_factorization(A_tilde, system.B[0])
+    return attach_feedback(fac, profile.K[0])
 
 
 def test_build_phi_scalar():
@@ -121,8 +135,7 @@ def test_rank_condition_vacuous_when_full_rank():
 
 
 def test_solve_kalman_Q_scalar():
-    fac = scalar_factorization(1.0, 1.0, 3.0)
-    sol = solve_kalman_Q(fac, build_phi(fac))
+    sol = solve_kalman_Q(*scalar_game(1.0, 1.0, 3.0), 0)
     assert sol.status == "solved"
     assert np.allclose(sol.Q, [[3.0]], atol=1e-10)
     assert sol.psd_ok
@@ -130,15 +143,14 @@ def test_solve_kalman_Q_scalar():
 
 
 def test_solve_kalman_Q_infeasible_scalar():
-    fac = scalar_factorization(1.0, 1.0, 1.5)
-    sol = solve_kalman_Q(fac, build_phi(fac))
+    sol = solve_kalman_Q(*scalar_game(1.0, 1.0, 1.5), 0)
     assert not sol.psd_ok
     assert np.allclose(sol.Q, [[-0.75]], atol=1e-10)
 
 
 def test_solve_kalman_Q_remark2_family():
     fac = remark2_player1()
-    sol = solve_kalman_Q(fac, build_phi(fac))
+    sol = solve_kalman_Q(*remark2_game(), 0)
     assert sol.residual <= 1e-8
     assert sol.kernel_dim == 1
     assert sol.psd_ok
@@ -153,21 +165,21 @@ def test_solve_kalman_Q_remark2_family():
 
 
 def test_solve_kalman_general_scalar_cone():
-    fac = scalar_factorization(1.0, 1.0, 3.0)
-    sol = solve_kalman_general(fac)
+    sol = solve_kalman_general(*scalar_game(1.0, 1.0, 3.0), 0)
     assert sol.status == "solved"
     assert np.allclose(sol.R, [[1.0]], atol=1e-9)
     assert np.allclose(sol.Q, [[3.0]], atol=1e-8)
 
 
 def test_solve_kalman_general_infeasible():
-    sol = solve_kalman_general(scalar_factorization(1.0, 1.0, 1.5))
+    sol = solve_kalman_general(*scalar_game(1.0, 1.0, 1.5), 0)
     assert sol.status == "infeasible"
 
 
 def test_kalman_residual_scaling_cone():
+    # The time-domain solution satisfies the polynomial Kalman identity.
     fac = remark2_player1()
-    sol = solve_kalman_general(fac)
+    sol = solve_kalman_general(*remark2_game(), 0)
     assert sol.status == "solved"
     S_para, D_para = fac.S.paraconjugate(), fac.D.paraconjugate()
     Dt_para = fac.D_tilde.paraconjugate()
@@ -182,6 +194,52 @@ def test_kalman_residual_scaling_cone():
     assert base <= 1e-8 * max(1.0, build_phi(fac).coeff_norm())
     for alpha in (0.5, 2.0, 10.0):
         assert residual(alpha * sol.Q, alpha * sol.R) <= alpha * base + 1e-10
+
+
+def _kernels(system, profile, i):
+    """(time-domain, polynomial) Kalman kernels of player i over packed (Q, R)."""
+    A_tilde, _ = reduced_system(system, profile, i)
+    fac = attach_feedback(right_coprime_factorization(A_tilde, system.B[i]), profile.K[i])
+    return nullspace(np.hstack(_kalman_map(system, profile, i))), nullspace(poly_kalman_map(fac))
+
+
+def _containment(Z, Zp):
+    """Distance of span(Z) from span(Zp), both with orthonormal columns."""
+    return float(np.linalg.norm(Z - Zp @ (Zp.T @ Z)))
+
+
+def test_kalman_kernel_equals_polynomial_kernel(nash_games):
+    # The paper's frequency/time equivalence: on controllable players the
+    # Lyapunov-eliminated stationarity map and the coefficient-matching map
+    # of the coprime factors have one solution set.
+    players = 0
+    for system, _, profile, _ in nash_games:
+        for i in range(system.num_players):
+            Z, Zp = _kernels(system, profile, i)
+            assert Z.shape[1] == Zp.shape[1] > 0
+            assert _containment(Z, Zp) <= 1e-8
+            players += 1
+    assert players >= 50
+
+
+def test_kalman_kernel_of_uncontrollable_player_is_full_state():
+    # Remark 2's player 1 leaves a state direction uncontrollable: the
+    # polynomial identity sees only the controllable part (dimension 6), the
+    # full-state Nash set is a subspace of it (dimension 4).
+    Z, Zp = _kernels(*remark2_game(), 1)
+    assert (Z.shape[1], Zp.shape[1]) == (4, 6)
+    assert _containment(Z, Zp) <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["ladder_r0_n12_N2_m1.json", "closed_form_n8_N3_m1.json"])
+def test_kalman_general_recovers_nash_costs(name):
+    # On both games the coprime factorization fails its identity check, so the
+    # polynomial Kalman map could not even be built.
+    system, profile, _, tol = load_problem(str(Path(__file__).parent / "data" / name))
+    sols = [solve_kalman_general(system, profile, i) for i in range(system.num_players)]
+    assert [s.status for s in sols] == ["solved"] * system.num_players
+    costs = CostParameters.diagonal_R([s.Q for s in sols], [s.R for s in sols])
+    assert verify_nash(system, profile, costs, tol=tol)[0]
 
 
 def test_is_nash_inducible_scalars():
