@@ -364,7 +364,8 @@ def cmd_solve(args) -> int:
                  "R_row": [Rij.tolist() for Rij in res.costs.R[i]]}
                 for i in range(system.num_players)
             ] if res.costs is not None else [],
-            "diagnostics": {"nearest_iterations": list(res.iterations)},
+            "diagnostics": {"nearest_iterations": list(res.iterations),
+                            "nearest_gaps": list(res.gaps)},
         }
         _write_report(report, args)
         return 0 if res.status == "feasible" else 1

@@ -5,7 +5,9 @@ convex cone cut out by a Riccati identity, a stationarity identity and
 semidefiniteness constraints.  This module checks membership, assembles the
 Kronecker-vectorized linear system whose nullspace carries the identities,
 searches the cone by alternating projections, projects reference costs onto
-the feasible set (Dykstra), and folds/unfolds cross-control penalties.
+the feasible set (Douglas-Rachford splitting), and folds/unfolds cross-control
+penalties.  Both loops run through the Anderson-mixed fixed-point driver
+numerics._anderson.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .numerics import (
     R_FLOOR,
     RANK_TOL,
     DimensionError,
+    _anderson,
     affine_slice,
     cone_ok,
     cone_project,
@@ -219,69 +222,63 @@ class NearestResult:
     status: str
     costs: CostParameters | None
     distance: float
-    iterations: tuple = ()  # Dykstra iterations of each player searched
+    iterations: tuple = ()  # Douglas-Rachford iterations of each player searched
+    gaps: tuple = ()  # each searched player's |y - x| / max(1, |y|) at stop
 
 
 def nearest_params(costs0: CostParameters, system: GameSystem, profile: StrategyProfile,
                    rho: float = R_FLOOR, cap: int = PROJECTION_CAP,
                    tol: float = PROJECTION_TOL) -> NearestResult:
-    """Project reference costs onto the feasible set (Dykstra's algorithm).
+    """Project reference costs onto the feasible set (Douglas-Rachford).
 
-    Per player: variables (Q_i, R_i1..R_iN) with P_i eliminated through the
-    Lyapunov map, alternating between the stationarity subspace and the
-    semidefinite cone with Dykstra corrections so the limit is the Frobenius
-    projection, not just any feasible point.  The subspace step needs no
-    correction: it would lie in range(Z)-perp and never change an iterate.
+    Per player: variables x = (Q_i, R_i1..R_iN) with P_i eliminated through
+    the Lyapunov map, and min |x - x0|^2 / 2 over range(Z) and the cones,
+    Z a basis of the stationarity map's kernel.  Douglas-Rachford splitting
+    (step 1) from v = Z Z' x0 takes x = Z Z'((v + x0) / 2),
+    y = P_cone(2x - v) and v <- v + y - x, mixed by numerics._anderson, and
+    stops when |y - x| <= tol * max(1, |y|).  Its answer y lies in the cones
+    and must also lie on range(Z) within 1e-7; otherwise a one-dimensional
+    solution ray that misses the cones certifies infeasibility, and anything
+    else is "indeterminate".
     """
     costs0.validate(system, tol=1e-6)
     N = system.num_players
-    Qs = []
-    Rrows = []
-    iterations = []
+    Qs, Rrows, iterations, gaps = [], [], (), ()
     dist2 = 0.0
     for i in range(N):
         Z = nullspace(_stationarity_map(system, profile, i))  # feasible identity directions
         if Z.shape[1] == 0:
             return NearestResult("infeasible_certified_by_identity", None, float("inf"),
-                                 tuple(iterations))
+                                 iterations, gaps)
         layout = [(system.n, 0.0)] + [(mj, rho if j == i else 0.0)
                                       for j, mj in enumerate(system.m)]
         x0 = np.concatenate([sym_pack(costs0.Q[i])] +
                             [sym_pack(costs0.R[i][j]) for j in range(N)])
-        x = x0.copy()
-        q_corr = np.zeros_like(x)
-        converged = False
-        its = 0
-        for its in range(1, cap + 1):
-            y = Z @ (Z.T @ x)
-            x_new = cone_project(y + q_corr, layout)
-            q_corr = y + q_corr - x_new
-            if float(np.linalg.norm(x_new - x)) <= tol * max(1.0, float(np.linalg.norm(x_new))) \
-                    and float(np.linalg.norm(x_new - y)) <= 1e-6 * max(1.0, float(np.linalg.norm(x_new))):
-                x = x_new
-                converged = True
-                break
-            x = x_new
-        iterations.append(its)
-        if converged:
-            # A Dykstra limit must actually lie in both sets; an empty
-            # intersection can still produce small update gaps.
-            on_sub = float(np.linalg.norm(x - Z @ (Z.T @ x))) <= 1e-7 * max(1.0, float(np.linalg.norm(x)))
-            converged = on_sub and cone_ok(x, layout)
-        if not converged:
+
+        def step(v):
+            x = Z @ (Z.T @ (0.5 * (v + x0)))
+            y = cone_project(2.0 * x - v, layout)
+            g = v + y - x
+            return g, g, y, float(np.linalg.norm(y - x))
+
+        v = Z @ (Z.T @ x0)
+        y, reason, its, gap = _anderson(step, lambda w: w, v, v, cap, tol)
+        iterations, gaps = iterations + (its,), gaps + (gap,)
+        on_sub = float(np.linalg.norm(y - Z @ (Z.T @ y))) <= 1e-7 * max(1.0, float(np.linalg.norm(y)))
+        if not (reason == "converged" and on_sub and cone_ok(y, layout)):
             # Certify emptiness on a one-dimensional solution ray, else punt.
             if Z.shape[1] == 1:
                 z = Z[:, 0]
                 if not (_ray_in_cone(z, layout) or _ray_in_cone(-z, layout)):
                     return NearestResult("infeasible_certified_by_identity", None, float("inf"),
-                                         tuple(iterations))
-            return NearestResult("indeterminate", None, float("inf"), tuple(iterations))
-        dist2 += float(np.linalg.norm(x - x0) ** 2)
-        Qi, *Rrow = [psd_project(X, floor) for X, (_, floor) in zip(sym_blocks(x, layout), layout)]
+                                         iterations, gaps)
+            return NearestResult("indeterminate", None, float("inf"), iterations, gaps)
+        dist2 += float(np.linalg.norm(y - x0) ** 2)
+        Qi, *Rrow = [psd_project(X, floor) for X, (_, floor) in zip(sym_blocks(y, layout), layout)]
         Qs.append(Qi)
         Rrows.append(Rrow)
     costs = CostParameters(Qs, Rrows)
-    return NearestResult("feasible", costs, float(np.sqrt(dist2)), tuple(iterations))
+    return NearestResult("feasible", costs, float(np.sqrt(dist2)), iterations, gaps)
 
 
 def _ray_in_cone(z, layout) -> bool:

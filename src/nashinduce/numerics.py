@@ -21,7 +21,7 @@ R_FLOOR = 1e-6                 # eigenvalue floor imposed on each R_ii
 PROJECTION_CAP = 10_000        # iteration cap of every projection loop
 PROJECTION_TOL = 1e-10         # stop rule of the oracle and nearest-parameter loops
 KALMAN_PROJECTION_TOL = 1e-9   # stop rule of the Kalman-equation searches
-ANDERSON_MEMORY = 5            # residual differences mixed by project_affine_cone
+ANDERSON_MEMORY = 5            # residual differences mixed by _anderson
 ANDERSON_RESTART = 2.0         # fixed-point residual growth that clears that history
 ANDERSON_FLOOR = 1e-14         # relative residual below which mixing fits round-off only
 
@@ -324,43 +324,37 @@ def affine_slice(Z, a, value: float):
     return Z @ (g * (value / norm**2)), Z @ nullspace(g[None, :] / norm)
 
 
-def project_affine_cone(x_p, Y, layout, cap: int = PROJECTION_CAP,
-                        tol: float = PROJECTION_TOL):
-    """Alternating projections between {x_p + Y z} and the layout's cones,
-    with type-II Anderson mixing (Walker & Ni 2011).
+def _anderson(step, lift, z, x, cap: int, tol: float):
+    """Iterate a fixed-point map z -> g(z) with type-II Anderson mixing
+    (Walker & Ni 2011) until its answer's residual falls within tol.
 
-    Y has orthonormal columns and x_p lies in the affine set.  The plain step
-    maps z to g = Y'(c - x_p), c = P_cone(x_p + Y z), whose image
-    x' = x_p + Y g is P_aff(c).  The mixed step is z = g - dG gamma, gamma the
-    least-squares fit of the last ANDERSON_MEMORY residual differences dF to
-    f = g - z.  The history is cleared when |f| grows by more than
-    ANDERSON_RESTART times.  The step stays plain from z = 0, while
-    |f| <= ANDERSON_FLOOR * max(1, |x'|) (a stalled loop, whose residual is
-    round-off), and when the mixed point is non-finite.
-    Stops when |x' - c| <= tol * max(1, |x'|).  Returns (x', reason,
-    iterations, gap), gap = |x' - c| / max(1, |x'|) at stop, with reason
-    "converged", "cap" after cap iterations (at once from an exact fixed point,
-    f = 0), or "point" (no iteration, gap 0) when Y has no columns and x_p is
-    the whole set.
+    The loop works on coordinates z; x = lift(z) is the point the map is
+    evaluated at (the caller passes lift(z) of the start as x).
+    step(x) returns (g, lift(g), out, res): the map's image, its lift, the
+    candidate answer and that answer's residual.  The mixed step is
+    z = g - dG gamma, gamma the least-squares fit of the last ANDERSON_MEMORY
+    residual differences dF to f = g - z.  The history is cleared when |f|
+    grows by more than ANDERSON_RESTART times.  The step stays plain on the
+    first iteration, while |f| <= ANDERSON_FLOOR * scale (a stalled loop,
+    whose residual is round-off) and when the mixed point is non-finite.
+    Stops when res <= tol * scale, scale = max(1, |out|).  Returns (out,
+    reason, iterations, res / scale), reason "converged" or "cap" after cap
+    iterations.  A stalled loop returns the cap tuple at once when it can no
+    longer converge in time: plain steps of a nonexpansive map never grow
+    |f|, and res moves by at most 2 |f| a step.
     """
-    if Y.shape[1] == 0:
-        return x_p, "point", 0, 0.0
-    x_next, z = x_p, np.zeros(Y.shape[1])
+    dG, dF = np.empty((2, z.size, ANDERSON_MEMORY))
     # Ring buffers of the differences; `added` counts them since the last restart.
-    dG, dF = np.empty((2, Y.shape[1], ANDERSON_MEMORY))
     added, g_prev, f_prev, f_prev_norm = 0, None, None, np.inf
     for it in range(1, cap + 1):
-        c = cone_project(x_next, layout)
-        g = Y.T @ (c - x_p)
-        x = x_p + Y @ g
-        res, scale = float(np.linalg.norm(x - c)), max(1.0, float(np.linalg.norm(x)))
+        g, x_g, out, res = step(x)
+        scale = max(1.0, float(np.linalg.norm(out)))
         if res <= tol * scale:
-            return x, "converged", it, res / scale
+            return out, "converged", it, res / scale
         f = g - z
         f_norm = float(np.linalg.norm(f))
-        if f_norm == 0.0:
-            # Every later step would be plain and start from this same point.
-            return x, "cap", cap, res / scale
+        if f_norm <= ANDERSON_FLOOR * scale and 2 * (cap - it) * f_norm < res - tol * scale:
+            return out, "cap", cap, res / scale
         if f_norm > ANDERSON_RESTART * f_prev_norm:
             added = 0
         elif g_prev is not None:
@@ -368,14 +362,40 @@ def project_affine_cone(x_p, Y, layout, cap: int = PROJECTION_CAP,
             dG[:, slot], dF[:, slot] = g - g_prev, f - f_prev
             added += 1
         g_prev, f_prev, f_prev_norm = g, f, f_norm
-        z, x_next = g, x
+        z, x = g, x_g
         if added and f_norm > ANDERSON_FLOOR * scale:
             kept = min(added, ANDERSON_MEMORY)
             gamma = np.linalg.lstsq(dF[:, :kept], f, rcond=1e-10)[0]
             mixed = g - dG[:, :kept] @ gamma
             if np.isfinite(mixed).all():
-                z, x_next = mixed, x_p + Y @ mixed
-    return x, "cap", cap, res / scale
+                z, x = mixed, lift(mixed)
+    return out, "cap", cap, res / scale
+
+
+def project_affine_cone(x_p, Y, layout, cap: int = PROJECTION_CAP,
+                        tol: float = PROJECTION_TOL):
+    """Alternating projections between {x_p + Y z} and the layout's cones,
+    Anderson-mixed by _anderson.
+
+    Y has orthonormal columns and x_p lies in the affine set.  The plain step
+    maps z to g = Y'(c - x_p), c = P_cone(x_p + Y z), whose image
+    x' = x_p + Y g is P_aff(c); it starts from z = 0 and stops when
+    |x' - c| <= tol * max(1, |x'|).  Returns (x', reason, iterations, gap),
+    gap = |x' - c| / max(1, |x'|) at stop, with reason "converged", "cap"
+    after cap iterations (or at once from a stalled loop that can no longer
+    converge), or "point" (no iteration, gap 0) when Y has no columns and x_p
+    is the whole set.
+    """
+    if Y.shape[1] == 0:
+        return x_p, "point", 0, 0.0
+
+    def step(x):
+        c = cone_project(x, layout)
+        g = Y.T @ (c - x_p)
+        x = x_p + Y @ g
+        return g, x, x, float(np.linalg.norm(x - c))
+
+    return _anderson(step, lambda z: x_p + Y @ z, np.zeros(Y.shape[1]), x_p, cap, tol)
 
 
 def cone_verdict(x, reason: str, layout, slack: float):

@@ -19,6 +19,7 @@ from nashinduce import (
 )
 from nashinduce.numerics import (
     RANK_TOL,
+    cone_ok,
     psd_project,
     solve_lyapunov,
     sym_basis,
@@ -74,6 +75,34 @@ def loop_project_affine_cone(x_p, Y, layout, cap, tol):
         if float(np.linalg.norm(x - c)) <= tol * max(1.0, float(np.linalg.norm(x))):
             return x, "converged", it
     return x, "cap", cap
+
+
+# Dykstra reference of nearest_params' projection: alternating projections
+# between range(Z) and the cones, with Dykstra's correction on the cone step so
+# that the limit is the projection of x0 onto their intersection.
+
+def dykstra_nearest(x0, Z, layout, cap, tol):
+    """(x, converged, iterations); converged also requires the point to lie on
+    range(Z) within 1e-7 and in the cones."""
+    x = x0.copy()
+    q_corr = np.zeros_like(x)
+    converged = False
+    its = 0
+    for its in range(1, cap + 1):
+        y = Z @ (Z.T @ x)
+        x_new = loop_cone_project(y + q_corr, layout)
+        q_corr = y + q_corr - x_new
+        scale = max(1.0, float(np.linalg.norm(x_new)))
+        done = (float(np.linalg.norm(x_new - x)) <= tol * scale
+                and float(np.linalg.norm(x_new - y)) <= 1e-6 * scale)
+        x = x_new
+        if done:
+            converged = True
+            break
+    if converged:
+        on_sub = float(np.linalg.norm(x - Z @ (Z.T @ x))) <= 1e-7 * max(1.0, float(np.linalg.norm(x)))
+        converged = on_sub and cone_ok(x, layout)
+    return x, converged, its
 
 
 # Polynomial reference of the Kalman equation: the coefficient-matching map of

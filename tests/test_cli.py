@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nashinduce.cli import dumps_report, load_problem, main
-from nashinduce.feasibility import solve_feasibility_projection
+from nashinduce import CostParameters, verify_nash
+from nashinduce.cli import dumps_report, load_costs, load_problem, main
+from nashinduce.feasibility import nearest_params, solve_feasibility_projection
 from nashinduce.inverse import is_nash_inducible
 from nashinduce.numerics import PROJECTION_TOL
 from nashinduce.problems import BUNDLED
@@ -316,8 +317,14 @@ def test_reports_carry_loop_iterations(tmp_path, capsys):
     path = write_example(tmp_path, "scalar_feasible")
     costs0 = tmp_path / "costs0.json"
     costs0.write_text('{"Q": [[[5.0]]], "R": [[[[1.0]]]]}')
+    system, profile, _, _ = load_problem(path)
+    nearest = nearest_params(load_costs(str(costs0), system), system, profile)
+    assert all(gap <= PROJECTION_TOL for gap in nearest.gaps)
     _, out, _ = run_cli(capsys, "solve", path, "--nearest", str(costs0))
-    (its,) = json.loads(out)["diagnostics"]["nearest_iterations"]
+    diagnostics = json.loads(out)["diagnostics"]
+    assert diagnostics == {"nearest_iterations": list(nearest.iterations),
+                           "nearest_gaps": [float("%.12e" % gap) for gap in nearest.gaps]}
+    (its,) = diagnostics["nearest_iterations"]
     assert 0 < its < 10_000
 
 
@@ -461,3 +468,35 @@ def test_solve_ladder_n8_game_verifies(capsys):
     code, out, _ = run_cli(capsys, "solve", str(DATA / "ladder_r0_n8_N3_m2.json"))
     report = json.loads(out)
     assert (code, report["status"], report["verify_ok"]) == (0, "solved", True)
+
+
+def test_solve_nearest_ladder_n4_game_verifies(tmp_path, capsys):
+    # Game r2-ladder-n4-N3-m1-d0 of the benchmark corpus (perfbench at
+    # CORPUS_SEED) with identity reference costs; Dykstra's loop stopped at
+    # the 10k cap on players 1 and 2 and answered "indeterminate".
+    path = str(DATA / "nearest_r2_n4_N3_m1.json")
+    system, profile, _, _ = load_problem(path)
+    N = system.num_players
+    costs0 = tmp_path / "costs0.json"
+    costs0.write_text(json.dumps({
+        "Q": [np.eye(system.n).tolist()] * N,
+        "R": [[np.eye(1).tolist() if i == j else [[0.0]] for j in range(N)] for i in range(N)]}))
+    code, out, _ = run_cli(capsys, "solve", path, "--nearest", str(costs0))
+    report = json.loads(out)
+    assert (code, report["status"]) == (0, "feasible")
+    nearest = nearest_params(load_costs(str(costs0), system), system, profile)
+    assert report["diagnostics"]["nearest_gaps"] == [float("%.12e" % gap) for gap in nearest.gaps]
+    assert all(0.0 < gap <= PROJECTION_TOL for gap in nearest.gaps)
+    costs = CostParameters([np.array(p["Q"]) for p in report["players"]],
+                           [[np.array(Rij) for Rij in p["R_row"]] for p in report["players"]])
+    assert verify_nash(system, profile, costs)[0]
+
+
+def test_check_infeasible_n3_game_stays_undecided_by_the_oracle(capsys):
+    # Game r1-infeasible-n3-N3-m1 of the benchmark corpus: the oracle's loop of
+    # player 2 stalls outside the cones and reports the cap.
+    code, out, _ = run_cli(capsys, "check", str(DATA / "infeasible_r1_n3_N3_m1.json"))
+    report = json.loads(out)
+    assert (code, report["verdict_frequency"], report["verdict_oracle"]) == (
+        1, "not_inducible", "indeterminate")
+    assert report["diagnostics"]["oracle_iterations"][-1] == 10_000

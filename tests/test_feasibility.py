@@ -16,12 +16,13 @@ from nashinduce import (
     unfold_cross_penalties,
     verify_nash,
 )
-from nashinduce import numerics
+from nashinduce import feasibility, inverse, numerics
 from nashinduce.cli import load_problem
-from nashinduce.feasibility import _player_nullspace
+from nashinduce.feasibility import _player_nullspace, _stationarity_map
 from nashinduce.numerics import (
     PROJECTION_CAP,
     PROJECTION_TOL,
+    R_FLOOR,
     affine_slice,
     cone_project,
     cone_verdict,
@@ -30,7 +31,13 @@ from nashinduce.numerics import (
     sym_pack,
 )
 
-from conftest import converged_nash_games, loop_project_affine_cone, random_pd, random_psd
+from conftest import (
+    converged_nash_games,
+    dykstra_nearest,
+    loop_project_affine_cone,
+    random_pd,
+    random_psd,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -210,6 +217,87 @@ def test_nearest_params_infeasible():
     res = nearest_params(costs0, system, prof)
     assert res.status in ("infeasible_certified_by_identity", "indeterminate")
     assert res.costs is None
+
+
+def identity_costs(system):
+    N = system.num_players
+    return CostParameters([np.eye(system.n)] * N,
+                          [[np.eye(mj) if j == i else np.zeros((mj, mj))
+                            for j, mj in enumerate(system.m)] for i in range(N)])
+
+
+def packed_row(costs, i):
+    return np.concatenate([sym_pack(costs.Q[i])] + [sym_pack(Rij) for Rij in costs.R[i]])
+
+
+def test_nearest_params_matches_dykstra_reference(nash_games):
+    # Douglas-Rachford and Dykstra reach the same projection of identity costs
+    # wherever the Dykstra loop converges.
+    compared = 0
+    for system, _, profile, _ in nash_games:
+        costs0 = identity_costs(system)
+        res = nearest_params(costs0, system, profile)
+        assert res.status == "feasible"
+        assert len(res.gaps) == system.num_players
+        assert all(gap <= PROJECTION_TOL for gap in res.gaps)
+        for i in range(system.num_players):
+            Z = nullspace(_stationarity_map(system, profile, i))
+            layout = [(system.n, 0.0)] + [(mj, R_FLOOR if j == i else 0.0)
+                                          for j, mj in enumerate(system.m)]
+            x0 = packed_row(costs0, i)
+            x_ref, converged, _ = dykstra_nearest(x0, Z, layout, PROJECTION_CAP, PROJECTION_TOL)
+            if not converged:
+                continue
+            dist = float(np.linalg.norm(packed_row(res.costs, i) - x0))
+            assert dist == pytest.approx(float(np.linalg.norm(x_ref - x0)), rel=1e-7, abs=1e-12)
+            compared += 1
+    assert compared >= 50
+
+
+def test_nearest_params_no_farther_than_scaled_nash_costs():
+    # Every positive multiple of a game's Nash costs is feasible, so the
+    # projection of identity costs is at least as close as the best multiple.
+    for name in ("closed_form_n8_N3_m1", "ladder_r0_n12_N2_m1", "ladder_r0_n8_N3_m2",
+                 "ladder_r2_n8_N2_m1", "nearest_r2_n4_N3_m1"):
+        system, profile, costs, _ = load_problem(str(DATA / f"{name}.json"))
+        costs0 = identity_costs(system)
+        res = nearest_params(costs0, system, profile)
+        assert res.status == "feasible", name
+        best2 = 0.0
+        for i in range(system.num_players):
+            c, x0 = packed_row(costs, i), packed_row(costs0, i)
+            alpha = max(R_FLOOR, float(c @ x0) / float(c @ c))
+            best2 += float(np.linalg.norm(alpha * c - x0)) ** 2
+        assert res.distance <= np.sqrt(best2) * (1.0 + 1e-9), name
+
+
+def test_stalled_loops_stop_at_once(monkeypatch):
+    # Game r1-infeasible-n3-N3-m1 of the benchmark corpus: the Kalman and oracle
+    # loops of player 2 stall outside the cones after a few iterations, with
+    # |f| round-off but not 0, and can no longer converge before the cap.
+    system, profile, _, _ = load_problem(str(DATA / "infeasible_r1_n3_N3_m1.json"))
+    calls, loops = [], []
+
+    def counting(x, layout):
+        calls.append(1)
+        return cone_project(x, layout)
+
+    def recording(*args):
+        out = project_affine_cone(*args)
+        loops.append((out[1], out[2], len(calls)))
+        return out
+
+    monkeypatch.setattr(numerics, "cone_project", counting)
+    for module in (inverse, feasibility):
+        monkeypatch.setattr(module, "project_affine_cone", recording)
+    last = system.num_players - 1
+    kalman = inverse.solve_kalman_general(system, profile, last)
+    assert (kalman.status, kalman.iterations) == ("indeterminate", PROJECTION_CAP)
+    status, _, its, _ = feasibility.player_feasibility(system, profile, last)
+    assert (status, its) == ("indeterminate", (PROJECTION_CAP,))
+    (reason_k, its_k, calls_k), (reason_o, its_o, calls_o) = loops
+    assert (reason_k, its_k) == (reason_o, its_o) == ("cap", PROJECTION_CAP)
+    assert calls_k < 100 and calls_o - calls_k < 100
 
 
 def test_fold_unfold_round_trip(nash_games):
