@@ -15,12 +15,13 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from .forward import CostParameters, verify_nash
-from .feasibility import nearest_params, player_feasibility, solve_feasibility_projection
-from .inverse import _min_eig_at, analyze_player, is_nash_inducible
+from .feasibility import nearest_params
+from .inverse import _min_eig_at, analyze_player, is_nash_inducible, solve_kalman_general
 from .numerics import DimensionError, NumericalFailureError
 from .problems import BUNDLED
 from .realization import GameSystem, StrategyProfile
@@ -236,6 +237,8 @@ def _player_report(pa):
 
 
 def _kalman_diagnostics(players):
+    if players[0].kalman is None:
+        return {"kalman_iterations": None, "kalman_gaps": None}
     return {"kalman_iterations": [p.kalman.iterations for p in players],
             "kalman_gaps": [p.kalman.gap for p in players]}
 
@@ -246,12 +249,12 @@ def _frequency_verdict(players):
     return "inducible" if all(p.inducible for p in players) else "not_inducible"
 
 
-def _oracle_verdict(status):
-    return {
-        "feasible": "inducible",
-        "infeasible_certified_by_identity": "not_inducible",
-        "indeterminate": "indeterminate",
-    }[status]
+def _oracle_verdict(players):
+    """The time-domain verdict from the players' Kalman-equation cone
+    searches: the first player not solved decides."""
+    status = next((p.kalman.status for p in players if p.kalman.status != "solved"), "solved")
+    return {"solved": "inducible", "infeasible": "not_inducible",
+            "indeterminate": "indeterminate"}[status]
 
 
 def _write_report(report, args):
@@ -303,26 +306,21 @@ def cmd_check(args) -> int:
     if args.player is not None:
         if not (0 <= args.player < system.num_players):
             raise InputError(f"--player {args.player}: out of range")
-        players = [analyze_player(system, profile, args.player)]
+        players = [analyze_player(system, profile, args.player, solve_costs=False)]
     else:
-        players = list(is_nash_inducible(system, profile).players)
+        players = list(is_nash_inducible(system, profile, solve_costs=False).players)
     verdict_freq = _frequency_verdict(players)
     warnings = [w for p in players for w in p.warnings]
     t_freq = time.monotonic() - t0
 
     t0 = time.monotonic()
-    oracle_iterations = oracle_gaps = None
     if args.no_oracle:
         verdict_oracle = "skipped"
     else:
-        if args.player is not None:
-            status, _, iterations, gaps = player_feasibility(system, profile, args.player)
-        else:
-            feas = solve_feasibility_projection(system, profile)
-            status, iterations, gaps = feas.status, feas.iterations, feas.gaps
-        verdict_oracle = _oracle_verdict(status)
-        oracle_iterations, oracle_gaps = list(iterations), list(gaps)
-        if status == "indeterminate":
+        players = [replace(p, kalman=solve_kalman_general(system, profile, p.index))
+                   for p in players]
+        verdict_oracle = _oracle_verdict(players)
+        if verdict_oracle == "indeterminate":
             warnings.append("time-domain oracle did not reach a determinate verdict")
     t_oracle = time.monotonic() - t0
 
@@ -337,8 +335,7 @@ def cmd_check(args) -> int:
         "warnings": warnings,
         "timings_ms": {"frequency": int(round(1000 * t_freq)),
                        "oracle": int(round(1000 * t_oracle))},
-        "diagnostics": {**_kalman_diagnostics(players),
-                        "oracle_iterations": oracle_iterations, "oracle_gaps": oracle_gaps},
+        "diagnostics": _kalman_diagnostics(players),
     }
     _write_report(report, args)
     if disagreement:
@@ -477,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("problem")
     common(pc)
     pc.add_argument("--no-oracle", action="store_true",
-                    help="skip the time-domain feasibility oracle")
+                    help="skip the time-domain oracle, the Kalman-equation cone search: "
+                         "each player's kalman and the kalman diagnostics are null")
     pc.add_argument("--player", type=int, default=None,
                     help="restrict both methods, frequency domain and oracle, to one player")
     pc.set_defaults(func=cmd_check)

@@ -2,12 +2,14 @@
 
 The set of tuples (Q_i, R_ii, P_i) that make a target profile Nash is a
 convex cone cut out by a Riccati identity, a stationarity identity and
-semidefiniteness constraints.  This module checks membership, assembles the
-Kronecker-vectorized linear system whose nullspace carries the identities,
-searches the cone by alternating projections, projects reference costs onto
-the feasible set (Douglas-Rachford splitting), and folds/unfolds cross-control
-penalties.  Both loops run through the Anderson-mixed fixed-point driver
-numerics._anderson.
+semidefiniteness constraints.  Acl is Hurwitz, so the Riccati row makes P_i
+the Lyapunov solution for the folded state weight, and eliminating it leaves
+the Kalman equation, one linear map in the costs (_stationarity_map).  This
+module checks membership, searches that map's kernel for costs in the cones
+by alternating projections (player_feasibility, the one time-domain cone
+search), projects reference costs onto the feasible set (Douglas-Rachford
+splitting), and folds/unfolds cross-control penalties.  Both loops run
+through the Anderson-mixed fixed-point driver numerics._anderson.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .numerics import (
     nullspace,
     project_affine_cone,
     psd_project,
+    solve_lyapunov,
     sym_basis,
     sym_blocks,
     sym_dim,
@@ -99,8 +102,8 @@ def check_membership(pt: ThetaPoint, system: GameSystem, profile: StrategyProfil
 def build_vectorized_system(system: GameSystem, profile: StrategyProfile, i: int) -> np.ndarray:
     """Kronecker-vectorized identities acting on [vec(Q_i); vec(R_ii); vec(P_i)].
 
-    Riccati row block (n^2 equations) and the stationarity block (n m_i
-    equations, as vec(R_ii K_i) = (K_i' (x) I_m) vec(R_ii)); off-diagonal R
+    The Kronecker identity only: no search uses it.  Riccati row block (n^2
+    equations) and the stationarity block (n m_i equations, as vec(R_ii K_i) = (K_i' (x) I_m) vec(R_ii)); off-diagonal R
     is folded away.  Every member point with zero cross penalties lies in the
     nullspace.
     """
@@ -136,60 +139,8 @@ def _player_nullspace(system, profile, i, tol: float = RANK_TOL):
     return nullspace(Msym, tol), (sym_dim(n), sym_dim(m), sym_dim(n))
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
-    status: str  # "feasible" | "infeasible_certified_by_identity" | "indeterminate"
-    point: ThetaPoint | None
-    iterations: tuple = ()  # projection iterations of each player searched
-    gaps: tuple = ()  # each searched player's relative distance to the cones at stop
-
-
-def solve_feasibility_projection(system: GameSystem, profile: StrategyProfile,
-                                 rho: float = R_FLOOR, cap: int = PROJECTION_CAP,
-                                 tol: float = PROJECTION_TOL) -> FeasibilityResult:
-    """Alternating projections between the per-player identity nullspaces
-    (with trace(R_ii) = m_i) and the semidefinite cone product.
-
-    Players decouple once cross penalties are folded away, so the search runs
-    per player (player_feasibility) and the results are assembled.
-    """
-    Qs, Rs, Ps, iterations, gaps = [], [], [], (), ()
-    for i in range(system.num_players):
-        status, blocks, its, gap = player_feasibility(system, profile, i, rho, cap, tol)
-        iterations, gaps = iterations + its, gaps + gap
-        if status != "feasible":
-            return FeasibilityResult(status, None, iterations, gaps)
-        Q, R, P = blocks
-        Qs.append(Q), Rs.append(R), Ps.append(P)
-    return FeasibilityResult("feasible", ThetaPoint(CostParameters.diagonal_R(Qs, Rs), Ps),
-                             iterations, gaps)
-
-
-def player_feasibility(system: GameSystem, profile: StrategyProfile, i: int, rho: float = R_FLOOR,
-                       cap: int = PROJECTION_CAP, tol: float = PROJECTION_TOL):
-    """Player i's search: (status, (Q_i, R_ii, P_i) or None, iterations, gaps),
-    the last two empty when the identities alone decide.  Projection
-    non-convergence yields "indeterminate"; infeasibility is certified only
-    when the solution ray itself leaves no room in the cone.
-    """
-    n, m = system.n, system.m[i]
-    Z, (nq, _, npk) = _player_nullspace(system, profile, i)
-    trace_row = np.concatenate([np.zeros(nq), sym_pack(np.eye(m)), np.zeros(npk)])
-    affine = affine_slice(Z, trace_row, m)
-    if affine is None:
-        # No solution, or trace(R_ii) vanishes on all of them: no R_ii > 0.
-        return "infeasible_certified_by_identity", None, (), ()
-    layout = [(n, 0.0), (m, rho), (n, 0.0)]
-    theta, reason, its, gap = project_affine_cone(*affine, layout, cap, tol)
-    ok = cone_verdict(theta, reason, layout, slack=1e-6)
-    if not ok:
-        status = "indeterminate" if ok is None else "infeasible_certified_by_identity"
-        return status, None, (its,), (gap,)
-    return "feasible", sym_blocks(theta, layout), (its,), (gap,)
-
-
 # ---------------------------------------------------------------------------
-# Nearest-parameter recovery (reference projection)
+# The Kalman-equation map and the cone search over it
 # ---------------------------------------------------------------------------
 
 def _stationarity_map(system, profile, i):
@@ -216,6 +167,92 @@ def _stationarity_map(system, profile, i):
     M[:, off:off + sym_dim(mi)] += kron(np.eye(mi), Ki.T) @ sym_basis(mi)
     return M
 
+
+def _kalman_map(system: GameSystem, profile: StrategyProfile, i: int):
+    """(M_Q, M_R): the columns of the Lyapunov-eliminated stationarity map
+    that act on packed Q_i and on packed R_ii (cross penalties left at zero)."""
+    M = _stationarity_map(system, profile, i)
+    nq = sym_dim(system.n)
+    off = nq + sum(sym_dim(mj) for mj in system.m[:i])
+    return M[:, :nq], M[:, off:off + sym_dim(system.m[i])]
+
+
+@dataclass(frozen=True)
+class KalmanSolution:
+    Q: np.ndarray
+    R: np.ndarray
+    residual: float
+    kernel_dim: int  # of the linear map, before the trace slice and the cones
+    psd_ok: bool
+    status: str  # "solved" | "no_solution" | "infeasible" | "indeterminate"
+    iterations: int = 0  # of the projection loop
+    gap: float = 0.0  # relative distance of the projection loop's point to the cones at stop
+
+
+def player_feasibility(system: GameSystem, profile: StrategyProfile, i: int, rho: float = R_FLOOR,
+                       cap: int = PROJECTION_CAP, tol: float = PROJECTION_TOL) -> KalmanSolution:
+    """Player i's cone search: Q_i >= 0, R_ii >= rho I in the kernel of the
+    Kalman map (_kalman_map), on the normalization slice trace(R_ii) = m_i.
+
+    "infeasible" is certified by the identities alone: every solution has
+    trace(R_ii) = 0, or the slice is a single point outside the cones.  A
+    loop stopped at its cap, or converged to a point that misses the cones
+    by more than 1e-7, is "indeterminate".
+    """
+    n, m = system.n, system.m[i]
+    M = np.hstack(_kalman_map(system, profile, i))
+    Z = nullspace(M)  # basis of the homogeneous solution cone's span
+    trace_row = np.concatenate([np.zeros(sym_dim(n)), sym_pack(np.eye(m))])
+    affine = affine_slice(Z, trace_row, m)
+    if affine is None:
+        return KalmanSolution(Q=np.zeros((n, n)), R=np.zeros((m, m)), residual=0.0,
+                              kernel_dim=Z.shape[1], psd_ok=False, status="infeasible")
+    layout = [(n, 0.0), (m, rho)]
+    theta, reason, its, gap = project_affine_cone(*affine, layout, cap, tol)
+    ok = cone_verdict(theta, reason, layout, slack=1e-7)
+    Q, R = sym_blocks(theta, layout)
+    residual = float(np.linalg.norm(M @ theta)) / max(1.0, float(np.linalg.norm(theta)))
+    return KalmanSolution(Q=Q, R=R, residual=residual, kernel_dim=Z.shape[1], psd_ok=bool(ok),
+                          status="solved" if ok else ("indeterminate" if ok is None else "infeasible"),
+                          iterations=its, gap=gap)
+
+
+@dataclass(frozen=True)
+class FeasibilityResult:
+    status: str  # "feasible" | "infeasible_certified_by_identity" | "indeterminate"
+    point: ThetaPoint | None
+    iterations: tuple = ()  # projection iterations of each player searched (0: no loop ran)
+    gaps: tuple = ()  # each searched player's relative distance to the cones at stop
+
+
+def solve_feasibility_projection(system: GameSystem, profile: StrategyProfile,
+                                 rho: float = R_FLOOR, cap: int = PROJECTION_CAP,
+                                 tol: float = PROJECTION_TOL) -> FeasibilityResult:
+    """Per-player cone searches (player_feasibility, players decouple once
+    cross penalties are folded away); the first player not solved decides.
+
+    When all are solved, each P_i is the Lyapunov solution for the state
+    weight Q_i + K_i' R_ii K_i, all from one Schur factorization of Acl.
+    """
+    sols = []
+    for i in range(system.num_players):
+        sols.append(player_feasibility(system, profile, i, rho, cap, tol))
+        if sols[-1].status != "solved":
+            break
+    status = {"solved": "feasible", "infeasible": "infeasible_certified_by_identity",
+              "indeterminate": "indeterminate"}[sols[-1].status]
+    point = None
+    if status == "feasible":
+        W = np.stack([s.Q + Ki.T @ s.R @ Ki for s, Ki in zip(sols, profile.K)])
+        point = ThetaPoint(CostParameters.diagonal_R([s.Q for s in sols], [s.R for s in sols]),
+                           solve_lyapunov(closed_loop(system, profile.K), W))
+    return FeasibilityResult(status, point, tuple(s.iterations for s in sols),
+                             tuple(s.gap for s in sols))
+
+
+# ---------------------------------------------------------------------------
+# Nearest-parameter recovery (reference projection)
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class NearestResult:

@@ -7,7 +7,8 @@ normal rank, and check the closed-right-half-plane rank condition.  Cost
 matrices are recovered from the Kalman equation in its time-domain form:
 stationarity R K_i = B_i' P with P eliminated through the Lyapunov equation,
 a linear map in (Q, R) alone (feasibility._stationarity_map), so no Kalman
-solve touches the polynomial factors.
+solve touches the polynomial factors.  The joint (Q, R) solve is the
+time-domain oracle's cone search (feasibility.player_feasibility).
 """
 
 from __future__ import annotations
@@ -17,19 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polymat
-from .feasibility import _stationarity_map
+from .feasibility import KalmanSolution, _kalman_map, player_feasibility
 from .numerics import (
-    KALMAN_PROJECTION_TOL,
     PROJECTION_CAP,
     R_FLOOR,
     NumericalFailureError,
-    affine_slice,
     cone_verdict,
     nullspace,
     project_affine_cone,
     psd_project,  # noqa: F401  (perfbench's tracing test reads inverse.psd_project)
-    sym_blocks,
-    sym_dim,
     sym_pack,
     sym_unpack,
 )
@@ -207,27 +204,6 @@ def _null_vec(M, col_norms, tol: float = 1e-7):
 # Kalman-equation solvers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KalmanSolution:
-    Q: np.ndarray
-    R: np.ndarray
-    residual: float
-    kernel_dim: int
-    psd_ok: bool
-    status: str  # "solved" | "no_solution" | "infeasible" | "indeterminate"
-    iterations: int = 0  # of the projection loop
-    gap: float = 0.0  # relative distance of the projection loop's point to the cones at stop
-
-
-def _kalman_map(system: GameSystem, profile: StrategyProfile, i: int):
-    """(M_Q, M_R): the columns of the Lyapunov-eliminated stationarity map
-    that act on packed Q_i and on packed R_ii (cross penalties left at zero)."""
-    M = _stationarity_map(system, profile, i)
-    nq = sym_dim(system.n)
-    off = nq + sum(sym_dim(mj) for mj in system.m[:i])
-    return M[:, :nq], M[:, off:off + sym_dim(system.m[i])]
-
-
 def solve_kalman_Q(system: GameSystem, profile: StrategyProfile, i: int,
                    tol: float = 1e-8, cap: int = PROJECTION_CAP) -> KalmanSolution:
     """Find Q >= 0 with K_i = B_i' P, P the Lyapunov solution for the state
@@ -245,9 +221,13 @@ def solve_kalman_Q(system: GameSystem, profile: StrategyProfile, i: int,
         return KalmanSolution(Q=sym_unpack(q, n), R=np.eye(m), residual=rel,
                               kernel_dim=Z.shape[1], psd_ok=False, status="no_solution")
     layout = [(n, 0.0)]
-    x, *loop = project_affine_cone(q, Z, layout, cap, KALMAN_PROJECTION_TOL)
-    resid = float(np.linalg.norm(A @ x - b)) / scale
-    return _kalman_solution(m, x, loop, layout, resid, Z.shape[1])
+    x, reason, iterations, gap = project_affine_cone(q, Z, layout, cap)
+    ok = cone_verdict(x, reason, layout, slack=1e-7)
+    status = "solved" if ok else ("indeterminate" if ok is None else "infeasible")
+    return KalmanSolution(Q=sym_unpack(x, n), R=np.eye(m),
+                          residual=float(np.linalg.norm(A @ x - b)) / scale,
+                          kernel_dim=Z.shape[1], psd_ok=bool(ok), status=status,
+                          iterations=iterations, gap=gap)
 
 
 def solve_kalman_general(system: GameSystem, profile: StrategyProfile, i: int,
@@ -255,35 +235,11 @@ def solve_kalman_general(system: GameSystem, profile: StrategyProfile, i: int,
     """Joint unknowns (Q, R):  R K_i = B_i' P, P the Lyapunov solution for the
     state weight Q + K_i' R K_i (the Kalman equation with P eliminated).
 
-    The solution set is a cone; trace(R) = m is imposed as the normalization
-    slice and alternating projections search for Q >= 0, R >= rho I.
+    The solution set is a cone, searched on the normalization slice
+    trace(R) = m for Q >= 0, R >= rho I by feasibility.player_feasibility,
+    the time-domain oracle's search.
     """
-    n, m = system.n, system.m[i]
-    A = np.hstack(_kalman_map(system, profile, i))
-    Z = nullspace(A)  # basis of the homogeneous solution cone's span
-    trace_row = np.concatenate([np.zeros(sym_dim(n)), sym_pack(np.eye(m))])
-    affine = affine_slice(Z, trace_row, m)
-    if affine is None:
-        # No solution, or every solution has trace(R) = 0: no positive-definite R.
-        return KalmanSolution(Q=np.zeros((n, n)), R=np.zeros((m, m)), residual=0.0,
-                              kernel_dim=Z.shape[1], psd_ok=False, status="infeasible")
-    layout = [(n, 0.0), (m, rho)]
-    theta, *loop = project_affine_cone(*affine, layout, cap, KALMAN_PROJECTION_TOL)
-    resid = float(np.linalg.norm(A @ theta)) / max(1.0, float(np.linalg.norm(theta)))
-    return _kalman_solution(m, theta, loop, layout, resid, Z.shape[1])
-
-
-def _kalman_solution(m, x, loop, layout, residual, kernel_dim) -> KalmanSolution:
-    """Solution record for a projection over packed Q (R = I) or packed (Q, R);
-    loop is project_affine_cone's (reason, iterations, gap)."""
-    reason, iterations, gap = loop
-    ok = cone_verdict(x, reason, layout, slack=1e-7)
-    blocks = sym_blocks(x, layout)
-    Q = blocks[0]
-    R = blocks[1] if len(blocks) > 1 else np.eye(m)
-    status = "solved" if ok else ("infeasible" if ok is False else "indeterminate")
-    return KalmanSolution(Q=Q, R=R, residual=residual, kernel_dim=kernel_dim, psd_ok=bool(ok),
-                          status=status, iterations=iterations, gap=gap)
+    return player_feasibility(system, profile, i, rho, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ HURWITZ_MARGIN = 1e-9
 LYAPUNOV_RESIDUAL_TOL = 1e-9
 R_FLOOR = 1e-6                 # eigenvalue floor imposed on each R_ii
 PROJECTION_CAP = 10_000        # iteration cap of every projection loop
-PROJECTION_TOL = 1e-10         # stop rule of the oracle and nearest-parameter loops
-KALMAN_PROJECTION_TOL = 1e-9   # stop rule of the Kalman-equation searches
+PROJECTION_TOL = 1e-10         # stop rule of every projection loop
 ANDERSON_MEMORY = 5            # residual differences mixed by _anderson
 ANDERSON_RESTART = 2.0         # fixed-point residual growth that clears that history
 ANDERSON_FLOOR = 1e-14         # relative residual below which mixing fits round-off only

@@ -17,12 +17,20 @@ from nashinduce import (
     is_stabilizing,
     solve_coupled_are,
 )
+from nashinduce.feasibility import _player_nullspace
 from nashinduce.numerics import (
+    PROJECTION_CAP,
+    PROJECTION_TOL,
+    R_FLOOR,
     RANK_TOL,
+    affine_slice,
     cone_ok,
+    cone_verdict,
+    project_affine_cone,
     psd_project,
     solve_lyapunov,
     sym_basis,
+    sym_blocks,
     sym_dim,
     sym_pack,
     sym_unpack,
@@ -103,6 +111,30 @@ def dykstra_nearest(x0, Z, layout, cap, tol):
         on_sub = float(np.linalg.norm(x - Z @ (Z.T @ x))) <= 1e-7 * max(1.0, float(np.linalg.norm(x)))
         converged = on_sub and cone_ok(x, layout)
     return x, converged, its
+
+
+# Kronecker reference of the time-domain cone search: alternating projections
+# over (Q_i, R_ii, P_i) in the nullspace of the vectorized system, which the
+# package replaced by the search over (Q_i, R_ii) with P_i eliminated through
+# the Lyapunov map.
+
+def kronecker_player_feasibility(system, profile, i, rho=R_FLOOR, cap=PROJECTION_CAP,
+                                 tol=PROJECTION_TOL):
+    """(status, [Q_i, R_ii, P_i] or None, iterations), status in the words
+    of feasibility.player_feasibility: "solved", "infeasible" or
+    "indeterminate"."""
+    n, m = system.n, system.m[i]
+    Z, (nq, _, npk) = _player_nullspace(system, profile, i)
+    trace_row = np.concatenate([np.zeros(nq), sym_pack(np.eye(m)), np.zeros(npk)])
+    affine = affine_slice(Z, trace_row, m)
+    if affine is None:
+        return "infeasible", None, 0
+    layout = [(n, 0.0), (m, rho), (n, 0.0)]
+    theta, reason, its, _ = project_affine_cone(*affine, layout, cap, tol)
+    ok = cone_verdict(theta, reason, layout, slack=1e-6)
+    if not ok:
+        return ("indeterminate" if ok is None else "infeasible"), None, its
+    return "solved", sym_blocks(theta, layout), its
 
 
 # Polynomial reference of the Kalman equation: the coefficient-matching map of

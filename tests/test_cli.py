@@ -5,11 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nashinduce import CostParameters, verify_nash
+from nashinduce import CostParameters, feasibility, inverse, verify_nash
 from nashinduce.cli import dumps_report, load_costs, load_problem, main
 from nashinduce.feasibility import nearest_params, solve_feasibility_projection
 from nashinduce.inverse import is_nash_inducible
-from nashinduce.numerics import PROJECTION_TOL
+from nashinduce.numerics import PROJECTION_TOL, project_affine_cone
 from nashinduce.problems import BUNDLED
 
 
@@ -86,6 +86,7 @@ def test_check_no_oracle(tmp_path, capsys):
     report = json.loads(out)
     assert report["verdict_oracle"] == "skipped"
     assert report["disagreement"] is False
+    assert [p["kalman"] for p in report["players"]] == [None, None]  # no search ran
 
 
 def test_check_single_player_flag(tmp_path, capsys):
@@ -109,7 +110,7 @@ def test_check_player_restricts_both_methods(tmp_path, capsys):
     report = json.loads(out)
     assert (code, report["verdict_frequency"], report["verdict_oracle"]) == (
         0, "inducible", "inducible")
-    assert len(report["diagnostics"]["oracle_iterations"]) <= 1
+    assert len(report["diagnostics"]["kalman_iterations"]) == 1
     for argv in (("--player", "0"), ()):
         code, out, _ = run_cli(capsys, "check", str(path), *argv)
         report = json.loads(out)
@@ -297,21 +298,22 @@ def test_reports_carry_loop_iterations(tmp_path, capsys):
     path = write_example(tmp_path, "remark2")
     system, profile, _, _ = load_problem(path)
     players = is_nash_inducible(system, profile).players
+    assert all(p.kalman.iterations > 0 for p in players)
+    assert all(p.kalman.gap <= PROJECTION_TOL for p in players)
+    # The oracle is the same loop: its iterations and gaps are the Kalman ones.
     feas = solve_feasibility_projection(system, profile)
-    assert len(feas.iterations) == system.num_players and all(its > 0 for its in feas.iterations)
-    assert all(gap <= PROJECTION_TOL for gap in feas.gaps)
+    assert feas.iterations == tuple(p.kalman.iterations for p in players)
+    assert feas.gaps == tuple(p.kalman.gap for p in players)
     # Gaps as the report prints them (12 digits).
     kalman = {"kalman_iterations": [p.kalman.iterations for p in players],
               "kalman_gaps": [float("%.12e" % p.kalman.gap) for p in players]}
-    oracle = {"oracle_iterations": list(feas.iterations),
-              "oracle_gaps": [float("%.12e" % gap) for gap in feas.gaps]}
     _, out, _ = run_cli(capsys, "check", path)
     report = json.loads(out)
     assert list(report)[-2:] == ["timings_ms", "diagnostics"]
-    assert report["diagnostics"] == {**kalman, **oracle}
+    assert list(report["timings_ms"]) == ["frequency", "oracle"]
+    assert report["diagnostics"] == kalman
     _, out, _ = run_cli(capsys, "check", path, "--no-oracle")
-    assert json.loads(out)["diagnostics"] == {**kalman, "oracle_iterations": None,
-                                              "oracle_gaps": None}
+    assert json.loads(out)["diagnostics"] == {"kalman_iterations": None, "kalman_gaps": None}
     _, out, _ = run_cli(capsys, "solve", path)
     assert json.loads(out)["diagnostics"] == kalman
     path = write_example(tmp_path, "scalar_feasible")
@@ -461,6 +463,30 @@ def test_check_ladder_n8_game_decided_by_both_methods(capsys):
         0, "inducible", "inducible")
 
 
+def test_check_searches_once_per_player(monkeypatch, capsys):
+    # Same game: the Kalman-equation search is the oracle, so check runs one
+    # cone search per player, and with P eliminated it converges in tens of
+    # iterations (the (Q, R, P) search took 236 and 203).
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return project_affine_cone(*args)
+
+    for module in (inverse, feasibility):
+        monkeypatch.setattr(module, "project_affine_cone", counting)
+    path = str(DATA / "ladder_r2_n8_N2_m1.json")
+    code, out, _ = run_cli(capsys, "check", path)
+    report = json.loads(out)
+    assert (code, report["verdict_frequency"], report["verdict_oracle"]) == (
+        0, "inducible", "inducible")
+    system, profile, _, _ = load_problem(path)
+    assert len(calls) == system.num_players
+    res = solve_feasibility_projection(system, profile)
+    assert res.status == "feasible"
+    assert len(res.iterations) == system.num_players and max(res.iterations) <= 50
+
+
 def test_solve_ladder_n8_game_verifies(capsys):
     # Game r0-ladder-n8-N3-m2 of the benchmark corpus (perfbench at CORPUS_SEED).
     # The polynomial Kalman map's numerical kernel was too large here (26
@@ -499,4 +525,5 @@ def test_check_infeasible_n3_game_stays_undecided_by_the_oracle(capsys):
     report = json.loads(out)
     assert (code, report["verdict_frequency"], report["verdict_oracle"]) == (
         1, "not_inducible", "indeterminate")
-    assert report["diagnostics"]["oracle_iterations"][-1] == 10_000
+    assert report["diagnostics"]["kalman_iterations"][-1] == 10_000
+    assert [p["kalman"]["status"] for p in report["players"]][-1] == "indeterminate"

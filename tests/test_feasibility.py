@@ -30,10 +30,12 @@ from nashinduce.numerics import (
     project_affine_cone,
     sym_pack,
 )
+from nashinduce.problems import BUNDLED
 
 from conftest import (
     converged_nash_games,
     dykstra_nearest,
+    kronecker_player_feasibility,
     loop_project_affine_cone,
     random_pd,
     random_psd,
@@ -179,7 +181,13 @@ def test_feasibility_projection_infeasible_scalar():
 
 
 def test_feasibility_agrees_with_forward_construction(nash_games):
-    for system, costs, profile, P in nash_games[:10]:
+    # The point's P_i are Lyapunov solutions for the found costs, and the whole
+    # tuple passes check_membership.
+    games = [(system, profile) for system, _, profile, _ in nash_games]
+    for name in ("closed_form_n8_N3_m1", "ladder_r0_n12_N2_m1", "ladder_r0_n8_N3_m2",
+                 "ladder_r2_n8_N2_m1", "nearest_r2_n4_N3_m1"):
+        games.append(load_problem(str(DATA / f"{name}.json"))[:2])
+    for system, profile in games:
         res = solve_feasibility_projection(system, profile)
         assert res.status == "feasible"
         assert check_membership(res.point, system, profile).member
@@ -272,9 +280,9 @@ def test_nearest_params_no_farther_than_scaled_nash_costs():
 
 
 def test_stalled_loops_stop_at_once(monkeypatch):
-    # Game r1-infeasible-n3-N3-m1 of the benchmark corpus: the Kalman and oracle
-    # loops of player 2 stall outside the cones after a few iterations, with
-    # |f| round-off but not 0, and can no longer converge before the cap.
+    # Game r1-infeasible-n3-N3-m1 of the benchmark corpus: the cone search of
+    # player 2 stalls outside the cones after a few iterations, with |f|
+    # round-off but not 0, and can no longer converge before the cap.
     system, profile, _, _ = load_problem(str(DATA / "infeasible_r1_n3_N3_m1.json"))
     calls, loops = [], []
 
@@ -293,11 +301,31 @@ def test_stalled_loops_stop_at_once(monkeypatch):
     last = system.num_players - 1
     kalman = inverse.solve_kalman_general(system, profile, last)
     assert (kalman.status, kalman.iterations) == ("indeterminate", PROJECTION_CAP)
-    status, _, its, _ = feasibility.player_feasibility(system, profile, last)
-    assert (status, its) == ("indeterminate", (PROJECTION_CAP,))
+    search = feasibility.player_feasibility(system, profile, last)
+    assert (search.status, search.iterations) == ("indeterminate", PROJECTION_CAP)
     (reason_k, its_k, calls_k), (reason_o, its_o, calls_o) = loops
     assert (reason_k, its_k) == (reason_o, its_o) == ("cap", PROJECTION_CAP)
-    assert calls_k < 100 and calls_o - calls_k < 100
+    assert calls_k < 100 and calls_o - calls_k == calls_k
+
+
+def test_one_search_matches_kronecker_reference(nash_games, tmp_path):
+    # The (Q_i, R_ii) search with P_i eliminated answers as the (Q_i, R_ii, P_i)
+    # search over the vectorized system did, player by player, on every
+    # nash_games game, tests/data fixture and bundled example.
+    games = [(f"nash_games[{k}]", system, profile)
+             for k, (system, _, profile, _) in enumerate(nash_games)]
+    paths = sorted(DATA.glob("*.json"))
+    for name, blob in BUNDLED.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(blob)
+    games += [(path.stem, *load_problem(str(path))[:2]) for path in paths]
+    statuses = []
+    for name, system, profile in games:
+        for i in range(system.num_players):
+            status = feasibility.player_feasibility(system, profile, i).status
+            assert status == kronecker_player_feasibility(system, profile, i)[0], (name, i)
+            statuses.append(status)
+    assert set(statuses) == {"solved", "infeasible", "indeterminate"}
 
 
 def test_fold_unfold_round_trip(nash_games):
