@@ -5,7 +5,12 @@ Subcommands: check (inducibility verdict with cross-validation), solve
 example (write a bundled problem file).
 
 Exit codes: 0 inducible / verified, 1 not inducible / not verified,
-2 input error, 3 numerical failure, 4 the two methods disagree.
+2 input error, 3 numerical failure, 4 the two methods disagree.  check
+decides by the first determinate verdict, frequency domain first; a
+frequency stage that fails numerically is reported as
+verdict_frequency "error" with frequency_error {player, stage, reason}, and
+the oracle's verdict decides.  check exits 3 only when neither method is
+determinate.
 """
 
 from __future__ import annotations
@@ -15,13 +20,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from .forward import CostParameters, verify_nash
 from .feasibility import nearest_params
-from .inverse import _min_eig_at, analyze_player, is_nash_inducible, solve_kalman_general
+from .inverse import StageError, analyze_player, phi_at_witness, solve_kalman_general
 from .numerics import DimensionError, NumericalFailureError
 from .problems import BUNDLED
 from .realization import GameSystem, StrategyProfile
@@ -199,7 +203,25 @@ def _complex_parts(z):
     return float(np.real(z)), float(np.imag(z))
 
 
-def _player_report(pa):
+_FREQUENCY_FIELDS = ("circle_ok", "circle_witness", "circle_method", "p", "rank_ok",
+                     "rank_degenerate")
+
+
+def _player_report(index, pa, kalman):
+    """One player's report; pa is None when its frequency stages failed."""
+    kal = None
+    if kalman is not None:
+        kal = {
+            "status": kalman.status,
+            "residual": float(kalman.residual),
+            "kernel_dim": int(kalman.kernel_dim),
+            "psd_ok": bool(kalman.psd_ok),
+            "Q": kalman.Q.tolist() if kalman.Q is not None else None,
+            "R": kalman.R.tolist() if kalman.R is not None else None,
+        }
+    if pa is None:
+        return {"index": index, **dict.fromkeys(_FREQUENCY_FIELDS),
+                "rank_certificates": [], "kalman": kal}
     cert = pa.rank_certificate
     violations = []
     for v in cert.violations:
@@ -212,18 +234,8 @@ def _player_report(pa):
             "v_re": np.real(v.v).tolist(),
             "v_im": np.imag(v.v).tolist(),
         })
-    kal = None
-    if pa.kalman is not None:
-        kal = {
-            "status": pa.kalman.status,
-            "residual": float(pa.kalman.residual),
-            "kernel_dim": int(pa.kalman.kernel_dim),
-            "psd_ok": bool(pa.kalman.psd_ok),
-            "Q": pa.kalman.Q.tolist() if pa.kalman.Q is not None else None,
-            "R": pa.kalman.R.tolist() if pa.kalman.R is not None else None,
-        }
     return {
-        "index": pa.index,
+        "index": index,
         "circle_ok": bool(pa.circle_ok),
         "circle_witness": (None if pa.phi_analysis.circle_witness is None
                            else float(pa.phi_analysis.circle_witness)),
@@ -236,11 +248,18 @@ def _player_report(pa):
     }
 
 
-def _kalman_diagnostics(players):
-    if players[0].kalman is None:
-        return {"kalman_iterations": None, "kalman_gaps": None}
-    return {"kalman_iterations": [p.kalman.iterations for p in players],
-            "kalman_gaps": [p.kalman.gap for p in players]}
+def _diagnostics(kalmans, analyses):
+    """Loop iterations and gaps of the Kalman searches (None when none ran)
+    and the circle criterion's probe count per player (None for a player
+    whose frequency stages failed)."""
+    if not kalmans:
+        out = {"kalman_iterations": None, "kalman_gaps": None}
+    else:
+        out = {"kalman_iterations": [k.iterations for k in kalmans],
+               "kalman_gaps": [k.gap for k in kalmans]}
+    out["circle_probes"] = [None if pa is None else pa.phi_analysis.probes
+                            for pa in analyses]
+    return out
 
 
 def _frequency_verdict(players):
@@ -249,10 +268,10 @@ def _frequency_verdict(players):
     return "inducible" if all(p.inducible for p in players) else "not_inducible"
 
 
-def _oracle_verdict(players):
+def _oracle_verdict(kalmans):
     """The time-domain verdict from the players' Kalman-equation cone
     searches: the first player not solved decides."""
-    status = next((p.kalman.status for p in players if p.kalman.status != "solved"), "solved")
+    status = next((k.status for k in kalmans if k.status != "solved"), "solved")
     return {"solved": "inducible", "infeasible": "not_inducible",
             "indeterminate": "indeterminate"}[status]
 
@@ -302,24 +321,35 @@ def _format_text(report, indent=0, key=None) -> str:
 
 def cmd_check(args) -> int:
     system, profile, _, _ = load_problem(args.problem)
-    t0 = time.monotonic()
-    if args.player is not None:
-        if not (0 <= args.player < system.num_players):
-            raise InputError(f"--player {args.player}: out of range")
-        players = [analyze_player(system, profile, args.player, solve_costs=False)]
+    if args.player is None:
+        indices = list(range(system.num_players))
+    elif 0 <= args.player < system.num_players:
+        indices = [args.player]
     else:
-        players = list(is_nash_inducible(system, profile, solve_costs=False).players)
-    verdict_freq = _frequency_verdict(players)
-    warnings = [w for p in players for w in p.warnings]
+        raise InputError(f"--player {args.player}: out of range")
+    t0 = time.monotonic()
+    analyses, freq_error, warnings = [], None, []
+    for i in indices:
+        try:
+            pa = analyze_player(system, profile, i, solve_costs=False)
+        except StageError as exc:
+            pa = None
+            freq_error = freq_error or {"player": exc.player, "stage": exc.stage,
+                                        "reason": exc.reason}
+            warnings.append(f"frequency domain failed: {exc}")
+        else:
+            warnings.extend(pa.warnings)
+        analyses.append(pa)
+    verdict_freq = "error" if freq_error else _frequency_verdict(analyses)
     t_freq = time.monotonic() - t0
 
     t0 = time.monotonic()
+    kalmans = []
     if args.no_oracle:
         verdict_oracle = "skipped"
     else:
-        players = [replace(p, kalman=solve_kalman_general(system, profile, p.index))
-                   for p in players]
-        verdict_oracle = _oracle_verdict(players)
+        kalmans = [solve_kalman_general(system, profile, i) for i in indices]
+        verdict_oracle = _oracle_verdict(kalmans)
         if verdict_oracle == "indeterminate":
             warnings.append("time-domain oracle did not reach a determinate verdict")
     t_oracle = time.monotonic() - t0
@@ -331,11 +361,13 @@ def cmd_check(args) -> int:
         "verdict_frequency": verdict_freq,
         "verdict_oracle": verdict_oracle,
         "disagreement": disagreement,
-        "players": [_player_report(p) for p in players],
+        "frequency_error": freq_error,
+        "players": [_player_report(i, pa, k) for i, pa, k in
+                    zip(indices, analyses, kalmans or [None] * len(indices))],
         "warnings": warnings,
         "timings_ms": {"frequency": int(round(1000 * t_freq)),
                        "oracle": int(round(1000 * t_oracle))},
-        "diagnostics": _kalman_diagnostics(players),
+        "diagnostics": _diagnostics(kalmans, analyses),
     }
     _write_report(report, args)
     if disagreement:
@@ -375,6 +407,7 @@ def cmd_solve(args) -> int:
         if failed is None and (pa.kalman is None or pa.kalman.status != "solved"
                                or not pa.inducible):
             failed = pa
+    kalmans = [p.kalman for p in players]
     if failed is not None:
         w = failed.phi_analysis.circle_witness
         report = {
@@ -382,11 +415,12 @@ def cmd_solve(args) -> int:
             "failing_player": failed.index,
             "circle_ok": bool(failed.circle_ok),
             "circle_witness": None if w is None else float(w),
-            "phi_at_witness": None if w is None else _min_eig_at(failed.phi_analysis.phi, w),
+            "phi_at_witness": (None if w is None
+                               else phi_at_witness(system, profile, failed.index, w)),
             "rank_ok": bool(failed.rank_ok),
             "kalman_status": failed.kalman.status if failed.kalman else None,
-            "players": [_player_report(p) for p in players],
-            "diagnostics": _kalman_diagnostics(players),
+            "players": [_player_report(p.index, p, p.kalman) for p in players],
+            "diagnostics": _diagnostics(kalmans, players),
         }
         _write_report(report, args)
         return 1
@@ -408,7 +442,7 @@ def cmd_solve(args) -> int:
             for i in range(N)
         ],
         "verify_ok": bool(ok),
-        "diagnostics": _kalman_diagnostics(players),
+        "diagnostics": _diagnostics(kalmans, players),
     }
     _write_report(report, args)
     return 0 if ok else 1
@@ -470,7 +504,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", default=None,
                        help="write the report to this path instead of stdout")
 
-    pc = sub.add_parser("check", help="inducibility verdict with cross-validation")
+    pc = sub.add_parser(
+        "check", help="inducibility verdict with cross-validation",
+        description="Frequency-domain verdict and time-domain oracle side by side. Exit 0 "
+                    "inducible, 1 not inducible, 4 the methods disagree, 3 neither is "
+                    "determinate. A frequency stage that fails numerically is reported as "
+                    "verdict_frequency \"error\" (frequency_error names the player, stage "
+                    "and reason) and the oracle decides.")
     pc.add_argument("problem")
     common(pc)
     pc.add_argument("--no-oracle", action="store_true",

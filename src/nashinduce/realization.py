@@ -1,9 +1,11 @@
 """Game data model and the state-space -> matrix-fraction bridge.
 
 Builds, for each player, the open- and closed-loop matrices obtained by
-freezing the other players' gains, and a right-coprime factorization
-(sI - A_tilde)^{-1} B = S(s) D(s)^{-1} with D column reduced and column
-degrees equal to the controllability indices.
+freezing the other players' gains, the controllable subspace, and a
+right-coprime factorization (sI - A_tilde)^{-1} B = S(s) D(s)^{-1} with D
+column reduced and column degrees equal to the controllability indices.
+The factorization serves only players whose Phi lacks full normal rank
+(see inverse).
 """
 
 from __future__ import annotations
@@ -193,6 +195,17 @@ def _power_basis(sigma) -> PolyMatrix:
     return PolyMatrix(C)
 
 
+def controllable_basis(A, B, tol: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal basis (columns) of the controllable subspace of (A, B):
+    the numerical range of [B, AB, ..., A^{n-1} B]."""
+    blocks = [B]
+    for _ in range(A.shape[0] - 1):
+        blocks.append(A @ blocks[-1])
+    ctrb = np.hstack(blocks)
+    u, sv, _ = np.linalg.svd(ctrb, full_matrices=False)
+    return u[:, :int(np.sum(sv > tol * max(1.0, sv[0])))]
+
+
 def right_coprime_factorization(A_tilde, B, tol: float = RANK_TOL) -> CoprimeFactorization:
     """Construct (S, D, sigma) for the pair (A_tilde, B).
 
@@ -209,11 +222,8 @@ def right_coprime_factorization(A_tilde, B, tol: float = RANK_TOL) -> CoprimeFac
     if matrix_rank(Bm, tol) != m:
         raise ValueError("B must have full column rank")
 
-    # Orthonormal basis of the controllable subspace (invariant, contains range B).
-    ctrb = np.hstack([np.linalg.matrix_power(A, j) @ Bm for j in range(n)])
-    u, sv, _ = np.linalg.svd(ctrb, full_matrices=False)
-    n_c = int(np.sum(sv > tol * max(1.0, sv[0])))
-    U = u[:, :n_c]
+    U = controllable_basis(A, Bm, tol)
+    n_c = U.shape[1]
     controllable = n_c == n
 
     A_r = U.T @ A @ U

@@ -32,6 +32,7 @@ from nashinduce import (
 )
 from nashinduce.cli import main as cli_main
 from nashinduce.feasibility import _player_nullspace
+from nashinduce.inverse import phi_at_witness
 from nashinduce.numerics import kron, kron_sum, vec
 from nashinduce.polymat import PolyMatrix
 from nashinduce.problems import BUNDLED
@@ -154,10 +155,17 @@ def test_criterion_5_scalar_closed_forms():
 
     system_b, profile_b = scalar_game(1.5)
     pa = analyze_player(system_b, profile_b, 0, solve_costs=False)
-    phi_val = pa.phi_analysis.phi.eval(0.0).real[0, 0]
+    # The state-space route decides this player; the polynomial Phi is the
+    # reference for its value.
+    fac = attach_feedback(right_coprime_factorization(system_b.A, system_b.B[0]),
+                          profile_b.K[0])
+    phi_val = build_phi(fac).eval(0.0).real[0, 0]
+    witness_val = phi_at_witness(system_b, profile_b, 0, pa.phi_analysis.circle_witness)
     feas = solve_feasibility_projection(system_b, profile_b)
     bad_ok = (not pa.circle_ok
+              and pa.phi_analysis.circle_witness == 0.0
               and abs(phi_val + 0.75) <= 1e-12
+              and abs(witness_val + 0.75) <= 1e-12
               and feas.status == "infeasible_certified_by_identity")
     report(5, good_ok and bad_ok,
            "scalar closed forms: k=3 inducible with Q=3, P=3; k=1.5 fails the "

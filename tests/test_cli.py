@@ -9,7 +9,7 @@ from nashinduce import CostParameters, feasibility, inverse, verify_nash
 from nashinduce.cli import dumps_report, load_costs, load_problem, main
 from nashinduce.feasibility import nearest_params, solve_feasibility_projection
 from nashinduce.inverse import is_nash_inducible
-from nashinduce.numerics import PROJECTION_TOL, project_affine_cone
+from nashinduce.numerics import PROJECTION_TOL, NumericalFailureError, project_affine_cone
 from nashinduce.problems import BUNDLED
 
 
@@ -77,6 +77,39 @@ def test_check_remark2_disagreement(tmp_path, capsys):
     assert cert["s0_im"] == pytest.approx(0.0, abs=1e-7)
     assert cert["real_witness"] is True
     assert any("uncontrollable" in w for w in report["warnings"])
+
+
+def test_check_keeps_the_oracle_verdict_when_a_frequency_stage_fails(
+        tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise NumericalFailureError("residual 1e-3 above tolerance")
+
+    monkeypatch.setattr(inverse, "return_difference_circle", failing)
+    path = write_example(tmp_path, "two_player_scalar")
+    code, out, err = run_cli(capsys, "check", path)
+    assert code == 0, err
+    report = json.loads(out)
+    assert (report["verdict_frequency"], report["verdict_oracle"]) == ("error", "inducible")
+    assert report["disagreement"] is False
+    assert report["frequency_error"] == {"player": 0, "stage": "circle",
+                                         "reason": "residual 1e-3 above tolerance"}
+    assert [p["circle_ok"] for p in report["players"]] == [None, None]
+    assert [p["kalman"]["status"] for p in report["players"]] == ["solved", "solved"]
+    assert report["diagnostics"]["circle_probes"] == [None, None]
+    assert any("frequency domain failed" in w for w in report["warnings"])
+    # Without the oracle no method is determinate.
+    code, out, _ = run_cli(capsys, "check", path, "--no-oracle")
+    assert code == 3
+    assert json.loads(out)["verdict_frequency"] == "error"
+    # A failure on the polynomial route names its stage too.
+    monkeypatch.undo()
+    monkeypatch.setattr(inverse, "right_coprime_factorization", failing)
+    code, out, _ = run_cli(capsys, "check", write_example(tmp_path, "remark2"))
+    report = json.loads(out)
+    assert (code, report["verdict_frequency"], report["verdict_oracle"]) == (
+        0, "error", "inducible")
+    assert report["frequency_error"]["stage"] == "realization"
+    assert report["players"][1]["circle_method"] == "state_space"
 
 
 def test_check_no_oracle(tmp_path, capsys):
@@ -307,15 +340,20 @@ def test_reports_carry_loop_iterations(tmp_path, capsys):
     # Gaps as the report prints them (12 digits).
     kalman = {"kalman_iterations": [p.kalman.iterations for p in players],
               "kalman_gaps": [float("%.12e" % p.kalman.gap) for p in players]}
+    # Player 0 takes the polynomial route (p < m), player 1 the state-space one.
+    probes = [p.phi_analysis.probes for p in players]
+    assert [p.phi_analysis.circle_method for p in players] == ["exact", "state_space"]
+    assert all(k > 0 for k in probes)
     _, out, _ = run_cli(capsys, "check", path)
     report = json.loads(out)
     assert list(report)[-2:] == ["timings_ms", "diagnostics"]
     assert list(report["timings_ms"]) == ["frequency", "oracle"]
-    assert report["diagnostics"] == kalman
+    assert report["diagnostics"] == {**kalman, "circle_probes": probes}
     _, out, _ = run_cli(capsys, "check", path, "--no-oracle")
-    assert json.loads(out)["diagnostics"] == {"kalman_iterations": None, "kalman_gaps": None}
+    assert json.loads(out)["diagnostics"] == {"kalman_iterations": None, "kalman_gaps": None,
+                                              "circle_probes": probes}
     _, out, _ = run_cli(capsys, "solve", path)
-    assert json.loads(out)["diagnostics"] == kalman
+    assert json.loads(out)["diagnostics"] == {**kalman, "circle_probes": probes}
     path = write_example(tmp_path, "scalar_feasible")
     costs0 = tmp_path / "costs0.json"
     costs0.write_text('{"Q": [[[5.0]]], "R": [[[[1.0]]]]}')

@@ -1,3 +1,5 @@
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +21,12 @@ from nashinduce import (
     solve_kalman_general,
 )
 from nashinduce.cli import load_problem
+from nashinduce.cli import main as cli_main
 from nashinduce.forward import verify_nash
-from nashinduce.inverse import _kalman_map
-from nashinduce.numerics import nullspace, psd_project
+from nashinduce.inverse import _kalman_map, phi_at_witness
+from nashinduce.numerics import NumericalFailureError, nullspace, psd_project
 from nashinduce.polymat import PolyMatrix
+from nashinduce.problems import BUNDLED
 from nashinduce.realization import reduced_system
 
 from conftest import poly_kalman_map, psd_sqrt_factor
@@ -260,16 +264,17 @@ def test_analyze_player_uncontrollable_warning():
         system, [np.array([[1.0, 0.0, 1.0], [0.0, r2, r2]]),
                  np.array([[1.0, 0.0, 0.0]])])
     pa = analyze_player(system, prof, 1, solve_costs=False)
-    assert not pa.factorization.controllable
+    assert not pa.controllable
     assert any("uncontrollable" in w for w in pa.warnings)
 
 
 # A closed-form Nash game (n = 8, three single-input players; B_i = P_i^-1 K_i'
-# makes stationarity hold with R_ii = I) on which the frequency pipeline is
-# wrong: Phi built from the polynomial factorization is negative near w = -8.8
+# makes stationarity hold with R_ii = I) on which the polynomial route is
+# wrong: Phi built from the coprime factorization is negative near w = -8.8
 # (player 0) and -9.6 (player 1), where the state-space return difference
 # |1 + K_i (jwI - A_i)^-1 B_i|^2 - 1 is +0.21 and +0.28.  D reaches 2.5e6 and
-# Phi 3.3e12 in coefficient size.
+# Phi 3.3e12 in coefficient size, and player 2's factorization fails its
+# identity check.  Phi has full normal rank, so the state-space route decides.
 CLOSED_FORM_GAME = Path(__file__).parent / "data" / "closed_form_n8_N3_m1.json"
 
 
@@ -287,9 +292,138 @@ def test_closed_form_game_is_nash():
             assert _return_difference(system, profile, i, w) > 0.0
 
 
-@pytest.mark.xfail(strict=True, reason="Phi from the polynomial factorization loses its sign "
-                   "at large coefficient scale (ROADMAP items 2 and 3)")
 def test_closed_form_game_circle_ok():
     system, profile, _, _ = load_problem(str(CLOSED_FORM_GAME))
     for i in (0, 1):
-        assert analyze_player(system, profile, i, solve_costs=False).circle_ok
+        pa = analyze_player(system, profile, i, solve_costs=False)
+        assert pa.circle_ok and pa.phi_analysis.circle_method == "state_space"
+
+
+# ---------------------------------------------------------------------------
+# State-space circle criterion against the polynomial route
+# ---------------------------------------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DATA = Path(__file__).parent / "data"
+
+
+def _bench_games():
+    """perfbench/games.py, the benchmark's seeded game generators."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import games
+    return games
+
+
+def _bundled_games():
+    for name, blob in sorted(BUNDLED.items()):
+        raw = json.loads(blob)
+        system = GameSystem(np.array(raw["A"]), [np.array(p["B"]) for p in raw["players"]])
+        yield name, system, StrategyProfile.stabilizing(
+            system, [np.array(p["K_dagger"]) for p in raw["players"]])
+
+
+def _compare_with_polynomial_route(system, profile):
+    """For each player whose factorization succeeds: the state-space (p,
+    circle_ok) equals the polynomial route's, or the player took that route.
+    Returns the number of players compared on the state-space route."""
+    compared = 0
+    for i in range(system.num_players):
+        pa = analyze_player(system, profile, i, solve_costs=False)
+        if pa.phi_analysis.circle_method == "exact":
+            assert pa.phi_analysis.p < system.m[i] and pa.factorization is not None
+            continue
+        assert pa.factorization is None and pa.phi_analysis.phi is None
+        A_tilde, _ = reduced_system(system, profile, i)
+        try:
+            fac = attach_feedback(right_coprime_factorization(A_tilde, system.B[i]),
+                                  profile.K[i])
+        except NumericalFailureError:
+            continue
+        phi = build_phi(fac)
+        assert pa.phi_analysis.p == analyze_phi(fac).p == system.m[i]
+        assert pa.circle_ok == circle_criterion(phi)[0]
+        compared += 1
+    return compared
+
+
+def test_state_space_circle_matches_polynomial_route(nash_games):
+    compared = sum(_compare_with_polynomial_route(system, profile)
+                   for system, _, profile, _ in nash_games)
+    assert compared == sum(system.num_players for system, _, _, _ in nash_games)
+    for path in sorted(DATA.glob("*.json")):
+        if path.name == CLOSED_FORM_GAME.name:
+            continue  # the polynomial route's known wrong sign, tested below
+        system, profile, _, _ = load_problem(str(path))
+        _compare_with_polynomial_route(system, profile)
+    verdicts = {}
+    for name, system, profile in _bundled_games():
+        assert _compare_with_polynomial_route(system, profile) == (
+            system.num_players - (name == "remark2"))
+        verdicts[name] = is_nash_inducible(system, profile, solve_costs=False).inducible
+    assert verdicts == {"remark2": False, "scalar_feasible": True,
+                        "scalar_infeasible": False, "two_player_scalar": True}
+
+
+def test_state_space_circle_accepts_closed_form_nash_games():
+    system, profile, _, _ = load_problem(str(CLOSED_FORM_GAME))
+    assert all(analyze_player(system, profile, i, solve_costs=False).inducible
+               for i in range(system.num_players))
+    games = _bench_games()
+    players = 0
+    for r in range(3):
+        for n in (8, 16, 24, 32):
+            for N in (2, 3):
+                for m in (1, 2, 3):
+                    g = games.closed_form_nash((20220712, r, 2), n, N, m)
+                    system = GameSystem(g.A, g.B)
+                    profile = StrategyProfile.stabilizing(system, g.K)
+                    for i in range(N):
+                        pa = analyze_player(system, profile, i, solve_costs=False)
+                        assert pa.phi_analysis.circle_method == "state_space"
+                        assert pa.inducible, (g.name, r, i, pa.phi_analysis.circle_witness)
+                        players += 1
+    assert players == 180
+
+
+def test_state_space_circle_rejects_infeasible_games():
+    games = _bench_games()
+    for key in range(5):
+        for N, m in ((2, 1), (3, 1), (2, 2), (3, 2)):
+            g = games.infeasible((20220712, key, 3), N, m)
+            system = GameSystem(g.A, g.B)
+            profile = StrategyProfile.stabilizing(system, g.K)
+            analysis = is_nash_inducible(system, profile, solve_costs=False)
+            assert not analysis.inducible, g.name
+            assert all(p.phi_analysis.circle_method == "state_space" for p in analysis.players)
+
+
+def test_phi_at_witness_has_the_sign_of_phi():
+    # Scalar k = 1.5 against a = 1: Phi = -0.75 everywhere; the return
+    # difference T(jw) = 1 - 1.5 / (1 - jw) gives |T|^2 - 1 = -0.75 / (1 + w^2).
+    system, profile = scalar_game(1.0, 1.0, 1.5)
+    for w in (0.0, 1.0, 3.0):
+        assert phi_at_witness(system, profile, 0, w) == pytest.approx(-0.75 / (1.0 + w * w))
+    # A pole of the return difference on the axis: no value.
+    system, profile = scalar_game(0.0, 1.0, 1.0)
+    assert phi_at_witness(system, profile, 0, 0.0) is None
+
+
+def test_check_builds_no_polynomial_matrix_when_phi_has_full_rank(monkeypatch, capsys):
+    created = []
+    init = PolyMatrix.__init__
+
+    def counting(self, *args, **kwargs):
+        created.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolyMatrix, "__init__", counting)
+    code = cli_main(["check", str(DATA / "ladder_r2_n8_N2_m1.json")])
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["verdict_frequency"], report["verdict_oracle"]) == (
+        0, "inducible", "inducible")
+    assert [p["circle_method"] for p in report["players"]] == ["state_space"] * 2
+    assert created == []
+    # remark2's player 0 (p = 1 < m = 2) still takes the polynomial route.
+    analyze_player(*remark2_game(), 0, solve_costs=False)
+    assert created
