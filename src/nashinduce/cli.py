@@ -16,6 +16,7 @@ determinate.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -487,7 +488,9 @@ def cmd_example(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="nashinduce",
         description="Decide whether a feedback profile can be made a Nash "
@@ -518,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "each player's kalman and the kalman diagnostics are null")
     pc.add_argument("--player", type=int, default=None,
                     help="restrict both methods, frequency domain and oracle, to one player")
-    pc.set_defaults(func=cmd_check)
 
     ps = sub.add_parser("solve", help="recover Nash-inducing cost matrices")
     ps.add_argument("problem")
@@ -527,25 +529,24 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--mode", choices=("q-only", "general"), default="general")
     ps.add_argument("--nearest", default=None, metavar="COSTS0_JSON",
                     help="project these reference costs onto the feasible set")
-    ps.set_defaults(func=cmd_solve)
 
     pv = sub.add_parser("verify", help="exact Nash check for supplied costs")
     pv.add_argument("problem")
     common(pv)
     tol_option(pv)
-    pv.set_defaults(func=cmd_verify)
 
     pe = sub.add_parser("example", help="write a bundled problem file")
     pe.add_argument("name")
     pe.add_argument("-o", "--output", default=None)
-    pe.set_defaults(func=cmd_example)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up per call, so a cmd_* wrapped after the parser was built still runs.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

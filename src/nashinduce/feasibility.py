@@ -4,12 +4,18 @@ The set of tuples (Q_i, R_ii, P_i) that make a target profile Nash is a
 convex cone cut out by a Riccati identity, a stationarity identity and
 semidefiniteness constraints.  Acl is Hurwitz, so the Riccati row makes P_i
 the Lyapunov solution for the folded state weight, and eliminating it leaves
-the Kalman equation, one linear map in the costs (_stationarity_map).  This
-module checks membership, searches that map's kernel for costs in the cones
-by alternating projections (player_feasibility, the one time-domain cone
-search), projects reference costs onto the feasible set (Douglas-Rachford
-splitting), and folds/unfolds cross-control penalties.  Both loops run
-through the Anderson-mixed fixed-point driver numerics._anderson.
+the Kalman equation, one linear map in the costs with n m_i rows
+(_stationarity_map, built from n m_i adjoint Lyapunov solves against one
+Schur form).  Every search holds an orthonormal basis V of those constraint
+rows (numerics.row_basis), never a basis of the map's kernel, and projects
+onto the kernel as x - V(V'x).  This module checks membership, searches the
+kernel for costs in the cones by alternating projections
+(player_feasibility, the one time-domain cone search), projects reference
+costs onto the feasible set (Douglas-Rachford splitting), and folds/unfolds
+cross-control penalties.  Both loops run through the Anderson-mixed
+fixed-point driver numerics._anderson.  The Kronecker identities
+(build_vectorized_system, _player_nullspace) remain as references; no search
+uses them.
 """
 
 from __future__ import annotations
@@ -37,11 +43,13 @@ from .numerics import (
     nullspace,
     project_affine_cone,
     psd_project,
+    row_basis,
     solve_lyapunov,
     sym_basis,
     sym_blocks,
     sym_dim,
     sym_pack,
+    sym_pack_stack,
 )
 from .realization import GameSystem, StrategyProfile, closed_loop
 
@@ -144,28 +152,26 @@ def _player_nullspace(system, profile, i, tol: float = RANK_TOL):
 # ---------------------------------------------------------------------------
 
 def _stationarity_map(system, profile, i):
-    """Linear map x -> stationarity residual R_ii K_i - B_i' P_i (row-major),
-    over packed (Q_i, R_i1..R_iN).
+    """Linear map x -> stationarity residual R_ii K_i - B_i' P_i (row-major
+    over (a, b), a < m_i, b < n), over packed (Q_i, R_i1..R_iN).
 
     P_i is eliminated: the Riccati row determines it as the Lyapunov solution
     for the folded state weight W = Q_i + sum_j K_j' R_ij K_j, which is linear
     in the packed variables and automatically positive semidefinite on the
-    cone.
+    cone.  Entry (a, b) of B_i' P_i is then <Y_ab, W>, Y_ab the adjoint
+    solution of Acl Y + Y Acl' = -sym(B_i e_a e_b'), so the map's n m_i rows
+    come from n m_i adjoint Lyapunov solves against one Schur factorization
+    of Acl: row (a, b) is -pack(Y_ab) on Q_i and -pack(K_j Y_ab K_j') on
+    R_ij, and R_ii K_i adds pack(sym(e_a K_i[:, b]')) on R_ii.
     """
-    n = system.n
-    Acl = closed_loop(system, profile.K)
-    Ki, mi = profile.K[i], system.m[i]
-    # vec(W) over the packed variables.
-    W = np.hstack([sym_basis(n)] + [kron(Kj.T, Kj.T) @ sym_basis(mj)
-                                    for Kj, mj in zip(profile.K, system.m)])
-    # L vec(P) = -vec(W) with L = kron_sum(Acl', Acl'), and the row-major
-    # vec(B_i' P) is G vec(P); G L^{-1} is one solve against L' with n m_i
-    # right-hand sides.
-    G = kron(system.B[i].T, np.eye(n))
-    M = np.linalg.solve(kron_sum(Acl.T, Acl.T).T, G.T).T @ W
-    off = sym_dim(n) + sum(sym_dim(mj) for mj in system.m[:i])
-    M[:, off:off + sym_dim(mi)] += kron(np.eye(mi), Ki.T) @ sym_basis(mi)
-    return M
+    n, Ki, mi = system.n, profile.K[i], system.m[i]
+    X = np.zeros((mi, n, n, n))  # X[a, b] = B_i e_a e_b': column b holds B_i[:, a]
+    X[:, np.arange(n), :, np.arange(n)] = system.B[i].T
+    X = X.reshape(mi * n, n, n)
+    Y = solve_lyapunov(closed_loop(system, profile.K).T, 0.5 * (X + X.transpose(0, 2, 1)))
+    blocks = [-sym_pack_stack(Y)] + [-sym_pack_stack(Kj @ Y @ Kj.T) for Kj in profile.K]
+    blocks[1 + i] += kron(np.eye(mi), Ki.T) @ sym_basis(mi)
+    return np.hstack(blocks)
 
 
 def _kalman_map(system: GameSystem, profile: StrategyProfile, i: int):
@@ -201,18 +207,19 @@ def player_feasibility(system: GameSystem, profile: StrategyProfile, i: int, rho
     """
     n, m = system.n, system.m[i]
     M = np.hstack(_kalman_map(system, profile, i))
-    Z = nullspace(M)  # basis of the homogeneous solution cone's span
+    V = row_basis(M)  # the Kalman equation's independent constraint rows
+    kernel_dim = M.shape[1] - V.shape[1]
     trace_row = np.concatenate([np.zeros(sym_dim(n)), sym_pack(np.eye(m))])
-    affine = affine_slice(Z, trace_row, m)
+    affine = affine_slice(V, trace_row, m)
     if affine is None:
         return KalmanSolution(Q=np.zeros((n, n)), R=np.zeros((m, m)), residual=0.0,
-                              kernel_dim=Z.shape[1], psd_ok=False, status="infeasible")
+                              kernel_dim=kernel_dim, psd_ok=False, status="infeasible")
     layout = [(n, 0.0), (m, rho)]
     theta, reason, its, gap = project_affine_cone(*affine, layout, cap, tol)
     ok = cone_verdict(theta, reason, layout, slack=1e-7)
     Q, R = sym_blocks(theta, layout)
     residual = float(np.linalg.norm(M @ theta)) / max(1.0, float(np.linalg.norm(theta)))
-    return KalmanSolution(Q=Q, R=R, residual=residual, kernel_dim=Z.shape[1], psd_ok=bool(ok),
+    return KalmanSolution(Q=Q, R=R, residual=residual, kernel_dim=kernel_dim, psd_ok=bool(ok),
                           status="solved" if ok else ("indeterminate" if ok is None else "infeasible"),
                           iterations=its, gap=gap)
 
@@ -269,22 +276,25 @@ def nearest_params(costs0: CostParameters, system: GameSystem, profile: Strategy
     """Project reference costs onto the feasible set (Douglas-Rachford).
 
     Per player: variables x = (Q_i, R_i1..R_iN) with P_i eliminated through
-    the Lyapunov map, and min |x - x0|^2 / 2 over range(Z) and the cones,
-    Z a basis of the stationarity map's kernel.  Douglas-Rachford splitting
-    (step 1) from v = Z Z' x0 takes x = Z Z'((v + x0) / 2),
+    the Lyapunov map, and min |x - x0|^2 / 2 over the stationarity map's
+    kernel and the cones.  V, an orthonormal basis of the map's constraint
+    rows, projects onto the kernel as x - V(V'x).  Douglas-Rachford splitting
+    (step 1) from v = x0 - V(V'x0) takes u = (v + x0) / 2, x = u - V(V'u),
     y = P_cone(2x - v) and v <- v + y - x, mixed by numerics._anderson, and
     stops when |y - x| <= tol * max(1, |y|).  Its answer y lies in the cones
-    and must also lie on range(Z) within 1e-7; otherwise a one-dimensional
-    solution ray that misses the cones certifies infeasibility, and anything
-    else is "indeterminate".
+    and must also lie on the kernel within 1e-7 (|V'y| small); otherwise a
+    one-dimensional solution ray that misses the cones certifies
+    infeasibility, and anything else is "indeterminate".
     """
     costs0.validate(system, tol=1e-6)
     N = system.num_players
     Qs, Rrows, iterations, gaps = [], [], (), ()
     dist2 = 0.0
     for i in range(N):
-        Z = nullspace(_stationarity_map(system, profile, i))  # feasible identity directions
-        if Z.shape[1] == 0:
+        M = _stationarity_map(system, profile, i)
+        V = row_basis(M)  # the feasible identity directions are span(V)'s complement
+        kernel_dim = M.shape[1] - V.shape[1]
+        if kernel_dim == 0:
             return NearestResult("infeasible_certified_by_identity", None, float("inf"),
                                  iterations, gaps)
         layout = [(system.n, 0.0)] + [(mj, rho if j == i else 0.0)
@@ -293,19 +303,18 @@ def nearest_params(costs0: CostParameters, system: GameSystem, profile: Strategy
                             [sym_pack(costs0.R[i][j]) for j in range(N)])
 
         def step(v):
-            x = Z @ (Z.T @ (0.5 * (v + x0)))
+            u = 0.5 * (v + x0)
+            x = u - V @ (V.T @ u)
             y = cone_project(2.0 * x - v, layout)
-            g = v + y - x
-            return g, g, y, float(np.linalg.norm(y - x))
+            return v + y - x, y, float(np.linalg.norm(y - x))
 
-        v = Z @ (Z.T @ x0)
-        y, reason, its, gap = _anderson(step, lambda w: w, v, v, cap, tol)
+        y, reason, its, gap = _anderson(step, x0 - V @ (V.T @ x0), cap, tol)
         iterations, gaps = iterations + (its,), gaps + (gap,)
-        on_sub = float(np.linalg.norm(y - Z @ (Z.T @ y))) <= 1e-7 * max(1.0, float(np.linalg.norm(y)))
+        on_sub = float(np.linalg.norm(V.T @ y)) <= 1e-7 * max(1.0, float(np.linalg.norm(y)))
         if not (reason == "converged" and on_sub and cone_ok(y, layout)):
             # Certify emptiness on a one-dimensional solution ray, else punt.
-            if Z.shape[1] == 1:
-                z = Z[:, 0]
+            if kernel_dim == 1:
+                z = _kernel_direction(V)
                 if not (_ray_in_cone(z, layout) or _ray_in_cone(-z, layout)):
                     return NearestResult("infeasible_certified_by_identity", None, float("inf"),
                                          iterations, gaps)
@@ -316,6 +325,16 @@ def nearest_params(costs0: CostParameters, system: GameSystem, profile: Strategy
         Rrows.append(Rrow)
     costs = CostParameters(Qs, Rrows)
     return NearestResult("feasible", costs, float(np.sqrt(dist2)), iterations, gaps)
+
+
+def _kernel_direction(V) -> np.ndarray:
+    """Unit vector spanning the one-dimensional orthogonal complement of
+    span(V): the projection e_k - V V'e_k of the unit vector it keeps most
+    of (at least 1/dim of its squared length)."""
+    k = int(np.argmin(np.einsum("ij,ij->i", V, V)))
+    z = -(V @ V[k])
+    z[k] += 1.0
+    return z / np.linalg.norm(z)
 
 
 def _ray_in_cone(z, layout) -> bool:

@@ -15,9 +15,12 @@ Phi = Dt'(-s) Dt(s) - D'(-s) D(s), its unimodular column compression, the
 exact charpoly circle criterion and the closed-right-half-plane rank
 condition.  Cost matrices are recovered from the Kalman equation in its
 time-domain form: stationarity R K_i = B_i' P with P eliminated through the
-Lyapunov equation, a linear map in (Q, R) alone
-(feasibility._stationarity_map).  The joint (Q, R) solve is the
-time-domain oracle's cone search (feasibility.player_feasibility).
+Lyapunov equation, a linear map in (Q, R) alone with n m_i rows
+(feasibility._stationarity_map).  Both Kalman solvers hold an orthonormal
+basis of those constraint rows, not of the map's kernel: solve_kalman_Q
+projects over {Q : V'Q = V'q} from the minimum-norm solution q, and the
+joint (Q, R) solve is the time-domain oracle's cone search
+(feasibility.player_feasibility).
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from .numerics import (
     NumericalFailureError,
     cone_verdict,
     matrix_rank,
-    nullspace,
     project_affine_cone,
     psd_project,  # noqa: F401  (perfbench's tracing test reads inverse.psd_project)
+    row_basis,
     sym_pack,
     sym_unpack,
 )
@@ -328,26 +331,28 @@ def _null_vec(M, col_norms, tol: float = 1e-7):
 def solve_kalman_Q(system: GameSystem, profile: StrategyProfile, i: int,
                    tol: float = 1e-8, cap: int = PROJECTION_CAP) -> KalmanSolution:
     """Find Q >= 0 with K_i = B_i' P, P the Lyapunov solution for the state
-    weight Q + K_i' K_i (R pinned to I): the minimum-norm solution of this
-    linear equation, then alternating projections over its kernel.
+    weight Q + K_i' K_i (R pinned to I): the minimum-norm solution q of this
+    linear equation, then alternating projections over {Q : V'Q = V'q}, V an
+    orthonormal basis of the equation's constraint rows.
     """
     n, m = system.n, system.m[i]
     A, MR = _kalman_map(system, profile, i)
     b = -MR @ sym_pack(np.eye(m))
-    q, *_ = np.linalg.lstsq(A, b, rcond=None)
+    V = row_basis(A)
+    q = V @ np.linalg.lstsq(A @ V, b, rcond=None)[0]
     scale = max(1.0, float(np.linalg.norm(b)))
     rel = float(np.linalg.norm(A @ q - b)) / scale
-    Z = nullspace(A)
+    kernel_dim = A.shape[1] - V.shape[1]
     if rel > tol:
         return KalmanSolution(Q=sym_unpack(q, n), R=np.eye(m), residual=rel,
-                              kernel_dim=Z.shape[1], psd_ok=False, status="no_solution")
+                              kernel_dim=kernel_dim, psd_ok=False, status="no_solution")
     layout = [(n, 0.0)]
-    x, reason, iterations, gap = project_affine_cone(q, Z, layout, cap)
+    x, reason, iterations, gap = project_affine_cone(q, V, layout, cap)
     ok = cone_verdict(x, reason, layout, slack=1e-7)
     status = "solved" if ok else ("indeterminate" if ok is None else "infeasible")
     return KalmanSolution(Q=sym_unpack(x, n), R=np.eye(m),
                           residual=float(np.linalg.norm(A @ x - b)) / scale,
-                          kernel_dim=Z.shape[1], psd_ok=bool(ok), status=status,
+                          kernel_dim=kernel_dim, psd_ok=bool(ok), status=status,
                           iterations=iterations, gap=gap)
 
 

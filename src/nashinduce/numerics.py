@@ -3,6 +3,14 @@
 Everything here operates on plain numpy arrays and is a pure function of its
 inputs.  Matrices handed to these routines must be finite; constructors and
 entry points reject NaN/Inf.
+
+Affine sets are held by their constraint rows: an orthonormal basis V
+(row_basis, under the one rank rule _rank that nullspace and matrix_rank
+share) and a point x_p in span(V), so that projecting onto the set is
+c - V(V'c) + x_p at O(dim * rank) and no kernel basis is formed.  Lyapunov
+equations are solved by Bartels-Stewart on one Schur form, for one or a stack
+of right-hand sides; the Kronecker helpers (kron, kron_sum) serve as
+references and for small closed-form maps only.
 """
 
 from __future__ import annotations
@@ -112,37 +120,68 @@ def kron_sum(N, M) -> np.ndarray:
     return np.kron(A, np.eye(m)) + np.kron(np.eye(n), B)
 
 
+@functools.lru_cache(maxsize=64)
+def _schur_lwork(n: int) -> int:
+    """LAPACK's optimal workspace of a real Schur factorization of size n,
+    which scipy.linalg.schur would otherwise query on every call."""
+    from scipy.linalg import lapack
+    return int(lapack.dgees(lambda *_: None, np.zeros((n, n)), lwork=-1)[-2][0])
+
+
 def solve_lyapunov(Acl, W, tol: float = LYAPUNOV_RESIDUAL_TOL) -> np.ndarray:
     """Solve P Acl + Acl' P = -W for symmetric W and Hurwitz Acl.
 
     Bartels-Stewart: real Schur Acl' = U T U', trsyl on T Y + Y T' = -U' W U.
     W may also be a (k, n, n) stack of right-hand sides: Acl is factored once,
-    and the k solutions come back as a stack, each residual-checked.
+    the basis changes run batched over the stack, and the k solutions come
+    back as a stack.  Every slice must be finite and symmetric within PSD_TOL
+    (relative) and every solution passes its own residual check.
     """
     import scipy.linalg  # deferred: commands that solve no Lyapunov skip it
     A = require_square(Acl, "Acl")
     W = np.asarray(W, dtype=float)
-    stack = [symmetrize(Wk, name="W") for Wk in (W if W.ndim == 3 else [W])]
-    if any(Ws.shape != A.shape for Ws in stack):
+    Ws = W if W.ndim == 3 else W[None]
+    if Ws.shape[1:] != A.shape:
         raise DimensionError("Acl and W must have the same shape")
+    if not np.isfinite(Ws).all():
+        raise ValueError("W contains non-finite entries")
+    Wt = Ws.transpose(0, 2, 1)
+    # |W| and |sym(W)| agree to rounding wherever the skew part passes.
+    scales = [max(1.0, w) for w in _fro(Ws)]
+    if any(d > PSD_TOL * w for d, w in zip(_fro(Ws - Wt), scales)):
+        raise ValueError(f"W is not symmetric within tolerance {PSD_TOL}")
+    Ws = 0.5 * (Ws + Wt)
     try:
-        T, U = scipy.linalg.schur(A.T, check_finite=False)
+        T, U = scipy.linalg.schur(A.T, lwork=_schur_lwork(len(A)), check_finite=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalFailureError(f"Schur factorization failed: {exc}") from exc
-    if not np.diag(T).max() < -HURWITZ_MARGIN:  # 2x2 blocks hold Re(eig) on the diagonal
+    if not T.diagonal().max() < -HURWITZ_MARGIN:  # 2x2 blocks hold Re(eig) on the diagonal
         raise ValueError("Acl must be Hurwitz for a Lyapunov solve")
-    Ps = []
-    for Ws in stack:
-        Y, scale, info = scipy.linalg.lapack.dtrsyl(T, T, -(U.T @ (Ws @ U)), tranb="T")
+    C = -(U.T @ (Ws @ U))
+    for k in range(len(C)):
+        Y, scale, info = scipy.linalg.lapack.dtrsyl(T, T, C[k], tranb="T")
         if info < 0:
             raise NumericalFailureError(f"trsyl rejected argument {-info}")
-        P = U @ (Y / scale) @ U.T
-        P = 0.5 * (P + P.T)
-        resid = np.linalg.norm(P @ A + A.T @ P + Ws)
-        if resid > tol * max(1.0, float(np.linalg.norm(Ws))):
+        C[k] = Y / scale
+    P = U @ C @ U.T
+    P = 0.5 * (P + P.transpose(0, 2, 1))
+    for resid, w in zip(_fro(P @ A + A.T @ P + Ws), scales):
+        if resid > tol * w:
             raise NumericalFailureError(f"Lyapunov residual {resid:.3e} above tolerance")
-        Ps.append(P)
-    return np.stack(Ps) if W.ndim == 3 else Ps[0]
+    return P if W.ndim == 3 else P[0]
+
+
+def _fro(X) -> list:
+    """Frobenius norm of each matrix of a (k, r, c) stack, as floats."""
+    X = X.reshape(len(X), -1)
+    return np.sqrt(np.einsum("ij,ij->i", X, X)).tolist()
+
+
+def _rank(s, tol: float) -> int:
+    """Numerical rank from singular values s (descending): the number above
+    tol * max(1, s[0]).  The one rank rule of nullspace, row_basis and
+    matrix_rank."""
+    return int(np.sum(s > tol * max(1.0, s[0]))) if s.size else 0
 
 
 def nullspace(M, tol: float = RANK_TOL) -> np.ndarray:
@@ -152,19 +191,24 @@ def nullspace(M, tol: float = RANK_TOL) -> np.ndarray:
     """
     A = as_matrix(M)
     u, s, vh = np.linalg.svd(A, full_matrices=True)
-    if s.size == 0:
-        return np.eye(A.shape[1])
-    cutoff = tol * max(1.0, s[0])
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].T.conj()
+    return vh[_rank(s, tol):].T.conj()
+
+
+def row_basis(M, tol: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal basis (columns) of the numerical row space of M, the
+    orthogonal complement of nullspace(M) under the same rank rule.
+
+    One thin SVD of M: a wide M (few constraint rows, many unknowns) never
+    pays for a basis of its kernel.
+    """
+    A = as_matrix(M)
+    u, s, vh = np.linalg.svd(A, full_matrices=False)
+    return vh[:_rank(s, tol)].T.conj()
 
 
 def matrix_rank(M, tol: float = RANK_TOL) -> int:
     A = np.atleast_2d(np.asarray(M))
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > tol * max(1.0, s[0])))
+    return _rank(np.linalg.svd(A, compute_uv=False), tol)
 
 
 def psd_project(M, floor: float = 0.0) -> np.ndarray:
@@ -194,6 +238,13 @@ def sym_pack(M) -> np.ndarray:
     A = symmetrize(M)
     rows, cols, weights = _sym_layout(A.shape[0])
     return A[rows, cols] * weights
+
+
+def sym_pack_stack(X) -> np.ndarray:
+    """sym_pack of each matrix of a (k, s, s) stack, as a (k, sym_dim(s))
+    array; the symmetric part of each is packed, without a symmetry check."""
+    rows, cols, weights = _sym_layout(X.shape[-1])
+    return 0.5 * (X[:, rows, cols] + X[:, cols, rows]) * weights
 
 
 def sym_unpack(v, n: int) -> np.ndarray:
@@ -284,11 +335,10 @@ def cone_project(x, layout) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("matrix contains non-finite entries")
     out = np.empty(len(x))
-    for (size, _, index, floors), X in _grouped_blocks(x, layout):
-        rows, cols, weights = _sym_layout(size)
+    for (_, _, index, floors), X in _grouped_blocks(x, layout):
         w, V = np.linalg.eigh(X)
         M = (V * np.maximum(w, floors[:, None])[:, None, :]) @ V.transpose(0, 2, 1)
-        out[index] = 0.5 * (M[:, rows, cols] + M[:, cols, rows]) * weights
+        out[index] = sym_pack_stack(M)
     return out
 
 
@@ -309,35 +359,39 @@ def cone_ok(x, layout, slack: float = 1e-9) -> bool:
     return True
 
 
-def affine_slice(Z, a, value: float):
-    """The points Z c of span(Z) with a . (Z c) = value, as (x_p, Y).
+def affine_slice(V, a, value: float):
+    """The points x with V'x = 0 and a . x = value, as (x_p, V_a).
 
-    Z has orthonormal columns; x_p is the minimum-norm point and Y an
-    orthonormal basis of the slice's directions.  None when a vanishes on
-    span(Z), so that no point of the span reaches a nonzero value.
+    V has orthonormal columns, a basis of the constraint rows.  x_p is the
+    minimum-norm point, which lies in span(V_a), and V_a = [V, u] an
+    orthonormal basis of the slice's constraint rows, u the unit part of a
+    orthogonal to span(V).  None when a lies in span(V), so that no point of
+    the kernel reaches a nonzero value.
     """
-    g = Z.T @ a
+    g = a - V @ (V.T @ a)
+    g -= V @ (V.T @ g)  # second Gram-Schmidt pass keeps V_a orthonormal
     norm = float(np.linalg.norm(g))
     if norm < 1e-12:
         return None
-    return Z @ (g * (value / norm**2)), Z @ nullspace(g[None, :] / norm)
+    return g * (value / norm**2), np.column_stack([V, g / norm])
 
 
-def _anderson(step, lift, z, x, cap: int, tol: float):
+def _anderson(step, z, cap: int, tol: float, tangent=None):
     """Iterate a fixed-point map z -> g(z) with type-II Anderson mixing
     (Walker & Ni 2011) until its answer's residual falls within tol.
 
-    The loop works on coordinates z; x = lift(z) is the point the map is
-    evaluated at (the caller passes lift(z) of the start as x).
-    step(x) returns (g, lift(g), out, res): the map's image, its lift, the
-    candidate answer and that answer's residual.  The mixed step is
-    z = g - dG gamma, gamma the least-squares fit of the last ANDERSON_MEMORY
-    residual differences dF to f = g - z.  The history is cleared when |f|
-    grows by more than ANDERSON_RESTART times.  The step stays plain on the
-    first iteration, while |f| <= ANDERSON_FLOOR * scale (a stalled loop,
-    whose residual is round-off) and when the mixed point is non-finite.
-    Stops when res <= tol * scale, scale = max(1, |out|).  Returns (out,
-    reason, iterations, res / scale), reason "converged" or "cap" after cap
+    step(z) returns (g, out, res): the map's image, the candidate answer and
+    that answer's residual.  The mixed step is z = g - dG gamma, gamma the
+    least-squares fit of the last ANDERSON_MEMORY residual differences dF to
+    f = g - z.  When the map's images lie on an affine set, tangent(d)
+    projects a difference onto the set's directions, so that the fit sees
+    only those: rounding off the set would otherwise pass for fresh
+    directions once |f| nears tol.  The history is cleared when |f| grows by
+    more than ANDERSON_RESTART times.  The step stays plain on the first
+    iteration, while |f| <= ANDERSON_FLOOR * scale (a stalled loop, whose
+    residual is round-off) and when the mixed point is non-finite.  Stops
+    when res <= tol * scale, scale = max(1, |out|).  Returns (out, reason,
+    iterations, res / scale), reason "converged" or "cap" after cap
     iterations.  A stalled loop returns the cap tuple at once when it can no
     longer converge in time: plain steps of a nonexpansive map never grow
     |f|, and res moves by at most 2 |f| a step.
@@ -346,11 +400,11 @@ def _anderson(step, lift, z, x, cap: int, tol: float):
     # Ring buffers of the differences; `added` counts them since the last restart.
     added, g_prev, f_prev, f_prev_norm = 0, None, None, np.inf
     for it in range(1, cap + 1):
-        g, x_g, out, res = step(x)
+        g, out, res = step(z)
         scale = max(1.0, float(np.linalg.norm(out)))
         if res <= tol * scale:
             return out, "converged", it, res / scale
-        f = g - z
+        f = g - z if tangent is None else tangent(g - z)
         f_norm = float(np.linalg.norm(f))
         if f_norm <= ANDERSON_FLOOR * scale and 2 * (cap - it) * f_norm < res - tol * scale:
             return out, "cap", cap, res / scale
@@ -361,40 +415,40 @@ def _anderson(step, lift, z, x, cap: int, tol: float):
             dG[:, slot], dF[:, slot] = g - g_prev, f - f_prev
             added += 1
         g_prev, f_prev, f_prev_norm = g, f, f_norm
-        z, x = g, x_g
+        z = g
         if added and f_norm > ANDERSON_FLOOR * scale:
             kept = min(added, ANDERSON_MEMORY)
             gamma = np.linalg.lstsq(dF[:, :kept], f, rcond=1e-10)[0]
             mixed = g - dG[:, :kept] @ gamma
             if np.isfinite(mixed).all():
-                z, x = mixed, lift(mixed)
+                z = mixed
     return out, "cap", cap, res / scale
 
 
-def project_affine_cone(x_p, Y, layout, cap: int = PROJECTION_CAP,
+def project_affine_cone(x_p, V, layout, cap: int = PROJECTION_CAP,
                         tol: float = PROJECTION_TOL):
-    """Alternating projections between {x_p + Y z} and the layout's cones,
-    Anderson-mixed by _anderson.
+    """Alternating projections between {x : V'x = V'x_p} and the layout's
+    cones, Anderson-mixed by _anderson in full coordinates.
 
-    Y has orthonormal columns and x_p lies in the affine set.  The plain step
-    maps z to g = Y'(c - x_p), c = P_cone(x_p + Y z), whose image
-    x' = x_p + Y g is P_aff(c); it starts from z = 0 and stops when
+    V has orthonormal columns, a basis of the affine set's constraint rows,
+    and x_p is a point of the set in span(V).  The plain step maps x to
+    x' = c - V(V'c) + x_p, the projection onto the set of
+    c = P_cone(x); it starts from x_p and stops when
     |x' - c| <= tol * max(1, |x'|).  Returns (x', reason, iterations, gap),
     gap = |x' - c| / max(1, |x'|) at stop, with reason "converged", "cap"
     after cap iterations (or at once from a stalled loop that can no longer
-    converge), or "point" (no iteration, gap 0) when Y has no columns and x_p
-    is the whole set.
+    converge), or "point" (no iteration, gap 0) when the rows span the whole
+    space and x_p is the whole set.
     """
-    if Y.shape[1] == 0:
+    if V.shape[1] == V.shape[0]:
         return x_p, "point", 0, 0.0
 
     def step(x):
         c = cone_project(x, layout)
-        g = Y.T @ (c - x_p)
-        x = x_p + Y @ g
-        return g, x, x, float(np.linalg.norm(x - c))
+        x = c - V @ (V.T @ c) + x_p
+        return x, x, float(np.linalg.norm(x - c))
 
-    return _anderson(step, lambda z: x_p + Y @ z, np.zeros(Y.shape[1]), x_p, cap, tol)
+    return _anderson(step, x_p, cap, tol, tangent=lambda d: d - V @ (V.T @ d))
 
 
 def cone_verdict(x, reason: str, layout, slack: float):

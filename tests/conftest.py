@@ -26,6 +26,7 @@ from nashinduce.numerics import (
     affine_slice,
     cone_ok,
     cone_verdict,
+    nullspace,
     project_affine_cone,
     psd_project,
     solve_lyapunov,
@@ -73,13 +74,13 @@ def loop_cone_project(x, layout):
                            for X, (_, floor) in zip(loop_sym_blocks(x, layout), layout)])
 
 
-def loop_project_affine_cone(x_p, Y, layout, cap, tol):
-    if Y.shape[1] == 0:
+def loop_project_affine_cone(x_p, V, layout, cap, tol):
+    if V.shape[1] == V.shape[0]:
         return x_p, "point", 0
     x = x_p
     for it in range(1, cap + 1):
         c = loop_cone_project(x, layout)
-        x = x_p + Y @ (Y.T @ (c - x_p))
+        x = c - V @ (V.T @ c) + x_p
         if float(np.linalg.norm(x - c)) <= tol * max(1.0, float(np.linalg.norm(x))):
             return x, "converged", it
     return x, "cap", cap
@@ -118,15 +119,22 @@ def dykstra_nearest(x0, Z, layout, cap, tol):
 # package replaced by the search over (Q_i, R_ii) with P_i eliminated through
 # the Lyapunov map.
 
+def kronecker_rows(system, profile, i):
+    """(V, trace_row): an orthonormal basis of the vectorized system's
+    constraint rows over packed (Q_i, R_ii, P_i), the orthogonal complement
+    of its nullspace, and the normalization row trace(R_ii)."""
+    Z, (nq, _, npk) = _player_nullspace(system, profile, i)
+    trace_row = np.concatenate([np.zeros(nq), sym_pack(np.eye(system.m[i])), np.zeros(npk)])
+    return nullspace(Z.T), trace_row
+
+
 def kronecker_player_feasibility(system, profile, i, rho=R_FLOOR, cap=PROJECTION_CAP,
                                  tol=PROJECTION_TOL):
     """(status, [Q_i, R_ii, P_i] or None, iterations), status in the words
     of feasibility.player_feasibility: "solved", "infeasible" or
     "indeterminate"."""
     n, m = system.n, system.m[i]
-    Z, (nq, _, npk) = _player_nullspace(system, profile, i)
-    trace_row = np.concatenate([np.zeros(nq), sym_pack(np.eye(m)), np.zeros(npk)])
-    affine = affine_slice(Z, trace_row, m)
+    affine = affine_slice(*kronecker_rows(system, profile, i), m)
     if affine is None:
         return "infeasible", None, 0
     layout = [(n, 0.0), (m, rho), (n, 0.0)]

@@ -1,11 +1,13 @@
 import json
 import math
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nashinduce import CostParameters, feasibility, inverse, verify_nash
+from nashinduce import CostParameters, cli, feasibility, inverse, numerics, verify_nash
 from nashinduce.cli import dumps_report, load_costs, load_problem, main
 from nashinduce.feasibility import nearest_params, solve_feasibility_projection
 from nashinduce.inverse import is_nash_inducible
@@ -14,6 +16,7 @@ from nashinduce.problems import BUNDLED
 
 
 DATA = Path(__file__).parent / "data"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +162,24 @@ def test_check_determinism(tmp_path, capsys):
     assert strip(out1) == strip(out2)
     # fixed float formatting
     assert "3.000000000000e+00" in out1
+
+
+def test_parser_built_once_gives_the_reports_of_a_fresh_one(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; in-process calls in sequence,
+    # options first given and then left out, write byte for byte the reports
+    # of a freshly built parser (timings pinned to 0 so reports are comparable).
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: 0.0))
+    path = write_example(tmp_path, "remark2")
+    sequence = [("check", path, "--player", "1"), ("check", path),
+                ("solve", path, "--mode", "q-only"), ("solve", path)]
+    cached = [run_cli(capsys, *argv) for argv in sequence]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert cached == fresh
+    assert cached[0] != cached[1] and cached[2] != cached[3]
 
 
 def test_solve_two_player_scalar(tmp_path, capsys):
@@ -523,6 +544,33 @@ def test_check_searches_once_per_player(monkeypatch, capsys):
     res = solve_feasibility_projection(system, profile)
     assert res.status == "feasible"
     assert len(res.iterations) == system.num_players and max(res.iterations) <= 50
+
+
+def test_cone_searches_form_no_kronecker_sum(tmp_path, monkeypatch, capsys):
+    # The Kalman searches build their map from adjoint Lyapunov solves: check,
+    # solve and solve --nearest on an n = 16 closed-form Nash game (from
+    # perfbench/games.py) call numerics.kron_sum not once.
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import games
+    calls, kron_sum = [], numerics.kron_sum
+
+    def counting(*args):
+        calls.append(1)
+        return kron_sum(*args)
+
+    for module in (numerics, feasibility):
+        monkeypatch.setattr(module, "kron_sum", counting)
+    game = games.closed_form_nash((1,), 16, 2, 2)
+    problem, costs0 = tmp_path / "closed_n16.json", tmp_path / "costs0.json"
+    problem.write_text(game.problem_json())
+    costs0.write_text(json.dumps({
+        "Q": [np.eye(16).tolist()] * 2,
+        "R": [[(np.eye(2) if i == j else np.zeros((2, 2))).tolist() for j in range(2)]
+              for i in range(2)]}))
+    for argv in (("check",), ("solve",), ("solve", "--nearest", str(costs0))):
+        assert run_cli(capsys, argv[0], str(problem), *argv[1:])[0] == 0, argv
+    assert calls == []
 
 
 def test_solve_ladder_n8_game_verifies(capsys):

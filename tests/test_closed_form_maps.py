@@ -7,6 +7,9 @@ here as the reference implementations of the maps the package builds in
 closed form.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,7 @@ from nashinduce.numerics import (
 from conftest import coeff_stack, para_map, poly_kalman_map
 
 SIZES = [(n, m) for n in range(2, 11) for m in (1, 2, 3) if m <= n]
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def loop_sym_pack(M):
@@ -102,9 +106,9 @@ def probe_stationarity_map(system, profile, i):
     return probe(offs[-1], apply)
 
 
-def assert_same_map(M, ref):
+def assert_same_map(M, ref, tol=1e-9):
     assert M.shape == ref.shape
-    assert np.max(np.abs(M - ref)) <= 1e-9 * max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(M - ref)) <= tol * max(1.0, float(np.max(np.abs(ref))))
     assert nullspace(M).shape[1] == nullspace(ref).shape[1]
 
 
@@ -141,9 +145,39 @@ def test_kalman_maps_match_probe(n, m):
     assert_same_map(poly_kalman_map(fac), np.hstack([-refs[0], refs[1] - refs[2]]))
 
 
-@pytest.mark.parametrize("n, m", SIZES)
-def test_time_domain_maps_match_probe(n, m):
-    system, profile = stable_game(n, m, 0)
+def map_game(kind, n, N, m):
+    """A random stable game of SIZES, or a Nash game from perfbench/games.py,
+    the benchmark's seeded generators: the ladder recipe, the closed-form
+    construction, or the bundled remark2 (whose player 1 is uncontrollable)."""
+    if kind == "stable":
+        return stable_game(n, m, 0)
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import games
+    if kind == "ladder":
+        game = games.ladder_nash((1,), n, N, m)
+    elif kind == "closed":
+        game = games.closed_form_nash((1,), n, N, m)
+    else:
+        game = games.bundled(kind)
+    system = GameSystem(game.A, game.B)
+    return system, StrategyProfile.stabilizing(system, game.K)
+
+
+MAP_GAMES = ([pytest.param(("stable", n, 2, m), id=f"{n}-{m}") for n, m in SIZES]
+             + [pytest.param(spec, id="{}-n{}-N{}-m{}".format(*spec))
+                for spec in (("ladder", 4, 2, 1), ("ladder", 8, 3, 2), ("ladder", 12, 2, 3),
+                             ("ladder", 16, 2, 2), ("closed", 8, 2, 3), ("closed", 16, 3, 1),
+                             ("closed", 16, 2, 2))]
+             + [pytest.param(("remark2", 3, 2, None), id="remark2")])
+
+
+@pytest.mark.parametrize("spec", MAP_GAMES)
+def test_time_domain_maps_match_probe(spec):
+    # The adjoint-built stationarity map agrees with one Kronecker Lyapunov
+    # solve per packed unit vector to 1e-10 relative.
+    system, profile = map_game(*spec)
+    n = system.n
     for i in range(system.num_players):
         Z, dims = _player_nullspace(system, profile, i)
         ref = probe_player_map(system, profile, i)
@@ -151,7 +185,7 @@ def test_time_domain_maps_match_probe(n, m):
         assert Z.shape[1] == nullspace(ref).shape[1]
         assert np.max(np.abs(ref @ Z)) <= 1e-9 * max(1.0, float(np.max(np.abs(ref))))
         assert_same_map(_stationarity_map(system, profile, i),
-                        probe_stationarity_map(system, profile, i))
+                        probe_stationarity_map(system, profile, i), tol=1e-10)
 
 
 @pytest.mark.parametrize("n", range(1, 33))

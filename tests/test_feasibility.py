@@ -28,6 +28,7 @@ from nashinduce.numerics import (
     cone_verdict,
     nullspace,
     project_affine_cone,
+    row_basis,
     sym_pack,
 )
 from nashinduce.problems import BUNDLED
@@ -36,6 +37,7 @@ from conftest import (
     converged_nash_games,
     dykstra_nearest,
     kronecker_player_feasibility,
+    kronecker_rows,
     loop_project_affine_cone,
     random_pd,
     random_psd,
@@ -67,30 +69,31 @@ def test_player_nullspace_scalar():
 
 
 def oracle_slice(system, prof, i, rho=1e-6):
-    """The oracle's trace-normalized affine set and block layout for player i."""
-    Z, (nq, _, npk) = _player_nullspace(system, prof, i)
+    """The oracle's trace-normalized affine set, as (point, constraint-row
+    basis), and block layout for player i."""
     m = system.m[i]
-    trace_row = np.concatenate([np.zeros(nq), sym_pack(np.eye(m)), np.zeros(npk)])
-    return affine_slice(Z, trace_row, m), [(system.n, 0.0), (m, rho), (system.n, 0.0)]
+    return (affine_slice(*kronecker_rows(system, prof, i), m),
+            [(system.n, 0.0), (m, rho), (system.n, 0.0)])
 
 
 def test_projection_kernel_stop_reasons():
-    # One-dimensional kernel: the normalized slice is a single point.
-    (x_p, Y), layout = oracle_slice(*scalar_game(3.0), 0)
-    assert Y.shape[1] == 0
-    x, reason, iterations, gap = project_affine_cone(x_p, Y, layout)
+    # One-dimensional kernel: the normalized slice is a single point, its
+    # constraint rows span the whole space.
+    (x_p, V), layout = oracle_slice(*scalar_game(3.0), 0)
+    assert V.shape == (3, 3)
+    x, reason, iterations, gap = project_affine_cone(x_p, V, layout)
     assert (reason, iterations, gap) == ("point", 0, 0.0)
     assert np.allclose(x, [3.0, 1.0, 3.0])
     assert cone_verdict(x, reason, layout, slack=1e-6) is True
     # Known-Nash game with a larger kernel: converges, or stops at the cap.
     system, _, prof, _ = converged_nash_games(seed=7, count=1)[0]
-    (x_p, Y), layout = oracle_slice(system, prof, 0)
-    assert Y.shape[1] > 1
-    x, reason, iterations, gap = project_affine_cone(x_p, Y, layout)
+    (x_p, V), layout = oracle_slice(system, prof, 0)
+    assert V.shape[0] - V.shape[1] > 1
+    x, reason, iterations, gap = project_affine_cone(x_p, V, layout)
     assert reason == "converged" and 0 < iterations < PROJECTION_CAP
     assert gap <= PROJECTION_TOL
     assert cone_verdict(x, reason, layout, slack=1e-6) is True
-    x, reason, iterations, gap = project_affine_cone(x_p, Y, layout, cap=1)
+    x, reason, iterations, gap = project_affine_cone(x_p, V, layout, cap=1)
     assert (reason, iterations) == ("cap", 1) and gap > PROJECTION_TOL
     assert cone_verdict(x, reason, layout, slack=1e-6) is None
 
@@ -100,16 +103,16 @@ def test_projection_kernel_matches_per_block_loop():
     for system, _, prof, _ in converged_nash_games(seed=7, count=4):
         slices += [oracle_slice(system, prof, i) for i in range(system.num_players)]
     total, total_ref = 0, 0
-    for (x_p, Y), layout in slices:
+    for (x_p, V), layout in slices:
         # The first step, from an empty history, is the plain one.
-        x, reason, _, _ = project_affine_cone(x_p, Y, layout, 1)
-        x_ref, reason_ref, _ = loop_project_affine_cone(x_p, Y, layout, 1, PROJECTION_TOL)
+        x, reason, _, _ = project_affine_cone(x_p, V, layout, 1)
+        x_ref, reason_ref, _ = loop_project_affine_cone(x_p, V, layout, 1, PROJECTION_TOL)
         assert reason == reason_ref and np.array_equal(x, x_ref)
         for cap, tol in ((PROJECTION_CAP, PROJECTION_TOL), (500, 1e-14)):
-            x, reason, its, gap = project_affine_cone(x_p, Y, layout, cap, tol)
-            x_ref, reason_ref, its_ref = loop_project_affine_cone(x_p, Y, layout, cap, tol)
+            x, reason, its, gap = project_affine_cone(x_p, V, layout, cap, tol)
+            x_ref, reason_ref, its_ref = loop_project_affine_cone(x_p, V, layout, cap, tol)
             scale = max(1.0, float(np.linalg.norm(x)))
-            assert np.linalg.norm(x - x_p - Y @ (Y.T @ (x - x_p))) <= 1e-12 * scale
+            assert np.linalg.norm(V.T @ (x - x_p)) <= 1e-12 * scale
             if reason_ref == "converged":
                 assert reason == "converged"
             if reason == "converged":
@@ -127,10 +130,10 @@ def test_projection_kernel_stalls_like_plain_loop_outside_cones():
     # 3 x 3 symmetric matrices with trace -1 miss the PSD cone: both loops run
     # to the cap at the same nearest pair, -I/3 and 0.
     x_p = sym_pack(-np.eye(3) / 3.0)
-    Y = nullspace(x_p[None, :])
+    V = row_basis(x_p[None, :])
     layout = [(3, 0.0)]
-    x, reason, its, gap = project_affine_cone(x_p, Y, layout, 50)
-    x_ref, reason_ref, its_ref = loop_project_affine_cone(x_p, Y, layout, 50, PROJECTION_TOL)
+    x, reason, its, gap = project_affine_cone(x_p, V, layout, 50)
+    x_ref, reason_ref, its_ref = loop_project_affine_cone(x_p, V, layout, 50, PROJECTION_TOL)
     assert (reason, its) == (reason_ref, its_ref) == ("cap", 50)
     assert np.allclose(x, x_ref, atol=1e-12)
     assert gap == pytest.approx(float(np.linalg.norm(x_ref)), rel=1e-12)
@@ -147,8 +150,8 @@ def test_projection_kernel_returns_at_an_exact_fixed_point(monkeypatch):
         return cone_project(x, layout)
 
     monkeypatch.setattr(numerics, "cone_project", counting)
-    x_p, Y = np.array([-1.0, 0.0]), np.array([[0.0], [1.0]])
-    x, reason, its, gap = project_affine_cone(x_p, Y, [(1, 0.0), (1, 0.0)])
+    x_p, V = np.array([-1.0, 0.0]), np.array([[1.0], [0.0]])
+    x, reason, its, gap = project_affine_cone(x_p, V, [(1, 0.0), (1, 0.0)])
     assert (reason, its, gap) == ("cap", PROJECTION_CAP, 1.0)
     assert np.array_equal(x, x_p)
     assert len(calls) <= 2

@@ -183,6 +183,39 @@ def test_stacked_lyapunov_is_bitwise_per_matrix(monkeypatch):
         solve_lyapunov(-np.eye(3), np.zeros((2, 2, 2)))
 
 
+def test_stacked_lyapunov_rejects_a_bad_slice_as_it_would_alone(monkeypatch):
+    # One bad slice in a stack of good ones raises the error it raises alone:
+    # asymmetric or non-finite W before any solve, a corrupted trsyl result
+    # from its own residual check, a trsyl argument error at once.
+    rng = np.random.default_rng(10)
+    A = _stable(rng, "complex", 5)
+    good = np.stack([np.eye(5), np.diag(np.arange(1.0, 6.0)), np.ones((5, 5))])
+    asymmetric, nonfinite = good.copy(), good.copy()
+    asymmetric[1, 0, 1] += 1e-3
+    nonfinite[2, 3, 3] = np.inf
+    for W, bad, match in ((asymmetric, 1, "W is not symmetric within tolerance 1e-08"),
+                          (nonfinite, 2, "W contains non-finite entries")):
+        for Ws in (W, W[bad]):
+            with pytest.raises(ValueError, match=match):
+                solve_lyapunov(A, Ws)
+    trsyl = scipy.linalg.lapack.dtrsyl
+    for corrupt, match in ((lambda Y, scale, info: (2.0 * Y, scale, info), "residual"),
+                           (lambda Y, scale, info: (Y, scale, -3), "argument 3")):
+        calls = []
+
+        def second_slice_corrupted(*a, **k):
+            calls.append(1)
+            out = trsyl(*a, **k)
+            return corrupt(*out) if len(calls) == 2 else out
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", second_slice_corrupted)
+        with pytest.raises(NumericalFailureError, match=match):
+            solve_lyapunov(A, good)
+        calls[:] = [1]  # alone, the slice is the second call
+        with pytest.raises(NumericalFailureError, match=match):
+            solve_lyapunov(A, good[1])
+
+
 def _random_layout(rng):
     """1-5 blocks of sizes 1..32 (often repeated) with floors mixed per block."""
     pool = rng.integers(1, 33, size=int(rng.integers(1, 4)))
