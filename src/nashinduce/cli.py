@@ -328,7 +328,7 @@ def cmd_check(args) -> int:
         indices = [args.player]
     else:
         raise InputError(f"--player {args.player}: out of range")
-    t0 = time.monotonic()
+    t0 = time.perf_counter()
     analyses, freq_error, warnings = [], None, []
     for i in indices:
         try:
@@ -342,9 +342,9 @@ def cmd_check(args) -> int:
             warnings.extend(pa.warnings)
         analyses.append(pa)
     verdict_freq = "error" if freq_error else _frequency_verdict(analyses)
-    t_freq = time.monotonic() - t0
+    t_freq = time.perf_counter() - t0
 
-    t0 = time.monotonic()
+    t0 = time.perf_counter()
     kalmans = []
     if args.no_oracle:
         verdict_oracle = "skipped"
@@ -353,7 +353,7 @@ def cmd_check(args) -> int:
         verdict_oracle = _oracle_verdict(kalmans)
         if verdict_oracle == "indeterminate":
             warnings.append("time-domain oracle did not reach a determinate verdict")
-    t_oracle = time.monotonic() - t0
+    t_oracle = time.perf_counter() - t0
 
     determinate = {"inducible", "not_inducible"}
     disagreement = (verdict_freq in determinate and verdict_oracle in determinate
@@ -366,8 +366,8 @@ def cmd_check(args) -> int:
         "players": [_player_report(i, pa, k) for i, pa, k in
                     zip(indices, analyses, kalmans or [None] * len(indices))],
         "warnings": warnings,
-        "timings_ms": {"frequency": int(round(1000 * t_freq)),
-                       "oracle": int(round(1000 * t_oracle))},
+        "timings_ms": {"frequency": round(1000 * t_freq, 3),
+                       "oracle": round(1000 * t_oracle, 3)},
         "diagnostics": _diagnostics(kalmans, analyses),
     }
     _write_report(report, args)
@@ -383,6 +383,8 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     system, profile, _, tol = load_problem(args.problem)
     if args.nearest:
+        if args.mode == "q-only":
+            raise InputError("--nearest searches R freely: --mode q-only does not apply")
         costs0 = load_costs(args.nearest, system)
         res = nearest_params(costs0, system, profile)
         report = {
@@ -497,10 +499,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "equilibrium of a linear-quadratic differential game.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def tol_option(p):
+    def tol_option(p, note=""):
         p.add_argument("--tol", type=float, default=1e-8,
                        help="residual tolerance of the final Nash check; the larger "
-                            "of this and the problem file's tol is used")
+                            "of this and the problem file's tol is used" + note)
 
     def common(p):
         p.add_argument("--format", choices=("json", "text"), default="json")
@@ -525,10 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="recover Nash-inducing cost matrices")
     ps.add_argument("problem")
     common(ps)
-    tol_option(ps)
-    ps.add_argument("--mode", choices=("q-only", "general"), default="general")
+    tol_option(ps, " (--nearest runs no final Nash check and ignores it)")
+    ps.add_argument("--mode", choices=("q-only", "general"), default="general",
+                    help="q-only pins each R_ii to I and searches Q_i; general searches "
+                         "Q_i and R_ii together. --nearest always searches R freely, so "
+                         "--nearest with --mode q-only is an input error")
     ps.add_argument("--nearest", default=None, metavar="COSTS0_JSON",
-                    help="project these reference costs onto the feasible set")
+                    help="project these reference costs onto the feasible set (R "
+                         "searched freely, no final Nash check)")
 
     pv = sub.add_parser("verify", help="exact Nash check for supplied costs")
     pv.add_argument("problem")

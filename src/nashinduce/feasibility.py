@@ -266,8 +266,8 @@ class NearestResult:
     status: str
     costs: CostParameters | None
     distance: float
-    iterations: tuple = ()  # Douglas-Rachford iterations of each player searched
-    gaps: tuple = ()  # each searched player's |y - x| / max(1, |y|) at stop
+    iterations: tuple = ()  # Douglas-Rachford iterations of each player searched (0: no loop ran)
+    gaps: tuple = ()  # each searched player's |y - x| / max(1, |y|) at stop (0: no loop ran)
 
 
 def nearest_params(costs0: CostParameters, system: GameSystem, profile: StrategyProfile,
@@ -282,9 +282,10 @@ def nearest_params(costs0: CostParameters, system: GameSystem, profile: Strategy
     (step 1) from v = x0 - V(V'x0) takes u = (v + x0) / 2, x = u - V(V'u),
     y = P_cone(2x - v) and v <- v + y - x, mixed by numerics._anderson, and
     stops when |y - x| <= tol * max(1, |y|).  Its answer y lies in the cones
-    and must also lie on the kernel within 1e-7 (|V'y| small); otherwise a
-    one-dimensional solution ray that misses the cones certifies
-    infeasibility, and anything else is "indeterminate".
+    and must also lie on the kernel within 1e-7 (|V'y| small); otherwise it
+    is "indeterminate".  A one-dimensional kernel is tested first: when
+    neither direction of its solution ray meets the cones, infeasibility is
+    certified before any loop runs (0 iterations for that player).
     """
     costs0.validate(system, tol=1e-6)
     N = system.num_players
@@ -299,6 +300,11 @@ def nearest_params(costs0: CostParameters, system: GameSystem, profile: Strategy
                                  iterations, gaps)
         layout = [(system.n, 0.0)] + [(mj, rho if j == i else 0.0)
                                       for j, mj in enumerate(system.m)]
+        if kernel_dim == 1:
+            z = _kernel_direction(V)
+            if not (_ray_in_cone(z, layout) or _ray_in_cone(-z, layout)):
+                return NearestResult("infeasible_certified_by_identity", None, float("inf"),
+                                     iterations + (0,), gaps + (0.0,))
         x0 = np.concatenate([sym_pack(costs0.Q[i])] +
                             [sym_pack(costs0.R[i][j]) for j in range(N)])
 
@@ -312,12 +318,6 @@ def nearest_params(costs0: CostParameters, system: GameSystem, profile: Strategy
         iterations, gaps = iterations + (its,), gaps + (gap,)
         on_sub = float(np.linalg.norm(V.T @ y)) <= 1e-7 * max(1.0, float(np.linalg.norm(y)))
         if not (reason == "converged" and on_sub and cone_ok(y, layout)):
-            # Certify emptiness on a one-dimensional solution ray, else punt.
-            if kernel_dim == 1:
-                z = _kernel_direction(V)
-                if not (_ray_in_cone(z, layout) or _ray_in_cone(-z, layout)):
-                    return NearestResult("infeasible_certified_by_identity", None, float("inf"),
-                                         iterations, gaps)
             return NearestResult("indeterminate", None, float("inf"), iterations, gaps)
         dist2 += float(np.linalg.norm(y - x0) ** 2)
         Qi, *Rrow = [psd_project(X, floor) for X, (_, floor) in zip(sym_blocks(y, layout), layout)]

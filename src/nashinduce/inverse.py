@@ -18,9 +18,10 @@ time-domain form: stationarity R K_i = B_i' P with P eliminated through the
 Lyapunov equation, a linear map in (Q, R) alone with n m_i rows
 (feasibility._stationarity_map).  Both Kalman solvers hold an orthonormal
 basis of those constraint rows, not of the map's kernel: solve_kalman_Q
-projects over {Q : V'Q = V'q} from the minimum-norm solution q, and the
-joint (Q, R) solve is the time-domain oracle's cone search
-(feasibility.player_feasibility).
+projects over {Q : V'Q = V'q}, q the minimum-norm solution, and the joint
+(Q, R) solve is the time-domain oracle's cone search
+(feasibility.player_feasibility).  Both searches start at their affine
+set's identity-weight point (numerics._identity_start).
 """
 
 from __future__ import annotations
@@ -333,7 +334,9 @@ def solve_kalman_Q(system: GameSystem, profile: StrategyProfile, i: int,
     """Find Q >= 0 with K_i = B_i' P, P the Lyapunov solution for the state
     weight Q + K_i' K_i (R pinned to I): the minimum-norm solution q of this
     linear equation, then alternating projections over {Q : V'Q = V'q}, V an
-    orthonormal basis of the equation's constraint rows.
+    orthonormal basis of the equation's constraint rows, started at the
+    best-fitting nonnegative multiple alpha I projected onto the set (q
+    itself when no multiple of I reaches the rows).
     """
     n, m = system.n, system.m[i]
     A, MR = _kalman_map(system, profile, i)

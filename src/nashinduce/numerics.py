@@ -7,10 +7,13 @@ entry points reject NaN/Inf.
 Affine sets are held by their constraint rows: an orthonormal basis V
 (row_basis, under the one rank rule _rank that nullspace and matrix_rank
 share) and a point x_p in span(V), so that projecting onto the set is
-c - V(V'c) + x_p at O(dim * rank) and no kernel basis is formed.  Lyapunov
-equations are solved by Bartels-Stewart on one Schur form, for one or a stack
-of right-hand sides; the Kronecker helpers (kron, kron_sum) serve as
-references and for small closed-form maps only.
+c - V(V'c) + x_p at O(dim * rank) and no kernel basis is formed.  Cone
+searches over such a set start at its identity-weight point
+(_identity_start), the projection of the best nonnegative multiples of the
+layout's block identities, not at x_p.  Lyapunov equations are solved by
+Bartels-Stewart on one Schur form, for one or a stack of right-hand sides;
+the Kronecker helpers (kron, kron_sum) serve as references and for small
+closed-form maps only.
 """
 
 from __future__ import annotations
@@ -300,6 +303,37 @@ def _cone_plan(layout: tuple):
     return tuple(groups), int(starts[-1])
 
 
+@functools.lru_cache(maxsize=64)
+def _identity_columns(layout: tuple) -> np.ndarray:
+    """Read-only (packed length, blocks) matrix E of a layout: column b is the
+    packed identity of block b."""
+    starts = np.cumsum([0] + [sym_dim(size) for size, _ in layout])
+    E = np.zeros((int(starts[-1]), len(layout)))
+    for b, (size, _) in enumerate(layout):
+        rows, cols, _ = _sym_layout(size)
+        E[starts[b] + np.flatnonzero(rows == cols), b] = 1.0
+    E.setflags(write=False)
+    return E
+
+
+def _identity_start(x_p, V, layout) -> np.ndarray:
+    """The identity-weight point of the affine set {x : V'x = V'x_p}.
+
+    With E the layout's block identities (_identity_columns), alpha fits
+    V'E alpha to V'x_p in least squares under the rank rule _rank, so
+    directions V'E does not reach get coefficient 0 (a block whose identity
+    lies in the kernel, or all of them, which leaves x_p).  The clipped
+    combination c = E max(alpha, 0) is projected onto the set:
+    c - V(V'c) + x_p.
+    """
+    E = _identity_columns(tuple(layout))
+    G = V.T @ E
+    u, s, vh = np.linalg.svd(G, full_matrices=False)
+    k = _rank(s, RANK_TOL)
+    alpha = np.maximum(vh[:k].T @ ((u[:, :k].T @ (V.T @ x_p)) / s[:k]), 0.0)
+    return E @ alpha - V @ (G @ alpha) + x_p  # V'c = G alpha
+
+
 def _grouped_blocks(x, layout):
     """(group, (k, s, s) stack of its unpacked blocks) per size group of the plan."""
     x = np.asarray(x, dtype=float)
@@ -432,9 +466,13 @@ def project_affine_cone(x_p, V, layout, cap: int = PROJECTION_CAP,
 
     V has orthonormal columns, a basis of the affine set's constraint rows,
     and x_p is a point of the set in span(V).  The plain step maps x to
-    x' = c - V(V'c) + x_p, the projection onto the set of
-    c = P_cone(x); it starts from x_p and stops when
-    |x' - c| <= tol * max(1, |x'|).  Returns (x', reason, iterations, gap),
+    x' = c - V(V'c) + x_p, the projection onto the set of c = P_cone(x).
+    It starts from the set's identity-weight point (_identity_start), the
+    projection onto the set of the best-fitting nonnegative combination of
+    the block identities, which is that combination itself when the set
+    holds one (x_p, the minimum-norm point, usually has an indefinite
+    block), and stops when |x' - c| <= tol * max(1, |x'|).
+    Returns (x', reason, iterations, gap),
     gap = |x' - c| / max(1, |x'|) at stop, with reason "converged", "cap"
     after cap iterations (or at once from a stalled loop that can no longer
     converge), or "point" (no iteration, gap 0) when the rows span the whole
@@ -448,7 +486,8 @@ def project_affine_cone(x_p, V, layout, cap: int = PROJECTION_CAP,
         x = c - V @ (V.T @ c) + x_p
         return x, x, float(np.linalg.norm(x - c))
 
-    return _anderson(step, x_p, cap, tol, tangent=lambda d: d - V @ (V.T @ d))
+    return _anderson(step, _identity_start(x_p, V, layout), cap, tol,
+                     tangent=lambda d: d - V @ (V.T @ d))
 
 
 def cone_verdict(x, reason: str, layout, slack: float):

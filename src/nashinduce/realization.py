@@ -23,6 +23,7 @@ from .numerics import (
     matrix_rank,
     HURWITZ_MARGIN,
     RANK_TOL,
+    _rank,
 )
 from .polymat import PolyMatrix
 
@@ -66,13 +67,19 @@ class GameSystem:
 
 
 def _pbh_stabilizable(A: np.ndarray, Ball: np.ndarray, tol: float = RANK_TOL) -> bool:
+    """PBH test: [lam I - A, Ball] has rank n (rule _rank) at every eigenvalue
+    lam of A with Re lam >= -HURWITZ_MARGIN, from one batched SVD.  A is
+    real, so of a conjugate pair only the member with Im lam >= 0 is
+    tested: the other's matrix is its conjugate, with the same singular
+    values."""
     n = A.shape[0]
-    for lam in eig(A):
-        if lam.real >= -HURWITZ_MARGIN:
-            M = np.hstack([lam * np.eye(n) - A, Ball])
-            if matrix_rank(M, tol) < n:
-                return False
-    return True
+    lams = eig(A)
+    lams = lams[(lams.real >= -HURWITZ_MARGIN) & (lams.imag >= 0)]
+    if not lams.size:
+        return True
+    M = np.concatenate([lams[:, None, None] * np.eye(n) - A,
+                        np.broadcast_to(Ball, (len(lams),) + Ball.shape)], axis=2)
+    return all(_rank(s, tol) >= n for s in np.linalg.svd(M, compute_uv=False))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from nashinduce.numerics import (
     PROJECTION_TOL,
     R_FLOOR,
     RANK_TOL,
+    _identity_start,
     affine_slice,
     cone_ok,
     cone_verdict,
@@ -77,7 +78,7 @@ def loop_cone_project(x, layout):
 def loop_project_affine_cone(x_p, V, layout, cap, tol):
     if V.shape[1] == V.shape[0]:
         return x_p, "point", 0
-    x = x_p
+    x = _identity_start(x_p, V, layout)  # the package's start, so first steps agree bitwise
     for it in range(1, cap + 1):
         c = loop_cone_project(x, layout)
         x = c - V @ (V.T @ c) + x_p

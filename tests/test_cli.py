@@ -168,7 +168,7 @@ def test_parser_built_once_gives_the_reports_of_a_fresh_one(tmp_path, capsys, mo
     # main builds its parser once per process; in-process calls in sequence,
     # options first given and then left out, write byte for byte the reports
     # of a freshly built parser (timings pinned to 0 so reports are comparable).
-    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: 0.0))
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
     path = write_example(tmp_path, "remark2")
     sequence = [("check", path, "--player", "1"), ("check", path),
                 ("solve", path, "--mode", "q-only"), ("solve", path)]
@@ -222,6 +222,30 @@ def test_solve_nearest(tmp_path, capsys):
     report = json.loads(out)
     assert report["players"][0]["Q"] == [[pytest.approx(4.8, abs=1e-6)]]
     assert report["players"][0]["R_row"][0] == [[pytest.approx(1.6, abs=1e-6)]]
+
+
+def test_solve_nearest_rejects_q_only_mode(tmp_path, capsys):
+    # --nearest searches R freely, so pinning it with --mode q-only is an input
+    # error rather than a flag silently ignored; --mode general is its search.
+    path = write_example(tmp_path, "scalar_feasible")
+    costs0 = tmp_path / "costs0.json"
+    costs0.write_text('{"Q": [[[5.0]]], "R": [[[[1.0]]]]}')
+    code, out, err = run_cli(capsys, "solve", path, "--nearest", str(costs0),
+                             "--mode", "q-only")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --nearest"), err
+    general = run_cli(capsys, "solve", path, "--nearest", str(costs0), "--mode", "general")
+    assert general == run_cli(capsys, "solve", path, "--nearest", str(costs0))
+    assert general[0] == 0
+
+
+def test_check_timings_resolve_microseconds(tmp_path, capsys, monkeypatch):
+    # timings_ms are float milliseconds rounded to 1 us, read from perf_counter.
+    ticks = iter([0.0, 0.0001234567, 1.0, 1.0025])
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    code, out, _ = run_cli(capsys, "check", write_example(tmp_path, "scalar_feasible"))
+    assert code == 0
+    assert json.loads(out)["timings_ms"] == {"frequency": 0.123, "oracle": 2.5}
 
 
 def test_verify_two_player_scalar(tmp_path, capsys):

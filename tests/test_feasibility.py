@@ -157,6 +157,96 @@ def test_projection_kernel_returns_at_an_exact_fixed_point(monkeypatch):
     assert len(calls) <= 2
 
 
+def test_identity_start_is_the_projected_identity_fit():
+    # Full-rank V'E: alpha is the least-squares fit of V'E alpha to V'x_p,
+    # clipped at 0, and the start the projection of E alpha_+ onto the set.
+    rng = np.random.default_rng(3)
+    layout = [(3, 0.0), (2, R_FLOOR)]
+    E = np.zeros((9, 2))
+    E[[0, 3, 5], 0] = E[[6, 8], 1] = 1.0  # packed I_3 and I_2
+    for _ in range(20):
+        V = np.linalg.qr(rng.standard_normal((9, 4)))[0]
+        x_p = V @ rng.standard_normal(4)
+        alpha = np.maximum(np.linalg.lstsq(V.T @ E, V.T @ x_p, rcond=None)[0], 0.0)
+        c = E @ alpha
+        z0 = numerics._identity_start(x_p, V, layout)
+        assert np.allclose(z0, c - V @ (V.T @ c) + x_p, atol=1e-12)
+        assert np.linalg.norm(V.T @ (z0 - x_p)) <= 1e-12 * max(1.0, np.linalg.norm(z0))
+
+
+def test_identity_start_falls_back_to_x_p_when_no_identity_reaches_the_rows():
+    # diag(1, -1) is orthogonal to I, so V'E is a zero column (exactly, or to
+    # round-off from an SVD): no error, and the start is x_p, whose first step
+    # is then the plain one from x_p.
+    x_p = sym_pack(np.diag([1.0, -1.0]))
+    layout = [(2, 0.0)]
+    E = numerics._identity_columns(tuple(layout))
+    for V in ((x_p / np.linalg.norm(x_p))[:, None], row_basis(x_p[None, :])):
+        assert np.abs(V.T @ E).max() <= 1e-15
+        assert np.array_equal(numerics._identity_start(x_p, V, layout), x_p)
+        c = cone_project(x_p, layout)
+        x, reason, _, _ = project_affine_cone(x_p, V, layout, 1)
+        assert reason == "cap" and np.array_equal(x, c - V @ (V.T @ c) + x_p)
+    # A second block: the zero column gets coefficient 0, and the other
+    # block's fit is negative and clipped, so again the start is x_p.
+    layout = [(2, 0.0), (1, 0.0)]
+    V = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0], [0.0, np.sqrt(2.0)]]) / np.sqrt(2.0)
+    x_p = V @ np.array([1.0, -1.0])
+    assert np.array_equal(V.T @ numerics._identity_columns(tuple(layout)),
+                          [[0.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(numerics._identity_start(x_p, V, layout), x_p)
+
+
+def oracle_games(nash_games, tmp_path):
+    """(name, system, profile) of every nash_games game, tests/data fixture
+    and bundled example."""
+    games = [(f"nash_games[{k}]", system, profile)
+             for k, (system, _, profile, _) in enumerate(nash_games)]
+    paths = sorted(DATA.glob("*.json"))
+    for name, blob in BUNDLED.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(blob)
+    return games + [(path.stem, *load_problem(str(path))[:2]) for path in paths]
+
+
+def x_p_start(x_p, V, layout):
+    return x_p
+
+
+def test_identity_start_keeps_every_kalman_status(nash_games, tmp_path, monkeypatch):
+    # player_feasibility and solve_kalman_Q answer with the identity-weight
+    # start as they do from x_p, on every nash_games player, tests/data fixture
+    # and bundled example.
+    games = oracle_games(nash_games, tmp_path)
+
+    def statuses():
+        return [(name, i, feasibility.player_feasibility(system, profile, i).status,
+                 inverse.solve_kalman_Q(system, profile, i).status)
+                for name, system, profile in games for i in range(system.num_players)]
+
+    identity = statuses()
+    monkeypatch.setattr(numerics, "_identity_start", x_p_start)
+    assert identity == statuses()
+    assert {o for *_, o, _ in identity} == {"solved", "infeasible", "indeterminate"}
+
+
+def test_identity_start_halves_ladder_iterations(monkeypatch):
+    # The tests/data ladder-recipe games: both Kalman searches take at most half
+    # the iterations of the same loops started at x_p.
+    games = [load_problem(str(path))[:2] for path in sorted(DATA.glob("ladder_*.json"))]
+
+    def totals():
+        pairs = [(feasibility.player_feasibility(system, profile, i).iterations,
+                  inverse.solve_kalman_Q(system, profile, i).iterations)
+                 for system, profile in games for i in range(system.num_players)]
+        return np.sum(pairs, axis=0)
+
+    identity = totals()
+    monkeypatch.setattr(numerics, "_identity_start", x_p_start)
+    from_x_p = totals()
+    assert (2 * identity <= from_x_p).all(), (identity, from_x_p)
+
+
 def test_check_membership_scalar():
     system, prof = scalar_game(3.0)
     costs = CostParameters([np.array([[3.0]])], [[np.array([[1.0]])]])
@@ -226,7 +316,10 @@ def test_nearest_params_infeasible():
     system, prof = scalar_game(1.5)
     costs0 = CostParameters([np.array([[1.0]])], [[np.array([[1.0]])]])
     res = nearest_params(costs0, system, prof)
-    assert res.status in ("infeasible_certified_by_identity", "indeterminate")
+    # The kernel is the one line q = -0.75 r, on which Q and R never share a
+    # sign: the ray certifies infeasibility before any loop runs.
+    assert res.status == "infeasible_certified_by_identity"
+    assert res.iterations == (0,)
     assert res.costs is None
 
 
@@ -315,13 +408,7 @@ def test_one_search_matches_kronecker_reference(nash_games, tmp_path):
     # The (Q_i, R_ii) search with P_i eliminated answers as the (Q_i, R_ii, P_i)
     # search over the vectorized system did, player by player, on every
     # nash_games game, tests/data fixture and bundled example.
-    games = [(f"nash_games[{k}]", system, profile)
-             for k, (system, _, profile, _) in enumerate(nash_games)]
-    paths = sorted(DATA.glob("*.json"))
-    for name, blob in BUNDLED.items():
-        paths.append(tmp_path / f"{name}.json")
-        paths[-1].write_text(blob)
-    games += [(path.stem, *load_problem(str(path))[:2]) for path in paths]
+    games = oracle_games(nash_games, tmp_path)
     statuses = []
     for name, system, profile in games:
         for i in range(system.num_players):

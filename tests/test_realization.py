@@ -10,7 +10,8 @@ from nashinduce import (
     reduced_system,
     right_coprime_factorization,
 )
-from nashinduce.numerics import DimensionError, eig, matrix_rank
+from nashinduce.numerics import HURWITZ_MARGIN, DimensionError, eig, matrix_rank
+from nashinduce.realization import _pbh_stabilizable
 from nashinduce.polymat import PolyMatrix
 
 
@@ -39,6 +40,35 @@ def test_game_system_validation():
     with pytest.raises(ValueError):
         # unstabilizable: unstable mode not reachable
         GameSystem(np.diag([1.0, -1.0]), [np.array([[0.0], [1.0]])])
+
+
+def loop_pbh_stabilizable(A, Ball):
+    """Per-eigenvalue reference of the batched PBH test: one matrix_rank each."""
+    n = A.shape[0]
+    return all(matrix_rank(np.hstack([lam * np.eye(n) - A, Ball])) >= n
+               for lam in eig(A) if lam.real >= -HURWITZ_MARGIN)
+
+
+def test_batched_pbh_matches_per_eigenvalue_loop():
+    rng = np.random.default_rng(31)
+    verdicts = []
+    for n in (1, 2, 3, 5, 8, 16):
+        for _ in range(6):
+            A = rng.standard_normal((n, n))
+            B = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+            # Unstabilizable: an unstable mode (eigenvalue 1 or the pair 1 +- 2j)
+            # that B cannot reach, hidden by a similarity transform.
+            k = 1 if n == 1 else 2
+            A[:k, k:], B[:k] = 0.0, 0.0
+            A[:k, :k] = [[1.0]] if k == 1 else [[1.0, 2.0], [-2.0, 1.0]]
+            T = rng.standard_normal((n, n)) + n * np.eye(n)
+            A_hidden, B_hidden = T @ A @ np.linalg.inv(T), T @ B
+            for A_, B_ in ((A, B), (A_hidden, B_hidden), (A, rng.standard_normal(B.shape)),
+                           (-np.eye(n) - A @ A.T, B), (np.zeros((n, n)), np.eye(n))):
+                verdict = _pbh_stabilizable(A_, B_)
+                assert verdict == loop_pbh_stabilizable(A_, B_), (n, A_, B_)
+                verdicts.append(verdict)
+    assert set(verdicts) == {True, False}
 
 
 def test_profile_validation():
