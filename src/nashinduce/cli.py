@@ -455,10 +455,7 @@ def cmd_verify(args) -> int:
     system, profile, costs, tol = load_problem(args.problem)
     if costs is None:
         raise InputError("players: Q and R_row required for verify")
-    try:
-        ok, cert = verify_nash(system, profile, costs, tol=max(tol, args.tol))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    ok, cert = verify_nash(system, profile, costs, tol=max(tol, args.tol))
     report = {
         "verified": bool(ok),
         "hurwitz_margin": float(cert.hurwitz_margin),
@@ -553,10 +550,7 @@ def main(argv=None) -> int:
     handler = globals()[f"cmd_{args.command}"]
     try:
         return handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DimensionError, ValueError) as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalFailureError, np.linalg.LinAlgError) as exc:

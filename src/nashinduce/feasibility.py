@@ -10,10 +10,12 @@ Schur form).  Every search holds an orthonormal basis V of those constraint
 rows (numerics.row_basis), never a basis of the map's kernel, and projects
 onto the kernel as x - V(V'x).  This module checks membership, searches the
 kernel for costs in the cones by alternating projections
-(player_feasibility, the one time-domain cone search), projects reference
-costs onto the feasible set (Douglas-Rachford splitting), and folds/unfolds
-cross-control penalties.  Both loops run through the Anderson-mixed
-fixed-point driver numerics._anderson.  The Kronecker identities
+(player_feasibility, the one Kalman cone search: the time-domain oracle on
+the slice trace(R_ii) = m_i, and the q-only solve with R_ii = I pinned),
+projects reference costs onto the feasible set (Douglas-Rachford
+splitting, or one clipped scalar projection on a one-dimensional kernel),
+and folds/unfolds cross-control penalties.  Both loops run through the
+Anderson-mixed fixed-point driver numerics._anderson.  The Kronecker identities
 (build_vectorized_system, _player_nullspace) remain as references; no search
 uses them.
 """
@@ -188,34 +190,48 @@ class KalmanSolution:
     Q: np.ndarray
     R: np.ndarray
     residual: float
-    kernel_dim: int  # of the linear map, before the trace slice and the cones
+    kernel_dim: int  # of the linear map (q-only: R_ii pinned), before the trace slice
     psd_ok: bool
     status: str  # "solved" | "no_solution" | "infeasible" | "indeterminate"
     iterations: int = 0  # of the projection loop
     gap: float = 0.0  # relative distance of the projection loop's point to the cones at stop
 
 
-def player_feasibility(system: GameSystem, profile: StrategyProfile, i: int, rho: float = R_FLOOR,
-                       cap: int = PROJECTION_CAP, tol: float = PROJECTION_TOL) -> KalmanSolution:
-    """Player i's cone search: Q_i >= 0, R_ii >= rho I in the kernel of the
-    Kalman map (_kalman_map), on the normalization slice trace(R_ii) = m_i.
+def player_feasibility(system: GameSystem, profile: StrategyProfile, i: int,
+                       mode: str = "general") -> KalmanSolution:
+    """Player i's cone search: Q_i >= 0, R_ii >= R_FLOOR I in the kernel of
+    the Kalman map (_kalman_map), on a slice of it.  Mode "general" slices
+    on the normalization trace(R_ii) = m_i; "q-only" pins R_ii = I, one row
+    per packed entry, and kernel_dim then counts the pinned map's kernel,
+    that of its Q_i columns.
 
     "infeasible" is certified by the identities alone: every solution has
-    trace(R_ii) = 0, or the slice is a single point outside the cones.  A
-    loop stopped at its cap, or converged to a point that misses the cones
-    by more than 1e-7, is "indeterminate".
+    trace(R_ii) = 0, or the slice is a single point outside the cones.  With
+    R_ii pinned, a slice no solution reaches is "no_solution".  A loop
+    stopped at its cap, or converged to a point that misses the cones by
+    more than 1e-7, is "indeterminate".  Both modes report the residual
+    |M theta| / max(1, |theta|).
     """
     n, m = system.n, system.m[i]
     M = np.hstack(_kalman_map(system, profile, i))
     V = row_basis(M)  # the Kalman equation's independent constraint rows
-    kernel_dim = M.shape[1] - V.shape[1]
-    trace_row = np.concatenate([np.zeros(sym_dim(n)), sym_pack(np.eye(m))])
-    affine = affine_slice(V, trace_row, m)
-    if affine is None:
-        return KalmanSolution(Q=np.zeros((n, n)), R=np.zeros((m, m)), residual=0.0,
-                              kernel_dim=kernel_dim, psd_ok=False, status="infeasible")
-    layout = [(n, 0.0), (m, rho)]
-    theta, reason, its, gap = project_affine_cone(*affine, layout, cap, tol)
+    nq, eye = sym_dim(n), sym_pack(np.eye(m))
+    q_only = mode == "q-only"
+    if q_only:  # one row per packed entry of R_ii
+        pins = np.hstack([np.zeros((eye.size, nq)), np.eye(eye.size)])
+        x_p, Va = affine_slice(V, pins, eye)
+        kernel_dim = M.shape[1] - Va.shape[1]
+    else:
+        x_p, Va = affine_slice(V, [np.concatenate([np.zeros(nq), eye])], [m])  # the trace row
+        kernel_dim = M.shape[1] - V.shape[1]
+    if x_p is None:
+        return KalmanSolution(Q=np.zeros((n, n)), R=np.eye(m) if q_only else np.zeros((m, m)),
+                              residual=0.0, kernel_dim=kernel_dim, psd_ok=False,
+                              status="no_solution" if q_only else "infeasible")
+    layout = [(n, 0.0), (m, R_FLOOR)]
+    theta, reason, its, gap = project_affine_cone(x_p, Va, layout)
+    if q_only:  # the pinned entries exactly, not to round-off
+        theta = np.concatenate([theta[:nq], eye])
     ok = cone_verdict(theta, reason, layout, slack=1e-7)
     Q, R = sym_blocks(theta, layout)
     residual = float(np.linalg.norm(M @ theta)) / max(1.0, float(np.linalg.norm(theta)))
@@ -232,9 +248,8 @@ class FeasibilityResult:
     gaps: tuple = ()  # each searched player's relative distance to the cones at stop
 
 
-def solve_feasibility_projection(system: GameSystem, profile: StrategyProfile,
-                                 rho: float = R_FLOOR, cap: int = PROJECTION_CAP,
-                                 tol: float = PROJECTION_TOL) -> FeasibilityResult:
+def solve_feasibility_projection(system: GameSystem,
+                                 profile: StrategyProfile) -> FeasibilityResult:
     """Per-player cone searches (player_feasibility, players decouple once
     cross penalties are folded away); the first player not solved decides.
 
@@ -243,7 +258,7 @@ def solve_feasibility_projection(system: GameSystem, profile: StrategyProfile,
     """
     sols = []
     for i in range(system.num_players):
-        sols.append(player_feasibility(system, profile, i, rho, cap, tol))
+        sols.append(player_feasibility(system, profile, i))
         if sols[-1].status != "solved":
             break
     status = {"solved": "feasible", "infeasible": "infeasible_certified_by_identity",
@@ -270,22 +285,24 @@ class NearestResult:
     gaps: tuple = ()  # each searched player's |y - x| / max(1, |y|) at stop (0: no loop ran)
 
 
-def nearest_params(costs0: CostParameters, system: GameSystem, profile: StrategyProfile,
-                   rho: float = R_FLOOR, cap: int = PROJECTION_CAP,
-                   tol: float = PROJECTION_TOL) -> NearestResult:
-    """Project reference costs onto the feasible set (Douglas-Rachford).
+def nearest_params(costs0: CostParameters, system: GameSystem,
+                   profile: StrategyProfile) -> NearestResult:
+    """Project reference costs onto the feasible set.
 
     Per player: variables x = (Q_i, R_i1..R_iN) with P_i eliminated through
     the Lyapunov map, and min |x - x0|^2 / 2 over the stationarity map's
     kernel and the cones.  V, an orthonormal basis of the map's constraint
-    rows, projects onto the kernel as x - V(V'x).  Douglas-Rachford splitting
-    (step 1) from v = x0 - V(V'x0) takes u = (v + x0) / 2, x = u - V(V'u),
-    y = P_cone(2x - v) and v <- v + y - x, mixed by numerics._anderson, and
-    stops when |y - x| <= tol * max(1, |y|).  Its answer y lies in the cones
+    rows, projects onto the kernel as x - V(V'x).  A one-dimensional kernel
+    needs no loop (0 iterations, gap 0 for that player): when neither
+    direction z of its solution ray meets the cones, infeasibility is
+    certified; otherwise the feasible set is the ray {t z : t >= t0}, t0 =
+    R_FLOOR / lambda_min of z's R_ii block, and the answer is
+    max(t0, z . x0) z.  A larger kernel runs Douglas-Rachford splitting
+    (step 1) from v = x0 - V(V'x0): u = (v + x0) / 2, x = u - V(V'u),
+    y = P_cone(2x - v) and v <- v + y - x, mixed by numerics._anderson, until
+    |y - x| <= PROJECTION_TOL max(1, |y|).  Its answer y lies in the cones
     and must also lie on the kernel within 1e-7 (|V'y| small); otherwise it
-    is "indeterminate".  A one-dimensional kernel is tested first: when
-    neither direction of its solution ray meets the cones, infeasibility is
-    certified before any loop runs (0 iterations for that player).
+    is "indeterminate".
     """
     costs0.validate(system, tol=1e-6)
     N = system.num_players
@@ -298,27 +315,32 @@ def nearest_params(costs0: CostParameters, system: GameSystem, profile: Strategy
         if kernel_dim == 0:
             return NearestResult("infeasible_certified_by_identity", None, float("inf"),
                                  iterations, gaps)
-        layout = [(system.n, 0.0)] + [(mj, rho if j == i else 0.0)
+        layout = [(system.n, 0.0)] + [(mj, R_FLOOR if j == i else 0.0)
                                       for j, mj in enumerate(system.m)]
-        if kernel_dim == 1:
-            z = _kernel_direction(V)
-            if not (_ray_in_cone(z, layout) or _ray_in_cone(-z, layout)):
-                return NearestResult("infeasible_certified_by_identity", None, float("inf"),
-                                     iterations + (0,), gaps + (0.0,))
         x0 = np.concatenate([sym_pack(costs0.Q[i])] +
                             [sym_pack(costs0.R[i][j]) for j in range(N)])
+        if kernel_dim == 1:
+            z = _kernel_direction(V)
+            z = z if _ray_in_cone(z, layout) else -z
+            if not _ray_in_cone(z, layout):
+                return NearestResult("infeasible_certified_by_identity", None, float("inf"),
+                                     iterations + (0,), gaps + (0.0,))
+            t0 = R_FLOOR / float(np.linalg.eigvalsh(sym_blocks(z, layout)[1 + i]).min())
+            y, its, gap = max(t0, float(z @ x0)) * z, 0, 0.0
+        else:
+            def step(v):
+                u = 0.5 * (v + x0)
+                x = u - V @ (V.T @ u)
+                y = cone_project(2.0 * x - v, layout)
+                return v + y - x, y, float(np.linalg.norm(y - x))
 
-        def step(v):
-            u = 0.5 * (v + x0)
-            x = u - V @ (V.T @ u)
-            y = cone_project(2.0 * x - v, layout)
-            return v + y - x, y, float(np.linalg.norm(y - x))
-
-        y, reason, its, gap = _anderson(step, x0 - V @ (V.T @ x0), cap, tol)
+            y, reason, its, gap = _anderson(step, x0 - V @ (V.T @ x0), PROJECTION_CAP,
+                                            PROJECTION_TOL)
+            on_sub = float(np.linalg.norm(V.T @ y)) <= 1e-7 * max(1.0, float(np.linalg.norm(y)))
+            if not (reason == "converged" and on_sub and cone_ok(y, layout)):
+                return NearestResult("indeterminate", None, float("inf"),
+                                     iterations + (its,), gaps + (gap,))
         iterations, gaps = iterations + (its,), gaps + (gap,)
-        on_sub = float(np.linalg.norm(V.T @ y)) <= 1e-7 * max(1.0, float(np.linalg.norm(y)))
-        if not (reason == "converged" and on_sub and cone_ok(y, layout)):
-            return NearestResult("indeterminate", None, float("inf"), iterations, gaps)
         dist2 += float(np.linalg.norm(y - x0) ** 2)
         Qi, *Rrow = [psd_project(X, floor) for X, (_, floor) in zip(sym_blocks(y, layout), layout)]
         Qs.append(Qi)

@@ -16,12 +16,10 @@ exact charpoly circle criterion and the closed-right-half-plane rank
 condition.  Cost matrices are recovered from the Kalman equation in its
 time-domain form: stationarity R K_i = B_i' P with P eliminated through the
 Lyapunov equation, a linear map in (Q, R) alone with n m_i rows
-(feasibility._stationarity_map).  Both Kalman solvers hold an orthonormal
-basis of those constraint rows, not of the map's kernel: solve_kalman_Q
-projects over {Q : V'Q = V'q}, q the minimum-norm solution, and the joint
-(Q, R) solve is the time-domain oracle's cone search
-(feasibility.player_feasibility).  Both searches start at their affine
-set's identity-weight point (numerics._identity_start).
+(feasibility._stationarity_map).  Both Kalman solvers are the time-domain
+oracle's cone search (feasibility.player_feasibility) on a slice of that
+map's kernel: solve_kalman_general on trace(R) = m, solve_kalman_Q with
+R = I pinned.
 """
 
 from __future__ import annotations
@@ -32,18 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polymat
-from .feasibility import KalmanSolution, _kalman_map, player_feasibility
+from .feasibility import KalmanSolution, player_feasibility
 from .numerics import (
-    PROJECTION_CAP,
-    R_FLOOR,
     NumericalFailureError,
-    cone_verdict,
     matrix_rank,
-    project_affine_cone,
     psd_project,  # noqa: F401  (perfbench's tracing test reads inverse.psd_project)
-    row_basis,
-    sym_pack,
-    sym_unpack,
 )
 from .polymat import (
     PolyMatrix,
@@ -329,46 +320,22 @@ def _null_vec(M, col_norms, tol: float = 1e-7):
 # Kalman-equation solvers
 # ---------------------------------------------------------------------------
 
-def solve_kalman_Q(system: GameSystem, profile: StrategyProfile, i: int,
-                   tol: float = 1e-8, cap: int = PROJECTION_CAP) -> KalmanSolution:
+def solve_kalman_Q(system: GameSystem, profile: StrategyProfile, i: int) -> KalmanSolution:
     """Find Q >= 0 with K_i = B_i' P, P the Lyapunov solution for the state
-    weight Q + K_i' K_i (R pinned to I): the minimum-norm solution q of this
-    linear equation, then alternating projections over {Q : V'Q = V'q}, V an
-    orthonormal basis of the equation's constraint rows, started at the
-    best-fitting nonnegative multiple alpha I projected onto the set (q
-    itself when no multiple of I reaches the rows).
-    """
-    n, m = system.n, system.m[i]
-    A, MR = _kalman_map(system, profile, i)
-    b = -MR @ sym_pack(np.eye(m))
-    V = row_basis(A)
-    q = V @ np.linalg.lstsq(A @ V, b, rcond=None)[0]
-    scale = max(1.0, float(np.linalg.norm(b)))
-    rel = float(np.linalg.norm(A @ q - b)) / scale
-    kernel_dim = A.shape[1] - V.shape[1]
-    if rel > tol:
-        return KalmanSolution(Q=sym_unpack(q, n), R=np.eye(m), residual=rel,
-                              kernel_dim=kernel_dim, psd_ok=False, status="no_solution")
-    layout = [(n, 0.0)]
-    x, reason, iterations, gap = project_affine_cone(q, V, layout, cap)
-    ok = cone_verdict(x, reason, layout, slack=1e-7)
-    status = "solved" if ok else ("indeterminate" if ok is None else "infeasible")
-    return KalmanSolution(Q=sym_unpack(x, n), R=np.eye(m),
-                          residual=float(np.linalg.norm(A @ x - b)) / scale,
-                          kernel_dim=kernel_dim, psd_ok=bool(ok), status=status,
-                          iterations=iterations, gap=gap)
+    weight Q + K_i' K_i: the Kalman equation with R pinned to I, searched by
+    feasibility.player_feasibility on its R_ii = I slice."""
+    return player_feasibility(system, profile, i, mode="q-only")
 
 
-def solve_kalman_general(system: GameSystem, profile: StrategyProfile, i: int,
-                         rho: float = R_FLOOR, cap: int = PROJECTION_CAP) -> KalmanSolution:
+def solve_kalman_general(system: GameSystem, profile: StrategyProfile, i: int) -> KalmanSolution:
     """Joint unknowns (Q, R):  R K_i = B_i' P, P the Lyapunov solution for the
     state weight Q + K_i' R K_i (the Kalman equation with P eliminated).
 
     The solution set is a cone, searched on the normalization slice
-    trace(R) = m for Q >= 0, R >= rho I by feasibility.player_feasibility,
+    trace(R) = m for Q >= 0, R >= R_FLOOR I by feasibility.player_feasibility,
     the time-domain oracle's search.
     """
-    return player_feasibility(system, profile, i, rho, cap)
+    return player_feasibility(system, profile, i)
 
 
 # ---------------------------------------------------------------------------

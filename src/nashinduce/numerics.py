@@ -5,10 +5,12 @@ inputs.  Matrices handed to these routines must be finite; constructors and
 entry points reject NaN/Inf.
 
 Affine sets are held by their constraint rows: an orthonormal basis V
-(row_basis, under the one rank rule _rank that nullspace and matrix_rank
-share) and a point x_p in span(V), so that projecting onto the set is
-c - V(V'c) + x_p at O(dim * rank) and no kernel basis is formed.  Cone
-searches over such a set start at its identity-weight point
+(row_basis, under the one rank rule _rank that nullspace, matrix_rank and
+realization.controllable_basis share) and a point x_p in span(V), so that
+projecting onto the set is c - V(V'c) + x_p at O(dim * rank) and no kernel
+basis is formed.  affine_slice cuts such a set by further rows, one at a
+time: the one normalization row trace(R) = m, or one row per pinned entry.
+Cone searches over such a set start at its identity-weight point
 (_identity_start), the projection of the best nonnegative multiples of the
 layout's block identities, not at x_p.  Lyapunov equations are solved by
 Bartels-Stewart on one Schur form, for one or a stack of right-hand sides;
@@ -22,8 +24,8 @@ import functools
 
 import numpy as np
 
-# Default tolerances.  Callers may override per call; nothing below hard-codes
-# them inside the logic.
+# Default tolerances.  The searches use the loop constants as they are; the
+# other kernels take a per-call override.
 PSD_TOL = 1e-8
 RANK_TOL = 1e-9
 HURWITZ_MARGIN = 1e-9
@@ -393,21 +395,30 @@ def cone_ok(x, layout, slack: float = 1e-9) -> bool:
     return True
 
 
-def affine_slice(V, a, value: float):
-    """The points x with V'x = 0 and a . x = value, as (x_p, V_a).
+def affine_slice(V, rows, values):
+    """The points x with V'x = 0 and rows[k] . x = values[k], as (x_p, V_a).
 
-    V has orthonormal columns, a basis of the constraint rows.  x_p is the
-    minimum-norm point, which lies in span(V_a), and V_a = [V, u] an
-    orthonormal basis of the slice's constraint rows, u the unit part of a
-    orthogonal to span(V).  None when a lies in span(V), so that no point of
-    the kernel reaches a nonzero value.
+    V has orthonormal columns, a basis of the constraint rows.  The rows are
+    appended one at a time by two Gram-Schmidt passes: u, the unit part of a
+    row orthogonal to the basis so far, joins it, and x_p moves along u to
+    meet the row's value.  So x_p is the minimum-norm point, in span(V_a),
+    and V_a an orthonormal basis of the slice's constraint rows.  A row
+    within 1e-12 of the span adds no direction: its value is already fixed
+    on the set, and x_p is None when that value misses the row's by more
+    than 1e-8 max(1, |x_p|), so that no point reaches the slice.
     """
-    g = a - V @ (V.T @ a)
-    g -= V @ (V.T @ g)  # second Gram-Schmidt pass keeps V_a orthonormal
-    norm = float(np.linalg.norm(g))
-    if norm < 1e-12:
-        return None
-    return g * (value / norm**2), np.column_stack([V, g / norm])
+    x_p, reached = np.zeros(len(V)), True
+    for a, value in zip(rows, values):
+        g = a - V @ (V.T @ a)
+        g -= V @ (V.T @ g)  # second Gram-Schmidt pass keeps V_a orthonormal
+        norm = float(np.linalg.norm(g))
+        miss = value - a @ x_p
+        if norm >= 1e-12:
+            x_p += g * (miss / norm**2)
+            V = np.column_stack([V, g / norm])
+        else:
+            reached &= abs(miss) <= 1e-8 * max(1.0, float(np.linalg.norm(x_p)))
+    return (x_p if reached else None), V
 
 
 def _anderson(step, z, cap: int, tol: float, tangent=None):

@@ -210,7 +210,7 @@ def controllable_basis(A, B, tol: float = RANK_TOL) -> np.ndarray:
         blocks.append(A @ blocks[-1])
     ctrb = np.hstack(blocks)
     u, sv, _ = np.linalg.svd(ctrb, full_matrices=False)
-    return u[:, :int(np.sum(sv > tol * max(1.0, sv[0])))]
+    return u[:, :_rank(sv, tol)]
 
 
 def right_coprime_factorization(A_tilde, B, tol: float = RANK_TOL) -> CoprimeFactorization:

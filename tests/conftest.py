@@ -17,7 +17,7 @@ from nashinduce import (
     is_stabilizing,
     solve_coupled_are,
 )
-from nashinduce.feasibility import _player_nullspace
+from nashinduce.feasibility import _kalman_map, _player_nullspace
 from nashinduce.numerics import (
     PROJECTION_CAP,
     PROJECTION_TOL,
@@ -30,6 +30,7 @@ from nashinduce.numerics import (
     nullspace,
     project_affine_cone,
     psd_project,
+    row_basis,
     solve_lyapunov,
     sym_basis,
     sym_blocks,
@@ -135,15 +136,37 @@ def kronecker_player_feasibility(system, profile, i, rho=R_FLOOR, cap=PROJECTION
     of feasibility.player_feasibility: "solved", "infeasible" or
     "indeterminate"."""
     n, m = system.n, system.m[i]
-    affine = affine_slice(*kronecker_rows(system, profile, i), m)
-    if affine is None:
+    V, trace_row = kronecker_rows(system, profile, i)
+    x_p, V = affine_slice(V, [trace_row], [m])
+    if x_p is None:
         return "infeasible", None, 0
     layout = [(n, 0.0), (m, rho), (n, 0.0)]
-    theta, reason, its, _ = project_affine_cone(*affine, layout, cap, tol)
+    theta, reason, its, _ = project_affine_cone(x_p, V, layout, cap, tol)
     ok = cone_verdict(theta, reason, layout, slack=1e-6)
     if not ok:
         return ("indeterminate" if ok is None else "infeasible"), None, its
     return "solved", sym_blocks(theta, layout), its
+
+
+# Least-squares reference of the q-only Kalman solve, which the package
+# replaced by the cone search on the R_ii = I slice: the minimum-norm solution
+# q of the equation in Q alone, "no_solution" when its residual exceeds 1e-8,
+# then alternating projections over {Q : V'Q = V'q}.
+
+def least_squares_kalman_Q(system, profile, i, tol=1e-8, cap=PROJECTION_CAP):
+    """(status, kernel_dim), kernel_dim that of the map on packed Q."""
+    n, m = system.n, system.m[i]
+    A, MR = _kalman_map(system, profile, i)
+    b = -MR @ sym_pack(np.eye(m))
+    V = row_basis(A)
+    q = V @ np.linalg.lstsq(A @ V, b, rcond=None)[0]
+    kernel_dim = A.shape[1] - V.shape[1]
+    if float(np.linalg.norm(A @ q - b)) > tol * max(1.0, float(np.linalg.norm(b))):
+        return "no_solution", kernel_dim
+    layout = [(n, 0.0)]
+    x, reason, _, _ = project_affine_cone(q, V, layout, cap)
+    ok = cone_verdict(x, reason, layout, slack=1e-7)
+    return ("solved" if ok else ("indeterminate" if ok is None else "infeasible")), kernel_dim
 
 
 # Polynomial reference of the Kalman equation: the coefficient-matching map of

@@ -1,3 +1,5 @@
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from nashinduce import (
     unfold_cross_penalties,
     verify_nash,
 )
-from nashinduce import feasibility, inverse, numerics
+from nashinduce import cli, feasibility, inverse, numerics
 from nashinduce.cli import load_problem
 from nashinduce.feasibility import _player_nullspace, _stationarity_map
 from nashinduce.numerics import (
@@ -38,6 +40,7 @@ from conftest import (
     dykstra_nearest,
     kronecker_player_feasibility,
     kronecker_rows,
+    least_squares_kalman_Q,
     loop_project_affine_cone,
     random_pd,
     random_psd,
@@ -72,7 +75,8 @@ def oracle_slice(system, prof, i, rho=1e-6):
     """The oracle's trace-normalized affine set, as (point, constraint-row
     basis), and block layout for player i."""
     m = system.m[i]
-    return (affine_slice(*kronecker_rows(system, prof, i), m),
+    V, trace_row = kronecker_rows(system, prof, i)
+    return (affine_slice(V, [trace_row], [m]),
             [(system.n, 0.0), (m, rho), (system.n, 0.0)])
 
 
@@ -247,6 +251,65 @@ def test_identity_start_halves_ladder_iterations(monkeypatch):
     assert (2 * identity <= from_x_p).all(), (identity, from_x_p)
 
 
+def test_q_only_slice_keeps_least_squares_statuses(nash_games, tmp_path):
+    # The cone search on the R_ii = I slice answers as the retired
+    # least-squares q-only solve did, status and kernel_dim, on every
+    # nash_games player, tests/data fixture and bundled example.
+    answers = [((s := inverse.solve_kalman_Q(system, profile, i)).status, s.kernel_dim,
+                least_squares_kalman_Q(system, profile, i))
+               for _, system, profile in oracle_games(nash_games, tmp_path)
+               for i in range(system.num_players)]
+    assert all((status, dim) == ref for status, dim, ref in answers)
+    assert {status for status, _, _ in answers} >= {"solved", "infeasible"}
+
+
+def test_modes_agree_bitwise_on_single_input_players(nash_games, tmp_path):
+    # With m_i = 1 the trace slice trace(R_ii) = 1 is the pin R_ii = 1: both
+    # modes run the same search, to bitwise the same Q and iterations.  q-only
+    # reports its pinned R exactly; the general R is 1 to round-off.
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    if str(bench) not in sys.path:
+        sys.path.insert(0, str(bench))
+    import games
+    closed = [games.closed_form_nash((1,), n, 2, 1) for n in (8, 12, 16)]
+    players = [(system, profile, i)
+               for _, system, profile in oracle_games(nash_games, tmp_path)
+               for i in range(system.num_players) if system.m[i] == 1]
+    for game in closed:
+        system = GameSystem(game.A, game.B)
+        profile = StrategyProfile.stabilizing(system, game.K)
+        players += [(system, profile, i) for i in range(system.num_players)]
+    statuses = set()
+    for system, profile, i in players:
+        q = inverse.solve_kalman_Q(system, profile, i)
+        g = inverse.solve_kalman_general(system, profile, i)
+        assert {"no_solution": "infeasible"}.get(q.status, q.status) == g.status
+        assert np.array_equal(q.Q, g.Q) and q.iterations == g.iterations
+        assert np.array_equal(q.R, [[1.0]])
+        if g.status == "solved":
+            assert abs(g.R[0, 0] - 1.0) <= 4 * np.finfo(float).eps
+        statuses.add(q.status)
+    assert len(players) > 50 and "solved" in statuses
+
+
+def test_q_only_reports_no_solution_when_no_q_reaches_the_pin(tmp_path, capsys):
+    # A random single-player game, n = 2, m = 2: the Kalman equation with
+    # R = I has four rows in three unknowns, and no Q solves it.
+    rng = np.random.default_rng(0)
+    A, B = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+    K = np.linalg.solve(B, A + np.eye(2)) + 0.1 * rng.standard_normal((2, 2))
+    system = GameSystem(A, [B])
+    sol = inverse.solve_kalman_Q(system, StrategyProfile.stabilizing(system, [K]), 0)
+    assert (sol.status, sol.kernel_dim, sol.psd_ok) == ("no_solution", 0, False)
+    assert np.array_equal(sol.R, np.eye(2))
+    path = tmp_path / "no_solution.json"
+    path.write_text(json.dumps({"schema_version": "1", "A": A.tolist(),
+                                "players": [{"B": B.tolist(), "K_dagger": K.tolist()}]}))
+    code = cli.main(["solve", str(path), "--mode", "q-only"])
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["status"], report["kalman_status"]) == (1, "infeasible", "no_solution")
+
+
 def test_check_membership_scalar():
     system, prof = scalar_game(3.0)
     costs = CostParameters([np.array([[3.0]])], [[np.array([[1.0]])]])
@@ -323,6 +386,33 @@ def test_nearest_params_infeasible():
     assert res.costs is None
 
 
+def test_nearest_params_one_dimensional_kernel_matches_douglas_rachford(tmp_path):
+    # Bundled scalar_feasible, a one-dimensional kernel whose ray meets the
+    # cones: the clipped scalar projection, with no loop, lies as far from the
+    # reference costs as the Douglas-Rachford loop's answer.
+    path = tmp_path / "scalar_feasible.json"
+    path.write_text(BUNDLED["scalar_feasible"])
+    system, profile, _, _ = load_problem(str(path))
+    costs0 = CostParameters([np.array([[5.0]])], [[np.array([[1.0]])]])
+    res = nearest_params(costs0, system, profile)
+    assert (res.status, res.iterations, res.gaps) == ("feasible", (0,), (0.0,))
+    V = row_basis(_stationarity_map(system, profile, 0))
+    x0 = np.array([5.0, 1.0])
+    layout = [(1, 0.0), (1, R_FLOOR)]
+
+    def step(v):
+        u = 0.5 * (v + x0)
+        x = u - V @ (V.T @ u)
+        y = cone_project(2.0 * x - v, layout)
+        return v + y - x, y, float(np.linalg.norm(y - x))
+
+    y, reason, its, _ = numerics._anderson(step, x0 - V @ (V.T @ x0), PROJECTION_CAP,
+                                            PROJECTION_TOL)
+    assert reason == "converged" and its > 0
+    assert res.distance == pytest.approx(float(np.linalg.norm(y - x0)), rel=1e-9)
+    assert res.distance == pytest.approx(np.sqrt(0.4), rel=1e-12)
+
+
 def identity_costs(system):
     N = system.num_players
     return CostParameters([np.eye(system.n)] * N,
@@ -392,8 +482,7 @@ def test_stalled_loops_stop_at_once(monkeypatch):
         return out
 
     monkeypatch.setattr(numerics, "cone_project", counting)
-    for module in (inverse, feasibility):
-        monkeypatch.setattr(module, "project_affine_cone", recording)
+    monkeypatch.setattr(feasibility, "project_affine_cone", recording)
     last = system.num_players - 1
     kalman = inverse.solve_kalman_general(system, profile, last)
     assert (kalman.status, kalman.iterations) == ("indeterminate", PROJECTION_CAP)

@@ -22,8 +22,9 @@ from nashinduce import (
 )
 from nashinduce.cli import load_problem
 from nashinduce.cli import main as cli_main
+from nashinduce.feasibility import _kalman_map
 from nashinduce.forward import verify_nash
-from nashinduce.inverse import _kalman_map, phi_at_witness
+from nashinduce.inverse import phi_at_witness
 from nashinduce.numerics import NumericalFailureError, nullspace, psd_project
 from nashinduce.polymat import PolyMatrix
 from nashinduce.problems import BUNDLED
