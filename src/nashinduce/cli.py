@@ -25,8 +25,9 @@ import time
 import numpy as np
 
 from .forward import CostParameters, verify_nash
-from .feasibility import nearest_params
-from .inverse import StageError, analyze_player, phi_at_witness, solve_kalman_general
+from .feasibility import nearest_params, stationarity_maps
+from .inverse import (StageError, analyze_player, is_nash_inducible, phi_at_witness,
+                      solve_kalman_general)
 from .numerics import DimensionError, NumericalFailureError
 from .problems import BUNDLED
 from .realization import GameSystem, StrategyProfile
@@ -349,7 +350,8 @@ def cmd_check(args) -> int:
     if args.no_oracle:
         verdict_oracle = "skipped"
     else:
-        kalmans = [solve_kalman_general(system, profile, i) for i in indices]
+        maps = stationarity_maps(system, profile, indices)  # one adjoint stack
+        kalmans = [solve_kalman_general(system, profile, i, M) for i, M in zip(indices, maps)]
         verdict_oracle = _oracle_verdict(kalmans)
         if verdict_oracle == "indeterminate":
             warnings.append("time-domain oracle did not reach a determinate verdict")
@@ -402,14 +404,9 @@ def cmd_solve(args) -> int:
         _write_report(report, args)
         return 0 if res.status == "feasible" else 1
 
-    players = []
-    failed = None
-    for i in range(system.num_players):
-        pa = analyze_player(system, profile, i, solve_costs=True, mode=args.mode)
-        players.append(pa)
-        if failed is None and (pa.kalman is None or pa.kalman.status != "solved"
-                               or not pa.inducible):
-            failed = pa
+    players = is_nash_inducible(system, profile, solve_costs=True, mode=args.mode).players
+    failed = next((pa for pa in players if pa.kalman.status != "solved" or not pa.inducible),
+                  None)
     kalmans = [p.kalman for p in players]
     if failed is not None:
         w = failed.phi_analysis.circle_witness
@@ -421,7 +418,7 @@ def cmd_solve(args) -> int:
             "phi_at_witness": (None if w is None
                                else phi_at_witness(system, profile, failed.index, w)),
             "rank_ok": bool(failed.rank_ok),
-            "kalman_status": failed.kalman.status if failed.kalman else None,
+            "kalman_status": failed.kalman.status,
             "players": [_player_report(p.index, p, p.kalman) for p in players],
             "diagnostics": _diagnostics(kalmans, players),
         }

@@ -5,14 +5,14 @@ convex cone cut out by a Riccati identity, a stationarity identity and
 semidefiniteness constraints.  Acl is Hurwitz, so the Riccati row makes P_i
 the Lyapunov solution for the folded state weight, and eliminating it leaves
 the Kalman equation, one linear map in the costs with n m_i rows
-(_stationarity_map, built from n m_i adjoint Lyapunov solves against one
-Schur form).  Every search holds an orthonormal basis V of those constraint
-rows (numerics.row_basis), never a basis of the map's kernel, and projects
-onto the kernel as x - V(V'x).  This module checks membership, searches the
-kernel for costs in the cones by alternating projections
-(player_feasibility, the one Kalman cone search: the time-domain oracle on
-the slice trace(R_ii) = m_i, and the q-only solve with R_ii = I pinned),
-projects reference costs onto the feasible set (Douglas-Rachford
+(stationarity_maps: every player's map from one stack of n sum m_i adjoint
+Lyapunov solves against one Schur form of Acl).  Every search holds an
+orthonormal basis V of those constraint rows (numerics.row_basis), never a
+basis of the map's kernel, and projects onto the kernel as x - V(V'x).
+This module checks membership, searches the kernel for costs in the cones
+by alternating projections (player_feasibility, the one Kalman cone
+search: the time-domain oracle on the slice trace(R_ii) = m_i, and the
+q-only solve with R_ii = I pinned), projects reference costs onto the feasible set (Douglas-Rachford
 splitting, or one clipped scalar projection on a one-dimensional kernel),
 and folds/unfolds cross-control penalties.  Both loops run through the
 Anderson-mixed fixed-point driver numerics._anderson.  The Kronecker identities
@@ -153,33 +153,48 @@ def _player_nullspace(system, profile, i, tol: float = RANK_TOL):
 # The Kalman-equation map and the cone search over it
 # ---------------------------------------------------------------------------
 
-def _stationarity_map(system, profile, i):
-    """Linear map x -> stationarity residual R_ii K_i - B_i' P_i (row-major
-    over (a, b), a < m_i, b < n), over packed (Q_i, R_i1..R_iN).
+def stationarity_maps(system: GameSystem, profile: StrategyProfile, players=None) -> list:
+    """The stationarity map of each listed player (all by default), over
+    packed (Q_i, R_i1..R_iN): x -> R_ii K_i - B_i' P_i, row-major over
+    (a, b), a < m_i, b < n.
 
     P_i is eliminated: the Riccati row determines it as the Lyapunov solution
     for the folded state weight W = Q_i + sum_j K_j' R_ij K_j, which is linear
     in the packed variables and automatically positive semidefinite on the
     cone.  Entry (a, b) of B_i' P_i is then <Y_ab, W>, Y_ab the adjoint
-    solution of Acl Y + Y Acl' = -sym(B_i e_a e_b'), so the map's n m_i rows
-    come from n m_i adjoint Lyapunov solves against one Schur factorization
-    of Acl: row (a, b) is -pack(Y_ab) on Q_i and -pack(K_j Y_ab K_j') on
-    R_ij, and R_ii K_i adds pack(sym(e_a K_i[:, b]')) on R_ii.
+    solution of Acl Y + Y Acl' = -sym(B_i e_a e_b'), so player i's n m_i rows
+    come from n m_i adjoint Lyapunov solves: row (a, b) is -pack(Y_ab) on Q_i
+    and -pack(K_j Y_ab K_j') on R_ij, and R_ii K_i adds
+    pack(sym(e_a K_i[:, b]')) on R_ii.  Every player solves against the same
+    Acl, so all the players' n sum m_i solves are one solve_lyapunov stack,
+    one Schur factorization of Acl, which a tall stack sweeps in one pass.
     """
-    n, Ki, mi = system.n, profile.K[i], system.m[i]
-    X = np.zeros((mi, n, n, n))  # X[a, b] = B_i e_a e_b': column b holds B_i[:, a]
-    X[:, np.arange(n), :, np.arange(n)] = system.B[i].T
-    X = X.reshape(mi * n, n, n)
+    players = list(range(system.num_players) if players is None else players)
+    n, ms = system.n, [system.m[i] for i in players]
+    B = np.hstack([system.B[i] for i in players])
+    X = np.zeros((B.shape[1], n, n, n))  # X[a, b] = B e_a e_b': column b holds B[:, a]
+    X[:, np.arange(n), :, np.arange(n)] = B.T
+    X = X.reshape(-1, n, n)
     Y = solve_lyapunov(closed_loop(system, profile.K).T, 0.5 * (X + X.transpose(0, 2, 1)))
-    blocks = [-sym_pack_stack(Y)] + [-sym_pack_stack(Kj @ Y @ Kj.T) for Kj in profile.K]
-    blocks[1 + i] += kron(np.eye(mi), Ki.T) @ sym_basis(mi)
-    return np.hstack(blocks)
+    columns = [-sym_pack_stack(Y)] + [-sym_pack_stack(Kj @ Y @ Kj.T) for Kj in profile.K]
+    maps, ends = [], np.cumsum(ms) * n
+    for i, mi, end in zip(players, ms, ends):
+        blocks = [c[end - n * mi:end] for c in columns]
+        blocks[1 + i] = blocks[1 + i] + kron(np.eye(mi), profile.K[i].T) @ sym_basis(mi)
+        maps.append(np.hstack(blocks))
+    return maps
 
 
-def _kalman_map(system: GameSystem, profile: StrategyProfile, i: int):
-    """(M_Q, M_R): the columns of the Lyapunov-eliminated stationarity map
-    that act on packed Q_i and on packed R_ii (cross penalties left at zero)."""
-    M = _stationarity_map(system, profile, i)
+def _stationarity_map(system, profile, i):
+    """Player i's stationarity map alone (stationarity_maps)."""
+    return stationarity_maps(system, profile, [i])[0]
+
+
+def _kalman_map(system: GameSystem, profile: StrategyProfile, i: int, M=None):
+    """(M_Q, M_R): the columns of player i's stationarity map M (built here
+    when None) that act on packed Q_i and on packed R_ii (cross penalties
+    left at zero)."""
+    M = _stationarity_map(system, profile, i) if M is None else M
     nq = sym_dim(system.n)
     off = nq + sum(sym_dim(mj) for mj in system.m[:i])
     return M[:, :nq], M[:, off:off + sym_dim(system.m[i])]
@@ -198,9 +213,10 @@ class KalmanSolution:
 
 
 def player_feasibility(system: GameSystem, profile: StrategyProfile, i: int,
-                       mode: str = "general") -> KalmanSolution:
+                       mode: str = "general", M=None) -> KalmanSolution:
     """Player i's cone search: Q_i >= 0, R_ii >= R_FLOOR I in the kernel of
-    the Kalman map (_kalman_map), on a slice of it.  Mode "general" slices
+    the Kalman map (_kalman_map of M, player i's entry of stationarity_maps,
+    built here when None), on a slice of it.  Mode "general" slices
     on the normalization trace(R_ii) = m_i; "q-only" pins R_ii = I, one row
     per packed entry, and kernel_dim then counts the pinned map's kernel,
     that of its Q_i columns.
@@ -210,23 +226,24 @@ def player_feasibility(system: GameSystem, profile: StrategyProfile, i: int,
     R_ii pinned, a slice no solution reaches is "no_solution".  A loop
     stopped at its cap, or converged to a point that misses the cones by
     more than 1e-7, is "indeterminate".  Both modes report the residual
-    |M theta| / max(1, |theta|).
+    |M theta| / max(1, |theta|), or, when no point reaches the slice, the
+    relative miss of its first unreachable row (affine_slice), with Q = 0.
     """
     n, m = system.n, system.m[i]
-    M = np.hstack(_kalman_map(system, profile, i))
+    M = np.hstack(_kalman_map(system, profile, i, M))
     V = row_basis(M)  # the Kalman equation's independent constraint rows
     nq, eye = sym_dim(n), sym_pack(np.eye(m))
     q_only = mode == "q-only"
     if q_only:  # one row per packed entry of R_ii
         pins = np.hstack([np.zeros((eye.size, nq)), np.eye(eye.size)])
-        x_p, Va = affine_slice(V, pins, eye)
+        x_p, Va, miss = affine_slice(V, pins, eye)
         kernel_dim = M.shape[1] - Va.shape[1]
     else:
-        x_p, Va = affine_slice(V, [np.concatenate([np.zeros(nq), eye])], [m])  # the trace row
+        x_p, Va, miss = affine_slice(V, [np.concatenate([np.zeros(nq), eye])], [m])  # trace row
         kernel_dim = M.shape[1] - V.shape[1]
     if x_p is None:
         return KalmanSolution(Q=np.zeros((n, n)), R=np.eye(m) if q_only else np.zeros((m, m)),
-                              residual=0.0, kernel_dim=kernel_dim, psd_ok=False,
+                              residual=miss, kernel_dim=kernel_dim, psd_ok=False,
                               status="no_solution" if q_only else "infeasible")
     layout = [(n, 0.0), (m, R_FLOOR)]
     theta, reason, its, gap = project_affine_cone(x_p, Va, layout)
@@ -253,12 +270,13 @@ def solve_feasibility_projection(system: GameSystem,
     """Per-player cone searches (player_feasibility, players decouple once
     cross penalties are folded away); the first player not solved decides.
 
-    When all are solved, each P_i is the Lyapunov solution for the state
-    weight Q_i + K_i' R_ii K_i, all from one Schur factorization of Acl.
+    The players' maps come from one adjoint stack (stationarity_maps).  When
+    all are solved, each P_i is the Lyapunov solution for the state weight
+    Q_i + K_i' R_ii K_i, all from one Schur factorization of Acl.
     """
     sols = []
-    for i in range(system.num_players):
-        sols.append(player_feasibility(system, profile, i))
+    for i, M in enumerate(stationarity_maps(system, profile)):
+        sols.append(player_feasibility(system, profile, i, M=M))
         if sols[-1].status != "solved":
             break
     status = {"solved": "feasible", "infeasible": "infeasible_certified_by_identity",
@@ -291,7 +309,8 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
 
     Per player: variables x = (Q_i, R_i1..R_iN) with P_i eliminated through
     the Lyapunov map, and min |x - x0|^2 / 2 over the stationarity map's
-    kernel and the cones.  V, an orthonormal basis of the map's constraint
+    kernel and the cones; the players' maps come from one adjoint stack
+    (stationarity_maps).  V, an orthonormal basis of the map's constraint
     rows, projects onto the kernel as x - V(V'x).  A one-dimensional kernel
     needs no loop (0 iterations, gap 0 for that player): when neither
     direction z of its solution ray meets the cones, infeasibility is
@@ -308,8 +327,7 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
     N = system.num_players
     Qs, Rrows, iterations, gaps = [], [], (), ()
     dist2 = 0.0
-    for i in range(N):
-        M = _stationarity_map(system, profile, i)
+    for i, M in enumerate(stationarity_maps(system, profile)):
         V = row_basis(M)  # the feasible identity directions are span(V)'s complement
         kernel_dim = M.shape[1] - V.shape[1]
         if kernel_dim == 0:

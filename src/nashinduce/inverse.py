@@ -16,10 +16,10 @@ exact charpoly circle criterion and the closed-right-half-plane rank
 condition.  Cost matrices are recovered from the Kalman equation in its
 time-domain form: stationarity R K_i = B_i' P with P eliminated through the
 Lyapunov equation, a linear map in (Q, R) alone with n m_i rows
-(feasibility._stationarity_map).  Both Kalman solvers are the time-domain
-oracle's cone search (feasibility.player_feasibility) on a slice of that
-map's kernel: solve_kalman_general on trace(R) = m, solve_kalman_Q with
-R = I pinned.
+(feasibility.stationarity_maps, all players' maps from one adjoint
+Lyapunov stack).  Both Kalman solvers are the time-domain oracle's cone
+search (feasibility.player_feasibility) on a slice of that map's kernel:
+solve_kalman_general on trace(R) = m, solve_kalman_Q with R = I pinned.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polymat
-from .feasibility import KalmanSolution, player_feasibility
+from .feasibility import KalmanSolution, player_feasibility, stationarity_maps
 from .numerics import (
     NumericalFailureError,
     matrix_rank,
@@ -320,22 +320,26 @@ def _null_vec(M, col_norms, tol: float = 1e-7):
 # Kalman-equation solvers
 # ---------------------------------------------------------------------------
 
-def solve_kalman_Q(system: GameSystem, profile: StrategyProfile, i: int) -> KalmanSolution:
+def solve_kalman_Q(system: GameSystem, profile: StrategyProfile, i: int,
+                   M=None) -> KalmanSolution:
     """Find Q >= 0 with K_i = B_i' P, P the Lyapunov solution for the state
     weight Q + K_i' K_i: the Kalman equation with R pinned to I, searched by
-    feasibility.player_feasibility on its R_ii = I slice."""
-    return player_feasibility(system, profile, i, mode="q-only")
+    feasibility.player_feasibility on its R_ii = I slice.  M is player i's
+    stationarity map when the caller built the game's maps in one stack."""
+    return player_feasibility(system, profile, i, mode="q-only", M=M)
 
 
-def solve_kalman_general(system: GameSystem, profile: StrategyProfile, i: int) -> KalmanSolution:
+def solve_kalman_general(system: GameSystem, profile: StrategyProfile, i: int,
+                         M=None) -> KalmanSolution:
     """Joint unknowns (Q, R):  R K_i = B_i' P, P the Lyapunov solution for the
     state weight Q + K_i' R K_i (the Kalman equation with P eliminated).
 
     The solution set is a cone, searched on the normalization slice
     trace(R) = m for Q >= 0, R >= R_FLOOR I by feasibility.player_feasibility,
-    the time-domain oracle's search.
+    the time-domain oracle's search.  M is player i's stationarity map when
+    the caller built the game's maps in one stack (stationarity_maps).
     """
-    return player_feasibility(system, profile, i)
+    return player_feasibility(system, profile, i, M=M)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +395,11 @@ def _stage(i: int, name: str):
 
 
 def analyze_player(system: GameSystem, profile: StrategyProfile, i: int,
-                   solve_costs: bool = True, mode: str = "general") -> PlayerAnalysis:
+                   solve_costs: bool = True, mode: str = "general", M=None) -> PlayerAnalysis:
     """Circle criterion and rank condition of player i (state-space route when
     Phi has full normal rank, polynomial route otherwise), and with
-    `solve_costs` the Kalman-equation costs.  A numerical failure raises
+    `solve_costs` the Kalman-equation costs (from M, player i's stationarity
+    map, when given).  A numerical failure raises
     StageError naming the stage: "circle" (state space), "realization",
     "phi", "rank_condition" or "kalman"."""
     A_tilde, A_cl = reduced_system(system, profile, i)
@@ -431,9 +436,9 @@ def analyze_player(system: GameSystem, profile: StrategyProfile, i: int,
     if solve_costs:
         with _stage(i, "kalman"):
             if mode == "q-only":
-                kalman = solve_kalman_Q(system, profile, i)
+                kalman = solve_kalman_Q(system, profile, i, M)
             else:
-                kalman = solve_kalman_general(system, profile, i)
+                kalman = solve_kalman_general(system, profile, i, M)
     return PlayerAnalysis(index=i, controllable=controllable, factorization=fac,
                           phi_analysis=analysis, rank_certificate=cert, kalman=kalman,
                           warnings=tuple(warnings))
@@ -441,8 +446,17 @@ def analyze_player(system: GameSystem, profile: StrategyProfile, i: int,
 
 def is_nash_inducible(system: GameSystem, profile: StrategyProfile,
                       solve_costs: bool = True, mode: str = "general") -> InducibilityAnalysis:
-    """Per-player circle + rank verdicts; overall verdict is their conjunction."""
-    players = tuple(analyze_player(system, profile, i, solve_costs, mode)
-                    for i in range(system.num_players))
+    """Per-player circle + rank verdicts; overall verdict is their conjunction.
+
+    With `solve_costs` every player's Kalman map comes from one adjoint
+    Lyapunov stack (feasibility.stationarity_maps), built first; its failure
+    is player 0's "kalman" stage, whose map it builds.
+    """
+    maps = [None] * system.num_players
+    if solve_costs:
+        with _stage(0, "kalman"):
+            maps = stationarity_maps(system, profile)
+    players = tuple(analyze_player(system, profile, i, solve_costs, mode, M)
+                    for i, M in enumerate(maps))
     return InducibilityAnalysis(players=players,
                                 inducible=all(p.inducible for p in players))

@@ -137,7 +137,7 @@ def kronecker_player_feasibility(system, profile, i, rho=R_FLOOR, cap=PROJECTION
     "indeterminate"."""
     n, m = system.n, system.m[i]
     V, trace_row = kronecker_rows(system, profile, i)
-    x_p, V = affine_slice(V, [trace_row], [m])
+    x_p, V, _ = affine_slice(V, [trace_row], [m])
     if x_p is None:
         return "infeasible", None, 0
     layout = [(n, 0.0), (m, rho), (n, 0.0)]

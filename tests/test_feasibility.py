@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nashinduce import (
     CostParameters,
@@ -34,6 +35,7 @@ from nashinduce.numerics import (
     sym_pack,
 )
 from nashinduce.problems import BUNDLED
+from nashinduce.realization import closed_loop
 
 from conftest import (
     converged_nash_games,
@@ -76,7 +78,7 @@ def oracle_slice(system, prof, i, rho=1e-6):
     basis), and block layout for player i."""
     m = system.m[i]
     V, trace_row = kronecker_rows(system, prof, i)
-    return (affine_slice(V, [trace_row], [m]),
+    return (affine_slice(V, [trace_row], [m])[:2],
             [(system.n, 0.0), (m, rho), (system.n, 0.0)])
 
 
@@ -302,12 +304,68 @@ def test_q_only_reports_no_solution_when_no_q_reaches_the_pin(tmp_path, capsys):
     sol = inverse.solve_kalman_Q(system, StrategyProfile.stabilizing(system, [K]), 0)
     assert (sol.status, sol.kernel_dim, sol.psd_ok) == ("no_solution", 0, False)
     assert np.array_equal(sol.R, np.eye(2))
+    # The residual is the relative miss of the first pin no point reaches,
+    # not the 0.0 of a perfect fit.
+    assert sol.residual > 0.1
     path = tmp_path / "no_solution.json"
     path.write_text(json.dumps({"schema_version": "1", "A": A.tolist(),
                                 "players": [{"B": B.tolist(), "K_dagger": K.tolist()}]}))
     code = cli.main(["solve", str(path), "--mode", "q-only"])
     report = json.loads(capsys.readouterr().out)
     assert (code, report["status"], report["kalman_status"]) == (1, "infeasible", "no_solution")
+    assert report["players"][0]["kalman"]["residual"] == pytest.approx(sol.residual, rel=1e-11)
+
+
+def test_affine_slice_reports_the_miss_of_an_unreachable_row():
+    # V fixes x_0 = 0; the row x_1 = 2 cuts the set, x_0 = 3 misses it by 3
+    # relative to max(1, |x_p|) = 2, and x_0 = 1e-9 is reached to round-off.
+    V = np.array([[1.0], [0.0], [0.0]])
+    rows = [np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0])]
+    x_p, Va, miss = affine_slice(V, rows, [2.0, 3.0])
+    assert (x_p, Va.shape, miss) == (None, (3, 2), 1.5)
+    x_p, Va, miss = affine_slice(V, rows, [2.0, 1e-9])
+    assert np.array_equal(x_p, [0.0, 2.0, 0.0]) and miss == 0.0
+
+
+def test_per_game_maps_match_the_one_player_maps(nash_games, tmp_path):
+    # One adjoint stack for all players (swept when tall) gives each player's
+    # map within 1e-12 of its own stack, and the cone searches of both modes
+    # on it keep their status and kernel_dim, on every nash_games player,
+    # tests/data fixture and bundled example.
+    for name, system, profile in oracle_games(nash_games, tmp_path):
+        maps = feasibility.stationarity_maps(system, profile)
+        assert len(maps) == system.num_players
+        for i, M in enumerate(maps):
+            ref = _stationarity_map(system, profile, i)
+            assert np.linalg.norm(M - ref) <= 1e-12 * np.linalg.norm(ref), (name, i)
+            for mode in ("general", "q-only"):
+                a = feasibility.player_feasibility(system, profile, i, mode, M=M)
+                b = feasibility.player_feasibility(system, profile, i, mode)
+                assert (a.status, a.kernel_dim) == (b.status, b.kernel_dim), (name, i, mode)
+
+
+def test_each_command_factors_acl_once_for_the_kalman_stage(tmp_path, monkeypatch, capsys):
+    # check, solve and solve --nearest on a 3-player game build every player's
+    # Kalman map from one Schur factorization of Acl; solve factors once more,
+    # in its final verify_nash.
+    path = str(DATA / "ladder_r0_n8_N3_m2.json")
+    system, profile, _, _ = load_problem(path)
+    costs0 = tmp_path / "costs0.json"
+    costs0.write_text(json.dumps({
+        "Q": [np.eye(system.n).tolist()] * 3,
+        "R": [[(np.eye(2) if i == j else np.zeros((2, 2))).tolist() for j in range(3)]
+              for i in range(3)]}))
+    schur = scipy.linalg.schur
+    factored = []
+    monkeypatch.setattr(scipy.linalg, "schur",
+                        lambda a, *args, **k: factored.append(a) or schur(a, *args, **k))
+    for argv, count in ((["check", path], 1), (["solve", path], 2),
+                        (["solve", path, "--nearest", str(costs0)], 1)):
+        factored.clear()
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert len(factored) == count, argv
+        assert np.array_equal(factored[0], closed_loop(system, profile.K))
 
 
 def test_check_membership_scalar():

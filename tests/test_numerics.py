@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from nashinduce import numerics
 from nashinduce.numerics import (
     HURWITZ_MARGIN,
     R_FLOOR,
@@ -183,21 +184,82 @@ def test_stacked_lyapunov_is_bitwise_per_matrix(monkeypatch):
         solve_lyapunov(-np.eye(3), np.zeros((2, 2, 2)))
 
 
+def trsyl_lyapunov(A, W):
+    """solve_lyapunov's per-slice trsyl path for one right-hand side, spelled
+    out operation by operation: the arithmetic of the committed benchmark
+    corpus, which solve_coupled_are generates through single-matrix solves."""
+    Ws = W[None]
+    Ws = 0.5 * (Ws + Ws.transpose(0, 2, 1))
+    T, U = scipy.linalg.schur(A.T, lwork=numerics._schur_lwork(len(A)), check_finite=False)
+    C = -(U.T @ (Ws @ U))
+    Y, scale, _ = scipy.linalg.lapack.dtrsyl(T, T, C[0], tranb="T")
+    C[0] = Y / scale
+    P = U @ C @ U.T
+    return (0.5 * (P + P.transpose(0, 2, 1)))[0]
+
+
+def test_single_and_short_stacks_are_bitwise_the_trsyl_path():
+    rng = np.random.default_rng(14)
+    for kind in ("real", "complex", "nonnormal"):
+        for n in (1, 2, 3, 5, 8, 12, 16, 24, 32):
+            A = _stable(rng, kind, n)
+            k = max(2 * n, 32) - 1  # the longest stack left to trsyl
+            assert not numerics._swept(k, n) and numerics._swept(k + 1, n)
+            W = np.stack([(lambda C: C + C.T)(rng.standard_normal((n, n))) for _ in range(k)])
+            refs = [trsyl_lyapunov(A, Wk) for Wk in W]
+            assert np.array_equal(solve_lyapunov(A, W[0]), refs[0])
+            assert np.array_equal(solve_lyapunov(A, W), np.stack(refs))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "nonnormal"])
+def test_swept_stack_matches_per_slice_trsyl(kind, monkeypatch):
+    # Every stack here is swept, also those the shape rule leaves to trsyl.
+    monkeypatch.setattr(numerics, "_swept", lambda k, n: k > 1)
+    rng = np.random.default_rng(15)
+    for n in (8, 12, 16, 24, 32):
+        A = _stable(rng, kind, n)
+        for k in (2 * n, 3 * n, 9 * n):
+            W = np.stack([(lambda C: C + C.T)(rng.standard_normal((n, n))) for _ in range(k)])
+            W *= 10.0 ** rng.uniform(-4, 4, k)[:, None, None]
+            P = solve_lyapunov(A, W)
+            for Pk, Wk in zip(P, W):
+                ref = trsyl_lyapunov(A, Wk)
+                assert np.array_equal(Pk, Pk.T)
+                assert np.linalg.norm(Pk - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_stacked_lyapunov_rejects_a_bad_slice_as_it_would_alone(monkeypatch):
     # One bad slice in a stack of good ones raises the error it raises alone:
     # asymmetric or non-finite W before any solve, a corrupted trsyl result
-    # from its own residual check, a trsyl argument error at once.
+    # from its own residual check, a trsyl argument error at once.  The same
+    # holds for a swept stack (n = 8, 32 slices) and its gesv calls.
     rng = np.random.default_rng(10)
     A = _stable(rng, "complex", 5)
     good = np.stack([np.eye(5), np.diag(np.arange(1.0, 6.0)), np.ones((5, 5))])
-    asymmetric, nonfinite = good.copy(), good.copy()
-    asymmetric[1, 0, 1] += 1e-3
-    nonfinite[2, 3, 3] = np.inf
-    for W, bad, match in ((asymmetric, 1, "W is not symmetric within tolerance 1e-08"),
-                          (nonfinite, 2, "W contains non-finite entries")):
-        for Ws in (W, W[bad]):
-            with pytest.raises(ValueError, match=match):
-                solve_lyapunov(A, Ws)
+    A8 = _stable(rng, "complex", 8)
+    tall = np.stack([(lambda C: C + C.T)(rng.standard_normal((8, 8))) for _ in range(32)])
+    assert not numerics._swept(*good.shape[:2]) and numerics._swept(*tall.shape[:2])
+    for A_, stack, bad in ((A, good, 1), (A, good, 2), (A8, tall, 27)):
+        asymmetric, nonfinite = stack.copy(), stack.copy()
+        asymmetric[bad, 0, 1] += 1e-3
+        nonfinite[bad, 3, 3] = np.inf
+        for W, match in ((asymmetric, "W is not symmetric within tolerance 1e-08"),
+                         (nonfinite, "W contains non-finite entries")):
+            for Ws in (W, W[bad]):
+                with pytest.raises(ValueError, match=match):
+                    solve_lyapunov(A_, Ws)
+    with pytest.raises(ValueError, match="Hurwitz"):
+        solve_lyapunov(-A8, tall)
+    gesv = scipy.linalg.lapack.dgesv
+    for info, match in ((0, "residual"), (-3, "argument 3"), (2, "singular")):
+        def slice_27_corrupted(*a, **k):  # every column of slice 27, or every call's info
+            lu, piv, y, _ = gesv(*a, **k)
+            y[:, 27] *= 2.0
+            return lu, piv, y, info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgesv", slice_27_corrupted)
+        with pytest.raises(NumericalFailureError, match=match):
+            solve_lyapunov(A8, tall)
     trsyl = scipy.linalg.lapack.dtrsyl
     for corrupt, match in ((lambda Y, scale, info: (2.0 * Y, scale, info), "residual"),
                            (lambda Y, scale, info: (Y, scale, -3), "argument 3")):
