@@ -42,6 +42,15 @@ class InputError(Exception):
 # floats as null (JSON has no inf or nan)
 # ---------------------------------------------------------------------------
 
+_FLOAT = {float}
+
+
+@functools.cache
+def _row_format(k: int) -> str:
+    """The %-format of a JSON row of k floats: "[%.12e, ..., %.12e]"."""
+    return "[" + ", ".join(["%.12e"] * k) + "]"
+
+
 def _emit(obj, parts):
     if obj is None:
         parts.append("null")
@@ -64,10 +73,13 @@ def _emit(obj, parts):
             parts.append(": ")
             _emit(obj[key], parts)
         parts.append("}")
-    elif isinstance(obj, (list, tuple)) and all(type(x) is float for x in obj):
-        # Fast path for the rows of a matrix (one call per row, not per entry).
-        parts.append("[" + ", ".join("%.12e" % x if math.isfinite(x) else "null"
-                                     for x in obj) + "]")
+    elif (isinstance(obj, (list, tuple)) and set(map(type, obj)) == _FLOAT
+          and math.isfinite(sum(obj))):
+        # A row of finite floats, the bulk of a report: one format call for
+        # the whole row.  A finite sum means every entry is finite; a row that
+        # overflows the sum, or holds nan, inf or any other type, is emitted
+        # value by value below, to the same text.
+        parts.append(_row_format(len(obj)) % tuple(obj))
     elif isinstance(obj, (list, tuple)):
         parts.append("[")
         for k, item in enumerate(obj):
@@ -284,10 +296,17 @@ def _write_report(report, args):
     else:
         out = dumps_report(report)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        _write_file(args.output, out)
     else:
         sys.stdout.write(out)
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _format_text(report, indent=0, key=None) -> str:
@@ -464,6 +483,8 @@ def cmd_verify(args) -> int:
              "P_psd": bool(cert.psd_ok[i])}
             for i in range(system.num_players)
         ],
+        "diagnostics": {"scale": cert.scale, "residual_bound": cert.residual_bound,
+                        "psd_tol": cert.psd_tol},
     }
     _write_report(report, args)
     return 0 if ok else 1
@@ -474,8 +495,7 @@ def cmd_example(args) -> int:
         raise InputError(
             f"unknown example {args.name!r}; choose from {sorted(BUNDLED)}")
     path = args.output or f"{args.name}.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(BUNDLED[args.name])
+    _write_file(path, BUNDLED[args.name])
     print(f"wrote {path}", file=sys.stderr)
     return 0
 

@@ -14,7 +14,6 @@ import numpy as np
 from .numerics import (
     DimensionError,
     as_matrix,
-    eig,
     is_hurwitz,
     is_pd,
     is_psd,
@@ -89,6 +88,9 @@ class CertificateSet:
     stationarity_residuals: tuple
     psd_ok: tuple
     hurwitz_margin: float
+    scale: float            # max(1, max_i |P_i|)
+    residual_bound: float   # tol * scale, the bound on both residuals
+    psd_tol: float          # the relative eigenvalue floor of is_psd on each P_i
 
 
 def state_weight_with_cross_terms(costs: CostParameters, profile: StrategyProfile, i: int):
@@ -105,14 +107,14 @@ def verify_nash(system: GameSystem, profile: StrategyProfile, costs: CostParamet
     """Exact Nash check: per player, solve the closed-loop Lyapunov equation
     and test stationarity, the Riccati residual, and P >= 0.
 
-    Returns (is_nash, CertificateSet); never iterates.
+    Returns (is_nash, CertificateSet); never iterates.  The Hurwitz margin
+    comes off the Lyapunov solve's Schur form of Acl.
     """
     costs.validate(system, tol)
     Acl = closed_loop(system, profile.K)
-    margin = -float(np.max(eig(Acl).real))
     Qts = [state_weight_with_cross_terms(costs, profile, i) for i in range(system.num_players)]
-    Ps = list(solve_lyapunov(Acl, np.stack([
-        Qts[i] + Ki.T @ costs.R[i][i] @ Ki for i, Ki in enumerate(profile.K)])))
+    Ps, margin = solve_lyapunov(Acl, np.stack([
+        Qts[i] + Ki.T @ costs.R[i][i] @ Ki for i, Ki in enumerate(profile.K)]), with_margin=True)
     are_res, stat_res, psd_flags = [], [], []
     for i, (Qt, P) in enumerate(zip(Qts, Ps)):
         Bi, Ki = system.B[i], profile.K[i]
@@ -126,14 +128,12 @@ def verify_nash(system: GameSystem, profile: StrategyProfile, costs: CostParamet
         are_res.append(are)
         psd_flags.append(is_psd(P, tol))
     scale = max(1.0, max(float(np.linalg.norm(P)) for P in Ps))
-    ok = (
-        all(r <= tol * scale for r in stat_res)
-        and all(r <= tol * scale for r in are_res)
-        and all(psd_flags)
-    )
+    bound = tol * scale
+    ok = all(r <= bound for r in stat_res) and all(r <= bound for r in are_res) and all(psd_flags)
     cert = CertificateSet(P=tuple(Ps), are_residuals=tuple(are_res),
                           stationarity_residuals=tuple(stat_res),
-                          psd_ok=tuple(psd_flags), hurwitz_margin=margin)
+                          psd_ok=tuple(psd_flags), hurwitz_margin=margin,
+                          scale=scale, residual_bound=bound, psd_tol=tol)
     return ok, cert
 
 

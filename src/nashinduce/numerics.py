@@ -135,7 +135,7 @@ def _schur_lwork(n: int) -> int:
     return int(lapack.dgees(lambda *_: None, np.zeros((n, n)), lwork=-1)[-2][0])
 
 
-def solve_lyapunov(Acl, W, tol: float = LYAPUNOV_RESIDUAL_TOL) -> np.ndarray:
+def solve_lyapunov(Acl, W, tol: float = LYAPUNOV_RESIDUAL_TOL, *, with_margin: bool = False):
     """Solve P Acl + Acl' P = -W for symmetric W and Hurwitz Acl.
 
     Bartels-Stewart: real Schur Acl' = U T U', then T Y + Y T' = -U' W U.
@@ -145,7 +145,9 @@ def solve_lyapunov(Acl, W, tol: float = LYAPUNOV_RESIDUAL_TOL) -> np.ndarray:
     (relative) and every solution passes its own residual check.  The
     triangular equations are solved one slice at a time by LAPACK trsyl, or,
     for a tall stack (_swept), all at once by one column sweep of T
-    (_schur_sweep).
+    (_schur_sweep).  with_margin returns (P, margin) instead, with the
+    Hurwitz margin -max Re eig(Acl) read off the diagonal of T, so a caller
+    that needs both factors Acl once.
     """
     import scipy.linalg  # deferred: commands that solve no Lyapunov skip it
     A = require_square(Acl, "Acl")
@@ -165,7 +167,8 @@ def solve_lyapunov(Acl, W, tol: float = LYAPUNOV_RESIDUAL_TOL) -> np.ndarray:
         T, U = scipy.linalg.schur(A.T, lwork=_schur_lwork(len(A)), check_finite=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalFailureError(f"Schur factorization failed: {exc}") from exc
-    if not T.diagonal().max() < -HURWITZ_MARGIN:  # 2x2 blocks hold Re(eig) on the diagonal
+    top = float(T.diagonal().max())  # standardized 2x2 blocks hold Re(eig) on the diagonal
+    if not top < -HURWITZ_MARGIN:
         raise ValueError("Acl must be Hurwitz for a Lyapunov solve")
     C = -(U.T @ (Ws @ U))
     if _swept(*C.shape[:2]):
@@ -181,7 +184,8 @@ def solve_lyapunov(Acl, W, tol: float = LYAPUNOV_RESIDUAL_TOL) -> np.ndarray:
     for resid, w in zip(_fro(P @ A + A.T @ P + Ws), scales):
         if resid > tol * w:
             raise NumericalFailureError(f"Lyapunov residual {resid:.3e} above tolerance")
-    return P if W.ndim == 3 else P[0]
+    P = P if W.ndim == 3 else P[0]
+    return (P, -top) if with_margin else P
 
 
 def _swept(k: int, n: int) -> bool:

@@ -268,6 +268,27 @@ def test_verify_perturbed_q_fails(tmp_path, capsys):
     # P is recomputed through the Lyapunov solve, so the defect shows up in
     # the reduced Riccati residual: P = 0.95, residual 0.9 - 0.95^2 = 0.0025.
     assert report["players"][0]["are_residual"] == pytest.approx(0.0025, abs=1e-9)
+    # The diagnostics give the bound that residual missed: scale max(1, |P|) = 1.
+    assert report["diagnostics"] == {"scale": 1.0, "residual_bound": 1e-8, "psd_tol": 1e-8}
+    assert report["players"][0]["are_residual"] > report["diagnostics"]["residual_bound"]
+
+
+def test_verify_report_diagnostics_hold_the_bounds_of_the_check(capsys):
+    path = str(DATA / "closed_form_n8_N3_m1.json")
+    system, profile, costs, tol = load_problem(path)
+    ok, cert = verify_nash(system, profile, costs, tol=max(tol, 1e-6))
+    code, out, _ = run_cli(capsys, "verify", path, "--tol", "1e-6")
+    report = json.loads(out)
+    assert (code, report["verified"], ok) == (0, True, True)
+    assert list(report) == ["verified", "hurwitz_margin", "players", "diagnostics"]
+    diag = report["diagnostics"]
+    assert diag == {"scale": float("%.12e" % cert.scale),
+                    "residual_bound": float("%.12e" % cert.residual_bound),
+                    "psd_tol": 1e-6}
+    assert diag["scale"] == pytest.approx(max(1.0, max(np.linalg.norm(P) for P in cert.P)))
+    assert diag["residual_bound"] == pytest.approx(1e-6 * diag["scale"])
+    for p in report["players"]:
+        assert max(p["are_residual"], p["stationarity_residual"]) <= diag["residual_bound"]
 
 
 def test_verify_non_psd_q_is_input_error(tmp_path, capsys):
@@ -546,6 +567,69 @@ def test_emitter_fast_path_is_byte_identical():
         assert dumps_report(report) == "".join(parts) + "\n"
     assert dumps_report([1.0, -0.0, float("nan"), np.float64(2.0)]) == \
         "[1.000000000000e+00, -0.000000000000e+00, null, 2.000000000000e+00]\n"
+
+
+def test_emitter_row_path_is_byte_identical_on_full_reports(tmp_path, monkeypatch, capsys):
+    # The check, solve and verify reports of every bundled example and fixture
+    # (ladder_r0_n12_N2_m1's solve report holds 12 x 12 Q and P), and one
+    # --nearest report, emitted as the one-call-per-value reference emits them.
+    reports = []
+    write = cli._write_report
+    monkeypatch.setattr(cli, "_write_report",
+                        lambda report, args: reports.append(report) or write(report, args))
+    costs0 = tmp_path / "costs0.json"
+    costs0.write_text(json.dumps({
+        "Q": [np.eye(4).tolist()] * 3,
+        "R": [[[[1.0 if i == j else 0.0]] for j in range(3)] for i in range(3)]}))
+    paths = [write_example(tmp_path, name) for name in BUNDLED] + \
+        [str(path) for path in sorted(DATA.glob("*.json"))]
+    runs = [(cmd, path) for path in paths for cmd in ("check", "solve", "verify")]
+    runs.append(("solve", str(DATA / "nearest_r2_n4_N3_m1.json"), "--nearest", str(costs0)))
+    for argv in runs:
+        reports.clear()
+        code, out, _ = run_cli(capsys, *argv)
+        assert len(reports) == (code != 2), argv  # verify needs costs: input error
+        for report in reports:
+            parts = []
+            reference_emit(report, parts)
+            assert out == dumps_report(report) == "".join(parts) + "\n", argv
+    assert json.loads(out)["status"] == "feasible"
+
+
+def test_emitter_formats_only_finite_float_rows_in_one_call(monkeypatch):
+    # A row of Python floats whose sum is finite takes one format call; a row
+    # holding an int, a numpy float, nan or +-inf, or whose sum overflows, is
+    # emitted value by value, and so is an empty row.  -0.0 is finite and
+    # keeps its sign either way.
+    formatted = []
+    row_format = cli._row_format
+    monkeypatch.setattr(cli, "_row_format", lambda k: formatted.append(k) or row_format(k))
+    per_value = [[1, 2.0, 3.0], [np.float64(1.5), 2.0], [2.0, np.float64(-0.0)],
+                 [float("nan"), 1.0], [1.0, float("inf")], [-float("inf"), 0.5],
+                 [float("inf"), -float("inf")], [1e308, 1e308], [True, 1.0]]
+    one_call = [[-0.0, 1.0], [-0.0], [0.25, -1e-300, 1e300]]
+    for row, fast in [(r, False) for r in per_value + [[]]] + [(r, True) for r in one_call]:
+        for obj in (row, tuple(row), [row, row], {"M": [row]}):
+            formatted.clear()
+            parts = []
+            reference_emit(obj, parts)
+            assert dumps_report(obj) == "".join(parts) + "\n", obj
+            assert bool(formatted) == fast, obj
+    assert dumps_report([[-0.0, float("nan")], [-0.0, 2.0]]) == \
+        "[[-0.000000000000e+00, null], [-0.000000000000e+00, 2.000000000000e+00]]\n"
+
+
+@pytest.mark.parametrize("command", ["check", "verify", "example"])
+def test_unwritable_output_path_is_an_input_error(tmp_path, capsys, command):
+    target = tmp_path / "no" / "such" / "dir" / "x.json"
+    arg = ("scalar_feasible" if command == "example"
+           else write_example(tmp_path, "two_player_scalar"))
+    code, out, err = run_cli(capsys, command, arg, "-o", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not target.exists()
 
 
 def test_check_ladder_n8_game_decided_by_both_methods(capsys):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from nashinduce import (
     solve_coupled_are,
     verify_nash,
 )
+from nashinduce.cli import load_problem
 from nashinduce.forward import _coupled_jacobian, _coupled_residual_mats
+from nashinduce.realization import closed_loop
 from nashinduce.numerics import DimensionError, sym_dim, sym_pack, sym_unpack
 
 
@@ -46,6 +50,57 @@ def test_verify_nash_scalar_closed_form():
     assert ok
     assert np.allclose(cert.P[0], [[3.0]], atol=1e-12)
     assert cert.hurwitz_margin > 0
+
+
+def _eig_margin(system, profile):
+    Acl = closed_loop(system, profile.K)
+    return -float(np.max(np.linalg.eigvals(Acl).real)), max(1.0, float(np.linalg.norm(Acl)))
+
+
+def test_hurwitz_margin_is_the_eigenvalue_margin(nash_games):
+    # verify_nash reads the margin off the Lyapunov solve's Schur form; it
+    # must agree with -max Re eig(Acl), also where complex pairs set it.
+    games = [(system, profile, costs) for system, costs, profile, _ in nash_games]
+    for path in sorted((Path(__file__).parent / "data").glob("*.json")):
+        system, profile, costs, _ = load_problem(str(path))
+        if costs is not None:
+            games.append((system, profile, costs))
+    rng = np.random.default_rng(3)
+    for _ in range(20):  # top eigenvalues a complex pair, in nonnormal coordinates
+        V = rng.standard_normal((5, 5))
+        D = np.diag([-0.3, -1.0, -2.0, -2.5, -4.0])
+        D[0, 1], D[1, 0], D[0, 0], D[1, 1] = 3.0, -3.0, -0.1, -0.1
+        system = GameSystem(V @ D @ np.linalg.inv(V), [np.eye(5)])
+        games.append((system, StrategyProfile([np.zeros((5, 5))]),
+                      CostParameters.identity_R([np.eye(5)], system.m)))
+    complex_top = 0
+    for system, profile, costs in games:
+        margin, scale = _eig_margin(system, profile)
+        assert abs(verify_nash(system, profile, costs)[1].hurwitz_margin - margin) <= 1e-12 * scale
+        w = np.linalg.eigvals(closed_loop(system, profile.K))
+        complex_top += abs(w[np.argmax(w.real)].imag) > 0
+    assert complex_top >= 20
+
+
+def test_verify_nash_factors_acl_once_and_calls_no_eig(monkeypatch):
+    import scipy.linalg
+    system, profile, costs, _ = load_problem(str(Path(__file__).parent / "data"
+                                                 / "closed_form_n8_N3_m1.json"))
+    calls = []
+    schur, eigvals = scipy.linalg.schur, np.linalg.eigvals
+    monkeypatch.setattr(scipy.linalg, "schur",
+                        lambda *a, **k: calls.append("schur") or schur(*a, **k))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda *a: calls.append("eig") or eigvals(*a))
+    assert verify_nash(system, profile, costs)[0]
+    assert calls == ["schur"]
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0])
+def test_verify_nash_rejects_a_non_hurwitz_closed_loop_in_the_lyapunov_solve(k):
+    system = scalar_system()
+    costs = CostParameters([np.array([[1.0]])], [[np.array([[1.0]])]])
+    with pytest.raises(ValueError, match="Acl must be Hurwitz for a Lyapunov solve"):
+        verify_nash(system, StrategyProfile([np.array([[k]])]), costs)
 
 
 def test_verify_nash_rejects_wrong_q():

@@ -165,6 +165,35 @@ def test_solve_lyapunov_failures_raise(monkeypatch):
         solve_lyapunov(A, W)
 
 
+def test_lyapunov_margin_comes_with_the_same_solution_from_one_factorization(monkeypatch):
+    # with_margin adds -max diag(T) to the answer and changes nothing else,
+    # on the trsyl path and the column sweep alike.  Against eigvals, the two
+    # backward-stable spectra agree to round-off times the eigenvector
+    # condition number (Bauer-Fike), which the nonnormal kind makes large.
+    rng = np.random.default_rng(12)
+    schur = scipy.linalg.schur
+    factorizations = []
+    monkeypatch.setattr(scipy.linalg, "schur",
+                        lambda *a, **k: factorizations.append(1) or schur(*a, **k))
+    for kind in ("real", "complex", "nonnormal"):
+        for n, k in ((1, 1), (2, 3), (5, 0), (12, 3), (16, 32), (32, 64)):
+            A = _stable(rng, kind, n)
+            W = np.stack([(lambda C: C.T @ C)(rng.standard_normal((n, n)))
+                          for _ in range(max(k, 1))])
+            W = W if k else W[0]
+            factorizations.clear()
+            P, margin = solve_lyapunov(A, W, with_margin=True)
+            assert len(factorizations) == 1
+            assert np.array_equal(P, solve_lyapunov(A, W))
+            T = schur(A.T, lwork=numerics._schur_lwork(n), check_finite=False)[0]
+            assert margin == -T.diagonal().max()
+            w, V = np.linalg.eig(A)
+            bound = 1e-12 * max(1.0, np.linalg.norm(A)) * np.linalg.cond(V)
+            assert abs(margin + w.real.max()) <= bound, (kind, n)
+    with pytest.raises(ValueError, match="Hurwitz"):
+        solve_lyapunov(np.array([[0.0]]), np.array([[1.0]]), with_margin=True)
+
+
 def test_stacked_lyapunov_is_bitwise_per_matrix(monkeypatch):
     rng = np.random.default_rng(9)
     schur = scipy.linalg.schur
