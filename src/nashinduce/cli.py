@@ -30,7 +30,7 @@ from .inverse import (StageError, analyze_player, is_nash_inducible, phi_at_witn
                       solve_kalman_general)
 from .numerics import DimensionError, NumericalFailureError
 from .problems import BUNDLED
-from .realization import GameSystem, StrategyProfile
+from .realization import GameSystem, _stabilizing_game
 
 
 class InputError(Exception):
@@ -172,8 +172,7 @@ def load_problem(path: str):
         else:
             Rrows.append(None)
     try:
-        system = GameSystem(A, Bs)
-        profile = StrategyProfile.stabilizing(system, Ks)
+        system, profile = _stabilizing_game(A, Bs, Ks)
     except (DimensionError, ValueError) as exc:
         raise InputError(str(exc)) from exc
     has_costs = [Qs[i] is not None and Rrows[i] is not None for i in range(N)]
@@ -340,6 +339,12 @@ def _format_text(report, indent=0, key=None) -> str:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _final_tol(args, file_tol: float) -> float:
+    if not math.isfinite(args.tol):
+        raise InputError("--tol: must be a finite number")
+    return max(file_tol, args.tol)
+
+
 def cmd_check(args) -> int:
     system, profile, _, _ = load_problem(args.problem)
     if args.player is None:
@@ -403,6 +408,7 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     system, profile, _, tol = load_problem(args.problem)
+    tol = _final_tol(args, tol)
     if args.nearest:
         if args.mode == "q-only":
             raise InputError("--nearest searches R freely: --mode q-only does not apply")
@@ -447,7 +453,7 @@ def cmd_solve(args) -> int:
     N = system.num_players
     costs = CostParameters.diagonal_R([p.kalman.Q for p in players],
                                       [p.kalman.R for p in players])
-    ok, cert = verify_nash(system, profile, costs, tol=max(tol, args.tol))
+    ok, cert = verify_nash(system, profile, costs, tol=tol)
     report = {
         "status": "solved" if ok else "verification_failed",
         "players": [
@@ -461,7 +467,8 @@ def cmd_solve(args) -> int:
             for i in range(N)
         ],
         "verify_ok": bool(ok),
-        "diagnostics": _diagnostics(kalmans, players),
+        "diagnostics": {**_diagnostics(kalmans, players), "scale": cert.scale,
+                        "residual_bound": cert.residual_bound, "psd_tol": cert.psd_tol},
     }
     _write_report(report, args)
     return 0 if ok else 1
@@ -471,7 +478,7 @@ def cmd_verify(args) -> int:
     system, profile, costs, tol = load_problem(args.problem)
     if costs is None:
         raise InputError("players: Q and R_row required for verify")
-    ok, cert = verify_nash(system, profile, costs, tol=max(tol, args.tol))
+    ok, cert = verify_nash(system, profile, costs, tol=_final_tol(args, tol))
     report = {
         "verified": bool(ok),
         "hurwitz_margin": float(cert.hurwitz_margin),
@@ -515,8 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def tol_option(p, note=""):
         p.add_argument("--tol", type=float, default=1e-8,
-                       help="residual tolerance of the final Nash check; the larger "
-                            "of this and the problem file's tol is used" + note)
+                       help="residual tolerance of the final Nash check, a finite number; "
+                            "the larger of this and the problem file's tol is used" + note)
 
     def common(p):
         p.add_argument("--format", choices=("json", "text"), default="json")

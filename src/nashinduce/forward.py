@@ -15,8 +15,6 @@ from .numerics import (
     DimensionError,
     as_matrix,
     is_hurwitz,
-    is_pd,
-    is_psd,
     solve_lyapunov,
     sym_basis,
     sym_dim,
@@ -57,21 +55,36 @@ class CostParameters:
         return cls.diagonal_R(Q, [np.eye(mj) for mj in m])
 
     def validate(self, system: GameSystem, tol: float = 1e-8) -> None:
-        N = system.num_players
+        """Raise on the first wrong shape, then on the first of Q_i, R_ii, R_ij
+        (player by player) failing is_psd (is_pd for R_ii); the blocks are
+        exactly symmetric, so one batched eigvalsh per block size suffices."""
+        N, n, m = system.num_players, system.n, system.m
         if len(self.Q) != N or len(self.R) != N:
             raise DimensionError("cost parameters must cover every player")
         for i in range(N):
-            if self.Q[i].shape != (system.n, system.n):
+            if self.Q[i].shape != (n, n):
                 raise DimensionError(f"Q[{i}] has wrong shape")
-            if not is_psd(self.Q[i], tol):
-                raise ValueError(f"Q[{i}] is not positive semidefinite")
             for j in range(N):
-                if self.R[i][j].shape != (system.m[j], system.m[j]):
+                if self.R[i][j].shape != (m[j], m[j]):
                     raise DimensionError(f"R[{i}][{j}] has wrong shape")
-            if not is_pd(self.R[i][i], tol):
+        blocks = {f"Q[{i}]": Qi for i, Qi in enumerate(self.Q)}
+        blocks.update((f"R[{i}][{j}]", self.R[i][j]) for i in range(N) for j in range(N))
+        least = {}
+        for size in {len(M) for M in blocks.values()}:
+            names = [k for k, M in blocks.items() if len(M) == size]
+            least.update(zip(names, np.linalg.eigvalsh(np.stack([blocks[k] for k in names]))[:, 0]))
+
+        def fails(name, pd=False):  # is_psd / is_pd on the least eigenvalue
+            floor = tol * max(1.0, float(np.linalg.norm(blocks[name])))
+            return not (least[name] > floor if pd else least[name] >= -floor)
+
+        for i in range(N):
+            if fails(f"Q[{i}]"):
+                raise ValueError(f"Q[{i}] is not positive semidefinite")
+            if fails(f"R[{i}][{i}]", pd=True):
                 raise ValueError(f"R[{i}][{i}] is not positive definite")
             for j in range(N):
-                if j != i and not is_psd(self.R[i][j], tol):
+                if j != i and fails(f"R[{i}][{j}]"):
                     raise ValueError(f"R[{i}][{j}] is not positive semidefinite")
 
     def scaled(self, alpha: float) -> "CostParameters":
@@ -115,7 +128,7 @@ def verify_nash(system: GameSystem, profile: StrategyProfile, costs: CostParamet
     Qts = [state_weight_with_cross_terms(costs, profile, i) for i in range(system.num_players)]
     Ps, margin = solve_lyapunov(Acl, np.stack([
         Qts[i] + Ki.T @ costs.R[i][i] @ Ki for i, Ki in enumerate(profile.K)]), with_margin=True)
-    are_res, stat_res, psd_flags = [], [], []
+    are_res, stat_res = [], []
     for i, (Qt, P) in enumerate(zip(Qts, Ps)):
         Bi, Ki = system.B[i], profile.K[i]
         A_tilde, _ = reduced_system(system, profile, i)
@@ -126,8 +139,11 @@ def verify_nash(system: GameSystem, profile: StrategyProfile, costs: CostParamet
             Qt + P @ A_tilde + A_tilde.T @ P - P @ Bi @ Rinv @ Bi.T @ P))
         stat_res.append(stat)
         are_res.append(are)
-        psd_flags.append(is_psd(P, tol))
-    scale = max(1.0, max(float(np.linalg.norm(P)) for P in Ps))
+    # Ps is exactly symmetric: is_psd's floor on one eigvalsh of the stack.
+    norms = [float(np.linalg.norm(P)) for P in Ps]
+    psd_flags = [bool(w >= -tol * max(1.0, s))
+                 for w, s in zip(np.linalg.eigvalsh(Ps)[:, 0], norms)]
+    scale = max(1.0, max(norms))
     bound = tol * scale
     ok = all(r <= bound for r in stat_res) and all(r <= bound for r in are_res) and all(psd_flags)
     cert = CertificateSet(P=tuple(Ps), are_residuals=tuple(are_res),

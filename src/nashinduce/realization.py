@@ -36,6 +36,11 @@ class GameSystem:
     B: tuple
 
     def __init__(self, A, B):
+        self._set_plant(A, B)
+        if not _pbh_stabilizable(self.A, np.hstack(self.B)):
+            raise ValueError("(A, [B_1 ... B_N]) is not stabilizable")
+
+    def _set_plant(self, A, B) -> None:
         A = as_matrix(A, "A")
         if A.shape[0] != A.shape[1]:
             raise DimensionError("A must be square")
@@ -50,8 +55,6 @@ class GameSystem:
                 raise ValueError(f"B[{i}] must have full column rank")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", Bs)
-        if not _pbh_stabilizable(A, np.hstack(Bs)):
-            raise ValueError("(A, [B_1 ... B_N]) is not stabilizable")
 
     @property
     def n(self) -> int:
@@ -106,6 +109,19 @@ class StrategyProfile:
         if not is_stabilizing(system, prof.K):
             raise ValueError("profile does not stabilize the closed loop")
         return prof
+
+
+def _stabilizing_game(A, B, K):
+    """(GameSystem(A, B), StrategyProfile.stabilizing(system, K)) with the PBH
+    test run only when K fails, where a plant that fails it is reported first:
+    a stabilizing K witnesses that (A, [B_1 ... B_N]) is stabilizable (Hautus)."""
+    system = object.__new__(GameSystem)
+    system._set_plant(A, B)
+    try:
+        return system, StrategyProfile.stabilizing(system, K)
+    except ValueError:
+        GameSystem.__init__(system, A, B)  # the plant's checks again, then PBH
+        raise
 
 
 def closed_loop(system: GameSystem, K) -> np.ndarray:

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nashinduce import CostParameters, cli, feasibility, inverse, numerics, verify_nash
+from nashinduce import (CostParameters, GameSystem, cli, feasibility, inverse, numerics,
+                        realization, verify_nash)
 from nashinduce.cli import dumps_report, load_costs, load_problem, main
 from nashinduce.feasibility import nearest_params, solve_feasibility_projection
 from nashinduce.inverse import is_nash_inducible
@@ -291,6 +292,34 @@ def test_verify_report_diagnostics_hold_the_bounds_of_the_check(capsys):
         assert max(p["are_residual"], p["stationarity_residual"]) <= diag["residual_bound"]
 
 
+def test_solve_report_diagnostics_hold_the_bounds_of_the_check(tmp_path, monkeypatch, capsys):
+    # After the loop diagnostics, solve lists the bounds its final Nash check
+    # held the costs to, on "solved" and on "verification_failed" (here forced
+    # by the spy); an "infeasible" answer runs no final check and lists none.
+    loops = ["kalman_iterations", "kalman_gaps", "circle_probes"]
+    certs, real = [], cli.verify_nash
+
+    def spy(*args, **kwargs):
+        ok, cert = real(*args, **kwargs)
+        certs.append(cert)
+        return ok and len(certs) == 1, cert
+
+    monkeypatch.setattr(cli, "verify_nash", spy)
+    path = str(DATA / "closed_form_n8_N3_m1.json")
+    for code, status in ((0, "solved"), (1, "verification_failed")):
+        got, out, _ = run_cli(capsys, "solve", path, "--tol", "1e-6")
+        report = json.loads(out)
+        assert (got, report["status"]) == (code, status)
+        cert = certs[-1]
+        assert list(report["diagnostics"]) == loops + ["scale", "residual_bound", "psd_tol"]
+        assert report["diagnostics"]["scale"] == float("%.12e" % cert.scale) > 1.0
+        assert report["diagnostics"]["residual_bound"] == float("%.12e" % (1e-6 * cert.scale))
+        assert report["diagnostics"]["psd_tol"] == 1e-6
+    code, out, _ = run_cli(capsys, "solve", write_example(tmp_path, "scalar_infeasible"))
+    assert (code, list(json.loads(out)["diagnostics"])) == (1, loops)
+    assert len(certs) == 2
+
+
 def test_verify_non_psd_q_is_input_error(tmp_path, capsys):
     # verify_nash rejects the costs with a ValueError, which main reports as
     # an input error.
@@ -362,6 +391,62 @@ def test_nonstabilizing_profile_is_input_error(tmp_path, capsys):
     assert "stabilize" in err
 
 
+def test_loading_a_stabilizing_profile_runs_no_pbh_test(tmp_path, monkeypatch):
+    # A stabilizing K witnesses that (A, [B_1 ... B_N]) is stabilizable, so
+    # load_problem runs no PBH test on the bundled examples, the fixtures or
+    # the round-0 problems of both benchmark workloads; every one loads.
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import workloads
+    paths = {write_example(tmp_path, name) for name in BUNDLED}
+    paths |= {str(path) for path in DATA.glob("*.json")}
+    for name, setup in workloads.WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        paths |= {call.problem for call in setup(0, str(tmp_path / name))[0]}
+    calls, pbh = [], realization._pbh_stabilizable
+    monkeypatch.setattr(realization, "_pbh_stabilizable",
+                        lambda *args: calls.append(args) or pbh(*args))
+    for path in sorted(paths):
+        load_problem(path)
+    assert len(paths) > 100 and calls == []
+
+
+@pytest.mark.parametrize("B, K, message", [
+    ([[0.0], [1.0]], [[0.0, 0.0]], "(A, [B_1 ... B_N]) is not stabilizable"),
+    ([[0.0], [1.0]], [[-2.0, 3.0]], "(A, [B_1 ... B_N]) is not stabilizable"),
+    ([[1.0], [1.0]], [[0.0, 0.0]], "profile does not stabilize the closed loop"),
+])
+def test_a_failing_profile_is_checked_for_stabilizability(tmp_path, capsys, monkeypatch,
+                                                          B, K, message):
+    # A = diag(1, -1): with B = [0; 1] its unstable mode is unreachable, so no
+    # K stabilizes and the plant is at fault; B = [1; 1] reaches it, so the
+    # profile is.  The PBH test runs once per load, only to tell them apart.
+    calls, pbh = [], realization._pbh_stabilizable
+    monkeypatch.setattr(realization, "_pbh_stabilizable",
+                        lambda *args: calls.append(args) or pbh(*args))
+    path = tmp_path / "failing.json"
+    path.write_text(json.dumps({"schema_version": "1", "A": [[1.0, 0.0], [0.0, -1.0]],
+                                "players": [{"B": B, "K_dagger": K}]}))
+    for command in ("check", "solve", "verify"):
+        assert run_cli(capsys, command, str(path)) == (2, "", f"error: {message}\n"), command
+    assert len(calls) == 3
+
+
+def test_a_stabilizing_profile_outranks_the_pbh_rank_rule(tmp_path):
+    # B = [1e-12; 1] reaches the unstable mode of A = diag(1, -1) with
+    # sigma_min about 1e-12, below the PBH test's rank rule, so GameSystem(A,
+    # B) calls the pair unstabilizable; yet K = [2e12, 0] makes A - BK Hurwitz
+    # (eigenvalues -1, -1), which certifies it, and load_problem accepts K.
+    A, B, K = [[1.0, 0.0], [0.0, -1.0]], [[1e-12], [1.0]], [[2e12, 0.0]]
+    with pytest.raises(ValueError, match="not stabilizable"):
+        GameSystem(np.array(A), [np.array(B)])
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"schema_version": "1", "A": A,
+                                "players": [{"B": B, "K_dagger": K}]}))
+    system, profile, _, _ = load_problem(str(path))
+    assert np.allclose(np.linalg.eigvals(system.A - system.B[0] @ profile.K[0]), -1.0)
+
+
 def test_output_file(tmp_path, capsys):
     path = write_example(tmp_path, "scalar_feasible")
     out_path = tmp_path / "report.json"
@@ -391,6 +476,17 @@ def test_non_finite_tol_is_input_error(tmp_path, capsys):
         code, _, err = run_cli(capsys, "check", str(path))
         assert code == 2, bad
         assert err.startswith("error: tol:"), err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_non_finite_tol_flag_is_input_error(tmp_path, capsys, command):
+    # --tol follows the problem file's rule for tol.  Unchecked, inf made the
+    # positive-definite floor of R infinite ("R[0][0] is not positive
+    # definite" for R = 1), and nan lost to max(file tol, nan).
+    path = write_example(tmp_path, "two_player_scalar")
+    for bad in ("inf", "-inf", "nan"):
+        assert run_cli(capsys, command, path, f"--tol={bad}") == (
+            2, "", "error: --tol: must be a finite number\n"), bad
 
 
 def test_x0_is_ignored_like_any_unknown_key(tmp_path, capsys):

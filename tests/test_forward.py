@@ -1,3 +1,5 @@
+import itertools
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,10 @@ from nashinduce import (
 from nashinduce.cli import load_problem
 from nashinduce.forward import _coupled_jacobian, _coupled_residual_mats
 from nashinduce.realization import closed_loop
-from nashinduce.numerics import DimensionError, sym_dim, sym_pack, sym_unpack
+from nashinduce.numerics import DimensionError, is_pd, is_psd, sym_dim, sym_pack, sym_unpack
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def scalar_system():
@@ -39,6 +44,134 @@ def test_cost_parameters_validation():
     bad_r = CostParameters([np.array([[1.0]])], [[np.array([[0.0]])]])
     with pytest.raises(ValueError):
         bad_r.validate(system)
+
+
+def loop_validate(costs, system, tol=1e-8):
+    """Per-block reference of CostParameters.validate: is_psd / is_pd on each
+    block in turn, each shape checked as it comes."""
+    N = system.num_players
+    if len(costs.Q) != N or len(costs.R) != N:
+        raise DimensionError("cost parameters must cover every player")
+    for i in range(N):
+        if costs.Q[i].shape != (system.n, system.n):
+            raise DimensionError(f"Q[{i}] has wrong shape")
+        if not is_psd(costs.Q[i], tol):
+            raise ValueError(f"Q[{i}] is not positive semidefinite")
+        for j in range(N):
+            if costs.R[i][j].shape != (system.m[j], system.m[j]):
+                raise DimensionError(f"R[{i}][{j}] has wrong shape")
+        if not is_pd(costs.R[i][i], tol):
+            raise ValueError(f"R[{i}][{i}] is not positive definite")
+        for j in range(N):
+            if j != i and not is_psd(costs.R[i][j], tol):
+                raise ValueError(f"R[{i}][{j}] is not positive semidefinite")
+
+
+def _validation(check, *args):
+    """None if check(*args) passes, else the type and message it raised."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _threshold_blocks(size, tol):
+    """Blocks of one size (<= 4) whose least eigenvalue sits at, one ulp beyond
+    and one ulp short of the PD floor +tol and the PSD floor -tol (their
+    norm is below 1, so the floors are tol * max(1, |M|) = tol), diagonal so
+    that eigvalsh reads it exactly; and relatively 1e-6 off either floor in
+    rotated coordinates."""
+    rest = np.full(size - 1, 0.5)
+    exact = [x for g in (tol, -tol) for x in (g, np.nextafter(g, np.inf), np.nextafter(g, -np.inf))]
+    V = np.linalg.qr(np.random.default_rng(size).standard_normal((size, size)))[0]
+    blocks = [(t, np.diag(np.r_[t, rest])) for t in exact + [0.0]]
+    blocks += [(None, V @ np.diag(np.r_[c * tol, rest]) @ V.T)
+               for c in (1 + 1e-6, 1 - 1e-6, -1 + 1e-6, -1 - 1e-6)]
+    return blocks
+
+
+def test_validate_agrees_with_the_per_block_reference(nash_games):
+    # Every cost set of the tests, then blocks at the floors put at each
+    # position of a game with mixed input widths: pass or the same first error.
+    sets = [(system, costs) for system, costs, _, _ in nash_games]
+    for path in sorted((Path(__file__).parent / "data").glob("*.json")):
+        system, _, costs, _ = load_problem(str(path))
+        if costs is not None:
+            sets.append((system, costs))
+    sets.append(two_player_scalar())
+    rng = np.random.default_rng(5)
+    system = GameSystem(-np.eye(3), [rng.standard_normal((3, 1)), rng.standard_normal((3, 2))])
+    N, m = system.num_players, system.m
+    base_Q = [np.eye(3)] * N
+    base_R = [[np.eye(m[j]) if i == j else np.zeros((m[j], m[j])) for j in range(N)]
+              for i in range(N)]
+    positions = [("Q", i, None) for i in range(N)] + [("R", i, j) for i in range(N) for j in range(N)]
+    for tol in (1e-8, 1e-6):
+        for kind, i, j in positions:
+            for t, M in _threshold_blocks(3 if kind == "Q" else m[j], tol):
+                Q, R = list(base_Q), [list(row) for row in base_R]
+                if kind == "Q":
+                    Q[i] = M
+                else:
+                    R[i][j] = M
+                costs = CostParameters(Q, R)
+                got = _validation(costs.validate, system, tol)
+                assert got == _validation(loop_validate, costs, system, tol), (kind, i, j, t)
+                if t is not None:  # at the floors: > tol for R_ii, >= -tol otherwise
+                    assert (got is None) == (t > tol if kind == "R" and i == j else t >= -tol)
+        # Two failing blocks: the first in player order is reported.
+        for (k1, i1, j1), (k2, i2, j2) in itertools.permutations(positions, 2):
+            Q, R = list(base_Q), [list(row) for row in base_R]
+            for kind, i, j in ((k1, i1, j1), (k2, i2, j2)):
+                size = 3 if kind == "Q" else m[j]
+                if kind == "Q":
+                    Q[i] = -np.eye(size)
+                else:
+                    R[i][j] = -np.eye(size)
+            costs = CostParameters(Q, R)
+            got = _validation(costs.validate, system, tol)
+            assert got is not None and got == _validation(loop_validate, costs, system, tol)
+    for system, costs in sets:
+        for tol in (1e-8, 1e-6):
+            assert _validation(costs.validate, system, tol) == \
+                _validation(loop_validate, costs, system, tol) is None
+
+
+def test_verify_nash_psd_flags_are_is_psd(tmp_path, nash_games):
+    # P_psd comes from one eigvalsh of the P stack; it must be is_psd(P_i, tol)
+    # on the Nash games, on closed-form games with Q_1 doubled, and on games
+    # whose P is singular, where round-off decides the flag at tiny tolerances.
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import games
+    cases = [(system, profile, costs) for system, costs, profile, _ in nash_games]
+    for n, N, m in ((4, 2, 1), (8, 3, 1), (8, 2, 2), (16, 2, 1)):
+        path = tmp_path / f"doubled_{n}_{N}_{m}.json"
+        path.write_text(games.closed_form_nash((5,), n, N, m, doubled_q=True).problem_json())
+        cases.append(load_problem(str(path))[:3])
+    rng = np.random.default_rng(11)
+    for n in (3, 5, 8) * 5:
+        # x_2..x_n never reach x_1 and the weight is K'K with K along e_1, so
+        # P = diag(p, 0): least eigenvalue exactly 0 as given, round-off in
+        # rotated coordinates V.
+        A = rng.standard_normal((n, n))
+        A[0, 1:] = 0.0
+        A -= (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(n)
+        for V in (np.eye(n), np.linalg.qr(rng.standard_normal((n, n)))[0]):
+            system = GameSystem(V @ A @ V.T, [V[:, :1]])
+            cases.append((system, StrategyProfile([0.5 * V[:, :1].T]),
+                          CostParameters.identity_R([np.zeros((n, n))], system.m)))
+    flags = []
+    for system, profile, costs in cases:
+        for tol in (1e-8, 1e-17, 0.0):
+            try:
+                _, cert = verify_nash(system, profile, costs, tol)
+            except ValueError:  # costs rejected at a tiny tolerance
+                continue
+            assert list(cert.psd_ok) == [is_psd(P, tol) for P in cert.P]
+            flags += cert.psd_ok
+    assert flags.count(False) >= 10 and flags.count(True) >= 200
 
 
 def test_verify_nash_scalar_closed_form():
