@@ -28,7 +28,7 @@ from .forward import CostParameters, verify_nash
 from .feasibility import nearest_params, stationarity_maps
 from .inverse import (StageError, analyze_player, is_nash_inducible, phi_at_witness,
                       solve_kalman_general)
-from .numerics import DimensionError, NumericalFailureError
+from .numerics import NASH_TOL, DimensionError, NumericalFailureError
 from .problems import BUNDLED
 from .realization import GameSystem, _stabilizing_game
 
@@ -187,9 +187,9 @@ def load_problem(path: str):
         costs = CostParameters(Qs, Rrows)
     elif any(has_costs) or any(Qs[i] is not None or Rrows[i] is not None for i in range(N)):
         raise InputError("players: Q and R_row must be supplied for every player or none")
-    tol = raw.get("tol", 1e-8)
-    if type(tol) not in (int, float) or not abs(tol) <= sys.float_info.max:
-        raise InputError("tol: must be a finite number")
+    tol = raw.get("tol", NASH_TOL)
+    if type(tol) not in (int, float) or not 0 <= tol <= sys.float_info.max:
+        raise InputError("tol: must be a finite number >= 0")
     return system, profile, costs, float(tol)
 
 
@@ -340,8 +340,8 @@ def _format_text(report, indent=0, key=None) -> str:
 # ---------------------------------------------------------------------------
 
 def _final_tol(args, file_tol: float) -> float:
-    if not math.isfinite(args.tol):
-        raise InputError("--tol: must be a finite number")
+    if not 0 <= args.tol < math.inf:
+        raise InputError("--tol: must be a finite number >= 0")
     return max(file_tol, args.tol)
 
 
@@ -521,8 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def tol_option(p, note=""):
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="residual tolerance of the final Nash check, a finite number; "
+        p.add_argument("--tol", type=float, default=NASH_TOL,
+                       help="residual tolerance of the final Nash check, a finite number >= 0; "
                             "the larger of this and the problem file's tol is used" + note)
 
     def common(p):

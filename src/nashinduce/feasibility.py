@@ -28,10 +28,10 @@ import numpy as np
 
 from .forward import CostParameters, state_weight_with_cross_terms
 from .numerics import (
+    NASH_TOL,
     PROJECTION_CAP,
     PROJECTION_TOL,
     R_FLOOR,
-    RANK_TOL,
     DimensionError,
     _anderson,
     affine_slice,
@@ -54,6 +54,8 @@ from .numerics import (
     sym_pack_stack,
 )
 from .realization import GameSystem, StrategyProfile, closed_loop
+
+CONVERGED_SLACK = 1e-7  # a converged point's relative slack to the cones and the kernel
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,9 @@ class MembershipReport:
     cone_ok: tuple  # per player: (Q psd, R_ii pd, R_ij psd, P psd)
 
 
-def check_membership(pt: ThetaPoint, system: GameSystem, profile: StrategyProfile,
-                     tol: float = 1e-8) -> MembershipReport:
-    """Evaluate every constraint row with residual norms."""
+def check_membership(pt: ThetaPoint, system: GameSystem,
+                     profile: StrategyProfile) -> MembershipReport:
+    """Evaluate every constraint row with residual norms, against NASH_TOL."""
     N = system.num_players
     Acl = closed_loop(system, profile.K)
     are_res, stat_res, cones = [], [], []
@@ -95,14 +97,14 @@ def check_membership(pt: ThetaPoint, system: GameSystem, profile: StrategyProfil
         stat_res.append(float(np.linalg.norm(
             pt.costs.R[i][i] @ profile.K[i] - system.B[i].T @ Pi)))
         cones.append((
-            is_psd(pt.costs.Q[i], tol),
+            is_psd(pt.costs.Q[i]),
             is_pd(pt.costs.R[i][i]),
-            all(is_psd(pt.costs.R[i][j], tol) for j in range(N) if j != i),
-            is_psd(Pi, tol),
+            all(is_psd(pt.costs.R[i][j]) for j in range(N) if j != i),
+            is_psd(Pi),
         ))
     member = (
-        all(r <= tol * scale for r in are_res)
-        and all(r <= tol * scale for r in stat_res)
+        all(r <= NASH_TOL * scale for r in are_res)
+        and all(r <= NASH_TOL * scale for r in stat_res)
         and all(all(flags) for flags in cones)
     )
     return MembershipReport(member=member, are_residuals=tuple(are_res),
@@ -135,7 +137,7 @@ def build_vectorized_system(system: GameSystem, profile: StrategyProfile, i: int
     return np.vstack([top, bottom])
 
 
-def _player_nullspace(system, profile, i, tol: float = RANK_TOL):
+def _player_nullspace(system, profile, i):
     """Nullspace of the vectorized system expressed over symmetric (Q, R, P).
 
     Columns of the returned basis are packed [Q; R; P] in the isometric
@@ -146,7 +148,7 @@ def _player_nullspace(system, profile, i, tol: float = RANK_TOL):
     Sn = sym_basis(n)
     Msym = np.hstack([M[:, :n * n] @ Sn, M[:, n * n:n * n + m * m] @ sym_basis(m),
                       M[:, n * n + m * m:] @ Sn])
-    return nullspace(Msym, tol), (sym_dim(n), sym_dim(m), sym_dim(n))
+    return nullspace(Msym), (sym_dim(n), sym_dim(m), sym_dim(n))
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +227,10 @@ def player_feasibility(system: GameSystem, profile: StrategyProfile, i: int,
     trace(R_ii) = 0, or the slice is a single point outside the cones.  With
     R_ii pinned, a slice no solution reaches is "no_solution".  A loop
     stopped at its cap, or converged to a point that misses the cones by
-    more than 1e-7, is "indeterminate".  Both modes report the residual
-    |M theta| / max(1, |theta|), or, when no point reaches the slice, the
-    relative miss of its first unreachable row (affine_slice), with Q = 0.
+    more than CONVERGED_SLACK, is "indeterminate".  Both modes report the
+    residual |M theta| / max(1, |theta|), or, when no point reaches the
+    slice, the relative miss of its first unreachable row (affine_slice),
+    with Q = 0.
     """
     n, m = system.n, system.m[i]
     M = np.hstack(_kalman_map(system, profile, i, M))
@@ -249,7 +252,7 @@ def player_feasibility(system: GameSystem, profile: StrategyProfile, i: int,
     theta, reason, its, gap = project_affine_cone(x_p, Va, layout)
     if q_only:  # the pinned entries exactly, not to round-off
         theta = np.concatenate([theta[:nq], eye])
-    ok = cone_verdict(theta, reason, layout, slack=1e-7)
+    ok = cone_verdict(theta, reason, layout, slack=CONVERGED_SLACK)
     Q, R = sym_blocks(theta, layout)
     residual = float(np.linalg.norm(M @ theta)) / max(1.0, float(np.linalg.norm(theta)))
     return KalmanSolution(Q=Q, R=R, residual=residual, kernel_dim=kernel_dim, psd_ok=bool(ok),
@@ -320,8 +323,8 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
     (step 1) from v = x0 - V(V'x0): u = (v + x0) / 2, x = u - V(V'u),
     y = P_cone(2x - v) and v <- v + y - x, mixed by numerics._anderson, until
     |y - x| <= PROJECTION_TOL max(1, |y|).  Its answer y lies in the cones
-    and must also lie on the kernel within 1e-7 (|V'y| small); otherwise it
-    is "indeterminate".
+    and must also lie on the kernel within CONVERGED_SLACK (|V'y| small);
+    otherwise it is "indeterminate".
     """
     costs0.validate(system, tol=1e-6)
     N = system.num_players
@@ -354,7 +357,8 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
 
             y, reason, its, gap = _anderson(step, x0 - V @ (V.T @ x0), PROJECTION_CAP,
                                             PROJECTION_TOL)
-            on_sub = float(np.linalg.norm(V.T @ y)) <= 1e-7 * max(1.0, float(np.linalg.norm(y)))
+            on_sub = (float(np.linalg.norm(V.T @ y))
+                      <= CONVERGED_SLACK * max(1.0, float(np.linalg.norm(y))))
             if not (reason == "converged" and on_sub and cone_ok(y, layout)):
                 return NearestResult("indeterminate", None, float("inf"),
                                      iterations + (its,), gaps + (gap,))
@@ -405,7 +409,7 @@ def fold_cross_penalties(costs: CostParameters, profile: StrategyProfile) -> Cos
 
 
 def unfold_cross_penalties(costs: CostParameters, profile: StrategyProfile,
-                           R_choice, eps: float = 0.0) -> CostParameters:
+                           R_choice) -> CostParameters:
     """Reintroduce desired cross penalties R_choice[i][j] >= 0 (j != i).
 
     Requires every Q_i strictly positive definite.  A single scalar
@@ -426,7 +430,7 @@ def unfold_cross_penalties(costs: CostParameters, profile: StrategyProfile,
         acc = 0.5 * (acc + acc.T)
         sums.append(acc)
         top = float(np.linalg.eigvalsh(acc).max())
-        lam = max(lam, (1.0 + eps) * top / float(w.min()))
+        lam = max(lam, top / float(w.min()))
     Qs = [0.5 * ((lam * costs.Q[i] - sums[i]) + (lam * costs.Q[i] - sums[i]).T)
           for i in range(N)]
     R = [[lam * costs.R[i][j] if i == j else np.asarray(R_choice[i][j], dtype=float)

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
+    NASH_TOL,
     DimensionError,
+    _norm,
     as_matrix,
     is_hurwitz,
     solve_lyapunov,
@@ -23,6 +25,11 @@ from .numerics import (
     symmetrize,
 )
 from .realization import GameSystem, StrategyProfile, closed_loop, reduced_system
+
+KLEINMAN_TOL = 1e-12          # relative gain step at which Newton-Kleinman stops
+KLEINMAN_MAX_ITER = 60        # Newton-Kleinman step cap
+POLISH_MAX_ITER = 40          # step cap of solve_coupled_are's Newton polish
+COUPLED_RESIDUAL_TOL = 1e-8   # relative residuals at which solve_coupled_are converged
 
 
 @dataclass(frozen=True)
@@ -54,9 +61,9 @@ class CostParameters:
         """Q as given, R_ii = I, R_ij = 0."""
         return cls.diagonal_R(Q, [np.eye(mj) for mj in m])
 
-    def validate(self, system: GameSystem, tol: float = 1e-8) -> None:
+    def validate(self, system: GameSystem, tol: float = NASH_TOL) -> None:
         """Raise on the first wrong shape, then on the first of Q_i, R_ii, R_ij
-        (player by player) failing is_psd (is_pd for R_ii); the blocks are
+        (player by player) failing is_psd (is_pd for R_ii) at tol; the blocks are
         exactly symmetric, so one batched eigvalsh per block size suffices."""
         N, n, m = system.num_players, system.n, system.m
         if len(self.Q) != N or len(self.R) != N:
@@ -75,7 +82,7 @@ class CostParameters:
             least.update(zip(names, np.linalg.eigvalsh(np.stack([blocks[k] for k in names]))[:, 0]))
 
         def fails(name, pd=False):  # is_psd / is_pd on the least eigenvalue
-            floor = tol * max(1.0, float(np.linalg.norm(blocks[name])))
+            floor = tol * max(1.0, _norm(blocks[name]))
             return not (least[name] > floor if pd else least[name] >= -floor)
 
         for i in range(N):
@@ -116,7 +123,7 @@ def state_weight_with_cross_terms(costs: CostParameters, profile: StrategyProfil
 
 
 def verify_nash(system: GameSystem, profile: StrategyProfile, costs: CostParameters,
-                tol: float = 1e-8):
+                tol: float = NASH_TOL):
     """Exact Nash check: per player, solve the closed-loop Lyapunov equation
     and test stationarity, the Riccati residual, and P >= 0.
 
@@ -133,14 +140,13 @@ def verify_nash(system: GameSystem, profile: StrategyProfile, costs: CostParamet
         Bi, Ki = system.B[i], profile.K[i]
         A_tilde, _ = reduced_system(system, profile, i)
         Rii = costs.R[i][i]
-        stat = float(np.linalg.norm(Rii @ Ki - Bi.T @ P))
+        stat = _norm(Rii @ Ki - Bi.T @ P)
         Rinv = np.linalg.inv(Rii)
-        are = float(np.linalg.norm(
-            Qt + P @ A_tilde + A_tilde.T @ P - P @ Bi @ Rinv @ Bi.T @ P))
+        are = _norm(Qt + P @ A_tilde + A_tilde.T @ P - P @ Bi @ Rinv @ Bi.T @ P)
         stat_res.append(stat)
         are_res.append(are)
     # Ps is exactly symmetric: is_psd's floor on one eigvalsh of the stack.
-    norms = [float(np.linalg.norm(P)) for P in Ps]
+    norms = [_norm(P) for P in Ps]
     psd_flags = [bool(w >= -tol * max(1.0, s))
                  for w, s in zip(np.linalg.eigvalsh(Ps)[:, 0], norms)]
     scale = max(1.0, max(norms))
@@ -159,7 +165,7 @@ def coupled_are_residuals(system: GameSystem, costs: CostParameters, K, P):
     return [float(np.linalg.norm(Fi)) for Fi in F]
 
 
-def newton_kleinman(A, B, Q, R, K0, tol: float = 1e-12, max_iter: int = 60):
+def newton_kleinman(A, B, Q, R, K0):
     """Stabilizing single-player Riccati solution by Newton-Kleinman.
 
     Each step solves one Lyapunov equation; the gain step is damped by
@@ -172,7 +178,7 @@ def newton_kleinman(A, B, Q, R, K0, tol: float = 1e-12, max_iter: int = 60):
         raise ValueError("Newton-Kleinman needs a stabilizing initial gain")
     Rinv = np.linalg.inv(R)
     P = None
-    for _ in range(max_iter):
+    for _ in range(KLEINMAN_MAX_ITER):
         P = solve_lyapunov(A - B @ K, Q + K.T @ R @ K)
         K_new = Rinv @ B.T @ P
         step = K_new - K
@@ -184,7 +190,7 @@ def newton_kleinman(A, B, Q, R, K0, tol: float = 1e-12, max_iter: int = 60):
         else:
             raise RuntimeError("Newton-Kleinman lost stabilizability")
         K = K + damp * step
-        if float(np.linalg.norm(step)) <= tol * max(1.0, float(np.linalg.norm(K))):
+        if float(np.linalg.norm(step)) <= KLEINMAN_TOL * max(1.0, float(np.linalg.norm(K))):
             break
     P = solve_lyapunov(A - B @ K, Q + K.T @ R @ K)
     return Rinv @ B.T @ P, P
@@ -237,22 +243,22 @@ def _coupled_jacobian(system: GameSystem, costs: CostParameters, P, G, Acl) -> n
     return J
 
 
-def _newton_polish(system: GameSystem, costs: CostParameters, P,
-                   residual_tol: float, max_iter: int = 40):
+def _newton_polish(system: GameSystem, costs: CostParameters, P):
     """Newton iteration on the stacked coupled-Riccati residuals.
 
     Variables are the packed symmetric P_i; the Jacobian is built in closed
     form.  Damped by halving while the residual does not decrease and the
-    induced closed loop stays Hurwitz.
+    induced closed loop stays Hurwitz, until the residuals are within a
+    tenth of COUPLED_RESIDUAL_TOL (relative).
     """
     N, n = system.num_players, system.n
     dim = sym_dim(n)
     P = [0.5 * (Pi + Pi.T) for Pi in P]
     F, G, Acl = _coupled_residual_mats(system, costs, P)
-    for _ in range(max_iter):
+    for _ in range(POLISH_MAX_ITER):
         r = np.concatenate([sym_pack(Fi) for Fi in F])
         scale = max(1.0, max(float(np.linalg.norm(Pi)) for Pi in P))
-        if float(np.max(np.abs(r))) <= 0.1 * residual_tol * scale:
+        if float(np.max(np.abs(r))) <= 0.1 * COUPLED_RESIDUAL_TOL * scale:
             break
         J = _coupled_jacobian(system, costs, P, G, Acl)
         dx = np.linalg.lstsq(J, -r, rcond=None)[0]
@@ -273,8 +279,7 @@ def _newton_polish(system: GameSystem, costs: CostParameters, P,
 
 
 def solve_coupled_are(system: GameSystem, costs: CostParameters, init: StrategyProfile,
-                      gain_tol: float = 1e-9, residual_tol: float = 1e-8,
-                      max_sweeps: int = 500):
+                      gain_tol: float = 1e-9, max_sweeps: int = 500):
     """Coupled-Riccati solver: Gauss-Seidel policy iteration plus Newton polish.
 
     Per sweep, each player best-responds (Newton-Kleinman LQR) to the
@@ -325,7 +330,7 @@ def solve_coupled_are(system: GameSystem, costs: CostParameters, init: StrategyP
     # Newton polish on the stacked residuals; plain sweeps stall on the
     # neutral mode of symmetric games.
     if all(float(np.linalg.norm(Pi)) > 0 for Pi in P):
-        P = _newton_polish(system, costs, P, residual_tol)
+        P = _newton_polish(system, costs, P)
         K_try = _gains(system, costs, P)
         if is_hurwitz(closed_loop(system, K_try)):
             K = K_try
@@ -333,7 +338,7 @@ def solve_coupled_are(system: GameSystem, costs: CostParameters, init: StrategyP
     scale = max(1.0, max(float(np.linalg.norm(Pi)) for Pi in P))
     stat = max(float(np.linalg.norm(costs.R[i][i] @ K[i] - system.B[i].T @ P[i]))
                for i in range(system.num_players))
-    if max(res) <= residual_tol * scale and stat <= residual_tol * scale:
+    if max(res) <= COUPLED_RESIDUAL_TOL * scale and stat <= COUPLED_RESIDUAL_TOL * scale:
         converged = True
     profile = StrategyProfile(K)
     return profile, P, converged

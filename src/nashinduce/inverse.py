@@ -54,6 +54,8 @@ from .realization import (
 )
 
 PARA_HERMITIAN_TOL = 1e-8
+CIRCLE_TOL = 1e-9    # relative lambda_min below which a circle probe fails (both routes)
+NULL_VEC_TOL = 1e-7  # relative singular value below which a rank root has a real witness
 
 
 def build_phi(fac: CoprimeFactorization) -> PolyMatrix:
@@ -65,9 +67,9 @@ def build_phi(fac: CoprimeFactorization) -> PolyMatrix:
     return 0.5 * (phi + phi.paraconjugate())
 
 
-def _require_para_hermitian(phi: PolyMatrix, tol: float = PARA_HERMITIAN_TOL) -> None:
+def _require_para_hermitian(phi: PolyMatrix) -> None:
     defect = (phi - phi.paraconjugate()).coeff_norm()
-    if defect > tol * max(1.0, phi.coeff_norm()):
+    if defect > PARA_HERMITIAN_TOL * max(1.0, phi.coeff_norm()):
         raise ValueError("matrix is not para-Hermitian")
 
 
@@ -95,7 +97,7 @@ def _circle_frequencies(phi: PolyMatrix) -> list:
     return candidates
 
 
-def circle_criterion(phi: PolyMatrix, tol: float = 1e-9, frequencies=None):
+def circle_criterion(phi: PolyMatrix, frequencies=None):
     """Test Phi(jw) >= 0 for all real w, exactly.
 
     The coefficients of the characteristic polynomial of the Hermitian
@@ -118,7 +120,7 @@ def circle_criterion(phi: PolyMatrix, tol: float = 1e-9, frequencies=None):
     if frequencies is None:
         frequencies = _circle_frequencies(phi)
     for w in frequencies:
-        if _min_eig_at(phi, w) < -tol * scale:
+        if _min_eig_at(phi, w) < -CIRCLE_TOL * scale:
             return False, float(w), "exact"
     return True, None, "exact"
 
@@ -187,7 +189,7 @@ def return_difference_rank(A_cl, B, K) -> int:
     return max(matrix_rank(M) for M in gaps)
 
 
-def return_difference_circle(A_cl, B, K, tol: float = 1e-9):
+def return_difference_circle(A_cl, B, K):
     """Test I - S(jw)^* S(jw) >= 0 for all real w (so Phi(jw) >= 0), for a
     Phi of full normal rank.
 
@@ -197,8 +199,8 @@ def return_difference_circle(A_cl, B, K, tol: float = 1e-9):
     give the crossing frequencies |Im lambda|.  Between consecutive
     crossings no eigenvalue of the gap changes sign, so it is probed at
     w = 0, at the midpoints and beyond the last crossing, all in one batched
-    solve.  A probe fails when lambda_min < -tol |G| (1 + |G|), a bound that
-    shrinks with the gap's 1/w^2 tail.  Round-off eigenvalues near the axis
+    solve.  A probe fails when lambda_min < -CIRCLE_TOL |G| (1 + |G|), a
+    bound that shrinks with the gap's 1/w^2 tail.  Round-off eigenvalues near the axis
     only add probes.  The gap is even in w (real data), so w >= 0 suffices.
     Returns (ok, witness, probes): the first failing frequency, or None.
     """
@@ -222,7 +224,7 @@ def return_difference_circle(A_cl, B, K, tol: float = 1e-9):
     if cross.size:
         probes += list(0.5 * (cross[1:] + cross[:-1])) + [2.0 * cross[-1] + 1.0]
     gaps, g = return_difference_gap(A_cl, B, K, probes)
-    fails = np.nonzero(np.linalg.eigvalsh(gaps)[:, 0] < -tol * g * (1.0 + g))[0]
+    fails = np.nonzero(np.linalg.eigvalsh(gaps)[:, 0] < -CIRCLE_TOL * g * (1.0 + g))[0]
     witness = float(probes[fails[0]]) if fails.size else None
     return witness is None, witness, len(probes)
 
@@ -257,10 +259,9 @@ class RankCertificate:
     degenerate: bool = False
 
 
-def check_rank_condition(fac: CoprimeFactorization, analysis: PhiAnalysis,
-                         delta: float = polymat.RHP_MARGIN) -> RankCertificate:
-    """No s in the closed RHP may admit a nonzero v with D L v = 0 whose
-    leading p entries vanish.
+def check_rank_condition(fac: CoprimeFactorization, analysis: PhiAnalysis) -> RankCertificate:
+    """No s in the closed RHP (Re s >= -polymat.RHP_MARGIN) may admit a
+    nonzero v with D L v = 0 whose leading p entries vanish.
 
     Vacuous when Phi has full normal rank.  The strict verdict only counts
     violations with a real witness vector; complex-only witnesses are
@@ -275,7 +276,7 @@ def check_rank_condition(fac: CoprimeFactorization, analysis: PhiAnalysis,
     if T.is_zero():
         return RankCertificate(satisfied=False, violations=(), degenerate=True)
     try:
-        roots = rhp_roots_matrix(T, delta)
+        roots = rhp_roots_matrix(T)
     except ValueError:
         # Normal rank of T below its column count: deficient everywhere.
         return RankCertificate(satisfied=False, violations=(), degenerate=True)
@@ -306,11 +307,11 @@ def check_rank_condition(fac: CoprimeFactorization, analysis: PhiAnalysis,
     return RankCertificate(satisfied=satisfied, violations=tuple(violations))
 
 
-def _null_vec(M, col_norms, tol: float = 1e-7):
+def _null_vec(M, col_norms):
     """Unit null vector of M diag(col_norms), found on the real column-scaled
-    M; None when M has no singular value below tol relative to its largest."""
+    M; None when M has no singular value below NULL_VEC_TOL (relative)."""
     u, s, vh = np.linalg.svd(M)
-    if s.size == 0 or s[-1] <= tol * max(1.0, s[0]):
+    if s.size == 0 or s[-1] <= NULL_VEC_TOL * max(1.0, s[0]):
         v = vh[-1] / col_norms
         return v / np.linalg.norm(v)
     return None

@@ -22,16 +22,20 @@ closed-form maps only.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import math
 
 import numpy as np
 
-# Default tolerances.  The searches use the loop constants as they are; the
-# other kernels take a per-call override.
-PSD_TOL = 1e-8
-RANK_TOL = 1e-9
-HURWITZ_MARGIN = 1e-9
-LYAPUNOV_RESIDUAL_TOL = 1e-9
+# The tolerance table: the constants more than one module reads, and those
+# of numerics alone.  A constant that one other module reads is defined at the
+# top of that module.  Functions read them when called.
+PSD_TOL = 1e-8                 # relative skew and eigenvalue floor of symmetrize, is_psd, is_pd
+RANK_TOL = 1e-9                # relative singular-value floor of the rank rule _rank
+HURWITZ_MARGIN = 1e-9          # Hurwitz means every Re(eig) < -HURWITZ_MARGIN
+LYAPUNOV_RESIDUAL_TOL = 1e-9   # relative residual bound of every Lyapunov solution
+NASH_TOL = 1e-8                # default tolerance of the final Nash check (--tol, the file's tol)
 R_FLOOR = 1e-6                 # eigenvalue floor imposed on each R_ii
 PROJECTION_CAP = 10_000        # iteration cap of every projection loop
 PROJECTION_TOL = 1e-10         # stop rule of every projection loop
@@ -65,13 +69,31 @@ def require_square(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def symmetrize(M, tol: float = PSD_TOL, name: str = "matrix") -> np.ndarray:
-    """Return (M + M')/2, rejecting inputs asymmetric beyond tol (relative)."""
+def _norm(M) -> float:
+    """Frobenius norm of a real M: bitwise np.linalg.norm(M) (one BLAS dot,
+    but vdot warns of no overflow) until its sum of squares overflows, then
+    that of M scaled by its largest entry (inf past the float range)."""
+    x = np.ravel(M, order="K")
+    r = math.sqrt(np.vdot(x, x))
+    if r == math.inf and np.isfinite(x).all():
+        big = float(np.abs(x).max())
+        r = big * math.sqrt(np.vdot(x / big, x / big))
+    return r
+
+
+def symmetrize(M, name: str = "matrix") -> np.ndarray:
+    """Return (M + M')/2, rejecting inputs asymmetric beyond PSD_TOL
+    (relative) and those whose norm or M + M' passes the float range."""
     A = require_square(M, name)
-    scale = max(1.0, float(np.linalg.norm(A)))
-    if np.linalg.norm(A - A.T) > tol * scale:
-        raise ValueError(f"{name} is not symmetric within tolerance {tol}")
-    return 0.5 * (A + A.T)
+    scale = _norm(A)
+    # Only past half the float range can M + M' or M - M' overflow.
+    with np.errstate(over="ignore") if scale >= 2.0 ** 1023 else contextlib.nullcontext():
+        S, D = A + A.T, A - A.T
+    if scale == math.inf or not np.isfinite(S).all():
+        raise ValueError(f"{name} overflows the float range")
+    if _norm(D) > PSD_TOL * max(1.0, scale):
+        raise ValueError(f"{name} is not symmetric within tolerance {PSD_TOL}")
+    return 0.5 * S
 
 
 def eig(M) -> np.ndarray:
@@ -83,23 +105,23 @@ def eig(M) -> np.ndarray:
         raise NumericalFailureError(f"eigenvalue iteration failed: {exc}") from exc
 
 
-def is_hurwitz(M, margin: float = HURWITZ_MARGIN) -> bool:
-    """True iff every eigenvalue has real part < -margin."""
-    return bool(np.max(eig(M).real) < -margin)
+def is_hurwitz(M) -> bool:
+    """True iff every eigenvalue has real part < -HURWITZ_MARGIN."""
+    return bool(np.max(eig(M).real) < -HURWITZ_MARGIN)
 
 
-def is_psd(M, tol: float = PSD_TOL) -> bool:
-    """True iff the symmetric matrix M has min eigenvalue >= -tol*max(1,||M||)."""
-    A = symmetrize(M, tol)
+def is_psd(M) -> bool:
+    """True iff the symmetric matrix M has min eigenvalue >= -PSD_TOL*max(1,||M||)."""
+    A = symmetrize(M)
     w = np.linalg.eigvalsh(A)
-    return bool(w.min() >= -tol * max(1.0, float(np.linalg.norm(A))))
+    return bool(w.min() >= -PSD_TOL * max(1.0, _norm(A)))
 
 
-def is_pd(M, tol: float = PSD_TOL) -> bool:
-    """Strict variant of is_psd: min eigenvalue > +tol*max(1,||M||)."""
-    A = symmetrize(M, tol)
+def is_pd(M) -> bool:
+    """Strict variant of is_psd: min eigenvalue > +PSD_TOL*max(1,||M||)."""
+    A = symmetrize(M)
     w = np.linalg.eigvalsh(A)
-    return bool(w.min() > tol * max(1.0, float(np.linalg.norm(A))))
+    return bool(w.min() > PSD_TOL * max(1.0, _norm(A)))
 
 
 def vec(M) -> np.ndarray:
@@ -135,7 +157,7 @@ def _schur_lwork(n: int) -> int:
     return int(lapack.dgees(lambda *_: None, np.zeros((n, n)), lwork=-1)[-2][0])
 
 
-def solve_lyapunov(Acl, W, tol: float = LYAPUNOV_RESIDUAL_TOL, *, with_margin: bool = False):
+def solve_lyapunov(Acl, W, *, with_margin: bool = False):
     """Solve P Acl + Acl' P = -W for symmetric W and Hurwitz Acl.
 
     Bartels-Stewart: real Schur Acl' = U T U', then T Y + Y T' = -U' W U.
@@ -182,7 +204,7 @@ def solve_lyapunov(Acl, W, tol: float = LYAPUNOV_RESIDUAL_TOL, *, with_margin: b
     P = U @ C @ U.T
     P = 0.5 * (P + P.transpose(0, 2, 1))
     for resid, w in zip(_fro(P @ A + A.T @ P + Ws), scales):
-        if resid > tol * w:
+        if resid > LYAPUNOV_RESIDUAL_TOL * w:
             raise NumericalFailureError(f"Lyapunov residual {resid:.3e} above tolerance")
     P = P if W.ndim == 3 else P[0]
     return (P, -top) if with_margin else P
@@ -256,9 +278,11 @@ def _schur_sweep(T, C) -> np.ndarray:
 
 
 def _fro(X) -> list:
-    """Frobenius norm of each matrix of a (k, r, c) stack, as floats."""
+    """Frobenius norm of each matrix of a (k, r, c) stack, as floats; a
+    slice whose sum of squares overflows gets _norm's scaled norm."""
     X = X.reshape(len(X), -1)
-    return np.sqrt(np.einsum("ij,ij->i", X, X)).tolist()
+    norms = np.sqrt(np.einsum("ij,ij->i", X, X)).tolist()  # einsum warns of no overflow
+    return [_norm(X[k]) if r == math.inf else r for k, r in enumerate(norms)]
 
 
 def _rank(s, tol: float) -> int:
@@ -268,17 +292,17 @@ def _rank(s, tol: float) -> int:
     return int(np.sum(s > tol * max(1.0, s[0]))) if s.size else 0
 
 
-def nullspace(M, tol: float = RANK_TOL) -> np.ndarray:
+def nullspace(M) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical right nullspace of M.
 
     Returns an array with zero columns when M has full column rank.
     """
     A = as_matrix(M)
     u, s, vh = np.linalg.svd(A, full_matrices=True)
-    return vh[_rank(s, tol):].T.conj()
+    return vh[_rank(s, RANK_TOL):].T.conj()
 
 
-def row_basis(M, tol: float = RANK_TOL) -> np.ndarray:
+def row_basis(M) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical row space of M, the
     orthogonal complement of nullspace(M) under the same rank rule.
 
@@ -287,12 +311,12 @@ def row_basis(M, tol: float = RANK_TOL) -> np.ndarray:
     """
     A = as_matrix(M)
     u, s, vh = np.linalg.svd(A, full_matrices=False)
-    return vh[:_rank(s, tol)].T.conj()
+    return vh[:_rank(s, RANK_TOL)].T.conj()
 
 
-def matrix_rank(M, tol: float = RANK_TOL) -> int:
+def matrix_rank(M) -> int:
     A = np.atleast_2d(np.asarray(M))
-    return _rank(np.linalg.svd(A, compute_uv=False), tol)
+    return _rank(np.linalg.svd(A, compute_uv=False), RANK_TOL)
 
 
 def psd_project(M, floor: float = 0.0) -> np.ndarray:
@@ -556,8 +580,7 @@ def _anderson(step, z, cap: int, tol: float, tangent=None):
     return out, "cap", cap, res / scale
 
 
-def project_affine_cone(x_p, V, layout, cap: int = PROJECTION_CAP,
-                        tol: float = PROJECTION_TOL):
+def project_affine_cone(x_p, V, layout):
     """Alternating projections between {x : V'x = V'x_p} and the layout's
     cones, Anderson-mixed by _anderson in full coordinates.
 
@@ -568,12 +591,12 @@ def project_affine_cone(x_p, V, layout, cap: int = PROJECTION_CAP,
     projection onto the set of the best-fitting nonnegative combination of
     the block identities, which is that combination itself when the set
     holds one (x_p, the minimum-norm point, usually has an indefinite
-    block), and stops when |x' - c| <= tol * max(1, |x'|).
+    block), and stops when |x' - c| <= PROJECTION_TOL * max(1, |x'|).
     Returns (x', reason, iterations, gap),
     gap = |x' - c| / max(1, |x'|) at stop, with reason "converged", "cap"
-    after cap iterations (or at once from a stalled loop that can no longer
-    converge), or "point" (no iteration, gap 0) when the rows span the whole
-    space and x_p is the whole set.
+    after PROJECTION_CAP iterations (or at once from a stalled loop that can
+    no longer converge), or "point" (no iteration, gap 0) when the rows span
+    the whole space and x_p is the whole set.
     """
     if V.shape[1] == V.shape[0]:
         return x_p, "point", 0, 0.0
@@ -583,7 +606,7 @@ def project_affine_cone(x_p, V, layout, cap: int = PROJECTION_CAP,
         x = c - V @ (V.T @ c) + x_p
         return x, x, float(np.linalg.norm(x - c))
 
-    return _anderson(step, _identity_start(x_p, V, layout), cap, tol,
+    return _anderson(step, _identity_start(x_p, V, layout), PROJECTION_CAP, PROJECTION_TOL,
                      tangent=lambda d: d - V @ (V.T @ d))
 
 

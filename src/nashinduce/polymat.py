@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .numerics import DimensionError, NumericalFailureError, matrix_rank
+from .numerics import DimensionError, NumericalFailureError, _rank
 
 POLY_TRIM_TOL = 1e-9
 RHP_MARGIN = 1e-7
@@ -232,7 +232,8 @@ class PolyMatrix:
         return L
 
     def is_column_reduced(self, tol: float = 1e-9) -> bool:
-        return matrix_rank(self.leading_column_matrix(), tol) == self.cols
+        s = np.linalg.svd(self.leading_column_matrix(), compute_uv=False)
+        return _rank(s, tol) == self.cols
 
     def poly_rank(self, tol: float = 1e-9) -> int:
         """Normal rank, by sampling cross-checked against the characteristic
@@ -248,7 +249,8 @@ class PolyMatrix:
             return 0
         npts = 2 * int(self.degree) + 3
         pts = (1.0 + self.coeff_norm()) * np.exp(1j * (2 * np.pi * np.arange(npts) / npts + 0.5))
-        r_sample = max(matrix_rank(self.eval(s), tol) for s in pts)
+        r_sample = max(_rank(np.linalg.svd(self.eval(s), compute_uv=False), tol)
+                       for s in pts)
         gram = self.transpose() @ self
         scale = max(1.0, gram.coeff_norm())
         r_gram = max(k for k, c in enumerate(gram.charpoly()) if np.max(np.abs(c)) > tol * scale**k)

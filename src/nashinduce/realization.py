@@ -27,6 +27,8 @@ from .numerics import (
 )
 from .polymat import PolyMatrix
 
+FACTORIZATION_TOL = 1e-10  # relative residual of the identity (sI - A)S = B D
+
 
 @dataclass(frozen=True)
 class GameSystem:
@@ -69,7 +71,7 @@ class GameSystem:
         return tuple(Bi.shape[1] for Bi in self.B)
 
 
-def _pbh_stabilizable(A: np.ndarray, Ball: np.ndarray, tol: float = RANK_TOL) -> bool:
+def _pbh_stabilizable(A: np.ndarray, Ball: np.ndarray) -> bool:
     """PBH test: [lam I - A, Ball] has rank n (rule _rank) at every eigenvalue
     lam of A with Re lam >= -HURWITZ_MARGIN, from one batched SVD.  A is
     real, so of a conjugate pair only the member with Im lam >= 0 is
@@ -82,7 +84,7 @@ def _pbh_stabilizable(A: np.ndarray, Ball: np.ndarray, tol: float = RANK_TOL) ->
         return True
     M = np.concatenate([lams[:, None, None] * np.eye(n) - A,
                         np.broadcast_to(Ball, (len(lams),) + Ball.shape)], axis=2)
-    return all(_rank(s, tol) >= n for s in np.linalg.svd(M, compute_uv=False))
+    return all(_rank(s, RANK_TOL) >= n for s in np.linalg.svd(M, compute_uv=False))
 
 
 @dataclass(frozen=True)
@@ -131,9 +133,9 @@ def closed_loop(system: GameSystem, K) -> np.ndarray:
     return Acl
 
 
-def is_stabilizing(system: GameSystem, K, margin: float = HURWITZ_MARGIN) -> bool:
-    """True iff A - sum_i B_i K_i has all eigenvalues in Re < -margin."""
-    return is_hurwitz(closed_loop(system, K), margin)
+def is_stabilizing(system: GameSystem, K) -> bool:
+    """True iff A - sum_i B_i K_i has all eigenvalues in Re < -HURWITZ_MARGIN."""
+    return is_hurwitz(closed_loop(system, K))
 
 
 def reduced_system(system: GameSystem, profile: StrategyProfile, i: int):
@@ -174,7 +176,7 @@ class CoprimeFactorization:
         return self.A_tilde.shape[0]
 
 
-def _crate_indices(A: np.ndarray, B: np.ndarray, tol: float = RANK_TOL):
+def _crate_indices(A: np.ndarray, B: np.ndarray):
     """Controllability indices via left-to-right scan of [B, AB, A^2B, ...].
 
     Returns (sigma, kept): kept holds the retained columns grouped per input,
@@ -197,7 +199,7 @@ def _crate_indices(A: np.ndarray, B: np.ndarray, tol: float = RANK_TOL):
             if j > 0 and sigma[k] < j:
                 continue
             trial = np.column_stack(kept_flat + [powers[k]]) if kept_flat else powers[k][:, None]
-            if matrix_rank(trial, tol) == trial.shape[1] and np.linalg.norm(powers[k]) > tol * scale:
+            if matrix_rank(trial) == trial.shape[1] and np.linalg.norm(powers[k]) > RANK_TOL * scale:
                 kept_flat.append(powers[k].copy())
                 kept[k].append(powers[k].copy())
                 sigma[k] += 1
@@ -218,7 +220,7 @@ def _power_basis(sigma) -> PolyMatrix:
     return PolyMatrix(C)
 
 
-def controllable_basis(A, B, tol: float = RANK_TOL) -> np.ndarray:
+def controllable_basis(A, B) -> np.ndarray:
     """Orthonormal basis (columns) of the controllable subspace of (A, B):
     the numerical range of [B, AB, ..., A^{n-1} B]."""
     blocks = [B]
@@ -226,10 +228,10 @@ def controllable_basis(A, B, tol: float = RANK_TOL) -> np.ndarray:
         blocks.append(A @ blocks[-1])
     ctrb = np.hstack(blocks)
     u, sv, _ = np.linalg.svd(ctrb, full_matrices=False)
-    return u[:, :_rank(sv, tol)]
+    return u[:, :_rank(sv, RANK_TOL)]
 
 
-def right_coprime_factorization(A_tilde, B, tol: float = RANK_TOL) -> CoprimeFactorization:
+def right_coprime_factorization(A_tilde, B) -> CoprimeFactorization:
     """Construct (S, D, sigma) for the pair (A_tilde, B).
 
     Route: restrict to the controllable subspace, transform to controller
@@ -242,16 +244,16 @@ def right_coprime_factorization(A_tilde, B, tol: float = RANK_TOL) -> CoprimeFac
     n, m = Bm.shape
     if A.shape != (n, n):
         raise DimensionError("A_tilde and B have incompatible shapes")
-    if matrix_rank(Bm, tol) != m:
+    if matrix_rank(Bm) != m:
         raise ValueError("B must have full column rank")
 
-    U = controllable_basis(A, Bm, tol)
+    U = controllable_basis(A, Bm)
     n_c = U.shape[1]
     controllable = n_c == n
 
     A_r = U.T @ A @ U
     B_r = U.T @ Bm
-    sigma, kept_vectors = _crate_indices(A_r, B_r, tol)
+    sigma, kept_vectors = _crate_indices(A_r, B_r)
     if sum(sigma) != n_c:
         raise NumericalFailureError("controllability index selection inconsistent with subspace rank")
 
@@ -304,13 +306,13 @@ def right_coprime_factorization(A_tilde, B, tol: float = RANK_TOL) -> CoprimeFac
     return fac
 
 
-def _check_factorization(fac: CoprimeFactorization, tol: float = 1e-10) -> None:
+def _check_factorization(fac: CoprimeFactorization) -> None:
     lhs = PolyMatrix.s_identity(fac.n) @ fac.S - PolyMatrix.constant(fac.A_tilde) @ fac.S
     rhs = PolyMatrix.constant(fac.B) @ fac.D
     scale = max(1.0,
                 float(np.linalg.norm(fac.A_tilde)) + float(np.linalg.norm(fac.B)),
                 lhs.coeff_norm(), rhs.coeff_norm())
-    if (lhs - rhs).coeff_norm() > tol * scale:
+    if (lhs - rhs).coeff_norm() > FACTORIZATION_TOL * scale:
         raise NumericalFailureError("factorization identity (sI - A)S = B D violated")
     if not fac.D.is_column_reduced():
         raise NumericalFailureError("D is not column reduced")

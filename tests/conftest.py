@@ -19,8 +19,6 @@ from nashinduce import (
 )
 from nashinduce.feasibility import _kalman_map, _player_nullspace
 from nashinduce.numerics import (
-    PROJECTION_CAP,
-    PROJECTION_TOL,
     R_FLOOR,
     RANK_TOL,
     _identity_start,
@@ -130,8 +128,7 @@ def kronecker_rows(system, profile, i):
     return nullspace(Z.T), trace_row
 
 
-def kronecker_player_feasibility(system, profile, i, rho=R_FLOOR, cap=PROJECTION_CAP,
-                                 tol=PROJECTION_TOL):
+def kronecker_player_feasibility(system, profile, i, rho=R_FLOOR):
     """(status, [Q_i, R_ii, P_i] or None, iterations), status in the words
     of feasibility.player_feasibility: "solved", "infeasible" or
     "indeterminate"."""
@@ -141,7 +138,7 @@ def kronecker_player_feasibility(system, profile, i, rho=R_FLOOR, cap=PROJECTION
     if x_p is None:
         return "infeasible", None, 0
     layout = [(n, 0.0), (m, rho), (n, 0.0)]
-    theta, reason, its, _ = project_affine_cone(x_p, V, layout, cap, tol)
+    theta, reason, its, _ = project_affine_cone(x_p, V, layout)
     ok = cone_verdict(theta, reason, layout, slack=1e-6)
     if not ok:
         return ("indeterminate" if ok is None else "infeasible"), None, its
@@ -153,7 +150,7 @@ def kronecker_player_feasibility(system, profile, i, rho=R_FLOOR, cap=PROJECTION
 # q of the equation in Q alone, "no_solution" when its residual exceeds 1e-8,
 # then alternating projections over {Q : V'Q = V'q}.
 
-def least_squares_kalman_Q(system, profile, i, tol=1e-8, cap=PROJECTION_CAP):
+def least_squares_kalman_Q(system, profile, i, tol=1e-8):
     """(status, kernel_dim), kernel_dim that of the map on packed Q."""
     n, m = system.n, system.m[i]
     A, MR = _kalman_map(system, profile, i)
@@ -164,7 +161,7 @@ def least_squares_kalman_Q(system, profile, i, tol=1e-8, cap=PROJECTION_CAP):
     if float(np.linalg.norm(A @ q - b)) > tol * max(1.0, float(np.linalg.norm(b))):
         return "no_solution", kernel_dim
     layout = [(n, 0.0)]
-    x, reason, _, _ = project_affine_cone(q, V, layout, cap)
+    x, reason, _, _ = project_affine_cone(q, V, layout)
     ok = cone_verdict(x, reason, layout, slack=1e-7)
     return ("solved" if ok else ("indeterminate" if ok is None else "infeasible")), kernel_dim
 

@@ -274,6 +274,84 @@ def test_verify_perturbed_q_fails(tmp_path, capsys):
     assert report["players"][0]["are_residual"] > report["diagnostics"]["residual_bound"]
 
 
+def _scalar_with(tmp_path, block, value, name="costs.json"):
+    """two_player_scalar with player 0's Q or R_row[0] set to value."""
+    raw = json.loads(BUNDLED["two_player_scalar"])
+    if block == "Q":
+        raw["players"][0]["Q"] = value
+    else:
+        raw["players"][0]["R_row"][0] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_verify_huge_q_is_judged_on_finite_bounds(tmp_path, capsys):
+    # Q = 1e160 gives P = 5e159, whose squared norm overflows: the bounds were
+    # inf and the game passed as Nash.  The stationarity residual is 5e159,
+    # far above tol * scale; only the Riccati residual truly overflows (its
+    # P B R^-1 B' P is 2.5e319), an honest overflow reported as null.
+    path = _scalar_with(tmp_path, "Q", [[1e160]])
+    with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
+        code, out, _ = run_cli(capsys, "verify", path)
+    report = json.loads(out)
+    assert (code, report["verified"]) == (1, False)
+    assert report["diagnostics"] == {"scale": 5e159, "residual_bound": 5e151, "psd_tol": 1e-8}
+    assert report["players"][0]["stationarity_residual"] == 5e159
+    assert report["players"][0]["are_residual"] is None
+
+
+def test_verify_huge_r_is_positive_definite(tmp_path, capsys):
+    # The positive-definite floor of R = 1e160 was +inf, so R was rejected.
+    path = _scalar_with(tmp_path, "R", [[1e160]])
+    code, out, err = run_cli(capsys, "verify", path)
+    report = json.loads(out)
+    assert (code, err, report["verified"]) == (1, "", False)
+    assert report["players"][0]["stationarity_residual"] == 5e159
+    assert report["players"][0]["are_residual"] == 2.5e159
+    assert report["diagnostics"]["residual_bound"] == 5e151
+
+
+@pytest.mark.parametrize("block,value,message", [
+    # The floor tol * max(1, |Q|) was -inf, so these negative definite Q passed.
+    ("Q", [[-1e160]], "Q[0] is not positive semidefinite"),
+    ("Q", [[-1e200]], "Q[0] is not positive semidefinite"),
+    # (M + M')/2 is inf: the symmetrized block was kept and failed unnamed later.
+    ("Q", [[1.5e308]], "Q[0] overflows the float range"),
+    ("R", [[1.5e308]], "R[0][0] overflows the float range"),
+])
+def test_verify_huge_blocks_are_named_input_errors(tmp_path, capsys, block, value, message):
+    path = _scalar_with(tmp_path, block, value)
+    assert run_cli(capsys, "verify", path) == (2, "", f"error: {message}\n")
+
+
+def test_cost_blocks_beyond_the_float_range_are_named():
+    # Blocks of 1.5e308 (n >= 2) and of 8e307 (n = 3) have a Frobenius norm past
+    # the float range.  Before, validate answered "not positive semidefinite"
+    # (NaN eigenvalues) or "Eigenvalues did not converge".
+    for n, value in ((2, 1.5e308), (3, 1.5e308), (3, 8e307)):
+        with pytest.raises(ValueError, match=r"^Q\[0\] overflows the float range$"):
+            CostParameters([np.full((n, n), value)], [[np.eye(1)]])
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_negative_tol_is_input_error(tmp_path, capsys, command):
+    # A negative tol turned the PSD floor positive: R_01 = 0 failed as "not
+    # positive semidefinite".
+    path = write_example(tmp_path, "two_player_scalar")
+    assert run_cli(capsys, command, path, "--tol", "-1") == (
+        2, "", "error: --tol: must be a finite number >= 0\n")
+    raw = json.loads(BUNDLED["two_player_scalar"])
+    raw["tol"] = -1
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(raw))
+    assert run_cli(capsys, command, str(path)) == (
+        2, "", "error: tol: must be a finite number >= 0\n")
+    raw["tol"] = 0
+    path.write_text(json.dumps(raw))
+    assert run_cli(capsys, command, str(path), "--tol", "0")[0] in (0, 1)  # zero is a tolerance
+
+
 def test_verify_report_diagnostics_hold_the_bounds_of_the_check(capsys):
     path = str(DATA / "closed_form_n8_N3_m1.json")
     system, profile, costs, tol = load_problem(path)
@@ -486,7 +564,7 @@ def test_non_finite_tol_flag_is_input_error(tmp_path, capsys, command):
     path = write_example(tmp_path, "two_player_scalar")
     for bad in ("inf", "-inf", "nan"):
         assert run_cli(capsys, command, path, f"--tol={bad}") == (
-            2, "", "error: --tol: must be a finite number\n"), bad
+            2, "", "error: --tol: must be a finite number >= 0\n"), bad
 
 
 def test_x0_is_ignored_like_any_unknown_key(tmp_path, capsys):

@@ -82,7 +82,7 @@ def oracle_slice(system, prof, i, rho=1e-6):
             [(system.n, 0.0), (m, rho), (system.n, 0.0)])
 
 
-def test_projection_kernel_stop_reasons():
+def test_projection_kernel_stop_reasons(monkeypatch):
     # One-dimensional kernel: the normalized slice is a single point, its
     # constraint rows span the whole space.
     (x_p, V), layout = oracle_slice(*scalar_game(3.0), 0)
@@ -99,23 +99,27 @@ def test_projection_kernel_stop_reasons():
     assert reason == "converged" and 0 < iterations < PROJECTION_CAP
     assert gap <= PROJECTION_TOL
     assert cone_verdict(x, reason, layout, slack=1e-6) is True
-    x, reason, iterations, gap = project_affine_cone(x_p, V, layout, cap=1)
+    monkeypatch.setattr(numerics, "PROJECTION_CAP", 1)
+    x, reason, iterations, gap = project_affine_cone(x_p, V, layout)
     assert (reason, iterations) == ("cap", 1) and gap > PROJECTION_TOL
     assert cone_verdict(x, reason, layout, slack=1e-6) is None
 
 
-def test_projection_kernel_matches_per_block_loop():
+def test_projection_kernel_matches_per_block_loop(monkeypatch):
     slices = [oracle_slice(*scalar_game(3.0), 0)]
     for system, _, prof, _ in converged_nash_games(seed=7, count=4):
         slices += [oracle_slice(system, prof, i) for i in range(system.num_players)]
     total, total_ref = 0, 0
     for (x_p, V), layout in slices:
         # The first step, from an empty history, is the plain one.
-        x, reason, _, _ = project_affine_cone(x_p, V, layout, 1)
+        monkeypatch.setattr(numerics, "PROJECTION_CAP", 1)
+        x, reason, _, _ = project_affine_cone(x_p, V, layout)
         x_ref, reason_ref, _ = loop_project_affine_cone(x_p, V, layout, 1, PROJECTION_TOL)
         assert reason == reason_ref and np.array_equal(x, x_ref)
         for cap, tol in ((PROJECTION_CAP, PROJECTION_TOL), (500, 1e-14)):
-            x, reason, its, gap = project_affine_cone(x_p, V, layout, cap, tol)
+            monkeypatch.setattr(numerics, "PROJECTION_CAP", cap)
+            monkeypatch.setattr(numerics, "PROJECTION_TOL", tol)
+            x, reason, its, gap = project_affine_cone(x_p, V, layout)
             x_ref, reason_ref, its_ref = loop_project_affine_cone(x_p, V, layout, cap, tol)
             scale = max(1.0, float(np.linalg.norm(x)))
             assert np.linalg.norm(V.T @ (x - x_p)) <= 1e-12 * scale
@@ -132,13 +136,14 @@ def test_projection_kernel_matches_per_block_loop():
     assert 5 * total <= total_ref, (total, total_ref)
 
 
-def test_projection_kernel_stalls_like_plain_loop_outside_cones():
+def test_projection_kernel_stalls_like_plain_loop_outside_cones(monkeypatch):
     # 3 x 3 symmetric matrices with trace -1 miss the PSD cone: both loops run
     # to the cap at the same nearest pair, -I/3 and 0.
     x_p = sym_pack(-np.eye(3) / 3.0)
     V = row_basis(x_p[None, :])
     layout = [(3, 0.0)]
-    x, reason, its, gap = project_affine_cone(x_p, V, layout, 50)
+    monkeypatch.setattr(numerics, "PROJECTION_CAP", 50)
+    x, reason, its, gap = project_affine_cone(x_p, V, layout)
     x_ref, reason_ref, its_ref = loop_project_affine_cone(x_p, V, layout, 50, PROJECTION_TOL)
     assert (reason, its) == (reason_ref, its_ref) == ("cap", 50)
     assert np.allclose(x, x_ref, atol=1e-12)
@@ -180,7 +185,7 @@ def test_identity_start_is_the_projected_identity_fit():
         assert np.linalg.norm(V.T @ (z0 - x_p)) <= 1e-12 * max(1.0, np.linalg.norm(z0))
 
 
-def test_identity_start_falls_back_to_x_p_when_no_identity_reaches_the_rows():
+def test_identity_start_falls_back_to_x_p_when_no_identity_reaches_the_rows(monkeypatch):
     # diag(1, -1) is orthogonal to I, so V'E is a zero column (exactly, or to
     # round-off from an SVD): no error, and the start is x_p, whose first step
     # is then the plain one from x_p.
@@ -191,7 +196,8 @@ def test_identity_start_falls_back_to_x_p_when_no_identity_reaches_the_rows():
         assert np.abs(V.T @ E).max() <= 1e-15
         assert np.array_equal(numerics._identity_start(x_p, V, layout), x_p)
         c = cone_project(x_p, layout)
-        x, reason, _, _ = project_affine_cone(x_p, V, layout, 1)
+        monkeypatch.setattr(numerics, "PROJECTION_CAP", 1)
+        x, reason, _, _ = project_affine_cone(x_p, V, layout)
         assert reason == "cap" and np.array_equal(x, c - V @ (V.T @ c) + x_p)
     # A second block: the zero column gets coefficient 0, and the other
     # block's fit is negative and clipped, so again the start is x_p.

@@ -18,7 +18,7 @@ from nashinduce import (
 from nashinduce.cli import load_problem
 from nashinduce.forward import _coupled_jacobian, _coupled_residual_mats
 from nashinduce.realization import closed_loop
-from nashinduce.numerics import DimensionError, is_pd, is_psd, sym_dim, sym_pack, sym_unpack
+from nashinduce.numerics import DimensionError, sym_dim, sym_pack, sym_unpack
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -46,6 +46,13 @@ def test_cost_parameters_validation():
         bad_r.validate(system)
 
 
+def semidefinite_at(M, tol, strict=False):
+    """is_psd (is_pd when strict) of an exactly symmetric M at tolerance tol:
+    its least eigenvalue against the floor tol * max(1, |M|_F)."""
+    w, floor = np.linalg.eigvalsh(M).min(), tol * max(1.0, float(np.linalg.norm(M)))
+    return bool(w > floor if strict else w >= -floor)
+
+
 def loop_validate(costs, system, tol=1e-8):
     """Per-block reference of CostParameters.validate: is_psd / is_pd on each
     block in turn, each shape checked as it comes."""
@@ -55,15 +62,15 @@ def loop_validate(costs, system, tol=1e-8):
     for i in range(N):
         if costs.Q[i].shape != (system.n, system.n):
             raise DimensionError(f"Q[{i}] has wrong shape")
-        if not is_psd(costs.Q[i], tol):
+        if not semidefinite_at(costs.Q[i], tol):
             raise ValueError(f"Q[{i}] is not positive semidefinite")
         for j in range(N):
             if costs.R[i][j].shape != (system.m[j], system.m[j]):
                 raise DimensionError(f"R[{i}][{j}] has wrong shape")
-        if not is_pd(costs.R[i][i], tol):
+        if not semidefinite_at(costs.R[i][i], tol, strict=True):
             raise ValueError(f"R[{i}][{i}] is not positive definite")
         for j in range(N):
-            if j != i and not is_psd(costs.R[i][j], tol):
+            if j != i and not semidefinite_at(costs.R[i][j], tol):
                 raise ValueError(f"R[{i}][{j}] is not positive semidefinite")
 
 
@@ -169,7 +176,7 @@ def test_verify_nash_psd_flags_are_is_psd(tmp_path, nash_games):
                 _, cert = verify_nash(system, profile, costs, tol)
             except ValueError:  # costs rejected at a tiny tolerance
                 continue
-            assert list(cert.psd_ok) == [is_psd(P, tol) for P in cert.P]
+            assert list(cert.psd_ok) == [semidefinite_at(P, tol) for P in cert.P]
             flags += cert.psd_ok
     assert flags.count(False) >= 10 and flags.count(True) >= 200
 

@@ -396,7 +396,45 @@ def test_sym_pack_is_isometric():
 
 def test_symmetrize_rejects_asymmetric():
     with pytest.raises(ValueError):
-        symmetrize(np.array([[0.0, 1.0], [0.0, 0.0]]), tol=1e-10)
+        symmetrize(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_norm_is_numpy_norm_until_it_overflows():
+    rng = np.random.default_rng(4)
+    for scale in (1e-300, 1.0, 1e150, 1e153):
+        M = scale * rng.standard_normal((5, 5))
+        assert numerics._norm(M) == float(np.linalg.norm(M))
+        x = M.ravel()
+        assert numerics._fro(M[None]) == [float(np.sqrt(np.einsum("i,i->", x, x)))]
+    for scale in (1e160, 1e300):
+        M = scale * rng.standard_normal((5, 5))
+        expected = scale * float(np.linalg.norm(M / scale))
+        assert numerics._norm(M) == pytest.approx(expected, rel=1e-15)
+        assert numerics._fro(np.stack([M, np.eye(5)])) == pytest.approx([expected, np.sqrt(5.0)],
+                                                                         rel=1e-15)
+    assert numerics._norm(np.full((2, 2), 1.5e308)) == np.inf
+
+
+def test_symmetrize_never_overflows_on_finite_input():
+    assert numerics.symmetrize(np.array([[1e300, 2e300], [2e300, 1e300]]))[0, 1] == 2e300
+    # (M + M')/2 of [[1.5e308]] would be inf; the norm of the second passes the range.
+    for M in (np.array([[1.5e308]]), np.array([[0.0, 1.5e308], [-1.5e308, 0.0]])):
+        with pytest.raises(ValueError, match="^Q overflows the float range$"):
+            numerics.symmetrize(M, name="Q")
+    with pytest.raises(ValueError, match="not symmetric"):
+        numerics.symmetrize(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+
+def test_semidefinite_floors_stay_finite_on_huge_input():
+    # |M|^2 overflows here: the floors were -inf and +inf.
+    assert not numerics.is_psd(np.array([[-1e160]]))
+    assert numerics.is_pd(np.array([[1e160]]))
+
+
+def test_solve_lyapunov_checks_huge_right_hand_sides():
+    # The squared norm of W = 1e160 I overflows; its residual bound stays finite.
+    P = numerics.solve_lyapunov(-np.eye(2), 1e160 * np.eye(2))
+    assert np.array_equal(P, 5e159 * np.eye(2))
 
 
 def test_dimension_errors():

@@ -18,7 +18,11 @@ from nashinduce.polymat import PolyMatrix
 def coprimeness_ok(fac, tol: float = 1e-7) -> bool:
     """PBH-style check: [S; D] keeps full column rank at eigenvalues of A_tilde."""
     stacked = fac.S.vstack(fac.D)
-    return all(matrix_rank(stacked.eval(lam), tol) >= fac.m for lam in eig(fac.A_tilde))
+    for lam in eig(fac.A_tilde):
+        s = np.linalg.svd(stacked.eval(lam), compute_uv=False)
+        if np.sum(s > tol * max(1.0, s[0])) < fac.m:  # the rank rule, at tol
+            return False
+    return True
 
 
 def remark2_data():
