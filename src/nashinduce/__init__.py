@@ -45,11 +45,8 @@ from .forward import (
 )
 from .feasibility import (
     FeasibilityResult,
-    MembershipReport,
     NearestResult,
-    ThetaPoint,
     build_vectorized_system,
-    check_membership,
     fold_cross_penalties,
     nearest_params,
     solve_feasibility_projection,
@@ -67,7 +64,6 @@ __all__ = [
     "GameSystem",
     "InducibilityAnalysis",
     "KalmanSolution",
-    "MembershipReport",
     "NearestResult",
     "NumericalFailureError",
     "PhiAnalysis",
@@ -76,13 +72,11 @@ __all__ = [
     "RankCertificate",
     "RankViolation",
     "StrategyProfile",
-    "ThetaPoint",
     "analyze_phi",
     "analyze_player",
     "attach_feedback",
     "build_phi",
     "build_vectorized_system",
-    "check_membership",
     "check_rank_condition",
     "circle_criterion",
     "closed_loop",

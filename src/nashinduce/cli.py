@@ -25,10 +25,9 @@ import time
 import numpy as np
 
 from .forward import CostParameters, verify_nash
-from .feasibility import nearest_params, stationarity_maps
-from .inverse import (StageError, analyze_player, is_nash_inducible, phi_at_witness,
-                      solve_kalman_general)
-from .numerics import NASH_TOL, DimensionError, NumericalFailureError
+from .feasibility import nearest_params, solve_feasibility_projection
+from .inverse import analyze_player, is_nash_inducible, phi_at_witness
+from .numerics import NASH_TOL, DimensionError, NumericalFailureError, StageError
 from .problems import BUNDLED
 from .realization import GameSystem, _stabilizing_game
 
@@ -229,8 +228,8 @@ def _player_report(index, pa, kalman):
             "residual": float(kalman.residual),
             "kernel_dim": int(kalman.kernel_dim),
             "psd_ok": bool(kalman.psd_ok),
-            "Q": kalman.Q.tolist() if kalman.Q is not None else None,
-            "R": kalman.R.tolist() if kalman.R is not None else None,
+            "Q": kalman.Q.tolist(),
+            "R": kalman.R.tolist(),
         }
     if pa is None:
         return {"index": index, **dict.fromkeys(_FREQUENCY_FIELDS),
@@ -281,12 +280,9 @@ def _frequency_verdict(players):
     return "inducible" if all(p.inducible for p in players) else "not_inducible"
 
 
-def _oracle_verdict(kalmans):
-    """The time-domain verdict from the players' Kalman-equation cone
-    searches: the first player not solved decides."""
-    status = next((k.status for k in kalmans if k.status != "solved"), "solved")
-    return {"solved": "inducible", "infeasible": "not_inducible",
-            "indeterminate": "indeterminate"}[status]
+# The time-domain verdict of the oracle's status (solve_feasibility_projection).
+_ORACLE_VERDICT = {"feasible": "inducible", "infeasible_certified_by_identity": "not_inducible",
+                   "indeterminate": "indeterminate"}
 
 
 def _write_report(report, args):
@@ -357,7 +353,7 @@ def cmd_check(args) -> int:
     analyses, freq_error, warnings = [], None, []
     for i in indices:
         try:
-            pa = analyze_player(system, profile, i, solve_costs=False)
+            pa = analyze_player(system, profile, i)
         except StageError as exc:
             pa = None
             freq_error = freq_error or {"player": exc.player, "stage": exc.stage,
@@ -374,9 +370,9 @@ def cmd_check(args) -> int:
     if args.no_oracle:
         verdict_oracle = "skipped"
     else:
-        maps = stationarity_maps(system, profile, indices)  # one adjoint stack
-        kalmans = [solve_kalman_general(system, profile, i, M) for i, M in zip(indices, maps)]
-        verdict_oracle = _oracle_verdict(kalmans)
+        oracle = solve_feasibility_projection(system, profile, indices)
+        kalmans = oracle.solutions
+        verdict_oracle = _ORACLE_VERDICT[oracle.status]
         if verdict_oracle == "indeterminate":
             warnings.append("time-domain oracle did not reach a determinate verdict")
     t_oracle = time.perf_counter() - t0
@@ -429,30 +425,30 @@ def cmd_solve(args) -> int:
         _write_report(report, args)
         return 0 if res.status == "feasible" else 1
 
-    players = is_nash_inducible(system, profile, solve_costs=True, mode=args.mode).players
-    failed = next((pa for pa in players if pa.kalman.status != "solved" or not pa.inducible),
-                  None)
-    kalmans = [p.kalman for p in players]
+    kalmans = solve_feasibility_projection(system, profile, mode=args.mode).solutions
+    players = is_nash_inducible(system, profile).players
+    failed = next((i for i, (pa, k) in enumerate(zip(players, kalmans))
+                   if k.status != "solved" or not pa.inducible), None)
     if failed is not None:
-        w = failed.phi_analysis.circle_witness
+        pa = players[failed]
+        w = pa.phi_analysis.circle_witness
         report = {
             "status": "infeasible",
-            "failing_player": failed.index,
-            "circle_ok": bool(failed.circle_ok),
+            "failing_player": failed,
+            "circle_ok": bool(pa.circle_ok),
             "circle_witness": None if w is None else float(w),
             "phi_at_witness": (None if w is None
-                               else phi_at_witness(system, profile, failed.index, w)),
-            "rank_ok": bool(failed.rank_ok),
-            "kalman_status": failed.kalman.status,
-            "players": [_player_report(p.index, p, p.kalman) for p in players],
+                               else phi_at_witness(system, profile, failed, w)),
+            "rank_ok": bool(pa.rank_ok),
+            "kalman_status": kalmans[failed].status,
+            "players": [_player_report(p.index, p, k) for p, k in zip(players, kalmans)],
             "diagnostics": _diagnostics(kalmans, players),
         }
         _write_report(report, args)
         return 1
 
     N = system.num_players
-    costs = CostParameters.diagonal_R([p.kalman.Q for p in players],
-                                      [p.kalman.R for p in players])
+    costs = CostParameters.diagonal_R([k.Q for k in kalmans], [k.R for k in kalmans])
     ok, cert = verify_nash(system, profile, costs, tol=tol)
     report = {
         "status": "solved" if ok else "verification_failed",
@@ -461,7 +457,7 @@ def cmd_solve(args) -> int:
              "Q": costs.Q[i].tolist(),
              "R": costs.R[i][i].tolist(),
              "P": cert.P[i].tolist(),
-             "kalman_residual": float(players[i].kalman.residual),
+             "kalman_residual": float(kalmans[i].residual),
              "are_residual": float(cert.are_residuals[i]),
              "stationarity_residual": float(cert.stationarity_residuals[i])}
             for i in range(N)

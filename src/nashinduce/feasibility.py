@@ -9,10 +9,11 @@ the Kalman equation, one linear map in the costs with n m_i rows
 Lyapunov solves against one Schur form of Acl).  Every search holds an
 orthonormal basis V of those constraint rows (numerics.row_basis), never a
 basis of the map's kernel, and projects onto the kernel as x - V(V'x).
-This module checks membership, searches the kernel for costs in the cones
-by alternating projections (player_feasibility, the one Kalman cone
-search: the time-domain oracle on the slice trace(R_ii) = m_i, and the
-q-only solve with R_ii = I pinned), projects reference costs onto the feasible set (Douglas-Rachford
+This module searches the kernel for costs in the cones by alternating
+projections (player_feasibility, the one Kalman cone search: the
+time-domain oracle on the slice trace(R_ii) = m_i, and the q-only solve with
+R_ii = I pinned; solve_feasibility_projection runs it for every player of a
+game), projects reference costs onto the feasible set (Douglas-Rachford
 splitting, or one clipped scalar projection on a one-dimensional kernel),
 and folds/unfolds cross-control penalties.  Both loops run through the
 Anderson-mixed fixed-point driver numerics._anderson.  The Kronecker identities
@@ -28,18 +29,16 @@ import numpy as np
 
 from .forward import CostParameters, state_weight_with_cross_terms
 from .numerics import (
-    NASH_TOL,
     PROJECTION_CAP,
     PROJECTION_TOL,
     R_FLOOR,
     DimensionError,
     _anderson,
+    _stage,
     affine_slice,
     cone_ok,
     cone_project,
     cone_verdict,
-    is_pd,
-    is_psd,
     kron,
     kron_sum,
     nullspace,
@@ -56,59 +55,6 @@ from .numerics import (
 from .realization import GameSystem, StrategyProfile, closed_loop
 
 CONVERGED_SLACK = 1e-7  # a converged point's relative slack to the cones and the kernel
-
-
-@dataclass(frozen=True)
-class ThetaPoint:
-    """A candidate tuple (costs, P_1..P_N) for the feasibility constraints."""
-
-    costs: CostParameters
-    P: tuple
-
-    def __init__(self, costs: CostParameters, P):
-        object.__setattr__(self, "costs", costs)
-        object.__setattr__(self, "P", tuple(np.asarray(Pi, dtype=float) for Pi in P))
-
-    def scaled(self, alpha: float) -> "ThetaPoint":
-        return ThetaPoint(self.costs.scaled(alpha), [alpha * Pi for Pi in self.P])
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    member: bool
-    are_residuals: tuple
-    stationarity_residuals: tuple
-    cone_ok: tuple  # per player: (Q psd, R_ii pd, R_ij psd, P psd)
-
-
-def check_membership(pt: ThetaPoint, system: GameSystem,
-                     profile: StrategyProfile) -> MembershipReport:
-    """Evaluate every constraint row with residual norms, against NASH_TOL."""
-    N = system.num_players
-    Acl = closed_loop(system, profile.K)
-    are_res, stat_res, cones = [], [], []
-    scale = max(1.0, max(float(np.linalg.norm(Pi)) for Pi in pt.P))
-    for i in range(N):
-        Pi = 0.5 * (pt.P[i] + pt.P[i].T)
-        acc = pt.costs.Q[i] + Pi @ Acl + Acl.T @ Pi
-        for j in range(N):
-            acc += profile.K[j].T @ pt.costs.R[i][j] @ profile.K[j]
-        are_res.append(float(np.linalg.norm(acc)))
-        stat_res.append(float(np.linalg.norm(
-            pt.costs.R[i][i] @ profile.K[i] - system.B[i].T @ Pi)))
-        cones.append((
-            is_psd(pt.costs.Q[i]),
-            is_pd(pt.costs.R[i][i]),
-            all(is_psd(pt.costs.R[i][j]) for j in range(N) if j != i),
-            is_psd(Pi),
-        ))
-    member = (
-        all(r <= NASH_TOL * scale for r in are_res)
-        and all(r <= NASH_TOL * scale for r in stat_res)
-        and all(all(flags) for flags in cones)
-    )
-    return MembershipReport(member=member, are_residuals=tuple(are_res),
-                            stationarity_residuals=tuple(stat_res), cone_ok=tuple(cones))
 
 
 def build_vectorized_system(system: GameSystem, profile: StrategyProfile, i: int) -> np.ndarray:
@@ -263,34 +209,31 @@ def player_feasibility(system: GameSystem, profile: StrategyProfile, i: int,
 @dataclass(frozen=True)
 class FeasibilityResult:
     status: str  # "feasible" | "infeasible_certified_by_identity" | "indeterminate"
-    point: ThetaPoint | None
-    iterations: tuple = ()  # projection iterations of each player searched (0: no loop ran)
-    gaps: tuple = ()  # each searched player's relative distance to the cones at stop
+    solutions: tuple  # the KalmanSolution of each listed player
 
 
-def solve_feasibility_projection(system: GameSystem,
-                                 profile: StrategyProfile) -> FeasibilityResult:
-    """Per-player cone searches (player_feasibility, players decouple once
-    cross penalties are folded away); the first player not solved decides.
+# A player's search status -> the game's status; the first player not solved decides.
+_GAME_STATUS = {"solved": "feasible", "infeasible": "infeasible_certified_by_identity",
+                "no_solution": "infeasible_certified_by_identity",
+                "indeterminate": "indeterminate"}
 
-    The players' maps come from one adjoint stack (stationarity_maps).  When
-    all are solved, each P_i is the Lyapunov solution for the state weight
-    Q_i + K_i' R_ii K_i, all from one Schur factorization of Acl.
-    """
-    sols = []
-    for i, M in enumerate(stationarity_maps(system, profile)):
-        sols.append(player_feasibility(system, profile, i, M=M))
-        if sols[-1].status != "solved":
-            break
-    status = {"solved": "feasible", "infeasible": "infeasible_certified_by_identity",
-              "indeterminate": "indeterminate"}[sols[-1].status]
-    point = None
-    if status == "feasible":
-        W = np.stack([s.Q + Ki.T @ s.R @ Ki for s, Ki in zip(sols, profile.K)])
-        point = ThetaPoint(CostParameters.diagonal_R([s.Q for s in sols], [s.R for s in sols]),
-                           solve_lyapunov(closed_loop(system, profile.K), W))
-    return FeasibilityResult(status, point, tuple(s.iterations for s in sols),
-                             tuple(s.gap for s in sols))
+
+def solve_feasibility_projection(system: GameSystem, profile: StrategyProfile,
+                                 players=None, mode: str = "general") -> FeasibilityResult:
+    """The per-game cone search: player_feasibility in `mode` for every listed
+    player (all by default), each on its map from one adjoint stack
+    (stationarity_maps).  The first player not solved decides the status.  A
+    numerical failure raises StageError(i, "kalman"), i the player searched
+    (for the stack, the first listed player)."""
+    players = list(range(system.num_players) if players is None else players)
+    with _stage(players[0], "kalman"):
+        maps = stationarity_maps(system, profile, players)
+    solutions = []
+    for i, M in zip(players, maps):
+        with _stage(i, "kalman"):
+            solutions.append(player_feasibility(system, profile, i, mode, M))
+    status = next((s.status for s in solutions if s.status != "solved"), "solved")
+    return FeasibilityResult(_GAME_STATUS[status], tuple(solutions))
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,8 @@ def verify_nash(system: GameSystem, profile: StrategyProfile, costs: CostParamet
         Rii = costs.R[i][i]
         stat = _norm(Rii @ Ki - Bi.T @ P)
         Rinv = np.linalg.inv(Rii)
-        are = _norm(Qt + P @ A_tilde + A_tilde.T @ P - P @ Bi @ Rinv @ Bi.T @ P)
+        with np.errstate(over="ignore", invalid="ignore"):  # past the float range: null
+            are = _norm(Qt + P @ A_tilde + A_tilde.T @ P - P @ Bi @ Rinv @ Bi.T @ P)
         stat_res.append(stat)
         are_res.append(are)
     # Ps is exactly symmetric: is_psd's floor on one eigvalsh of the stack.

@@ -13,26 +13,22 @@ condition is vacuous and no polynomial is formed.  Only when p < m_i does
 the player take the polynomial route: a right-coprime factorization,
 Phi = Dt'(-s) Dt(s) - D'(-s) D(s), its unimodular column compression, the
 exact charpoly circle criterion and the closed-right-half-plane rank
-condition.  Cost matrices are recovered from the Kalman equation in its
-time-domain form: stationarity R K_i = B_i' P with P eliminated through the
-Lyapunov equation, a linear map in (Q, R) alone with n m_i rows
-(feasibility.stationarity_maps, all players' maps from one adjoint
-Lyapunov stack).  Both Kalman solvers are the time-domain oracle's cone
-search (feasibility.player_feasibility) on a slice of that map's kernel:
-solve_kalman_general on trace(R) = m, solve_kalman_Q with R = I pinned.
+condition.  Costs are recovered in the time domain, by the per-game search
+feasibility.solve_feasibility_projection; solve_kalman_general (trace(R) = m)
+and solve_kalman_Q (R = I pinned) run its search for one player.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import polymat
-from .feasibility import KalmanSolution, player_feasibility, stationarity_maps
+from .feasibility import KalmanSolution, player_feasibility
 from .numerics import (
     NumericalFailureError,
+    _stage,
     matrix_rank,
     psd_project,  # noqa: F401  (perfbench's tracing test reads inverse.psd_project)
 )
@@ -321,26 +317,22 @@ def _null_vec(M, col_norms):
 # Kalman-equation solvers
 # ---------------------------------------------------------------------------
 
-def solve_kalman_Q(system: GameSystem, profile: StrategyProfile, i: int,
-                   M=None) -> KalmanSolution:
+def solve_kalman_Q(system: GameSystem, profile: StrategyProfile, i: int) -> KalmanSolution:
     """Find Q >= 0 with K_i = B_i' P, P the Lyapunov solution for the state
     weight Q + K_i' K_i: the Kalman equation with R pinned to I, searched by
-    feasibility.player_feasibility on its R_ii = I slice.  M is player i's
-    stationarity map when the caller built the game's maps in one stack."""
-    return player_feasibility(system, profile, i, mode="q-only", M=M)
+    feasibility.player_feasibility on its R_ii = I slice."""
+    return player_feasibility(system, profile, i, mode="q-only")
 
 
-def solve_kalman_general(system: GameSystem, profile: StrategyProfile, i: int,
-                         M=None) -> KalmanSolution:
+def solve_kalman_general(system: GameSystem, profile: StrategyProfile, i: int) -> KalmanSolution:
     """Joint unknowns (Q, R):  R K_i = B_i' P, P the Lyapunov solution for the
     state weight Q + K_i' R K_i (the Kalman equation with P eliminated).
 
     The solution set is a cone, searched on the normalization slice
     trace(R) = m for Q >= 0, R >= R_FLOOR I by feasibility.player_feasibility,
-    the time-domain oracle's search.  M is player i's stationarity map when
-    the caller built the game's maps in one stack (stationarity_maps).
+    the time-domain oracle's search.
     """
-    return player_feasibility(system, profile, i, M=M)
+    return player_feasibility(system, profile, i)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +349,6 @@ class PlayerAnalysis:
     factorization: CoprimeFactorization | None
     phi_analysis: PhiAnalysis
     rank_certificate: RankCertificate
-    kalman: KalmanSolution | None
     warnings: tuple
 
     @property
@@ -379,30 +370,11 @@ class InducibilityAnalysis:
     inducible: bool
 
 
-class StageError(NumericalFailureError):
-    """A numerical failure in one stage of one player's analysis."""
-
-    def __init__(self, player: int, stage: str, reason: str):
-        super().__init__(f"player {player}: {stage}: {reason}")
-        self.player, self.stage, self.reason = player, stage, reason
-
-
-@contextmanager
-def _stage(i: int, name: str):
-    try:
-        yield
-    except (NumericalFailureError, np.linalg.LinAlgError) as exc:
-        raise StageError(i, name, str(exc)) from exc
-
-
-def analyze_player(system: GameSystem, profile: StrategyProfile, i: int,
-                   solve_costs: bool = True, mode: str = "general", M=None) -> PlayerAnalysis:
+def analyze_player(system: GameSystem, profile: StrategyProfile, i: int) -> PlayerAnalysis:
     """Circle criterion and rank condition of player i (state-space route when
-    Phi has full normal rank, polynomial route otherwise), and with
-    `solve_costs` the Kalman-equation costs (from M, player i's stationarity
-    map, when given).  A numerical failure raises
-    StageError naming the stage: "circle" (state space), "realization",
-    "phi", "rank_condition" or "kalman"."""
+    Phi has full normal rank, polynomial route otherwise).  A numerical
+    failure raises numerics.StageError naming the stage: "circle" (state
+    space), "realization", "phi" or "rank_condition"."""
     A_tilde, A_cl = reduced_system(system, profile, i)
     B, K = system.B[i], profile.K[i]
     m = B.shape[1]
@@ -433,31 +405,13 @@ def analyze_player(system: GameSystem, profile: StrategyProfile, i: int,
                             "excluded from the strict verdict")
         if v.boundary:
             warnings.append(f"player {i}: rank violation on the imaginary-axis boundary at {v.s0}")
-    kalman = None
-    if solve_costs:
-        with _stage(i, "kalman"):
-            if mode == "q-only":
-                kalman = solve_kalman_Q(system, profile, i, M)
-            else:
-                kalman = solve_kalman_general(system, profile, i, M)
     return PlayerAnalysis(index=i, controllable=controllable, factorization=fac,
-                          phi_analysis=analysis, rank_certificate=cert, kalman=kalman,
+                          phi_analysis=analysis, rank_certificate=cert,
                           warnings=tuple(warnings))
 
 
-def is_nash_inducible(system: GameSystem, profile: StrategyProfile,
-                      solve_costs: bool = True, mode: str = "general") -> InducibilityAnalysis:
-    """Per-player circle + rank verdicts; overall verdict is their conjunction.
-
-    With `solve_costs` every player's Kalman map comes from one adjoint
-    Lyapunov stack (feasibility.stationarity_maps), built first; its failure
-    is player 0's "kalman" stage, whose map it builds.
-    """
-    maps = [None] * system.num_players
-    if solve_costs:
-        with _stage(0, "kalman"):
-            maps = stationarity_maps(system, profile)
-    players = tuple(analyze_player(system, profile, i, solve_costs, mode, M)
-                    for i, M in enumerate(maps))
+def is_nash_inducible(system: GameSystem, profile: StrategyProfile) -> InducibilityAnalysis:
+    """Per-player circle + rank verdicts; overall verdict is their conjunction."""
+    players = tuple(analyze_player(system, profile, i) for i in range(system.num_players))
     return InducibilityAnalysis(players=players,
                                 inducible=all(p.inducible for p in players))

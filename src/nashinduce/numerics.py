@@ -52,6 +52,23 @@ class NumericalFailureError(RuntimeError):
     """An iterative or direct solve failed to produce a usable result."""
 
 
+class StageError(NumericalFailureError):
+    """A numerical failure in one stage of one player's analysis."""
+
+    def __init__(self, player: int, stage: str, reason: str):
+        super().__init__(f"player {player}: {stage}: {reason}")
+        self.player, self.stage, self.reason = player, stage, reason
+
+
+@contextlib.contextmanager
+def _stage(i: int, name: str):
+    """Re-raise a numerical failure inside the block as StageError(i, name)."""
+    try:
+        yield
+    except (NumericalFailureError, np.linalg.LinAlgError) as exc:
+        raise StageError(i, name, str(exc)) from exc
+
+
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float array, rejecting non-finite entries."""
     A = np.atleast_2d(np.asarray(M, dtype=float))

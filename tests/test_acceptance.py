@@ -12,13 +12,11 @@ from nashinduce import (
     CostParameters,
     GameSystem,
     StrategyProfile,
-    ThetaPoint,
     analyze_phi,
     analyze_player,
     attach_feedback,
     build_phi,
     build_vectorized_system,
-    check_membership,
     check_rank_condition,
     circle_criterion,
     fold_cross_penalties,
@@ -126,8 +124,8 @@ def test_criterion_4_discrepancy_surfacing(tmp_path, capsys):
         [sol.Q[0, 0], sol.Q[0, 1], sol.Q[1, 1], sol.Q[0, 2], sol.Q[2, 2]],
         [1.0, -1.0, 1.0, 0.0, 0.0], atol=1e-8))
 
-    pa2 = analyze_player(system, profile, 1, mode="q-only")
-    costs = CostParameters.identity_R([sol.Q, pa2.kalman.Q], system.m)
+    sol2 = solve_kalman_Q(system, profile, 1)
+    costs = CostParameters.identity_R([sol.Q, sol2.Q], system.m)
     vok, cert = verify_nash(system, profile, costs)
     verify_ok = (vok and cert.are_residuals[0] <= 1e-9
                  and cert.stationarity_residuals[0] <= 1e-9)
@@ -146,7 +144,7 @@ def test_criterion_4_discrepancy_surfacing(tmp_path, capsys):
 def test_criterion_5_scalar_closed_forms():
     system, profile = scalar_game(3.0)
     ia = is_nash_inducible(system, profile)
-    sol = ia.players[0].kalman
+    sol = solve_feasibility_projection(system, profile).solutions[0]
     costs = CostParameters.identity_R([sol.Q], system.m)
     _, cert = verify_nash(system, profile, costs)
     good_ok = (ia.inducible
@@ -154,7 +152,7 @@ def test_criterion_5_scalar_closed_forms():
                and abs(cert.P[0][0, 0] - 3.0) <= 1e-9)
 
     system_b, profile_b = scalar_game(1.5)
-    pa = analyze_player(system_b, profile_b, 0, solve_costs=False)
+    pa = analyze_player(system_b, profile_b, 0)
     # The state-space route decides this player; the polynomial Phi is the
     # reference for its value.
     fac = attach_feedback(right_coprime_factorization(system_b.A, system_b.B[0]),
@@ -185,14 +183,15 @@ def test_criterion_6_round_trip_random_games(nash_games):
             if not (pa.circle_ok and pa.rank_ok):
                 failures.append((gi, i, "frequency verdict"))
                 break
-            if pa.kalman.status == "indeterminate":
+            kalman = solve_kalman_general(system, profile, i)
+            if kalman.status == "indeterminate":
                 indeterminate = True
                 break
-            if pa.kalman.status != "solved" or pa.kalman.residual > 1e-8:
+            if kalman.status != "solved" or kalman.residual > 1e-8:
                 failures.append((gi, i, "kalman recovery"))
                 break
-            Qs.append(pa.kalman.Q)
-            Rs.append(pa.kalman.R)
+            Qs.append(kalman.Q)
+            Rs.append(kalman.R)
         else:
             R = [[Rs[i] if i == j else np.zeros((system.m[j],) * 2)
                   for j in range(N)] for i in range(N)]
@@ -213,9 +212,10 @@ def test_criterion_7_cone_and_convexity(nash_games):
     rng = np.random.default_rng(16)
     tested = 0
     failures = 0
+    # Membership is verify_nash: it solves for each P_i, which is linear in
+    # the costs, so scaled and mixed costs carry scaled and mixed P_i.
     for system, costs, profile, P in nash_games:
-        base = ThetaPoint(costs, P)
-        if not check_membership(base, system, profile).member:
+        if not verify_nash(system, profile, costs)[0]:
             continue
         # second member point: the normalized Kalman recovery
         N = system.num_players
@@ -230,25 +230,19 @@ def test_criterion_7_cone_and_convexity(nash_games):
             R = [[Rs[i] if i == j else np.zeros((system.m[j],) * 2)
                   for j in range(N)] for i in range(N)]
             costs2 = CostParameters(Qs, R)
-            vok, cert = verify_nash(system, profile, costs2)
-            if vok:
-                other = ThetaPoint(costs2, cert.P)
-                for pt in (base, other):
+            if verify_nash(system, profile, costs2)[0]:
+                for pt in (costs, costs2):
                     for alpha in (0.1, 10.0):
                         tested += 1
-                        if not check_membership(pt.scaled(alpha), system, profile).member:
+                        if not verify_nash(system, profile, pt.scaled(alpha))[0]:
                             failures += 1
                 lam = float(rng.uniform(0.1, 0.9))
-                mix = ThetaPoint(
-                    CostParameters(
-                        [lam * q1 + (1 - lam) * q2
-                         for q1, q2 in zip(base.costs.Q, other.costs.Q)],
-                        [[lam * r1 + (1 - lam) * r2
-                          for r1, r2 in zip(row1, row2)]
-                         for row1, row2 in zip(base.costs.R, other.costs.R)]),
-                    [lam * p1 + (1 - lam) * p2 for p1, p2 in zip(base.P, other.P)])
+                mix = CostParameters(
+                    [lam * q1 + (1 - lam) * q2 for q1, q2 in zip(costs.Q, costs2.Q)],
+                    [[lam * r1 + (1 - lam) * r2 for r1, r2 in zip(row1, row2)]
+                     for row1, row2 in zip(costs.R, costs2.R)])
                 tested += 1
-                if not check_membership(mix, system, profile).member:
+                if not verify_nash(system, profile, mix)[0]:
                     failures += 1
         if tested >= 100:
             break
@@ -260,7 +254,7 @@ def test_criterion_7_cone_and_convexity(nash_games):
 def test_criterion_8_oracle_equivalence(nash_games):
     disagreements = []
     for gi, (system, costs, profile, P) in enumerate(nash_games):
-        freq = is_nash_inducible(system, profile, solve_costs=False)
+        freq = is_nash_inducible(system, profile)
         feas = solve_feasibility_projection(system, profile)
         fverdict = ("indeterminate"
                     if any(p.rank_certificate.degenerate for p in freq.players)

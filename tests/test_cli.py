@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -290,12 +291,15 @@ def test_verify_huge_q_is_judged_on_finite_bounds(tmp_path, capsys):
     # Q = 1e160 gives P = 5e159, whose squared norm overflows: the bounds were
     # inf and the game passed as Nash.  The stationarity residual is 5e159,
     # far above tol * scale; only the Riccati residual truly overflows (its
-    # P B R^-1 B' P is 2.5e319), an honest overflow reported as null.
+    # P B R^-1 B' P is 2.5e319), an honest overflow reported as null, with no
+    # numpy warning on stderr.
     path = _scalar_with(tmp_path, "Q", [[1e160]])
-    with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
-        code, out, _ = run_cli(capsys, "verify", path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "verify", path)
     report = json.loads(out)
-    assert (code, report["verified"]) == (1, False)
+    assert (code, err, [str(w.message) for w in caught], report["verified"]) == (
+        1, "", [], False)
     assert report["diagnostics"] == {"scale": 5e159, "residual_bound": 5e151, "psd_tol": 1e-8}
     assert report["players"][0]["stationarity_residual"] == 5e159
     assert report["players"][0]["are_residual"] is None
@@ -582,15 +586,13 @@ def test_reports_carry_loop_iterations(tmp_path, capsys):
     path = write_example(tmp_path, "remark2")
     system, profile, _, _ = load_problem(path)
     players = is_nash_inducible(system, profile).players
-    assert all(p.kalman.iterations > 0 for p in players)
-    assert all(p.kalman.gap <= PROJECTION_TOL for p in players)
-    # The oracle is the same loop: its iterations and gaps are the Kalman ones.
-    feas = solve_feasibility_projection(system, profile)
-    assert feas.iterations == tuple(p.kalman.iterations for p in players)
-    assert feas.gaps == tuple(p.kalman.gap for p in players)
+    # check and solve report the oracle's searches, one per player.
+    sols = solve_feasibility_projection(system, profile).solutions
+    assert all(s.iterations > 0 for s in sols)
+    assert all(s.gap <= PROJECTION_TOL for s in sols)
     # Gaps as the report prints them (12 digits).
-    kalman = {"kalman_iterations": [p.kalman.iterations for p in players],
-              "kalman_gaps": [float("%.12e" % p.kalman.gap) for p in players]}
+    kalman = {"kalman_iterations": [s.iterations for s in sols],
+              "kalman_gaps": [float("%.12e" % s.gap) for s in sols]}
     # Player 0 takes the polynomial route (p < m), player 1 the state-space one.
     probes = [p.phi_analysis.probes for p in players]
     assert [p.phi_analysis.circle_method for p in players] == ["exact", "state_space"]
@@ -605,6 +607,11 @@ def test_reports_carry_loop_iterations(tmp_path, capsys):
                                               "circle_probes": probes}
     _, out, _ = run_cli(capsys, "solve", path)
     assert json.loads(out)["diagnostics"] == {**kalman, "circle_probes": probes}
+    (one,) = solve_feasibility_projection(system, profile, [1]).solutions
+    _, out, _ = run_cli(capsys, "check", path, "--player", "1")
+    assert json.loads(out)["diagnostics"] == {
+        "kalman_iterations": [one.iterations], "kalman_gaps": [float("%.12e" % one.gap)],
+        "circle_probes": probes[1:]}
     path = write_example(tmp_path, "scalar_feasible")
     costs0 = tmp_path / "costs0.json"
     costs0.write_text('{"Q": [[[5.0]]], "R": [[[[1.0]]]]}')
@@ -835,7 +842,56 @@ def test_check_searches_once_per_player(monkeypatch, capsys):
     assert len(calls) == system.num_players
     res = solve_feasibility_projection(system, profile)
     assert res.status == "feasible"
-    assert len(res.iterations) == system.num_players and max(res.iterations) <= 50
+    iterations = [s.iterations for s in res.solutions]
+    assert len(iterations) == system.num_players and max(iterations) <= 50
+
+
+def test_each_command_runs_one_stack_and_one_search_per_listed_player(monkeypatch, capsys):
+    # check, check --player 1, solve and solve --mode q-only on a 3-player game
+    # each build one adjoint stack and run one cone search per listed player.
+    stacks, searches = [], []
+    stationarity_maps = feasibility.stationarity_maps
+    player_feasibility = feasibility.player_feasibility
+    monkeypatch.setattr(feasibility, "stationarity_maps",
+                        lambda *a, **k: stacks.append(1) or stationarity_maps(*a, **k))
+    monkeypatch.setattr(feasibility, "player_feasibility",
+                        lambda s, p, i, *a: searches.append((i,) + a[:1])
+                        or player_feasibility(s, p, i, *a))
+    path = str(DATA / "ladder_r0_n8_N3_m2.json")
+    for argv, expected in ((["check", path], [(0, "general"), (1, "general"), (2, "general")]),
+                           (["check", path, "--player", "1"], [(1, "general")]),
+                           (["solve", path], [(0, "general"), (1, "general"), (2, "general")]),
+                           (["solve", path, "--mode", "q-only"],
+                            [(0, "q-only"), (1, "q-only"), (2, "q-only")])):
+        stacks.clear()
+        searches.clear()
+        code, _, err = run_cli(capsys, *argv)
+        assert code in (0, 1), err
+        assert (len(stacks), searches) == (1, expected), argv
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_search_failure_names_the_player_and_stage(tmp_path, monkeypatch, capsys, command):
+    # A failing search names its player; a failing stack names the first
+    # player listed (check --player 1 lists player 1 only).
+    path = write_example(tmp_path, "two_player_scalar")
+    player_feasibility = feasibility.player_feasibility
+
+    def failing(system, profile, i, *args):
+        if i == 1:
+            raise NumericalFailureError("residual 1e-3 above tolerance")
+        return player_feasibility(system, profile, i, *args)
+
+    def failing_stack(*args):
+        raise np.linalg.LinAlgError("Schur form did not converge")
+
+    monkeypatch.setattr(feasibility, "player_feasibility", failing)
+    assert run_cli(capsys, command, path) == (
+        3, "", "numerical failure: player 1: kalman: residual 1e-3 above tolerance\n")
+    monkeypatch.setattr(feasibility, "stationarity_maps", failing_stack)
+    argv, first = ([command, path, "--player", "1"], 1) if command == "check" else ([command, path], 0)
+    assert run_cli(capsys, *argv) == (
+        3, "", f"numerical failure: player {first}: kalman: Schur form did not converge\n")
 
 
 def test_cone_searches_form_no_kronecker_sum(tmp_path, monkeypatch, capsys):

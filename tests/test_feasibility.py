@@ -10,9 +10,7 @@ from nashinduce import (
     CostParameters,
     GameSystem,
     StrategyProfile,
-    ThetaPoint,
     build_vectorized_system,
-    check_membership,
     fold_cross_penalties,
     nearest_params,
     solve_feasibility_projection,
@@ -307,8 +305,13 @@ def test_q_only_reports_no_solution_when_no_q_reaches_the_pin(tmp_path, capsys):
     A, B = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
     K = np.linalg.solve(B, A + np.eye(2)) + 0.1 * rng.standard_normal((2, 2))
     system = GameSystem(A, [B])
-    sol = inverse.solve_kalman_Q(system, StrategyProfile.stabilizing(system, [K]), 0)
+    profile = StrategyProfile.stabilizing(system, [K])
+    sol = inverse.solve_kalman_Q(system, profile, 0)
     assert (sol.status, sol.kernel_dim, sol.psd_ok) == ("no_solution", 0, False)
+    # The identities certify it, as they do an "infeasible" player.
+    res = solve_feasibility_projection(system, profile, mode="q-only")
+    assert (res.status, res.solutions[0].status) == ("infeasible_certified_by_identity",
+                                                      "no_solution")
     assert np.array_equal(sol.R, np.eye(2))
     # The residual is the relative miss of the first pin no point reaches,
     # not the 0.0 of a perfect fit.
@@ -374,35 +377,32 @@ def test_each_command_factors_acl_once_for_the_kalman_stage(tmp_path, monkeypatc
         assert np.array_equal(factored[0], closed_loop(system, profile.K))
 
 
-def test_check_membership_scalar():
-    system, prof = scalar_game(3.0)
-    costs = CostParameters([np.array([[3.0]])], [[np.array([[1.0]])]])
-    pt = ThetaPoint(costs, [np.array([[3.0]])])
-    rep = check_membership(pt, system, prof)
-    assert rep.member
-    bad = ThetaPoint(costs, [np.array([[2.0]])])
-    assert not check_membership(bad, system, prof).member
+def found_costs(res):
+    """The block-diagonal costs of a feasible oracle result."""
+    return CostParameters.diagonal_R([s.Q for s in res.solutions], [s.R for s in res.solutions])
 
 
 def test_feasibility_projection_scalar():
     system, prof = scalar_game(3.0)
     res = solve_feasibility_projection(system, prof)
     assert res.status == "feasible"
-    assert check_membership(res.point, system, prof).member
+    ok, cert = verify_nash(system, prof, found_costs(res))
+    assert ok
     # Solutions on the normalized slice trace(R) = 1 reduce to (3, 1, 3).
-    assert np.allclose(res.point.costs.Q[0], [[3.0]], atol=1e-6)
+    assert np.allclose(res.solutions[0].Q, [[3.0]], atol=1e-6)
+    assert np.allclose(cert.P[0], [[3.0]], atol=1e-6)
 
 
 def test_feasibility_projection_infeasible_scalar():
     system, prof = scalar_game(1.5)
-    res = solve_feasibility_projection(system, prof)
-    assert res.status == "infeasible_certified_by_identity"
-    assert res.point is None
+    for mode in ("general", "q-only"):
+        res = solve_feasibility_projection(system, prof, mode=mode)
+        assert res.status == "infeasible_certified_by_identity"
+        assert [s.status for s in res.solutions] == ["infeasible"]
 
 
 def test_feasibility_agrees_with_forward_construction(nash_games):
-    # The point's P_i are Lyapunov solutions for the found costs, and the whole
-    # tuple passes check_membership.
+    # The costs found pass verify_nash.
     games = [(system, profile) for system, _, profile, _ in nash_games]
     for name in ("closed_form_n8_N3_m1", "ladder_r0_n12_N2_m1", "ladder_r0_n8_N3_m2",
                  "ladder_r2_n8_N2_m1", "nearest_r2_n4_N3_m1"):
@@ -410,17 +410,17 @@ def test_feasibility_agrees_with_forward_construction(nash_games):
     for system, profile in games:
         res = solve_feasibility_projection(system, profile)
         assert res.status == "feasible"
-        assert check_membership(res.point, system, profile).member
+        assert verify_nash(system, profile, found_costs(res))[0]
 
 
 def test_membership_cone_scaling_and_convexity(nash_games):
+    # Membership is verify_nash, which solves for P; P is linear in the costs.
     checked = 0
     for system, costs, profile, P in nash_games:
-        pt = ThetaPoint(costs, P)
-        if not check_membership(pt, system, profile).member:
+        if not verify_nash(system, profile, costs)[0]:
             continue
         for alpha in (0.1, 10.0):
-            assert check_membership(pt.scaled(alpha), system, profile).member
+            assert verify_nash(system, profile, costs.scaled(alpha))[0]
         checked += 1
         if checked >= 20:
             break
@@ -632,4 +632,4 @@ def test_oracle_decides_ladder_n12_game():
     system, profile, _, _ = load_problem(str(DATA / "ladder_r0_n12_N2_m1.json"))
     res = solve_feasibility_projection(system, profile)
     assert res.status == "feasible"
-    assert check_membership(res.point, system, profile).member
+    assert verify_nash(system, profile, found_costs(res))[0]

@@ -264,7 +264,7 @@ def test_analyze_player_uncontrollable_warning():
     prof = StrategyProfile.stabilizing(
         system, [np.array([[1.0, 0.0, 1.0], [0.0, r2, r2]]),
                  np.array([[1.0, 0.0, 0.0]])])
-    pa = analyze_player(system, prof, 1, solve_costs=False)
+    pa = analyze_player(system, prof, 1)
     assert not pa.controllable
     assert any("uncontrollable" in w for w in pa.warnings)
 
@@ -281,7 +281,7 @@ def test_uncontrollable_warning_of_a_truly_uncontrollable_player():
     system, profile = dict((name, game) for name, *game in _bundled_games())["remark2"]
     A_tilde, _ = reduced_system(system, profile, 1)
     assert pbh_sigma_min(A_tilde, system.B[1]) < 1e-12
-    pa = analyze_player(system, profile, 1, solve_costs=False)
+    pa = analyze_player(system, profile, 1)
     assert not pa.controllable and any("uncontrollable" in w for w in pa.warnings)
 
 
@@ -294,7 +294,7 @@ def test_no_uncontrollable_warning_on_a_controllable_ladder_game():
         A_tilde, _ = reduced_system(system, profile, i)
         assert pbh_sigma_min(A_tilde, system.B[i]) > 1e-3
     for i in range(system.num_players):
-        pa = analyze_player(system, profile, i, solve_costs=False)
+        pa = analyze_player(system, profile, i)
         assert pa.controllable and not any("uncontrollable" in w for w in pa.warnings)
 
 
@@ -325,7 +325,7 @@ def test_closed_form_game_is_nash():
 def test_closed_form_game_circle_ok():
     system, profile, _, _ = load_problem(str(CLOSED_FORM_GAME))
     for i in (0, 1):
-        pa = analyze_player(system, profile, i, solve_costs=False)
+        pa = analyze_player(system, profile, i)
         assert pa.circle_ok and pa.phi_analysis.circle_method == "state_space"
 
 
@@ -359,7 +359,7 @@ def _compare_with_polynomial_route(system, profile):
     Returns the number of players compared on the state-space route."""
     compared = 0
     for i in range(system.num_players):
-        pa = analyze_player(system, profile, i, solve_costs=False)
+        pa = analyze_player(system, profile, i)
         if pa.phi_analysis.circle_method == "exact":
             assert pa.phi_analysis.p < system.m[i] and pa.factorization is not None
             continue
@@ -390,14 +390,14 @@ def test_state_space_circle_matches_polynomial_route(nash_games):
     for name, system, profile in _bundled_games():
         assert _compare_with_polynomial_route(system, profile) == (
             system.num_players - (name == "remark2"))
-        verdicts[name] = is_nash_inducible(system, profile, solve_costs=False).inducible
+        verdicts[name] = is_nash_inducible(system, profile).inducible
     assert verdicts == {"remark2": False, "scalar_feasible": True,
                         "scalar_infeasible": False, "two_player_scalar": True}
 
 
 def test_state_space_circle_accepts_closed_form_nash_games():
     system, profile, _, _ = load_problem(str(CLOSED_FORM_GAME))
-    assert all(analyze_player(system, profile, i, solve_costs=False).inducible
+    assert all(analyze_player(system, profile, i).inducible
                for i in range(system.num_players))
     games = _bench_games()
     players = 0
@@ -409,7 +409,7 @@ def test_state_space_circle_accepts_closed_form_nash_games():
                     system = GameSystem(g.A, g.B)
                     profile = StrategyProfile.stabilizing(system, g.K)
                     for i in range(N):
-                        pa = analyze_player(system, profile, i, solve_costs=False)
+                        pa = analyze_player(system, profile, i)
                         assert pa.phi_analysis.circle_method == "state_space"
                         assert pa.inducible, (g.name, r, i, pa.phi_analysis.circle_witness)
                         players += 1
@@ -423,7 +423,7 @@ def test_state_space_circle_rejects_infeasible_games():
             g = games.infeasible((20220712, key, 3), N, m)
             system = GameSystem(g.A, g.B)
             profile = StrategyProfile.stabilizing(system, g.K)
-            analysis = is_nash_inducible(system, profile, solve_costs=False)
+            analysis = is_nash_inducible(system, profile)
             assert not analysis.inducible, g.name
             assert all(p.phi_analysis.circle_method == "state_space" for p in analysis.players)
 
@@ -455,5 +455,5 @@ def test_check_builds_no_polynomial_matrix_when_phi_has_full_rank(monkeypatch, c
     assert [p["circle_method"] for p in report["players"]] == ["state_space"] * 2
     assert created == []
     # remark2's player 0 (p = 1 < m = 2) still takes the polynomial route.
-    analyze_player(*remark2_game(), 0, solve_costs=False)
+    analyze_player(*remark2_game(), 0)
     assert created

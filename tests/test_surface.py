@@ -1,10 +1,14 @@
-"""Parameter ratchet: the defaulted parameters of the package are exactly the
-allow-list below, each with the caller that sets it.
+"""Surface ratchets.
 
-A tolerance, cap or margin that no caller sets is a constant of the module
-that reads it (or of numerics' tolerance table when more than one module
-reads it), not a parameter.  A new defaulted parameter fails here until its
-caller is named in ALLOWED.
+Parameters: the defaulted parameters of the package are exactly the
+allow-list below, each with the caller that sets it.  A tolerance, cap or
+margin that no caller sets is a constant of the module that reads it (or of
+numerics' tolerance table when more than one module reads it), not a
+parameter.  A new defaulted parameter fails here until its caller is named in
+ALLOWED.
+
+Imports: every name a module imports is used by it, apart from
+UNUSED_IMPORTS, each with the reader that needs the binding.
 """
 
 import ast
@@ -21,23 +25,18 @@ ALLOWED = {
     "cli._format_text(key)": "its own recursion into nested report fields",
     "cli.build_parser.tol_option(note)": "the solve parser adds its --nearest note",
     "cli.main(argv)": "tests and perfbench call main(argv) in-process",
-    "feasibility.stationarity_maps(players)": "cmd_check passes the --player indices",
+    "feasibility.stationarity_maps(players)": "solve_feasibility_projection passes its players",
     "feasibility._kalman_map(M)": "player_feasibility passes the one-stack map",
-    "feasibility.player_feasibility(mode)": "solve_kalman_Q passes mode q-only",
-    "feasibility.player_feasibility(M)": "the Kalman solvers and the oracle pass the one-stack map",
+    "feasibility.player_feasibility(mode)": "solve_feasibility_projection and solve_kalman_Q",
+    "feasibility.player_feasibility(M)": "solve_feasibility_projection passes the one-stack map",
+    "feasibility.solve_feasibility_projection(players)": "cmd_check passes the --player indices",
+    "feasibility.solve_feasibility_projection(mode)": "cmd_solve passes --mode",
     "forward.CostParameters.validate(tol)": "verify_nash passes --tol; nearest_params passes 1e-6",
     "forward.CostParameters.validate.fails(pd)": "R_ii's positive-definite test",
     "forward.verify_nash(tol)": "cmd_solve and cmd_verify pass --tol",
     "forward.solve_coupled_are(gain_tol)": "perfbench's ladder generator (LADDER_SOLVER_ARGS)",
     "forward.solve_coupled_are(max_sweeps)": "perfbench's ladder generator (LADDER_SOLVER_ARGS)",
     "inverse.circle_criterion(frequencies)": "analyze_phi passes the probe frequencies it counts",
-    "inverse.solve_kalman_Q(M)": "analyze_player passes the one-stack map",
-    "inverse.solve_kalman_general(M)": "analyze_player and cmd_check pass the one-stack map",
-    "inverse.analyze_player(solve_costs)": "cmd_check passes False",
-    "inverse.analyze_player(mode)": "is_nash_inducible passes solve's --mode",
-    "inverse.analyze_player(M)": "is_nash_inducible passes the one-stack map",
-    "inverse.is_nash_inducible(solve_costs)": "cmd_solve passes it; the frequency-only tests pass False",
-    "inverse.is_nash_inducible(mode)": "cmd_solve passes --mode",
     "numerics.as_matrix(name)": "every caller names the block in its error message",
     "numerics.require_square(name)": "every caller names the block in its error message",
     "numerics.symmetrize(name)": "CostParameters names each block in its error message",
@@ -93,3 +92,33 @@ def test_defaulted_parameters_are_the_allow_list():
         "make each a named constant, or name its caller in ALLOWED")
     assert not ALLOWED.keys() - found, (
         f"gone from src, drop from ALLOWED: {sorted(ALLOWED.keys() - found)}")
+
+
+UNUSED_IMPORTS = {
+    "inverse.psd_project": "perfbench's tracing test reads nashinduce.inverse.psd_project "
+                           "(until ROADMAP item 4 re-points it)",
+}
+
+
+def unused_imports() -> set:
+    """Every name imported by a module under src/nashinduce (except
+    __init__, which re-exports) that the module never references, as
+    "module.name"."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found.update(f"{path.stem}.{name}" for name in imported - used)
+    return found
+
+
+def test_every_import_is_used():
+    assert unused_imports() == UNUSED_IMPORTS.keys()
