@@ -215,8 +215,7 @@ def _complex_parts(z):
     return float(np.real(z)), float(np.imag(z))
 
 
-_FREQUENCY_FIELDS = ("circle_ok", "circle_witness", "circle_method", "p", "rank_ok",
-                     "rank_degenerate")
+_FREQUENCY_FIELDS = ("circle_ok", "circle_witness", "p", "rank_ok")
 
 
 def _player_report(index, pa, kalman):
@@ -241,20 +240,17 @@ def _player_report(index, pa, kalman):
         violations.append({
             "s0_re": re,
             "s0_im": im,
-            "real_witness": bool(v.real_v_available),
             "boundary": bool(v.boundary),
-            "v_re": np.real(v.v).tolist(),
-            "v_im": np.imag(v.v).tolist(),
+            "x_re": np.real(v.x).tolist(),
+            "x_im": np.imag(v.x).tolist(),
         })
     return {
         "index": index,
         "circle_ok": bool(pa.circle_ok),
         "circle_witness": (None if pa.phi_analysis.circle_witness is None
                            else float(pa.phi_analysis.circle_witness)),
-        "circle_method": pa.phi_analysis.circle_method,
         "p": int(pa.phi_analysis.p),
         "rank_ok": bool(pa.rank_ok),
-        "rank_degenerate": bool(cert.degenerate),
         "rank_certificates": violations,
         "kalman": kal,
     }
@@ -275,8 +271,6 @@ def _diagnostics(kalmans, analyses):
 
 
 def _frequency_verdict(players):
-    if any(p.rank_certificate.degenerate for p in players):
-        return "indeterminate"
     return "inducible" if all(p.inducible for p in players) else "not_inducible"
 
 

@@ -1,25 +1,24 @@
-"""Frequency-domain Nash-inducibility pipeline.
+"""Frequency-domain Nash-inducibility pipeline, in state space for every player.
 
-For each player the circle criterion Phi_i(jw) >= 0 is decided in state
-space.  Phi_i = D_i'(-s) (T_i'(-s) T_i(s) - I) D_i(s), with
+Phi_i = D_i'(-s) (T_i'(-s) T_i(s) - I) D_i(s), with
 T_i = I + K_i (sI - A_tilde_i)^-1 B_i the return difference, so by
 congruence Phi_i(jw) >= 0 iff I - S_i(jw)^* S_i(jw) >= 0, where
 S_i = T_i^-1 = I - K_i (sI - Acl)^-1 B_i (Kalman's return-difference
 inequality).  Its normal rank p is read at two fixed frequencies; the
 frequencies where it can change sign are the near-imaginary eigenvalues of
-one Hamiltonian-type pencil, and one lambda_min probe per interval decides
-the whole axis.  When Phi_i has full normal rank (p = m_i) the rank
-condition is vacuous and no polynomial is formed.  Only when p < m_i does
-the player take the polynomial route: a right-coprime factorization,
-Phi = Dt'(-s) Dt(s) - D'(-s) D(s), its unimodular column compression, the
-exact charpoly circle criterion and the closed-right-half-plane rank
-condition.  Costs are recovered in the time domain, by the per-game search
-feasibility.solve_feasibility_projection; solve_kalman_general (trace(R) = m)
-and solve_kalman_Q (R = I pinned) run its search for one player.
+one Hamiltonian-type pencil (rank-completed when p < m_i), and one
+lambda_min probe per interval decides the whole axis.  When p < m_i the
+gap's null vectors span the states X_N that every feasible Q_i annihilates,
+and an eigenvector of A_tilde_i in X_N with eigenvalue in the closed right
+half-plane violates the rank condition (vacuous when p = m_i).  Costs are
+recovered by the time-domain search feasibility.solve_feasibility_projection;
+solve_kalman_general and solve_kalman_Q run it for one player.  The
+polynomial route at the end of the module is reference code only.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,9 @@ import numpy as np
 from . import polymat
 from .feasibility import KalmanSolution, player_feasibility
 from .numerics import (
+    HURWITZ_MARGIN,
     NumericalFailureError,
+    _rank,
     _stage,
     matrix_rank,
     psd_project,  # noqa: F401  (perfbench's tracing test reads inverse.psd_project)
@@ -43,14 +44,269 @@ from .realization import (
     CoprimeFactorization,
     GameSystem,
     StrategyProfile,
-    attach_feedback,
+    _pbh_failures,
     controllable_basis,
     reduced_system,
-    right_coprime_factorization,
 )
 
+CIRCLE_TOL = 1e-9    # relative lambda_min below which a circle probe fails
+# Two fixed frequencies at which the normal rank of I - S'S is read; the
+# larger rank wins, so a zero at one of them cannot lower it.
+RANK_FREQUENCIES = (0.5772156649015329, 1.6180339887498949)
+# A pencil eigenvalue with |Re| <= AXIS_TOL max(1, |lambda|) is a crossing.
+AXIS_TOL = 1e-6
+COMPLETION_SEED = 20190303  # seed of the rank-completing term of a singular pencil
+# The rank condition reads the gap's null vectors at NULL_FREQUENCY NULL_RATIO^j;
+# a direction of their span below NULL_SPAN_TOL (relative singular value) is
+# round-off, and an eigenvector within NULL_EIGVEC_TOL of the span lies in it.
+NULL_FREQUENCY, NULL_RATIO = 0.37, 1.7
+NULL_SPAN_TOL, NULL_EIGVEC_TOL = 1e-7, 1e-5
+
+
+# ---------------------------------------------------------------------------
+# State-space circle criterion and rank condition
+# ---------------------------------------------------------------------------
+
+def return_difference_gap(A_cl, B, K, w):
+    """I - S(jw)^* S(jw) for each frequency in w, S = I - K (sI - A_cl)^-1 B,
+    as a (len(w), m, m) stack, with |G(jw)| (Frobenius) per frequency.
+
+    It is formed as G + G^* - G^* G with G = K (jwI - A_cl)^-1 B, so no
+    identity cancels: as w grows the gap falls off like |G|^2 ~ 1/w^2 (the
+    1/w term cancels when K B is symmetric) while its round-off stays
+    relative to |G|, not to 1.
+    """
+    w = np.asarray(w, dtype=float)
+    n = A_cl.shape[0]
+    X = np.linalg.solve(1j * w[:, None, None] * np.eye(n) - A_cl,
+                        np.broadcast_to(B, (w.size,) + B.shape))
+    G = K @ X
+    Gh = G.conj().transpose(0, 2, 1)
+    return G + Gh - Gh @ G, np.linalg.norm(G, axis=(1, 2))
+
+
+def return_difference_rank(A_cl, B, K) -> int:
+    """Normal rank of I - S'S (= that of Phi): its numerical rank at
+    RANK_FREQUENCIES, the larger of the two."""
+    gaps, _ = return_difference_gap(A_cl, B, K, RANK_FREQUENCIES)
+    return max(matrix_rank(M) for M in gaps)
+
+
+def return_difference_circle(A_cl, B, K, k):
+    """Test I - S(jw)^* S(jw) >= 0 for all real w (so Phi(jw) >= 0), for a
+    Phi of normal rank m - k.
+
+    det(I - S'(-s) S(s)) vanishes exactly at the finite eigenvalues of the
+    pencil lambda E - H, H = [[A_cl, 0, B], [K'K, -A_cl', -K'], [K, B', 0]],
+    E = diag(I, I, 0) (one QZ call, LAPACK ggev); the near-imaginary ones
+    give the crossing frequencies |Im lambda|.  When k > 0 that determinant
+    vanishes everywhere and the pencil is singular; a rank-k completing term
+    tau (U D_A V', U D_B V'), with U, V orthonormal and D_A, D_B diagonal
+    from COMPLETION_SEED and tau = max(1, |H|), makes it regular, keeps the
+    eigenvalues of its regular part (the crossings) exactly and adds random
+    ones, which can only add probes (Hochstenbach, Mehl & Plestenjak, SIAM
+    J. Matrix Anal. Appl. 40(3), 2019).  Between consecutive crossings no
+    eigenvalue of the gap changes sign, so it is probed at w = 0, at the
+    midpoints and beyond the last crossing, all in one batched solve.  A
+    probe fails when lambda_min < -CIRCLE_TOL |G| (1 + |G|), a bound that
+    shrinks with the gap's 1/w^2 tail.  Round-off eigenvalues near the axis
+    only add probes.  The gap is even in w (real data), so w >= 0 suffices.
+    Returns (ok, witness, probes): the first failing frequency, or None.
+    """
+    from scipy.linalg.lapack import dggev
+
+    n, m = B.shape
+    H = np.zeros((2 * n + m, 2 * n + m))
+    H[:n, :n], H[:n, 2 * n:] = A_cl, B
+    H[n:2 * n, :n], H[n:2 * n, n:2 * n], H[n:2 * n, 2 * n:] = K.T @ K, -A_cl.T, -K.T
+    H[2 * n:, :n], H[2 * n:, n:2 * n] = K, B.T
+    E = np.diag(np.repeat([1.0, 0.0], [2 * n, m]))
+    if k:
+        rng = np.random.default_rng(COMPLETION_SEED)
+        U, V = (np.linalg.qr(rng.standard_normal((2 * n + m, k)))[0] for _ in range(2))
+        d_a, d_b = max(1.0, np.linalg.norm(H)) * rng.standard_normal((2, k))
+        H += (U * d_a) @ V.T
+        E += (U * d_b) @ V.T
+    alphar, alphai, beta, *_, info = dggev(H, E, compute_vl=0, compute_vr=0,
+                                           overwrite_a=1, overwrite_b=1)
+    if info != 0:
+        raise NumericalFailureError(f"QZ iteration failed (ggev info {info})")
+    finite = beta != 0.0
+    lam = (alphar[finite] + 1j * alphai[finite]) / beta[finite]
+    near = np.abs(lam.real) <= AXIS_TOL * np.maximum(1.0, np.abs(lam))
+    cross = np.unique(np.abs(lam[near].imag))
+    probes = [0.0]
+    if cross.size:
+        probes += list(0.5 * (cross[1:] + cross[:-1])) + [2.0 * cross[-1] + 1.0]
+    gaps, g = return_difference_gap(A_cl, B, K, probes)
+    fails = np.nonzero(np.linalg.eigvalsh(gaps)[:, 0] < -CIRCLE_TOL * g * (1.0 + g))[0]
+    witness = float(probes[fails[0]]) if fails.size else None
+    return witness is None, witness, len(probes)
+
+
+def phi_at_witness(system: GameSystem, profile: StrategyProfile, i: int, w: float):
+    """lambda_min(T(jw)^* T(jw) - I), T = I + K_i (jwI - A_tilde_i)^-1 B_i the
+    return difference: Phi_i(jw) up to congruence by D_i(jw), so it has the
+    sign of lambda_min(Phi_i(jw)) wherever D_i(jw) is nonsingular.  None when
+    A_tilde_i has an eigenvalue at jw (a pole of T)."""
+    A_tilde, _ = reduced_system(system, profile, i)
+    B = system.B[i]
+    try:
+        X = np.linalg.solve(1j * w * np.eye(system.n) - A_tilde, B)
+    except np.linalg.LinAlgError:
+        return None
+    T = np.eye(B.shape[1]) + profile.K[i] @ X
+    return float(np.linalg.eigvalsh(T.conj().T @ T - np.eye(B.shape[1]))[0])
+
+
+@dataclass(frozen=True)
+class RankViolation:
+    """A closed-RHP eigenvalue s0 of A_tilde_i whose unit eigenvector x every
+    feasible Q_i annihilates; `boundary` when |Re s0| <= HURWITZ_MARGIN."""
+
+    s0: complex
+    x: np.ndarray
+    boundary: bool
+
+
+@dataclass(frozen=True)
+class RankCertificate:
+    satisfied: bool
+    violations: tuple
+
+
+def rank_condition(A_tilde, A_cl, B, K, k) -> RankCertificate:
+    """The rank condition of a player whose Phi has normal rank m - k (vacuous
+    when k = 0).  Each of the gap's k null vectors u at a frequency w gives
+    x = (jwI - A_cl)^-1 B u = S(jw) D~(jw)^-1 u, and Phi = S~' Q S makes
+    Q x = 0 for every feasible Q; so every feasible Q annihilates X_N, the
+    real span of all such x.  A violation is an eigenvector of A_tilde in X_N
+    with eigenvalue in the closed right half-plane: the PBH test of
+    (V', A_tilde), V an orthonormal basis of the complement of X_N."""
+    if not k:
+        return RankCertificate(satisfied=True, violations=())
+    n, cols, d = A_cl.shape[0], [], 0
+    # x is rational in w, so while the x read so far span less than X_N a
+    # generic frequency adds a direction: X_N is complete at the first one that
+    # adds none, the (n + 1)-th at the latest (each adds up to 2k, so few run).
+    for j in range(n + 1):
+        w = NULL_FREQUENCY * NULL_RATIO ** j
+        (gap,), _ = return_difference_gap(A_cl, B, K, [w])
+        lam, U = np.linalg.eigh(gap)
+        x = np.linalg.solve(1j * w * np.eye(n) - A_cl, B @ U[:, np.argsort(abs(lam))[:k]])
+        x /= np.linalg.norm(x, axis=0)
+        cols += [x.real, x.imag]
+        basis, s, _ = np.linalg.svd(np.hstack(cols))
+        if _rank(s, NULL_SPAN_TOL) == d:
+            break
+        d = _rank(s, NULL_SPAN_TOL)
+    violations = tuple(RankViolation(s0=s0, x=x, boundary=abs(s0.real) <= HURWITZ_MARGIN)
+                       for s0, x in _pbh_failures(A_tilde, basis[:, d:].T, NULL_EIGVEC_TOL))
+    return RankCertificate(satisfied=not violations, violations=violations)
+
+
+# ---------------------------------------------------------------------------
+# Kalman-equation solvers
+# ---------------------------------------------------------------------------
+
+def solve_kalman_Q(system: GameSystem, profile: StrategyProfile, i: int) -> KalmanSolution:
+    """Find Q >= 0 with K_i = B_i' P, P the Lyapunov solution for the state
+    weight Q + K_i' K_i: the Kalman equation with R pinned to I, searched by
+    feasibility.player_feasibility on its R_ii = I slice."""
+    return player_feasibility(system, profile, i, mode="q-only")
+
+
+def solve_kalman_general(system: GameSystem, profile: StrategyProfile, i: int) -> KalmanSolution:
+    """Joint unknowns (Q, R):  R K_i = B_i' P, P the Lyapunov solution for the
+    state weight Q + K_i' R K_i (the Kalman equation with P eliminated).
+
+    The solution set is a cone, searched on the normalization slice
+    trace(R) = m for Q >= 0, R >= R_FLOOR I by feasibility.player_feasibility,
+    the time-domain oracle's search.
+    """
+    return player_feasibility(system, profile, i)
+
+
+# ---------------------------------------------------------------------------
+# Per-player pipeline
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PhiAnalysis:
+    """Normal rank p of Phi and its circle verdict; `probes` counts the
+    circle criterion's probe frequencies."""
+
+    p: int
+    circle_ok: bool
+    circle_witness: float | None
+    probes: int
+
+
+@dataclass(frozen=True)
+class PlayerAnalysis:
+    """One player's frequency-domain verdict."""
+
+    index: int
+    controllable: bool
+    phi_analysis: PhiAnalysis
+    rank_certificate: RankCertificate
+    warnings: tuple
+
+    @property
+    def circle_ok(self) -> bool:
+        return self.phi_analysis.circle_ok
+
+    @property
+    def rank_ok(self) -> bool:
+        return self.rank_certificate.satisfied
+
+    @property
+    def inducible(self) -> bool:
+        return self.circle_ok and self.rank_ok
+
+
+@dataclass(frozen=True)
+class InducibilityAnalysis:
+    players: tuple
+    inducible: bool
+
+
+def analyze_player(system: GameSystem, profile: StrategyProfile, i: int) -> PlayerAnalysis:
+    """Circle criterion and rank condition of player i, in state space.  A
+    numerical failure raises numerics.StageError naming the stage, "circle"
+    or "rank_condition"."""
+    A_tilde, A_cl = reduced_system(system, profile, i)
+    B, K = system.B[i], profile.K[i]
+    with _stage(i, "circle"):
+        controllable = controllable_basis(A_tilde, B).shape[1] == system.n
+        p = return_difference_rank(A_cl, B, K)
+        ok, witness, probes = return_difference_circle(A_cl, B, K, B.shape[1] - p)
+    with _stage(i, "rank_condition"):
+        cert = rank_condition(A_tilde, A_cl, B, K, B.shape[1] - p)
+    warnings = []
+    if not controllable:
+        warnings.append(f"player {i}: uncontrollable subspace present; "
+                        "frequency-domain statements restricted to the controllable part")
+    warnings += [f"player {i}: rank violation on the imaginary-axis boundary at {v.s0}"
+                 for v in cert.violations if v.boundary]
+    return PlayerAnalysis(index=i, controllable=controllable,
+                          phi_analysis=PhiAnalysis(p, ok, witness, probes),
+                          rank_certificate=cert, warnings=tuple(warnings))
+
+
+def is_nash_inducible(system: GameSystem, profile: StrategyProfile) -> InducibilityAnalysis:
+    """Per-player circle + rank verdicts; overall verdict is their conjunction."""
+    players = tuple(analyze_player(system, profile, i) for i in range(system.num_players))
+    return InducibilityAnalysis(players=players,
+                                inducible=all(p.inducible for p in players))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the polynomial route (no production caller; the tests check the
+# state-space route against it)
+# ---------------------------------------------------------------------------
+
 PARA_HERMITIAN_TOL = 1e-8
-CIRCLE_TOL = 1e-9    # relative lambda_min below which a circle probe fails (both routes)
 NULL_VEC_TOL = 1e-7  # relative singular value below which a rank root has a real witness
 
 
@@ -121,147 +377,30 @@ def circle_criterion(phi: PolyMatrix, frequencies=None):
     return True, None, "exact"
 
 
-@dataclass(frozen=True)
-class PhiAnalysis:
-    """Circle verdict and normal rank of Phi; on the polynomial route also Phi
-    with its unimodular column compression (None on the state-space route).
-    `probes` counts the circle criterion's probe frequencies (the exact
-    route stops at the first failing one)."""
-
-    phi: PolyMatrix | None
-    L: PolyMatrix | None
-    phi_tilde: PolyMatrix | None
-    p: int
-    circle_ok: bool
-    circle_witness: float | None
-    circle_method: str
-    probes: int
+# The polynomial route's analysis: also Phi and its column compression,
+# Phi L = [phi_tilde 0]; and a rank drop of its rank condition, D L v = 0 at s0.
+PolyPhiAnalysis = namedtuple("PolyPhiAnalysis", "p circle_ok circle_witness probes phi L phi_tilde")
+PolyRankViolation = namedtuple("PolyRankViolation", "s0 v real_v_available boundary")
 
 
-def analyze_phi(fac: CoprimeFactorization) -> PhiAnalysis:
+def analyze_phi(fac: CoprimeFactorization) -> PolyPhiAnalysis:
     phi = build_phi(fac)
     L, phi_tilde, p = compress_columns(phi)
     unimodular_det_constant(L)
     frequencies = _circle_frequencies(phi)
-    ok, witness, method = circle_criterion(phi, frequencies=frequencies)
-    return PhiAnalysis(phi=phi, L=L, phi_tilde=phi_tilde, p=p, circle_ok=ok,
-                       circle_witness=witness, circle_method=method,
-                       probes=len(frequencies))
+    ok, witness, _ = circle_criterion(phi, frequencies=frequencies)
+    return PolyPhiAnalysis(p=p, circle_ok=ok, circle_witness=witness, probes=len(frequencies),
+                           phi=phi, L=L, phi_tilde=phi_tilde)
 
 
-# ---------------------------------------------------------------------------
-# State-space circle criterion
-# ---------------------------------------------------------------------------
-
-# Two fixed frequencies at which the normal rank of I - S'S is read; the
-# larger rank wins, so a zero at one of them cannot lower it.
-RANK_FREQUENCIES = (0.5772156649015329, 1.6180339887498949)
-# A pencil eigenvalue with |Re| <= AXIS_TOL max(1, |lambda|) is a crossing.
-AXIS_TOL = 1e-6
-
-
-def return_difference_gap(A_cl, B, K, w):
-    """I - S(jw)^* S(jw) for each frequency in w, S = I - K (sI - A_cl)^-1 B,
-    as a (len(w), m, m) stack, with |G(jw)| (Frobenius) per frequency.
-
-    It is formed as G + G^* - G^* G with G = K (jwI - A_cl)^-1 B, so no
-    identity cancels: as w grows the gap falls off like |G|^2 ~ 1/w^2 (the
-    1/w term cancels when K B is symmetric) while its round-off stays
-    relative to |G|, not to 1.
-    """
-    w = np.asarray(w, dtype=float)
-    n = A_cl.shape[0]
-    X = np.linalg.solve(1j * w[:, None, None] * np.eye(n) - A_cl,
-                        np.broadcast_to(B, (w.size,) + B.shape))
-    G = K @ X
-    Gh = G.conj().transpose(0, 2, 1)
-    return G + Gh - Gh @ G, np.linalg.norm(G, axis=(1, 2))
-
-
-def return_difference_rank(A_cl, B, K) -> int:
-    """Normal rank of I - S'S (= that of Phi): its numerical rank at
-    RANK_FREQUENCIES, the larger of the two."""
-    gaps, _ = return_difference_gap(A_cl, B, K, RANK_FREQUENCIES)
-    return max(matrix_rank(M) for M in gaps)
-
-
-def return_difference_circle(A_cl, B, K):
-    """Test I - S(jw)^* S(jw) >= 0 for all real w (so Phi(jw) >= 0), for a
-    Phi of full normal rank.
-
-    det(I - S'(-s) S(s)) vanishes exactly at the finite eigenvalues of the
-    pencil lambda E - H, H = [[A_cl, 0, B], [K'K, -A_cl', -K'], [K, B', 0]],
-    E = diag(I, I, 0) (one QZ call, LAPACK ggev); the near-imaginary ones
-    give the crossing frequencies |Im lambda|.  Between consecutive
-    crossings no eigenvalue of the gap changes sign, so it is probed at
-    w = 0, at the midpoints and beyond the last crossing, all in one batched
-    solve.  A probe fails when lambda_min < -CIRCLE_TOL |G| (1 + |G|), a
-    bound that shrinks with the gap's 1/w^2 tail.  Round-off eigenvalues near the axis
-    only add probes.  The gap is even in w (real data), so w >= 0 suffices.
-    Returns (ok, witness, probes): the first failing frequency, or None.
-    """
-    from scipy.linalg.lapack import dggev
-
-    n, m = B.shape
-    H = np.zeros((2 * n + m, 2 * n + m))
-    H[:n, :n], H[:n, 2 * n:] = A_cl, B
-    H[n:2 * n, :n], H[n:2 * n, n:2 * n], H[n:2 * n, 2 * n:] = K.T @ K, -A_cl.T, -K.T
-    H[2 * n:, :n], H[2 * n:, n:2 * n] = K, B.T
-    E = np.diag(np.repeat([1.0, 0.0], [2 * n, m]))
-    alphar, alphai, beta, *_, info = dggev(H, E, compute_vl=0, compute_vr=0,
-                                           overwrite_a=1, overwrite_b=1)
-    if info != 0:
-        raise NumericalFailureError(f"QZ iteration failed (ggev info {info})")
-    finite = beta != 0.0
-    lam = (alphar[finite] + 1j * alphai[finite]) / beta[finite]
-    near = np.abs(lam.real) <= AXIS_TOL * np.maximum(1.0, np.abs(lam))
-    cross = np.unique(np.abs(lam[near].imag))
-    probes = [0.0]
-    if cross.size:
-        probes += list(0.5 * (cross[1:] + cross[:-1])) + [2.0 * cross[-1] + 1.0]
-    gaps, g = return_difference_gap(A_cl, B, K, probes)
-    fails = np.nonzero(np.linalg.eigvalsh(gaps)[:, 0] < -CIRCLE_TOL * g * (1.0 + g))[0]
-    witness = float(probes[fails[0]]) if fails.size else None
-    return witness is None, witness, len(probes)
-
-
-def phi_at_witness(system: GameSystem, profile: StrategyProfile, i: int, w: float):
-    """lambda_min(T(jw)^* T(jw) - I), T = I + K_i (jwI - A_tilde_i)^-1 B_i the
-    return difference: Phi_i(jw) up to congruence by D_i(jw), so it has the
-    sign of lambda_min(Phi_i(jw)) wherever D_i(jw) is nonsingular.  None when
-    A_tilde_i has an eigenvalue at jw (a pole of T)."""
-    A_tilde, _ = reduced_system(system, profile, i)
-    B = system.B[i]
-    try:
-        X = np.linalg.solve(1j * w * np.eye(system.n) - A_tilde, B)
-    except np.linalg.LinAlgError:
-        return None
-    T = np.eye(B.shape[1]) + profile.K[i] @ X
-    return float(np.linalg.eigvalsh(T.conj().T @ T - np.eye(B.shape[1]))[0])
-
-
-@dataclass(frozen=True)
-class RankViolation:
-    s0: complex
-    v: np.ndarray
-    real_v_available: bool
-    boundary: bool
-
-
-@dataclass(frozen=True)
-class RankCertificate:
-    satisfied: bool
-    violations: tuple
-    degenerate: bool = False
-
-
-def check_rank_condition(fac: CoprimeFactorization, analysis: PhiAnalysis) -> RankCertificate:
+def check_rank_condition(fac: CoprimeFactorization, analysis: PolyPhiAnalysis) -> RankCertificate:
     """No s in the closed RHP (Re s >= -polymat.RHP_MARGIN) may admit a
     nonzero v with D L v = 0 whose leading p entries vanish.
 
-    Vacuous when Phi has full normal rank.  The strict verdict only counts
+    Vacuous when Phi has full normal rank.  The verdict only counts
     violations with a real witness vector; complex-only witnesses are
-    reported but excluded from `satisfied`.
+    reported but excluded from `satisfied`.  A trailing block of D L that is
+    rank deficient everywhere fails with no violation listed.
     """
     m = fac.m
     p = analysis.p
@@ -270,12 +409,12 @@ def check_rank_condition(fac: CoprimeFactorization, analysis: PhiAnalysis) -> Ra
     DL = fac.D @ analysis.L
     T = DL.select_columns(range(p, m))
     if T.is_zero():
-        return RankCertificate(satisfied=False, violations=(), degenerate=True)
+        return RankCertificate(satisfied=False, violations=())
     try:
         roots = rhp_roots_matrix(T)
     except ValueError:
         # Normal rank of T below its column count: deficient everywhere.
-        return RankCertificate(satisfied=False, violations=(), degenerate=True)
+        return RankCertificate(satisfied=False, violations=())
     # The null-vector test runs on the column-scaled T that confirmed each
     # root, so large coefficients do not hide a real witness.
     Tn, col_norms = unit_columns(T)
@@ -298,7 +437,8 @@ def check_rank_condition(fac: CoprimeFactorization, analysis: PhiAnalysis) -> Ra
         u_use = v_real if real_ok else u
         v = np.zeros(m, dtype=float if real_ok else complex)
         v[p:] = u_use
-        violations.append(RankViolation(s0=s0, v=v, real_v_available=real_ok, boundary=r.boundary))
+        violations.append(PolyRankViolation(s0=s0, v=v, real_v_available=real_ok,
+                                            boundary=r.boundary))
     satisfied = not any(v.real_v_available for v in violations)
     return RankCertificate(satisfied=satisfied, violations=tuple(violations))
 
@@ -311,107 +451,3 @@ def _null_vec(M, col_norms):
         v = vh[-1] / col_norms
         return v / np.linalg.norm(v)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Kalman-equation solvers
-# ---------------------------------------------------------------------------
-
-def solve_kalman_Q(system: GameSystem, profile: StrategyProfile, i: int) -> KalmanSolution:
-    """Find Q >= 0 with K_i = B_i' P, P the Lyapunov solution for the state
-    weight Q + K_i' K_i: the Kalman equation with R pinned to I, searched by
-    feasibility.player_feasibility on its R_ii = I slice."""
-    return player_feasibility(system, profile, i, mode="q-only")
-
-
-def solve_kalman_general(system: GameSystem, profile: StrategyProfile, i: int) -> KalmanSolution:
-    """Joint unknowns (Q, R):  R K_i = B_i' P, P the Lyapunov solution for the
-    state weight Q + K_i' R K_i (the Kalman equation with P eliminated).
-
-    The solution set is a cone, searched on the normalization slice
-    trace(R) = m for Q >= 0, R >= R_FLOOR I by feasibility.player_feasibility,
-    the time-domain oracle's search.
-    """
-    return player_feasibility(system, profile, i)
-
-
-# ---------------------------------------------------------------------------
-# Per-player pipeline
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PlayerAnalysis:
-    """One player's frequency-domain verdict.  `factorization` is None on the
-    state-space route (Phi of full normal rank)."""
-
-    index: int
-    controllable: bool
-    factorization: CoprimeFactorization | None
-    phi_analysis: PhiAnalysis
-    rank_certificate: RankCertificate
-    warnings: tuple
-
-    @property
-    def circle_ok(self) -> bool:
-        return self.phi_analysis.circle_ok
-
-    @property
-    def rank_ok(self) -> bool:
-        return self.rank_certificate.satisfied and not self.rank_certificate.degenerate
-
-    @property
-    def inducible(self) -> bool:
-        return self.circle_ok and self.rank_ok
-
-
-@dataclass(frozen=True)
-class InducibilityAnalysis:
-    players: tuple
-    inducible: bool
-
-
-def analyze_player(system: GameSystem, profile: StrategyProfile, i: int) -> PlayerAnalysis:
-    """Circle criterion and rank condition of player i (state-space route when
-    Phi has full normal rank, polynomial route otherwise).  A numerical
-    failure raises numerics.StageError naming the stage: "circle" (state
-    space), "realization", "phi" or "rank_condition"."""
-    A_tilde, A_cl = reduced_system(system, profile, i)
-    B, K = system.B[i], profile.K[i]
-    m = B.shape[1]
-    with _stage(i, "circle"):
-        controllable = controllable_basis(A_tilde, B).shape[1] == system.n
-        p = return_difference_rank(A_cl, B, K)
-        circle = return_difference_circle(A_cl, B, K) if p == m else None
-    if circle is not None:
-        ok, witness, probes = circle
-        analysis = PhiAnalysis(phi=None, L=None, phi_tilde=None, p=p, circle_ok=ok,
-                               circle_witness=witness, circle_method="state_space",
-                               probes=probes)
-        fac, cert = None, RankCertificate(satisfied=True, violations=())
-    else:
-        with _stage(i, "realization"):
-            fac = attach_feedback(right_coprime_factorization(A_tilde, B), K)
-        with _stage(i, "phi"):
-            analysis = analyze_phi(fac)
-        with _stage(i, "rank_condition"):
-            cert = check_rank_condition(fac, analysis)
-    warnings = []
-    if not controllable:
-        warnings.append(f"player {i}: uncontrollable subspace present; "
-                        "frequency-domain statements restricted to the controllable part")
-    for v in cert.violations:
-        if not v.real_v_available:
-            warnings.append(f"player {i}: rank violation at {v.s0} has a complex-only witness; "
-                            "excluded from the strict verdict")
-        if v.boundary:
-            warnings.append(f"player {i}: rank violation on the imaginary-axis boundary at {v.s0}")
-    return PlayerAnalysis(index=i, controllable=controllable, factorization=fac,
-                          phi_analysis=analysis, rank_certificate=cert,
-                          warnings=tuple(warnings))
-
-
-def is_nash_inducible(system: GameSystem, profile: StrategyProfile) -> InducibilityAnalysis:
-    """Per-player circle + rank verdicts; overall verdict is their conjunction."""
-    players = tuple(analyze_player(system, profile, i) for i in range(system.num_players))
-    return InducibilityAnalysis(players=players,
-                                inducible=all(p.inducible for p in players))

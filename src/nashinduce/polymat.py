@@ -4,7 +4,7 @@ Polynomials are 1-D numpy coefficient arrays in ascending degree.  A
 PolyMatrix stores one coefficient matrix per power of s, so entry (i, j) is
 the polynomial sum_k coeffs[k][i, j] s^k.  Coefficients are floating point;
 trimming uses a relative tolerance so round-off never masquerades as extra
-degree.
+degree.  Reference code: no production path uses it (see inverse).
 """
 
 from __future__ import annotations
@@ -325,14 +325,15 @@ def compress_columns(P: PolyMatrix, tol: float = 1e-9):
     coefficient matrix of the nonzero columns is rank deficient, a constant
     combination scaled by a power of s cancels the highest-degree column,
     strictly decreasing its degree.  Dependent columns are driven to zero and
-    permuted to the right.
+    permuted to the right.  A column of starting degree d so takes at most
+    d + 1 passes; past that bound NumericalFailureError is raised.
     """
     m = P.cols
     work = P.copy()
     L = PolyMatrix.identity(m)
     scale0 = max(1.0, P.coeff_norm())
 
-    while True:
+    for _ in range(int(sum(d + 1 for d in P.column_degrees() if d != -np.inf)) + 1):
         degs = work.column_degrees()
         active = [j for j in range(m) if degs[j] != -np.inf]
         if not active:
@@ -376,6 +377,8 @@ def compress_columns(P: PolyMatrix, tol: float = 1e-9):
         L = PolyMatrix(LC)
         if work.coeff_norm() > COEFF_GROWTH_BOUND or L.coeff_norm() > COEFF_GROWTH_BOUND:
             raise NumericalFailureError("coefficient growth bound exceeded in column compression")
+    else:
+        raise NumericalFailureError("column compression exceeded its pass bound")
 
     degs = work.column_degrees()
     order = [j for j in range(m) if degs[j] != -np.inf] + [

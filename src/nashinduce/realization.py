@@ -1,11 +1,11 @@
 """Game data model and the state-space -> matrix-fraction bridge.
 
 Builds, for each player, the open- and closed-loop matrices obtained by
-freezing the other players' gains, the controllable subspace, and a
-right-coprime factorization (sI - A_tilde)^{-1} B = S(s) D(s)^{-1} with D
-column reduced and column degrees equal to the controllability indices.
-The factorization serves only players whose Phi lacks full normal rank
-(see inverse).
+freezing the other players' gains, the controllable subspace and the one
+PBH test (_pbh_failures: stabilizability, and inverse's rank condition).
+The right-coprime factorization (sI - A_tilde)^{-1} B = S(s) D(s)^{-1}, D
+column reduced with column degrees equal to the controllability indices, is
+reference code that no production path calls (see inverse).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class GameSystem:
 
     def __init__(self, A, B):
         self._set_plant(A, B)
-        if not _pbh_stabilizable(self.A, np.hstack(self.B)):
+        if _pbh_failures(self.A.T, np.hstack(self.B).T, RANK_TOL):
             raise ValueError("(A, [B_1 ... B_N]) is not stabilizable")
 
     def _set_plant(self, A, B) -> None:
@@ -71,20 +71,26 @@ class GameSystem:
         return tuple(Bi.shape[1] for Bi in self.B)
 
 
-def _pbh_stabilizable(A: np.ndarray, Ball: np.ndarray) -> bool:
-    """PBH test: [lam I - A, Ball] has rank n (rule _rank) at every eigenvalue
-    lam of A with Re lam >= -HURWITZ_MARGIN, from one batched SVD.  A is
-    real, so of a conjugate pair only the member with Im lam >= 0 is
-    tested: the other's matrix is its conjugate, with the same singular
-    values."""
+def _pbh_failures(A: np.ndarray, C: np.ndarray, tol: float) -> list:
+    """PBH test of the pair (C, A), from one batched SVD: each eigenvalue lam
+    of A with Re lam >= -HURWITZ_MARGIN (not Hurwitz) at which [lam I - A; C]
+    has _rank(., tol) below n, with x, a unit eigenvector of A that C
+    annihilates.  Of a conjugate pair only the member with Im lam >= 0 is
+    tested (A, C real); x is phase-aligned on its largest entry, and real for
+    a real lam.  (A, B) is stabilizable iff (B', A') has no failure."""
     n = A.shape[0]
     lams = eig(A)
     lams = lams[(lams.real >= -HURWITZ_MARGIN) & (lams.imag >= 0)]
-    if not lams.size:
-        return True
     M = np.concatenate([lams[:, None, None] * np.eye(n) - A,
-                        np.broadcast_to(Ball, (len(lams),) + Ball.shape)], axis=2)
-    return all(_rank(s, RANK_TOL) >= n for s in np.linalg.svd(M, compute_uv=False))
+                        np.broadcast_to(C, (len(lams),) + C.shape)], axis=1)
+    _, sv, vh = np.linalg.svd(M)
+    out = []
+    for lam, s, v in zip(lams, sv, vh):
+        if _rank(s, tol) < n:
+            x = v[-1].conj() / v[-1, np.argmax(abs(v[-1]))].conj()  # largest entry 1
+            x = x.real if lam.imag == 0 else x
+            out.append((complex(lam), x / np.linalg.norm(x)))
+    return out
 
 
 @dataclass(frozen=True)

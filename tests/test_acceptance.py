@@ -113,8 +113,17 @@ def test_criterion_3_worked_example_rank_certificate():
               and np.max(np.abs(np.imag(v.v))) <= 1e-9
               and abs(v.v[0]) <= 1e-9  # leading p = 1 entries vanish
               and np.linalg.norm((fac.D @ analysis.L).eval(v.s0) @ v.v) <= 1e-6)
+    # The production route, in state space: the same violation, with the unit
+    # eigenvector of A_tilde at s0 = 1 as its real witness.
+    cert = analyze_player(*remark2(), 0).rank_certificate
+    ok = ok and not cert.satisfied and len(cert.violations) == 1
+    if ok:
+        v = cert.violations[0]
+        ok = (abs(v.s0 - 1.0) <= 1e-9 and np.isrealobj(v.x)
+              and np.linalg.norm(v.x - np.ones(3) / np.sqrt(3.0)) <= 1e-9)
     report(3, ok, "closed-RHP rank violation located at s0 = 1 with a real "
-                  "witness whose leading entry vanishes")
+                  "witness whose leading entry vanishes, and in state space "
+                  "with the real witness x = [1, 1, 1] / sqrt(3)")
 
 
 def test_criterion_4_discrepancy_surfacing(tmp_path, capsys):
@@ -256,9 +265,7 @@ def test_criterion_8_oracle_equivalence(nash_games):
     for gi, (system, costs, profile, P) in enumerate(nash_games):
         freq = is_nash_inducible(system, profile)
         feas = solve_feasibility_projection(system, profile)
-        fverdict = ("indeterminate"
-                    if any(p.rank_certificate.degenerate for p in freq.players)
-                    else "inducible" if freq.inducible else "not_inducible")
+        fverdict = "inducible" if freq.inducible else "not_inducible"
         overdict = {"feasible": "inducible",
                     "infeasible_certified_by_identity": "not_inducible",
                     "indeterminate": "indeterminate"}[feas.status]

@@ -80,7 +80,8 @@ def test_check_remark2_disagreement(tmp_path, capsys):
     cert = report["players"][0]["rank_certificates"][0]
     assert cert["s0_re"] == pytest.approx(1.0, abs=1e-7)
     assert cert["s0_im"] == pytest.approx(0.0, abs=1e-7)
-    assert cert["real_witness"] is True
+    assert cert["x_re"] == pytest.approx([3 ** -0.5] * 3, abs=1e-9)
+    assert cert["x_im"] == [0.0] * 3
     assert any("uncontrollable" in w for w in report["warnings"])
 
 
@@ -106,15 +107,17 @@ def test_check_keeps_the_oracle_verdict_when_a_frequency_stage_fails(
     code, out, _ = run_cli(capsys, "check", path, "--no-oracle")
     assert code == 3
     assert json.loads(out)["verdict_frequency"] == "error"
-    # A failure on the polynomial route names its stage too.
+    # A failure of the rank condition of a p < m player names its stage too.
     monkeypatch.undo()
-    monkeypatch.setattr(inverse, "right_coprime_factorization", failing)
+    rank_condition = inverse.rank_condition
+    monkeypatch.setattr(inverse, "rank_condition",
+                        lambda *args: failing() if args[-1] else rank_condition(*args))
     code, out, _ = run_cli(capsys, "check", write_example(tmp_path, "remark2"))
     report = json.loads(out)
     assert (code, report["verdict_frequency"], report["verdict_oracle"]) == (
         0, "error", "inducible")
-    assert report["frequency_error"]["stage"] == "realization"
-    assert report["players"][1]["circle_method"] == "state_space"
+    assert report["frequency_error"]["stage"] == "rank_condition"
+    assert report["players"][1]["rank_ok"] is True
 
 
 def test_check_no_oracle(tmp_path, capsys):
@@ -485,8 +488,8 @@ def test_loading_a_stabilizing_profile_runs_no_pbh_test(tmp_path, monkeypatch):
     for name, setup in workloads.WORKLOADS.items():
         (tmp_path / name).mkdir()
         paths |= {call.problem for call in setup(0, str(tmp_path / name))[0]}
-    calls, pbh = [], realization._pbh_stabilizable
-    monkeypatch.setattr(realization, "_pbh_stabilizable",
+    calls, pbh = [], realization._pbh_failures
+    monkeypatch.setattr(realization, "_pbh_failures",
                         lambda *args: calls.append(args) or pbh(*args))
     for path in sorted(paths):
         load_problem(path)
@@ -503,8 +506,8 @@ def test_a_failing_profile_is_checked_for_stabilizability(tmp_path, capsys, monk
     # A = diag(1, -1): with B = [0; 1] its unstable mode is unreachable, so no
     # K stabilizes and the plant is at fault; B = [1; 1] reaches it, so the
     # profile is.  The PBH test runs once per load, only to tell them apart.
-    calls, pbh = [], realization._pbh_stabilizable
-    monkeypatch.setattr(realization, "_pbh_stabilizable",
+    calls, pbh = [], realization._pbh_failures
+    monkeypatch.setattr(realization, "_pbh_failures",
                         lambda *args: calls.append(args) or pbh(*args))
     path = tmp_path / "failing.json"
     path.write_text(json.dumps({"schema_version": "1", "A": [[1.0, 0.0], [0.0, -1.0]],
@@ -593,9 +596,9 @@ def test_reports_carry_loop_iterations(tmp_path, capsys):
     # Gaps as the report prints them (12 digits).
     kalman = {"kalman_iterations": [s.iterations for s in sols],
               "kalman_gaps": [float("%.12e" % s.gap) for s in sols]}
-    # Player 0 takes the polynomial route (p < m), player 1 the state-space one.
+    # Player 0 has p < m (a rank-completed pencil), player 1 p = m.
     probes = [p.phi_analysis.probes for p in players]
-    assert [p.phi_analysis.circle_method for p in players] == ["exact", "state_space"]
+    assert [(p.phi_analysis.p, system.m[p.index]) for p in players] == [(1, 2), (1, 1)]
     assert all(k > 0 for k in probes)
     _, out, _ = run_cli(capsys, "check", path)
     report = json.loads(out)

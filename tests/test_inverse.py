@@ -326,7 +326,7 @@ def test_closed_form_game_circle_ok():
     system, profile, _, _ = load_problem(str(CLOSED_FORM_GAME))
     for i in (0, 1):
         pa = analyze_player(system, profile, i)
-        assert pa.circle_ok and pa.phi_analysis.circle_method == "state_space"
+        assert pa.circle_ok and pa.phi_analysis.p == system.m[i]
 
 
 # ---------------------------------------------------------------------------
@@ -355,24 +355,20 @@ def _bundled_games():
 
 def _compare_with_polynomial_route(system, profile):
     """For each player whose factorization succeeds: the state-space (p,
-    circle_ok) equals the polynomial route's, or the player took that route.
-    Returns the number of players compared on the state-space route."""
+    circle_ok) equals the polynomial route's.  Returns the number of players
+    compared."""
     compared = 0
     for i in range(system.num_players):
         pa = analyze_player(system, profile, i)
-        if pa.phi_analysis.circle_method == "exact":
-            assert pa.phi_analysis.p < system.m[i] and pa.factorization is not None
-            continue
-        assert pa.factorization is None and pa.phi_analysis.phi is None
         A_tilde, _ = reduced_system(system, profile, i)
         try:
             fac = attach_feedback(right_coprime_factorization(A_tilde, system.B[i]),
                                   profile.K[i])
+            p = analyze_phi(fac).p
         except NumericalFailureError:
             continue
-        phi = build_phi(fac)
-        assert pa.phi_analysis.p == analyze_phi(fac).p == system.m[i]
-        assert pa.circle_ok == circle_criterion(phi)[0]
+        assert pa.phi_analysis.p == p
+        assert pa.circle_ok == circle_criterion(build_phi(fac))[0]
         compared += 1
     return compared
 
@@ -388,8 +384,7 @@ def test_state_space_circle_matches_polynomial_route(nash_games):
         _compare_with_polynomial_route(system, profile)
     verdicts = {}
     for name, system, profile in _bundled_games():
-        assert _compare_with_polynomial_route(system, profile) == (
-            system.num_players - (name == "remark2"))
+        assert _compare_with_polynomial_route(system, profile) == system.num_players
         verdicts[name] = is_nash_inducible(system, profile).inducible
     assert verdicts == {"remark2": False, "scalar_feasible": True,
                         "scalar_infeasible": False, "two_player_scalar": True}
@@ -410,7 +405,7 @@ def test_state_space_circle_accepts_closed_form_nash_games():
                     profile = StrategyProfile.stabilizing(system, g.K)
                     for i in range(N):
                         pa = analyze_player(system, profile, i)
-                        assert pa.phi_analysis.circle_method == "state_space"
+                        assert pa.phi_analysis.p == m
                         assert pa.inducible, (g.name, r, i, pa.phi_analysis.circle_witness)
                         players += 1
     assert players == 180
@@ -425,7 +420,7 @@ def test_state_space_circle_rejects_infeasible_games():
             profile = StrategyProfile.stabilizing(system, g.K)
             analysis = is_nash_inducible(system, profile)
             assert not analysis.inducible, g.name
-            assert all(p.phi_analysis.circle_method == "state_space" for p in analysis.players)
+            assert all(p.phi_analysis.p == m for p in analysis.players)
 
 
 def test_phi_at_witness_has_the_sign_of_phi():
@@ -452,8 +447,8 @@ def test_check_builds_no_polynomial_matrix_when_phi_has_full_rank(monkeypatch, c
     report = json.loads(capsys.readouterr().out)
     assert (code, report["verdict_frequency"], report["verdict_oracle"]) == (
         0, "inducible", "inducible")
-    assert [p["circle_method"] for p in report["players"]] == ["state_space"] * 2
+    assert [p["p"] for p in report["players"]] == [1, 1]
     assert created == []
-    # remark2's player 0 (p = 1 < m = 2) still takes the polynomial route.
+    # Nor does remark2's player 0 (p = 1 < m = 2): one route for every player.
     analyze_player(*remark2_game(), 0)
-    assert created
+    assert created == []

@@ -1,0 +1,239 @@
+"""Players whose Phi lacks full normal rank (p < m), decided in state space.
+
+Three fixed-seed recipes of one-player games with n <= 8 and m = 2 or 3:
+
+(a) A, B standard normal, Q = C'C with rank C < m, and K the LQR gain from
+    scipy.linalg.solve_continuous_are(A, B, Q, I): no rank violation;
+(b) recipe (a) with C projected off one closed-right-half-plane eigenvector
+    (or complex pair) of A: that mode is unobservable, and it is the one
+    rank violation;
+(c) a zero-gain stable block (no violation) or an all-pass unstable block
+    with its minimum-energy gain (every mode of the block violates) beside a
+    random single-input channel with a random stabilizing gain, under random
+    orthogonal state and input rotations.
+
+The circle verdict is checked against a dense frequency grid, the rank
+condition against the planted violations and against the polynomial
+reference check_rank_condition.
+"""
+
+import json
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.linalg import solve_continuous_are
+
+from nashinduce import (GameSystem, StrategyProfile, analyze_phi, analyze_player,
+                        attach_feedback, check_rank_condition, realization,
+                        right_coprime_factorization)
+from nashinduce.cli import load_problem
+from nashinduce.cli import main as cli_main
+from nashinduce.inverse import CIRCLE_TOL, RANK_FREQUENCIES, return_difference_gap
+from nashinduce.numerics import NumericalFailureError
+from nashinduce.polymat import PolyMatrix
+from nashinduce.problems import BUNDLED
+from nashinduce.realization import reduced_system
+
+DATA = Path(__file__).parent / "data"
+FIXTURE = DATA / "allpass_n3_N1_m2.json"
+
+
+def _orthogonal(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def _lqr_game(rng, n, m, hide_mode):
+    """Recipes (a) and (b): (A, B, K, planted violations)."""
+    A, B = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+    C = rng.standard_normal((int(rng.integers(1, m)), n))
+    planted = []
+    if hide_mode:
+        if not (np.linalg.eigvals(A).real >= 0).any():
+            A = -A
+        lam, vec = np.linalg.eig(A)
+        rhp = np.nonzero((lam.real >= 0) & (lam.imag >= 0))[0]
+        j = rhp[int(rng.integers(rhp.size))]
+        v = vec[:, j]
+        W = np.linalg.qr(np.column_stack([v.real, v.imag]) if lam[j].imag else v.real[:, None])[0]
+        C = C - C @ W @ W.T
+        planted = [lam[j]]
+    return A, B, B.T @ solve_continuous_are(A, B, C.T @ C, np.eye(m)), planted
+
+
+def _block_game(rng, n, allpass):
+    """Recipe (c): (A, B, K, planted violations)."""
+    n1 = int(rng.integers(1, n))
+    A1, b1 = rng.standard_normal((n1, n1)), rng.standard_normal((n1, 1))
+    if allpass:
+        A1 += (0.2 - np.linalg.eigvals(A1).real.min()) * np.eye(n1)
+        K1 = b1.T @ solve_continuous_are(A1, b1, np.zeros((n1, n1)), np.eye(1))
+        lam = np.linalg.eigvals(A1)
+        planted = list(lam[lam.imag >= 0])
+    else:
+        A1 -= (0.2 + np.linalg.eigvals(A1).real.max()) * np.eye(n1)
+        K1, planted = np.zeros((1, n1)), []
+    A2, b2 = rng.standard_normal((n - n1, n - n1)), rng.standard_normal((n - n1, 1))
+    K2 = rng.standard_normal((1, n - n1)) * (0.3, 1.0, 3.0)[int(rng.integers(3))]
+    A2 -= (np.linalg.eigvals(A2 - b2 @ K2).real.max() + 0.1
+           + abs(rng.standard_normal())) * np.eye(n - n1)
+    A, B, K = np.zeros((n, n)), np.zeros((n, 2)), np.zeros((2, n))
+    A[:n1, :n1], A[n1:, n1:] = A1, A2
+    B[:n1, :1], B[n1:, 1:] = b1, b2
+    K[:1, :n1], K[1:, n1:] = K1, K2
+    T, W = _orthogonal(rng, n), _orthogonal(rng, 2)
+    return T @ A @ T.T, T @ B @ W.T, W @ K @ T.T, planted
+
+
+def _draws(seed, count):
+    """count games of recipes (a), (b), (c) in turn, n ~ U{2..8}."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(2, min(n, 3) + 1))
+        recipe = "abc"[len(out) % 3]
+        try:
+            if recipe == "c":
+                A, B, K, planted = _block_game(rng, n, bool(rng.integers(2)))
+            else:
+                A, B, K, planted = _lqr_game(rng, n, m, recipe == "b")
+            system = GameSystem(A, [B])
+            profile = StrategyProfile.stabilizing(system, [K])
+        except (ValueError, np.linalg.LinAlgError):
+            continue
+        out.append((recipe, system, profile, planted))
+    return out
+
+
+@pytest.fixture(scope="module")
+def players():
+    """(recipe, system, profile, planted, analysis) of every p < m player among
+    156 draws.  An all-pass block of several states needs a gain of norm
+    1e3-1e5, whose rounding can lift the gap's planted zero eigenvalue above
+    the rank tolerance (p = m); such a player is not one of this family."""
+    out = []
+    for recipe, system, profile, planted in _draws(1, 156):
+        pa = analyze_player(system, profile, 0)
+        if pa.phi_analysis.p < system.m[0]:
+            out.append((recipe, system, profile, planted, pa))
+    assert len(out) >= 150
+    return out
+
+
+def _same_points(a, b):
+    key = lambda z: (round(z.real, 6), z.imag)  # noqa: E731
+    a, b = sorted(a, key=key), sorted(b, key=key)
+    return len(a) == len(b) and all(abs(x - y) <= 1e-6 * max(1.0, abs(x)) for x, y in zip(a, b))
+
+
+def test_circle_of_rank_deficient_players_matches_a_dense_grid(players):
+    grid = np.concatenate([[0.0], np.logspace(-4, 4, 8000)])
+    verdicts = []
+    for recipe, system, profile, _, pa in players:
+        _, A_cl = reduced_system(system, profile, 0)
+        gaps, g = return_difference_gap(A_cl, system.B[0], profile.K[0], grid)
+        ok = bool((np.linalg.eigvalsh(gaps)[:, 0] >= -CIRCLE_TOL * g * (1.0 + g)).all())
+        assert pa.circle_ok == ok, (recipe, pa.phi_analysis.circle_witness)
+        verdicts.append(ok)
+    assert 20 <= verdicts.count(False) <= len(verdicts) - 20
+
+
+def test_rank_condition_of_rank_deficient_players_finds_the_planted_violations(players):
+    violated = 0
+    for recipe, system, profile, planted, pa in players:
+        cert = pa.rank_certificate
+        assert _same_points([v.s0 for v in cert.violations], planted), recipe
+        assert cert.satisfied == (not planted)
+        A_tilde, _ = reduced_system(system, profile, 0)
+        for v in cert.violations:
+            assert np.isrealobj(v.x) == (v.s0.imag == 0)
+            assert np.linalg.norm(A_tilde @ v.x - v.s0 * v.x) <= 1e-8 * max(1.0, abs(v.s0))
+        violated += not cert.satisfied
+    assert 30 <= violated <= len(players) - 30
+
+
+def test_rank_condition_of_rank_deficient_players_agrees_with_the_reference(players):
+    """Wherever check_rank_condition returns and its normal rank is the state
+    space's, both locate the same closed-RHP points (every violation counted,
+    the member with Im s0 >= 0 of a pair) unless the reference misses a planted
+    one.  Where its rank differs, the gap's zero eigenvalues are genuine."""
+    compared, misses, misread = 0, 0, 0
+    for recipe, system, profile, planted, pa in players:
+        A_tilde, A_cl = reduced_system(system, profile, 0)
+        B, K = system.B[0], profile.K[0]
+        try:
+            fac = attach_feedback(right_coprime_factorization(A_tilde, B), K)
+            analysis = analyze_phi(fac)
+            cert = check_rank_condition(fac, analysis)
+        except (NumericalFailureError, ValueError):
+            continue
+        p = pa.phi_analysis.p
+        if analysis.p != p:
+            gaps, _ = return_difference_gap(A_cl, B, K, RANK_FREQUENCIES)
+            for lam in np.linalg.eigvalsh(gaps):
+                assert np.sort(abs(lam))[B.shape[1] - p - 1] <= 1e-9 * abs(lam).max()
+            misread += 1
+            continue
+        ref = [v.s0 for v in cert.violations if v.s0.imag >= -1e-9]
+        mine = [v.s0 for v in pa.rank_certificate.violations]
+        if not _same_points(ref, mine):
+            assert not _same_points(ref, planted) and _same_points(mine, planted), recipe
+            misses += 1
+        else:
+            assert pa.rank_ok == (not cert.violations)
+        compared += 1
+    assert compared >= 130 and misses <= compared // 20 and misread <= 10
+
+
+def test_column_compression_stops_on_the_all_pass_fixture():
+    # At the bound on its passes, the reference raises; it used to loop.
+    system, profile, _, _ = load_problem(str(FIXTURE))
+    fac = attach_feedback(right_coprime_factorization(system.A, system.B[0]), profile.K[0])
+    try:
+        check_rank_condition(fac, analyze_phi(fac))
+    except NumericalFailureError as exc:
+        assert "pass bound" in str(exc)
+
+
+@pytest.mark.parametrize("command, code, verdict", [
+    ("check", 1, ("not_inducible", "indeterminate")),
+    ("solve", 1, "infeasible"),
+])
+def test_check_and_solve_answer_the_all_pass_fixture_promptly(capsys, command, code, verdict):
+    # p = 1 < m = 2: the circle fails at w = 0 and the unstable mode 0.3 of
+    # the all-pass block violates the rank condition.
+    start = time.perf_counter()
+    assert cli_main([command, str(FIXTURE)]) == code
+    assert time.perf_counter() - start < 5.0
+    report = json.loads(capsys.readouterr().out)
+    got = ((report["verdict_frequency"], report["verdict_oracle"]) if command == "check"
+           else report["status"])
+    assert got == verdict
+    player = report["players"][0]
+    assert (player["p"], player["circle_ok"], player["rank_ok"]) == (1, False, False)
+
+
+def test_check_and_solve_on_remark2_build_no_polynomial_matrix(tmp_path, monkeypatch, capsys):
+    created, factorized = [], []
+    init, factorize = PolyMatrix.__init__, realization.right_coprime_factorization
+
+    def counting(self, *args, **kwargs):
+        created.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolyMatrix, "__init__", counting)
+    monkeypatch.setattr(realization, "right_coprime_factorization",
+                        lambda *args: factorized.append(1) or factorize(*args))
+    path = tmp_path / "remark2.json"
+    path.write_text(BUNDLED["remark2"])
+    assert cli_main(["check", str(path)]) == 4
+    report = json.loads(capsys.readouterr().out)
+    (violation,) = report["players"][0]["rank_certificates"]
+    assert (violation["s0_re"], violation["s0_im"]) == (pytest.approx(1.0, abs=1e-12), 0.0)
+    assert violation["x_re"] == pytest.approx([3 ** -0.5] * 3, abs=1e-12)
+    assert cli_main(["solve", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["failing_player"], report["rank_ok"]) == (0, False)
+    assert created == [] and factorized == []

@@ -10,8 +10,8 @@ from nashinduce import (
     reduced_system,
     right_coprime_factorization,
 )
-from nashinduce.numerics import HURWITZ_MARGIN, DimensionError, eig, matrix_rank
-from nashinduce.realization import _pbh_stabilizable
+from nashinduce.numerics import HURWITZ_MARGIN, RANK_TOL, DimensionError, eig, matrix_rank
+from nashinduce.realization import _pbh_failures
 from nashinduce.polymat import PolyMatrix
 
 
@@ -69,10 +69,30 @@ def test_batched_pbh_matches_per_eigenvalue_loop():
             A_hidden, B_hidden = T @ A @ np.linalg.inv(T), T @ B
             for A_, B_ in ((A, B), (A_hidden, B_hidden), (A, rng.standard_normal(B.shape)),
                            (-np.eye(n) - A @ A.T, B), (np.zeros((n, n)), np.eye(n))):
-                verdict = _pbh_stabilizable(A_, B_)
+                verdict = not _pbh_failures(A_.T, B_.T, RANK_TOL)
                 assert verdict == loop_pbh_stabilizable(A_, B_), (n, A_, B_)
                 verdicts.append(verdict)
     assert set(verdicts) == {True, False}
+
+
+def test_pbh_failures_are_annihilated_unstable_eigenvectors():
+    # Modes 1 and 0.5 +- 2j of a hidden block that C does not see, beside a
+    # stable mode and an unstable one C sees: exactly the hidden modes fail,
+    # each with a unit eigenvector that C annihilates, real for the real mode.
+    rng = np.random.default_rng(5)
+    A = np.zeros((5, 5))
+    A[0, 0], A[1:3, 1:3], A[3, 3], A[4, 4] = 1.0, [[0.5, 2.0], [-2.0, 0.5]], -1.0, 3.0
+    A[:3, 3:] = rng.standard_normal((3, 2))
+    C = np.hstack([np.zeros((2, 3)), rng.standard_normal((2, 2))])
+    T = rng.standard_normal((5, 5)) + 5.0 * np.eye(5)
+    A, C = T @ A @ np.linalg.inv(T), C @ np.linalg.inv(T)
+    failures = _pbh_failures(A, C, RANK_TOL)
+    assert sorted((round(s.real, 9), round(s.imag, 9)) for s, _ in failures) == [(0.5, 2.0), (1.0, 0.0)]
+    for s, x in failures:
+        assert np.isrealobj(x) == (s.imag == 0)
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+        assert np.linalg.norm(A @ x - s * x) <= 1e-9 and np.linalg.norm(C @ x) <= 1e-9
+    assert _pbh_failures(-np.eye(3), np.zeros((0, 3)), RANK_TOL) == []
 
 
 def test_profile_validation():
