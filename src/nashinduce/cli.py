@@ -26,7 +26,7 @@ import numpy as np
 
 from .forward import CostParameters, verify_nash
 from .feasibility import nearest_params, solve_feasibility_projection
-from .inverse import analyze_player, is_nash_inducible, phi_at_witness
+from .inverse import analyze_player, phi_at_witness
 from .numerics import NASH_TOL, DimensionError, NumericalFailureError, StageError
 from .problems import BUNDLED
 from .realization import GameSystem, _stabilizing_game
@@ -211,10 +211,6 @@ def load_costs(path: str, system: GameSystem) -> CostParameters:
 # Report assembly
 # ---------------------------------------------------------------------------
 
-def _complex_parts(z):
-    return float(np.real(z)), float(np.imag(z))
-
-
 _FREQUENCY_FIELDS = ("circle_ok", "circle_witness", "p", "rank_ok")
 
 
@@ -233,23 +229,18 @@ def _player_report(index, pa, kalman):
     if pa is None:
         return {"index": index, **dict.fromkeys(_FREQUENCY_FIELDS),
                 "rank_certificates": [], "kalman": kal}
-    cert = pa.rank_certificate
-    violations = []
-    for v in cert.violations:
-        re, im = _complex_parts(v.s0)
-        violations.append({
-            "s0_re": re,
-            "s0_im": im,
-            "boundary": bool(v.boundary),
-            "x_re": np.real(v.x).tolist(),
-            "x_im": np.imag(v.x).tolist(),
-        })
+    violations = [{
+        "s0_re": float(np.real(v.s0)),
+        "s0_im": float(np.imag(v.s0)),
+        "boundary": bool(v.boundary),
+        "x_re": np.real(v.x).tolist(),
+        "x_im": np.imag(v.x).tolist(),
+    } for v in pa.violations]
     return {
         "index": index,
         "circle_ok": bool(pa.circle_ok),
-        "circle_witness": (None if pa.phi_analysis.circle_witness is None
-                           else float(pa.phi_analysis.circle_witness)),
-        "p": int(pa.phi_analysis.p),
+        "circle_witness": None if pa.circle_witness is None else float(pa.circle_witness),
+        "p": int(pa.p),
         "rank_ok": bool(pa.rank_ok),
         "rank_certificates": violations,
         "kalman": kal,
@@ -265,13 +256,8 @@ def _diagnostics(kalmans, analyses):
     else:
         out = {"kalman_iterations": [k.iterations for k in kalmans],
                "kalman_gaps": [k.gap for k in kalmans]}
-    out["circle_probes"] = [None if pa is None else pa.phi_analysis.probes
-                            for pa in analyses]
+    out["circle_probes"] = [None if pa is None else pa.probes for pa in analyses]
     return out
-
-
-def _frequency_verdict(players):
-    return "inducible" if all(p.inducible for p in players) else "not_inducible"
 
 
 # The time-domain verdict of the oracle's status (solve_feasibility_projection).
@@ -356,7 +342,8 @@ def cmd_check(args) -> int:
         else:
             warnings.extend(pa.warnings)
         analyses.append(pa)
-    verdict_freq = "error" if freq_error else _frequency_verdict(analyses)
+    verdict_freq = ("error" if freq_error else
+                    "inducible" if all(pa.inducible for pa in analyses) else "not_inducible")
     t_freq = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -420,12 +407,12 @@ def cmd_solve(args) -> int:
         return 0 if res.status == "feasible" else 1
 
     kalmans = solve_feasibility_projection(system, profile, mode=args.mode).solutions
-    players = is_nash_inducible(system, profile).players
+    players = [analyze_player(system, profile, i) for i in range(system.num_players)]
     failed = next((i for i, (pa, k) in enumerate(zip(players, kalmans))
                    if k.status != "solved" or not pa.inducible), None)
     if failed is not None:
         pa = players[failed]
-        w = pa.phi_analysis.circle_witness
+        w = pa.circle_witness
         report = {
             "status": "infeasible",
             "failing_player": failed,
@@ -564,12 +551,13 @@ def main(argv=None) -> int:
     handler = globals()[f"cmd_{args.command}"]
     try:
         return handler(args)
-    except (InputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # First: numpy's LinAlgError subclasses ValueError, an input error's type.
     except (NumericalFailureError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (InputError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

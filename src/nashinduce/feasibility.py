@@ -10,12 +10,13 @@ Lyapunov solves against one Schur form of Acl).  Every search holds an
 orthonormal basis V of those constraint rows (numerics.row_basis), never a
 basis of the map's kernel, and projects onto the kernel as x - V(V'x).
 This module searches the kernel for costs in the cones by alternating
-projections (player_feasibility, the one Kalman cone search: the
-time-domain oracle on the slice trace(R_ii) = m_i, and the q-only solve with
-R_ii = I pinned; solve_feasibility_projection runs it for every player of a
-game), projects reference costs onto the feasible set (Douglas-Rachford
-splitting, or one clipped scalar projection on a one-dimensional kernel),
-and folds/unfolds cross-control penalties.  Both loops run through the
+projections (player_feasibility, the one Kalman cone search, on a map the
+caller passes: the time-domain oracle on the slice trace(R_ii) = m_i, and
+the q-only solve with R_ii = I pinned; solve_feasibility_projection runs it
+for every listed player of a game on maps from one adjoint stack), projects
+reference costs onto the feasible set (Douglas-Rachford splitting, or one
+clipped scalar projection on a one-dimensional kernel), and folds/unfolds
+cross-control penalties.  Both loops run through the
 Anderson-mixed fixed-point driver numerics._anderson.  The Kronecker identities
 (build_vectorized_system, _player_nullspace) remain as references; no search
 uses them.
@@ -55,6 +56,10 @@ from .numerics import (
 from .realization import GameSystem, StrategyProfile, closed_loop
 
 CONVERGED_SLACK = 1e-7  # a converged point's relative slack to the cones and the kernel
+NEAREST_INPUT_TOL = 1e-6  # semidefiniteness tolerance of nearest_params' reference costs
+# A one-dimensional kernel's ray meets the cones when a floored block's least
+# eigenvalue exceeds RAY_FLOOR_TOL and every other block's exceeds -RAY_PSD_TOL.
+RAY_FLOOR_TOL, RAY_PSD_TOL = 1e-12, 1e-9
 
 
 def build_vectorized_system(system: GameSystem, profile: StrategyProfile, i: int) -> np.ndarray:
@@ -138,11 +143,10 @@ def _stationarity_map(system, profile, i):
     return stationarity_maps(system, profile, [i])[0]
 
 
-def _kalman_map(system: GameSystem, profile: StrategyProfile, i: int, M=None):
-    """(M_Q, M_R): the columns of player i's stationarity map M (built here
-    when None) that act on packed Q_i and on packed R_ii (cross penalties
-    left at zero)."""
-    M = _stationarity_map(system, profile, i) if M is None else M
+def _kalman_map(system: GameSystem, i: int, M):
+    """(M_Q, M_R): the columns of player i's stationarity map M (its entry of
+    stationarity_maps) that act on packed Q_i and on packed R_ii (cross
+    penalties left at zero)."""
     nq = sym_dim(system.n)
     off = nq + sum(sym_dim(mj) for mj in system.m[:i])
     return M[:, :nq], M[:, off:off + sym_dim(system.m[i])]
@@ -160,11 +164,10 @@ class KalmanSolution:
     gap: float = 0.0  # relative distance of the projection loop's point to the cones at stop
 
 
-def player_feasibility(system: GameSystem, profile: StrategyProfile, i: int,
-                       mode: str = "general", M=None) -> KalmanSolution:
+def player_feasibility(system: GameSystem, i: int, mode: str, M) -> KalmanSolution:
     """Player i's cone search: Q_i >= 0, R_ii >= R_FLOOR I in the kernel of
-    the Kalman map (_kalman_map of M, player i's entry of stationarity_maps,
-    built here when None), on a slice of it.  Mode "general" slices
+    the Kalman map (_kalman_map of M, player i's entry of
+    stationarity_maps), on a slice of it.  Mode "general" slices
     on the normalization trace(R_ii) = m_i; "q-only" pins R_ii = I, one row
     per packed entry, and kernel_dim then counts the pinned map's kernel,
     that of its Q_i columns.
@@ -179,7 +182,7 @@ def player_feasibility(system: GameSystem, profile: StrategyProfile, i: int,
     with Q = 0.
     """
     n, m = system.n, system.m[i]
-    M = np.hstack(_kalman_map(system, profile, i, M))
+    M = np.hstack(_kalman_map(system, i, M))
     V = row_basis(M)  # the Kalman equation's independent constraint rows
     nq, eye = sym_dim(n), sym_pack(np.eye(m))
     q_only = mode == "q-only"
@@ -231,7 +234,7 @@ def solve_feasibility_projection(system: GameSystem, profile: StrategyProfile,
     solutions = []
     for i, M in zip(players, maps):
         with _stage(i, "kalman"):
-            solutions.append(player_feasibility(system, profile, i, mode, M))
+            solutions.append(player_feasibility(system, i, mode, M))
     status = next((s.status for s in solutions if s.status != "solved"), "solved")
     return FeasibilityResult(_GAME_STATUS[status], tuple(solutions))
 
@@ -269,7 +272,7 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
     and must also lie on the kernel within CONVERGED_SLACK (|V'y| small);
     otherwise it is "indeterminate".
     """
-    costs0.validate(system, tol=1e-6)
+    costs0.validate(system, tol=NEAREST_INPUT_TOL)
     N = system.num_players
     Qs, Rrows, iterations, gaps = [], [], (), ()
     dist2 = 0.0
@@ -326,10 +329,11 @@ def _kernel_direction(V) -> np.ndarray:
 
 def _ray_in_cone(z, layout) -> bool:
     """Some positive multiple of z meets the cones: floored blocks need a
-    positive minimum eigenvalue, the others must be PSD."""
+    positive minimum eigenvalue, the others must be PSD (within
+    RAY_FLOOR_TOL and RAY_PSD_TOL)."""
     for X, (_, floor) in zip(sym_blocks(z, layout), layout):
         w = float(np.linalg.eigvalsh(X).min())
-        if not (w > 1e-12 if floor > 0.0 else w >= -1e-9):
+        if not (w > RAY_FLOOR_TOL if floor > 0.0 else w >= -RAY_PSD_TOL):
             return False
     return True
 

@@ -1,8 +1,9 @@
 """Time-domain forward machinery.
 
-Exact per-player Nash verification (Lyapunov solve + stationarity + Riccati
-residual), a Gauss-Seidel coupled-Riccati solver used as a ground-truth
-generator, and equilibrium cost evaluation.
+Cost parameters and their validation, exact per-player Nash verification
+(Lyapunov solve + stationarity + Riccati residual), and a Gauss-Seidel
+coupled-Riccati solver with a Newton polish, used as a ground-truth
+generator.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ class CostParameters:
 
     def validate(self, system: GameSystem, tol: float = NASH_TOL) -> None:
         """Raise on the first wrong shape, then on the first of Q_i, R_ii, R_ij
-        (player by player) failing is_psd (is_pd for R_ii) at tol; the blocks are
-        exactly symmetric, so one batched eigvalsh per block size suffices."""
+        (player by player) whose least eigenvalue is below -tol max(1, |M|_F)
+        (for R_ii: not above +tol max(1, |M|_F)); the blocks are exactly
+        symmetric, so one batched eigvalsh per block size suffices."""
         N, n, m = system.num_players, system.n, system.m
         if len(self.Q) != N or len(self.R) != N:
             raise DimensionError("cost parameters must cover every player")
@@ -81,7 +83,7 @@ class CostParameters:
             names = [k for k, M in blocks.items() if len(M) == size]
             least.update(zip(names, np.linalg.eigvalsh(np.stack([blocks[k] for k in names]))[:, 0]))
 
-        def fails(name, pd=False):  # is_psd / is_pd on the least eigenvalue
+        def fails(name, pd=False):  # the least eigenvalue against the floor
             floor = tol * max(1.0, _norm(blocks[name]))
             return not (least[name] > floor if pd else least[name] >= -floor)
 
@@ -110,7 +112,7 @@ class CertificateSet:
     hurwitz_margin: float
     scale: float            # max(1, max_i |P_i|)
     residual_bound: float   # tol * scale, the bound on both residuals
-    psd_tol: float          # the relative eigenvalue floor of is_psd on each P_i
+    psd_tol: float          # the relative eigenvalue floor of the P_i >= 0 test
 
 
 def state_weight_with_cross_terms(costs: CostParameters, profile: StrategyProfile, i: int):
@@ -146,7 +148,7 @@ def verify_nash(system: GameSystem, profile: StrategyProfile, costs: CostParamet
             are = _norm(Qt + P @ A_tilde + A_tilde.T @ P - P @ Bi @ Rinv @ Bi.T @ P)
         stat_res.append(stat)
         are_res.append(are)
-    # Ps is exactly symmetric: is_psd's floor on one eigvalsh of the stack.
+    # Ps is exactly symmetric: the floor test on one eigvalsh of the stack.
     norms = [_norm(P) for P in Ps]
     psd_flags = [bool(w >= -tol * max(1.0, s))
                  for w, s in zip(np.linalg.eigvalsh(Ps)[:, 0], norms)]
@@ -344,11 +346,3 @@ def solve_coupled_are(system: GameSystem, costs: CostParameters, init: StrategyP
     profile = StrategyProfile(K)
     return profile, P, converged
 
-
-def equilibrium_cost(P, x0) -> float:
-    """Quadratic equilibrium value x0' P x0."""
-    Pm = symmetrize(P, name="P")
-    x = np.asarray(x0, dtype=float).ravel()
-    if x.size != Pm.shape[0]:
-        raise DimensionError("x0 length does not match P")
-    return float(x @ Pm @ x)

@@ -10,7 +10,8 @@ one Hamiltonian-type pencil (rank-completed when p < m_i), and one
 lambda_min probe per interval decides the whole axis.  When p < m_i the
 gap's null vectors span the states X_N that every feasible Q_i annihilates,
 and an eigenvector of A_tilde_i in X_N with eigenvalue in the closed right
-half-plane violates the rank condition (vacuous when p = m_i).  Costs are
+half-plane violates the rank condition (vacuous when p = m_i).
+analyze_player returns both verdicts as one flat PlayerAnalysis.  Costs are
 recovered by the time-domain search feasibility.solve_feasibility_projection;
 solve_kalman_general and solve_kalman_Q run it for one player.  The
 polynomial route at the end of the module is reference code only.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polymat
-from .feasibility import KalmanSolution, player_feasibility
+from .feasibility import KalmanSolution, _stationarity_map, player_feasibility
 from .numerics import (
     HURWITZ_MARGIN,
     NumericalFailureError,
@@ -69,7 +70,8 @@ NULL_SPAN_TOL, NULL_EIGVEC_TOL = 1e-7, 1e-5
 
 def return_difference_gap(A_cl, B, K, w):
     """I - S(jw)^* S(jw) for each frequency in w, S = I - K (sI - A_cl)^-1 B,
-    as a (len(w), m, m) stack, with |G(jw)| (Frobenius) per frequency.
+    as a (len(w), m, m) stack, with |G(jw)| (Frobenius) per frequency and
+    the resolvent X = (jwI - A_cl)^-1 B it solved for.
 
     It is formed as G + G^* - G^* G with G = K (jwI - A_cl)^-1 B, so no
     identity cancels: as w grows the gap falls off like |G|^2 ~ 1/w^2 (the
@@ -82,13 +84,13 @@ def return_difference_gap(A_cl, B, K, w):
                         np.broadcast_to(B, (w.size,) + B.shape))
     G = K @ X
     Gh = G.conj().transpose(0, 2, 1)
-    return G + Gh - Gh @ G, np.linalg.norm(G, axis=(1, 2))
+    return G + Gh - Gh @ G, np.linalg.norm(G, axis=(1, 2)), X
 
 
 def return_difference_rank(A_cl, B, K) -> int:
     """Normal rank of I - S'S (= that of Phi): its numerical rank at
     RANK_FREQUENCIES, the larger of the two."""
-    gaps, _ = return_difference_gap(A_cl, B, K, RANK_FREQUENCIES)
+    gaps, _, _ = return_difference_gap(A_cl, B, K, RANK_FREQUENCIES)
     return max(matrix_rank(M) for M in gaps)
 
 
@@ -138,7 +140,7 @@ def return_difference_circle(A_cl, B, K, k):
     probes = [0.0]
     if cross.size:
         probes += list(0.5 * (cross[1:] + cross[:-1])) + [2.0 * cross[-1] + 1.0]
-    gaps, g = return_difference_gap(A_cl, B, K, probes)
+    gaps, g, _ = return_difference_gap(A_cl, B, K, probes)
     fails = np.nonzero(np.linalg.eigvalsh(gaps)[:, 0] < -CIRCLE_TOL * g * (1.0 + g))[0]
     witness = float(probes[fails[0]]) if fails.size else None
     return witness is None, witness, len(probes)
@@ -169,40 +171,34 @@ class RankViolation:
     boundary: bool
 
 
-@dataclass(frozen=True)
-class RankCertificate:
-    satisfied: bool
-    violations: tuple
-
-
-def rank_condition(A_tilde, A_cl, B, K, k) -> RankCertificate:
+def rank_condition(A_tilde, A_cl, B, K, k) -> tuple:
     """The rank condition of a player whose Phi has normal rank m - k (vacuous
     when k = 0).  Each of the gap's k null vectors u at a frequency w gives
     x = (jwI - A_cl)^-1 B u = S(jw) D~(jw)^-1 u, and Phi = S~' Q S makes
     Q x = 0 for every feasible Q; so every feasible Q annihilates X_N, the
     real span of all such x.  A violation is an eigenvector of A_tilde in X_N
     with eigenvalue in the closed right half-plane: the PBH test of
-    (V', A_tilde), V an orthonormal basis of the complement of X_N."""
+    (V', A_tilde), V an orthonormal basis of the complement of X_N.  Returns
+    the violations, a tuple of RankViolation (empty: the condition holds)."""
     if not k:
-        return RankCertificate(satisfied=True, violations=())
+        return ()
     n, cols, d = A_cl.shape[0], [], 0
     # x is rational in w, so while the x read so far span less than X_N a
     # generic frequency adds a direction: X_N is complete at the first one that
     # adds none, the (n + 1)-th at the latest (each adds up to 2k, so few run).
     for j in range(n + 1):
         w = NULL_FREQUENCY * NULL_RATIO ** j
-        (gap,), _ = return_difference_gap(A_cl, B, K, [w])
+        (gap,), _, (X,) = return_difference_gap(A_cl, B, K, [w])
         lam, U = np.linalg.eigh(gap)
-        x = np.linalg.solve(1j * w * np.eye(n) - A_cl, B @ U[:, np.argsort(abs(lam))[:k]])
+        x = X @ U[:, np.argsort(abs(lam))[:k]]
         x /= np.linalg.norm(x, axis=0)
         cols += [x.real, x.imag]
         basis, s, _ = np.linalg.svd(np.hstack(cols))
         if _rank(s, NULL_SPAN_TOL) == d:
             break
         d = _rank(s, NULL_SPAN_TOL)
-    violations = tuple(RankViolation(s0=s0, x=x, boundary=abs(s0.real) <= HURWITZ_MARGIN)
-                       for s0, x in _pbh_failures(A_tilde, basis[:, d:].T, NULL_EIGVEC_TOL))
-    return RankCertificate(satisfied=not violations, violations=violations)
+    return tuple(RankViolation(s0=s0, x=x, boundary=abs(s0.real) <= HURWITZ_MARGIN)
+                 for s0, x in _pbh_failures(A_tilde, basis[:, d:].T, NULL_EIGVEC_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +209,7 @@ def solve_kalman_Q(system: GameSystem, profile: StrategyProfile, i: int) -> Kalm
     """Find Q >= 0 with K_i = B_i' P, P the Lyapunov solution for the state
     weight Q + K_i' K_i: the Kalman equation with R pinned to I, searched by
     feasibility.player_feasibility on its R_ii = I slice."""
-    return player_feasibility(system, profile, i, mode="q-only")
+    return player_feasibility(system, i, "q-only", _stationarity_map(system, profile, i))
 
 
 def solve_kalman_general(system: GameSystem, profile: StrategyProfile, i: int) -> KalmanSolution:
@@ -224,7 +220,7 @@ def solve_kalman_general(system: GameSystem, profile: StrategyProfile, i: int) -
     trace(R) = m for Q >= 0, R >= R_FLOOR I by feasibility.player_feasibility,
     the time-domain oracle's search.
     """
-    return player_feasibility(system, profile, i)
+    return player_feasibility(system, i, "general", _stationarity_map(system, profile, i))
 
 
 # ---------------------------------------------------------------------------
@@ -232,43 +228,27 @@ def solve_kalman_general(system: GameSystem, profile: StrategyProfile, i: int) -
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PhiAnalysis:
-    """Normal rank p of Phi and its circle verdict; `probes` counts the
-    circle criterion's probe frequencies."""
+class PlayerAnalysis:
+    """One player's frequency-domain verdict: the normal rank p of Phi, the
+    circle criterion (its first failing probe frequency, or None, and the
+    number of probe frequencies) and the rank condition's violations."""
 
+    index: int
+    controllable: bool
     p: int
     circle_ok: bool
     circle_witness: float | None
     probes: int
-
-
-@dataclass(frozen=True)
-class PlayerAnalysis:
-    """One player's frequency-domain verdict."""
-
-    index: int
-    controllable: bool
-    phi_analysis: PhiAnalysis
-    rank_certificate: RankCertificate
+    violations: tuple
     warnings: tuple
 
     @property
-    def circle_ok(self) -> bool:
-        return self.phi_analysis.circle_ok
-
-    @property
     def rank_ok(self) -> bool:
-        return self.rank_certificate.satisfied
+        return not self.violations
 
     @property
     def inducible(self) -> bool:
         return self.circle_ok and self.rank_ok
-
-
-@dataclass(frozen=True)
-class InducibilityAnalysis:
-    players: tuple
-    inducible: bool
 
 
 def analyze_player(system: GameSystem, profile: StrategyProfile, i: int) -> PlayerAnalysis:
@@ -282,23 +262,16 @@ def analyze_player(system: GameSystem, profile: StrategyProfile, i: int) -> Play
         p = return_difference_rank(A_cl, B, K)
         ok, witness, probes = return_difference_circle(A_cl, B, K, B.shape[1] - p)
     with _stage(i, "rank_condition"):
-        cert = rank_condition(A_tilde, A_cl, B, K, B.shape[1] - p)
+        violations = rank_condition(A_tilde, A_cl, B, K, B.shape[1] - p)
     warnings = []
     if not controllable:
         warnings.append(f"player {i}: uncontrollable subspace present; "
                         "frequency-domain statements restricted to the controllable part")
     warnings += [f"player {i}: rank violation on the imaginary-axis boundary at {v.s0}"
-                 for v in cert.violations if v.boundary]
-    return PlayerAnalysis(index=i, controllable=controllable,
-                          phi_analysis=PhiAnalysis(p, ok, witness, probes),
-                          rank_certificate=cert, warnings=tuple(warnings))
-
-
-def is_nash_inducible(system: GameSystem, profile: StrategyProfile) -> InducibilityAnalysis:
-    """Per-player circle + rank verdicts; overall verdict is their conjunction."""
-    players = tuple(analyze_player(system, profile, i) for i in range(system.num_players))
-    return InducibilityAnalysis(players=players,
-                                inducible=all(p.inducible for p in players))
+                 for v in violations if v.boundary]
+    return PlayerAnalysis(index=i, controllable=controllable, p=p, circle_ok=ok,
+                          circle_witness=witness, probes=probes, violations=violations,
+                          warnings=tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +351,10 @@ def circle_criterion(phi: PolyMatrix, frequencies=None):
 
 
 # The polynomial route's analysis: also Phi and its column compression,
-# Phi L = [phi_tilde 0]; and a rank drop of its rank condition, D L v = 0 at s0.
+# Phi L = [phi_tilde 0]; its rank condition's verdict, which can fail with no
+# violation listed; and a rank drop of it, D L v = 0 at s0.
 PolyPhiAnalysis = namedtuple("PolyPhiAnalysis", "p circle_ok circle_witness probes phi L phi_tilde")
+PolyRankCertificate = namedtuple("PolyRankCertificate", "satisfied violations")
 PolyRankViolation = namedtuple("PolyRankViolation", "s0 v real_v_available boundary")
 
 
@@ -393,7 +368,8 @@ def analyze_phi(fac: CoprimeFactorization) -> PolyPhiAnalysis:
                            phi=phi, L=L, phi_tilde=phi_tilde)
 
 
-def check_rank_condition(fac: CoprimeFactorization, analysis: PolyPhiAnalysis) -> RankCertificate:
+def check_rank_condition(fac: CoprimeFactorization,
+                         analysis: PolyPhiAnalysis) -> PolyRankCertificate:
     """No s in the closed RHP (Re s >= -polymat.RHP_MARGIN) may admit a
     nonzero v with D L v = 0 whose leading p entries vanish.
 
@@ -405,16 +381,16 @@ def check_rank_condition(fac: CoprimeFactorization, analysis: PolyPhiAnalysis) -
     m = fac.m
     p = analysis.p
     if p >= m:
-        return RankCertificate(satisfied=True, violations=())
+        return PolyRankCertificate(satisfied=True, violations=())
     DL = fac.D @ analysis.L
     T = DL.select_columns(range(p, m))
     if T.is_zero():
-        return RankCertificate(satisfied=False, violations=())
+        return PolyRankCertificate(satisfied=False, violations=())
     try:
         roots = rhp_roots_matrix(T)
     except ValueError:
         # Normal rank of T below its column count: deficient everywhere.
-        return RankCertificate(satisfied=False, violations=())
+        return PolyRankCertificate(satisfied=False, violations=())
     # The null-vector test runs on the column-scaled T that confirmed each
     # root, so large coefficients do not hide a real witness.
     Tn, col_norms = unit_columns(T)
@@ -440,7 +416,7 @@ def check_rank_condition(fac: CoprimeFactorization, analysis: PolyPhiAnalysis) -
         violations.append(PolyRankViolation(s0=s0, v=v, real_v_available=real_ok,
                                             boundary=r.boundary))
     satisfied = not any(v.real_v_available for v in violations)
-    return RankCertificate(satisfied=satisfied, violations=tuple(violations))
+    return PolyRankCertificate(satisfied=satisfied, violations=tuple(violations))
 
 
 def _null_vec(M, col_norms):

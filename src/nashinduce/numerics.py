@@ -31,7 +31,7 @@ import numpy as np
 # The tolerance table: the constants more than one module reads, and those
 # of numerics alone.  A constant that one other module reads is defined at the
 # top of that module.  Functions read them when called.
-PSD_TOL = 1e-8                 # relative skew and eigenvalue floor of symmetrize, is_psd, is_pd
+PSD_TOL = 1e-8                 # relative skew bound of symmetrize and of a Lyapunov right-hand side
 RANK_TOL = 1e-9                # relative singular-value floor of the rank rule _rank
 HURWITZ_MARGIN = 1e-9          # Hurwitz means every Re(eig) < -HURWITZ_MARGIN
 LYAPUNOV_RESIDUAL_TOL = 1e-9   # relative residual bound of every Lyapunov solution
@@ -42,6 +42,10 @@ PROJECTION_TOL = 1e-10         # stop rule of every projection loop
 ANDERSON_MEMORY = 5            # residual differences mixed by _anderson
 ANDERSON_RESTART = 2.0         # fixed-point residual growth that clears that history
 ANDERSON_FLOOR = 1e-14         # relative residual below which mixing fits round-off only
+ANDERSON_RCOND = 1e-10         # relative singular-value cutoff of _anderson's least-squares fit
+FLOOR_GIVE = 1e-3              # cone_ok's relative give below a block's positive floor
+SLICE_SPAN_TOL = 1e-12         # residual norm below which affine_slice's row adds no direction
+SLICE_MISS_TOL = 1e-8          # relative miss at which that row's value leaves the slice empty
 
 
 class DimensionError(ValueError):
@@ -127,31 +131,10 @@ def is_hurwitz(M) -> bool:
     return bool(np.max(eig(M).real) < -HURWITZ_MARGIN)
 
 
-def is_psd(M) -> bool:
-    """True iff the symmetric matrix M has min eigenvalue >= -PSD_TOL*max(1,||M||)."""
-    A = symmetrize(M)
-    w = np.linalg.eigvalsh(A)
-    return bool(w.min() >= -PSD_TOL * max(1.0, _norm(A)))
-
-
-def is_pd(M) -> bool:
-    """Strict variant of is_psd: min eigenvalue > +PSD_TOL*max(1,||M||)."""
-    A = symmetrize(M)
-    w = np.linalg.eigvalsh(A)
-    return bool(w.min() > PSD_TOL * max(1.0, _norm(A)))
-
-
 def vec(M) -> np.ndarray:
     """Column-stacking vectorization (column 1 first)."""
     A = as_matrix(M)
     return A.flatten(order="F")
-
-
-def unvec(v, rows: int, cols: int) -> np.ndarray:
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != rows * cols:
-        raise DimensionError(f"cannot reshape length {v.size} into {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
 
 
 def kron(M, N) -> np.ndarray:
@@ -506,13 +489,13 @@ def cone_ok(x, layout, slack: float = 1e-9) -> bool:
 
     Floor-zero blocks may dip to -slack times the largest Frobenius norm among
     them (at least 1); a block with a positive floor must keep its minimum
-    eigenvalue above floor * (1 - 1e-3) - slack.
+    eigenvalue above floor * (1 - FLOOR_GIVE) - slack.
     """
     blocks = sym_blocks(x, layout)
     scale = max([1.0] + [float(np.linalg.norm(X))
                          for X, (_, floor) in zip(blocks, layout) if floor == 0.0])
     for X, (_, floor) in zip(blocks, layout):
-        bound = -slack * scale if floor == 0.0 else floor * (1.0 - 1e-3) - slack
+        bound = -slack * scale if floor == 0.0 else floor * (1.0 - FLOOR_GIVE) - slack
         if float(np.linalg.eigvalsh(X).min()) < bound:
             return False
     return True
@@ -527,9 +510,10 @@ def affine_slice(V, rows, values):
     row orthogonal to the basis so far, joins it, and x_p moves along u to
     meet the row's value.  So x_p is the minimum-norm point, in span(V_a),
     and V_a an orthonormal basis of the slice's constraint rows.  A row
-    within 1e-12 of the span adds no direction: its value is already fixed
-    on the set, and x_p is None when that value misses the row's by more
-    than 1e-8 max(1, |x_p|), so that no point reaches the slice.  miss is
+    within SLICE_SPAN_TOL of the span adds no direction: its value is
+    already fixed on the set, and x_p is None when that value misses the
+    row's by more than SLICE_MISS_TOL max(1, |x_p|), so that no point
+    reaches the slice.  miss is
     that relative miss, |value - a . x_p| / max(1, |x_p|), of the first row
     no point reaches, and 0.0 when x_p is returned.
     """
@@ -539,12 +523,12 @@ def affine_slice(V, rows, values):
         g -= V @ (V.T @ g)  # second Gram-Schmidt pass keeps V_a orthonormal
         norm = float(np.linalg.norm(g))
         miss = value - a @ x_p
-        if norm >= 1e-12:
+        if norm >= SLICE_SPAN_TOL:
             x_p += g * (miss / norm**2)
             V = np.column_stack([V, g / norm])
         elif not first_miss:
             relative = abs(miss) / max(1.0, float(np.linalg.norm(x_p)))
-            first_miss = relative if relative > 1e-8 else 0.0
+            first_miss = relative if relative > SLICE_MISS_TOL else 0.0
     return (None if first_miss else x_p), V, first_miss
 
 
@@ -590,7 +574,7 @@ def _anderson(step, z, cap: int, tol: float, tangent=None):
         z = g
         if added and f_norm > ANDERSON_FLOOR * scale:
             kept = min(added, ANDERSON_MEMORY)
-            gamma = np.linalg.lstsq(dF[:, :kept], f, rcond=1e-10)[0]
+            gamma = np.linalg.lstsq(dF[:, :kept], f, rcond=ANDERSON_RCOND)[0]
             mixed = g - dG[:, :kept] @ gamma
             if np.isfinite(mixed).all():
                 z = mixed

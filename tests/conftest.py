@@ -17,7 +17,7 @@ from nashinduce import (
     is_stabilizing,
     solve_coupled_are,
 )
-from nashinduce.feasibility import _kalman_map, _player_nullspace
+from nashinduce.feasibility import _kalman_map, _player_nullspace, _stationarity_map
 from nashinduce.numerics import (
     R_FLOOR,
     RANK_TOL,
@@ -153,7 +153,7 @@ def kronecker_player_feasibility(system, profile, i, rho=R_FLOOR):
 def least_squares_kalman_Q(system, profile, i, tol=1e-8):
     """(status, kernel_dim), kernel_dim that of the map on packed Q."""
     n, m = system.n, system.m[i]
-    A, MR = _kalman_map(system, profile, i)
+    A, MR = _kalman_map(system, i, _stationarity_map(system, profile, i))
     b = -MR @ sym_pack(np.eye(m))
     V = row_basis(A)
     q = V @ np.linalg.lstsq(A @ V, b, rcond=None)[0]

@@ -12,29 +12,27 @@ from nashinduce import (
     CostParameters,
     GameSystem,
     StrategyProfile,
-    analyze_phi,
     analyze_player,
-    attach_feedback,
-    build_phi,
-    build_vectorized_system,
-    check_rank_condition,
-    circle_criterion,
     fold_cross_penalties,
-    is_nash_inducible,
-    right_coprime_factorization,
     solve_feasibility_projection,
-    solve_kalman_Q,
-    solve_kalman_general,
     unfold_cross_penalties,
     verify_nash,
 )
 from nashinduce.cli import main as cli_main
-from nashinduce.feasibility import _player_nullspace
-from nashinduce.inverse import phi_at_witness
+from nashinduce.feasibility import _player_nullspace, build_vectorized_system
+from nashinduce.inverse import (
+    analyze_phi,
+    build_phi,
+    check_rank_condition,
+    circle_criterion,
+    phi_at_witness,
+    solve_kalman_general,
+    solve_kalman_Q,
+)
 from nashinduce.numerics import kron, kron_sum, vec
 from nashinduce.polymat import PolyMatrix
 from nashinduce.problems import BUNDLED
-from nashinduce.realization import reduced_system
+from nashinduce.realization import attach_feedback, reduced_system, right_coprime_factorization
 
 from conftest import bass_seed, random_pd, random_psd
 
@@ -115,10 +113,10 @@ def test_criterion_3_worked_example_rank_certificate():
               and np.linalg.norm((fac.D @ analysis.L).eval(v.s0) @ v.v) <= 1e-6)
     # The production route, in state space: the same violation, with the unit
     # eigenvector of A_tilde at s0 = 1 as its real witness.
-    cert = analyze_player(*remark2(), 0).rank_certificate
-    ok = ok and not cert.satisfied and len(cert.violations) == 1
+    pa = analyze_player(*remark2(), 0)
+    ok = ok and not pa.rank_ok and len(pa.violations) == 1
     if ok:
-        v = cert.violations[0]
+        v = pa.violations[0]
         ok = (abs(v.s0 - 1.0) <= 1e-9 and np.isrealobj(v.x)
               and np.linalg.norm(v.x - np.ones(3) / np.sqrt(3.0)) <= 1e-9)
     report(3, ok, "closed-RHP rank violation located at s0 = 1 with a real "
@@ -152,11 +150,11 @@ def test_criterion_4_discrepancy_surfacing(tmp_path, capsys):
 
 def test_criterion_5_scalar_closed_forms():
     system, profile = scalar_game(3.0)
-    ia = is_nash_inducible(system, profile)
+    pa = analyze_player(system, profile, 0)
     sol = solve_feasibility_projection(system, profile).solutions[0]
     costs = CostParameters.identity_R([sol.Q], system.m)
     _, cert = verify_nash(system, profile, costs)
-    good_ok = (ia.inducible
+    good_ok = (pa.inducible
                and abs(sol.Q[0, 0] - 3.0) <= 1e-9
                and abs(cert.P[0][0, 0] - 3.0) <= 1e-9)
 
@@ -167,10 +165,10 @@ def test_criterion_5_scalar_closed_forms():
     fac = attach_feedback(right_coprime_factorization(system_b.A, system_b.B[0]),
                           profile_b.K[0])
     phi_val = build_phi(fac).eval(0.0).real[0, 0]
-    witness_val = phi_at_witness(system_b, profile_b, 0, pa.phi_analysis.circle_witness)
+    witness_val = phi_at_witness(system_b, profile_b, 0, pa.circle_witness)
     feas = solve_feasibility_projection(system_b, profile_b)
     bad_ok = (not pa.circle_ok
-              and pa.phi_analysis.circle_witness == 0.0
+              and pa.circle_witness == 0.0
               and abs(phi_val + 0.75) <= 1e-12
               and abs(witness_val + 0.75) <= 1e-12
               and feas.status == "infeasible_certified_by_identity")
@@ -263,9 +261,10 @@ def test_criterion_7_cone_and_convexity(nash_games):
 def test_criterion_8_oracle_equivalence(nash_games):
     disagreements = []
     for gi, (system, costs, profile, P) in enumerate(nash_games):
-        freq = is_nash_inducible(system, profile)
+        inducible = all(analyze_player(system, profile, i).inducible
+                        for i in range(system.num_players))
         feas = solve_feasibility_projection(system, profile)
-        fverdict = "inducible" if freq.inducible else "not_inducible"
+        fverdict = "inducible" if inducible else "not_inducible"
         overdict = {"feasible": "inducible",
                     "infeasible_certified_by_identity": "not_inducible",
                     "indeterminate": "indeterminate"}[feas.status]

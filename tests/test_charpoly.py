@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from nashinduce import check_rank_condition, circle_criterion
+from nashinduce.inverse import check_rank_condition, circle_criterion
 from nashinduce.polymat import (
     PolyMatrix,
     is_zero_poly,

@@ -12,7 +12,6 @@ from nashinduce import (CostParameters, GameSystem, cli, feasibility, inverse, n
                         realization, verify_nash)
 from nashinduce.cli import dumps_report, load_costs, load_problem, main
 from nashinduce.feasibility import nearest_params, solve_feasibility_projection
-from nashinduce.inverse import is_nash_inducible
 from nashinduce.numerics import PROJECTION_TOL, NumericalFailureError, project_affine_cone
 from nashinduce.problems import BUNDLED
 
@@ -588,7 +587,7 @@ def test_x0_is_ignored_like_any_unknown_key(tmp_path, capsys):
 def test_reports_carry_loop_iterations(tmp_path, capsys):
     path = write_example(tmp_path, "remark2")
     system, profile, _, _ = load_problem(path)
-    players = is_nash_inducible(system, profile).players
+    players = [inverse.analyze_player(system, profile, i) for i in range(system.num_players)]
     # check and solve report the oracle's searches, one per player.
     sols = solve_feasibility_projection(system, profile).solutions
     assert all(s.iterations > 0 for s in sols)
@@ -597,8 +596,8 @@ def test_reports_carry_loop_iterations(tmp_path, capsys):
     kalman = {"kalman_iterations": [s.iterations for s in sols],
               "kalman_gaps": [float("%.12e" % s.gap) for s in sols]}
     # Player 0 has p < m (a rank-completed pencil), player 1 p = m.
-    probes = [p.phi_analysis.probes for p in players]
-    assert [(p.phi_analysis.p, system.m[p.index]) for p in players] == [(1, 2), (1, 1)]
+    probes = [p.probes for p in players]
+    assert [(p.p, system.m[p.index]) for p in players] == [(1, 2), (1, 1)]
     assert all(k > 0 for k in probes)
     _, out, _ = run_cli(capsys, "check", path)
     report = json.loads(out)
@@ -645,6 +644,27 @@ def test_cost_file_r_row_not_a_list_is_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "solve", path, "--nearest", str(costs0))
     assert code == 2
     assert err.startswith("error: R[0]:"), err
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (np.linalg.LinAlgError("Eigenvalues did not converge"), 3, "numerical failure"),
+    (ValueError("injected"), 2, "error"),
+])
+def test_linalg_failure_outside_a_stage_is_a_numerical_failure(tmp_path, monkeypatch, capsys,
+                                                               error, code, prefix):
+    # numpy's LinAlgError subclasses ValueError; raised by the cost checks of
+    # verify and solve --nearest (outside any frequency or kalman stage) it
+    # still exits 3, while a plain ValueError stays an input error.
+    costs0 = tmp_path / "costs0.json"
+    costs0.write_text('{"Q": [[[5.0]]], "R": [[[[1.0]]]]}')
+
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    for argv in (["verify", str(DATA / "ladder_r0_n8_N3_m2.json")],
+                 ["solve", write_example(tmp_path, "scalar_feasible"), "--nearest", str(costs0)]):
+        assert run_cli(capsys, *argv) == (code, "", f"{prefix}: {error}\n"), argv
 
 
 def test_check_rejects_tol(tmp_path, capsys):
@@ -858,8 +878,8 @@ def test_each_command_runs_one_stack_and_one_search_per_listed_player(monkeypatc
     monkeypatch.setattr(feasibility, "stationarity_maps",
                         lambda *a, **k: stacks.append(1) or stationarity_maps(*a, **k))
     monkeypatch.setattr(feasibility, "player_feasibility",
-                        lambda s, p, i, *a: searches.append((i,) + a[:1])
-                        or player_feasibility(s, p, i, *a))
+                        lambda s, i, *a: searches.append((i,) + a[:1])
+                        or player_feasibility(s, i, *a))
     path = str(DATA / "ladder_r0_n8_N3_m2.json")
     for argv, expected in ((["check", path], [(0, "general"), (1, "general"), (2, "general")]),
                            (["check", path, "--player", "1"], [(1, "general")]),
@@ -880,10 +900,10 @@ def test_search_failure_names_the_player_and_stage(tmp_path, monkeypatch, capsys
     path = write_example(tmp_path, "two_player_scalar")
     player_feasibility = feasibility.player_feasibility
 
-    def failing(system, profile, i, *args):
+    def failing(system, i, *args):
         if i == 1:
             raise NumericalFailureError("residual 1e-3 above tolerance")
-        return player_feasibility(system, profile, i, *args)
+        return player_feasibility(system, i, *args)
 
     def failing_stack(*args):
         raise np.linalg.LinAlgError("Schur form did not converge")

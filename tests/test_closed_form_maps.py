@@ -13,17 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nashinduce import (
-    GameSystem,
-    PolyMatrix,
-    StrategyProfile,
-    attach_feedback,
-    build_vectorized_system,
-    closed_loop,
-    is_stabilizing,
-    right_coprime_factorization,
-)
-from nashinduce.feasibility import _player_nullspace, _stationarity_map
+from nashinduce import GameSystem, StrategyProfile, closed_loop, is_stabilizing
+from nashinduce.feasibility import _player_nullspace, _stationarity_map, build_vectorized_system
 from nashinduce.numerics import (
     kron_sum,
     nullspace,
@@ -31,9 +22,10 @@ from nashinduce.numerics import (
     sym_dim,
     sym_pack,
     sym_unpack,
-    unvec,
     vec,
 )
+from nashinduce.polymat import PolyMatrix
+from nashinduce.realization import attach_feedback, right_coprime_factorization
 
 from conftest import coeff_stack, para_map, poly_kalman_map
 
@@ -99,7 +91,8 @@ def probe_stationarity_map(system, profile, i):
         Q = sym_unpack(e[offs[0]:offs[1]], n)
         Rrow = [sym_unpack(e[offs[1 + j]:offs[2 + j]], system.m[j]) for j in range(N)]
         W = Q + sum(profile.K[j].T @ Rrow[j] @ profile.K[j] for j in range(N))
-        P = unvec(np.linalg.solve(kron_sum(Acl.T, Acl.T), -vec(0.5 * (W + W.T))), n, n)
+        P = np.linalg.solve(kron_sum(Acl.T, Acl.T), -vec(0.5 * (W + W.T))).reshape(
+            (n, n), order="F")
         P = 0.5 * (P + P.T)
         return (Rrow[i] @ profile.K[i] - system.B[i].T @ P).ravel()
 

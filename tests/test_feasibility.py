@@ -10,7 +10,6 @@ from nashinduce import (
     CostParameters,
     GameSystem,
     StrategyProfile,
-    build_vectorized_system,
     fold_cross_penalties,
     nearest_params,
     solve_feasibility_projection,
@@ -19,7 +18,7 @@ from nashinduce import (
 )
 from nashinduce import cli, feasibility, inverse, numerics
 from nashinduce.cli import load_problem
-from nashinduce.feasibility import _player_nullspace, _stationarity_map
+from nashinduce.feasibility import _player_nullspace, _stationarity_map, build_vectorized_system
 from nashinduce.numerics import (
     PROJECTION_CAP,
     PROJECTION_TOL,
@@ -224,13 +223,13 @@ def x_p_start(x_p, V, layout):
 
 
 def test_identity_start_keeps_every_kalman_status(nash_games, tmp_path, monkeypatch):
-    # player_feasibility and solve_kalman_Q answer with the identity-weight
+    # solve_kalman_general and solve_kalman_Q answer with the identity-weight
     # start as they do from x_p, on every nash_games player, tests/data fixture
     # and bundled example.
     games = oracle_games(nash_games, tmp_path)
 
     def statuses():
-        return [(name, i, feasibility.player_feasibility(system, profile, i).status,
+        return [(name, i, inverse.solve_kalman_general(system, profile, i).status,
                  inverse.solve_kalman_Q(system, profile, i).status)
                 for name, system, profile in games for i in range(system.num_players)]
 
@@ -246,7 +245,7 @@ def test_identity_start_halves_ladder_iterations(monkeypatch):
     games = [load_problem(str(path))[:2] for path in sorted(DATA.glob("ladder_*.json"))]
 
     def totals():
-        pairs = [(feasibility.player_feasibility(system, profile, i).iterations,
+        pairs = [(inverse.solve_kalman_general(system, profile, i).iterations,
                   inverse.solve_kalman_Q(system, profile, i).iterations)
                  for system, profile in games for i in range(system.num_players)]
         return np.sum(pairs, axis=0)
@@ -348,8 +347,8 @@ def test_per_game_maps_match_the_one_player_maps(nash_games, tmp_path):
             ref = _stationarity_map(system, profile, i)
             assert np.linalg.norm(M - ref) <= 1e-12 * np.linalg.norm(ref), (name, i)
             for mode in ("general", "q-only"):
-                a = feasibility.player_feasibility(system, profile, i, mode, M=M)
-                b = feasibility.player_feasibility(system, profile, i, mode)
+                a = feasibility.player_feasibility(system, i, mode, M)
+                b = feasibility.player_feasibility(system, i, mode, ref)
                 assert (a.status, a.kernel_dim) == (b.status, b.kernel_dim), (name, i, mode)
 
 
@@ -550,7 +549,8 @@ def test_stalled_loops_stop_at_once(monkeypatch):
     last = system.num_players - 1
     kalman = inverse.solve_kalman_general(system, profile, last)
     assert (kalman.status, kalman.iterations) == ("indeterminate", PROJECTION_CAP)
-    search = feasibility.player_feasibility(system, profile, last)
+    search = feasibility.player_feasibility(system, last, "general",
+                                            _stationarity_map(system, profile, last))
     assert (search.status, search.iterations) == ("indeterminate", PROJECTION_CAP)
     (reason_k, its_k, calls_k), (reason_o, its_o, calls_o) = loops
     assert (reason_k, its_k) == (reason_o, its_o) == ("cap", PROJECTION_CAP)
@@ -565,7 +565,7 @@ def test_one_search_matches_kronecker_reference(nash_games, tmp_path):
     statuses = []
     for name, system, profile in games:
         for i in range(system.num_players):
-            status = feasibility.player_feasibility(system, profile, i).status
+            status = inverse.solve_kalman_general(system, profile, i).status
             assert status == kronecker_player_feasibility(system, profile, i)[0], (name, i)
             statuses.append(status)
     assert set(statuses) == {"solved", "infeasible", "indeterminate"}

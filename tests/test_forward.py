@@ -10,7 +10,6 @@ from nashinduce import (
     GameSystem,
     StrategyProfile,
     coupled_are_residuals,
-    equilibrium_cost,
     newton_kleinman,
     solve_coupled_are,
     verify_nash,
@@ -47,14 +46,14 @@ def test_cost_parameters_validation():
 
 
 def semidefinite_at(M, tol, strict=False):
-    """is_psd (is_pd when strict) of an exactly symmetric M at tolerance tol:
-    its least eigenvalue against the floor tol * max(1, |M|_F)."""
+    """M >= 0 (M > 0 when strict) for an exactly symmetric M at tolerance
+    tol: its least eigenvalue against the floor tol * max(1, |M|_F)."""
     w, floor = np.linalg.eigvalsh(M).min(), tol * max(1.0, float(np.linalg.norm(M)))
     return bool(w > floor if strict else w >= -floor)
 
 
 def loop_validate(costs, system, tol=1e-8):
-    """Per-block reference of CostParameters.validate: is_psd / is_pd on each
+    """Per-block reference of CostParameters.validate: semidefinite_at on each
     block in turn, each shape checked as it comes."""
     N = system.num_players
     if len(costs.Q) != N or len(costs.R) != N:
@@ -146,7 +145,7 @@ def test_validate_agrees_with_the_per_block_reference(nash_games):
 
 
 def test_verify_nash_psd_flags_are_is_psd(tmp_path, nash_games):
-    # P_psd comes from one eigvalsh of the P stack; it must be is_psd(P_i, tol)
+    # P_psd comes from one eigvalsh of the P stack; it must be semidefinite_at(P_i, tol)
     # on the Nash games, on closed-form games with Q_1 doubled, and on games
     # whose P is singular, where round-off decides the flag at tiny tolerances.
     if str(PERFBENCH) not in sys.path:
@@ -399,10 +398,3 @@ def test_probe_jacobian_is_the_residual_derivative():
             down = [Pi - E if i == j else Pi for i, Pi in enumerate(P)]
             diff = 0.5 * (packed(up) - packed(down))
             assert np.allclose(diff, ref[:, col], rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
-
-
-def test_equilibrium_cost():
-    P = np.array([[2.0, 1.0], [1.0, 2.0]])
-    assert equilibrium_cost(P, [1.0, 1.0]) == pytest.approx(6.0)
-    with pytest.raises(DimensionError):
-        equilibrium_cost(P, [1.0])

@@ -9,26 +9,25 @@ from nashinduce import (
     CostParameters,
     GameSystem,
     StrategyProfile,
-    analyze_phi,
     analyze_player,
-    attach_feedback,
-    build_phi,
-    check_rank_condition,
-    circle_criterion,
-    is_nash_inducible,
-    right_coprime_factorization,
-    solve_kalman_Q,
-    solve_kalman_general,
 )
 from nashinduce.cli import load_problem
 from nashinduce.cli import main as cli_main
-from nashinduce.feasibility import _kalman_map
+from nashinduce.feasibility import _kalman_map, _stationarity_map
 from nashinduce.forward import verify_nash
-from nashinduce.inverse import phi_at_witness
+from nashinduce.inverse import (
+    analyze_phi,
+    build_phi,
+    check_rank_condition,
+    circle_criterion,
+    phi_at_witness,
+    solve_kalman_general,
+    solve_kalman_Q,
+)
 from nashinduce.numerics import NumericalFailureError, nullspace, psd_project
 from nashinduce.polymat import PolyMatrix
 from nashinduce.problems import BUNDLED
-from nashinduce.realization import reduced_system
+from nashinduce.realization import attach_feedback, reduced_system, right_coprime_factorization
 
 from conftest import poly_kalman_map, psd_sqrt_factor
 
@@ -205,7 +204,8 @@ def _kernels(system, profile, i):
     """(time-domain, polynomial) Kalman kernels of player i over packed (Q, R)."""
     A_tilde, _ = reduced_system(system, profile, i)
     fac = attach_feedback(right_coprime_factorization(A_tilde, system.B[i]), profile.K[i])
-    return nullspace(np.hstack(_kalman_map(system, profile, i))), nullspace(poly_kalman_map(fac))
+    M = _stationarity_map(system, profile, i)
+    return nullspace(np.hstack(_kalman_map(system, i, M))), nullspace(poly_kalman_map(fac))
 
 
 def _containment(Z, Zp):
@@ -247,12 +247,12 @@ def test_kalman_general_recovers_nash_costs(name):
     assert verify_nash(system, profile, costs, tol=tol)[0]
 
 
-def test_is_nash_inducible_scalars():
+def test_analyze_player_scalars():
     system = GameSystem(np.array([[1.0]]), [np.array([[1.0]])])
     good = StrategyProfile.stabilizing(system, [np.array([[3.0]])])
     bad = StrategyProfile.stabilizing(system, [np.array([[1.5]])])
-    assert is_nash_inducible(system, good).inducible
-    assert not is_nash_inducible(system, bad).inducible
+    assert analyze_player(system, good, 0).inducible
+    assert not analyze_player(system, bad, 0).inducible
 
 
 def test_analyze_player_uncontrollable_warning():
@@ -326,7 +326,7 @@ def test_closed_form_game_circle_ok():
     system, profile, _, _ = load_problem(str(CLOSED_FORM_GAME))
     for i in (0, 1):
         pa = analyze_player(system, profile, i)
-        assert pa.circle_ok and pa.phi_analysis.p == system.m[i]
+        assert pa.circle_ok and pa.p == system.m[i]
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +367,7 @@ def _compare_with_polynomial_route(system, profile):
             p = analyze_phi(fac).p
         except NumericalFailureError:
             continue
-        assert pa.phi_analysis.p == p
+        assert pa.p == p
         assert pa.circle_ok == circle_criterion(build_phi(fac))[0]
         compared += 1
     return compared
@@ -385,7 +385,8 @@ def test_state_space_circle_matches_polynomial_route(nash_games):
     verdicts = {}
     for name, system, profile in _bundled_games():
         assert _compare_with_polynomial_route(system, profile) == system.num_players
-        verdicts[name] = is_nash_inducible(system, profile).inducible
+        verdicts[name] = all(analyze_player(system, profile, i).inducible
+                             for i in range(system.num_players))
     assert verdicts == {"remark2": False, "scalar_feasible": True,
                         "scalar_infeasible": False, "two_player_scalar": True}
 
@@ -405,8 +406,8 @@ def test_state_space_circle_accepts_closed_form_nash_games():
                     profile = StrategyProfile.stabilizing(system, g.K)
                     for i in range(N):
                         pa = analyze_player(system, profile, i)
-                        assert pa.phi_analysis.p == m
-                        assert pa.inducible, (g.name, r, i, pa.phi_analysis.circle_witness)
+                        assert pa.p == m
+                        assert pa.inducible, (g.name, r, i, pa.circle_witness)
                         players += 1
     assert players == 180
 
@@ -418,9 +419,9 @@ def test_state_space_circle_rejects_infeasible_games():
             g = games.infeasible((20220712, key, 3), N, m)
             system = GameSystem(g.A, g.B)
             profile = StrategyProfile.stabilizing(system, g.K)
-            analysis = is_nash_inducible(system, profile)
-            assert not analysis.inducible, g.name
-            assert all(p.phi_analysis.p == m for p in analysis.players)
+            players = [analyze_player(system, profile, i) for i in range(N)]
+            assert not all(pa.inducible for pa in players), g.name
+            assert all(pa.p == m for pa in players)
 
 
 def test_phi_at_witness_has_the_sign_of_phi():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from nashinduce import numerics
+from nashinduce import CostParameters, GameSystem, numerics
 from nashinduce.numerics import (
     HURWITZ_MARGIN,
     R_FLOOR,
@@ -12,8 +12,6 @@ from nashinduce.numerics import (
     cone_project,
     eig,
     is_hurwitz,
-    is_pd,
-    is_psd,
     kron,
     kron_sum,
     matrix_rank,
@@ -25,7 +23,6 @@ from nashinduce.numerics import (
     sym_pack,
     sym_unpack,
     symmetrize,
-    unvec,
     vec,
 )
 
@@ -35,7 +32,7 @@ from conftest import loop_cone_project, loop_sym_blocks, psd_sqrt_factor
 def test_vec_unvec_round_trip():
     rng = np.random.default_rng(0)
     M = rng.standard_normal((3, 5))
-    assert np.array_equal(unvec(vec(M), 3, 5), M)
+    assert np.array_equal(vec(M).reshape((3, 5), order="F"), M)
 
 
 def test_vec_is_column_stacking():
@@ -76,7 +73,7 @@ def test_solve_lyapunov_residual():
         P = solve_lyapunov(A, W)
         assert np.allclose(P, P.T)
         assert np.linalg.norm(P @ A + A.T @ P + W) <= 1e-8 * max(1.0, np.linalg.norm(W))
-        assert is_psd(P)
+        assert np.linalg.eigvalsh(P).min() >= -1e-8 * max(1.0, np.linalg.norm(P))
 
 
 def test_solve_lyapunov_rejects_unstable():
@@ -87,7 +84,7 @@ def test_solve_lyapunov_rejects_unstable():
 # Reference: the dense n^2 x n^2 Kronecker system solve_lyapunov replaced.
 def kron_lyapunov(A, W):
     n = A.shape[0]
-    P = unvec(np.linalg.solve(kron_sum(A.T, A.T), -vec(W)), n, n)
+    P = np.linalg.solve(kron_sum(A.T, A.T), -vec(W)).reshape((n, n), order="F")
     return 0.5 * (P + P.T)
 
 
@@ -351,14 +348,6 @@ def test_is_hurwitz():
     assert not is_hurwitz(np.diag([-1.0, 1e-3]))
 
 
-def test_psd_checks():
-    assert is_psd(np.zeros((2, 2)))
-    assert is_psd(np.eye(2))
-    assert not is_psd(np.diag([1.0, -1.0]))
-    assert is_pd(np.eye(2))
-    assert not is_pd(np.zeros((2, 2)))
-
-
 def test_psd_project_floor():
     M = np.diag([2.0, -1.0])
     assert np.allclose(psd_project(M), np.diag([2.0, 0.0]))
@@ -426,9 +415,13 @@ def test_symmetrize_never_overflows_on_finite_input():
 
 
 def test_semidefinite_floors_stay_finite_on_huge_input():
-    # |M|^2 overflows here: the floors were -inf and +inf.
-    assert not numerics.is_psd(np.array([[-1e160]]))
-    assert numerics.is_pd(np.array([[1e160]]))
+    # |M|^2 overflows here: with np.linalg.norm the floors of CostParameters'
+    # semidefinite tests would be -inf (Q) and +inf (R_ii).
+    system = GameSystem(np.array([[-1.0]]), [np.array([[1.0]])])
+    huge = np.array([[1e160]])
+    CostParameters([huge], [[huge]]).validate(system)
+    with pytest.raises(ValueError, match=r"^Q\[0\] is not positive semidefinite$"):
+        CostParameters([-huge], [[huge]]).validate(system)
 
 
 def test_solve_lyapunov_checks_huge_right_hand_sides():
@@ -439,4 +432,4 @@ def test_solve_lyapunov_checks_huge_right_hand_sides():
 
 def test_dimension_errors():
     with pytest.raises(DimensionError):
-        unvec(np.zeros(5), 2, 3)
+        numerics.require_square(np.zeros((2, 3)))

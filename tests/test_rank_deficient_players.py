@@ -25,16 +25,15 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_are
 
-from nashinduce import (GameSystem, StrategyProfile, analyze_phi, analyze_player,
-                        attach_feedback, check_rank_condition, realization,
-                        right_coprime_factorization)
+from nashinduce import GameSystem, StrategyProfile, analyze_player, realization
 from nashinduce.cli import load_problem
 from nashinduce.cli import main as cli_main
-from nashinduce.inverse import CIRCLE_TOL, RANK_FREQUENCIES, return_difference_gap
+from nashinduce.inverse import (CIRCLE_TOL, RANK_FREQUENCIES, analyze_phi, check_rank_condition,
+                                return_difference_gap)
 from nashinduce.numerics import NumericalFailureError
 from nashinduce.polymat import PolyMatrix
 from nashinduce.problems import BUNDLED
-from nashinduce.realization import reduced_system
+from nashinduce.realization import attach_feedback, reduced_system, right_coprime_factorization
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "allpass_n3_N1_m2.json"
@@ -116,7 +115,7 @@ def players():
     out = []
     for recipe, system, profile, planted in _draws(1, 156):
         pa = analyze_player(system, profile, 0)
-        if pa.phi_analysis.p < system.m[0]:
+        if pa.p < system.m[0]:
             out.append((recipe, system, profile, planted, pa))
     assert len(out) >= 150
     return out
@@ -133,9 +132,9 @@ def test_circle_of_rank_deficient_players_matches_a_dense_grid(players):
     verdicts = []
     for recipe, system, profile, _, pa in players:
         _, A_cl = reduced_system(system, profile, 0)
-        gaps, g = return_difference_gap(A_cl, system.B[0], profile.K[0], grid)
+        gaps, g, _ = return_difference_gap(A_cl, system.B[0], profile.K[0], grid)
         ok = bool((np.linalg.eigvalsh(gaps)[:, 0] >= -CIRCLE_TOL * g * (1.0 + g)).all())
-        assert pa.circle_ok == ok, (recipe, pa.phi_analysis.circle_witness)
+        assert pa.circle_ok == ok, (recipe, pa.circle_witness)
         verdicts.append(ok)
     assert 20 <= verdicts.count(False) <= len(verdicts) - 20
 
@@ -143,14 +142,13 @@ def test_circle_of_rank_deficient_players_matches_a_dense_grid(players):
 def test_rank_condition_of_rank_deficient_players_finds_the_planted_violations(players):
     violated = 0
     for recipe, system, profile, planted, pa in players:
-        cert = pa.rank_certificate
-        assert _same_points([v.s0 for v in cert.violations], planted), recipe
-        assert cert.satisfied == (not planted)
+        assert _same_points([v.s0 for v in pa.violations], planted), recipe
+        assert pa.rank_ok == (not planted)
         A_tilde, _ = reduced_system(system, profile, 0)
-        for v in cert.violations:
+        for v in pa.violations:
             assert np.isrealobj(v.x) == (v.s0.imag == 0)
             assert np.linalg.norm(A_tilde @ v.x - v.s0 * v.x) <= 1e-8 * max(1.0, abs(v.s0))
-        violated += not cert.satisfied
+        violated += not pa.rank_ok
     assert 30 <= violated <= len(players) - 30
 
 
@@ -169,15 +167,15 @@ def test_rank_condition_of_rank_deficient_players_agrees_with_the_reference(play
             cert = check_rank_condition(fac, analysis)
         except (NumericalFailureError, ValueError):
             continue
-        p = pa.phi_analysis.p
+        p = pa.p
         if analysis.p != p:
-            gaps, _ = return_difference_gap(A_cl, B, K, RANK_FREQUENCIES)
+            gaps, _, _ = return_difference_gap(A_cl, B, K, RANK_FREQUENCIES)
             for lam in np.linalg.eigvalsh(gaps):
                 assert np.sort(abs(lam))[B.shape[1] - p - 1] <= 1e-9 * abs(lam).max()
             misread += 1
             continue
         ref = [v.s0 for v in cert.violations if v.s0.imag >= -1e-9]
-        mine = [v.s0 for v in pa.rank_certificate.violations]
+        mine = [v.s0 for v in pa.violations]
         if not _same_points(ref, mine):
             assert not _same_points(ref, planted) and _same_points(mine, planted), recipe
             misses += 1

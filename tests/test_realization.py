@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from nashinduce import (
-    GameSystem,
-    StrategyProfile,
-    attach_feedback,
-    closed_loop,
-    is_stabilizing,
-    reduced_system,
-    right_coprime_factorization,
-)
+from nashinduce import GameSystem, StrategyProfile, closed_loop, is_stabilizing, reduced_system
 from nashinduce.numerics import HURWITZ_MARGIN, RANK_TOL, DimensionError, eig, matrix_rank
-from nashinduce.realization import _pbh_failures
+from nashinduce.realization import _pbh_failures, attach_feedback, right_coprime_factorization
 from nashinduce.polymat import PolyMatrix
 
 

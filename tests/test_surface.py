@@ -9,12 +9,24 @@ ALLOWED.
 
 Imports: every name a module imports is used by it, apart from
 UNUSED_IMPORTS, each with the reader that needs the binding.
+
+Literals: no function body of the production modules holds a tolerance-sized
+float literal; it is a named constant.
+
+Exports: nashinduce.__all__ is the production API, the names a command runs
+or a caller needs to build and read a game.
+
+README: its Library example runs and prints what its comments state.
 """
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "nashinduce"
+import nashinduce
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "nashinduce"
 
 ITEM_3 = "leaves with ROADMAP item 3 (the polynomial route)"
 
@@ -26,12 +38,9 @@ ALLOWED = {
     "cli.build_parser.tol_option(note)": "the solve parser adds its --nearest note",
     "cli.main(argv)": "tests and perfbench call main(argv) in-process",
     "feasibility.stationarity_maps(players)": "solve_feasibility_projection passes its players",
-    "feasibility._kalman_map(M)": "player_feasibility passes the one-stack map",
-    "feasibility.player_feasibility(mode)": "solve_feasibility_projection and solve_kalman_Q",
-    "feasibility.player_feasibility(M)": "solve_feasibility_projection passes the one-stack map",
     "feasibility.solve_feasibility_projection(players)": "cmd_check passes the --player indices",
     "feasibility.solve_feasibility_projection(mode)": "cmd_solve passes --mode",
-    "forward.CostParameters.validate(tol)": "verify_nash passes --tol; nearest_params passes 1e-6",
+    "forward.CostParameters.validate(tol)": "verify_nash passes --tol; nearest_params passes NEAREST_INPUT_TOL",
     "forward.CostParameters.validate.fails(pd)": "R_ii's positive-definite test",
     "forward.verify_nash(tol)": "cmd_solve and cmd_verify pass --tol",
     "forward.solve_coupled_are(gain_tol)": "perfbench's ladder generator (LADDER_SOLVER_ARGS)",
@@ -122,3 +131,66 @@ def unused_imports() -> set:
 
 def test_every_import_is_used():
     assert unused_imports() == UNUSED_IMPORTS.keys()
+
+
+LITERAL_MODULES = ("numerics", "feasibility", "forward", "cli")
+
+
+def small_literals() -> set:
+    """Every float literal of magnitude below 1e-2 (and not 0) inside a
+    function body of LITERAL_MODULES, as "module.function: value"; the
+    defaults of a signature are not part of its body."""
+    found = set()
+    for module in LITERAL_MODULES:
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for stmt in fn.body:
+                for node in ast.walk(stmt):
+                    if (isinstance(node, ast.Constant) and type(node.value) is float
+                            and 0.0 < abs(node.value) < 1e-2):
+                        found.add(f"{module}.{fn.name}: {node.value!r}")
+    return found
+
+
+def test_no_inline_tolerances():
+    assert small_literals() == set()
+
+
+PRODUCTION_API = [
+    "CertificateSet", "CostParameters", "DimensionError", "FeasibilityResult", "GameSystem",
+    "KalmanSolution", "NearestResult", "NumericalFailureError", "PlayerAnalysis",
+    "RankViolation", "StrategyProfile", "analyze_player", "closed_loop",
+    "coupled_are_residuals", "fold_cross_penalties", "is_stabilizing", "nearest_params",
+    "newton_kleinman", "reduced_system", "solve_coupled_are", "solve_feasibility_projection",
+    "unfold_cross_penalties", "verify_nash",
+]
+
+
+def test_exports_are_the_production_api():
+    assert nashinduce.__all__ == PRODUCTION_API
+    for name in nashinduce.__all__:
+        assert getattr(nashinduce, name) is not None, name
+
+
+def test_readme_library_example_runs():
+    # Each bare expression of the example is followed by a comment whose first
+    # word is the value's repr.
+    text = (ROOT / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", text[text.index("## Library"):], re.S).group(1)
+    lines = code.splitlines()
+    namespace, shown = {}, []
+    for node in ast.parse(code).body:
+        source = ast.get_source_segment(code, node)
+        if isinstance(node, ast.Expr):
+            comment = lines[node.end_lineno - 1].partition("#")[2].split()[0]
+            shown.append((source, repr(eval(source, namespace)), comment))
+        else:
+            exec(source, namespace)
+    assert [(source, value) for source, value, _ in shown] == [
+        ("analyze_player(system, profile, 0).inducible", "True"),
+        ("oracle.status", "'feasible'"),
+        ("oracle.solutions[0].Q", "array([[3.]])"),
+    ]
+    assert all(value == comment for _, value, comment in shown)
