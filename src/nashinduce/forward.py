@@ -15,6 +15,7 @@ import numpy as np
 from .numerics import (
     NASH_TOL,
     DimensionError,
+    NotHurwitzError,
     _norm,
     as_matrix,
     is_hurwitz,
@@ -171,31 +172,35 @@ def coupled_are_residuals(system: GameSystem, costs: CostParameters, K, P):
 def newton_kleinman(A, B, Q, R, K0):
     """Stabilizing single-player Riccati solution by Newton-Kleinman.
 
-    Each step solves one Lyapunov equation; the gain step is damped by
-    halving (up to 10 times) whenever stability would be lost.
+    Each step solves one Lyapunov equation, and that solve is also the
+    stability test: a gain whose closed loop is not Hurwitz makes
+    solve_lyapunov raise NotHurwitzError off its Schur diagonal, so each
+    closed loop is factored once.  The gain step is damped by halving (up to
+    10 times) while that happens; the accepted gain's P is the answer.
     """
     A = as_matrix(A)
     B = as_matrix(B)
     K = as_matrix(K0).copy()
-    if not is_hurwitz(A - B @ K):
-        raise ValueError("Newton-Kleinman needs a stabilizing initial gain")
-    Rinv = np.linalg.inv(R)
-    P = None
-    for _ in range(KLEINMAN_MAX_ITER):
+    try:
         P = solve_lyapunov(A - B @ K, Q + K.T @ R @ K)
-        K_new = Rinv @ B.T @ P
-        step = K_new - K
+    except NotHurwitzError as exc:
+        raise ValueError("Newton-Kleinman needs a stabilizing initial gain") from exc
+    Rinv = np.linalg.inv(R)
+    for _ in range(KLEINMAN_MAX_ITER):
+        step = Rinv @ B.T @ P - K
         damp = 1.0
         for _ in range(10):
-            if is_hurwitz(A - B @ (K + damp * step)):
+            trial = K + damp * step
+            try:
+                P = solve_lyapunov(A - B @ trial, Q + trial.T @ R @ trial)
                 break
-            damp *= 0.5
+            except NotHurwitzError:
+                damp *= 0.5
         else:
             raise RuntimeError("Newton-Kleinman lost stabilizability")
-        K = K + damp * step
+        K = trial
         if float(np.linalg.norm(step)) <= KLEINMAN_TOL * max(1.0, float(np.linalg.norm(K))):
             break
-    P = solve_lyapunov(A - B @ K, Q + K.T @ R @ K)
     return Rinv @ B.T @ P, P
 
 

@@ -56,6 +56,11 @@ class NumericalFailureError(RuntimeError):
     """An iterative or direct solve failed to produce a usable result."""
 
 
+class NotHurwitzError(ValueError):
+    """A Lyapunov solve's matrix has an eigenvalue with Re >= -HURWITZ_MARGIN,
+    read off the diagonal of its Schur form."""
+
+
 class StageError(NumericalFailureError):
     """A numerical failure in one stage of one player's analysis."""
 
@@ -149,12 +154,29 @@ def kron_sum(N, M) -> np.ndarray:
     return np.kron(A, np.eye(m)) + np.kron(np.eye(n), B)
 
 
+def _no_sort(*_):
+    """gees' eigenvalue selector; unsorted Schur forms never call it."""
+
+
 @functools.lru_cache(maxsize=64)
 def _schur_lwork(n: int) -> int:
     """LAPACK's optimal workspace of a real Schur factorization of size n,
     which scipy.linalg.schur would otherwise query on every call."""
     from scipy.linalg import lapack
-    return int(lapack.dgees(lambda *_: None, np.zeros((n, n)), lwork=-1)[-2][0])
+    return int(lapack.dgees(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0])
+
+
+def _schur(M):
+    """Real Schur form M = U T U' (T standardized, unsorted) by one LAPACK
+    gees call with the cached workspace: the factorization
+    scipy.linalg.schur(M, lwork=_schur_lwork(n)) computes, bitwise, without
+    its argument handling.  solve_lyapunov's one factorization."""
+    from scipy.linalg import lapack
+    T, _, _, _, U, _, info = lapack.dgees(_no_sort, M, lwork=_schur_lwork(len(M)))
+    if info:  # pragma: no cover - rare: the QR iteration did not converge
+        raise NumericalFailureError("Schur factorization failed: "
+                                    "Schur form not found. Possibly ill-conditioned.")
+    return T, U
 
 
 def solve_lyapunov(Acl, W, *, with_margin: bool = False):
@@ -169,7 +191,9 @@ def solve_lyapunov(Acl, W, *, with_margin: bool = False):
     for a tall stack (_swept), all at once by one column sweep of T
     (_schur_sweep).  with_margin returns (P, margin) instead, with the
     Hurwitz margin -max Re eig(Acl) read off the diagonal of T, so a caller
-    that needs both factors Acl once.
+    that needs both factors Acl once.  A margin not above HURWITZ_MARGIN
+    raises NotHurwitzError before anything is solved, so a caller may also
+    use the solve itself as its stability test (newton_kleinman does).
     """
     import scipy.linalg  # deferred: commands that solve no Lyapunov skip it
     A = require_square(Acl, "Acl")
@@ -185,13 +209,10 @@ def solve_lyapunov(Acl, W, *, with_margin: bool = False):
     if any(d > PSD_TOL * w for d, w in zip(_fro(Ws - Wt), scales)):
         raise ValueError(f"W is not symmetric within tolerance {PSD_TOL}")
     Ws = 0.5 * (Ws + Wt)
-    try:
-        T, U = scipy.linalg.schur(A.T, lwork=_schur_lwork(len(A)), check_finite=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericalFailureError(f"Schur factorization failed: {exc}") from exc
+    T, U = _schur(A.T)
     top = float(T.diagonal().max())  # standardized 2x2 blocks hold Re(eig) on the diagonal
     if not top < -HURWITZ_MARGIN:
-        raise ValueError("Acl must be Hurwitz for a Lyapunov solve")
+        raise NotHurwitzError("Acl must be Hurwitz for a Lyapunov solve")
     C = -(U.T @ (Ws @ U))
     if _swept(*C.shape[:2]):
         C = _schur_sweep(T, C)

@@ -18,13 +18,16 @@ from nashinduce import (
     solve_coupled_are,
 )
 from nashinduce.feasibility import _kalman_map, _player_nullspace, _stationarity_map
+from nashinduce.forward import KLEINMAN_MAX_ITER, KLEINMAN_TOL
 from nashinduce.numerics import (
     R_FLOOR,
     RANK_TOL,
     _identity_start,
     affine_slice,
+    as_matrix,
     cone_ok,
     cone_verdict,
+    is_hurwitz,
     nullspace,
     project_affine_cone,
     psd_project,
@@ -197,6 +200,35 @@ def poly_kalman_map(fac):
     dmax = int(2 * max(fac.S.degree, fac.D.degree, fac.D_tilde.degree, 0) + 2)
     return np.hstack([-para_map(fac.S, fac.S, dmax),
                       para_map(fac.D_tilde, fac.D_tilde, dmax) - para_map(fac.D, fac.D, dmax)])
+
+
+def eig_newton_kleinman(A, B, Q, R, K0):
+    """Newton-Kleinman with a separate eig stability test: one is_hurwitz
+    before the first step and per damped trial gain, a Lyapunov solve per
+    step and a final re-solve at the accepted gain.  The reference the
+    solver's own-Schur-form stability test must match bitwise."""
+    A = as_matrix(A)
+    B = as_matrix(B)
+    K = as_matrix(K0).copy()
+    if not is_hurwitz(A - B @ K):
+        raise ValueError("Newton-Kleinman needs a stabilizing initial gain")
+    Rinv = np.linalg.inv(R)
+    for _ in range(KLEINMAN_MAX_ITER):
+        P = solve_lyapunov(A - B @ K, Q + K.T @ R @ K)
+        K_new = Rinv @ B.T @ P
+        step = K_new - K
+        damp = 1.0
+        for _ in range(10):
+            if is_hurwitz(A - B @ (K + damp * step)):
+                break
+            damp *= 0.5
+        else:
+            raise RuntimeError("Newton-Kleinman lost stabilizability")
+        K = K + damp * step
+        if float(np.linalg.norm(step)) <= KLEINMAN_TOL * max(1.0, float(np.linalg.norm(K))):
+            break
+    P = solve_lyapunov(A - B @ K, Q + K.T @ R @ K)
+    return Rinv @ B.T @ P, P
 
 
 def bass_seed(A, B):

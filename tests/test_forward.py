@@ -14,10 +14,23 @@ from nashinduce import (
     solve_coupled_are,
     verify_nash,
 )
+from nashinduce import forward, numerics
 from nashinduce.cli import load_problem
-from nashinduce.forward import _coupled_jacobian, _coupled_residual_mats
-from nashinduce.realization import closed_loop
-from nashinduce.numerics import DimensionError, sym_dim, sym_pack, sym_unpack
+from nashinduce.forward import (
+    _coupled_jacobian,
+    _coupled_residual_mats,
+    state_weight_with_cross_terms,
+)
+from nashinduce.realization import closed_loop, reduced_system
+from nashinduce.numerics import (
+    DimensionError,
+    NumericalFailureError,
+    sym_dim,
+    sym_pack,
+    sym_unpack,
+)
+
+from conftest import bass_seed, eig_newton_kleinman
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -222,13 +235,11 @@ def test_hurwitz_margin_is_the_eigenvalue_margin(nash_games):
 
 
 def test_verify_nash_factors_acl_once_and_calls_no_eig(monkeypatch):
-    import scipy.linalg
     system, profile, costs, _ = load_problem(str(Path(__file__).parent / "data"
                                                  / "closed_form_n8_N3_m1.json"))
     calls = []
-    schur, eigvals = scipy.linalg.schur, np.linalg.eigvals
-    monkeypatch.setattr(scipy.linalg, "schur",
-                        lambda *a, **k: calls.append("schur") or schur(*a, **k))
+    schur, eigvals = numerics._schur, np.linalg.eigvals
+    monkeypatch.setattr(numerics, "_schur", lambda a: calls.append("schur") or schur(a))
     monkeypatch.setattr(np.linalg, "eigvals", lambda *a: calls.append("eig") or eigvals(*a))
     assert verify_nash(system, profile, costs)[0]
     assert calls == ["schur"]
@@ -270,7 +281,7 @@ def test_newton_kleinman_scalar():
 
 
 def test_newton_kleinman_needs_stabilizing_seed():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Newton-Kleinman needs a stabilizing initial gain$"):
         newton_kleinman(np.array([[1.0]]), np.array([[1.0]]),
                         np.eye(1), np.eye(1), np.array([[0.5]]))
 
@@ -293,6 +304,144 @@ def test_newton_kleinman_matches_lyapunov_fixed_point():
         res = Q + P @ A + A.T @ P - P @ B @ np.linalg.inv(R) @ B.T @ P
         assert np.linalg.norm(res) <= 1e-8 * max(1.0, np.linalg.norm(P))
         assert np.allclose(K, np.linalg.inv(R) @ B.T @ P)
+
+
+def _outcome(f, *args):
+    """f(*args), or the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # compared, not swallowed
+        return exc
+
+
+def _same_outcome(a, b) -> bool:
+    """Both (K, P) bitwise equal, or both the same exception and message."""
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _count_factorizations(monkeypatch) -> dict:
+    """Count np.linalg.eigvals calls and solve_lyapunov's Schur forms."""
+    calls = {"eig": 0, "schur": 0}
+    eigvals, schur = np.linalg.eigvals, numerics._schur
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda M: calls.update(eig=calls["eig"] + 1) or eigvals(M))
+    monkeypatch.setattr(numerics, "_schur",
+                        lambda M: calls.update(schur=calls["schur"] + 1) or schur(M))
+    return calls
+
+
+def _compared(calls, *args) -> tuple:
+    """newton_kleinman's outcome on args, and whether it is the reference's
+    bitwise, with one Schur form for each closed loop the reference tested
+    by eig (the trial that fails its solve included) and no eig."""
+    calls.update(eig=0, schur=0)
+    ref, tested = _outcome(eig_newton_kleinman, *args), calls["eig"]
+    calls.update(eig=0, schur=0)
+    got = _outcome(newton_kleinman, *args)
+    return got, _same_outcome(got, ref) and calls == {"eig": 0, "schur": tested}
+
+
+def _scalar_lqr(q):
+    """(A, B, Q, R) = (-1, 1, q, 1): p^2 + 2p = q has a stabilizing root only
+    for q > -1.  At or below -1 the Newton steps overshoot into instability
+    and are halved until the halvings run out; just above, they crawl to the
+    step cap."""
+    return np.array([[-1.0]]), np.array([[1.0]]), np.array([[q]]), np.eye(1)
+
+
+def test_newton_kleinman_is_bitwise_the_eig_reference(nash_games, monkeypatch):
+    # Each player's best response to the others at a Nash profile, seeded far
+    # from it by bass_seed; then damped runs that exhaust their halvings and
+    # two that stop at the step cap.
+    inputs = []
+    for system, costs, profile, _ in nash_games:
+        for i, Bi in enumerate(system.B):
+            A_tilde, _ = reduced_system(system, profile, i)
+            Qt = state_weight_with_cross_terms(costs, profile, i)
+            inputs.append((A_tilde, Bi, Qt, costs.R[i][i], bass_seed(A_tilde, Bi)))
+    for q in (-1.1, -1.01, -1.0001, -1.0, -1.0 + 1e-12):
+        for k0 in (0.0, 5.0):
+            inputs.append((*_scalar_lqr(q), np.array([[k0]])))
+    calls = _count_factorizations(monkeypatch)
+    outcomes = [_compared(calls, *args) for args in inputs]
+    assert all(same for _, same in outcomes)
+    failed = [got for got, _ in outcomes if isinstance(got, Exception)]
+    assert len(inputs) >= 80 and len(failed) == 8
+    assert all(str(e) == "Newton-Kleinman lost stabilizability" for e in failed)
+
+
+def test_newton_kleinman_is_bitwise_the_eig_reference_on_ladder_cells(monkeypatch):
+    # Every best response the ladder recipe's solver runs on four cells,
+    # failed draws included (one n = 12 draw stops on a Lyapunov residual).
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import games
+    from workloads import CORPUS_SEED
+    calls, seen = _count_factorizations(monkeypatch), []
+
+    def compared(*args):
+        got, same = _compared(calls, *args)
+        seen.append((same, got))
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+    monkeypatch.setattr(forward, "newton_kleinman", compared)
+    for cell in ((4, 3, 2), (8, 3, 2), (12, 3, 1), (16, 2, 2)):
+        assert games.ladder_nash((CORPUS_SEED, 0, 1), *cell) is not None, cell
+    assert len(seen) >= 100 and all(same for same, _ in seen)
+    assert any(isinstance(got, NumericalFailureError) for _, got in seen)
+
+
+def test_newton_kleinman_factors_each_closed_loop_once(monkeypatch):
+    # The reference runs one eig per closed loop it tests and one Schur form
+    # per Lyapunov solve, i.e. steps + 1 of them with its final re-solve; the
+    # solver runs no eig and the same steps + 1 Schur forms, one per closed
+    # loop.  Then one solve_coupled_are run's every eig is a joint-closed-loop
+    # is_hurwitz of solve_coupled_are or its polish.
+    system, profile, costs, _ = load_problem(str(Path(__file__).parent / "data"
+                                                 / "ladder_r0_n8_N3_m2.json"))
+    A_tilde, _ = reduced_system(system, profile, 0)
+    args = (A_tilde, system.B[0], state_weight_with_cross_terms(costs, profile, 0),
+            costs.R[0][0], bass_seed(A_tilde, system.B[0]))
+    calls = _count_factorizations(monkeypatch)
+    ref = eig_newton_kleinman(*args)
+    steps, halvings = calls["schur"] - 1, calls["eig"] - calls["schur"]
+    assert steps >= 5 and halvings == 0
+    calls.update(eig=0, schur=0)
+    assert _same_outcome(newton_kleinman(*args), ref)
+    assert calls == {"eig": 0, "schur": steps + 1}
+
+    seed = StrategyProfile(np.split(bass_seed(system.A, np.hstack(system.B)), 3))
+    hurwitz_tests = []
+    monkeypatch.setattr(forward, "is_hurwitz",
+                        lambda M: hurwitz_tests.append(1) or numerics.is_hurwitz(M))
+    calls.update(eig=0, schur=0)
+    assert solve_coupled_are(system, costs, seed)[2]
+    # 281 while newton_kleinman tested each closed loop by eig first.
+    assert calls["eig"] == len(hurwitz_tests) == 56
+
+
+def test_newton_kleinman_error_paths(monkeypatch):
+    with pytest.raises(RuntimeError, match="^Newton-Kleinman lost stabilizability$"):
+        newton_kleinman(*_scalar_lqr(-1.1), np.array([[0.0]]))
+    # A trial solve that fails numerically is not an unstable trial: it
+    # propagates at once, and no halved step is tried.
+    solves, solve = [], forward.solve_lyapunov
+
+    def failing(A, W):
+        solves.append(1)
+        if len(solves) == 2:
+            raise NumericalFailureError("Lyapunov residual 1.000e+00 above tolerance")
+        return solve(A, W)
+
+    monkeypatch.setattr(forward, "solve_lyapunov", failing)
+    with pytest.raises(NumericalFailureError, match="residual"):
+        newton_kleinman(np.array([[1.0]]), np.array([[1.0]]), np.eye(1), np.eye(1),
+                        np.array([[2.0]]))
+    assert len(solves) == 2
 
 
 def test_solve_coupled_are_two_player_scalar():

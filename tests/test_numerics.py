@@ -149,6 +149,27 @@ def test_schur_hurwitz_test_rejects_what_is_hurwitz_rejects():
     assert verdicts == [False] * 4 + [True] * 2
 
 
+def test_schur_is_scipy_schur_bitwise():
+    # solve_lyapunov's one factorization calls gees directly with the cached
+    # workspace: the same T and U as scipy.linalg.schur, stable or not.
+    rng = np.random.default_rng(16)
+    for kind in ("real", "complex", "nonnormal"):
+        for n in (1, 2, 3, 5, 8, 16, 32, 48):
+            for A in (_stable(rng, kind, n), rng.standard_normal((n, n))):
+                T, U = numerics._schur(A.T)
+                ref = scipy.linalg.schur(A.T, lwork=numerics._schur_lwork(n), check_finite=False)
+                assert np.array_equal(T, ref[0]) and np.array_equal(U, ref[1])
+
+
+def test_non_hurwitz_solve_raises_not_hurwitz_error():
+    # The error newton_kleinman reads as "not stable": a ValueError with the
+    # message verify_nash has always reported.
+    assert issubclass(numerics.NotHurwitzError, ValueError)
+    for A in (np.array([[0.0]]), np.diag([-1.0, 1e-3]), np.array([[1e-3, 1.0], [-1.0, 1e-3]])):
+        with pytest.raises(numerics.NotHurwitzError, match="^Acl must be Hurwitz for a Lyapunov solve$"):
+            solve_lyapunov(A, np.eye(len(A)))
+
+
 def test_solve_lyapunov_failures_raise(monkeypatch):
     rng = np.random.default_rng(8)
     A, W = _stable(rng, "complex", 6), np.eye(6)
@@ -168,10 +189,9 @@ def test_lyapunov_margin_comes_with_the_same_solution_from_one_factorization(mon
     # backward-stable spectra agree to round-off times the eigenvector
     # condition number (Bauer-Fike), which the nonnormal kind makes large.
     rng = np.random.default_rng(12)
-    schur = scipy.linalg.schur
+    schur = numerics._schur
     factorizations = []
-    monkeypatch.setattr(scipy.linalg, "schur",
-                        lambda *a, **k: factorizations.append(1) or schur(*a, **k))
+    monkeypatch.setattr(numerics, "_schur", lambda a: factorizations.append(1) or schur(a))
     for kind in ("real", "complex", "nonnormal"):
         for n, k in ((1, 1), (2, 3), (5, 0), (12, 3), (16, 32), (32, 64)):
             A = _stable(rng, kind, n)
@@ -182,7 +202,7 @@ def test_lyapunov_margin_comes_with_the_same_solution_from_one_factorization(mon
             P, margin = solve_lyapunov(A, W, with_margin=True)
             assert len(factorizations) == 1
             assert np.array_equal(P, solve_lyapunov(A, W))
-            T = schur(A.T, lwork=numerics._schur_lwork(n), check_finite=False)[0]
+            T = scipy.linalg.schur(A.T, lwork=numerics._schur_lwork(n), check_finite=False)[0]
             assert margin == -T.diagonal().max()
             w, V = np.linalg.eig(A)
             bound = 1e-12 * max(1.0, np.linalg.norm(A)) * np.linalg.cond(V)
@@ -193,10 +213,9 @@ def test_lyapunov_margin_comes_with_the_same_solution_from_one_factorization(mon
 
 def test_stacked_lyapunov_is_bitwise_per_matrix(monkeypatch):
     rng = np.random.default_rng(9)
-    schur = scipy.linalg.schur
+    schur = numerics._schur
     factorizations = []
-    monkeypatch.setattr(scipy.linalg, "schur",
-                        lambda *a, **k: factorizations.append(1) or schur(*a, **k))
+    monkeypatch.setattr(numerics, "_schur", lambda a: factorizations.append(1) or schur(a))
     for kind in ("real", "complex", "nonnormal"):
         for n in (1, 2, 5, 12, 32):
             A = _stable(rng, kind, n)
