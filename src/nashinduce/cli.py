@@ -27,9 +27,9 @@ import numpy as np
 from .forward import CostParameters, verify_nash
 from .feasibility import nearest_params, solve_feasibility_projection
 from .inverse import analyze_player, phi_at_witness
-from .numerics import NASH_TOL, DimensionError, NumericalFailureError, StageError
+from .numerics import NASH_TOL, NumericalFailureError, StageError
 from .problems import BUNDLED
-from .realization import GameSystem, _stabilizing_game
+from .realization import GameSystem, StrategyProfile
 
 
 class InputError(Exception):
@@ -171,8 +171,9 @@ def load_problem(path: str):
         else:
             Rrows.append(None)
     try:
-        system, profile = _stabilizing_game(A, Bs, Ks)
-    except (DimensionError, ValueError) as exc:
+        system = GameSystem(A, Bs)
+        profile = StrategyProfile.stabilizing(system, Ks)
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
     has_costs = [Qs[i] is not None and Rrows[i] is not None for i in range(N)]
     costs = None
@@ -285,13 +286,14 @@ def _write_file(path: str, text: str) -> None:
 
 
 def _format_text(report, indent=0, key=None) -> str:
+    """The report as indented text: one line per field, ended by a newline."""
+    if key is None:
+        return "".join(_format_text(v, 0, k) + "\n" for k, v in report.items())
     pad = "  " * indent
-    head = f"{pad}{key}: " if key is not None else pad
+    head = f"{pad}{key}: "
     if isinstance(report, dict):
-        lines = [f"{pad}{key}:"] if key is not None else []
-        for k, v in report.items():
-            lines.append(_format_text(v, indent + (1 if key is not None else 0), k))
-        return "\n".join(lines) + ("\n" if indent == 0 else "")
+        return "\n".join([f"{pad}{key}:"]
+                         + [_format_text(v, indent + 1, k) for k, v in report.items()])
     if isinstance(report, list):
         if not report:
             return f"{head}[]"
@@ -302,10 +304,7 @@ def _format_text(report, indent=0, key=None) -> str:
                and all(isinstance(w, (int, float)) for w in v) for v in report):
             rows = ["[" + ", ".join(f"{w:.6g}" for w in v) + "]" for v in report]
             return head + "[" + "; ".join(rows) + "]"
-        lines = [f"{pad}{key}:"] if key is not None else []
-        for v in report:
-            lines.append(_format_text(v, indent + 1, "-"))
-        return "\n".join(lines)
+        return "\n".join([f"{pad}{key}:"] + [_format_text(v, indent + 1, "-") for v in report])
     if isinstance(report, float):
         return f"{head}{report:.6g}"
     return f"{head}{report}"
@@ -411,17 +410,18 @@ def cmd_solve(args) -> int:
     failed = next((i for i, (pa, k) in enumerate(zip(players, kalmans))
                    if k.status != "solved" or not pa.inducible), None)
     if failed is not None:
-        pa = players[failed]
+        pa, status = players[failed], kalmans[failed].status
         w = pa.circle_witness
         report = {
-            "status": "infeasible",
+            "status": ("indeterminate" if pa.inducible and status == "indeterminate"
+                       else "infeasible"),
             "failing_player": failed,
             "circle_ok": bool(pa.circle_ok),
             "circle_witness": None if w is None else float(w),
             "phi_at_witness": (None if w is None
                                else phi_at_witness(system, profile, failed, w)),
             "rank_ok": bool(pa.rank_ok),
-            "kalman_status": kalmans[failed].status,
+            "kalman_status": status,
             "players": [_player_report(p.index, p, k) for p, k in zip(players, kalmans)],
             "diagnostics": _diagnostics(kalmans, players),
         }
@@ -522,7 +522,12 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--player", type=int, default=None,
                     help="restrict both methods, frequency domain and oracle, to one player")
 
-    ps = sub.add_parser("solve", help="recover Nash-inducing cost matrices")
+    ps = sub.add_parser(
+        "solve", help="recover Nash-inducing cost matrices",
+        description="Search each player's costs, then check them for Nash. Exit 0 with "
+                    "status \"solved\", else 1: \"verification_failed\", \"infeasible\" "
+                    "at the first failing player, or \"indeterminate\" when that player's "
+                    "frequency tests pass but its search stopped without a verdict.")
     ps.add_argument("problem")
     common(ps)
     tol_option(ps, " (--nearest runs no final Nash check and ignores it)")

@@ -303,7 +303,6 @@ def solve_coupled_are(system: GameSystem, costs: CostParameters, init: StrategyP
         raise ValueError("initial profile must stabilize the closed loop")
 
     P = [np.zeros((system.n, system.n)) for _ in range(system.num_players)]
-    converged = False
     for _ in range(max_sweeps):
         max_change = 0.0
         rolled_back = False
@@ -319,15 +318,13 @@ def solve_coupled_are(system: GameSystem, costs: CostParameters, init: StrategyP
             # Damped acceptance: keep the joint closed loop stable.
             step = K_new - K[i]
             damp = 1.0
-            accepted = False
             for _ in range(10):
                 trial = [Kj.copy() for Kj in K]
                 trial[i] = K[i] + damp * step
                 if is_hurwitz(closed_loop(system, trial)):
-                    accepted = True
                     break
                 damp *= 0.5
-            if not accepted:
+            else:
                 rolled_back = True
                 break
             K[i] = K[i] + damp * step
@@ -346,8 +343,7 @@ def solve_coupled_are(system: GameSystem, costs: CostParameters, init: StrategyP
     scale = max(1.0, max(float(np.linalg.norm(Pi)) for Pi in P))
     stat = max(float(np.linalg.norm(costs.R[i][i] @ K[i] - system.B[i].T @ P[i]))
                for i in range(system.num_players))
-    if max(res) <= COUPLED_RESIDUAL_TOL * scale and stat <= COUPLED_RESIDUAL_TOL * scale:
-        converged = True
+    converged = max(res) <= COUPLED_RESIDUAL_TOL * scale and stat <= COUPLED_RESIDUAL_TOL * scale
     profile = StrategyProfile(K)
     return profile, P, converged
 

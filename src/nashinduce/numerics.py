@@ -122,20 +122,6 @@ def symmetrize(M, name: str = "matrix") -> np.ndarray:
     return 0.5 * S
 
 
-def eig(M) -> np.ndarray:
-    """All eigenvalues (with multiplicity) of a square matrix."""
-    A = require_square(M)
-    try:
-        return np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericalFailureError(f"eigenvalue iteration failed: {exc}") from exc
-
-
-def is_hurwitz(M) -> bool:
-    """True iff every eigenvalue has real part < -HURWITZ_MARGIN."""
-    return bool(np.max(eig(M).real) < -HURWITZ_MARGIN)
-
-
 def vec(M) -> np.ndarray:
     """Column-stacking vectorization (column 1 first)."""
     A = as_matrix(M)
@@ -177,6 +163,17 @@ def _schur(M):
         raise NumericalFailureError("Schur factorization failed: "
                                     "Schur form not found. Possibly ill-conditioned.")
     return T, U
+
+
+def is_hurwitz(M) -> bool:
+    """True iff every eigenvalue has real part < -HURWITZ_MARGIN, read as
+    solve_lyapunov reads it off one Schur form's diagonal (no Schur vectors)."""
+    from scipy.linalg import lapack
+    A = require_square(M)
+    T, *_, info = lapack.dgees(_no_sort, A, compute_v=0, lwork=_schur_lwork(len(A)))
+    if info:  # pragma: no cover - rare: the QR iteration did not converge
+        raise NumericalFailureError("Schur factorization failed")
+    return bool(T.diagonal().max() < -HURWITZ_MARGIN)
 
 
 def solve_lyapunov(Acl, W, *, with_margin: bool = False):

@@ -18,7 +18,6 @@ from .numerics import (
     DimensionError,
     NumericalFailureError,
     as_matrix,
-    eig,
     is_hurwitz,
     matrix_rank,
     HURWITZ_MARGIN,
@@ -32,17 +31,12 @@ FACTORIZATION_TOL = 1e-10  # relative residual of the identity (sI - A)S = B D
 
 @dataclass(frozen=True)
 class GameSystem:
-    """Plant data: drift A and one input matrix per player."""
+    """Plant data: drift A and one full-column-rank input matrix per player."""
 
     A: np.ndarray
     B: tuple
 
     def __init__(self, A, B):
-        self._set_plant(A, B)
-        if _pbh_failures(self.A.T, np.hstack(self.B).T, RANK_TOL):
-            raise ValueError("(A, [B_1 ... B_N]) is not stabilizable")
-
-    def _set_plant(self, A, B) -> None:
         A = as_matrix(A, "A")
         if A.shape[0] != A.shape[1]:
             raise DimensionError("A must be square")
@@ -79,7 +73,7 @@ def _pbh_failures(A: np.ndarray, C: np.ndarray, tol: float) -> list:
     tested (A, C real); x is phase-aligned on its largest entry, and real for
     a real lam.  (A, B) is stabilizable iff (B', A') has no failure."""
     n = A.shape[0]
-    lams = eig(A)
+    lams = np.linalg.eigvals(A)
     lams = lams[(lams.real >= -HURWITZ_MARGIN) & (lams.imag >= 0)]
     M = np.concatenate([lams[:, None, None] * np.eye(n) - A,
                         np.broadcast_to(C, (len(lams),) + C.shape)], axis=1)
@@ -105,7 +99,10 @@ class StrategyProfile:
 
     @classmethod
     def stabilizing(cls, system: GameSystem, K) -> "StrategyProfile":
-        """Construct and enforce dimensions plus closed-loop stability."""
+        """Construct and enforce dimensions plus closed-loop stability, the one
+        stabilizability test of a game: a stabilizing K certifies the plant
+        (Hautus), and a failing one is told apart from an unstabilizable plant
+        by one PBH test, which is reported first."""
         prof = cls(K)
         if len(prof.K) != system.num_players:
             raise DimensionError("one gain per player required")
@@ -115,21 +112,10 @@ class StrategyProfile:
                     f"K[{i}] has shape {Ki.shape}, expected {(Bi.shape[1], system.n)}"
                 )
         if not is_stabilizing(system, prof.K):
+            if _pbh_failures(system.A.T, np.hstack(system.B).T, RANK_TOL):
+                raise ValueError("(A, [B_1 ... B_N]) is not stabilizable")
             raise ValueError("profile does not stabilize the closed loop")
         return prof
-
-
-def _stabilizing_game(A, B, K):
-    """(GameSystem(A, B), StrategyProfile.stabilizing(system, K)) with the PBH
-    test run only when K fails, where a plant that fails it is reported first:
-    a stabilizing K witnesses that (A, [B_1 ... B_N]) is stabilizable (Hautus)."""
-    system = object.__new__(GameSystem)
-    system._set_plant(A, B)
-    try:
-        return system, StrategyProfile.stabilizing(system, K)
-    except ValueError:
-        GameSystem.__init__(system, A, B)  # the plant's checks again, then PBH
-        raise
 
 
 def closed_loop(system: GameSystem, K) -> np.ndarray:

@@ -20,6 +20,7 @@ from nashinduce import (
 from nashinduce.feasibility import _kalman_map, _player_nullspace, _stationarity_map
 from nashinduce.forward import KLEINMAN_MAX_ITER, KLEINMAN_TOL
 from nashinduce.numerics import (
+    HURWITZ_MARGIN,
     R_FLOOR,
     RANK_TOL,
     _identity_start,
@@ -27,7 +28,6 @@ from nashinduce.numerics import (
     as_matrix,
     cone_ok,
     cone_verdict,
-    is_hurwitz,
     nullspace,
     project_affine_cone,
     psd_project,
@@ -202,15 +202,20 @@ def poly_kalman_map(fac):
                       para_map(fac.D_tilde, fac.D_tilde, dmax) - para_map(fac.D, fac.D, dmax)])
 
 
+def eig_is_hurwitz(M) -> bool:
+    """The Hurwitz test by np.linalg.eigvals: every Re(eig) < -HURWITZ_MARGIN."""
+    return bool(np.max(np.linalg.eigvals(M).real) < -HURWITZ_MARGIN)
+
+
 def eig_newton_kleinman(A, B, Q, R, K0):
-    """Newton-Kleinman with a separate eig stability test: one is_hurwitz
+    """Newton-Kleinman with a separate eig stability test: one eig_is_hurwitz
     before the first step and per damped trial gain, a Lyapunov solve per
     step and a final re-solve at the accepted gain.  The reference the
     solver's own-Schur-form stability test must match bitwise."""
     A = as_matrix(A)
     B = as_matrix(B)
     K = as_matrix(K0).copy()
-    if not is_hurwitz(A - B @ K):
+    if not eig_is_hurwitz(A - B @ K):
         raise ValueError("Newton-Kleinman needs a stabilizing initial gain")
     Rinv = np.linalg.inv(R)
     for _ in range(KLEINMAN_MAX_ITER):
@@ -219,7 +224,7 @@ def eig_newton_kleinman(A, B, Q, R, K0):
         step = K_new - K
         damp = 1.0
         for _ in range(10):
-            if is_hurwitz(A - B @ (K + damp * step)):
+            if eig_is_hurwitz(A - B @ (K + damp * step)):
                 break
             damp *= 0.5
         else:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -7,9 +8,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from nashinduce import (CostParameters, GameSystem, cli, feasibility, inverse, numerics,
-                        realization, verify_nash)
+from nashinduce import (CostParameters, GameSystem, StrategyProfile, cli, feasibility,
+                        inverse, numerics, realization, verify_nash)
 from nashinduce.cli import dumps_report, load_costs, load_problem, main
 from nashinduce.feasibility import nearest_params, solve_feasibility_projection
 from nashinduce.numerics import PROJECTION_TOL, NumericalFailureError, project_affine_cone
@@ -215,6 +217,88 @@ def test_solve_infeasible_scalar(tmp_path, capsys):
     assert report["status"] == "infeasible"
     assert report["circle_witness"] == 0.0
     assert report["phi_at_witness"] == pytest.approx(-0.75)
+
+
+def test_solve_says_indeterminate_where_the_search_stops_undecided(tmp_path, capsys):
+    # A one-player LQR game, n = 4, whose Q = c'c has c(sI - A)^-1 b =
+    # (s^2 + 1)(s + 2) / det(sI - A), zero at s = +-j (w0 = 1): A companion
+    # with eigenvalues -1, -2, 0.5, -3, b = e_4, K = b'P from scipy's ARE.
+    # The circle touches 0 at w0 = 1, so every feasible Q is singular and the
+    # cone search stops at its cap: a search that reached no verdict proves no
+    # infeasibility of a game whose true costs pass the Nash check.
+    A = np.zeros((4, 4))
+    A[:3, 1:] = np.eye(3)
+    A[3] = -np.poly([-1.0, -2.0, 0.5, -3.0])[:0:-1]
+    b = np.eye(4)[:, 3:]
+    c = np.array([[2.0, 1.0, 2.0, 1.0]])  # (s^2 + 1)(s + 2), lowest power first
+    K = b.T @ scipy.linalg.solve_continuous_are(A, b, c.T @ c, np.eye(1))
+    path = tmp_path / "boundary.json"
+    path.write_text(json.dumps({"schema_version": "1", "A": A.tolist(),
+                                "players": [{"B": b.tolist(), "K_dagger": K.tolist()}]}))
+    system, profile, _, _ = load_problem(str(path))
+    assert verify_nash(system, profile, CostParameters.identity_R([c.T @ c], system.m))[0]
+    code, out, err = run_cli(capsys, "solve", str(path))
+    report = json.loads(out)
+    assert (code, err) == (1, "")
+    assert (report["status"], report["failing_player"], report["kalman_status"]) == (
+        "indeterminate", 0, "indeterminate")
+    assert report["circle_ok"] and report["rank_ok"]
+    assert report["diagnostics"]["kalman_iterations"] == [numerics.PROJECTION_CAP]
+
+
+def _text_report(capsys, *argv):
+    """(exit code, text report) of a command, checked against its JSON report:
+    one line per scalar field, each nested dict's fields indented under their
+    key, no blank line, one final newline."""
+    code, text, err = run_cli(capsys, *argv, "--format", "text")
+    json_code, out, _ = run_cli(capsys, *argv)
+    assert (code, err) == (json_code, "")
+    assert text.endswith("\n") and "\n\n" not in text, text
+    lines = text.splitlines()
+    assert [line.split(":")[0] for line in lines if not line.startswith(" ")] == list(
+        json.loads(out))
+    return code, lines
+
+
+def test_text_format_of_check(tmp_path, capsys):
+    code, lines = _text_report(capsys, "check", write_example(tmp_path, "scalar_feasible"))
+    assert code == 0
+    assert lines[:4] == ["verdict_frequency: inducible", "verdict_oracle: inducible",
+                         "disagreement: False", "frequency_error: None"]
+    k = lines.index("timings_ms:")
+    assert [line.split(":")[0] for line in lines[k:]] == [
+        "timings_ms", "  frequency", "  oracle", "diagnostics", "  kalman_iterations",
+        "  kalman_gaps", "  circle_probes"]
+    assert lines[-3:] == ["  kalman_iterations: [0]", "  kalman_gaps: [0]",
+                          "  circle_probes: [1]"]
+
+
+def test_text_format_of_solve(tmp_path, capsys):
+    code, lines = _text_report(capsys, "solve", write_example(tmp_path, "scalar_feasible"))
+    assert code == 0
+    assert lines[:5] == ["status: solved", "players:", "  -:", "    index: 0", "    Q: [[3]]"]
+    assert lines[-7:] == ["diagnostics:", "  kalman_iterations: [0]", "  kalman_gaps: [0]",
+                          "  circle_probes: [1]", "  scale: 3", "  residual_bound: 3e-08",
+                          "  psd_tol: 1e-08"]
+    code, lines = _text_report(capsys, "solve", write_example(tmp_path, "scalar_infeasible"))
+    assert code == 1
+    assert lines[:9] == ["status: infeasible", "failing_player: 0", "circle_ok: False",
+                         "circle_witness: 0", "phi_at_witness: -0.75", "rank_ok: True",
+                         "kalman_status: infeasible", "players:", "  -:"]
+    assert "    kalman:" in lines and "      status: infeasible" in lines
+    assert lines[-4:] == ["diagnostics:", "  kalman_iterations: [0]", "  kalman_gaps: [0]",
+                          "  circle_probes: [1]"]
+
+
+def test_text_format_of_verify(tmp_path, capsys):
+    code, lines = _text_report(capsys, "verify", write_example(tmp_path, "two_player_scalar"))
+    player = ["P: [[1]]", "are_residual: 0", "stationarity_residual: 0", "P_psd: True"]
+    assert code == 0
+    assert lines == (["verified: True", "hurwitz_margin: 1", "players:"]
+                     + ["  -:", "    index: 0"] + ["    " + line for line in player]
+                     + ["  -:", "    index: 1"] + ["    " + line for line in player]
+                     + ["diagnostics:", "  scale: 1", "  residual_bound: 1e-08",
+                        "  psd_tol: 1e-08"])
 
 
 def test_solve_nearest(tmp_path, capsys):
@@ -465,6 +549,47 @@ def test_schema_and_dimension_errors(tmp_path, capsys):
     assert "players[0].B" in err
 
 
+_SCALAR = {"schema_version": "1", "A": [[1.0]], "players": [{"B": [[1.0]], "K_dagger": [[3.0]]}]}
+
+
+def _edited(edit):
+    raw = json.loads(json.dumps(_SCALAR))
+    edit(raw)
+    return raw
+
+
+@pytest.mark.parametrize("raw, argv, message", [
+    (_edited(lambda r: r.pop("A")), [], "A: missing"),
+    (_edited(lambda r: r.update(A=[[1.0, 2.0]])), [], "A: must be square"),
+    (_edited(lambda r: r.update(players=[])), [], "players: must be a non-empty list"),
+    (_edited(lambda r: r.update(players=[1])), [], "players[0]: must be an object"),
+    (_edited(lambda r: r["players"][0].pop("B")), [], "players[0].B: missing"),
+    (_edited(lambda r: r["players"][0].pop("K_dagger")), [], "players[0].K_dagger: missing"),
+    ([_SCALAR], [], "{problem}: top level must be an object"),
+    (_edited(lambda r: r.update(A=[["x"]])), [],
+     "A: not a numeric matrix (could not convert string to float: 'x')"),
+    (_edited(lambda r: r.update(A=[1.0])), [], "A: expected a nested-list matrix"),
+    (_edited(lambda r: r["players"][0].update(K_dagger=[[3.0, 0.0]])), [],
+     "players[0].K_dagger: has 2 columns, expected 1"),
+    (_edited(lambda r: r["players"][0].update(Q=[[1.0]], R_row=[[[1.0, 0.0], [0.0, 1.0]]])),
+     [], "players[0].R_row[0]: has shape (2, 2), expected (1, 1)"),
+    (_edited(lambda r: r["players"][0].update(Q=[[1.0]])), [],
+     "players: Q and R_row must be supplied for every player or none"),
+    (None, [], "cannot read {problem}: [Errno 2] No such file or directory: '{problem}'"),
+    (_SCALAR, ["--nearest", "{costs}"], "{costs}: expected object with Q and R"),
+    (_SCALAR, ["--player", "1"], "--player 1: out of range"),
+])
+def test_input_errors_name_their_field(tmp_path, capsys, raw, argv, message):
+    problem, costs = tmp_path / "problem.json", tmp_path / "costs0.json"
+    if raw is not None:
+        problem.write_text(json.dumps(raw))
+    costs.write_text('{"Q": [[[1.0]]]}')
+    fill = {"problem": problem, "costs": costs}
+    command = ("solve" if "--nearest" in argv else "check", str(problem),
+               *(a.format(**fill) for a in argv))
+    assert run_cli(capsys, *command) == (2, "", f"error: {message.format(**fill)}\n")
+
+
 def test_nonstabilizing_profile_is_input_error(tmp_path, capsys):
     path = tmp_path / "unstable.json"
     path.write_text(json.dumps({
@@ -475,18 +600,53 @@ def test_nonstabilizing_profile_is_input_error(tmp_path, capsys):
     assert "stabilize" in err
 
 
-def test_loading_a_stabilizing_profile_runs_no_pbh_test(tmp_path, monkeypatch):
-    # A stabilizing K witnesses that (A, [B_1 ... B_N]) is stabilizable, so
-    # load_problem runs no PBH test on the bundled examples, the fixtures or
-    # the round-0 problems of both benchmark workloads; every one loads.
+@pytest.fixture(scope="module")
+def round0(tmp_path_factory):
+    """{workload: (calls, missing cells)} of round 0 of both benchmark
+    workloads, set up as perfbench/run.py sets them up."""
     if str(PERFBENCH) not in sys.path:
         sys.path.insert(0, str(PERFBENCH))
     import workloads
+    root = tmp_path_factory.mktemp("round0")
+    out = {}
+    for name, setup in workloads.WORKLOADS.items():
+        (root / name).mkdir()
+        out[name] = setup(0, str(root / name))
+    return out
+
+
+# The digest of round 0's corpus at workloads.CORPUS_SEED.
+ROUND0_DIGEST = "393e277f8db3d7278fff900def34aa7b120f26085ee5c0f5d37ebd11e21e9333"
+
+
+def test_benchmark_corpus_is_fingerprinted(round0):
+    # Package code (GameSystem, is_stabilizing, solve_coupled_are) decides
+    # which draw of each ladder cell is kept, so a change to it can change
+    # the benchmark's workload unseen.  This hashes what the games are: the
+    # names, the missing cells and the raw draws A, B_i of every
+    # ladder-recipe game; not K, which is solver output and can move by a few
+    # ulps between BLAS builds.
+    digest = hashlib.sha256()
+    for name, (calls, missing) in round0.items():
+        digest.update(json.dumps([name, missing]).encode())
+        for game in {call.problem: call.game for call in calls}.values():
+            digest.update(game.name.encode())
+            if game.name.startswith("ladder-"):
+                for M in (game.A, *game.B):
+                    digest.update(np.ascontiguousarray(M, dtype="<f8").tobytes())
+    assert digest.hexdigest() == ROUND0_DIGEST, (
+        "a new corpus digest means a new benchmark workload: the package now keeps "
+        "other games, so timings before and after the change are not comparable")
+
+
+def test_loading_a_stabilizing_profile_runs_no_pbh_test(tmp_path, monkeypatch, round0):
+    # A stabilizing K witnesses that (A, [B_1 ... B_N]) is stabilizable, so
+    # load_problem runs no PBH test on the bundled examples, the fixtures or
+    # the round-0 problems of both benchmark workloads; every one loads.
     paths = {write_example(tmp_path, name) for name in BUNDLED}
     paths |= {str(path) for path in DATA.glob("*.json")}
-    for name, setup in workloads.WORKLOADS.items():
-        (tmp_path / name).mkdir()
-        paths |= {call.problem for call in setup(0, str(tmp_path / name))[0]}
+    for calls, _ in round0.values():
+        paths |= {call.problem for call in calls}
     calls, pbh = [], realization._pbh_failures
     monkeypatch.setattr(realization, "_pbh_failures",
                         lambda *args: calls.append(args) or pbh(*args))
@@ -518,16 +678,21 @@ def test_a_failing_profile_is_checked_for_stabilizability(tmp_path, capsys, monk
 
 def test_a_stabilizing_profile_outranks_the_pbh_rank_rule(tmp_path):
     # B = [1e-12; 1] reaches the unstable mode of A = diag(1, -1) with
-    # sigma_min about 1e-12, below the PBH test's rank rule, so GameSystem(A,
-    # B) calls the pair unstabilizable; yet K = [2e12, 0] makes A - BK Hurwitz
-    # (eigenvalues -1, -1), which certifies it, and load_problem accepts K.
+    # sigma_min about 1e-12, below the PBH test's rank rule, which calls the
+    # pair unstabilizable; yet K = [2e12, 0] makes A - BK Hurwitz (eigenvalues
+    # -1, -1), which certifies it.  The library and load_problem accept K
+    # alike, and only a failing profile meets the rank rule's verdict.
     A, B, K = [[1.0, 0.0], [0.0, -1.0]], [[1e-12], [1.0]], [[2e12, 0.0]]
+    assert realization._pbh_failures(np.array(A).T, np.array(B).T, numerics.RANK_TOL)
+    system = GameSystem(np.array(A), [np.array(B)])
+    profile = StrategyProfile.stabilizing(system, [np.array(K)])
     with pytest.raises(ValueError, match="not stabilizable"):
-        GameSystem(np.array(A), [np.array(B)])
+        StrategyProfile.stabilizing(system, [np.zeros((1, 2))])
     path = tmp_path / "near.json"
     path.write_text(json.dumps({"schema_version": "1", "A": A,
                                 "players": [{"B": B, "K_dagger": K}]}))
-    system, profile, _, _ = load_problem(str(path))
+    loaded, loaded_profile, _, _ = load_problem(str(path))
+    assert np.array_equal(loaded.A, system.A) and np.array_equal(loaded_profile.K[0], profile.K[0])
     assert np.allclose(np.linalg.eigvals(system.A - system.B[0] @ profile.K[0]), -1.0)
 
 

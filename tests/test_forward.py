@@ -30,7 +30,7 @@ from nashinduce.numerics import (
     sym_unpack,
 )
 
-from conftest import bass_seed, eig_newton_kleinman
+from conftest import bass_seed, eig_is_hurwitz, eig_newton_kleinman
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -399,8 +399,9 @@ def test_newton_kleinman_factors_each_closed_loop_once(monkeypatch):
     # The reference runs one eig per closed loop it tests and one Schur form
     # per Lyapunov solve, i.e. steps + 1 of them with its final re-solve; the
     # solver runs no eig and the same steps + 1 Schur forms, one per closed
-    # loop.  Then one solve_coupled_are run's every eig is a joint-closed-loop
-    # is_hurwitz of solve_coupled_are or its polish.
+    # loop.  Then, with its is_hurwitz spied by the eig reference, one
+    # solve_coupled_are run's every eig is a joint-closed-loop Hurwitz test of
+    # solve_coupled_are or its polish.
     system, profile, costs, _ = load_problem(str(Path(__file__).parent / "data"
                                                  / "ladder_r0_n8_N3_m2.json"))
     A_tilde, _ = reduced_system(system, profile, 0)
@@ -417,7 +418,7 @@ def test_newton_kleinman_factors_each_closed_loop_once(monkeypatch):
     seed = StrategyProfile(np.split(bass_seed(system.A, np.hstack(system.B)), 3))
     hurwitz_tests = []
     monkeypatch.setattr(forward, "is_hurwitz",
-                        lambda M: hurwitz_tests.append(1) or numerics.is_hurwitz(M))
+                        lambda M: hurwitz_tests.append(1) or eig_is_hurwitz(M))
     calls.update(eig=0, schur=0)
     assert solve_coupled_are(system, costs, seed)[2]
     # 281 while newton_kleinman tested each closed loop by eig first.

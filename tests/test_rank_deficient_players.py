@@ -17,6 +17,7 @@ condition against the planted violations and against the polynomial
 reference check_rank_condition.
 """
 
+import functools
 import json
 import time
 from pathlib import Path
@@ -150,6 +151,22 @@ def test_rank_condition_of_rank_deficient_players_finds_the_planted_violations(p
             assert np.linalg.norm(A_tilde @ v.x - v.s0 * v.x) <= 1e-8 * max(1.0, abs(v.s0))
         violated += not pa.rank_ok
     assert 30 <= violated <= len(players) - 30
+
+
+@functools.cache
+def _cached_draws(seed, count):
+    return _draws(seed, count)
+
+
+@pytest.mark.parametrize("seed, draw", [(2, 38), (2, 56), (2, 80), (2, 120), (3, 68), (3, 151)])
+def test_rank_condition_holds_at_hard_draws(seed, draw):
+    """Draws with |K| up to about 2500 and cond(A_cl) up to about 3e7, n = 7
+    or 8, p = 1 < m = 2: the circle passes and the violations are exactly the
+    planted ones (none at draw 120, one to five elsewhere)."""
+    recipe, system, profile, planted = _cached_draws(seed, 152)[draw]
+    pa = analyze_player(system, profile, 0)
+    assert pa.p < system.m[0] and pa.circle_ok, (recipe, pa.p, pa.circle_witness)
+    assert _same_points([v.s0 for v in pa.violations], planted), recipe
 
 
 def test_rank_condition_of_rank_deficient_players_agrees_with_the_reference(players):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nashinduce import GameSystem, StrategyProfile, closed_loop, is_stabilizing, reduced_system
-from nashinduce.numerics import HURWITZ_MARGIN, RANK_TOL, DimensionError, eig, matrix_rank
+from nashinduce.numerics import HURWITZ_MARGIN, RANK_TOL, DimensionError, matrix_rank
 from nashinduce.realization import _pbh_failures, attach_feedback, right_coprime_factorization
 from nashinduce.polymat import PolyMatrix
 
@@ -10,7 +10,7 @@ from nashinduce.polymat import PolyMatrix
 def coprimeness_ok(fac, tol: float = 1e-7) -> bool:
     """PBH-style check: [S; D] keeps full column rank at eigenvalues of A_tilde."""
     stacked = fac.S.vstack(fac.D)
-    for lam in eig(fac.A_tilde):
+    for lam in np.linalg.eigvals(fac.A_tilde):
         s = np.linalg.svd(stacked.eval(lam), compute_uv=False)
         if np.sum(s > tol * max(1.0, s[0])) < fac.m:  # the rank rule, at tol
             return False
@@ -33,16 +33,18 @@ def test_game_system_validation():
     with pytest.raises(ValueError):
         # B without full column rank
         GameSystem(np.eye(2), [np.zeros((2, 1))])
-    with pytest.raises(ValueError):
-        # unstabilizable: unstable mode not reachable
-        GameSystem(np.diag([1.0, -1.0]), [np.array([[0.0], [1.0]])])
+    # Unstabilizable (unstable mode not reachable): a plant all the same,
+    # and no profile stabilizes it.
+    system = GameSystem(np.diag([1.0, -1.0]), [np.array([[0.0], [1.0]])])
+    with pytest.raises(ValueError, match=r"^\(A, \[B_1 \.\.\. B_N\]\) is not stabilizable$"):
+        StrategyProfile.stabilizing(system, [np.array([[0.0, 0.0]])])
 
 
 def loop_pbh_stabilizable(A, Ball):
     """Per-eigenvalue reference of the batched PBH test: one matrix_rank each."""
     n = A.shape[0]
     return all(matrix_rank(np.hstack([lam * np.eye(n) - A, Ball])) >= n
-               for lam in eig(A) if lam.real >= -HURWITZ_MARGIN)
+               for lam in np.linalg.eigvals(A) if lam.real >= -HURWITZ_MARGIN)
 
 
 def test_batched_pbh_matches_per_eigenvalue_loop():

@@ -28,7 +28,7 @@ import nashinduce
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nashinduce"
 
-ITEM_3 = "leaves with ROADMAP item 3 (the polynomial route)"
+ITEM_4 = "leaves with ROADMAP item 4 (the polynomial route)"
 
 ALLOWED = {
     "cli._matrix(rows)": "load_problem and load_costs check each matrix's shape",
@@ -53,20 +53,20 @@ ALLOWED = {
     "numerics.psd_project(floor)": "nearest_params passes each block's floor",
     "numerics.cone_ok(slack)": "cone_verdict passes the slack of a converged point",
     "numerics._anderson(tangent)": "project_affine_cone passes its affine set's directions",
-    "polymat.poly_trim(tol)": ITEM_3,
-    "polymat.is_zero_poly(tol)": ITEM_3,
-    "polymat.PolyMatrix.is_zero(tol)": ITEM_3,
-    "polymat.PolyMatrix.column_degrees(tol)": ITEM_3,
-    "polymat.PolyMatrix.leading_column_matrix(tol)": ITEM_3,
-    "polymat.PolyMatrix.is_column_reduced(tol)": ITEM_3,
-    "polymat.PolyMatrix.poly_rank(tol)": ITEM_3,
-    "polymat.PolyMatrix.allclose(tol)": ITEM_3,
-    "polymat._trim_tensor(tol)": ITEM_3,
-    "polymat.compress_columns(tol)": ITEM_3,
-    "polymat.unimodular_det_constant(tol)": ITEM_3,
-    "polymat.rhp_roots_poly(delta)": ITEM_3,
-    "polymat.rhp_roots_matrix(delta)": ITEM_3,
-    "polymat.rhp_roots_matrix(tol)": ITEM_3,
+    "polymat.poly_trim(tol)": ITEM_4,
+    "polymat.is_zero_poly(tol)": ITEM_4,
+    "polymat.PolyMatrix.is_zero(tol)": ITEM_4,
+    "polymat.PolyMatrix.column_degrees(tol)": ITEM_4,
+    "polymat.PolyMatrix.leading_column_matrix(tol)": ITEM_4,
+    "polymat.PolyMatrix.is_column_reduced(tol)": ITEM_4,
+    "polymat.PolyMatrix.poly_rank(tol)": ITEM_4,
+    "polymat.PolyMatrix.allclose(tol)": ITEM_4,
+    "polymat._trim_tensor(tol)": ITEM_4,
+    "polymat.compress_columns(tol)": ITEM_4,
+    "polymat.unimodular_det_constant(tol)": ITEM_4,
+    "polymat.rhp_roots_poly(delta)": ITEM_4,
+    "polymat.rhp_roots_matrix(delta)": ITEM_4,
+    "polymat.rhp_roots_matrix(tol)": ITEM_4,
 }
 
 
