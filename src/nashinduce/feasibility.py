@@ -14,9 +14,10 @@ projections (player_feasibility, the one Kalman cone search, on a map the
 caller passes: the time-domain oracle on the slice trace(R_ii) = m_i, and
 the q-only solve with R_ii = I pinned; solve_feasibility_projection runs it
 for every listed player of a game on maps from one adjoint stack), projects
-reference costs onto the feasible set (Douglas-Rachford splitting, or one
-clipped scalar projection on a one-dimensional kernel), and folds/unfolds
-cross-control penalties.  Both loops run through the
+reference costs onto the feasible set (Douglas-Rachford splitting, or, on
+the one-dimensional kernel of a scalar one-player game, one clipped scalar
+projection onto the ray of the oracle's single-point slice), and
+folds/unfolds cross-control penalties.  Both loops run through the
 Anderson-mixed fixed-point driver numerics._anderson.  The Kronecker identities
 (build_vectorized_system, _player_nullspace) remain as references; no search
 uses them.
@@ -57,9 +58,6 @@ from .realization import GameSystem, StrategyProfile, closed_loop
 
 CONVERGED_SLACK = 1e-7  # a converged point's relative slack to the cones and the kernel
 NEAREST_INPUT_TOL = 1e-6  # semidefiniteness tolerance of nearest_params' reference costs
-# A one-dimensional kernel's ray meets the cones when a floored block's least
-# eigenvalue exceeds RAY_FLOOR_TOL and every other block's exceeds -RAY_PSD_TOL.
-RAY_FLOOR_TOL, RAY_PSD_TOL = 1e-12, 1e-9
 
 
 def build_vectorized_system(system: GameSystem, profile: StrategyProfile, i: int) -> np.ndarray:
@@ -260,12 +258,15 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
     the Lyapunov map, and min |x - x0|^2 / 2 over the stationarity map's
     kernel and the cones; the players' maps come from one adjoint stack
     (stationarity_maps).  V, an orthonormal basis of the map's constraint
-    rows, projects onto the kernel as x - V(V'x).  A one-dimensional kernel
-    needs no loop (0 iterations, gap 0 for that player): when neither
-    direction z of its solution ray meets the cones, infeasibility is
-    certified; otherwise the feasible set is the ray {t z : t >= t0}, t0 =
-    R_FLOOR / lambda_min of z's R_ii block, and the answer is
-    max(t0, z . x0) z.  A larger kernel runs Douglas-Rachford splitting
+    rows, projects onto the kernel as x - V(V'x).  The kernel has dimension
+    at least ((n - m_i)^2 + n + m_i)/2 + sum_{j != i} m_j(m_j + 1)/2 >= 1,
+    so it is one-dimensional only when n = m_i = N = 1, and then needs no
+    loop (0 iterations, gap 0): its point z with R_ii = 1 (affine_slice, the
+    single-point slice player_feasibility tests in general mode) is decided
+    by cone_ok.  If no such point exists or it misses the cones,
+    infeasibility is certified; otherwise the feasible set is the ray
+    {t z : t >= R_FLOOR}, and the answer is max(R_FLOOR, z . x0 / |z|^2) z.
+    A larger kernel runs Douglas-Rachford splitting
     (step 1) from v = x0 - V(V'x0): u = (v + x0) / 2, x = u - V(V'u),
     y = P_cone(2x - v) and v <- v + y - x, mixed by numerics._anderson, until
     |y - x| <= PROJECTION_TOL max(1, |y|).  Its answer y lies in the cones
@@ -278,22 +279,16 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
     dist2 = 0.0
     for i, M in enumerate(stationarity_maps(system, profile)):
         V = row_basis(M)  # the feasible identity directions are span(V)'s complement
-        kernel_dim = M.shape[1] - V.shape[1]
-        if kernel_dim == 0:
-            return NearestResult("infeasible_certified_by_identity", None, float("inf"),
-                                 iterations, gaps)
         layout = [(system.n, 0.0)] + [(mj, R_FLOOR if j == i else 0.0)
                                       for j, mj in enumerate(system.m)]
         x0 = np.concatenate([sym_pack(costs0.Q[i])] +
                             [sym_pack(costs0.R[i][j]) for j in range(N)])
-        if kernel_dim == 1:
-            z = _kernel_direction(V)
-            z = z if _ray_in_cone(z, layout) else -z
-            if not _ray_in_cone(z, layout):
+        if M.shape[1] - V.shape[1] == 1:  # n = m_i = N = 1: x = (Q_i, R_ii)
+            z = affine_slice(V, [np.array([0.0, 1.0])], [1.0])[0]
+            if z is None or not cone_ok(z, layout):
                 return NearestResult("infeasible_certified_by_identity", None, float("inf"),
                                      iterations + (0,), gaps + (0.0,))
-            t0 = R_FLOOR / float(np.linalg.eigvalsh(sym_blocks(z, layout)[1 + i]).min())
-            y, its, gap = max(t0, float(z @ x0)) * z, 0, 0.0
+            y, its, gap = max(R_FLOOR, float(z @ x0) / float(z @ z)) * z, 0, 0.0
         else:
             def step(v):
                 u = 0.5 * (v + x0)
@@ -315,27 +310,6 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
         Rrows.append(Rrow)
     costs = CostParameters(Qs, Rrows)
     return NearestResult("feasible", costs, float(np.sqrt(dist2)), iterations, gaps)
-
-
-def _kernel_direction(V) -> np.ndarray:
-    """Unit vector spanning the one-dimensional orthogonal complement of
-    span(V): the projection e_k - V V'e_k of the unit vector it keeps most
-    of (at least 1/dim of its squared length)."""
-    k = int(np.argmin(np.einsum("ij,ij->i", V, V)))
-    z = -(V @ V[k])
-    z[k] += 1.0
-    return z / np.linalg.norm(z)
-
-
-def _ray_in_cone(z, layout) -> bool:
-    """Some positive multiple of z meets the cones: floored blocks need a
-    positive minimum eigenvalue, the others must be PSD (within
-    RAY_FLOOR_TOL and RAY_PSD_TOL)."""
-    for X, (_, floor) in zip(sym_blocks(z, layout), layout):
-        w = float(np.linalg.eigvalsh(X).min())
-        if not (w > RAY_FLOOR_TOL if floor > 0.0 else w >= -RAY_PSD_TOL):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from nashinduce import (CostParameters, GameSystem, StrategyProfile, cli, feasib
                         inverse, numerics, realization, verify_nash)
 from nashinduce.cli import dumps_report, load_costs, load_problem, main
 from nashinduce.feasibility import nearest_params, solve_feasibility_projection
-from nashinduce.numerics import PROJECTION_TOL, NumericalFailureError, project_affine_cone
+from nashinduce.numerics import (PROJECTION_CAP, PROJECTION_TOL, NumericalFailureError,
+                                 project_affine_cone)
 from nashinduce.problems import BUNDLED
 
 
@@ -791,6 +792,26 @@ def test_reports_carry_loop_iterations(tmp_path, capsys):
                            "nearest_gaps": [float("%.12e" % gap) for gap in nearest.gaps]}
     # A one-dimensional kernel whose ray meets the cones: no loop runs.
     assert diagnostics == {"nearest_iterations": [0], "nearest_gaps": [0.0]}
+
+
+def test_nearest_is_indeterminate_when_a_loop_stops_at_its_cap(tmp_path, monkeypatch, capsys):
+    # Player 2's Douglas-Rachford loop on this game stops at the cap short of
+    # PROJECTION_TOL: no costs, and solve --nearest exits 1 with no distance.
+    results = []
+    monkeypatch.setattr(cli, "nearest_params",
+                        lambda *args: results.append(nearest_params(*args)) or results[-1])
+    costs0 = tmp_path / "costs0.json"
+    costs0.write_text(json.dumps({
+        "Q": [np.eye(3).tolist()] * 3,
+        "R": [[[[1.0 if i == j else 0.0]] for j in range(3)] for i in range(3)]}))
+    code, out, _ = run_cli(capsys, "solve", str(DATA / "infeasible_r1_n3_N3_m1.json"),
+                           "--nearest", str(costs0))
+    [res] = results
+    assert (res.status, res.costs, res.distance) == ("indeterminate", None, float("inf"))
+    assert len(res.iterations) == 3 and res.iterations[-1] == PROJECTION_CAP
+    assert res.gaps[-1] > PROJECTION_TOL
+    report = json.loads(out)
+    assert (code, report["status"], report["distance"]) == (1, "indeterminate", None)
 
 
 def test_scalar_cost_file_is_input_error(tmp_path, capsys):

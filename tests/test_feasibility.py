@@ -17,7 +17,12 @@ from nashinduce import (
 )
 from nashinduce import cli, feasibility, inverse, numerics
 from nashinduce.cli import load_problem
-from nashinduce.feasibility import _player_nullspace, _stationarity_map, build_vectorized_system
+from nashinduce.feasibility import (
+    _player_nullspace,
+    _stationarity_map,
+    build_vectorized_system,
+    stationarity_maps,
+)
 from nashinduce.numerics import (
     PROJECTION_CAP,
     PROJECTION_TOL,
@@ -28,6 +33,7 @@ from nashinduce.numerics import (
     nullspace,
     project_affine_cone,
     row_basis,
+    sym_dim,
     sym_pack,
 )
 from nashinduce.problems import BUNDLED
@@ -483,6 +489,50 @@ def identity_costs(system):
 
 def packed_row(costs, i):
     return np.concatenate([sym_pack(costs.Q[i])] + [sym_pack(Rij) for Rij in costs.R[i]])
+
+
+def test_only_scalar_one_player_games_have_a_one_dimensional_kernel():
+    # Player i's map has sym_dim(n) + sum_j sym_dim(m_j) columns and n m_i
+    # rows, so its kernel has dimension at least ((n - m_i)^2 + n + m_i)/2 +
+    # sum_{j != i} m_j(m_j + 1)/2 >= 1, which is 1 only when n = m_i = N = 1.
+    rng = np.random.default_rng(27)
+    shapes = [(1, [1])] + [(n, list(rng.integers(1, min(n, 3) + 1, size=rng.integers(1, 4))))
+                           for n in rng.integers(1, 7, size=60)]
+    for n, m in shapes:
+        B = [rng.standard_normal((n, mj)) for mj in m]
+        K = [0.3 * rng.standard_normal((mj, n)) for mj in m]
+        G = rng.standard_normal((n, n))
+        shift = np.linalg.norm(G, 2) + sum(np.linalg.norm(b @ k, 2) for b, k in zip(B, K)) + 1.0
+        system = GameSystem(G - shift * np.eye(n), B)
+        profile = StrategyProfile.stabilizing(system, K)
+        for i, M in enumerate(stationarity_maps(system, profile)):
+            bound = ((n - m[i]) ** 2 + n + m[i]) // 2 + sum(
+                mj * (mj + 1) // 2 for j, mj in enumerate(m) if j != i)
+            assert bound == M.shape[1] - M.shape[0], (n, m, i)
+            kernel_dim = M.shape[1] - row_basis(M).shape[1]
+            assert kernel_dim >= bound, (n, m, i)
+            assert (kernel_dim == 1) == (n == m[i] == len(m) == 1), (n, m, i)
+
+
+def test_scalar_nearest_params_agrees_with_the_oracle():
+    # On the one-dimensional kernel of a scalar one-player game, nearest_params
+    # decides feasibility exactly as the oracle's single-point slice does.
+    rng = np.random.default_rng(11)
+    statuses = set()
+    for _ in range(200):
+        a, acl = 2.0 * rng.standard_normal(), -rng.uniform(0.1, 3.0)
+        b = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        system = GameSystem(np.array([[a]]), [np.array([[b]])])
+        profile = StrategyProfile.stabilizing(system, [np.array([[(a - acl) / b]])])
+        costs0 = CostParameters([np.array([[rng.uniform(0.0, 5.0)]])],
+                                [[np.array([[rng.uniform(0.1, 5.0)]])]])
+        res = nearest_params(costs0, system, profile)
+        oracle = solve_feasibility_projection(system, profile).status
+        assert (res.status == "feasible") == (oracle == "feasible"), (a, b, acl)
+        assert res.status in ("feasible", "infeasible_certified_by_identity")
+        assert (res.iterations, res.gaps) == ((0,), (0.0,))
+        statuses.add(res.status)
+    assert statuses == {"feasible", "infeasible_certified_by_identity"}
 
 
 def test_nearest_params_matches_dykstra_reference(nash_games):

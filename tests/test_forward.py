@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 from pathlib import Path
 
@@ -56,6 +57,16 @@ def test_cost_parameters_validation():
     bad_r = CostParameters([np.array([[1.0]])], [[np.array([[0.0]])]])
     with pytest.raises(ValueError):
         bad_r.validate(system)
+
+
+def test_cost_parameters_shape_errors():
+    system = GameSystem(-np.eye(2), [np.array([[1.0], [0.0]])])
+    Q, R = [np.eye(2)], [[np.eye(1)]]
+    for message, costs in [("cost parameters must cover every player", CostParameters([], [])),
+                           ("Q[0] has wrong shape", CostParameters([np.eye(3)], R)),
+                           ("R[0][0] has wrong shape", CostParameters(Q, [[np.eye(2)]]))]:
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            costs.validate(system)
 
 
 def semidefinite_at(M, tol, strict=False):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,19 @@ def test_game_system_validation():
     system = GameSystem(np.diag([1.0, -1.0]), [np.array([[0.0], [1.0]])])
     with pytest.raises(ValueError, match=r"^\(A, \[B_1 \.\.\. B_N\]\) is not stabilizable$"):
         StrategyProfile.stabilizing(system, [np.array([[0.0, 0.0]])])
+
+
+def test_game_and_profile_input_errors_name_their_field():
+    def raises(message, build, *args):
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            build(*args)
+
+    raises("at least one player required", GameSystem, np.eye(2), [])
+    raises("B[0] has 3 rows, expected 2", GameSystem, np.eye(2), [np.ones((3, 1))])
+    system = GameSystem(-np.eye(2), [np.array([[1.0], [0.0]])])
+    raises("one gain per player required", StrategyProfile.stabilizing, system, [])
+    raises("K[0] has shape (1, 3), expected (1, 2)",
+           StrategyProfile.stabilizing, system, [np.zeros((1, 3))])
 
 
 def loop_pbh_stabilizable(A, Ball):
