@@ -113,6 +113,8 @@ def _matrix(node, path, rows=None, cols=None):
         raise InputError(f"{path}: has {M.shape[0]} rows, expected {rows}")
     if cols is not None and M.shape[1] != cols:
         raise InputError(f"{path}: has {M.shape[1]} columns, expected {cols}")
+    if not np.isfinite(M).all():  # json.load reads NaN, Infinity and -Infinity
+        raise InputError(f"{path}: has non-finite entries")
     return M
 
 

@@ -18,9 +18,9 @@ reference costs onto the feasible set (Douglas-Rachford splitting, or, on
 the one-dimensional kernel of a scalar one-player game, one clipped scalar
 projection onto the ray of the oracle's single-point slice), and
 folds/unfolds cross-control penalties.  Both loops run through the
-Anderson-mixed fixed-point driver numerics._anderson.  The Kronecker identities
-(build_vectorized_system, _player_nullspace) remain as references; no search
-uses them.
+Anderson-mixed fixed-point driver numerics._anderson, and both accept by one
+rule, numerics.cone_verdict.  The Kronecker identities (build_vectorized_system,
+_player_nullspace) remain as references; no search uses them.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .numerics import (
     _anderson,
     _stage,
     affine_slice,
-    cone_ok,
     cone_project,
     cone_verdict,
     kron,
@@ -56,7 +55,6 @@ from .numerics import (
 )
 from .realization import GameSystem, StrategyProfile, closed_loop
 
-CONVERGED_SLACK = 1e-7  # a converged point's relative slack to the cones and the kernel
 NEAREST_INPUT_TOL = 1e-6  # semidefiniteness tolerance of nearest_params' reference costs
 
 
@@ -104,6 +102,18 @@ def _player_nullspace(system, profile, i):
 # The Kalman-equation map and the cone search over it
 # ---------------------------------------------------------------------------
 
+def _listed_players(system: GameSystem, players) -> list:
+    """players (all by default) as a list, rejecting an empty list and an
+    index out of range with GameSystem's and reduced_system's messages."""
+    players = list(range(system.num_players) if players is None else players)
+    if not players:
+        raise DimensionError("at least one player required")
+    for i in players:
+        if not 0 <= i < system.num_players:
+            raise DimensionError(f"player index {i} out of range")
+    return players
+
+
 def stationarity_maps(system: GameSystem, profile: StrategyProfile, players=None) -> list:
     """The stationarity map of each listed player (all by default), over
     packed (Q_i, R_i1..R_iN): x -> R_ii K_i - B_i' P_i, row-major over
@@ -120,7 +130,7 @@ def stationarity_maps(system: GameSystem, profile: StrategyProfile, players=None
     Acl, so all the players' n sum m_i solves are one solve_lyapunov stack,
     one Schur factorization of Acl, which a tall stack sweeps in one pass.
     """
-    players = list(range(system.num_players) if players is None else players)
+    players = _listed_players(system, players)
     n, ms = system.n, [system.m[i] for i in players]
     B = np.hstack([system.B[i] for i in players])
     X = np.zeros((B.shape[1], n, n, n))  # X[a, b] = B e_a e_b': column b holds B[:, a]
@@ -168,17 +178,19 @@ def player_feasibility(system: GameSystem, i: int, mode: str, M) -> KalmanSoluti
     stationarity_maps), on a slice of it.  Mode "general" slices
     on the normalization trace(R_ii) = m_i; "q-only" pins R_ii = I, one row
     per packed entry, and kernel_dim then counts the pinned map's kernel,
-    that of its Q_i columns.
+    that of its Q_i columns.  Any other mode raises ValueError.
 
     "infeasible" is certified by the identities alone: every solution has
     trace(R_ii) = 0, or the slice is a single point outside the cones.  With
-    R_ii pinned, a slice no solution reaches is "no_solution".  A loop
-    stopped at its cap, or converged to a point that misses the cones by
-    more than CONVERGED_SLACK, is "indeterminate".  Both modes report the
-    residual |M theta| / max(1, |theta|), or, when no point reaches the
-    slice, the relative miss of its first unreachable row (affine_slice),
-    with Q = 0.
+    R_ii pinned, a slice no solution reaches is "no_solution".  Otherwise
+    cone_verdict decides: a capped loop, or a converged point that misses
+    the cones by more than CONVERGED_SLACK, is "indeterminate".  Both modes
+    report the residual |M theta| / max(1, |theta|), or, when no point
+    reaches the slice, the relative miss of its first unreachable row
+    (affine_slice), with Q = 0.
     """
+    if mode not in ("general", "q-only"):
+        raise ValueError(f"mode must be 'general' or 'q-only', got {mode!r}")
     n, m = system.n, system.m[i]
     M = np.hstack(_kalman_map(system, i, M))
     V = row_basis(M)  # the Kalman equation's independent constraint rows
@@ -199,7 +211,7 @@ def player_feasibility(system: GameSystem, i: int, mode: str, M) -> KalmanSoluti
     theta, reason, its, gap = project_affine_cone(x_p, Va, layout)
     if q_only:  # the pinned entries exactly, not to round-off
         theta = np.concatenate([theta[:nq], eye])
-    ok = cone_verdict(theta, reason, layout, slack=CONVERGED_SLACK)
+    ok = cone_verdict(theta, reason, layout)
     Q, R = sym_blocks(theta, layout)
     residual = float(np.linalg.norm(M @ theta)) / max(1.0, float(np.linalg.norm(theta)))
     return KalmanSolution(Q=Q, R=R, residual=residual, kernel_dim=kernel_dim, psd_ok=bool(ok),
@@ -226,7 +238,7 @@ def solve_feasibility_projection(system: GameSystem, profile: StrategyProfile,
     (stationarity_maps).  The first player not solved decides the status.  A
     numerical failure raises StageError(i, "kalman"), i the player searched
     (for the stack, the first listed player)."""
-    players = list(range(system.num_players) if players is None else players)
+    players = _listed_players(system, players)
     with _stage(players[0], "kalman"):
         maps = stationarity_maps(system, profile, players)
     solutions = []
@@ -263,15 +275,15 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
     so it is one-dimensional only when n = m_i = N = 1, and then needs no
     loop (0 iterations, gap 0): its point z with R_ii = 1 (affine_slice, the
     single-point slice player_feasibility tests in general mode) is decided
-    by cone_ok.  If no such point exists or it misses the cones,
-    infeasibility is certified; otherwise the feasible set is the ray
-    {t z : t >= R_FLOOR}, and the answer is max(R_FLOOR, z . x0 / |z|^2) z.
+    as that slice is, by cone_verdict.  If no such point exists or it misses
+    the cones, infeasibility is certified; otherwise the feasible set is the
+    ray {t z : t >= R_FLOOR}, and the answer is max(R_FLOOR, z . x0 / |z|^2) z.
     A larger kernel runs Douglas-Rachford splitting
     (step 1) from v = x0 - V(V'x0): u = (v + x0) / 2, x = u - V(V'u),
     y = P_cone(2x - v) and v <- v + y - x, mixed by numerics._anderson, until
-    |y - x| <= PROJECTION_TOL max(1, |y|).  Its answer y lies in the cones
-    and must also lie on the kernel within CONVERGED_SLACK (|V'y| small);
-    otherwise it is "indeterminate".
+    |y - x| <= PROJECTION_TOL max(1, |y|).  cone_verdict rules on y as on the
+    oracle's converged point; a y it does not accept is "indeterminate".  y
+    needs no test of its own on the kernel: x lies on it, so |V'y| <= |y - x|.
     """
     costs0.validate(system, tol=NEAREST_INPUT_TOL)
     N = system.num_players
@@ -285,7 +297,7 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
                             [sym_pack(costs0.R[i][j]) for j in range(N)])
         if M.shape[1] - V.shape[1] == 1:  # n = m_i = N = 1: x = (Q_i, R_ii)
             z = affine_slice(V, [np.array([0.0, 1.0])], [1.0])[0]
-            if z is None or not cone_ok(z, layout):
+            if z is None or not cone_verdict(z, "point", layout):
                 return NearestResult("infeasible_certified_by_identity", None, float("inf"),
                                      iterations + (0,), gaps + (0.0,))
             y, its, gap = max(R_FLOOR, float(z @ x0) / float(z @ z)) * z, 0, 0.0
@@ -298,9 +310,7 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
 
             y, reason, its, gap = _anderson(step, x0 - V @ (V.T @ x0), PROJECTION_CAP,
                                             PROJECTION_TOL)
-            on_sub = (float(np.linalg.norm(V.T @ y))
-                      <= CONVERGED_SLACK * max(1.0, float(np.linalg.norm(y))))
-            if not (reason == "converged" and on_sub and cone_ok(y, layout)):
+            if not cone_verdict(y, reason, layout):
                 return NearestResult("indeterminate", None, float("inf"),
                                      iterations + (its,), gaps + (gap,))
         iterations, gaps = iterations + (its,), gaps + (gap,)

@@ -39,11 +39,11 @@ NASH_TOL = 1e-8                # default tolerance of the final Nash check (--to
 R_FLOOR = 1e-6                 # eigenvalue floor imposed on each R_ii
 PROJECTION_CAP = 10_000        # iteration cap of every projection loop
 PROJECTION_TOL = 1e-10         # stop rule of every projection loop
+CONVERGED_SLACK = 1e-7         # a converged point's relative slack to the cones (cone_verdict)
 ANDERSON_MEMORY = 5            # residual differences mixed by _anderson
 ANDERSON_RESTART = 2.0         # fixed-point residual growth that clears that history
 ANDERSON_FLOOR = 1e-14         # relative residual below which mixing fits round-off only
 ANDERSON_RCOND = 1e-10         # relative singular-value cutoff of _anderson's least-squares fit
-FLOOR_GIVE = 1e-3              # cone_ok's relative give below a block's positive floor
 SLICE_SPAN_TOL = 1e-12         # residual norm below which affine_slice's row adds no direction
 SLICE_MISS_TOL = 1e-8          # relative miss at which that row's value leaves the slice empty
 
@@ -507,13 +507,13 @@ def cone_ok(x, layout, slack: float = 1e-9) -> bool:
 
     Floor-zero blocks may dip to -slack times the largest Frobenius norm among
     them (at least 1); a block with a positive floor must keep its minimum
-    eigenvalue above floor * (1 - FLOOR_GIVE) - slack.
+    eigenvalue above floor - slack.
     """
     blocks = sym_blocks(x, layout)
     scale = max([1.0] + [float(np.linalg.norm(X))
                          for X, (_, floor) in zip(blocks, layout) if floor == 0.0])
     for X, (_, floor) in zip(blocks, layout):
-        bound = -slack * scale if floor == 0.0 else floor * (1.0 - FLOOR_GIVE) - slack
+        bound = -slack * scale if floor == 0.0 else floor - slack
         if float(np.linalg.eigvalsh(X).min()) < bound:
             return False
     return True
@@ -629,15 +629,15 @@ def project_affine_cone(x_p, V, layout):
                      tangent=lambda d: d - V @ (V.T @ d))
 
 
-def cone_verdict(x, reason: str, layout, slack: float):
-    """Whether a projection result lies in the cones: True, False, or None.
-
-    A single point is tested strictly and decides either way.  A converged
-    point lies only within the stop tolerance of the cones, so it is tested
-    with `slack` and decides nothing when it fails; neither does a capped run.
+def cone_verdict(x, reason: str, layout):
+    """Whether a projection result lies in the cones: True, False, or None;
+    the acceptance rule of both cone searches.  A single point is tested
+    strictly and decides either way.  A converged point lies only within the
+    stop tolerance of the cones, so it is tested with CONVERGED_SLACK and
+    decides nothing when it fails; neither does a capped run.
     """
     if reason == "point":
         return cone_ok(x, layout)
-    if reason == "converged" and cone_ok(x, layout, slack):
+    if reason == "converged" and cone_ok(x, layout, CONVERGED_SLACK):
         return True
     return None

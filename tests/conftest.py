@@ -142,7 +142,7 @@ def kronecker_player_feasibility(system, profile, i, rho=R_FLOOR):
         return "infeasible", None, 0
     layout = [(n, 0.0), (m, rho), (n, 0.0)]
     theta, reason, its, _ = project_affine_cone(x_p, V, layout)
-    ok = cone_verdict(theta, reason, layout, slack=1e-6)
+    ok = cone_verdict(theta, reason, layout)
     if not ok:
         return ("indeterminate" if ok is None else "infeasible"), None, its
     return "solved", sym_blocks(theta, layout), its
@@ -165,7 +165,7 @@ def least_squares_kalman_Q(system, profile, i, tol=1e-8):
         return "no_solution", kernel_dim
     layout = [(n, 0.0)]
     x, reason, _, _ = project_affine_cone(q, V, layout)
-    ok = cone_verdict(x, reason, layout, slack=1e-7)
+    ok = cone_verdict(x, reason, layout)
     return ("solved" if ok else ("indeterminate" if ok is None else "infeasible")), kernel_dim
 
 

@@ -579,13 +579,26 @@ def _edited(edit):
     (None, [], "cannot read {problem}: [Errno 2] No such file or directory: '{problem}'"),
     (_SCALAR, ["--nearest", "{costs}"], "{costs}: expected object with Q and R"),
     (_SCALAR, ["--player", "1"], "--player 1: out of range"),
+    # json.load reads NaN, Infinity and -Infinity; the field is named, not the block.
+    (_edited(lambda r: r.update(A=[[math.nan]])), [], "A: has non-finite entries"),
+    (_edited(lambda r: r["players"][0].update(B=[[math.inf]])), [],
+     "players[0].B: has non-finite entries"),
+    (_edited(lambda r: r["players"][0].update(K_dagger=[[-math.inf]])), [],
+     "players[0].K_dagger: has non-finite entries"),
+    (_edited(lambda r: r["players"][0].update(Q=[[math.nan]], R_row=[[[1.0]]])), [],
+     "players[0].Q: has non-finite entries"),
+    (_edited(lambda r: r["players"][0].update(Q=[[1.0]], R_row=[[[math.inf]]])), [],
+     "players[0].R_row[0]: has non-finite entries"),
+    (_SCALAR, ["--nearest", "{nan_costs}"], "Q[0]: has non-finite entries"),
 ])
 def test_input_errors_name_their_field(tmp_path, capsys, raw, argv, message):
     problem, costs = tmp_path / "problem.json", tmp_path / "costs0.json"
+    nan_costs = tmp_path / "nan_costs0.json"
     if raw is not None:
         problem.write_text(json.dumps(raw))
     costs.write_text('{"Q": [[[1.0]]]}')
-    fill = {"problem": problem, "costs": costs}
+    nan_costs.write_text('{"Q": [[[NaN]]], "R": [[[[1.0]]]]}')
+    fill = {"problem": problem, "costs": costs, "nan_costs": nan_costs}
     command = ("solve" if "--nearest" in argv else "check", str(problem),
                *(a.format(**fill) for a in argv))
     assert run_cli(capsys, *command) == (2, "", f"error: {message.format(**fill)}\n")

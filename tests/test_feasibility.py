@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from nashinduce.feasibility import (
     stationarity_maps,
 )
 from nashinduce.numerics import (
+    DimensionError,
     PROJECTION_CAP,
     PROJECTION_TOL,
     R_FLOOR,
@@ -92,7 +94,7 @@ def test_projection_kernel_stop_reasons(monkeypatch):
     x, reason, iterations, gap = project_affine_cone(x_p, V, layout)
     assert (reason, iterations, gap) == ("point", 0, 0.0)
     assert np.allclose(x, [3.0, 1.0, 3.0])
-    assert cone_verdict(x, reason, layout, slack=1e-6) is True
+    assert cone_verdict(x, reason, layout) is True
     # Known-Nash game with a larger kernel: converges, or stops at the cap.
     system, _, prof, _ = converged_nash_games(seed=7, count=1)[0]
     (x_p, V), layout = oracle_slice(system, prof, 0)
@@ -100,11 +102,11 @@ def test_projection_kernel_stop_reasons(monkeypatch):
     x, reason, iterations, gap = project_affine_cone(x_p, V, layout)
     assert reason == "converged" and 0 < iterations < PROJECTION_CAP
     assert gap <= PROJECTION_TOL
-    assert cone_verdict(x, reason, layout, slack=1e-6) is True
+    assert cone_verdict(x, reason, layout) is True
     monkeypatch.setattr(numerics, "PROJECTION_CAP", 1)
     x, reason, iterations, gap = project_affine_cone(x_p, V, layout)
     assert (reason, iterations) == ("cap", 1) and gap > PROJECTION_TOL
-    assert cone_verdict(x, reason, layout, slack=1e-6) is None
+    assert cone_verdict(x, reason, layout) is None
 
 
 def test_projection_kernel_matches_per_block_loop(monkeypatch):
@@ -130,9 +132,9 @@ def test_projection_kernel_matches_per_block_loop(monkeypatch):
             if reason == "converged":
                 assert gap <= tol
                 assert np.linalg.norm(x - cone_project(x, layout)) <= tol * scale
-            verdict_ref = cone_verdict(x_ref, reason_ref, layout, slack=1e-6)
+            verdict_ref = cone_verdict(x_ref, reason_ref, layout)
             if verdict_ref is not None:
-                assert cone_verdict(x, reason, layout, slack=1e-6) == verdict_ref
+                assert cone_verdict(x, reason, layout) == verdict_ref
             if cap == PROJECTION_CAP:
                 total, total_ref = total + its, total_ref + its_ref
     assert 5 * total <= total_ref, (total, total_ref)
@@ -150,7 +152,7 @@ def test_projection_kernel_stalls_like_plain_loop_outside_cones(monkeypatch):
     assert (reason, its) == (reason_ref, its_ref) == ("cap", 50)
     assert np.allclose(x, x_ref, atol=1e-12)
     assert gap == pytest.approx(float(np.linalg.norm(x_ref)), rel=1e-12)
-    assert cone_verdict(x, reason, layout, slack=1e-6) is None
+    assert cone_verdict(x, reason, layout) is None
 
 
 def test_projection_kernel_returns_at_an_exact_fixed_point(monkeypatch):
@@ -404,6 +406,23 @@ def test_feasibility_projection_infeasible_scalar():
         assert [s.status for s in res.solutions] == ["infeasible"]
 
 
+def test_searches_reject_an_unknown_mode_and_bad_players():
+    # Both are input errors with their own message, raised before any search
+    # runs or the stack's stage is labelled with the first listed player.
+    system, profile, _, _ = load_problem(str(DATA / "ladder_r0_n8_N3_m2.json"))
+    message = "^mode must be 'general' or 'q-only', got 'Q-only'$"
+    with pytest.raises(ValueError, match=message):
+        solve_feasibility_projection(system, profile, mode="Q-only")
+    with pytest.raises(ValueError, match=message):
+        feasibility.player_feasibility(system, 0, "Q-only", _stationarity_map(system, profile, 0))
+    for players, message in (([], "at least one player required"),
+                             ([0, 5], "player index 5 out of range"),
+                             ([-1], "player index -1 out of range")):
+        for search in (stationarity_maps, solve_feasibility_projection):
+            with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+                search(system, profile, players)
+
+
 def test_feasibility_agrees_with_forward_construction(nash_games):
     # The costs found pass verify_nash.
     games = [(system, profile) for system, _, profile, _ in nash_games]
@@ -533,6 +552,50 @@ def test_scalar_nearest_params_agrees_with_the_oracle():
         assert (res.iterations, res.gaps) == ((0,), (0.0,))
         statuses.add(res.status)
     assert statuses == {"feasible", "infeasible_certified_by_identity"}
+
+
+def test_a_converged_nearest_answer_lies_on_the_kernel(tmp_path, monkeypatch):
+    # nearest_params accepts its Douglas-Rachford answer y by cone_verdict
+    # alone.  y needs no test of its own on the kernel: x = u - V(V'u) lies on
+    # it and the stop rule bounds |y - x|, so |V'y| is round-off against the
+    # cones' CONVERGED_SLACK.  Checked on ladder-recipe games and the bundled
+    # examples, from identity costs and from each ladder game's own costs.
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    if str(bench) not in sys.path:
+        sys.path.insert(0, str(bench))
+    import games
+    from workloads import CORPUS_SEED
+    problems = []
+    for cell in ((4, 2, 1), (4, 3, 1), (6, 2, 2), (8, 2, 1), (8, 3, 2), (12, 2, 1)):
+        game = games.ladder_nash((CORPUS_SEED, 0, 1), *cell)
+        system = GameSystem(game.A, game.B)
+        profile = StrategyProfile.stabilizing(system, game.K)
+        problems += [(system, profile, identity_costs(system)),
+                     (system, profile, CostParameters(game.Q, game.R))]
+    for name, blob in BUNDLED.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(blob)
+        system, profile, _, _ = load_problem(str(path))
+        problems.append((system, profile, identity_costs(system)))
+    runs = []  # [V, y, reason] of each player searched
+
+    def recording_basis(M):
+        runs.append([row_basis(M)])
+        return runs[-1][0]
+
+    def recording_verdict(y, reason, layout):
+        runs[-1] += [y, reason]
+        return cone_verdict(y, reason, layout)
+
+    monkeypatch.setattr(feasibility, "row_basis", recording_basis)
+    monkeypatch.setattr(feasibility, "cone_verdict", recording_verdict)
+    for system, profile, costs0 in problems:
+        nearest_params(costs0, system, profile)
+    converged = [(V, y) for V, y, reason in runs if reason == "converged"]
+    assert len(converged) >= 25
+    for V, y in converged:
+        scale = max(1.0, float(np.linalg.norm(y)))
+        assert float(np.linalg.norm(V.T @ y)) <= 10 * PROJECTION_TOL * scale
 
 
 def test_nearest_params_matches_dykstra_reference(nash_games):

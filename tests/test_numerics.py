@@ -4,12 +4,14 @@ import scipy.linalg
 
 from nashinduce import CostParameters, GameSystem, numerics
 from nashinduce.numerics import (
+    CONVERGED_SLACK,
     HURWITZ_MARGIN,
     R_FLOOR,
     DimensionError,
     NumericalFailureError,
     cone_ok,
     cone_project,
+    cone_verdict,
     is_hurwitz,
     kron,
     kron_sum,
@@ -349,6 +351,19 @@ def test_cone_project_lands_in_the_cones():
         assert cone_ok(cone_project(x, layout), layout)
 
 
+def test_a_positive_floor_gives_only_the_slack():
+    # A block with floor R_FLOOR passes down to R_FLOOR - slack and no lower:
+    # cone_ok's own 1e-9 for a single point, CONVERGED_SLACK for a converged one.
+    layout = [(1, 0.0), (1, R_FLOOR)]
+    for below, ok in ((0.5e-9, True), (1.5e-9, False)):
+        x = np.array([1.0, R_FLOOR - below])
+        assert cone_ok(x, layout) is ok
+        assert cone_verdict(x, "point", layout) is ok
+    for below, verdict in ((0.5 * CONVERGED_SLACK, True), (1.5 * CONVERGED_SLACK, None)):
+        assert cone_verdict(np.array([1.0, R_FLOOR - below]), "converged", layout) is verdict
+    assert cone_verdict(np.array([1.0, R_FLOOR]), "cap", layout) is None
+
+
 def test_cone_project_rejects_bad_input():
     layout = [(2, 0.0), (1, R_FLOOR)]
     for bad in (np.nan, np.inf):
@@ -446,6 +461,14 @@ def test_solve_lyapunov_checks_huge_right_hand_sides():
     # The squared norm of W = 1e160 I overflows; its residual bound stays finite.
     P = numerics.solve_lyapunov(-np.eye(2), 1e160 * np.eye(2))
     assert np.array_equal(P, 5e159 * np.eye(2))
+
+
+def test_as_matrix_names_the_block():
+    with pytest.raises(DimensionError, match=r"^X must be 2-dimensional, got shape \(2, 1, 1\)$"):
+        numerics.as_matrix(np.zeros((2, 1, 1)), "X")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"^Q\[0\] contains non-finite entries$"):
+            numerics.as_matrix([[1.0, bad]], "Q[0]")
 
 
 def test_dimension_errors():

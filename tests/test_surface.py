@@ -16,7 +16,8 @@ float literal; it is a named constant.
 Exports: nashinduce.__all__ is the production API, the names a command runs
 or a caller needs to build and read a game.
 
-README: its Library example runs and prints what its comments state.
+README: its Library example runs and prints what its comments state, and
+its tolerance table has one row for each module-level constant.
 """
 
 import ast
@@ -194,3 +195,30 @@ def test_readme_library_example_runs():
         ("oracle.solutions[0].Q", "array([[3.]])"),
     ]
     assert all(value == comment for _, value, comment in shown)
+
+
+def module_constants() -> set:
+    """Every module-level UPPER_CASE name bound under src/nashinduce (tuple
+    targets too), as "module.NAME"; problems.py holds example data, not
+    constants."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "problems.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            for target in node.targets if isinstance(node, ast.Assign) else ():
+                found.update(f"{path.stem}.{name.id}" for name in ast.walk(target)
+                             if isinstance(name, ast.Name)
+                             and re.fullmatch(r"[A-Z][A-Z0-9_]*", name.id))
+    return found
+
+
+def test_readme_tolerance_table_has_one_row_per_constant():
+    text = (ROOT / "README.md").read_text()
+    table = text[text.index("| Constant | Value |"):].split("\n\n")[0].splitlines()[2:]
+    named = [name for row in table
+             for name in re.findall(r"`(\w+\.[A-Z][A-Z0-9_]*)`", row.split("|")[1])]
+    assert len(named) == len(set(named)), f"named in more than one row: {sorted(named)}"
+    constants = module_constants()
+    assert not constants - set(named), f"no README row: {sorted(constants - set(named))}"
+    assert not set(named) - constants, f"no such constant: {sorted(set(named) - constants)}"
