@@ -44,7 +44,6 @@ from .numerics import (
     kron_sum,
     nullspace,
     project_affine_cone,
-    psd_project,
     row_basis,
     solve_lyapunov,
     sym_basis,
@@ -166,10 +165,13 @@ class KalmanSolution:
     R: np.ndarray
     residual: float
     kernel_dim: int  # of the linear map (q-only: R_ii pinned), before the trace slice
-    psd_ok: bool
     status: str  # "solved" | "no_solution" | "infeasible" | "indeterminate"
     iterations: int = 0  # of the projection loop
     gap: float = 0.0  # relative distance of the projection loop's point to the cones at stop
+
+    @property
+    def psd_ok(self) -> bool:
+        return self.status == "solved"
 
 
 def player_feasibility(system: GameSystem, i: int, mode: str, M) -> KalmanSolution:
@@ -178,7 +180,8 @@ def player_feasibility(system: GameSystem, i: int, mode: str, M) -> KalmanSoluti
     stationarity_maps), on a slice of it.  Mode "general" slices
     on the normalization trace(R_ii) = m_i; "q-only" pins R_ii = I, one row
     per packed entry, and kernel_dim then counts the pinned map's kernel,
-    that of its Q_i columns.  Any other mode raises ValueError.
+    that of its Q_i columns.  Any other mode raises ValueError, and an index
+    out of range DimensionError.
 
     "infeasible" is certified by the identities alone: every solution has
     trace(R_ii) = 0, or the slice is a single point outside the cones.  With
@@ -191,6 +194,7 @@ def player_feasibility(system: GameSystem, i: int, mode: str, M) -> KalmanSoluti
     """
     if mode not in ("general", "q-only"):
         raise ValueError(f"mode must be 'general' or 'q-only', got {mode!r}")
+    _listed_players(system, [i])
     n, m = system.n, system.m[i]
     M = np.hstack(_kalman_map(system, i, M))
     V = row_basis(M)  # the Kalman equation's independent constraint rows
@@ -205,7 +209,7 @@ def player_feasibility(system: GameSystem, i: int, mode: str, M) -> KalmanSoluti
         kernel_dim = M.shape[1] - V.shape[1]
     if x_p is None:
         return KalmanSolution(Q=np.zeros((n, n)), R=np.eye(m) if q_only else np.zeros((m, m)),
-                              residual=miss, kernel_dim=kernel_dim, psd_ok=False,
+                              residual=miss, kernel_dim=kernel_dim,
                               status="no_solution" if q_only else "infeasible")
     layout = [(n, 0.0), (m, R_FLOOR)]
     theta, reason, its, gap = project_affine_cone(x_p, Va, layout)
@@ -214,7 +218,7 @@ def player_feasibility(system: GameSystem, i: int, mode: str, M) -> KalmanSoluti
     ok = cone_verdict(theta, reason, layout)
     Q, R = sym_blocks(theta, layout)
     residual = float(np.linalg.norm(M @ theta)) / max(1.0, float(np.linalg.norm(theta)))
-    return KalmanSolution(Q=Q, R=R, residual=residual, kernel_dim=kernel_dim, psd_ok=bool(ok),
+    return KalmanSolution(Q=Q, R=R, residual=residual, kernel_dim=kernel_dim,
                           status="solved" if ok else ("indeterminate" if ok is None else "infeasible"),
                           iterations=its, gap=gap)
 
@@ -315,7 +319,7 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
                                      iterations + (its,), gaps + (gap,))
         iterations, gaps = iterations + (its,), gaps + (gap,)
         dist2 += float(np.linalg.norm(y - x0) ** 2)
-        Qi, *Rrow = [psd_project(X, floor) for X, (_, floor) in zip(sym_blocks(y, layout), layout)]
+        Qi, *Rrow = sym_blocks(cone_project(y, layout), layout)
         Qs.append(Qi)
         Rrows.append(Rrow)
     costs = CostParameters(Qs, Rrows)

@@ -182,21 +182,15 @@ def rank_condition(A_tilde, A_cl, B, K, k) -> tuple:
     the violations, a tuple of RankViolation (empty: the condition holds)."""
     if not k:
         return ()
-    n, cols, d = A_cl.shape[0], [], 0
-    # x is rational in w, so while the x read so far span less than X_N a
-    # generic frequency adds a direction: X_N is complete at the first one that
-    # adds none, the (n + 1)-th at the latest (each adds up to 2k, so few run).
-    for j in range(n + 1):
-        w = NULL_FREQUENCY * NULL_RATIO ** j
-        (gap,), _, (X,) = return_difference_gap(A_cl, B, K, [w])
-        lam, U = np.linalg.eigh(gap)
-        x = X @ U[:, np.argsort(abs(lam))[:k]]
-        x /= np.linalg.norm(x, axis=0)
-        cols += [x.real, x.imag]
-        basis, s, _ = np.linalg.svd(np.hstack(cols))
-        if _rank(s, NULL_SPAN_TOL) == d:
-            break
-        d = _rank(s, NULL_SPAN_TOL)
+    # x is rational in w, so n + 1 generic frequencies span X_N.
+    w = NULL_FREQUENCY * NULL_RATIO ** np.arange(A_cl.shape[0] + 1)
+    gaps, _, X = return_difference_gap(A_cl, B, K, w)
+    lam, U = np.linalg.eigh(gaps)
+    x = X @ np.take_along_axis(U, np.argsort(abs(lam))[:, None, :k], axis=2)
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    basis, s, _ = np.linalg.svd(np.concatenate([x.real, x.imag], axis=2)
+                                .transpose(1, 0, 2).reshape(len(A_cl), -1))
+    d = _rank(s, NULL_SPAN_TOL)
     return tuple(RankViolation(s0=s0, x=x, boundary=abs(s0.real) <= HURWITZ_MARGIN)
                  for s0, x in _pbh_failures(A_tilde, basis[:, d:].T, NULL_EIGVEC_TOL))
 

@@ -421,6 +421,14 @@ def test_searches_reject_an_unknown_mode_and_bad_players():
         for search in (stationarity_maps, solve_feasibility_projection):
             with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
                 search(system, profile, players)
+    # One player's search checks its index before _kalman_map reads column
+    # offsets by it: 5 would raise a bare IndexError there, and -1 would read
+    # player 0's map at player 2's offsets.
+    M = _stationarity_map(system, profile, 0)
+    for i in (5, -1):
+        for mode in ("general", "q-only"):
+            with pytest.raises(DimensionError, match=f"^player index {i} out of range$"):
+                feasibility.player_feasibility(system, i, mode, M)
 
 
 def test_feasibility_agrees_with_forward_construction(nash_games):

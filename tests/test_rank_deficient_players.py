@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_are
 
-from nashinduce import GameSystem, StrategyProfile, analyze_player, realization
+from nashinduce import GameSystem, StrategyProfile, analyze_player, inverse, realization
 from nashinduce.cli import load_problem
 from nashinduce.cli import main as cli_main
 from nashinduce.inverse import (CIRCLE_TOL, RANK_FREQUENCIES, analyze_phi, check_rank_condition,
@@ -107,6 +107,23 @@ def _draws(seed, count):
     return out
 
 
+def _games_of_size(n):
+    """The first 10 games of recipe (b) with n states and m = 2, from
+    default_rng(100 + n), that GameSystem and StrategyProfile.stabilizing
+    accept."""
+    rng = np.random.default_rng(100 + n)
+    out = []
+    while len(out) < 10:
+        A, B, K, planted = _lqr_game(rng, n, 2, True)
+        try:
+            system = GameSystem(A, [B])
+            profile = StrategyProfile.stabilizing(system, [K])
+        except (ValueError, np.linalg.LinAlgError):
+            continue
+        out.append((system, profile, planted))
+    return out
+
+
 @pytest.fixture(scope="module")
 def players():
     """(recipe, system, profile, planted, analysis) of every p < m player among
@@ -167,6 +184,36 @@ def test_rank_condition_holds_at_hard_draws(seed, draw):
     pa = analyze_player(system, profile, 0)
     assert pa.p < system.m[0] and pa.circle_ok, (recipe, pa.p, pa.circle_witness)
     assert _same_points([v.s0 for v in pa.violations], planted), recipe
+
+
+def test_rank_condition_reads_x_n_from_one_batched_gap(tmp_path, monkeypatch):
+    # remark2's player 0 (n = 3, p = 1 < m = 2): one return_difference_gap call
+    # at all n + 1 frequencies, and the violation at s0 = 1.
+    path = tmp_path / "remark2.json"
+    path.write_text(BUNDLED["remark2"])
+    system, profile, _, _ = load_problem(str(path))
+    A_tilde, A_cl = reduced_system(system, profile, 0)
+    calls, gap = [], inverse.return_difference_gap
+    monkeypatch.setattr(inverse, "return_difference_gap",
+                        lambda A_cl, B, K, w: calls.append(len(w)) or gap(A_cl, B, K, w))
+    (violation,) = inverse.rank_condition(A_tilde, A_cl, system.B[0], profile.K[0], 1)
+    assert calls == [system.n + 1]
+    assert violation.s0 == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [16, pytest.param(24, marks=pytest.mark.xfail(
+    strict=True, reason="one of the 10 players reads p = m, and none of the other 9 planted "
+    "violations is found: the singular values of the sampled X_N fall smoothly from about "
+    "1e-5 to 1e-9 across NULL_SPAN_TOL, so the planted eigenvector lies 0.2-44 % outside "
+    "the span kept"))])
+def test_rank_condition_finds_the_planted_violations_at_claimed_sizes(n):
+    # Recipe (b) at the sizes the package claims: every player reads p = 1 < m = 2
+    # and its rank condition finds exactly its planted violation.
+    read = []
+    for system, profile, planted in _games_of_size(n):
+        pa = analyze_player(system, profile, 0)
+        read.append((pa.p, _same_points([v.s0 for v in pa.violations], planted)))
+    assert read == [(1, True)] * 10
 
 
 def test_rank_condition_of_rank_deficient_players_agrees_with_the_reference(players):

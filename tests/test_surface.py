@@ -51,7 +51,8 @@ ALLOWED = {
     "numerics.require_square(name)": "every caller names the block in its error message",
     "numerics.symmetrize(name)": "CostParameters names each block in its error message",
     "numerics.solve_lyapunov(with_margin)": "verify_nash reads the Hurwitz margin off the solve",
-    "numerics.psd_project(floor)": "nearest_params passes each block's floor",
+    "numerics.psd_project(floor)": "tests/conftest.py's reference loop_cone_project passes "
+                                   "each block's floor",
     "numerics.cone_ok(slack)": "cone_verdict passes the slack of a converged point",
     "numerics._anderson(tangent)": "project_affine_cone passes its affine set's directions",
     "polymat.poly_trim(tol)": ITEM_4,
