@@ -32,7 +32,7 @@ from .problems import BUNDLED
 from .realization import GameSystem, StrategyProfile
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Problem-file error with a field-precise message."""
 
 
@@ -172,11 +172,8 @@ def load_problem(path: str):
                           for j in range(N)])
         else:
             Rrows.append(None)
-    try:
-        system = GameSystem(A, Bs)
-        profile = StrategyProfile.stabilizing(system, Ks)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    system = GameSystem(A, Bs)  # a ValueError here is an input error in main
+    profile = StrategyProfile.stabilizing(system, Ks)
     has_costs = [Qs[i] is not None and Rrows[i] is not None for i in range(N)]
     costs = None
     if all(has_costs):
@@ -562,7 +559,7 @@ def main(argv=None) -> int:
     except (NumericalFailureError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:  # InputError, or a library input check
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,8 +31,6 @@ import numpy as np
 
 from .forward import CostParameters, state_weight_with_cross_terms
 from .numerics import (
-    PROJECTION_CAP,
-    PROJECTION_TOL,
     R_FLOOR,
     DimensionError,
     _anderson,
@@ -312,8 +310,7 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
                 y = cone_project(2.0 * x - v, layout)
                 return v + y - x, y, float(np.linalg.norm(y - x))
 
-            y, reason, its, gap = _anderson(step, x0 - V @ (V.T @ x0), PROJECTION_CAP,
-                                            PROJECTION_TOL)
+            y, reason, its, gap = _anderson(step, x0 - V @ (V.T @ x0))
             if not cone_verdict(y, reason, layout):
                 return NearestResult("indeterminate", None, float("inf"),
                                      iterations + (its,), gaps + (gap,))

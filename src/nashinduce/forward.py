@@ -32,6 +32,7 @@ KLEINMAN_TOL = 1e-12          # relative gain step at which Newton-Kleinman stop
 KLEINMAN_MAX_ITER = 60        # Newton-Kleinman step cap
 POLISH_MAX_ITER = 40          # step cap of solve_coupled_are's Newton polish
 COUPLED_RESIDUAL_TOL = 1e-8   # relative residuals at which solve_coupled_are converged
+SWEEP_GAIN_TOL = 1e-9         # solve_coupled_are's sweeps stop once no gain step is larger
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,10 @@ class CostParameters:
 
     def validate(self, system: GameSystem, tol: float = NASH_TOL) -> None:
         """Raise on the first wrong shape, then on the first of Q_i, R_ii, R_ij
-        (player by player) whose least eigenvalue is below -tol max(1, |M|_F)
-        (for R_ii: not above +tol max(1, |M|_F)); the blocks are exactly
-        symmetric, so one batched eigvalsh per block size suffices."""
+        (player by player, one loop over (name, positive-definite?) pairs)
+        whose least eigenvalue is below -tol max(1, |M|_F) (for R_ii: not
+        above +tol max(1, |M|_F)); the blocks are exactly symmetric, so one
+        batched eigvalsh per block size suffices."""
         N, n, m = system.num_players, system.n, system.m
         if len(self.Q) != N or len(self.R) != N:
             raise DimensionError("cost parameters must cover every player")
@@ -83,19 +85,14 @@ class CostParameters:
         for size in {len(M) for M in blocks.values()}:
             names = [k for k, M in blocks.items() if len(M) == size]
             least.update(zip(names, np.linalg.eigvalsh(np.stack([blocks[k] for k in names]))[:, 0]))
-
-        def fails(name, pd=False):  # the least eigenvalue against the floor
-            floor = tol * max(1.0, _norm(blocks[name]))
-            return not (least[name] > floor if pd else least[name] >= -floor)
-
         for i in range(N):
-            if fails(f"Q[{i}]"):
-                raise ValueError(f"Q[{i}] is not positive semidefinite")
-            if fails(f"R[{i}][{i}]", pd=True):
-                raise ValueError(f"R[{i}][{i}] is not positive definite")
-            for j in range(N):
-                if j != i and fails(f"R[{i}][{j}]"):
-                    raise ValueError(f"R[{i}][{j}] is not positive semidefinite")
+            checks = [(f"Q[{i}]", False), (f"R[{i}][{i}]", True)]
+            checks += [(f"R[{i}][{j}]", False) for j in range(N) if j != i]
+            for name, pd in checks:  # the least eigenvalue against the floor
+                floor = tol * max(1.0, _norm(blocks[name]))
+                if not (least[name] > floor if pd else least[name] >= -floor):
+                    kind = "definite" if pd else "semidefinite"
+                    raise ValueError(f"{name} is not positive {kind}")
 
     def scaled(self, alpha: float) -> "CostParameters":
         return CostParameters(
@@ -287,7 +284,7 @@ def _newton_polish(system: GameSystem, costs: CostParameters, P):
 
 
 def solve_coupled_are(system: GameSystem, costs: CostParameters, init: StrategyProfile,
-                      gain_tol: float = 1e-9, max_sweeps: int = 500):
+                      gain_tol: float = SWEEP_GAIN_TOL, max_sweeps: int = 500):
     """Coupled-Riccati solver: Gauss-Seidel policy iteration plus Newton polish.
 
     Per sweep, each player best-responds (Newton-Kleinman LQR) to the

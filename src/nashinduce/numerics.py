@@ -40,6 +40,7 @@ R_FLOOR = 1e-6                 # eigenvalue floor imposed on each R_ii
 PROJECTION_CAP = 10_000        # iteration cap of every projection loop
 PROJECTION_TOL = 1e-10         # stop rule of every projection loop
 CONVERGED_SLACK = 1e-7         # a converged point's relative slack to the cones (cone_verdict)
+POINT_SLACK = 1e-9             # a single point's relative slack to the cones (cone_ok's default)
 ANDERSON_MEMORY = 5            # residual differences mixed by _anderson
 ANDERSON_RESTART = 2.0         # fixed-point residual growth that clears that history
 ANDERSON_FLOOR = 1e-14         # relative residual below which mixing fits round-off only
@@ -502,7 +503,7 @@ def cone_project(x, layout) -> np.ndarray:
     return out
 
 
-def cone_ok(x, layout, slack: float = 1e-9) -> bool:
+def cone_ok(x, layout, slack: float = POINT_SLACK) -> bool:
     """True iff every block of x lies in its cone within slack.
 
     Floor-zero blocks may dip to -slack times the largest Frobenius norm among
@@ -550,9 +551,10 @@ def affine_slice(V, rows, values):
     return (None if first_miss else x_p), V, first_miss
 
 
-def _anderson(step, z, cap: int, tol: float, tangent=None):
+def _anderson(step, z, tangent=None):
     """Iterate a fixed-point map z -> g(z) with type-II Anderson mixing
-    (Walker & Ni 2011) until its answer's residual falls within tol.
+    (Walker & Ni 2011) until its answer's residual falls within tol =
+    PROJECTION_TOL, for at most cap = PROJECTION_CAP iterations.
 
     step(z) returns (g, out, res): the map's image, the candidate answer and
     that answer's residual.  The mixed step is z = g - dG gamma, gamma the
@@ -570,6 +572,7 @@ def _anderson(step, z, cap: int, tol: float, tangent=None):
     longer converge in time: plain steps of a nonexpansive map never grow
     |f|, and res moves by at most 2 |f| a step.
     """
+    cap, tol = PROJECTION_CAP, PROJECTION_TOL
     dG, dF = np.empty((2, z.size, ANDERSON_MEMORY))
     # Ring buffers of the differences; `added` counts them since the last restart.
     added, g_prev, f_prev, f_prev_norm = 0, None, None, np.inf
@@ -625,8 +628,7 @@ def project_affine_cone(x_p, V, layout):
         x = c - V @ (V.T @ c) + x_p
         return x, x, float(np.linalg.norm(x - c))
 
-    return _anderson(step, _identity_start(x_p, V, layout), PROJECTION_CAP, PROJECTION_TOL,
-                     tangent=lambda d: d - V @ (V.T @ d))
+    return _anderson(step, _identity_start(x_p, V, layout), tangent=lambda d: d - V @ (V.T @ d))
 
 
 def cone_verdict(x, reason: str, layout):

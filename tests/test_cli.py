@@ -690,6 +690,21 @@ def test_a_failing_profile_is_checked_for_stabilizability(tmp_path, capsys, monk
     assert len(calls) == 3
 
 
+def test_a_linalg_failure_while_loading_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # A non-stabilizing profile sends load_problem to the PBH test, whose
+    # eigvals here fails: numpy's LinAlgError is a numerical failure (exit 3),
+    # not an input error, although it subclasses ValueError.
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    path = tmp_path / "unstable.json"
+    path.write_text(json.dumps({"schema_version": "1", "A": [[1.0]],
+                                "players": [{"B": [[1.0]], "K_dagger": [[0.5]]}]}))
+    for command in ("check", "solve", "verify"):
+        assert run_cli(capsys, command, str(path)) == (3, "", "numerical failure: injected\n")
+
+
 def test_a_stabilizing_profile_outranks_the_pbh_rank_rule(tmp_path):
     # B = [1e-12; 1] reaches the unstable mode of A = diag(1, -1) with
     # sigma_min about 1e-12, below the PBH test's rank rule, which calls the
@@ -1141,6 +1156,25 @@ def test_cone_searches_form_no_kronecker_sum(tmp_path, monkeypatch, capsys):
     for argv in (("check",), ("solve",), ("solve", "--nearest", str(costs0))):
         assert run_cli(capsys, argv[0], str(problem), *argv[1:])[0] == 0, argv
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [24, 32])
+@pytest.mark.parametrize("N, m", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_check_and_solve_at_claimed_sizes(tmp_path, capsys, n, N, m):
+    # Closed-form Nash games (perfbench/games.py) at the largest sizes the
+    # package claims: both methods call them inducible, and solve's costs verify.
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import games
+    problem = tmp_path / "closed.json"
+    problem.write_text(games.closed_form_nash((1, 0, 7), n, N, m).problem_json())
+    code, out, err = run_cli(capsys, "check", str(problem))
+    report = json.loads(out)
+    assert (code, err, report["verdict_frequency"], report["verdict_oracle"]) == (
+        0, "", "inducible", "inducible")
+    code, out, err = run_cli(capsys, "solve", str(problem))
+    report = json.loads(out)
+    assert (code, err, report["status"], report["verify_ok"]) == (0, "", "solved", True)
 
 
 def test_solve_ladder_n8_game_verifies(capsys):

@@ -205,7 +205,10 @@ def test_rank_condition_reads_x_n_from_one_batched_gap(tmp_path, monkeypatch):
     strict=True, reason="one of the 10 players reads p = m, and none of the other 9 planted "
     "violations is found: the singular values of the sampled X_N fall smoothly from about "
     "1e-5 to 1e-9 across NULL_SPAN_TOL, so the planted eigenvector lies 0.2-44 % outside "
-    "the span kept"))])
+    "the span kept")), pytest.param(32, marks=pytest.mark.xfail(
+    strict=True, reason="8 of the 10 players read p = 2 = m although each has a planted "
+    "p = 1 (FOUND in CHANGES.md: return_difference_rank at n = 24 and 32), so their rank "
+    "condition is skipped as vacuous, and none of the 10 planted violations is found"))])
 def test_rank_condition_finds_the_planted_violations_at_claimed_sizes(n):
     # Recipe (b) at the sizes the package claims: every player reads p = 1 < m = 2
     # and its rank condition finds exactly its planted violation.

@@ -10,8 +10,8 @@ ALLOWED.
 Imports: every name a module imports is used by it, apart from
 UNUSED_IMPORTS, each with the reader that needs the binding.
 
-Literals: no function body of the production modules holds a tolerance-sized
-float literal; it is a named constant.
+Literals: no function body or signature default of the production modules
+holds a tolerance-sized float literal; it is a named constant.
 
 Exports: nashinduce.__all__ is the production API, the names a command runs
 or a caller needs to build and read a game.
@@ -42,7 +42,6 @@ ALLOWED = {
     "feasibility.solve_feasibility_projection(players)": "cmd_check passes the --player indices",
     "feasibility.solve_feasibility_projection(mode)": "cmd_solve passes --mode",
     "forward.CostParameters.validate(tol)": "verify_nash passes --tol; nearest_params passes NEAREST_INPUT_TOL",
-    "forward.CostParameters.validate.fails(pd)": "R_ii's positive-definite test",
     "forward.verify_nash(tol)": "cmd_solve and cmd_verify pass --tol",
     "forward.solve_coupled_are(gain_tol)": "perfbench's ladder generator (LADDER_SOLVER_ARGS)",
     "forward.solve_coupled_are(max_sweeps)": "perfbench's ladder generator (LADDER_SOLVER_ARGS)",
@@ -140,15 +139,16 @@ LITERAL_MODULES = ("numerics", "feasibility", "forward", "cli")
 
 def small_literals() -> set:
     """Every float literal of magnitude below 1e-2 (and not 0) inside a
-    function body of LITERAL_MODULES, as "module.function: value"; the
-    defaults of a signature are not part of its body."""
+    function body or a signature default of LITERAL_MODULES, as
+    "module.function: value"."""
     found = set()
     for module in LITERAL_MODULES:
         tree = ast.parse((SRC / f"{module}.py").read_text())
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            for stmt in fn.body:
+            defaults = fn.args.defaults + [d for d in fn.args.kw_defaults if d is not None]
+            for stmt in fn.body + defaults:
                 for node in ast.walk(stmt):
                     if (isinstance(node, ast.Constant) and type(node.value) is float
                             and 0.0 < abs(node.value) < 1e-2):
