@@ -5,12 +5,11 @@ Subcommands: check (inducibility verdict with cross-validation), solve
 example (write a bundled problem file).
 
 Exit codes: 0 inducible / verified, 1 not inducible / not verified,
-2 input error, 3 numerical failure, 4 the two methods disagree.  check
-decides by the first determinate verdict, frequency domain first; a
-frequency stage that fails numerically is reported as
-verdict_frequency "error" with frequency_error {player, stage, reason}, and
-the oracle's verdict decides.  check exits 3 only when neither method is
-determinate.
+2 input error, 3 numerical failure, 4 the two methods disagree.  check and
+solve decide on one path, _decide; check by the first determinate verdict,
+frequency domain first, reporting a frequency stage's numerical failure as
+frequency_error {player, stage, reason} and exiting 3 only when neither
+method is determinate.  solve exits 3 on any numerical failure.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 
 from .forward import CostParameters, verify_nash
 from .feasibility import nearest_params, solve_feasibility_projection
-from .inverse import analyze_player, phi_at_witness
+from .inverse import analyze_player
 from .numerics import NASH_TOL, NumericalFailureError, StageError
 from .problems import BUNDLED
 from .realization import GameSystem, StrategyProfile
@@ -215,18 +214,16 @@ _FREQUENCY_FIELDS = ("circle_ok", "circle_witness", "p", "rank_ok")
 
 
 def _player_report(index, pa, kalman):
-    """One player's report; pa is None when its frequency stages failed."""
-    kal = None
-    if kalman is not None:
-        kal = {
-            "status": kalman.status,
-            "residual": float(kalman.residual),
-            "kernel_dim": int(kalman.kernel_dim),
-            "psd_ok": bool(kalman.psd_ok),
-            "Q": kalman.Q.tolist(),
-            "R": kalman.R.tolist(),
-        }
-    if pa is None:
+    """One player's report; pa is a StageError when its frequency stages failed."""
+    kal = None if kalman is None else {
+        "status": kalman.status,
+        "residual": float(kalman.residual),
+        "kernel_dim": int(kalman.kernel_dim),
+        "psd_ok": bool(kalman.psd_ok),
+        "Q": kalman.Q.tolist(),
+        "R": kalman.R.tolist(),
+    }
+    if isinstance(pa, StageError):
         return {"index": index, **dict.fromkeys(_FREQUENCY_FIELDS),
                 "rank_certificates": [], "kalman": kal}
     violations = [{
@@ -239,7 +236,7 @@ def _player_report(index, pa, kalman):
     return {
         "index": index,
         "circle_ok": bool(pa.circle_ok),
-        "circle_witness": None if pa.circle_witness is None else float(pa.circle_witness),
+        "circle_witness": pa.circle_witness,
         "p": int(pa.p),
         "rank_ok": bool(pa.rank_ok),
         "rank_certificates": violations,
@@ -251,18 +248,43 @@ def _diagnostics(kalmans, analyses):
     """Loop iterations and gaps of the Kalman searches (None when none ran)
     and the circle criterion's probe count per player (None for a player
     whose frequency stages failed)."""
-    if not kalmans:
-        out = {"kalman_iterations": None, "kalman_gaps": None}
-    else:
-        out = {"kalman_iterations": [k.iterations for k in kalmans],
-               "kalman_gaps": [k.gap for k in kalmans]}
-    out["circle_probes"] = [None if pa is None else pa.probes for pa in analyses]
-    return out
+    return {"kalman_iterations": [k.iterations for k in kalmans] if kalmans else None,
+            "kalman_gaps": [k.gap for k in kalmans] if kalmans else None,
+            "circle_probes": [None if isinstance(pa, StageError) else pa.probes
+                              for pa in analyses]}
 
 
 # The time-domain verdict of the oracle's status (solve_feasibility_projection).
 _ORACLE_VERDICT = {"feasible": "inducible", "infeasible_certified_by_identity": "not_inducible",
                    "indeterminate": "indeterminate"}
+
+
+def _decide(system, profile, players, mode):
+    """Both methods on the listed players, frequency domain first: per player
+    its PlayerAnalysis or the StageError its frequency stages raised, the
+    oracle's FeasibilityResult in `mode` (None for mode None), (verdict_frequency,
+    verdict_oracle) and each method's seconds.  A player that a method
+    certifies (a failed circle or rank test; a search certified infeasible)
+    makes the game not_inducible for it; else a failed stage makes the first
+    "error", a search stopped undecided the second "indeterminate".  The
+    oracle's StageError propagates, so its message wins when both fail."""
+    t0 = time.perf_counter()
+    analyses = []
+    for i in players:
+        try:
+            analyses.append(analyze_player(system, profile, i))
+        except StageError as exc:
+            analyses.append(exc)
+    t_freq = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    oracle = (None if mode is None
+              else solve_feasibility_projection(system, profile, players, mode))
+    seconds = (t_freq, time.perf_counter() - t0)
+    passed = [pa.inducible for pa in analyses if not isinstance(pa, StageError)]
+    verdicts = ("not_inducible" if not all(passed) else
+                "error" if len(passed) < len(analyses) else "inducible",
+                "skipped" if oracle is None else _ORACLE_VERDICT[oracle.status])
+    return analyses, oracle, verdicts, seconds
 
 
 def _write_report(report, args):
@@ -327,34 +349,17 @@ def cmd_check(args) -> int:
         indices = [args.player]
     else:
         raise InputError(f"--player {args.player}: out of range")
-    t0 = time.perf_counter()
-    analyses, freq_error, warnings = [], None, []
-    for i in indices:
-        try:
-            pa = analyze_player(system, profile, i)
-        except StageError as exc:
-            pa = None
-            freq_error = freq_error or {"player": exc.player, "stage": exc.stage,
-                                        "reason": exc.reason}
-            warnings.append(f"frequency domain failed: {exc}")
-        else:
-            warnings.extend(pa.warnings)
-        analyses.append(pa)
-    verdict_freq = ("error" if freq_error else
-                    "inducible" if all(pa.inducible for pa in analyses) else "not_inducible")
-    t_freq = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    kalmans = []
-    if args.no_oracle:
-        verdict_oracle = "skipped"
-    else:
-        oracle = solve_feasibility_projection(system, profile, indices)
-        kalmans = oracle.solutions
-        verdict_oracle = _ORACLE_VERDICT[oracle.status]
-        if verdict_oracle == "indeterminate":
-            warnings.append("time-domain oracle did not reach a determinate verdict")
-    t_oracle = time.perf_counter() - t0
+    analyses, oracle, (verdict_freq, verdict_oracle), (t_freq, t_oracle) = _decide(
+        system, profile, indices, None if args.no_oracle else "general")
+    error = next((pa for pa in analyses if isinstance(pa, StageError)), None)
+    freq_error = None if error is None else {"player": error.player, "stage": error.stage,
+                                             "reason": error.reason}
+    warnings = [w for pa in analyses for w in
+                ([f"frequency domain failed: {pa}"] if isinstance(pa, StageError)
+                 else pa.warnings)]
+    kalmans = [] if oracle is None else oracle.solutions
+    if verdict_oracle == "indeterminate":
+        warnings.append("time-domain oracle did not reach a determinate verdict")
 
     determinate = {"inducible", "not_inducible"}
     disagreement = (verdict_freq in determinate and verdict_oracle in determinate
@@ -404,25 +409,28 @@ def cmd_solve(args) -> int:
         _write_report(report, args)
         return 0 if res.status == "feasible" else 1
 
-    kalmans = solve_feasibility_projection(system, profile, mode=args.mode).solutions
-    players = [analyze_player(system, profile, i) for i in range(system.num_players)]
-    failed = next((i for i, (pa, k) in enumerate(zip(players, kalmans))
-                   if k.status != "solved" or not pa.inducible), None)
-    if failed is not None:
-        pa, status = players[failed], kalmans[failed].status
-        w = pa.circle_witness
+    analyses, oracle, verdicts, _ = _decide(system, profile, range(system.num_players),
+                                            args.mode)
+    for pa in analyses:
+        if isinstance(pa, StageError):
+            raise pa
+    kalmans = oracle.solutions
+    if verdicts != ("inducible", "inducible"):
+        # The first player a method certifies, else the first whose search stopped undecided.
+        failed = min((pa.inducible and k.status == "indeterminate", i)
+                     for i, (pa, k) in enumerate(zip(analyses, kalmans))
+                     if not pa.inducible or k.status != "solved")[1]
+        pa = analyses[failed]
         report = {
-            "status": ("indeterminate" if pa.inducible and status == "indeterminate"
-                       else "infeasible"),
+            "status": "infeasible" if "not_inducible" in verdicts else "indeterminate",
             "failing_player": failed,
             "circle_ok": bool(pa.circle_ok),
-            "circle_witness": None if w is None else float(w),
-            "phi_at_witness": (None if w is None
-                               else phi_at_witness(system, profile, failed, w)),
+            "circle_witness": pa.circle_witness,
+            "phi_at_witness": pa.circle_gap,
             "rank_ok": bool(pa.rank_ok),
-            "kalman_status": status,
-            "players": [_player_report(p.index, p, k) for p, k in zip(players, kalmans)],
-            "diagnostics": _diagnostics(kalmans, players),
+            "kalman_status": kalmans[failed].status,
+            "players": [_player_report(p.index, p, k) for p, k in zip(analyses, kalmans)],
+            "diagnostics": _diagnostics(kalmans, analyses),
         }
         _write_report(report, args)
         return 1
@@ -443,7 +451,7 @@ def cmd_solve(args) -> int:
             for i in range(N)
         ],
         "verify_ok": bool(ok),
-        "diagnostics": {**_diagnostics(kalmans, players), "scale": cert.scale,
+        "diagnostics": {**_diagnostics(kalmans, analyses), "scale": cert.scale,
                         "residual_bound": cert.residual_bound, "psd_tol": cert.psd_tol},
     }
     _write_report(report, args)
@@ -510,9 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="inducibility verdict with cross-validation",
         description="Frequency-domain verdict and time-domain oracle side by side. Exit 0 "
                     "inducible, 1 not inducible, 4 the methods disagree, 3 neither is "
-                    "determinate. A frequency stage that fails numerically is reported as "
-                    "verdict_frequency \"error\" (frequency_error names the player, stage "
-                    "and reason) and the oracle decides.")
+                    "determinate. A player failing a test decides its method; else a "
+                    "frequency stage that fails numerically makes verdict_frequency \"error\" "
+                    "(frequency_error names the player, stage and reason): the oracle decides.")
     pc.add_argument("problem")
     common(pc)
     pc.add_argument("--no-oracle", action="store_true",
@@ -525,8 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
         "solve", help="recover Nash-inducing cost matrices",
         description="Search each player's costs, then check them for Nash. Exit 0 with "
                     "status \"solved\", else 1: \"verification_failed\", \"infeasible\" "
-                    "at the first failing player, or \"indeterminate\" when that player's "
-                    "frequency tests pass but its search stopped without a verdict.")
+                    "where check finds a method not_inducible, or \"indeterminate\" where a "
+                    "search stopped without a verdict (at failing_player).")
     ps.add_argument("problem")
     common(ps)
     tol_option(ps, " (--nearest runs no final Nash check and ignores it)")

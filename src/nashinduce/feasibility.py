@@ -227,19 +227,19 @@ class FeasibilityResult:
     solutions: tuple  # the KalmanSolution of each listed player
 
 
-# A player's search status -> the game's status; the first player not solved decides.
-_GAME_STATUS = {"solved": "feasible", "infeasible": "infeasible_certified_by_identity",
+# A player's search status -> the game's status; of the players' statuses, the first key decides.
+_GAME_STATUS = {"infeasible": "infeasible_certified_by_identity",
                 "no_solution": "infeasible_certified_by_identity",
-                "indeterminate": "indeterminate"}
+                "indeterminate": "indeterminate", "solved": "feasible"}
 
 
 def solve_feasibility_projection(system: GameSystem, profile: StrategyProfile,
                                  players=None, mode: str = "general") -> FeasibilityResult:
     """The per-game cone search: player_feasibility in `mode` for every listed
     player (all by default), each on its map from one adjoint stack
-    (stationarity_maps).  The first player not solved decides the status.  A
-    numerical failure raises StageError(i, "kalman"), i the player searched
-    (for the stack, the first listed player)."""
+    (stationarity_maps); a player certified infeasible decides the status
+    first (_GAME_STATUS).  A numerical failure raises StageError(i,
+    "kalman"), i the player searched (for the stack, the first listed player)."""
     players = _listed_players(system, players)
     with _stage(players[0], "kalman"):
         maps = stationarity_maps(system, profile, players)
@@ -247,7 +247,7 @@ def solve_feasibility_projection(system: GameSystem, profile: StrategyProfile,
     for i, M in zip(players, maps):
         with _stage(i, "kalman"):
             solutions.append(player_feasibility(system, i, mode, M))
-    status = next((s.status for s in solutions if s.status != "solved"), "solved")
+    status = min((s.status for s in solutions), key=list(_GAME_STATUS).index)
     return FeasibilityResult(_GAME_STATUS[status], tuple(solutions))
 
 

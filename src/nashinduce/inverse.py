@@ -11,7 +11,8 @@ lambda_min probe per interval decides the whole axis.  When p < m_i the
 gap's null vectors span the states X_N that every feasible Q_i annihilates,
 and an eigenvector of A_tilde_i in X_N with eigenvalue in the closed right
 half-plane violates the rank condition (vacuous when p = m_i).
-analyze_player returns both verdicts as one flat PlayerAnalysis.  Costs are
+analyze_player returns both verdicts as one flat PlayerAnalysis, with the
+gap's lambda_min at the circle witness (Phi's sign there).  Costs are
 recovered by the time-domain search feasibility.solve_feasibility_projection;
 solve_kalman_general and solve_kalman_Q run it for one player.  The
 polynomial route at the end of the module is reference code only.
@@ -113,7 +114,8 @@ def return_difference_circle(A_cl, B, K, k):
     probe fails when lambda_min < -CIRCLE_TOL |G| (1 + |G|), a bound that
     shrinks with the gap's 1/w^2 tail.  Round-off eigenvalues near the axis
     only add probes.  The gap is even in w (real data), so w >= 0 suffices.
-    Returns (ok, witness, probes): the first failing frequency, or None.
+    Returns (ok, witness, gap, probes): the first failing frequency and the
+    gap's lambda_min there, Phi's sign by congruence (both None if none fails).
     """
     from scipy.linalg.lapack import dggev
 
@@ -141,24 +143,11 @@ def return_difference_circle(A_cl, B, K, k):
     if cross.size:
         probes += list(0.5 * (cross[1:] + cross[:-1])) + [2.0 * cross[-1] + 1.0]
     gaps, g, _ = return_difference_gap(A_cl, B, K, probes)
-    fails = np.nonzero(np.linalg.eigvalsh(gaps)[:, 0] < -CIRCLE_TOL * g * (1.0 + g))[0]
-    witness = float(probes[fails[0]]) if fails.size else None
-    return witness is None, witness, len(probes)
-
-
-def phi_at_witness(system: GameSystem, profile: StrategyProfile, i: int, w: float):
-    """lambda_min(T(jw)^* T(jw) - I), T = I + K_i (jwI - A_tilde_i)^-1 B_i the
-    return difference: Phi_i(jw) up to congruence by D_i(jw), so it has the
-    sign of lambda_min(Phi_i(jw)) wherever D_i(jw) is nonsingular.  None when
-    A_tilde_i has an eigenvalue at jw (a pole of T)."""
-    A_tilde, _ = reduced_system(system, profile, i)
-    B = system.B[i]
-    try:
-        X = np.linalg.solve(1j * w * np.eye(system.n) - A_tilde, B)
-    except np.linalg.LinAlgError:
-        return None
-    T = np.eye(B.shape[1]) + profile.K[i] @ X
-    return float(np.linalg.eigvalsh(T.conj().T @ T - np.eye(B.shape[1]))[0])
+    lam = np.linalg.eigvalsh(gaps)[:, 0]
+    fails = np.nonzero(lam < -CIRCLE_TOL * g * (1.0 + g))[0]
+    if not fails.size:
+        return True, None, None, len(probes)
+    return False, float(probes[fails[0]]), float(lam[fails[0]]), len(probes)
 
 
 @dataclass(frozen=True)
@@ -224,14 +213,16 @@ def solve_kalman_general(system: GameSystem, profile: StrategyProfile, i: int) -
 @dataclass(frozen=True)
 class PlayerAnalysis:
     """One player's frequency-domain verdict: the normal rank p of Phi, the
-    circle criterion (its first failing probe frequency, or None, and the
-    number of probe frequencies) and the rank condition's violations."""
+    circle criterion (its first failing probe frequency and the gap's
+    lambda_min there, both None when it holds, and the number of probe
+    frequencies) and the rank condition's violations."""
 
     index: int
     controllable: bool
     p: int
     circle_ok: bool
     circle_witness: float | None
+    circle_gap: float | None
     probes: int
     violations: tuple
     warnings: tuple
@@ -254,7 +245,7 @@ def analyze_player(system: GameSystem, profile: StrategyProfile, i: int) -> Play
     with _stage(i, "circle"):
         controllable = controllable_basis(A_tilde, B).shape[1] == system.n
         p = return_difference_rank(A_cl, B, K)
-        ok, witness, probes = return_difference_circle(A_cl, B, K, B.shape[1] - p)
+        ok, witness, gap, probes = return_difference_circle(A_cl, B, K, B.shape[1] - p)
     with _stage(i, "rank_condition"):
         violations = rank_condition(A_tilde, A_cl, B, K, B.shape[1] - p)
     warnings = []
@@ -264,8 +255,8 @@ def analyze_player(system: GameSystem, profile: StrategyProfile, i: int) -> Play
     warnings += [f"player {i}: rank violation on the imaginary-axis boundary at {v.s0}"
                  for v in violations if v.boundary]
     return PlayerAnalysis(index=i, controllable=controllable, p=p, circle_ok=ok,
-                          circle_witness=witness, probes=probes, violations=violations,
-                          warnings=tuple(warnings))
+                          circle_witness=witness, circle_gap=gap, probes=probes,
+                          violations=violations, warnings=tuple(warnings))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from nashinduce.inverse import (
     build_phi,
     check_rank_condition,
     circle_criterion,
-    phi_at_witness,
     solve_kalman_general,
     solve_kalman_Q,
 )
@@ -165,12 +164,12 @@ def test_criterion_5_scalar_closed_forms():
     fac = attach_feedback(right_coprime_factorization(system_b.A, system_b.B[0]),
                           profile_b.K[0])
     phi_val = build_phi(fac).eval(0.0).real[0, 0]
-    witness_val = phi_at_witness(system_b, profile_b, 0, pa.circle_witness)
     feas = solve_feasibility_projection(system_b, profile_b)
+    # The gap at the witness: -0.75 / (w^2 + 0.25) at w = 0, Phi's sign.
     bad_ok = (not pa.circle_ok
               and pa.circle_witness == 0.0
               and abs(phi_val + 0.75) <= 1e-12
-              and abs(witness_val + 0.75) <= 1e-12
+              and pa.circle_gap == -3.0
               and feas.status == "infeasible_certified_by_identity")
     report(5, good_ok and bad_ok,
            "scalar closed forms: k=3 inducible with Q=3, P=3; k=1.5 fails the "

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -21,6 +22,7 @@ from nashinduce.problems import BUNDLED
 
 DATA = Path(__file__).parent / "data"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 def run_cli(capsys, *argv):
@@ -217,34 +219,130 @@ def test_solve_infeasible_scalar(tmp_path, capsys):
     report = json.loads(out)
     assert report["status"] == "infeasible"
     assert report["circle_witness"] == 0.0
-    assert report["phi_at_witness"] == pytest.approx(-0.75)
+    # The gap's lambda_min at w = 0: -0.75 / (w^2 + 0.25), the sign of Phi = -0.75.
+    assert report["phi_at_witness"] == pytest.approx(-3.0)
 
 
-def test_solve_says_indeterminate_where_the_search_stops_undecided(tmp_path, capsys):
-    # A one-player LQR game, n = 4, whose Q = c'c has c(sI - A)^-1 b =
-    # (s^2 + 1)(s + 2) / det(sI - A), zero at s = +-j (w0 = 1): A companion
-    # with eigenvalues -1, -2, 0.5, -3, b = e_4, K = b'P from scipy's ARE.
-    # The circle touches 0 at w0 = 1, so every feasible Q is singular and the
-    # cone search stops at its cap: a search that reached no verdict proves no
-    # infeasibility of a game whose true costs pass the Nash check.
+def boundary_game():
+    """(A, b, K, c) of a one-player LQR game, n = 4, whose Q = c'c has
+    c(sI - A)^-1 b = (s^2 + 1)(s + 2) / det(sI - A), zero at s = +-j (w0 = 1):
+    A companion with eigenvalues -1, -2, 0.5, -3, b = e_4, K = b'P from
+    scipy's ARE.  The circle touches 0 at w0 = 1, so every feasible Q is
+    singular and the cone search stops at its cap."""
     A = np.zeros((4, 4))
     A[:3, 1:] = np.eye(3)
     A[3] = -np.poly([-1.0, -2.0, 0.5, -3.0])[:0:-1]
     b = np.eye(4)[:, 3:]
     c = np.array([[2.0, 1.0, 2.0, 1.0]])  # (s^2 + 1)(s + 2), lowest power first
     K = b.T @ scipy.linalg.solve_continuous_are(A, b, c.T @ c, np.eye(1))
-    path = tmp_path / "boundary.json"
-    path.write_text(json.dumps({"schema_version": "1", "A": A.tolist(),
-                                "players": [{"B": b.tolist(), "K_dagger": K.tolist()}]}))
-    system, profile, _, _ = load_problem(str(path))
+    return A, b, K, c
+
+
+def write_problem(path, A, Bs, Ks):
+    path.write_text(json.dumps({"schema_version": "1", "A": A.tolist(), "players": [
+        {"B": B.tolist(), "K_dagger": K.tolist()} for B, K in zip(Bs, Ks)]}))
+    return str(path)
+
+
+def boundary_and_scalar_infeasible(tmp_path):
+    """The path of a two-player game: the boundary game (player 0, n = 4)
+    block-diagonal with scalar_infeasible (player 1: a = 1, b = 1, k = 1.5)."""
+    A, b, K, _ = boundary_game()
+    return write_problem(tmp_path / "boundary_and_scalar.json", scipy.linalg.block_diag(A, 1.0),
+                         [np.vstack([b, 0.0]), np.eye(5)[:, 4:]],
+                         [np.hstack([K, [[0.0]]]), np.array([[0.0] * 4 + [1.5]])])
+
+
+def test_solve_says_indeterminate_where_the_search_stops_undecided(tmp_path, capsys):
+    # A search that reached no verdict proves no infeasibility of a game whose
+    # true costs pass the Nash check.
+    A, b, K, c = boundary_game()
+    path = write_problem(tmp_path / "boundary.json", A, [b], [K])
+    system, profile, _, _ = load_problem(path)
     assert verify_nash(system, profile, CostParameters.identity_R([c.T @ c], system.m))[0]
-    code, out, err = run_cli(capsys, "solve", str(path))
+    code, out, err = run_cli(capsys, "solve", path)
     report = json.loads(out)
     assert (code, err) == (1, "")
     assert (report["status"], report["failing_player"], report["kalman_status"]) == (
         "indeterminate", 0, "indeterminate")
     assert report["circle_ok"] and report["rank_ok"]
     assert report["diagnostics"]["kalman_iterations"] == [numerics.PROJECTION_CAP]
+
+
+def test_a_certified_player_decides_before_an_undecided_one(tmp_path, capsys):
+    # Player 1 fails the circle test; both searches stop undecided at their
+    # cap.  Every player's conditions are necessary, so player 1's failure
+    # decides, although player 0 comes first: solve answers infeasible there.
+    code, out, err = run_cli(capsys, "solve", boundary_and_scalar_infeasible(tmp_path))
+    report = json.loads(out)
+    assert (code, err) == (1, "")
+    assert (report["status"], report["failing_player"], report["kalman_status"]) == (
+        "infeasible", 1, "indeterminate")
+    assert (report["circle_ok"], report["circle_witness"]) == (False, 0.0)
+    assert report["phi_at_witness"] == pytest.approx(-3.0)
+
+
+def test_a_certified_search_decides_before_an_undecided_one(tmp_path, monkeypatch, capsys):
+    # The oracle's side of the same rule: player 0's search stops undecided,
+    # player 1's is certified infeasible, so the game is infeasible.
+    player_feasibility = feasibility.player_feasibility
+
+    def stub(system, i, *args):
+        solution = player_feasibility(system, i, *args)
+        return dataclasses.replace(solution, status=("indeterminate", "infeasible")[i])
+
+    monkeypatch.setattr(feasibility, "player_feasibility", stub)
+    path = write_example(tmp_path, "two_player_scalar")
+    system, profile, _, _ = load_problem(path)
+    assert solve_feasibility_projection(system, profile).status == (
+        "infeasible_certified_by_identity")
+    code, out, _ = run_cli(capsys, "check", path)
+    report = json.loads(out)
+    assert (code, report["verdict_frequency"], report["verdict_oracle"]) == (
+        4, "inducible", "not_inducible")
+    code, out, _ = run_cli(capsys, "solve", path)
+    report = json.loads(out)
+    assert (code, report["status"], report["failing_player"], report["kalman_status"]) == (
+        1, "infeasible", 1, "infeasible")
+
+
+def test_a_certified_player_decides_before_a_failed_stage(tmp_path, monkeypatch, capsys):
+    # Player 0's circle stage fails numerically and player 1 fails its circle
+    # test: the frequency verdict is not_inducible, with the failure reported.
+    circle = inverse.return_difference_circle
+    calls = []
+
+    def failing_first(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise NumericalFailureError("QZ iteration failed (ggev info 1)")
+        return circle(*args)
+
+    monkeypatch.setattr(inverse, "return_difference_circle", failing_first)
+    code, out, err = run_cli(capsys, "check", boundary_and_scalar_infeasible(tmp_path),
+                             "--no-oracle")
+    report = json.loads(out)
+    assert (code, err) == (1, "")
+    assert (report["verdict_frequency"], report["verdict_oracle"]) == ("not_inducible", "skipped")
+    assert report["frequency_error"] == {"player": 0, "stage": "circle",
+                                         "reason": "QZ iteration failed (ggev info 1)"}
+    assert [p["circle_ok"] for p in report["players"]] == [None, False]
+
+
+def test_solve_exits_3_on_a_failed_stage_and_the_oracle_message_wins(
+        tmp_path, monkeypatch, capsys):
+    def failing(*args):
+        raise NumericalFailureError("residual 1e-3 above tolerance")
+
+    path = write_example(tmp_path, "two_player_scalar")
+    monkeypatch.setattr(inverse, "return_difference_circle", failing)
+    assert run_cli(capsys, "solve", path) == (
+        3, "", "numerical failure: player 0: circle: residual 1e-3 above tolerance\n")
+    # Both methods fail: the oracle's message is the one shown, in solve and check.
+    monkeypatch.setattr(feasibility, "player_feasibility", failing)
+    for command in ("solve", "check"):
+        assert run_cli(capsys, command, path) == (
+            3, "", "numerical failure: player 0: kalman: residual 1e-3 above tolerance\n")
 
 
 def _text_report(capsys, *argv):
@@ -284,7 +382,7 @@ def test_text_format_of_solve(tmp_path, capsys):
     code, lines = _text_report(capsys, "solve", write_example(tmp_path, "scalar_infeasible"))
     assert code == 1
     assert lines[:9] == ["status: infeasible", "failing_player: 0", "circle_ok: False",
-                         "circle_witness: 0", "phi_at_witness: -0.75", "rank_ok: True",
+                         "circle_witness: 0", "phi_at_witness: -3", "rank_ok: True",
                          "kalman_status: infeasible", "players:", "  -:"]
     assert "    kalman:" in lines and "      status: infeasible" in lines
     assert lines[-4:] == ["diagnostics:", "  kalman_iterations: [0]", "  kalman_gaps: [0]",
@@ -667,6 +765,22 @@ def test_loading_a_stabilizing_profile_runs_no_pbh_test(tmp_path, monkeypatch, r
     for path in sorted(paths):
         load_problem(path)
     assert len(paths) > 100 and calls == []
+
+
+def test_cli_corpus_records_exit_code_stderr_and_report_without_timings(
+        tmp_path, monkeypatch, capsys):
+    # tools/cli_corpus.py puts src/ and perfbench/ on sys.path when imported.
+    monkeypatch.setattr(sys, "path", [str(TOOLS)] + sys.path)
+    import cli_corpus
+
+    path = write_example(tmp_path, "scalar_infeasible")
+    code, out, _ = run_cli(capsys, "check", path)
+    report = json.loads(out)
+    del report["timings_ms"]
+    head, _, shown = cli_corpus.record(["check", path]).partition("report:\n")
+    assert (head, json.loads(shown)) == (f"exit: {code}\nstderr:\n", report)
+    assert cli_corpus.record(["verify", path]) == (
+        "exit: 2\nstderr:\nerror: players: Q and R_row required for verify\nreport:\n")
 
 
 @pytest.mark.parametrize("B, K, message", [

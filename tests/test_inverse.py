@@ -20,7 +20,7 @@ from nashinduce.inverse import (
     build_phi,
     check_rank_condition,
     circle_criterion,
-    phi_at_witness,
+    return_difference_gap,
     solve_kalman_general,
     solve_kalman_Q,
 )
@@ -424,15 +424,22 @@ def test_state_space_circle_rejects_infeasible_games():
             assert all(pa.p == m for pa in players)
 
 
-def test_phi_at_witness_has_the_sign_of_phi():
-    # Scalar k = 1.5 against a = 1: Phi = -0.75 everywhere; the return
-    # difference T(jw) = 1 - 1.5 / (1 - jw) gives |T|^2 - 1 = -0.75 / (1 + w^2).
+def test_circle_gap_has_the_sign_of_phi():
+    # Scalar k = 1.5 against a = 1, b = 1: Phi = -0.75 everywhere.  With
+    # A_cl = -0.5 and G = 1.5 / (jw + 0.5), the gap 2 Re G - |G|^2 is
+    # -0.75 / (w^2 + 0.25): Phi's sign at every w, and -3 at the witness w = 0.
     system, profile = scalar_game(1.0, 1.0, 1.5)
-    for w in (0.0, 1.0, 3.0):
-        assert phi_at_witness(system, profile, 0, w) == pytest.approx(-0.75 / (1.0 + w * w))
-    # A pole of the return difference on the axis: no value.
-    system, profile = scalar_game(0.0, 1.0, 1.0)
-    assert phi_at_witness(system, profile, 0, 0.0) is None
+    pa = analyze_player(system, profile, 0)
+    assert (pa.circle_ok, pa.circle_witness) == (False, 0.0)
+    assert pa.circle_gap == pytest.approx(-3.0)
+    phi = build_phi(scalar_factorization(1.0, 1.0, 1.5))
+    w = np.array([0.0, 1.0, 3.0])
+    gaps, _, _ = return_difference_gap(np.array([[-0.5]]), system.B[0], profile.K[0], w)
+    assert gaps[:, 0, 0].real == pytest.approx(-0.75 / (w * w + 0.25))
+    assert [phi.eval(1j * x).real[0, 0] for x in w] == pytest.approx([-0.75] * 3)
+    # A circle test that holds has no witness and no gap.
+    pa = analyze_player(*scalar_game(1.0, 1.0, 3.0), 0)
+    assert (pa.circle_ok, pa.circle_witness, pa.circle_gap) == (True, None, None)
 
 
 def test_check_builds_no_polynomial_matrix_when_phi_has_full_rank(monkeypatch, capsys):

@@ -16,6 +16,9 @@ holds a tolerance-sized float literal; it is a named constant.
 Exports: nashinduce.__all__ is the production API, the names a command runs
 or a caller needs to build and read a game.
 
+Decision path: one function of cli runs both methods, the frequency-domain
+analysis and the oracle, for check and solve alike.
+
 README: its Library example runs and prints what its comments state, and
 its tolerance table has one row for each module-level constant.
 """
@@ -39,8 +42,9 @@ ALLOWED = {
     "cli.build_parser.tol_option(note)": "the solve parser adds its --nearest note",
     "cli.main(argv)": "tests and perfbench call main(argv) in-process",
     "feasibility.stationarity_maps(players)": "solve_feasibility_projection passes its players",
-    "feasibility.solve_feasibility_projection(players)": "cmd_check passes the --player indices",
-    "feasibility.solve_feasibility_projection(mode)": "cmd_solve passes --mode",
+    "feasibility.solve_feasibility_projection(players)": "cli._decide passes the players "
+                                                         "check lists (--player)",
+    "feasibility.solve_feasibility_projection(mode)": "cli._decide passes solve's --mode",
     "forward.CostParameters.validate(tol)": "verify_nash passes --tol; nearest_params passes NEAREST_INPUT_TOL",
     "forward.verify_nash(tol)": "cmd_solve and cmd_verify pass --tol",
     "forward.solve_coupled_are(gain_tol)": "perfbench's ladder generator (LADDER_SOLVER_ARGS)",
@@ -158,6 +162,20 @@ def small_literals() -> set:
 
 def test_no_inline_tolerances():
     assert small_literals() == set()
+
+
+def cli_callers(name: str) -> set:
+    """The functions of cli.py whose bodies call `name`."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == name}
+
+
+def test_check_and_solve_decide_on_one_path():
+    deciders = cli_callers("analyze_player")
+    assert len(deciders) == 1, f"more than one decision path in cli: {sorted(deciders)}"
+    assert cli_callers("solve_feasibility_projection") == deciders
 
 
 PRODUCTION_API = [
