@@ -14,13 +14,12 @@ projections (player_feasibility, the one Kalman cone search, on a map the
 caller passes: the time-domain oracle on the slice trace(R_ii) = m_i, and
 the q-only solve with R_ii = I pinned; solve_feasibility_projection runs it
 for every listed player of a game on maps from one adjoint stack), projects
-reference costs onto the feasible set (Douglas-Rachford splitting, or, on
-the one-dimensional kernel of a scalar one-player game, one clipped scalar
-projection onto the ray of the oracle's single-point slice), and
+reference costs onto the feasible set (Douglas-Rachford splitting), and
 folds/unfolds cross-control penalties.  Both loops run through the
-Anderson-mixed fixed-point driver numerics._anderson, and both accept by one
-rule, numerics.cone_verdict.  The Kronecker identities (build_vectorized_system,
-_player_nullspace) remain as references; no search uses them.
+Anderson-mixed fixed-point driver numerics._anderson and accept by one rule,
+numerics.cone_verdict; neither runs where pinned_fails, their one certificate,
+finds the closed-form block B_i' Q_i B_i outside the cones.  The Kronecker
+identities (build_vectorized_system, _player_nullspace) remain as references.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ import numpy as np
 
 from .forward import CostParameters, state_weight_with_cross_terms
 from .numerics import (
+    POINT_SLACK,
     R_FLOOR,
     DimensionError,
     _anderson,
@@ -157,6 +157,17 @@ def _kalman_map(system: GameSystem, i: int, M):
     return M[:, :nq], M[:, off:off + sym_dim(system.m[i])]
 
 
+def pinned_fails(system: GameSystem, profile: StrategyProfile, i: int) -> bool:
+    """Whether player i's pinned block puts Q_i >= 0 out of reach where R_ii
+    is I or a positive scalar: B_i' P_i = R_ii K_i pins B_i' Q_i B_i to R_ii
+    times -(M + M') - L'L, M = K_i Acl B_i and L = K_i B_i, and cross
+    penalties only lower it.  Fails below -POINT_SLACK max(1, |M + M'|, |L|^2)."""
+    Ki, Bi = profile.K[i], system.B[i]
+    M, L = Ki @ closed_loop(system, profile.K) @ Bi, Ki @ Bi
+    scale = max(1.0, float(np.linalg.norm(M + M.T)), float(np.linalg.norm(L)) ** 2)
+    return float(np.linalg.eigvalsh(-(M + M.T) - L.T @ L).min()) < -POINT_SLACK * scale
+
+
 @dataclass(frozen=True)
 class KalmanSolution:
     Q: np.ndarray
@@ -172,23 +183,25 @@ class KalmanSolution:
         return self.status == "solved"
 
 
-def player_feasibility(system: GameSystem, i: int, mode: str, M) -> KalmanSolution:
+def player_feasibility(system: GameSystem, profile: StrategyProfile, i: int, mode: str,
+                       M) -> KalmanSolution:
     """Player i's cone search: Q_i >= 0, R_ii >= R_FLOOR I in the kernel of
-    the Kalman map (_kalman_map of M, player i's entry of
-    stationarity_maps), on a slice of it.  Mode "general" slices
-    on the normalization trace(R_ii) = m_i; "q-only" pins R_ii = I, one row
-    per packed entry, and kernel_dim then counts the pinned map's kernel,
-    that of its Q_i columns.  Any other mode raises ValueError, and an index
-    out of range DimensionError.
+    the Kalman map (_kalman_map of M, player i's entry of stationarity_maps),
+    on a slice of it.  Mode "general" slices on the normalization trace(R_ii)
+    = m_i; "q-only" pins R_ii = I, one row per packed entry, and kernel_dim
+    then counts the pinned map's kernel, that of its Q_i columns.  Any other
+    mode raises ValueError, and an index out of range DimensionError.
 
     "infeasible" is certified by the identities alone: every solution has
-    trace(R_ii) = 0, or the slice is a single point outside the cones.  With
-    R_ii pinned, a slice no solution reaches is "no_solution".  Otherwise
-    cone_verdict decides: a capped loop, or a converged point that misses
-    the cones by more than CONVERGED_SLACK, is "indeterminate".  Both modes
-    report the residual |M theta| / max(1, |theta|), or, when no point
-    reaches the slice, the relative miss of its first unreachable row
-    (affine_slice), with Q = 0.
+    trace(R_ii) = 0, or the slice fixes R_ii (q-only, or m_i = 1) and its
+    pinned block fails (pinned_fails: no loop runs, and the slice point is
+    reported with 0 iterations and gap 0), or the slice is a single point
+    outside the cones.  With R_ii pinned, a slice no solution reaches is
+    "no_solution".  Otherwise cone_verdict decides: a capped loop, or a
+    converged point that misses the cones by more than CONVERGED_SLACK, is
+    "indeterminate".  Both modes report the residual |M theta| / max(1,
+    |theta|), or, when no point reaches the slice, the relative miss of its
+    first unreachable row (affine_slice), with Q = 0.
     """
     if mode not in ("general", "q-only"):
         raise ValueError(f"mode must be 'general' or 'q-only', got {mode!r}")
@@ -210,10 +223,11 @@ def player_feasibility(system: GameSystem, i: int, mode: str, M) -> KalmanSoluti
                               residual=miss, kernel_dim=kernel_dim,
                               status="no_solution" if q_only else "infeasible")
     layout = [(n, 0.0), (m, R_FLOOR)]
-    theta, reason, its, gap = project_affine_cone(x_p, Va, layout)
+    fails = (q_only or m == 1) and pinned_fails(system, profile, i)  # the slice fixes R_ii
+    theta, reason, its, gap = (x_p, "point", 0, 0.0) if fails else project_affine_cone(x_p, Va, layout)
     if q_only:  # the pinned entries exactly, not to round-off
         theta = np.concatenate([theta[:nq], eye])
-    ok = cone_verdict(theta, reason, layout)
+    ok = not fails and cone_verdict(theta, reason, layout)
     Q, R = sym_blocks(theta, layout)
     residual = float(np.linalg.norm(M @ theta)) / max(1.0, float(np.linalg.norm(theta)))
     return KalmanSolution(Q=Q, R=R, residual=residual, kernel_dim=kernel_dim,
@@ -246,7 +260,7 @@ def solve_feasibility_projection(system: GameSystem, profile: StrategyProfile,
     solutions = []
     for i, M in zip(players, maps):
         with _stage(i, "kalman"):
-            solutions.append(player_feasibility(system, i, mode, M))
+            solutions.append(player_feasibility(system, profile, i, mode, M))
     status = min((s.status for s in solutions), key=list(_GAME_STATUS).index)
     return FeasibilityResult(_GAME_STATUS[status], tuple(solutions))
 
@@ -272,48 +286,39 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
     the Lyapunov map, and min |x - x0|^2 / 2 over the stationarity map's
     kernel and the cones; the players' maps come from one adjoint stack
     (stationarity_maps).  V, an orthonormal basis of the map's constraint
-    rows, projects onto the kernel as x - V(V'x).  The kernel has dimension
-    at least ((n - m_i)^2 + n + m_i)/2 + sum_{j != i} m_j(m_j + 1)/2 >= 1,
-    so it is one-dimensional only when n = m_i = N = 1, and then needs no
-    loop (0 iterations, gap 0): its point z with R_ii = 1 (affine_slice, the
-    single-point slice player_feasibility tests in general mode) is decided
-    as that slice is, by cone_verdict.  If no such point exists or it misses
-    the cones, infeasibility is certified; otherwise the feasible set is the
-    ray {t z : t >= R_FLOOR}, and the answer is max(R_FLOOR, z . x0 / |z|^2) z.
-    A larger kernel runs Douglas-Rachford splitting
-    (step 1) from v = x0 - V(V'x0): u = (v + x0) / 2, x = u - V(V'u),
-    y = P_cone(2x - v) and v <- v + y - x, mixed by numerics._anderson, until
-    |y - x| <= PROJECTION_TOL max(1, |y|).  cone_verdict rules on y as on the
-    oracle's converged point; a y it does not accept is "indeterminate".  y
-    needs no test of its own on the kernel: x lies on it, so |V'y| <= |y - x|.
+    rows, projects onto the kernel as x - V(V'x).  A player with m_i = 1
+    whose pinned block fails (pinned_fails, the oracle's certificate) is
+    certified infeasible with no loop (0 iterations, gap 0).  Every other
+    runs Douglas-Rachford splitting (step 1) from v = x0 - V(V'x0): u = (v +
+    x0) / 2, x = u - V(V'u), y = P_cone(2x - v) and v <- v + y - x, mixed by
+    numerics._anderson, until |y - x| <= PROJECTION_TOL max(1, |y|).
+    cone_verdict rules on y as on the oracle's converged point (a y it does
+    not accept is "indeterminate"); y needs no kernel test, as |V'y| <= |y - x|.
     """
     costs0.validate(system, tol=NEAREST_INPUT_TOL)
     N = system.num_players
     Qs, Rrows, iterations, gaps = [], [], (), ()
     dist2 = 0.0
     for i, M in enumerate(stationarity_maps(system, profile)):
+        if system.m[i] == 1 and pinned_fails(system, profile, i):
+            return NearestResult("infeasible_certified_by_identity", None, float("inf"),
+                                 iterations + (0,), gaps + (0.0,))
         V = row_basis(M)  # the feasible identity directions are span(V)'s complement
         layout = [(system.n, 0.0)] + [(mj, R_FLOOR if j == i else 0.0)
                                       for j, mj in enumerate(system.m)]
         x0 = np.concatenate([sym_pack(costs0.Q[i])] +
                             [sym_pack(costs0.R[i][j]) for j in range(N)])
-        if M.shape[1] - V.shape[1] == 1:  # n = m_i = N = 1: x = (Q_i, R_ii)
-            z = affine_slice(V, [np.array([0.0, 1.0])], [1.0])[0]
-            if z is None or not cone_verdict(z, "point", layout):
-                return NearestResult("infeasible_certified_by_identity", None, float("inf"),
-                                     iterations + (0,), gaps + (0.0,))
-            y, its, gap = max(R_FLOOR, float(z @ x0) / float(z @ z)) * z, 0, 0.0
-        else:
-            def step(v):
-                u = 0.5 * (v + x0)
-                x = u - V @ (V.T @ u)
-                y = cone_project(2.0 * x - v, layout)
-                return v + y - x, y, float(np.linalg.norm(y - x))
 
-            y, reason, its, gap = _anderson(step, x0 - V @ (V.T @ x0))
-            if not cone_verdict(y, reason, layout):
-                return NearestResult("indeterminate", None, float("inf"),
-                                     iterations + (its,), gaps + (gap,))
+        def step(v):
+            u = 0.5 * (v + x0)
+            x = u - V @ (V.T @ u)
+            y = cone_project(2.0 * x - v, layout)
+            return v + y - x, y, float(np.linalg.norm(y - x))
+
+        y, reason, its, gap = _anderson(step, x0 - V @ (V.T @ x0))
+        if not cone_verdict(y, reason, layout):
+            return NearestResult("indeterminate", None, float("inf"),
+                                 iterations + (its,), gaps + (gap,))
         iterations, gaps = iterations + (its,), gaps + (gap,)
         dist2 += float(np.linalg.norm(y - x0) ** 2)
         Qi, *Rrow = sym_blocks(cone_project(y, layout), layout)

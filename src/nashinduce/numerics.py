@@ -40,7 +40,7 @@ R_FLOOR = 1e-6                 # eigenvalue floor imposed on each R_ii
 PROJECTION_CAP = 10_000        # iteration cap of every projection loop
 PROJECTION_TOL = 1e-10         # stop rule of every projection loop
 CONVERGED_SLACK = 1e-7         # a converged point's relative slack to the cones (cone_verdict)
-POINT_SLACK = 1e-9             # a single point's relative slack to the cones (cone_ok's default)
+POINT_SLACK = 1e-9             # a single point's (and a pinned block's) relative slack to the cones
 ANDERSON_MEMORY = 5            # residual differences mixed by _anderson
 ANDERSON_RESTART = 2.0         # fixed-point residual growth that clears that history
 ANDERSON_FLOOR = 1e-14         # relative residual below which mixing fits round-off only

@@ -270,14 +270,16 @@ def test_solve_says_indeterminate_where_the_search_stops_undecided(tmp_path, cap
 
 
 def test_a_certified_player_decides_before_an_undecided_one(tmp_path, capsys):
-    # Player 1 fails the circle test; both searches stop undecided at their
-    # cap.  Every player's conditions are necessary, so player 1's failure
+    # Player 1 fails the circle test, and its pinned block b'Qb = -0.75
+    # certifies its search infeasible; player 0's search stops undecided at
+    # its cap.  Every player's conditions are necessary, so player 1's failure
     # decides, although player 0 comes first: solve answers infeasible there.
     code, out, err = run_cli(capsys, "solve", boundary_and_scalar_infeasible(tmp_path))
     report = json.loads(out)
     assert (code, err) == (1, "")
     assert (report["status"], report["failing_player"], report["kalman_status"]) == (
-        "infeasible", 1, "indeterminate")
+        "infeasible", 1, "infeasible")
+    assert report["diagnostics"]["kalman_iterations"] == [PROJECTION_CAP, 0]
     assert (report["circle_ok"], report["circle_witness"]) == (False, 0.0)
     assert report["phi_at_witness"] == pytest.approx(-3.0)
 
@@ -287,8 +289,8 @@ def test_a_certified_search_decides_before_an_undecided_one(tmp_path, monkeypatc
     # player 1's is certified infeasible, so the game is infeasible.
     player_feasibility = feasibility.player_feasibility
 
-    def stub(system, i, *args):
-        solution = player_feasibility(system, i, *args)
+    def stub(system, profile, i, *args):
+        solution = player_feasibility(system, profile, i, *args)
         return dataclasses.replace(solution, status=("indeterminate", "infeasible")[i])
 
     monkeypatch.setattr(feasibility, "player_feasibility", stub)
@@ -932,25 +934,25 @@ def test_reports_carry_loop_iterations(tmp_path, capsys):
     diagnostics = json.loads(out)["diagnostics"]
     assert diagnostics == {"nearest_iterations": list(nearest.iterations),
                            "nearest_gaps": [float("%.12e" % gap) for gap in nearest.gaps]}
-    # A one-dimensional kernel whose ray meets the cones: no loop runs.
-    assert diagnostics == {"nearest_iterations": [0], "nearest_gaps": [0.0]}
+    # A one-dimensional kernel whose ray meets the cones: Douglas-Rachford
+    # answers in one iteration.
+    assert diagnostics["nearest_iterations"] == [1]
 
 
 def test_nearest_is_indeterminate_when_a_loop_stops_at_its_cap(tmp_path, monkeypatch, capsys):
-    # Player 2's Douglas-Rachford loop on this game stops at the cap short of
-    # PROJECTION_TOL: no costs, and solve --nearest exits 1 with no distance.
+    # The player of this game has m_i = 2, so no pinned block decides, and its
+    # Douglas-Rachford loop stops at the cap short of PROJECTION_TOL: no
+    # costs, and solve --nearest exits 1 with no distance.
     results = []
     monkeypatch.setattr(cli, "nearest_params",
                         lambda *args: results.append(nearest_params(*args)) or results[-1])
     costs0 = tmp_path / "costs0.json"
-    costs0.write_text(json.dumps({
-        "Q": [np.eye(3).tolist()] * 3,
-        "R": [[[[1.0 if i == j else 0.0]] for j in range(3)] for i in range(3)]}))
-    code, out, _ = run_cli(capsys, "solve", str(DATA / "infeasible_r1_n3_N3_m1.json"),
+    costs0.write_text(json.dumps({"Q": [np.eye(3).tolist()], "R": [[np.eye(2).tolist()]]}))
+    code, out, _ = run_cli(capsys, "solve", str(DATA / "allpass_n3_N1_m2.json"),
                            "--nearest", str(costs0))
     [res] = results
     assert (res.status, res.costs, res.distance) == ("indeterminate", None, float("inf"))
-    assert len(res.iterations) == 3 and res.iterations[-1] == PROJECTION_CAP
+    assert res.iterations == (PROJECTION_CAP,)
     assert res.gaps[-1] > PROJECTION_TOL
     report = json.loads(out)
     assert (code, report["status"], report["distance"]) == (1, "indeterminate", None)
@@ -1206,8 +1208,8 @@ def test_each_command_runs_one_stack_and_one_search_per_listed_player(monkeypatc
     monkeypatch.setattr(feasibility, "stationarity_maps",
                         lambda *a, **k: stacks.append(1) or stationarity_maps(*a, **k))
     monkeypatch.setattr(feasibility, "player_feasibility",
-                        lambda s, i, *a: searches.append((i,) + a[:1])
-                        or player_feasibility(s, i, *a))
+                        lambda s, p, i, *a: searches.append((i,) + a[:1])
+                        or player_feasibility(s, p, i, *a))
     path = str(DATA / "ladder_r0_n8_N3_m2.json")
     for argv, expected in ((["check", path], [(0, "general"), (1, "general"), (2, "general")]),
                            (["check", path, "--player", "1"], [(1, "general")]),
@@ -1228,10 +1230,10 @@ def test_search_failure_names_the_player_and_stage(tmp_path, monkeypatch, capsys
     path = write_example(tmp_path, "two_player_scalar")
     player_feasibility = feasibility.player_feasibility
 
-    def failing(system, i, *args):
+    def failing(system, profile, i, *args):
         if i == 1:
             raise NumericalFailureError("residual 1e-3 above tolerance")
-        return player_feasibility(system, i, *args)
+        return player_feasibility(system, profile, i, *args)
 
     def failing_stack(*args):
         raise np.linalg.LinAlgError("Schur form did not converge")
@@ -1322,12 +1324,65 @@ def test_solve_nearest_ladder_n4_game_verifies(tmp_path, capsys):
     assert verify_nash(system, profile, costs)[0]
 
 
-def test_check_infeasible_n3_game_stays_undecided_by_the_oracle(capsys):
-    # Game r1-infeasible-n3-N3-m1 of the benchmark corpus: the oracle's loop of
-    # player 2 stalls outside the cones and reports the cap.
-    code, out, _ = run_cli(capsys, "check", str(DATA / "infeasible_r1_n3_N3_m1.json"))
+def check_certifies_by_the_pinned_block(capsys, path, player):
+    """check on a game whose `player` alone has a failing pinned block: both
+    methods say not_inducible (exit 1), and the oracle certifies that player
+    with no loop."""
+    system, profile, _, _ = load_problem(path)
+    assert [i for i in range(system.num_players)
+            if feasibility.pinned_fails(system, profile, i)] == [player]
+    code, out, _ = run_cli(capsys, "check", path)
     report = json.loads(out)
     assert (code, report["verdict_frequency"], report["verdict_oracle"]) == (
-        1, "not_inducible", "indeterminate")
-    assert report["diagnostics"]["kalman_iterations"][-1] == 10_000
-    assert [p["kalman"]["status"] for p in report["players"]][-1] == "indeterminate"
+        1, "not_inducible", "not_inducible")
+    assert report["diagnostics"]["kalman_iterations"][player] == 0
+    assert report["diagnostics"]["kalman_gaps"][player] == 0.0
+    assert report["players"][player]["kalman"]["status"] == "infeasible"
+
+
+def test_check_certifies_the_infeasible_n3_game_by_the_pinned_block(capsys):
+    # Game r1-infeasible-n3-N3-m1 of the benchmark corpus: player 2's cone
+    # search stalls outside the cones and runs to its cap, but its pinned block
+    # (-0.125 relative to the scale of its terms) certifies it before any loop.
+    check_certifies_by_the_pinned_block(capsys, str(DATA / "infeasible_r1_n3_N3_m1.json"), 2)
+
+
+def test_check_certifies_the_infeasible_n2_game_by_the_pinned_block(tmp_path, capsys):
+    # Game r0-infeasible-n2-N2-m1 of the benchmark corpus (perfbench at
+    # CORPUS_SEED): player 0's cone search stalls outside the cones, but its
+    # pinned block certifies it before any loop.
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import games
+    from workloads import CORPUS_SEED
+    path = tmp_path / "infeasible_n2.json"
+    path.write_text(games.infeasible((CORPUS_SEED, 0, 3), 2, 1).problem_json())
+    check_certifies_by_the_pinned_block(capsys, str(path), 0)
+
+
+def test_nearest_certifies_an_infeasible_single_input_player_without_a_loop(tmp_path, capsys):
+    # Game r1-infeasible-n3-N3-m1 with identity reference costs: player 2's
+    # Douglas-Rachford loop runs to its cap short of PROJECTION_TOL, but its
+    # pinned block certifies the player before any loop.
+    costs0 = tmp_path / "costs0.json"
+    costs0.write_text(json.dumps({
+        "Q": [np.eye(3).tolist()] * 3,
+        "R": [[[[1.0 if i == j else 0.0]] for j in range(3)] for i in range(3)]}))
+    code, out, err = run_cli(capsys, "solve", str(DATA / "infeasible_r1_n3_N3_m1.json"),
+                             "--nearest", str(costs0))
+    report = json.loads(out)
+    assert (code, err, report["status"], report["distance"], report["players"]) == (
+        1, "", "infeasible_certified_by_identity", None, [])
+    assert report["diagnostics"]["nearest_iterations"][-1] == 0
+    assert report["diagnostics"]["nearest_gaps"][-1] == 0.0
+    assert len(report["diagnostics"]["nearest_iterations"]) == 3
+
+
+def test_q_only_certifies_a_multi_input_player_by_its_pinned_block(capsys):
+    # The player of allpass_n3_N1_m2 has m_i = 2; q-only pins R_ii = I, so its
+    # pinned block decides, where the general-mode search stops at the cap.
+    path = str(DATA / "allpass_n3_N1_m2.json")
+    code, out, err = run_cli(capsys, "solve", path, "--mode", "q-only")
+    report = json.loads(out)
+    assert (code, err, report["kalman_status"]) == (1, "", "infeasible")
+    assert report["diagnostics"]["kalman_iterations"] == [0]

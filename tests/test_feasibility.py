@@ -22,9 +22,11 @@ from nashinduce.feasibility import (
     _player_nullspace,
     _stationarity_map,
     build_vectorized_system,
+    pinned_fails,
     stationarity_maps,
 )
 from nashinduce.numerics import (
+    POINT_SLACK,
     DimensionError,
     PROJECTION_CAP,
     PROJECTION_TOL,
@@ -35,6 +37,7 @@ from nashinduce.numerics import (
     nullspace,
     project_affine_cone,
     row_basis,
+    sym_blocks,
     sym_dim,
     sym_pack,
 )
@@ -266,13 +269,54 @@ def test_identity_start_halves_ladder_iterations(monkeypatch):
 def test_q_only_slice_keeps_least_squares_statuses(nash_games, tmp_path):
     # The cone search on the R_ii = I slice answers as the retired
     # least-squares q-only solve did, status and kernel_dim, on every
-    # nash_games player, tests/data fixture and bundled example.
+    # nash_games player, tests/data fixture and bundled example.  The
+    # reference has no certificate: where the pinned block fails, the search
+    # says "infeasible" and the reference never says "solved".
     answers = [((s := inverse.solve_kalman_Q(system, profile, i)).status, s.kernel_dim,
-                least_squares_kalman_Q(system, profile, i))
+                least_squares_kalman_Q(system, profile, i), pinned_fails(system, profile, i))
                for _, system, profile in oracle_games(nash_games, tmp_path)
                for i in range(system.num_players)]
-    assert all((status, dim) == ref for status, dim, ref in answers)
-    assert {status for status, _, _ in answers} >= {"solved", "infeasible"}
+    for status, dim, (ref, ref_dim), fails in answers:
+        assert dim == ref_dim
+        if fails:
+            assert status == "infeasible" and ref != "solved"
+        else:
+            assert status == ref
+    assert {status for status, _, _, _ in answers} >= {"solved", "infeasible"}
+    assert any(fails for _, _, _, fails in answers)
+
+
+def test_pinned_block_matches_the_q_only_slice_and_spares_nash_players(nash_games, tmp_path):
+    # Guard against a false certificate, on every nash_games player, tests/data
+    # fixture and bundled example: B_i' Q_i B_i at the q-only slice point
+    # (R_ii = I) equals the closed form -(M + M') - L'L, M = K_i Acl B_i and
+    # L = K_i B_i, to 1e-9 relative to the scale of its terms; pinned_fails
+    # reads that block's least eigenvalue on that scale; no player of a Nash
+    # game fails it; and remark2's player 0, whose block reads exactly 0,
+    # stays on the search (check exits 4 there).
+    not_nash = {"allpass_n3_N1_m2", "infeasible_r1_n3_N3_m1", "scalar_infeasible"}
+    failing = []
+    for name, system, profile in oracle_games(nash_games, tmp_path):
+        Acl = closed_loop(system, profile.K)
+        for i in range(system.num_players):
+            n, m, Ki, Bi = system.n, system.m[i], profile.K[i], system.B[i]
+            M, L = Ki @ Acl @ Bi, Ki @ Bi
+            block = -(M + M.T) - L.T @ L
+            scale = max(1.0, np.linalg.norm(M + M.T), np.linalg.norm(L) ** 2)
+            V = row_basis(np.hstack(feasibility._kalman_map(
+                system, i, _stationarity_map(system, profile, i))))
+            eye = sym_pack(np.eye(m))
+            pins = np.hstack([np.zeros((eye.size, sym_dim(n))), np.eye(eye.size)])
+            x_p = affine_slice(V, pins, eye)[0]
+            Q = sym_blocks(x_p, [(n, 0.0), (m, R_FLOOR)])[0]
+            assert np.linalg.norm(Bi.T @ Q @ Bi - block) <= 1e-9 * scale, (name, i)
+            least = float(np.linalg.eigvalsh(block).min())
+            assert pinned_fails(system, profile, i) == (least < -POINT_SLACK * scale), (name, i)
+            if pinned_fails(system, profile, i):
+                failing.append((name, i))
+            if (name, i) == ("remark2", 0):
+                assert least == 0.0
+    assert failing and {name for name, _ in failing} <= not_nash, failing
 
 
 def test_modes_agree_bitwise_on_single_input_players(nash_games, tmp_path):
@@ -354,8 +398,8 @@ def test_per_game_maps_match_the_one_player_maps(nash_games, tmp_path):
             ref = _stationarity_map(system, profile, i)
             assert np.linalg.norm(M - ref) <= 1e-12 * np.linalg.norm(ref), (name, i)
             for mode in ("general", "q-only"):
-                a = feasibility.player_feasibility(system, i, mode, M)
-                b = feasibility.player_feasibility(system, i, mode, ref)
+                a = feasibility.player_feasibility(system, profile, i, mode, M)
+                b = feasibility.player_feasibility(system, profile, i, mode, ref)
                 assert (a.status, a.kernel_dim) == (b.status, b.kernel_dim), (name, i, mode)
 
 
@@ -414,7 +458,8 @@ def test_searches_reject_an_unknown_mode_and_bad_players():
     with pytest.raises(ValueError, match=message):
         solve_feasibility_projection(system, profile, mode="Q-only")
     with pytest.raises(ValueError, match=message):
-        feasibility.player_feasibility(system, 0, "Q-only", _stationarity_map(system, profile, 0))
+        feasibility.player_feasibility(system, profile, 0, "Q-only",
+                                       _stationarity_map(system, profile, 0))
     for players, message in (([], "at least one player required"),
                              ([0, 5], "player index 5 out of range"),
                              ([-1], "player index -1 out of range")):
@@ -428,7 +473,7 @@ def test_searches_reject_an_unknown_mode_and_bad_players():
     for i in (5, -1):
         for mode in ("general", "q-only"):
             with pytest.raises(DimensionError, match=f"^player index {i} out of range$"):
-                feasibility.player_feasibility(system, i, mode, M)
+                feasibility.player_feasibility(system, profile, i, mode, M)
 
 
 def test_feasibility_agrees_with_forward_construction(nash_games):
@@ -474,36 +519,38 @@ def test_nearest_params_infeasible():
     costs0 = CostParameters([np.array([[1.0]])], [[np.array([[1.0]])]])
     res = nearest_params(costs0, system, prof)
     # The kernel is the one line q = -0.75 r, on which Q and R never share a
-    # sign: the ray certifies infeasibility before any loop runs.
+    # sign: the pinned block b'Qb = -0.75 certifies infeasibility before any
+    # loop runs.
     assert res.status == "infeasible_certified_by_identity"
     assert res.iterations == (0,)
     assert res.costs is None
 
 
+def ray_nearest(system, profile, x0):
+    """The closed-form projection of x0 = (q0, r0) onto the feasible ray
+    {t z : t >= R_FLOOR} of a scalar one-player game, z the kernel's point
+    with R = 1, or None when that point misses the cones."""
+    V = row_basis(_stationarity_map(system, profile, 0))
+    z = affine_slice(V, [np.array([0.0, 1.0])], [1.0])[0]
+    if z is None or not cone_verdict(z, "point", [(1, 0.0), (1, R_FLOOR)]):
+        return None
+    return max(R_FLOOR, float(z @ x0) / float(z @ z)) * z
+
+
 def test_nearest_params_one_dimensional_kernel_matches_douglas_rachford(tmp_path):
     # Bundled scalar_feasible, a one-dimensional kernel whose ray meets the
-    # cones: the clipped scalar projection, with no loop, lies as far from the
-    # reference costs as the Douglas-Rachford loop's answer.
+    # cones: the Douglas-Rachford loop's answer lies as far from the reference
+    # costs as the clipped scalar projection onto the ray.
     path = tmp_path / "scalar_feasible.json"
     path.write_text(BUNDLED["scalar_feasible"])
     system, profile, _, _ = load_problem(str(path))
     costs0 = CostParameters([np.array([[5.0]])], [[np.array([[1.0]])]])
     res = nearest_params(costs0, system, profile)
-    assert (res.status, res.iterations, res.gaps) == ("feasible", (0,), (0.0,))
-    V = row_basis(_stationarity_map(system, profile, 0))
+    assert res.status == "feasible" and res.gaps[0] <= PROJECTION_TOL
     x0 = np.array([5.0, 1.0])
-    layout = [(1, 0.0), (1, R_FLOOR)]
-
-    def step(v):
-        u = 0.5 * (v + x0)
-        x = u - V @ (V.T @ u)
-        y = cone_project(2.0 * x - v, layout)
-        return v + y - x, y, float(np.linalg.norm(y - x))
-
-    y, reason, its, _ = numerics._anderson(step, x0 - V @ (V.T @ x0))
-    assert reason == "converged" and its > 0
+    y = ray_nearest(system, profile, x0)
     assert res.distance == pytest.approx(float(np.linalg.norm(y - x0)), rel=1e-9)
-    assert res.distance == pytest.approx(np.sqrt(0.4), rel=1e-12)
+    assert res.distance == pytest.approx(np.sqrt(0.4), rel=1e-9)
 
 
 def identity_costs(system):
@@ -542,7 +589,8 @@ def test_only_scalar_one_player_games_have_a_one_dimensional_kernel():
 
 def test_scalar_nearest_params_agrees_with_the_oracle():
     # On the one-dimensional kernel of a scalar one-player game, nearest_params
-    # decides feasibility exactly as the oracle's single-point slice does.
+    # decides feasibility exactly as the oracle's single-point slice does, and
+    # a feasible answer lies as far from the reference as the ray's.
     rng = np.random.default_rng(11)
     statuses = set()
     for _ in range(200):
@@ -556,7 +604,12 @@ def test_scalar_nearest_params_agrees_with_the_oracle():
         oracle = solve_feasibility_projection(system, profile).status
         assert (res.status == "feasible") == (oracle == "feasible"), (a, b, acl)
         assert res.status in ("feasible", "infeasible_certified_by_identity")
-        assert (res.iterations, res.gaps) == ((0,), (0.0,))
+        x0 = np.array([costs0.Q[0][0, 0], costs0.R[0][0][0, 0]])
+        y = ray_nearest(system, profile, x0)
+        if res.status == "feasible":
+            assert res.distance == pytest.approx(float(np.linalg.norm(y - x0)), rel=1e-9)
+        else:
+            assert (y, res.iterations, res.gaps) == (None, (0,), (0.0,))
         statuses.add(res.status)
     assert statuses == {"feasible", "infeasible_certified_by_identity"}
 
@@ -598,7 +651,8 @@ def test_a_converged_nearest_answer_lies_on_the_kernel(tmp_path, monkeypatch):
     monkeypatch.setattr(feasibility, "cone_verdict", recording_verdict)
     for system, profile, costs0 in problems:
         nearest_params(costs0, system, profile)
-    converged = [(V, y) for V, y, reason in runs if reason == "converged"]
+    # A player certified by its pinned block runs no loop: its run holds V alone.
+    converged = [(run[0], run[1]) for run in runs if run[2:] == ["converged"]]
     assert len(converged) >= 25
     for V, y in converged:
         scale = max(1.0, float(np.linalg.norm(y)))
@@ -647,10 +701,18 @@ def test_nearest_params_no_farther_than_scaled_nash_costs():
 
 
 def test_stalled_loops_stop_at_once(monkeypatch):
-    # Game r1-infeasible-n3-N3-m1 of the benchmark corpus: the cone search of
-    # player 2 stalls outside the cones after a few iterations, with |f|
-    # round-off but not 0, and can no longer converge before the cap.
-    system, profile, _, _ = load_problem(str(DATA / "infeasible_r1_n3_N3_m1.json"))
+    # Game r2-infeasible-n4-N2-m2 of the benchmark corpus: the general-mode
+    # cone search of player 1 (m_i = 2, so no slice fixes R_ii and no pinned
+    # block decides) stalls outside the cones after a few iterations, with
+    # |f| round-off but not 0, and can no longer converge before the cap.
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    if str(bench) not in sys.path:
+        sys.path.insert(0, str(bench))
+    import games
+    from workloads import CORPUS_SEED
+    game = games.infeasible((CORPUS_SEED, 2, 3), 2, 2)
+    system = GameSystem(game.A, game.B)
+    profile = StrategyProfile.stabilizing(system, game.K)
     calls, loops = [], []
 
     def counting(x, layout):
@@ -667,7 +729,7 @@ def test_stalled_loops_stop_at_once(monkeypatch):
     last = system.num_players - 1
     kalman = inverse.solve_kalman_general(system, profile, last)
     assert (kalman.status, kalman.iterations) == ("indeterminate", PROJECTION_CAP)
-    search = feasibility.player_feasibility(system, last, "general",
+    search = feasibility.player_feasibility(system, profile, last, "general",
                                             _stationarity_map(system, profile, last))
     assert (search.status, search.iterations) == ("indeterminate", PROJECTION_CAP)
     (reason_k, its_k, calls_k), (reason_o, its_o, calls_o) = loops
@@ -678,15 +740,22 @@ def test_stalled_loops_stop_at_once(monkeypatch):
 def test_one_search_matches_kronecker_reference(nash_games, tmp_path):
     # The (Q_i, R_ii) search with P_i eliminated answers as the (Q_i, R_ii, P_i)
     # search over the vectorized system did, player by player, on every
-    # nash_games game, tests/data fixture and bundled example.
+    # nash_games game, tests/data fixture and bundled example.  The reference
+    # has no certificate: where a single-input player's pinned block fails,
+    # the search says "infeasible" and the reference never says "solved".
     games = oracle_games(nash_games, tmp_path)
-    statuses = []
+    statuses, certified = [], 0
     for name, system, profile in games:
         for i in range(system.num_players):
             status = inverse.solve_kalman_general(system, profile, i).status
-            assert status == kronecker_player_feasibility(system, profile, i)[0], (name, i)
+            ref = kronecker_player_feasibility(system, profile, i)[0]
+            if system.m[i] == 1 and pinned_fails(system, profile, i):
+                assert status == "infeasible" and ref != "solved", (name, i)
+                certified += 1
+            else:
+                assert status == ref, (name, i)
             statuses.append(status)
-    assert set(statuses) == {"solved", "infeasible", "indeterminate"}
+    assert set(statuses) == {"solved", "infeasible", "indeterminate"} and certified
 
 
 def test_fold_unfold_round_trip(nash_games):

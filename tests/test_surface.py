@@ -19,6 +19,11 @@ or a caller needs to build and read a game.
 Decision path: one function of cli runs both methods, the frequency-domain
 analysis and the oracle, for check and solve alike.
 
+Certificate: one function of feasibility forms the pinned block B_i'Q_iB_i
+(the one Gram product L'L there), and both cone searches, the oracle's
+player_feasibility and nearest_params, call it; nearest_params cuts no slice
+of its own.
+
 README: its Library example runs and prints what its comments state, and
 its tolerance table has one row for each module-level constant.
 """
@@ -164,18 +169,39 @@ def test_no_inline_tolerances():
     assert small_literals() == set()
 
 
-def cli_callers(name: str) -> set:
-    """The functions of cli.py whose bodies call `name`."""
-    tree = ast.parse((SRC / "cli.py").read_text())
-    return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-            for node in ast.walk(fn) if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name) and node.func.id == name}
+def functions(module: str) -> list:
+    """Every function definition of a production module, nested ones too."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+
+
+def callers(module: str, name: str) -> set:
+    """The functions of a module whose bodies call `name`."""
+    return {fn.name for fn in functions(module) for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name}
 
 
 def test_check_and_solve_decide_on_one_path():
-    deciders = cli_callers("analyze_player")
+    deciders = callers("cli", "analyze_player")
     assert len(deciders) == 1, f"more than one decision path in cli: {sorted(deciders)}"
-    assert cli_callers("solve_feasibility_projection") == deciders
+    assert callers("cli", "solve_feasibility_projection") == deciders
+
+
+def gram_products(module: str) -> set:
+    """The functions of a module that form a Gram product X.T @ X of a name X."""
+    return {fn.name for fn in functions(module) for node in ast.walk(fn)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and isinstance(node.right, ast.Name) and isinstance(node.left, ast.Attribute)
+            and node.left.attr == "T" and isinstance(node.left.value, ast.Name)
+            and node.left.value.id == node.right.id}
+
+
+def test_both_cone_searches_share_one_pinned_block():
+    blocks = gram_products("feasibility")
+    assert len(blocks) == 1, f"more than one pinned block in feasibility: {sorted(blocks)}"
+    assert callers("feasibility", *blocks) == {"player_feasibility", "nearest_params"}
+    assert "nearest_params" not in callers("feasibility", "affine_slice")
 
 
 PRODUCTION_API = [
