@@ -6,16 +6,18 @@ semidefiniteness constraints.  Acl is Hurwitz, so the Riccati row makes P_i
 the Lyapunov solution for the folded state weight, and eliminating it leaves
 the Kalman equation, one linear map in the costs with n m_i rows
 (stationarity_maps: every player's map from one stack of n sum m_i adjoint
-Lyapunov solves against one Schur form of Acl).  Every search holds an
-orthonormal basis V of those constraint rows (numerics.row_basis), never a
-basis of the map's kernel, and projects onto the kernel as x - V(V'x).
-This module searches the kernel for costs in the cones by alternating
-projections (player_feasibility, the one Kalman cone search, on a map the
-caller passes: the time-domain oracle on the slice trace(R_ii) = m_i, and
-the q-only solve with R_ii = I pinned; solve_feasibility_projection runs it
-for every listed player of a game on maps from one adjoint stack), projects
-reference costs onto the feasible set (Douglas-Rachford splitting), and
-folds/unfolds cross-control penalties.  Both loops run through the
+Lyapunov solves against the command's one Schur form, in its Schur
+coordinates Qh_i = U'Q_iU, where the cones are the same and only an answer
+maps back as Q_i = U Qh_i U').  Every search holds an orthonormal
+basis V of those constraint rows (numerics.row_basis, one Householder QR),
+never a basis of the map's kernel, and projects onto the kernel as
+x - V(V'x).  This module searches the kernel for costs in the cones by
+alternating projections (player_feasibility, the one Kalman cone search, on
+a map the caller passes: the time-domain oracle on the slice trace(R_ii) =
+m_i, and the q-only solve with R_ii = I pinned; solve_feasibility_projection
+runs it for every listed player of a game on maps from one adjoint stack),
+projects reference costs onto the feasible set (Douglas-Rachford
+splitting), and folds/unfolds cross-control penalties.  Both loops run through the
 Anderson-mixed fixed-point driver numerics._anderson and accept by one rule,
 numerics.cone_verdict; neither runs where pinned_fails, their one certificate,
 finds the closed-form block B_i' Q_i B_i outside the cones.  The Kronecker
@@ -43,14 +45,14 @@ from .numerics import (
     nullspace,
     project_affine_cone,
     row_basis,
-    solve_lyapunov,
+    schur_stack,
     sym_basis,
     sym_blocks,
     sym_dim,
     sym_pack,
     sym_pack_stack,
 )
-from .realization import GameSystem, StrategyProfile, closed_loop
+from .realization import GameSystem, StrategyProfile, closed_loop, closed_loop_schur
 
 NEAREST_INPUT_TOL = 1e-6  # semidefiniteness tolerance of nearest_params' reference costs
 
@@ -111,50 +113,67 @@ def _listed_players(system: GameSystem, players) -> list:
     return players
 
 
-def stationarity_maps(system: GameSystem, profile: StrategyProfile, players=None) -> list:
-    """The stationarity map of each listed player (all by default), over
-    packed (Q_i, R_i1..R_iN): x -> R_ii K_i - B_i' P_i, row-major over
-    (a, b), a < m_i, b < n.
+def stationarity_maps(system: GameSystem, profile: StrategyProfile, players=None):
+    """(maps, U): the stationarity map of each listed player (all by
+    default), in the Schur coordinates of the closed loop, Acl = U S U'.
+    The command's one factorization Acl' = U_T T U_T' (closed_loop_schur)
+    gives it as S = J T' J and U = U_T J, J the reversal permutation: S is
+    upper quasi-triangular with T's standardized 2x2 blocks.  A map acts on
+    packed (Qh_i, R_i1..R_iN), Qh_i = U'Q_iU, as x -> R_ii K_i - B_i' P_i,
+    row-major over (a, b), a < m_i, b < n.  The congruence keeps the cones
+    and the Frobenius geometry, so a cone search runs on Qh_i as on Q_i, and
+    only its answer maps back as Q_i = U Qh_i U'.
 
     P_i is eliminated: the Riccati row determines it as the Lyapunov solution
     for the folded state weight W = Q_i + sum_j K_j' R_ij K_j, which is linear
     in the packed variables and automatically positive semidefinite on the
     cone.  Entry (a, b) of B_i' P_i is then <Y_ab, W>, Y_ab the adjoint
-    solution of Acl Y + Y Acl' = -sym(B_i e_a e_b'), so player i's n m_i rows
-    come from n m_i adjoint Lyapunov solves: row (a, b) is -pack(Y_ab) on Q_i
-    and -pack(K_j Y_ab K_j') on R_ij, and R_ii K_i adds
-    pack(sym(e_a K_i[:, b]')) on R_ii.  Every player solves against the same
-    Acl, so all the players' n sum m_i solves are one solve_lyapunov stack,
-    one Schur factorization of Acl, which a tall stack sweeps in one pass.
+    solution of Acl Y + Y Acl' = -sym(B_i e_a e_b'); in Schur coordinates
+    Yh_ab = U'Y_abU solves S Yh + Yh S' = -sym((U'B_i e_a)(U'e_b)'), a
+    rank-one right-hand side, so player i's n m_i rows come from n m_i such
+    solves: row (a, b) is -pack(Yh_ab) on Qh_i and -pack(Kh_j Yh_ab Kh_j') on
+    R_ij, Kh_j = K_j U, and R_ii K_i adds pack(sym(e_a K_i[:, b]')) on R_ii.
+    Every player solves against the same S, so all the players' n sum m_i
+    solves are one stack (numerics.schur_stack), which a tall stack sweeps
+    in one pass, and no basis change U Yh U' is formed.
     """
     players = _listed_players(system, players)
     n, ms = system.n, [system.m[i] for i in players]
-    B = np.hstack([system.B[i] for i in players])
-    X = np.zeros((B.shape[1], n, n, n))  # X[a, b] = B e_a e_b': column b holds B[:, a]
-    X[:, np.arange(n), :, np.arange(n)] = B.T
-    X = X.reshape(-1, n, n)
-    Y = solve_lyapunov(closed_loop(system, profile.K).T, 0.5 * (X + X.transpose(0, 2, 1)))
-    columns = [-sym_pack_stack(Y)] + [-sym_pack_stack(Kj @ Y @ Kj.T) for Kj in profile.K]
+    _, T, U_T = closed_loop_schur(system, profile)
+    S, U = np.asfortranarray(T[::-1, ::-1].T), np.ascontiguousarray(U_T[:, ::-1])
+    B = U.T @ np.hstack([system.B[i] for i in players])
+    X = (B.T[:, None, :, None] * U[None, :, None, :]).reshape(-1, n, n)  # (U'B e_a)(U'e_b)'
+    Y = schur_stack(S, 0.5 * (X + X.transpose(0, 2, 1)))
+    Ks = [Kj @ U for Kj in profile.K]
+    columns = [-sym_pack_stack(Y)] + [-sym_pack_stack(Kj @ Y @ Kj.T) for Kj in Ks]
     maps, ends = [], np.cumsum(ms) * n
     for i, mi, end in zip(players, ms, ends):
         blocks = [c[end - n * mi:end] for c in columns]
         blocks[1 + i] = blocks[1 + i] + kron(np.eye(mi), profile.K[i].T) @ sym_basis(mi)
         maps.append(np.hstack(blocks))
-    return maps
+    return maps, U
 
 
 def _stationarity_map(system, profile, i):
-    """Player i's stationarity map alone (stationarity_maps)."""
-    return stationarity_maps(system, profile, [i])[0]
+    """(M, U): player i's stationarity map alone and its Schur basis
+    (stationarity_maps)."""
+    maps, U = stationarity_maps(system, profile, [i])
+    return maps[0], U
 
 
 def _kalman_map(system: GameSystem, i: int, M):
     """(M_Q, M_R): the columns of player i's stationarity map M (its entry of
-    stationarity_maps) that act on packed Q_i and on packed R_ii (cross
+    stationarity_maps) that act on packed Qh_i and on packed R_ii (cross
     penalties left at zero)."""
     nq = sym_dim(system.n)
     off = nq + sum(sym_dim(mj) for mj in system.m[:i])
     return M[:, :nq], M[:, off:off + sym_dim(system.m[i])]
+
+
+def _congruent(U, Qh) -> np.ndarray:
+    """U Qh U', exactly symmetric: a Schur-coordinate answer mapped back."""
+    Q = U @ Qh @ U.T
+    return 0.5 * (Q + Q.T)
 
 
 def pinned_fails(system: GameSystem, profile: StrategyProfile, i: int) -> bool:
@@ -184,12 +203,13 @@ class KalmanSolution:
 
 
 def player_feasibility(system: GameSystem, profile: StrategyProfile, i: int, mode: str,
-                       M) -> KalmanSolution:
+                       M, U) -> KalmanSolution:
     """Player i's cone search: Q_i >= 0, R_ii >= R_FLOOR I in the kernel of
-    the Kalman map (_kalman_map of M, player i's entry of stationarity_maps),
-    on a slice of it.  Mode "general" slices on the normalization trace(R_ii)
-    = m_i; "q-only" pins R_ii = I, one row per packed entry, and kernel_dim
-    then counts the pinned map's kernel, that of its Q_i columns.  Any other
+    the Kalman map (_kalman_map of M, player i's entry of stationarity_maps
+    in the Schur basis U), on a slice of it; the search runs on Qh_i and
+    reports Q_i = U Qh_i U'.  Mode "general" slices on the normalization
+    trace(R_ii) = m_i; "q-only" pins R_ii = I, one row per packed entry, and
+    kernel_dim then counts the pinned map's kernel, that of its Q_i columns.  Any other
     mode raises ValueError, and an index out of range DimensionError.
 
     "infeasible" is certified by the identities alone: every solution has
@@ -228,9 +248,9 @@ def player_feasibility(system: GameSystem, profile: StrategyProfile, i: int, mod
     if q_only:  # the pinned entries exactly, not to round-off
         theta = np.concatenate([theta[:nq], eye])
     ok = not fails and cone_verdict(theta, reason, layout)
-    Q, R = sym_blocks(theta, layout)
+    Qh, R = sym_blocks(theta, layout)
     residual = float(np.linalg.norm(M @ theta)) / max(1.0, float(np.linalg.norm(theta)))
-    return KalmanSolution(Q=Q, R=R, residual=residual, kernel_dim=kernel_dim,
+    return KalmanSolution(Q=_congruent(U, Qh), R=R, residual=residual, kernel_dim=kernel_dim,
                           status="solved" if ok else ("indeterminate" if ok is None else "infeasible"),
                           iterations=its, gap=gap)
 
@@ -256,11 +276,11 @@ def solve_feasibility_projection(system: GameSystem, profile: StrategyProfile,
     "kalman"), i the player searched (for the stack, the first listed player)."""
     players = _listed_players(system, players)
     with _stage(players[0], "kalman"):
-        maps = stationarity_maps(system, profile, players)
+        maps, U = stationarity_maps(system, profile, players)
     solutions = []
     for i, M in zip(players, maps):
         with _stage(i, "kalman"):
-            solutions.append(player_feasibility(system, profile, i, mode, M))
+            solutions.append(player_feasibility(system, profile, i, mode, M, U))
     status = min((s.status for s in solutions), key=list(_GAME_STATUS).index)
     return FeasibilityResult(_GAME_STATUS[status], tuple(solutions))
 
@@ -282,10 +302,12 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
                    profile: StrategyProfile) -> NearestResult:
     """Project reference costs onto the feasible set.
 
-    Per player: variables x = (Q_i, R_i1..R_iN) with P_i eliminated through
+    Per player: variables x = (Qh_i, R_i1..R_iN) with P_i eliminated through
     the Lyapunov map, and min |x - x0|^2 / 2 over the stationarity map's
     kernel and the cones; the players' maps come from one adjoint stack
-    (stationarity_maps).  V, an orthonormal basis of the map's constraint
+    (stationarity_maps), in its Schur coordinates, so x0 holds U'Q0_iU and
+    the answer's Qh_i maps back as Q_i = U Qh_i U' (the distance is the
+    same in either).  V, an orthonormal basis of the map's constraint
     rows, projects onto the kernel as x - V(V'x).  A player with m_i = 1
     whose pinned block fails (pinned_fails, the oracle's certificate) is
     certified infeasible with no loop (0 iterations, gap 0).  Every other
@@ -299,14 +321,15 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
     N = system.num_players
     Qs, Rrows, iterations, gaps = [], [], (), ()
     dist2 = 0.0
-    for i, M in enumerate(stationarity_maps(system, profile)):
+    maps, U = stationarity_maps(system, profile)
+    for i, M in enumerate(maps):
         if system.m[i] == 1 and pinned_fails(system, profile, i):
             return NearestResult("infeasible_certified_by_identity", None, float("inf"),
                                  iterations + (0,), gaps + (0.0,))
         V = row_basis(M)  # the feasible identity directions are span(V)'s complement
         layout = [(system.n, 0.0)] + [(mj, R_FLOOR if j == i else 0.0)
                                       for j, mj in enumerate(system.m)]
-        x0 = np.concatenate([sym_pack(costs0.Q[i])] +
+        x0 = np.concatenate([sym_pack(_congruent(U.T, costs0.Q[i]))] +
                             [sym_pack(costs0.R[i][j]) for j in range(N)])
 
         def step(v):
@@ -321,8 +344,8 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
                                  iterations + (its,), gaps + (gap,))
         iterations, gaps = iterations + (its,), gaps + (gap,)
         dist2 += float(np.linalg.norm(y - x0) ** 2)
-        Qi, *Rrow = sym_blocks(cone_project(y, layout), layout)
-        Qs.append(Qi)
+        Qh, *Rrow = sym_blocks(cone_project(y, layout), layout)
+        Qs.append(_congruent(U, Qh))
         Rrows.append(Rrow)
     costs = CostParameters(Qs, Rrows)
     return NearestResult("feasible", costs, float(np.sqrt(dist2)), iterations, gaps)

@@ -18,7 +18,9 @@ from .numerics import (
     NotHurwitzError,
     _norm,
     as_matrix,
+    hurwitz_margin,
     is_hurwitz,
+    schur_lyapunov,
     solve_lyapunov,
     sym_basis,
     sym_dim,
@@ -26,7 +28,7 @@ from .numerics import (
     sym_unpack,
     symmetrize,
 )
-from .realization import GameSystem, StrategyProfile, closed_loop, reduced_system
+from .realization import GameSystem, StrategyProfile, closed_loop, closed_loop_schur, reduced_system
 
 KLEINMAN_TOL = 1e-12          # relative gain step at which Newton-Kleinman stops
 KLEINMAN_MAX_ITER = 60        # Newton-Kleinman step cap
@@ -127,14 +129,16 @@ def verify_nash(system: GameSystem, profile: StrategyProfile, costs: CostParamet
     """Exact Nash check: per player, solve the closed-loop Lyapunov equation
     and test stationarity, the Riccati residual, and P >= 0.
 
-    Returns (is_nash, CertificateSet); never iterates.  The Hurwitz margin
-    comes off the Lyapunov solve's Schur form of Acl.
+    Returns (is_nash, CertificateSet); never iterates.  The Lyapunov solves
+    and the Hurwitz margin share the command's one Schur form of Acl
+    (closed_loop_schur).
     """
     costs.validate(system, tol)
-    Acl = closed_loop(system, profile.K)
+    Acl, T, U = closed_loop_schur(system, profile)
     Qts = [state_weight_with_cross_terms(costs, profile, i) for i in range(system.num_players)]
-    Ps, margin = solve_lyapunov(Acl, np.stack([
-        Qts[i] + Ki.T @ costs.R[i][i] @ Ki for i, Ki in enumerate(profile.K)]), with_margin=True)
+    Ps = schur_lyapunov(Acl, T, U, np.stack([
+        Qts[i] + Ki.T @ costs.R[i][i] @ Ki for i, Ki in enumerate(profile.K)]))
+    margin = hurwitz_margin(T)
     are_res, stat_res = [], []
     for i, (Qt, P) in enumerate(zip(Qts, Ps)):
         Bi, Ki = system.B[i], profile.K[i]

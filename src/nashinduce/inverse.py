@@ -192,7 +192,7 @@ def solve_kalman_Q(system: GameSystem, profile: StrategyProfile, i: int) -> Kalm
     """Find Q >= 0 with K_i = B_i' P, P the Lyapunov solution for the state
     weight Q + K_i' K_i: the Kalman equation with R pinned to I, searched by
     feasibility.player_feasibility on its R_ii = I slice."""
-    return player_feasibility(system, profile, i, "q-only", _stationarity_map(system, profile, i))
+    return player_feasibility(system, profile, i, "q-only", *_stationarity_map(system, profile, i))
 
 
 def solve_kalman_general(system: GameSystem, profile: StrategyProfile, i: int) -> KalmanSolution:
@@ -203,7 +203,7 @@ def solve_kalman_general(system: GameSystem, profile: StrategyProfile, i: int) -
     trace(R) = m for Q >= 0, R >= R_FLOOR I by feasibility.player_feasibility,
     the time-domain oracle's search.
     """
-    return player_feasibility(system, profile, i, "general", _stationarity_map(system, profile, i))
+    return player_feasibility(system, profile, i, "general", *_stationarity_map(system, profile, i))
 
 
 # ---------------------------------------------------------------------------

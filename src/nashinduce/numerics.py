@@ -5,18 +5,22 @@ inputs.  Matrices handed to these routines must be finite; constructors and
 entry points reject NaN/Inf.
 
 Affine sets are held by their constraint rows: an orthonormal basis V
-(row_basis, under the one rank rule _rank that nullspace, matrix_rank and
-realization.controllable_basis share) and a point x_p in span(V), so that
-projecting onto the set is c - V(V'c) + x_p at O(dim * rank) and no kernel
-basis is formed.  affine_slice cuts such a set by further rows, one at a
-time: the one normalization row trace(R) = m, or one row per pinned entry.
-Cone searches over such a set start at its identity-weight point
-(_identity_start), the projection of the best nonnegative multiples of the
-layout's block identities, not at x_p.  Lyapunov equations are solved by
-Bartels-Stewart on one Schur form, for one or a stack of right-hand sides:
-slice by slice (LAPACK trsyl), or a tall stack by one column sweep of the
-Schur form with all slices as right-hand sides (_swept, _schur_sweep);
-the Kronecker helpers (kron, kron_sum) serve as references and for small
+(row_basis: one Householder QR, under the one rank rule _rank that
+nullspace, matrix_rank and realization.controllable_basis share) and a
+point x_p in span(V), so that projecting onto the set is c - V(V'c) + x_p at
+O(dim * rank) and no kernel basis is formed.  affine_slice cuts such a set
+by further rows, one at a time: the one normalization row trace(R) = m, or
+one row per pinned entry.  Cone searches over such a set start at its
+identity-weight point (_identity_start), the projection of the best
+nonnegative multiples of the layout's block identities, not at x_p.
+Lyapunov equations are solved by Bartels-Stewart on one real Schur form
+A' = U T U' (_schur), which a caller may make once and pass on
+(schur_lyapunov; schur_stack solves in Schur coordinates, with no basis
+change), for one or a stack of right-hand sides: slice by slice
+(LAPACK trsyl), or a tall stack by one column sweep of the triangular form
+with all slices as right-hand sides (_swept, _schur_sweep).  The Hurwitz
+margin is read off the diagonal of the same form (hurwitz_margin).  The
+Kronecker helpers (kron, kron_sum) serve as references and for small
 closed-form maps only.
 """
 
@@ -157,7 +161,8 @@ def _schur(M):
     """Real Schur form M = U T U' (T standardized, unsorted) by one LAPACK
     gees call with the cached workspace: the factorization
     scipy.linalg.schur(M, lwork=_schur_lwork(n)) computes, bitwise, without
-    its argument handling.  solve_lyapunov's one factorization."""
+    its argument handling.  A command's one factorization, of Acl'
+    (realization.closed_loop_schur)."""
     from scipy.linalg import lapack
     T, _, _, _, U, _, info = lapack.dgees(_no_sort, M, lwork=_schur_lwork(len(M)))
     if info:  # pragma: no cover - rare: the QR iteration did not converge
@@ -166,35 +171,58 @@ def _schur(M):
     return T, U
 
 
+def hurwitz_margin(T) -> float:
+    """-max Re eig of a matrix, read off the diagonal of its real Schur form
+    T: standardized 2x2 blocks hold the real part of their pair there."""
+    return -float(T.diagonal().max())
+
+
 def is_hurwitz(M) -> bool:
     """True iff every eigenvalue has real part < -HURWITZ_MARGIN, read as
-    solve_lyapunov reads it off one Schur form's diagonal (no Schur vectors)."""
+    hurwitz_margin reads it off one Schur form (no Schur vectors)."""
     from scipy.linalg import lapack
     A = require_square(M)
     T, *_, info = lapack.dgees(_no_sort, A, compute_v=0, lwork=_schur_lwork(len(A)))
     if info:  # pragma: no cover - rare: the QR iteration did not converge
         raise NumericalFailureError("Schur factorization failed")
-    return bool(T.diagonal().max() < -HURWITZ_MARGIN)
+    return hurwitz_margin(T) > HURWITZ_MARGIN
 
 
-def solve_lyapunov(Acl, W, *, with_margin: bool = False):
-    """Solve P Acl + Acl' P = -W for symmetric W and Hurwitz Acl.
+def _require_hurwitz(T) -> None:
+    """Raise NotHurwitzError unless hurwitz_margin(T) > HURWITZ_MARGIN."""
+    if not hurwitz_margin(T) > HURWITZ_MARGIN:
+        raise NotHurwitzError("Acl must be Hurwitz for a Lyapunov solve")
 
-    Bartels-Stewart: real Schur Acl' = U T U', then T Y + Y T' = -U' W U.
-    W may also be a (k, n, n) stack of right-hand sides: Acl is factored once,
-    the basis changes run batched over the stack, and the k solutions come
-    back as a stack.  Every slice must be finite and symmetric within PSD_TOL
-    (relative) and every solution passes its own residual check.  The
-    triangular equations are solved one slice at a time by LAPACK trsyl, or,
-    for a tall stack (_swept), all at once by one column sweep of T
-    (_schur_sweep).  with_margin returns (P, margin) instead, with the
-    Hurwitz margin -max Re eig(Acl) read off the diagonal of T, so a caller
-    that needs both factors Acl once.  A margin not above HURWITZ_MARGIN
-    raises NotHurwitzError before anything is solved, so a caller may also
-    use the solve itself as its stability test (newton_kleinman does).
-    """
-    import scipy.linalg  # deferred: commands that solve no Lyapunov skip it
+
+def _check_residuals(residuals, scales) -> None:
+    """Raise unless each slice's Frobenius norm is within
+    LYAPUNOV_RESIDUAL_TOL times its scale."""
+    for resid, w in zip(_fro(residuals), scales):
+        if resid > LYAPUNOV_RESIDUAL_TOL * w:
+            raise NumericalFailureError(f"Lyapunov residual {resid:.3e} above tolerance")
+
+
+def solve_lyapunov(Acl, W):
+    """Solve P Acl + Acl' P = -W for symmetric W and Hurwitz Acl: one real
+    Schur form Acl' = U T U' (_schur), then schur_lyapunov."""
     A = require_square(Acl, "Acl")
+    return schur_lyapunov(A, *_schur(A.T), W)
+
+
+def schur_lyapunov(A, T, U, W):
+    """Solve P A + A' P = -W for symmetric W, given the real Schur form
+    A' = U T U' (_schur(A.T)).
+
+    Bartels-Stewart: T Y + Y T' = -U' W U, then P = U Y U'.  W may also be a
+    (k, n, n) stack of right-hand sides: the basis changes run batched over
+    the stack, and the k solutions come back as a stack.  Every slice must
+    be finite and symmetric within PSD_TOL (relative) and every solution
+    passes its own residual check.  The triangular equations go to
+    _triangular_lyapunov.  A Hurwitz margin (hurwitz_margin of T) not above
+    HURWITZ_MARGIN raises NotHurwitzError before anything is solved, so a
+    caller may also use the solve itself as its stability test
+    (newton_kleinman does).
+    """
     W = np.asarray(W, dtype=float)
     Ws = W if W.ndim == 3 else W[None]
     if Ws.shape[1:] != A.shape:
@@ -207,53 +235,68 @@ def solve_lyapunov(Acl, W, *, with_margin: bool = False):
     if any(d > PSD_TOL * w for d, w in zip(_fro(Ws - Wt), scales)):
         raise ValueError(f"W is not symmetric within tolerance {PSD_TOL}")
     Ws = 0.5 * (Ws + Wt)
-    T, U = _schur(A.T)
-    top = float(T.diagonal().max())  # standardized 2x2 blocks hold Re(eig) on the diagonal
-    if not top < -HURWITZ_MARGIN:
-        raise NotHurwitzError("Acl must be Hurwitz for a Lyapunov solve")
-    C = -(U.T @ (Ws @ U))
-    if _swept(*C.shape[:2]):
-        C = _schur_sweep(T, C)
-    else:
-        for k in range(len(C)):
-            Y, scale, info = scipy.linalg.lapack.dtrsyl(T, T, C[k], tranb="T")
-            if info < 0:
-                raise NumericalFailureError(f"trsyl rejected argument {-info}")
-            C[k] = Y / scale
-    P = U @ C @ U.T
+    _require_hurwitz(T)
+    P = U @ _triangular_lyapunov(T, -(U.T @ (Ws @ U))) @ U.T
     P = 0.5 * (P + P.transpose(0, 2, 1))
-    for resid, w in zip(_fro(P @ A + A.T @ P + Ws), scales):
-        if resid > LYAPUNOV_RESIDUAL_TOL * w:
-            raise NumericalFailureError(f"Lyapunov residual {resid:.3e} above tolerance")
-    P = P if W.ndim == 3 else P[0]
-    return (P, -top) if with_margin else P
+    _check_residuals(P @ A + A.T @ P + Ws, scales)
+    return P if W.ndim == 3 else P[0]
 
 
-def _swept(k: int, n: int) -> bool:
-    """Whether solve_lyapunov solves a (k, n, n) stack by the column sweep
-    (_schur_sweep): k >= max(2n, 32), decided by the stack's shape alone.
+def schur_stack(S, C) -> np.ndarray:
+    """Solve S Y + Y S' = -C for every slice of a symmetric (k, n, n) stack
+    C, S a standardized real Schur form: the equation A P + P A' = -W in the
+    Schur coordinates of A = U S U' (Y = U'PU, C = U'WU), with no basis
+    change.  Raises NotHurwitzError as schur_lyapunov does, and every slice
+    passes its residual check against LYAPUNOV_RESIDUAL_TOL max(1, |C_k|).
+    """
+    _require_hurwitz(S)
+    Y = _triangular_lyapunov(S, -C)
+    Y = 0.5 * (Y + Y.transpose(0, 2, 1))
+    _check_residuals(S @ Y + Y @ S.T + C, [max(1.0, c) for c in _fro(C)])
+    return Y
 
-    Time of a whole solve_lyapunov call with the sweep over that with the
-    per-slice trsyl loop, median over five random Hurwitz matrices with
+
+def _triangular_lyapunov(T, C) -> np.ndarray:
+    """Solve T Y + Y T' = C for every slice of a (k, n, n) stack C, T upper
+    quasi-triangular with standardized 2x2 blocks: slice by slice by LAPACK
+    trsyl, or, for a tall stack (_swept), all at once by one column sweep of
+    T (_schur_sweep).  May overwrite C."""
+    import scipy.linalg  # deferred: commands that solve no Lyapunov skip it
+    if _swept(len(C)):
+        return _schur_sweep(T, C)
+    for k in range(len(C)):
+        Y, scale, info = scipy.linalg.lapack.dtrsyl(T, T, C[k], tranb="T")
+        if info < 0:
+            raise NumericalFailureError(f"trsyl rejected argument {-info}")
+        C[k] = Y / scale
+    return C
+
+
+def _swept(k: int) -> bool:
+    """Whether a stack of k right-hand sides is solved by the column sweep
+    (_schur_sweep) rather than slice by slice (trsyl): k >= 24, at every n.
+
+    Time of a whole schur_stack call (the Kalman maps' stack, whose
+    right-hand sides are rank-one products) with the sweep over that with
+    the per-slice trsyl loop, median over five random Hurwitz matrices with
     complex pairs (in-process, one BLAS thread):
 
-        n \\ k     16    24    32    36    48    64   144   288
-        1                   0.53
-        2                   0.65
-        4       1.26        0.88  0.87
-        6             1.04  0.90
-        8       1.23  0.98  0.86
-        12            0.93        0.73
-        16      1.04        0.75        0.67        0.62
-        24                              0.74
-        32                                    0.68        0.60
+        n \\ k     16    20    24    32    64   144
+        1       0.53  0.47  0.43  0.37  0.27  0.20
+        2       0.91  0.78  0.71  0.63  0.40  0.28
+        4       1.05  0.88  0.79  0.66  0.44  0.31
+        8       1.07  0.91  0.81  0.69  0.46  0.34
+        12      0.98  0.82  0.74  0.64  0.45  0.34
+        16      0.94  0.80  0.71  0.61  0.45  0.47
+        24      0.96  0.81  0.76  0.65  0.47  0.47
+        32      0.98  0.74  0.76  0.62  0.50  0.50
 
     Below the rule the sweep's n LAPACK calls and their set-up cost about
     as much as the k unblocked trsyl calls they replace, or more.  Single
-    right-hand sides and short stacks (verify_nash's N slices, the bundled
-    games' maps) stay on trsyl, bitwise as before.
+    right-hand sides and short stacks (verify_nash's N slices, the one-input
+    single-player maps of small games) stay on trsyl, bitwise as before.
     """
-    return k >= max(2 * n, 32)
+    return k >= 24
 
 
 def _schur_sweep(T, C) -> np.ndarray:
@@ -321,16 +364,48 @@ def nullspace(M) -> np.ndarray:
     return vh[_rank(s, RANK_TOL):].T.conj()
 
 
+@functools.lru_cache(maxsize=64)
+def _qr_lwork(rows: int, cols: int) -> int:
+    """LAPACK's optimal workspace of a Householder QR of a rows x cols matrix."""
+    from scipy.linalg import lapack
+    return max(1, int(lapack.dgeqrf_lwork(rows, cols)[0]))
+
+
+@functools.lru_cache(maxsize=64)
+def _upper(rows: int, cols: int) -> np.ndarray:
+    """Read-only mask of the upper triangle of rows x cols."""
+    mask = np.triu(np.ones((rows, cols), dtype=bool))
+    mask.setflags(write=False)
+    return mask
+
+
 def row_basis(M) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical row space of M, the
     orthogonal complement of nullspace(M) under the same rank rule.
 
-    One thin SVD of M: a wide M (few constraint rows, many unknowns) never
-    pays for a basis of its kernel.
+    One LAPACK Householder QR of M' = Q R (geqrf, orgqr; Golub & Van Loan
+    5.2): the rank comes from the singular values of R, which are those of
+    M (one gesdd without vectors), and the basis is Q at full rank,
+    Q U_R[:, :rank] with R = U_R S V_R' otherwise.  A wide M (few
+    constraint rows, many unknowns) never pays for a basis of its kernel,
+    nor for singular vectors of M.
     """
+    from scipy.linalg import lapack
     A = as_matrix(M)
-    u, s, vh = np.linalg.svd(A, full_matrices=False)
-    return vh[:_rank(s, RANK_TOL)].T.conj()
+    r, c = A.shape
+    k = min(r, c)
+    qr, tau, _, info = lapack.dgeqrf(A.T, lwork=_qr_lwork(c, r))
+    if info:  # pragma: no cover - geqrf only rejects bad arguments
+        raise NumericalFailureError(f"geqrf rejected argument {-info}")
+    R = np.where(_upper(k, r), qr[:k], 0.0)
+    _, s, _, info = lapack.dgesdd(R, compute_uv=0)
+    if info:  # pragma: no cover - rare: the bidiagonal QR did not converge
+        raise NumericalFailureError("singular values of R not found")
+    rank = _rank(s, RANK_TOL)
+    Q, _, info = lapack.dorgqr(qr[:, :k], tau)
+    if info:  # pragma: no cover - orgqr only rejects bad arguments
+        raise NumericalFailureError(f"orgqr rejected argument {-info}")
+    return Q if rank == k else Q @ np.linalg.svd(R)[0][:, :rank]
 
 
 def matrix_rank(M) -> int:

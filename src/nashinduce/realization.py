@@ -3,6 +3,9 @@
 Builds, for each player, the open- and closed-loop matrices obtained by
 freezing the other players' gains, the controllable subspace and the one
 PBH test (_pbh_failures: stabilizability, and inverse's rank condition).
+A profile built by StrategyProfile.stabilizing keeps the real Schur form of
+Acl' it was tested with, the one factorization of a command
+(closed_loop_schur).
 The right-coprime factorization (sI - A_tilde)^{-1} B = S(s) D(s)^{-1}, D
 column reduced with column degrees equal to the controllability indices, is
 reference code that no production path calls (see inverse).
@@ -17,7 +20,9 @@ import numpy as np
 from .numerics import (
     DimensionError,
     NumericalFailureError,
+    _schur,
     as_matrix,
+    hurwitz_margin,
     is_hurwitz,
     matrix_rank,
     HURWITZ_MARGIN,
@@ -96,13 +101,17 @@ class StrategyProfile:
     def __init__(self, K):
         Ks = tuple(as_matrix(Ki, f"K[{i}]") for i, Ki in enumerate(K))
         object.__setattr__(self, "K", Ks)
+        object.__setattr__(self, "_factored", None)  # closed_loop_schur's (Acl, T, U), once tested
 
     @classmethod
     def stabilizing(cls, system: GameSystem, K) -> "StrategyProfile":
         """Construct and enforce dimensions plus closed-loop stability, the one
         stabilizability test of a game: a stabilizing K certifies the plant
         (Hautus), and a failing one is told apart from an unstabilizable plant
-        by one PBH test, which is reported first."""
+        by one PBH test, which is reported first.  Stability is read off the
+        real Schur form Acl' = U T U' (hurwitz_margin), and the profile keeps
+        it for closed_loop_schur: a command that loads its game this way
+        factors Acl once."""
         prof = cls(K)
         if len(prof.K) != system.num_players:
             raise DimensionError("one gain per player required")
@@ -111,10 +120,13 @@ class StrategyProfile:
                 raise DimensionError(
                     f"K[{i}] has shape {Ki.shape}, expected {(Bi.shape[1], system.n)}"
                 )
-        if not is_stabilizing(system, prof.K):
+        Acl = closed_loop(system, prof.K)
+        T, U = _schur(Acl.T)
+        if not hurwitz_margin(T) > HURWITZ_MARGIN:
             if _pbh_failures(system.A.T, np.hstack(system.B).T, RANK_TOL):
                 raise ValueError("(A, [B_1 ... B_N]) is not stabilizable")
             raise ValueError("profile does not stabilize the closed loop")
+        object.__setattr__(prof, "_factored", (Acl, T, U))
         return prof
 
 
@@ -123,6 +135,19 @@ def closed_loop(system: GameSystem, K) -> np.ndarray:
     for Bi, Ki in zip(system.B, K):
         Acl -= Bi @ Ki
     return Acl
+
+
+def closed_loop_schur(system: GameSystem, profile: StrategyProfile):
+    """(Acl, T, U): the closed loop of the profile on this plant and its real
+    Schur form Acl' = U T U' (numerics._schur), which the Hurwitz test, the
+    Kalman maps' adjoint stack and verify_nash share.  The factorization
+    StrategyProfile.stabilizing tested the profile with is returned when it
+    was of this same Acl; any other profile is factored here."""
+    Acl = closed_loop(system, profile.K)
+    held = profile._factored
+    if held is not None and np.array_equal(held[0], Acl):
+        return held
+    return (Acl, *_schur(Acl.T))
 
 
 def is_stabilizing(system: GameSystem, K) -> bool:

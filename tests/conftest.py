@@ -24,6 +24,7 @@ from nashinduce.numerics import (
     R_FLOOR,
     RANK_TOL,
     _identity_start,
+    _rank,
     affine_slice,
     as_matrix,
     cone_ok,
@@ -58,6 +59,42 @@ def psd_sqrt_factor(Q, tol=RANK_TOL):
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
     keep = w > tol * scale
     return np.sqrt(w[keep])[:, None] * V[:, keep].T
+
+
+def svd_row_basis(M):
+    """Reference of numerics.row_basis: the leading right singular vectors of
+    one thin SVD of M, as many as the rank rule _rank keeps."""
+    u, s, vh = np.linalg.svd(as_matrix(M), full_matrices=False)
+    return vh[:_rank(s, RANK_TOL)].T
+
+
+def max_principal_sine(V, W) -> float:
+    """sin of the largest principal angle between span(V) and span(W), both
+    with orthonormal columns and as many of them: |V - W W'V|_2."""
+    return float(np.linalg.norm(V - W @ (W.T @ V), 2)) if V.size else 0.0
+
+
+# The package's stationarity maps act on Schur-coordinate state weights
+# Qh = U'QU (feasibility.stationarity_maps); the references act on Q itself.
+
+def congruence(U):
+    """The packed congruence Qh -> U Qh U' as a matrix: sym_pack(U Qh U') =
+    congruence(U) @ sym_pack(Qh), an orthogonal matrix, since
+    vec(U X U') = (U (x) U) vec(X) and sym_basis is an isometry."""
+    D = sym_basis(len(U))
+    return D.T @ np.kron(U, U) @ D
+
+
+def original_map(M, U):
+    """A stationarity map over packed (Qh, R_i1..R_iN) as the same map over
+    packed (Q, R_i1..R_iN): its Qh columns composed with Q -> U'QU."""
+    nq = sym_dim(len(U))
+    return np.hstack([M[:, :nq] @ congruence(U).T, M[:, nq:]])
+
+
+def original_stationarity_map(system, profile, i):
+    """Player i's stationarity map over packed (Q_i, R_i1..R_iN)."""
+    return original_map(*_stationarity_map(system, profile, i))
 
 
 # Per-block references of the fused cone kernel in numerics: one sym_unpack,
@@ -156,7 +193,7 @@ def kronecker_player_feasibility(system, profile, i, rho=R_FLOOR):
 def least_squares_kalman_Q(system, profile, i, tol=1e-8):
     """(status, kernel_dim), kernel_dim that of the map on packed Q."""
     n, m = system.n, system.m[i]
-    A, MR = _kalman_map(system, i, _stationarity_map(system, profile, i))
+    A, MR = _kalman_map(system, i, original_stationarity_map(system, profile, i))
     b = -MR @ sym_pack(np.eye(m))
     V = row_basis(A)
     q = V @ np.linalg.lstsq(A @ V, b, rcond=None)[0]
@@ -234,6 +271,21 @@ def eig_newton_kleinman(A, B, Q, R, K0):
             break
     P = solve_lyapunov(A - B @ K, Q + K.T @ R @ K)
     return Rinv @ B.T @ P, P
+
+
+def gees_calls(monkeypatch) -> list:
+    """Record the matrix of every real Schur factorization (LAPACK gees, with
+    or without Schur vectors; not its workspace queries) from now on."""
+    from scipy.linalg import lapack
+    gees, factored = lapack.dgees, []
+
+    def spy(select, a, *args, **kwargs):
+        if kwargs.get("lwork") != -1:
+            factored.append(np.array(a))
+        return gees(select, a, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgees", spy)
+    return factored
 
 
 def bass_seed(A, B):

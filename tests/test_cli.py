@@ -225,15 +225,18 @@ def test_solve_infeasible_scalar(tmp_path, capsys):
 
 def boundary_game():
     """(A, b, K, c) of a one-player LQR game, n = 4, whose Q = c'c has
-    c(sI - A)^-1 b = (s^2 + 1)(s + 2) / det(sI - A), zero at s = +-j (w0 = 1):
+    c(sI - A)^-1 b = (s^2 + 1)(s + 3) / det(sI - A), zero at s = +-j (w0 = 1):
     A companion with eigenvalues -1, -2, 0.5, -3, b = e_4, K = b'P from
     scipy's ARE.  The circle touches 0 at w0 = 1, so every feasible Q is
-    singular and the cone search stops at its cap."""
+    singular and the cone search stops at its cap.  Whether it does is
+    round-off on such games: with the zero at -2 instead, the search stops
+    at its cap in original coordinates and converges to costs that pass
+    verify_nash in Schur coordinates."""
     A = np.zeros((4, 4))
     A[:3, 1:] = np.eye(3)
     A[3] = -np.poly([-1.0, -2.0, 0.5, -3.0])[:0:-1]
     b = np.eye(4)[:, 3:]
-    c = np.array([[2.0, 1.0, 2.0, 1.0]])  # (s^2 + 1)(s + 2), lowest power first
+    c = np.array([[3.0, 1.0, 3.0, 1.0]])  # (s^2 + 1)(s + 3), lowest power first
     K = b.T @ scipy.linalg.solve_continuous_are(A, b, c.T @ c, np.eye(1))
     return A, b, K, c
 
@@ -783,6 +786,38 @@ def test_cli_corpus_records_exit_code_stderr_and_report_without_timings(
     assert (head, json.loads(shown)) == (f"exit: {code}\nstderr:\n", report)
     assert cli_corpus.record(["verify", path]) == (
         "exit: 2\nstderr:\nerror: players: Q and R_row required for verify\nreport:\n")
+
+
+def test_cli_corpus_compare_allows_float_moves_only(tmp_path, monkeypatch, capsys):
+    # compare passes two records whose reports differ in floats alone, and
+    # prints the largest relative move of each field (a matrix as one
+    # field); an integer, a string, an exit code or a missing call fails it.
+    monkeypatch.setattr(sys, "path", [str(TOOLS)] + sys.path)
+    import cli_corpus
+
+    def write(root, name, code, report):
+        path = root / "calls" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(f"exit: {code}\nstderr:\nreport:\n{json.dumps(report)}\n")
+
+    base = {"status": "solved", "players": [{"Q": [[2.0, 0.5], [0.5, 4.0]], "iterations": 3}]}
+    moved = {"status": "solved", "players": [{"Q": [[2.0, 0.5], [0.5, 4.0 + 4e-12]],
+                                              "iterations": 3}]}
+    write(tmp_path / "a", "g.json.solve", 0, base)
+    write(tmp_path / "b", "g.json.solve", 0, moved)
+    assert cli_corpus.compare(tmp_path / "a", tmp_path / "b") == 0
+    out = capsys.readouterr().out
+    assert "solve: 0 of 1 calls byte-identical" in out
+    assert "  players[].Q: 1.000e-12 of at most 4.000e+00  (g.json.solve)" in out
+    for code, report in ((1, base), (0, {**base, "status": "infeasible"}),
+                         (0, {"status": "solved", "players": [{**base["players"][0],
+                                                               "iterations": 4}]})):
+        write(tmp_path / "c", "g.json.solve", code, report)
+        assert cli_corpus.compare(tmp_path / "a", tmp_path / "c") == 1
+        assert "DIFFERS g.json.solve" in capsys.readouterr().out
+    write(tmp_path / "c", "h.json.verify", 0, base)
+    assert cli_corpus.compare(tmp_path / "a", tmp_path / "c") == 1
+    assert "DIFFERS only in" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("B, K, message", [

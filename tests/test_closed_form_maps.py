@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from nashinduce import GameSystem, StrategyProfile, closed_loop, is_stabilizing
-from nashinduce.feasibility import _player_nullspace, _stationarity_map, build_vectorized_system
+from nashinduce.feasibility import _player_nullspace, build_vectorized_system
 from nashinduce.numerics import (
     kron_sum,
     nullspace,
@@ -27,7 +27,7 @@ from nashinduce.numerics import (
 from nashinduce.polymat import PolyMatrix
 from nashinduce.realization import attach_feedback, right_coprime_factorization
 
-from conftest import coeff_stack, para_map, poly_kalman_map
+from conftest import coeff_stack, original_stationarity_map, para_map, poly_kalman_map
 
 SIZES = [(n, m) for n in range(2, 11) for m in (1, 2, 3) if m <= n]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -167,8 +167,9 @@ MAP_GAMES = ([pytest.param(("stable", n, 2, m), id=f"{n}-{m}") for n, m in SIZES
 
 @pytest.mark.parametrize("spec", MAP_GAMES)
 def test_time_domain_maps_match_probe(spec):
-    # The adjoint-built stationarity map agrees with one Kronecker Lyapunov
-    # solve per packed unit vector to 1e-10 relative.
+    # The adjoint-built stationarity map, taken from its Schur coordinates
+    # Qh = U'QU back to Q through the packed congruence, agrees with one
+    # Kronecker Lyapunov solve per packed unit vector to 1e-10 relative.
     system, profile = map_game(*spec)
     n = system.n
     for i in range(system.num_players):
@@ -177,7 +178,7 @@ def test_time_domain_maps_match_probe(spec):
         assert dims == (sym_dim(n), sym_dim(system.m[i]), sym_dim(n))
         assert Z.shape[1] == nullspace(ref).shape[1]
         assert np.max(np.abs(ref @ Z)) <= 1e-9 * max(1.0, float(np.max(np.abs(ref))))
-        assert_same_map(_stationarity_map(system, profile, i),
+        assert_same_map(original_stationarity_map(system, profile, i),
                         probe_stationarity_map(system, profile, i), tol=1e-10)
 
 

@@ -47,12 +47,16 @@ from nashinduce.realization import closed_loop
 from conftest import (
     converged_nash_games,
     dykstra_nearest,
+    gees_calls,
+    max_principal_sine,
     kronecker_player_feasibility,
     kronecker_rows,
     least_squares_kalman_Q,
     loop_project_affine_cone,
+    original_stationarity_map,
     random_pd,
     random_psd,
+    svd_row_basis,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -228,6 +232,21 @@ def oracle_games(nash_games, tmp_path):
     return games + [(path.stem, *load_problem(str(path))[:2]) for path in paths]
 
 
+def test_qr_row_basis_matches_the_svd_reference_on_every_kalman_map(nash_games, tmp_path):
+    # Both matrices each cone search takes a row basis of, the whole map
+    # (nearest_params) and its Q_i and R_ii columns (player_feasibility), on
+    # every nash_games game, tests/data fixture and bundled example: the QR
+    # basis has the SVD reference's rank and spans its space to 1e-10.
+    # (All of them have full row rank: the basis is the QR factor itself.)
+    for name, system, profile in oracle_games(nash_games, tmp_path):
+        maps, _ = stationarity_maps(system, profile)
+        for i, M in enumerate(maps):
+            for A in (M, np.hstack(feasibility._kalman_map(system, i, M))):
+                basis, ref = row_basis(A), svd_row_basis(A)
+                assert basis.shape == ref.shape, (name, i)
+                assert max_principal_sine(basis, ref) <= 1e-10, (name, i)
+
+
 def x_p_start(x_p, V, layout):
     return x_p
 
@@ -304,7 +323,7 @@ def test_pinned_block_matches_the_q_only_slice_and_spares_nash_players(nash_game
             block = -(M + M.T) - L.T @ L
             scale = max(1.0, np.linalg.norm(M + M.T), np.linalg.norm(L) ** 2)
             V = row_basis(np.hstack(feasibility._kalman_map(
-                system, i, _stationarity_map(system, profile, i))))
+                system, i, original_stationarity_map(system, profile, i))))
             eye = sym_pack(np.eye(m))
             pins = np.hstack([np.zeros((eye.size, sym_dim(n))), np.eye(eye.size)])
             x_p = affine_slice(V, pins, eye)[0]
@@ -392,21 +411,23 @@ def test_per_game_maps_match_the_one_player_maps(nash_games, tmp_path):
     # on it keep their status and kernel_dim, on every nash_games player,
     # tests/data fixture and bundled example.
     for name, system, profile in oracle_games(nash_games, tmp_path):
-        maps = feasibility.stationarity_maps(system, profile)
+        maps, U = feasibility.stationarity_maps(system, profile)
         assert len(maps) == system.num_players
         for i, M in enumerate(maps):
-            ref = _stationarity_map(system, profile, i)
+            ref, U_ref = _stationarity_map(system, profile, i)
+            assert np.array_equal(U, U_ref), (name, i)
             assert np.linalg.norm(M - ref) <= 1e-12 * np.linalg.norm(ref), (name, i)
             for mode in ("general", "q-only"):
-                a = feasibility.player_feasibility(system, profile, i, mode, M)
-                b = feasibility.player_feasibility(system, profile, i, mode, ref)
+                a = feasibility.player_feasibility(system, profile, i, mode, M, U)
+                b = feasibility.player_feasibility(system, profile, i, mode, ref, U)
                 assert (a.status, a.kernel_dim) == (b.status, b.kernel_dim), (name, i, mode)
 
 
 def test_each_command_factors_acl_once_for_the_kalman_stage(tmp_path, monkeypatch, capsys):
-    # check, solve and solve --nearest on a 3-player game build every player's
-    # Kalman map from one Schur factorization of Acl; solve factors once more,
-    # in its final verify_nash.
+    # check (with and without the oracle), solve, solve --nearest and verify
+    # on a 3-player game make one real Schur factorization each, of Acl',
+    # while the problem loads: the Hurwitz test, every player's Kalman map
+    # and solve's final verify_nash all read it.
     path = str(DATA / "ladder_r0_n8_N3_m2.json")
     system, profile, _, _ = load_problem(path)
     costs0 = tmp_path / "costs0.json"
@@ -414,16 +435,14 @@ def test_each_command_factors_acl_once_for_the_kalman_stage(tmp_path, monkeypatc
         "Q": [np.eye(system.n).tolist()] * 3,
         "R": [[(np.eye(2) if i == j else np.zeros((2, 2))).tolist() for j in range(3)]
               for i in range(3)]}))
-    schur = numerics._schur
-    factored = []
-    monkeypatch.setattr(numerics, "_schur", lambda a: factored.append(a) or schur(a))
-    for argv, count in ((["check", path], 1), (["solve", path], 2),
-                        (["solve", path, "--nearest", str(costs0)], 1)):
+    factored = gees_calls(monkeypatch)
+    for argv in (["check", path], ["check", path, "--no-oracle"], ["solve", path],
+                 ["solve", path, "--nearest", str(costs0)], ["verify", path]):
         factored.clear()
         assert cli.main(argv) == 0
         capsys.readouterr()
-        assert len(factored) == count, argv
-        assert np.array_equal(factored[0], closed_loop(system, profile.K))
+        assert len(factored) == 1, argv
+        assert np.array_equal(factored[0], closed_loop(system, profile.K).T)
 
 
 def found_costs(res):
@@ -459,7 +478,7 @@ def test_searches_reject_an_unknown_mode_and_bad_players():
         solve_feasibility_projection(system, profile, mode="Q-only")
     with pytest.raises(ValueError, match=message):
         feasibility.player_feasibility(system, profile, 0, "Q-only",
-                                       _stationarity_map(system, profile, 0))
+                                       *_stationarity_map(system, profile, 0))
     for players, message in (([], "at least one player required"),
                              ([0, 5], "player index 5 out of range"),
                              ([-1], "player index -1 out of range")):
@@ -469,11 +488,11 @@ def test_searches_reject_an_unknown_mode_and_bad_players():
     # One player's search checks its index before _kalman_map reads column
     # offsets by it: 5 would raise a bare IndexError there, and -1 would read
     # player 0's map at player 2's offsets.
-    M = _stationarity_map(system, profile, 0)
+    M, U = _stationarity_map(system, profile, 0)
     for i in (5, -1):
         for mode in ("general", "q-only"):
             with pytest.raises(DimensionError, match=f"^player index {i} out of range$"):
-                feasibility.player_feasibility(system, profile, i, mode, M)
+                feasibility.player_feasibility(system, profile, i, mode, M, U)
 
 
 def test_feasibility_agrees_with_forward_construction(nash_games):
@@ -530,7 +549,7 @@ def ray_nearest(system, profile, x0):
     """The closed-form projection of x0 = (q0, r0) onto the feasible ray
     {t z : t >= R_FLOOR} of a scalar one-player game, z the kernel's point
     with R = 1, or None when that point misses the cones."""
-    V = row_basis(_stationarity_map(system, profile, 0))
+    V = row_basis(original_stationarity_map(system, profile, 0))
     z = affine_slice(V, [np.array([0.0, 1.0])], [1.0])[0]
     if z is None or not cone_verdict(z, "point", [(1, 0.0), (1, R_FLOOR)]):
         return None
@@ -578,7 +597,7 @@ def test_only_scalar_one_player_games_have_a_one_dimensional_kernel():
         shift = np.linalg.norm(G, 2) + sum(np.linalg.norm(b @ k, 2) for b, k in zip(B, K)) + 1.0
         system = GameSystem(G - shift * np.eye(n), B)
         profile = StrategyProfile.stabilizing(system, K)
-        for i, M in enumerate(stationarity_maps(system, profile)):
+        for i, M in enumerate(stationarity_maps(system, profile)[0]):
             bound = ((n - m[i]) ** 2 + n + m[i]) // 2 + sum(
                 mj * (mj + 1) // 2 for j, mj in enumerate(m) if j != i)
             assert bound == M.shape[1] - M.shape[0], (n, m, i)
@@ -670,7 +689,7 @@ def test_nearest_params_matches_dykstra_reference(nash_games):
         assert len(res.gaps) == system.num_players
         assert all(gap <= PROJECTION_TOL for gap in res.gaps)
         for i in range(system.num_players):
-            Z = nullspace(_stationarity_map(system, profile, i))
+            Z = nullspace(original_stationarity_map(system, profile, i))
             layout = [(system.n, 0.0)] + [(mj, R_FLOOR if j == i else 0.0)
                                           for j, mj in enumerate(system.m)]
             x0 = packed_row(costs0, i)
@@ -730,7 +749,7 @@ def test_stalled_loops_stop_at_once(monkeypatch):
     kalman = inverse.solve_kalman_general(system, profile, last)
     assert (kalman.status, kalman.iterations) == ("indeterminate", PROJECTION_CAP)
     search = feasibility.player_feasibility(system, profile, last, "general",
-                                            _stationarity_map(system, profile, last))
+                                            *_stationarity_map(system, profile, last))
     assert (search.status, search.iterations) == ("indeterminate", PROJECTION_CAP)
     (reason_k, its_k, calls_k), (reason_o, its_o, calls_o) = loops
     assert (reason_k, its_k) == (reason_o, its_o) == ("cap", PROJECTION_CAP)

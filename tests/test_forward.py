@@ -31,7 +31,7 @@ from nashinduce.numerics import (
     sym_unpack,
 )
 
-from conftest import bass_seed, eig_is_hurwitz, eig_newton_kleinman
+from conftest import bass_seed, eig_is_hurwitz, eig_newton_kleinman, gees_calls
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -246,14 +246,21 @@ def test_hurwitz_margin_is_the_eigenvalue_margin(nash_games):
 
 
 def test_verify_nash_factors_acl_once_and_calls_no_eig(monkeypatch):
-    system, profile, costs, _ = load_problem(str(Path(__file__).parent / "data"
-                                                 / "closed_form_n8_N3_m1.json"))
-    calls = []
-    schur, eigvals = numerics._schur, np.linalg.eigvals
-    monkeypatch.setattr(numerics, "_schur", lambda a: calls.append("schur") or schur(a))
-    monkeypatch.setattr(np.linalg, "eigvals", lambda *a: calls.append("eig") or eigvals(*a))
-    assert verify_nash(system, profile, costs)[0]
-    assert calls == ["schur"]
+    # One real Schur factorization (LAPACK gees, with or without Schur
+    # vectors) and no eig: that of the Hurwitz test while the problem loads,
+    # which verify_nash reuses; a profile built without that test is factored
+    # by verify_nash itself, once.
+    path = str(Path(__file__).parent / "data" / "closed_form_n8_N3_m1.json")
+    eigs, eigvals = [], np.linalg.eigvals
+    factored = gees_calls(monkeypatch)
+    monkeypatch.setattr(np.linalg, "eigvals", lambda *a: eigs.append(1) or eigvals(*a))
+    system, profile, costs, _ = load_problem(path)
+    ok, cert = verify_nash(system, profile, costs)
+    assert ok and (len(factored), eigs) == (1, [])
+    fresh = verify_nash(system, StrategyProfile(profile.K), costs)
+    assert fresh[0] and (len(factored), eigs) == (2, [])
+    assert all(np.array_equal(a, b) for a, b in zip(fresh[1].P, cert.P))
+    assert fresh[1].hurwitz_margin == cert.hurwitz_margin
 
 
 @pytest.mark.parametrize("k", [0.5, 1.0])

@@ -13,7 +13,7 @@ from nashinduce import (
 )
 from nashinduce.cli import load_problem
 from nashinduce.cli import main as cli_main
-from nashinduce.feasibility import _kalman_map, _stationarity_map
+from nashinduce.feasibility import _kalman_map
 from nashinduce.forward import verify_nash
 from nashinduce.inverse import (
     analyze_phi,
@@ -29,7 +29,7 @@ from nashinduce.polymat import PolyMatrix
 from nashinduce.problems import BUNDLED
 from nashinduce.realization import attach_feedback, reduced_system, right_coprime_factorization
 
-from conftest import poly_kalman_map, psd_sqrt_factor
+from conftest import original_stationarity_map, poly_kalman_map, psd_sqrt_factor
 
 
 def scalar_factorization(a, b, k):
@@ -204,7 +204,7 @@ def _kernels(system, profile, i):
     """(time-domain, polynomial) Kalman kernels of player i over packed (Q, R)."""
     A_tilde, _ = reduced_system(system, profile, i)
     fac = attach_feedback(right_coprime_factorization(A_tilde, system.B[i]), profile.K[i])
-    M = _stationarity_map(system, profile, i)
+    M = original_stationarity_map(system, profile, i)
     return nullspace(np.hstack(_kalman_map(system, i, M))), nullspace(poly_kalman_map(fac))
 
 

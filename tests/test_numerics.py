@@ -7,6 +7,7 @@ from nashinduce.numerics import (
     CONVERGED_SLACK,
     HURWITZ_MARGIN,
     R_FLOOR,
+    RANK_TOL,
     DimensionError,
     NumericalFailureError,
     cone_ok,
@@ -18,6 +19,7 @@ from nashinduce.numerics import (
     matrix_rank,
     nullspace,
     psd_project,
+    row_basis,
     solve_lyapunov,
     sym_blocks,
     sym_dim,
@@ -27,7 +29,13 @@ from nashinduce.numerics import (
     vec,
 )
 
-from conftest import loop_cone_project, loop_sym_blocks, psd_sqrt_factor
+from conftest import (
+    loop_cone_project,
+    loop_sym_blocks,
+    max_principal_sine,
+    psd_sqrt_factor,
+    svd_row_basis,
+)
 
 
 def test_vec_unvec_round_trip():
@@ -185,8 +193,10 @@ def test_solve_lyapunov_failures_raise(monkeypatch):
 
 
 def test_lyapunov_margin_comes_with_the_same_solution_from_one_factorization(monkeypatch):
-    # with_margin adds -max diag(T) to the answer and changes nothing else,
-    # on the trsyl path and the column sweep alike.  Against eigvals, the two
+    # schur_lyapunov on a factorization made once, A' = U T U', answers
+    # bitwise as solve_lyapunov, which factors A itself, on the trsyl path
+    # and the column sweep alike, and factors nothing more; hurwitz_margin
+    # reads -max Re eig(A) off that T.  Against eigvals, the two
     # backward-stable spectra agree to round-off times the eigenvector
     # condition number (Bauer-Fike), which the nonnormal kind makes large.
     rng = np.random.default_rng(12)
@@ -199,17 +209,19 @@ def test_lyapunov_margin_comes_with_the_same_solution_from_one_factorization(mon
             W = np.stack([(lambda C: C.T @ C)(rng.standard_normal((n, n)))
                           for _ in range(max(k, 1))])
             W = W if k else W[0]
+            T, U = schur(A.T)
             factorizations.clear()
-            P, margin = solve_lyapunov(A, W, with_margin=True)
-            assert len(factorizations) == 1
+            P = numerics.schur_lyapunov(A, T, U, W)
+            assert not factorizations
             assert np.array_equal(P, solve_lyapunov(A, W))
-            T = scipy.linalg.schur(A.T, lwork=numerics._schur_lwork(n), check_finite=False)[0]
+            margin = numerics.hurwitz_margin(T)
             assert margin == -T.diagonal().max()
             w, V = np.linalg.eig(A)
             bound = 1e-12 * max(1.0, np.linalg.norm(A)) * np.linalg.cond(V)
             assert abs(margin + w.real.max()) <= bound, (kind, n)
-    with pytest.raises(ValueError, match="Hurwitz"):
-        solve_lyapunov(np.array([[0.0]]), np.array([[1.0]]), with_margin=True)
+    T, U = schur(np.array([[0.0]]))
+    with pytest.raises(numerics.NotHurwitzError, match="Hurwitz"):
+        numerics.schur_lyapunov(np.array([[0.0]]), T, U, np.array([[1.0]]))
 
 
 def test_stacked_lyapunov_is_bitwise_per_matrix(monkeypatch):
@@ -249,8 +261,8 @@ def test_single_and_short_stacks_are_bitwise_the_trsyl_path():
     for kind in ("real", "complex", "nonnormal"):
         for n in (1, 2, 3, 5, 8, 12, 16, 24, 32):
             A = _stable(rng, kind, n)
-            k = max(2 * n, 32) - 1  # the longest stack left to trsyl
-            assert not numerics._swept(k, n) and numerics._swept(k + 1, n)
+            k = 23  # the longest stack left to trsyl
+            assert not numerics._swept(k) and numerics._swept(k + 1)
             W = np.stack([(lambda C: C + C.T)(rng.standard_normal((n, n))) for _ in range(k)])
             refs = [trsyl_lyapunov(A, Wk) for Wk in W]
             assert np.array_equal(solve_lyapunov(A, W[0]), refs[0])
@@ -260,7 +272,7 @@ def test_single_and_short_stacks_are_bitwise_the_trsyl_path():
 @pytest.mark.parametrize("kind", ["real", "complex", "nonnormal"])
 def test_swept_stack_matches_per_slice_trsyl(kind, monkeypatch):
     # Every stack here is swept, also those the shape rule leaves to trsyl.
-    monkeypatch.setattr(numerics, "_swept", lambda k, n: k > 1)
+    monkeypatch.setattr(numerics, "_swept", lambda k: k > 1)
     rng = np.random.default_rng(15)
     for n in (8, 12, 16, 24, 32):
         A = _stable(rng, kind, n)
@@ -284,7 +296,7 @@ def test_stacked_lyapunov_rejects_a_bad_slice_as_it_would_alone(monkeypatch):
     good = np.stack([np.eye(5), np.diag(np.arange(1.0, 6.0)), np.ones((5, 5))])
     A8 = _stable(rng, "complex", 8)
     tall = np.stack([(lambda C: C + C.T)(rng.standard_normal((8, 8))) for _ in range(32)])
-    assert not numerics._swept(*good.shape[:2]) and numerics._swept(*tall.shape[:2])
+    assert not numerics._swept(len(good)) and numerics._swept(len(tall))
     for A_, stack, bad in ((A, good, 1), (A, good, 2), (A8, tall, 27)):
         asymmetric, nonfinite = stack.copy(), stack.copy()
         asymmetric[bad, 0, 1] += 1e-3
@@ -474,3 +486,50 @@ def test_as_matrix_names_the_block():
 def test_dimension_errors():
     with pytest.raises(DimensionError):
         numerics.require_square(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 7), (12, 30), (48, 154)])
+def test_qr_row_basis_keeps_the_svd_rank_at_the_rank_rule(rows, cols):
+    # Random wide M = U diag(s) V' whose trailing singular value sits at 10x
+    # or 0.1x of the rank rule's floor RANK_TOL max(1, s_0): the QR basis has
+    # the SVD reference's rank.  Where the floor cuts the tail (0.1x) the two
+    # span the same row space to 1e-10.  A kept singular value s_r at 10x the
+    # floor leaves the row space itself determined only to about
+    # eps s_0 / s_r, near 1e-8 (Wedin's sin-theta bound), for either
+    # factorization, so there the bound is 100 eps s_0 / s_r.
+    rng = np.random.default_rng([rows, cols])
+    eps = np.finfo(float).eps
+    for s0 in (1e-2, 1.0, 1e3):
+        for factor in (10.0, 0.1):
+            for _ in range(5):
+                U = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+                V = np.linalg.qr(rng.standard_normal((cols, rows)))[0]
+                s = s0 * np.logspace(0, -3, rows)
+                s[-1] = factor * RANK_TOL * max(1.0, s0)
+                M = (U * s) @ V.T
+                basis, ref = row_basis(M), svd_row_basis(M)
+                assert basis.shape == ref.shape == (cols, rows - (factor < 1))
+                kept = s[basis.shape[1] - 1]
+                bound = max(1e-10, 100 * eps * s0 / kept)
+                assert max_principal_sine(basis, ref) <= bound, (s0, factor)
+                assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), rtol=0, atol=1e-14)
+
+
+def test_qr_row_basis_of_one_row_and_of_tall_matrices():
+    # A single row spans its own direction; a zero row spans nothing.  A tall
+    # M, and one whose zero column makes it rank deficient, keep the SVD
+    # reference's rank and space.
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((1, 9))
+    basis = row_basis(a)
+    assert basis.shape == svd_row_basis(a).shape == (9, 1)
+    assert max_principal_sine(basis, svd_row_basis(a)) <= 1e-15
+    assert max_principal_sine(basis, (a / np.linalg.norm(a)).T) <= 1e-15
+    assert row_basis(np.zeros((1, 9))).shape == svd_row_basis(np.zeros((1, 9))).shape == (9, 0)
+    for rows, cols in ((7, 3), (5, 5), (4, 9)):
+        M = rng.standard_normal((rows, cols))
+        for rank in (min(rows, cols), min(rows, cols) - 1):
+            M[:, rank:] = 0.0
+            basis, ref = row_basis(M), svd_row_basis(M)
+            assert basis.shape == ref.shape == (cols, rank)
+            assert max_principal_sine(basis, ref) <= 1e-14

@@ -58,7 +58,6 @@ ALLOWED = {
     "numerics.as_matrix(name)": "every caller names the block in its error message",
     "numerics.require_square(name)": "every caller names the block in its error message",
     "numerics.symmetrize(name)": "CostParameters names each block in its error message",
-    "numerics.solve_lyapunov(with_margin)": "verify_nash reads the Hurwitz margin off the solve",
     "numerics.psd_project(floor)": "tests/conftest.py's reference loop_cone_project passes "
                                    "each block's floor",
     "numerics.cone_ok(slack)": "cone_verdict passes the slack of a converged point",

@@ -1,6 +1,7 @@
-"""Record what the CLI answers on a fixed corpus, for diffing two checkouts.
+"""Record what the CLI answers on a fixed corpus, and compare two records.
 
     python3 tools/cli_corpus.py OUTDIR
+    python3 tools/cli_corpus.py compare PARENT CHANGE
 
 The corpus is rounds 0..ROUNDS-1 of both benchmark workloads at
 perfbench's CORPUS_SEED (written by ``perfbench/workloads.setup_*``, which
@@ -19,7 +20,20 @@ own directory and compare the two:
 
     python3 PARENT/tools/cli_corpus.py /tmp/parent
     python3 tools/cli_corpus.py /tmp/change
-    diff -r /tmp/parent /tmp/change
+    python3 tools/cli_corpus.py compare /tmp/parent /tmp/change
+
+``compare`` needs the same calls on both sides, and in each call the same
+exit code, the same stderr and the same report apart from its floats: the
+same keys in the same order, and every string, integer, boolean and null
+equal.  A report that is no JSON must match as text.  It lists each
+difference and exits 1 if it finds any.  Floats may move by round-off, so
+it prints, per field path (list indices dropped), the largest relative
+change of any one field: max |a - b| over the floats the field holds (a
+scalar, or every entry of a vector or matrix), over the largest of their
+magnitudes on either side, 0/0 read as 0, beside the largest magnitude
+that field path holds anywhere, so that a round-off figure (a residual, a
+stop gap) reads as one.  It also counts the calls whose files are
+byte-identical, per command.
 """
 
 from __future__ import annotations
@@ -94,10 +108,101 @@ def write_corpus(problems: Path) -> tuple:
     return sorted(files), sorted(nearest)
 
 
+def _parse(text: str) -> tuple:
+    """(exit line, stderr, report): the report as JSON, or its raw text."""
+    head, _, report = text.partition("\nreport:\n")
+    code, _, err = head.partition("\nstderr:\n")
+    try:
+        return code, err, json.loads(report)
+    except json.JSONDecodeError:
+        return code, err, report
+
+
+def _fields(node, path=""):
+    """Yield (path, leaves) for every field of a report: a dict key's value,
+    with lists of dicts entered item by item and anything else taken whole,
+    its leaves in order.  The path drops list indices."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _fields(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list) and node and all(isinstance(v, dict) for v in node):
+        for value in node:
+            yield from _fields(value, path + "[]")
+    else:
+        yield path, list(_leaves(node))
+
+
+def _leaves(node):
+    """The scalars of a value, nested lists flattened in order."""
+    if isinstance(node, list):
+        for item in node:
+            yield from _leaves(item)
+    else:
+        yield node
+
+
+def _shape(node):
+    """The report with every float replaced by one marker: what must match."""
+    if isinstance(node, dict):
+        return [(key, _shape(value)) for key, value in node.items()]
+    if isinstance(node, list):
+        return [_shape(value) for value in node]
+    return "<float>" if type(node) is float else node
+
+
+def compare(parent: Path, change: Path) -> int:
+    """Compare two recorded corpora (see the module docstring)."""
+    names = [sorted(str(p.relative_to(root / "calls")) for p in (root / "calls").rglob("*")
+                    if p.is_file()) for root in (parent, change)]
+    problems = [f"only in {root}: {name}"
+                for root, mine, theirs in ((parent, *names), (change, *names[::-1]))
+                for name in sorted(set(mine) - set(theirs))]
+    worst, identical = {}, {}
+    for name in sorted(set(names[0]) & set(names[1])):
+        texts = [(root / "calls" / name).read_text(encoding="utf-8") for root in (parent, change)]
+        label = name.rsplit(".", 1)[1]
+        calls, same = identical.get(label, (0, 0))
+        identical[label] = (calls + 1, same + (texts[0] == texts[1]))
+        (code_a, err_a, rep_a), (code_b, err_b, rep_b) = map(_parse, texts)
+        if code_a != code_b:
+            problems.append(f"{name}: {code_a} -> {code_b}")
+        if err_a != err_b:
+            problems.append(f"{name}: stderr {err_a!r} -> {err_b!r}")
+        if isinstance(rep_a, str) or isinstance(rep_b, str):
+            if rep_a != rep_b:
+                problems.append(f"{name}: report text differs")
+            continue
+        if _shape(rep_a) != _shape(rep_b):
+            problems.append(f"{name}: a key, string, integer, boolean or null differs")
+            continue
+        for (path, a), (_, b) in zip(_fields(rep_a), _fields(rep_b)):
+            pairs = [(x, y) for x, y in zip(a, b) if type(x) is float]
+            if not pairs:
+                continue
+            moved = max(abs(x - y) for x, y in pairs)
+            scale = max(max(abs(x), abs(y)) for x, y in pairs)
+            relative = moved / scale if scale else 0.0
+            top, where, largest = worst.get(path, (-1.0, "", 0.0))
+            worst[path] = ((relative, name) if relative >= top else (top, where)) + (
+                max(largest, scale),)
+    for label, (calls, same) in sorted(identical.items()):
+        print(f"{label}: {same} of {calls} calls byte-identical")
+    print("largest relative float change per field path (and the largest magnitude it holds):")
+    for path, (relative, name, largest) in sorted(worst.items()):
+        print(f"  {path}: {relative:.3e} of at most {largest:.3e}  ({name})")
+    for problem in problems:
+        print(f"DIFFERS {problem}")
+    print(f"{len(problems)} differences other than floats", file=sys.stderr)
+    return 1 if problems else 0
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "compare":
+        return compare(Path(args[1]).resolve(), Path(args[2]).resolve())
     if len(args) != 1:
-        print("usage: python3 tools/cli_corpus.py OUTDIR", file=sys.stderr)
+        print("usage: python3 tools/cli_corpus.py OUTDIR\n"
+              "       python3 tools/cli_corpus.py compare PARENT CHANGE", file=sys.stderr)
         return 2
     out = Path(args[0]).resolve()
     if out.exists():
