@@ -108,6 +108,8 @@ def _matrix(node, path, rows=None, cols=None):
         raise InputError(f"{path}: not a numeric matrix ({exc})") from exc
     if M.ndim != 2:
         raise InputError(f"{path}: expected a nested-list matrix")
+    if not M.size:
+        raise InputError(f"{path}: is empty")
     if rows is not None and M.shape[0] != rows:
         raise InputError(f"{path}: has {M.shape[0]} rows, expected {rows}")
     if cols is not None and M.shape[1] != cols:

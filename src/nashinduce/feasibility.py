@@ -149,7 +149,8 @@ def stationarity_maps(system: GameSystem, profile: StrategyProfile, players=None
     maps, ends = [], np.cumsum(ms) * n
     for i, mi, end in zip(players, ms, ends):
         blocks = [c[end - n * mi:end] for c in columns]
-        blocks[1 + i] = blocks[1 + i] + kron(np.eye(mi), profile.K[i].T) @ sym_basis(mi)
+        E = np.eye(mi)[:, None, :, None] * profile.K[i].T[None, :, None, :]  # e_a K_i[:, b]'
+        blocks[1 + i] = blocks[1 + i] + sym_pack_stack(E.reshape(-1, mi, mi))
         maps.append(np.hstack(blocks))
     return maps, U
 

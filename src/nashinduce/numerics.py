@@ -19,9 +19,11 @@ A' = U T U' (_schur), which a caller may make once and pass on
 change), for one or a stack of right-hand sides: slice by slice
 (LAPACK trsyl), or a tall stack by one column sweep of the triangular form
 with all slices as right-hand sides (_swept, _schur_sweep).  The Hurwitz
-margin is read off the diagonal of the same form (hurwitz_margin).  The
-Kronecker helpers (kron, kron_sum) serve as references and for small
-closed-form maps only.
+margin is read off the diagonal of the same form (hurwitz_margin).
+Symmetric matrices are packed by one rule (_sym_layout): sym_pack_stack
+packs and _grouped_blocks unpacks, and sym_pack and sym_unpack are their
+one-matrix cases.  The Kronecker helpers (kron, kron_sum) serve the
+reference identity feasibility.build_vectorized_system only.
 """
 
 from __future__ import annotations
@@ -437,9 +439,7 @@ def _sym_layout(n: int):
 
 
 def sym_pack(M) -> np.ndarray:
-    A = symmetrize(M)
-    rows, cols, weights = _sym_layout(A.shape[0])
-    return A[rows, cols] * weights
+    return sym_pack_stack(symmetrize(M)[None])[0]
 
 
 def sym_pack_stack(X) -> np.ndarray:
@@ -450,12 +450,7 @@ def sym_pack_stack(X) -> np.ndarray:
 
 
 def sym_unpack(v, n: int) -> np.ndarray:
-    rows, cols, weights = _sym_layout(n)
-    x = np.asarray(v, dtype=float).ravel() / weights
-    A = np.zeros((n, n))
-    A[rows, cols] = x
-    A[cols, rows] = x
-    return A
+    return sym_blocks(np.ravel(v), [(n, 0.0)])[0]
 
 
 def sym_dim(n: int) -> int:
@@ -578,23 +573,6 @@ def cone_project(x, layout) -> np.ndarray:
     return out
 
 
-def cone_ok(x, layout, slack: float = POINT_SLACK) -> bool:
-    """True iff every block of x lies in its cone within slack.
-
-    Floor-zero blocks may dip to -slack times the largest Frobenius norm among
-    them (at least 1); a block with a positive floor must keep its minimum
-    eigenvalue above floor - slack.
-    """
-    blocks = sym_blocks(x, layout)
-    scale = max([1.0] + [float(np.linalg.norm(X))
-                         for X, (_, floor) in zip(blocks, layout) if floor == 0.0])
-    for X, (_, floor) in zip(blocks, layout):
-        bound = -slack * scale if floor == 0.0 else floor - slack
-        if float(np.linalg.eigvalsh(X).min()) < bound:
-            return False
-    return True
-
-
 def affine_slice(V, rows, values):
     """The points x with V'x = 0 and rows[k] . x = values[k], as
     (x_p, V_a, miss).
@@ -626,7 +604,7 @@ def affine_slice(V, rows, values):
     return (None if first_miss else x_p), V, first_miss
 
 
-def _anderson(step, z, tangent=None):
+def _anderson(step, z):
     """Iterate a fixed-point map z -> g(z) with type-II Anderson mixing
     (Walker & Ni 2011) until its answer's residual falls within tol =
     PROJECTION_TOL, for at most cap = PROJECTION_CAP iterations.
@@ -634,18 +612,15 @@ def _anderson(step, z, tangent=None):
     step(z) returns (g, out, res): the map's image, the candidate answer and
     that answer's residual.  The mixed step is z = g - dG gamma, gamma the
     least-squares fit of the last ANDERSON_MEMORY residual differences dF to
-    f = g - z.  When the map's images lie on an affine set, tangent(d)
-    projects a difference onto the set's directions, so that the fit sees
-    only those: rounding off the set would otherwise pass for fresh
-    directions once |f| nears tol.  The history is cleared when |f| grows by
-    more than ANDERSON_RESTART times.  The step stays plain on the first
-    iteration, while |f| <= ANDERSON_FLOOR * scale (a stalled loop, whose
-    residual is round-off) and when the mixed point is non-finite.  Stops
-    when res <= tol * scale, scale = max(1, |out|).  Returns (out, reason,
-    iterations, res / scale), reason "converged" or "cap" after cap
-    iterations.  A stalled loop returns the cap tuple at once when it can no
-    longer converge in time: plain steps of a nonexpansive map never grow
-    |f|, and res moves by at most 2 |f| a step.
+    f = g - z.  The history is cleared when |f| grows by more than
+    ANDERSON_RESTART times.  The step stays plain on the first iteration,
+    while |f| <= ANDERSON_FLOOR * scale (a stalled loop, whose residual is
+    round-off) and when the mixed point is non-finite.  Stops when res <=
+    tol * scale, scale = max(1, |out|).  Returns (out, reason, iterations,
+    res / scale), reason "converged" or "cap" after cap iterations.  A
+    stalled loop returns the cap tuple at once when it can no longer
+    converge in time: plain steps of a nonexpansive map never grow |f|, and
+    res moves by at most 2 |f| a step.
     """
     cap, tol = PROJECTION_CAP, PROJECTION_TOL
     dG, dF = np.empty((2, z.size, ANDERSON_MEMORY))
@@ -656,7 +631,7 @@ def _anderson(step, z, tangent=None):
         scale = max(1.0, float(np.linalg.norm(out)))
         if res <= tol * scale:
             return out, "converged", it, res / scale
-        f = g - z if tangent is None else tangent(g - z)
+        f = g - z
         f_norm = float(np.linalg.norm(f))
         if f_norm <= ANDERSON_FLOOR * scale and 2 * (cap - it) * f_norm < res - tol * scale:
             return out, "cap", cap, res / scale
@@ -703,18 +678,26 @@ def project_affine_cone(x_p, V, layout):
         x = c - V @ (V.T @ c) + x_p
         return x, x, float(np.linalg.norm(x - c))
 
-    return _anderson(step, _identity_start(x_p, V, layout), tangent=lambda d: d - V @ (V.T @ d))
+    return _anderson(step, _identity_start(x_p, V, layout))
 
 
 def cone_verdict(x, reason: str, layout):
     """Whether a projection result lies in the cones: True, False, or None;
     the acceptance rule of both cone searches.  A single point is tested
-    strictly and decides either way.  A converged point lies only within the
-    stop tolerance of the cones, so it is tested with CONVERGED_SLACK and
-    decides nothing when it fails; neither does a capped run.
+    with slack POINT_SLACK and decides either way.  A converged point lies
+    only within the stop tolerance of the cones, so it is tested with
+    CONVERGED_SLACK and decides nothing when it fails; neither does a capped
+    run.  A floor-zero block may dip to -slack times the largest Frobenius
+    norm among them (at least 1), a block with a positive floor to floor - slack.
     """
-    if reason == "point":
-        return cone_ok(x, layout)
-    if reason == "converged" and cone_ok(x, layout, CONVERGED_SLACK):
-        return True
-    return None
+    if reason not in ("point", "converged"):
+        return None
+    slack = POINT_SLACK if reason == "point" else CONVERGED_SLACK
+    blocks = sym_blocks(x, layout)
+    scale = max([1.0] + [float(np.linalg.norm(X))
+                         for X, (_, floor) in zip(blocks, layout) if floor == 0.0])
+    for X, (_, floor) in zip(blocks, layout):
+        bound = -slack * scale if floor == 0.0 else floor - slack
+        if float(np.linalg.eigvalsh(X).min()) < bound:
+            return False if reason == "point" else None
+    return True

@@ -52,6 +52,8 @@ class GameSystem:
         for i, Bi in enumerate(Bs):
             if Bi.shape[0] != n:
                 raise DimensionError(f"B[{i}] has {Bi.shape[0]} rows, expected {n}")
+            if not Bi.shape[1]:
+                raise DimensionError(f"B[{i}] has no columns")
             if matrix_rank(Bi) != Bi.shape[1]:
                 raise ValueError(f"B[{i}] must have full column rank")
         object.__setattr__(self, "A", A)

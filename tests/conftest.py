@@ -27,7 +27,6 @@ from nashinduce.numerics import (
     _rank,
     affine_slice,
     as_matrix,
-    cone_ok,
     cone_verdict,
     nullspace,
     project_affine_cone,
@@ -150,7 +149,7 @@ def dykstra_nearest(x0, Z, layout, cap, tol):
             break
     if converged:
         on_sub = float(np.linalg.norm(x - Z @ (Z.T @ x))) <= 1e-7 * max(1.0, float(np.linalg.norm(x)))
-        converged = on_sub and cone_ok(x, layout)
+        converged = on_sub and cone_verdict(x, "point", layout)
     return x, converged, its
 
 

@@ -693,6 +693,7 @@ def _edited(edit):
     (_edited(lambda r: r["players"][0].update(Q=[[1.0]], R_row=[[[math.inf]]])), [],
      "players[0].R_row[0]: has non-finite entries"),
     (_SCALAR, ["--nearest", "{nan_costs}"], "Q[0]: has non-finite entries"),
+    (_edited(lambda r: r["players"][0].update(B=[[]])), [], "players[0].B: is empty"),
 ])
 def test_input_errors_name_their_field(tmp_path, capsys, raw, argv, message):
     problem, costs = tmp_path / "problem.json", tmp_path / "costs0.json"

@@ -10,7 +10,6 @@ from nashinduce.numerics import (
     RANK_TOL,
     DimensionError,
     NumericalFailureError,
-    cone_ok,
     cone_project,
     cone_verdict,
     is_hurwitz,
@@ -360,17 +359,15 @@ def test_cone_project_lands_in_the_cones():
     for _ in range(40):
         layout = _random_layout(rng)
         x = rng.standard_normal(sum(sym_dim(size) for size, _ in layout))
-        assert cone_ok(cone_project(x, layout), layout)
+        assert cone_verdict(cone_project(x, layout), "point", layout)
 
 
 def test_a_positive_floor_gives_only_the_slack():
     # A block with floor R_FLOOR passes down to R_FLOOR - slack and no lower:
-    # cone_ok's own 1e-9 for a single point, CONVERGED_SLACK for a converged one.
+    # POINT_SLACK (1e-9) for a single point, CONVERGED_SLACK for a converged one.
     layout = [(1, 0.0), (1, R_FLOOR)]
     for below, ok in ((0.5e-9, True), (1.5e-9, False)):
-        x = np.array([1.0, R_FLOOR - below])
-        assert cone_ok(x, layout) is ok
-        assert cone_verdict(x, "point", layout) is ok
+        assert cone_verdict(np.array([1.0, R_FLOOR - below]), "point", layout) is ok
     for below, verdict in ((0.5 * CONVERGED_SLACK, True), (1.5 * CONVERGED_SLACK, None)):
         assert cone_verdict(np.array([1.0, R_FLOOR - below]), "converged", layout) is verdict
     assert cone_verdict(np.array([1.0, R_FLOOR]), "cap", layout) is None

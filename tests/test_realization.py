@@ -49,6 +49,7 @@ def test_game_and_profile_input_errors_name_their_field():
 
     raises("at least one player required", GameSystem, np.eye(2), [])
     raises("B[0] has 3 rows, expected 2", GameSystem, np.eye(2), [np.ones((3, 1))])
+    raises("B[0] has no columns", GameSystem, np.eye(2), [np.zeros((2, 0)), np.ones((2, 1))])
     system = GameSystem(-np.eye(2), [np.array([[1.0], [0.0]])])
     raises("one gain per player required", StrategyProfile.stabilizing, system, [])
     raises("K[0] has shape (1, 3), expected (1, 2)",

@@ -19,6 +19,11 @@ or a caller needs to build and read a game.
 Decision path: one function of cli runs both methods, the frequency-domain
 analysis and the oracle, for check and solve alike.
 
+Packing: the stationarity maps hold no Kronecker product, and the packing
+layout _sym_layout has one packer (sym_pack_stack), one unpacker
+(_grouped_blocks) and the two matrices built from it (sym_basis,
+_identity_columns); sym_pack and sym_unpack go through the first two.
+
 Certificate: one function of feasibility forms the pinned block B_i'Q_iB_i
 (the one Gram product L'L there), and both cone searches, the oracle's
 player_feasibility and nearest_params, call it; nearest_params cuts no slice
@@ -60,8 +65,6 @@ ALLOWED = {
     "numerics.symmetrize(name)": "CostParameters names each block in its error message",
     "numerics.psd_project(floor)": "tests/conftest.py's reference loop_cone_project passes "
                                    "each block's floor",
-    "numerics.cone_ok(slack)": "cone_verdict passes the slack of a converged point",
-    "numerics._anderson(tangent)": "project_affine_cone passes its affine set's directions",
     "polymat.poly_trim(tol)": ITEM_4,
     "polymat.is_zero_poly(tol)": ITEM_4,
     "polymat.PolyMatrix.is_zero(tol)": ITEM_4,
@@ -201,6 +204,16 @@ def test_both_cone_searches_share_one_pinned_block():
     assert len(blocks) == 1, f"more than one pinned block in feasibility: {sorted(blocks)}"
     assert callers("feasibility", *blocks) == {"player_feasibility", "nearest_params"}
     assert "nearest_params" not in callers("feasibility", "affine_slice")
+
+
+def test_stationarity_maps_are_packed_without_kronecker_products():
+    assert "stationarity_maps" not in callers("feasibility", "kron")
+    assert "stationarity_maps" not in callers("feasibility", "sym_basis")
+
+
+def test_one_packer_and_one_unpacker():
+    assert callers("numerics", "_sym_layout") == {
+        "sym_pack_stack", "_grouped_blocks", "sym_basis", "_identity_columns"}
 
 
 PRODUCTION_API = [
