@@ -34,7 +34,6 @@ from .forward import CostParameters, state_weight_with_cross_terms
 from .numerics import (
     POINT_SLACK,
     R_FLOOR,
-    DimensionError,
     _anderson,
     _stage,
     affine_slice,
@@ -52,7 +51,7 @@ from .numerics import (
     sym_pack,
     sym_pack_stack,
 )
-from .realization import GameSystem, StrategyProfile, closed_loop, closed_loop_schur
+from .realization import GameSystem, StrategyProfile, _listed_players, closed_loop, closed_loop_schur
 
 NEAREST_INPUT_TOL = 1e-6  # semidefiniteness tolerance of nearest_params' reference costs
 
@@ -65,8 +64,7 @@ def build_vectorized_system(system: GameSystem, profile: StrategyProfile, i: int
     is folded away.  Every member point with zero cross penalties lies in the
     nullspace.
     """
-    if not (0 <= i < system.num_players):
-        raise DimensionError(f"player index {i} out of range")
+    _listed_players(system, [i])
     n, m = system.n, system.m[i]
     Ki = profile.K[i]
     Acl = closed_loop(system, profile.K)
@@ -100,18 +98,6 @@ def _player_nullspace(system, profile, i):
 # ---------------------------------------------------------------------------
 # The Kalman-equation map and the cone search over it
 # ---------------------------------------------------------------------------
-
-def _listed_players(system: GameSystem, players) -> list:
-    """players (all by default) as a list, rejecting an empty list and an
-    index out of range with GameSystem's and reduced_system's messages."""
-    players = list(range(system.num_players) if players is None else players)
-    if not players:
-        raise DimensionError("at least one player required")
-    for i in players:
-        if not 0 <= i < system.num_players:
-            raise DimensionError(f"player index {i} out of range")
-    return players
-
 
 def stationarity_maps(system: GameSystem, profile: StrategyProfile, players=None):
     """(maps, U): the stationarity map of each listed player (all by
@@ -316,7 +302,9 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
     x0) / 2, x = u - V(V'u), y = P_cone(2x - v) and v <- v + y - x, mixed by
     numerics._anderson, until |y - x| <= PROJECTION_TOL max(1, |y|).
     cone_verdict rules on y as on the oracle's converged point (a y it does
-    not accept is "indeterminate"); y needs no kernel test, as |V'y| <= |y - x|.
+    not accept is "indeterminate"); y needs no kernel test, as |V'y| <= |y - x|,
+    and no second projection: the answer's blocks are y's, which the
+    distance is measured from.
     """
     costs0.validate(system, tol=NEAREST_INPUT_TOL)
     N = system.num_players
@@ -345,7 +333,7 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
                                  iterations + (its,), gaps + (gap,))
         iterations, gaps = iterations + (its,), gaps + (gap,)
         dist2 += float(np.linalg.norm(y - x0) ** 2)
-        Qh, *Rrow = sym_blocks(cone_project(y, layout), layout)
+        Qh, *Rrow = sym_blocks(y, layout)
         Qs.append(_congruent(U, Qh))
         Rrows.append(Rrow)
     costs = CostParameters(Qs, Rrows)

@@ -163,8 +163,9 @@ def _schur(M):
     """Real Schur form M = U T U' (T standardized, unsorted) by one LAPACK
     gees call with the cached workspace: the factorization
     scipy.linalg.schur(M, lwork=_schur_lwork(n)) computes, bitwise, without
-    its argument handling.  A command's one factorization, of Acl'
-    (realization.closed_loop_schur)."""
+    its argument handling.  The one gees call of the package: a command's
+    one factorization, of Acl' (realization.closed_loop_schur), and every
+    other Hurwitz test (is_hurwitz)."""
     from scipy.linalg import lapack
     T, _, _, _, U, _, info = lapack.dgees(_no_sort, M, lwork=_schur_lwork(len(M)))
     if info:  # pragma: no cover - rare: the QR iteration did not converge
@@ -181,13 +182,8 @@ def hurwitz_margin(T) -> float:
 
 def is_hurwitz(M) -> bool:
     """True iff every eigenvalue has real part < -HURWITZ_MARGIN, read as
-    hurwitz_margin reads it off one Schur form (no Schur vectors)."""
-    from scipy.linalg import lapack
-    A = require_square(M)
-    T, *_, info = lapack.dgees(_no_sort, A, compute_v=0, lwork=_schur_lwork(len(A)))
-    if info:  # pragma: no cover - rare: the QR iteration did not converge
-        raise NumericalFailureError("Schur factorization failed")
-    return hurwitz_margin(T) > HURWITZ_MARGIN
+    hurwitz_margin reads it off the Schur form _schur computes."""
+    return hurwitz_margin(_schur(require_square(M))[0]) > HURWITZ_MARGIN
 
 
 def _require_hurwitz(T) -> None:

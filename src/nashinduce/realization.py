@@ -72,6 +72,19 @@ class GameSystem:
         return tuple(Bi.shape[1] for Bi in self.B)
 
 
+def _listed_players(system: GameSystem, players) -> list:
+    """players (all by default) as a list, rejecting an empty list with
+    GameSystem's message and an index out of range: the one player-index
+    check of the package."""
+    players = list(range(system.num_players) if players is None else players)
+    if not players:
+        raise DimensionError("at least one player required")
+    for i in players:
+        if not 0 <= i < system.num_players:
+            raise DimensionError(f"player index {i} out of range")
+    return players
+
+
 def _pbh_failures(A: np.ndarray, C: np.ndarray, tol: float) -> list:
     """PBH test of the pair (C, A), from one batched SVD: each eigenvalue lam
     of A with Re lam >= -HURWITZ_MARGIN (not Hurwitz) at which [lam I - A; C]
@@ -159,8 +172,7 @@ def is_stabilizing(system: GameSystem, K) -> bool:
 
 def reduced_system(system: GameSystem, profile: StrategyProfile, i: int):
     """Player i's view: (A_tilde_i, A_cl) with all other gains frozen."""
-    if not (0 <= i < system.num_players):
-        raise DimensionError(f"player index {i} out of range")
+    _listed_players(system, [i])
     A_tilde = system.A.copy()
     for j, (Bj, Kj) in enumerate(zip(system.B, profile.K)):
         if j != i:

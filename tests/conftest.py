@@ -273,8 +273,8 @@ def eig_newton_kleinman(A, B, Q, R, K0):
 
 
 def gees_calls(monkeypatch) -> list:
-    """Record the matrix of every real Schur factorization (LAPACK gees, with
-    or without Schur vectors; not its workspace queries) from now on."""
+    """Record the matrix of every real Schur factorization (LAPACK gees, not
+    its workspace queries) from now on."""
     from scipy.linalg import lapack
     gees, factored = lapack.dgees, []
 

@@ -42,7 +42,7 @@ from nashinduce.numerics import (
     sym_pack,
 )
 from nashinduce.problems import BUNDLED
-from nashinduce.realization import closed_loop
+from nashinduce.realization import closed_loop, reduced_system
 
 from conftest import (
     converged_nash_games,
@@ -493,6 +493,10 @@ def test_searches_reject_an_unknown_mode_and_bad_players():
         for mode in ("general", "q-only"):
             with pytest.raises(DimensionError, match=f"^player index {i} out of range$"):
                 feasibility.player_feasibility(system, profile, i, mode, M, U)
+        # The reference identities and a player's reduced system share the check.
+        for view in (feasibility.build_vectorized_system, reduced_system):
+            with pytest.raises(DimensionError, match=f"^player index {i} out of range$"):
+                view(system, profile, i)
 
 
 def test_feasibility_agrees_with_forward_construction(nash_games):

@@ -29,6 +29,11 @@ Certificate: one function of feasibility forms the pinned block B_i'Q_iB_i
 player_feasibility and nearest_params, call it; nearest_params cuts no slice
 of its own.
 
+One owner per check: LAPACK's gees is called by numerics._schur and its
+workspace query alone, so every Hurwitz test reads _schur's form; one
+function raises "player index ... out of range"; and nearest_params projects
+onto the cones only inside its Douglas-Rachford step, whose y is its answer.
+
 README: its Library example runs and prints what its comments state, and
 its tolerance table has one row for each module-level constant.
 """
@@ -214,6 +219,56 @@ def test_stationarity_maps_are_packed_without_kronecker_products():
 def test_one_packer_and_one_unpacker():
     assert callers("numerics", "_sym_layout") == {
         "sym_pack_stack", "_grouped_blocks", "sym_basis", "_identity_columns"}
+
+
+def own_nodes(fn):
+    """The nodes of a function's body, not those of the functions nested in it."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def calls_own(fn, name: str) -> bool:
+    """Whether a function's own body calls `name`, a bare name or an
+    attribute (such as lapack.dgees)."""
+    return any(isinstance(node, ast.Call) and name == (
+        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None))
+        for node in own_nodes(fn))
+
+
+def owners(predicate) -> set:
+    """The functions under src/nashinduce, as "module.function", for which
+    predicate holds."""
+    return {f"{path.stem}.{fn.name}" for path in sorted(SRC.glob("*.py"))
+            for fn in functions(path.stem) if predicate(fn)}
+
+
+def test_one_gees_call_site():
+    assert owners(lambda fn: calls_own(fn, "dgees")) == {"numerics._schur",
+                                                         "numerics._schur_lwork"}
+
+
+def test_one_player_index_check():
+    def raises_player_index(fn):
+        return any(isinstance(node, ast.Raise) and re.search(r"player index.*out of range", "".join(
+            c.value for c in ast.walk(node) if isinstance(c, ast.Constant)
+            and isinstance(c.value, str))) for node in own_nodes(fn))
+
+    assert owners(raises_player_index) == {"realization._listed_players"}
+    assert owners(lambda fn: calls_own(fn, "_listed_players")) == {
+        "realization.reduced_system", "feasibility.build_vectorized_system",
+        "feasibility.stationarity_maps", "feasibility.player_feasibility",
+        "feasibility.solve_feasibility_projection"}
+
+
+def test_nearest_params_projects_onto_the_cones_only_in_its_step():
+    nearest = next(fn for fn in functions("feasibility") if fn.name == "nearest_params")
+    projecting = {fn.name for fn in ast.walk(nearest)
+                  if isinstance(fn, ast.FunctionDef) and calls_own(fn, "cone_project")}
+    assert projecting == {"step"}
 
 
 PRODUCTION_API = [
