@@ -102,9 +102,18 @@ def dumps_report(obj) -> str:
 # ---------------------------------------------------------------------------
 
 def _matrix(node, path, rows=None, cols=None):
+    """node, a JSON nested list, as a float matrix.  A string or boolean
+    entry is no number, though numpy reads "1.0" and true as floats; a row
+    mixing numbers and booleans parses to a numeric dtype and is read as
+    numbers (true as 1), since telling it apart takes a walk of every entry."""
     try:
-        M = np.asarray(node, dtype=float)
-    except (TypeError, ValueError) as exc:
+        M = np.asarray(node)
+        if M.dtype.kind in "bU":
+            np.asarray(node, dtype=float)  # float() names a string it rejects
+            raise TypeError(f"JSON {'strings' if M.dtype.kind == 'U' else 'booleans'}"
+                            " are not numbers")
+        M = M.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: not a numeric matrix ({exc})") from exc
     if M.ndim != 2:
         raise InputError(f"{path}: expected a nested-list matrix")

@@ -28,10 +28,10 @@ import numpy as np
 from . import polymat
 from .feasibility import KalmanSolution, _stationarity_map, player_feasibility
 from .numerics import (
-    HURWITZ_MARGIN,
     NumericalFailureError,
     _rank,
     _stage,
+    _unstable,
     matrix_rank,
     psd_project,  # noqa: F401  (perfbench's tracing test reads inverse.psd_project)
 )
@@ -152,8 +152,8 @@ def return_difference_circle(A_cl, B, K, k):
 
 @dataclass(frozen=True)
 class RankViolation:
-    """A closed-RHP eigenvalue s0 of A_tilde_i whose unit eigenvector x every
-    feasible Q_i annihilates; `boundary` when |Re s0| <= HURWITZ_MARGIN."""
+    """An _unstable eigenvalue s0 of A_tilde_i whose unit eigenvector x every
+    feasible Q_i annihilates; `boundary` when -s0 is _unstable too (on the axis)."""
 
     s0: complex
     x: np.ndarray
@@ -180,7 +180,7 @@ def rank_condition(A_tilde, A_cl, B, K, k) -> tuple:
     basis, s, _ = np.linalg.svd(np.concatenate([x.real, x.imag], axis=2)
                                 .transpose(1, 0, 2).reshape(len(A_cl), -1))
     d = _rank(s, NULL_SPAN_TOL)
-    return tuple(RankViolation(s0=s0, x=x, boundary=abs(s0.real) <= HURWITZ_MARGIN)
+    return tuple(RankViolation(s0=s0, x=x, boundary=bool(_unstable(-s0.real)))
                  for s0, x in _pbh_failures(A_tilde, basis[:, d:].T, NULL_EIGVEC_TOL))
 
 

@@ -18,8 +18,8 @@ A' = U T U' (_schur), which a caller may make once and pass on
 (schur_lyapunov; schur_stack solves in Schur coordinates, with no basis
 change), for one or a stack of right-hand sides: slice by slice
 (LAPACK trsyl), or a tall stack by one column sweep of the triangular form
-with all slices as right-hand sides (_swept, _schur_sweep).  The Hurwitz
-margin is read off the diagonal of the same form (hurwitz_margin).
+with all slices as right-hand sides (_swept, _schur_sweep).  Stability is
+read off the diagonal of the same form by the one predicate _unstable.
 Symmetric matrices are packed by one rule (_sym_layout): sym_pack_stack
 packs and _grouped_blocks unpacks, and sym_pack and sym_unpack are their
 one-matrix cases.  The Kronecker helpers (kron, kron_sum) serve the
@@ -39,7 +39,7 @@ import numpy as np
 # top of that module.  Functions read them when called.
 PSD_TOL = 1e-8                 # relative skew bound of symmetrize and of a Lyapunov right-hand side
 RANK_TOL = 1e-9                # relative singular-value floor of the rank rule _rank
-HURWITZ_MARGIN = 1e-9          # Hurwitz means every Re(eig) < -HURWITZ_MARGIN
+HURWITZ_MARGIN = 1e-9          # Re(eig) >= -HURWITZ_MARGIN is unstable (_unstable, its one reader)
 LYAPUNOV_RESIDUAL_TOL = 1e-9   # relative residual bound of every Lyapunov solution
 NASH_TOL = 1e-8                # default tolerance of the final Nash check (--tol, the file's tol)
 R_FLOOR = 1e-6                 # eigenvalue floor imposed on each R_ii
@@ -64,8 +64,7 @@ class NumericalFailureError(RuntimeError):
 
 
 class NotHurwitzError(ValueError):
-    """A Lyapunov solve's matrix has an eigenvalue with Re >= -HURWITZ_MARGIN,
-    read off the diagonal of its Schur form."""
+    """A Lyapunov solve's matrix has an _unstable eigenvalue (_require_hurwitz)."""
 
 
 class StageError(NumericalFailureError):
@@ -180,15 +179,20 @@ def hurwitz_margin(T) -> float:
     return -float(T.diagonal().max())
 
 
+def _unstable(re):
+    """Re lam >= -HURWITZ_MARGIN elementwise, NaN included: the closed right
+    half-plane of every stability decision, the one reader of HURWITZ_MARGIN."""
+    return ~(np.asarray(re) < -HURWITZ_MARGIN)
+
+
 def is_hurwitz(M) -> bool:
-    """True iff every eigenvalue has real part < -HURWITZ_MARGIN, read as
-    hurwitz_margin reads it off the Schur form _schur computes."""
-    return hurwitz_margin(_schur(require_square(M))[0]) > HURWITZ_MARGIN
+    """True iff no eigenvalue of M is _unstable, read off _schur's diagonal."""
+    return not _unstable(_schur(require_square(M))[0].diagonal()).any()
 
 
 def _require_hurwitz(T) -> None:
-    """Raise NotHurwitzError unless hurwitz_margin(T) > HURWITZ_MARGIN."""
-    if not hurwitz_margin(T) > HURWITZ_MARGIN:
+    """Raise NotHurwitzError if a diagonal entry of the Schur form T is _unstable."""
+    if _unstable(T.diagonal()).any():
         raise NotHurwitzError("Acl must be Hurwitz for a Lyapunov solve")
 
 
@@ -216,10 +220,9 @@ def schur_lyapunov(A, T, U, W):
     the stack, and the k solutions come back as a stack.  Every slice must
     be finite and symmetric within PSD_TOL (relative) and every solution
     passes its own residual check.  The triangular equations go to
-    _triangular_lyapunov.  A Hurwitz margin (hurwitz_margin of T) not above
-    HURWITZ_MARGIN raises NotHurwitzError before anything is solved, so a
-    caller may also use the solve itself as its stability test
-    (newton_kleinman does).
+    _triangular_lyapunov.  An _unstable diagonal entry of T raises
+    NotHurwitzError before anything is solved, so a caller may also use the
+    solve itself as its stability test (newton_kleinman does).
     """
     W = np.asarray(W, dtype=float)
     Ws = W if W.ndim == 3 else W[None]

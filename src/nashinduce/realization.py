@@ -1,11 +1,10 @@
 """Game data model and the state-space -> matrix-fraction bridge.
 
-Builds, for each player, the open- and closed-loop matrices obtained by
-freezing the other players' gains, the controllable subspace and the one
+Builds each player's A_tilde_i (the other players' gains frozen) beside the
+one closed loop A_cl all players read, the controllable subspace and the one
 PBH test (_pbh_failures: stabilizability, and inverse's rank condition).
-A profile built by StrategyProfile.stabilizing keeps the real Schur form of
-Acl' it was tested with, the one factorization of a command
-(closed_loop_schur).
+StrategyProfile.stabilizing certifies A_cl and keeps its real Schur form,
+the one factorization of a command (closed_loop_schur).
 The right-coprime factorization (sI - A_tilde)^{-1} B = S(s) D(s)^{-1}, D
 column reduced with column degrees equal to the controllability indices, is
 reference code that no production path calls (see inverse).
@@ -21,11 +20,11 @@ from .numerics import (
     DimensionError,
     NumericalFailureError,
     _schur,
+    _unstable,
     as_matrix,
-    hurwitz_margin,
     is_hurwitz,
     matrix_rank,
-    HURWITZ_MARGIN,
+    require_square,
     RANK_TOL,
     _rank,
 )
@@ -42,9 +41,7 @@ class GameSystem:
     B: tuple
 
     def __init__(self, A, B):
-        A = as_matrix(A, "A")
-        if A.shape[0] != A.shape[1]:
-            raise DimensionError("A must be square")
+        A = require_square(A, "A")
         Bs = tuple(as_matrix(Bi, f"B[{i}]") for i, Bi in enumerate(B))
         if not Bs:
             raise DimensionError("at least one player required")
@@ -86,15 +83,15 @@ def _listed_players(system: GameSystem, players) -> list:
 
 
 def _pbh_failures(A: np.ndarray, C: np.ndarray, tol: float) -> list:
-    """PBH test of the pair (C, A), from one batched SVD: each eigenvalue lam
-    of A with Re lam >= -HURWITZ_MARGIN (not Hurwitz) at which [lam I - A; C]
-    has _rank(., tol) below n, with x, a unit eigenvector of A that C
+    """PBH test of the pair (C, A), from one batched SVD: each _unstable
+    eigenvalue lam of A (closed right half-plane) at which [lam I - A; C] has
+    _rank(., tol) below n, with x, a unit eigenvector of A that C
     annihilates.  Of a conjugate pair only the member with Im lam >= 0 is
     tested (A, C real); x is phase-aligned on its largest entry, and real for
     a real lam.  (A, B) is stabilizable iff (B', A') has no failure."""
     n = A.shape[0]
     lams = np.linalg.eigvals(A)
-    lams = lams[(lams.real >= -HURWITZ_MARGIN) & (lams.imag >= 0)]
+    lams = lams[_unstable(lams.real) & (lams.imag >= 0)]
     M = np.concatenate([lams[:, None, None] * np.eye(n) - A,
                         np.broadcast_to(C, (len(lams),) + C.shape)], axis=1)
     _, sv, vh = np.linalg.svd(M)
@@ -124,9 +121,9 @@ class StrategyProfile:
         stabilizability test of a game: a stabilizing K certifies the plant
         (Hautus), and a failing one is told apart from an unstabilizable plant
         by one PBH test, which is reported first.  Stability is read off the
-        real Schur form Acl' = U T U' (hurwitz_margin), and the profile keeps
-        it for closed_loop_schur: a command that loads its game this way
-        factors Acl once."""
+        real Schur form Acl' = U T U' (no _unstable diagonal entry), and the
+        profile keeps it for closed_loop_schur: a command that loads its game
+        this way factors Acl once."""
         prof = cls(K)
         if len(prof.K) != system.num_players:
             raise DimensionError("one gain per player required")
@@ -137,7 +134,7 @@ class StrategyProfile:
                 )
         Acl = closed_loop(system, prof.K)
         T, U = _schur(Acl.T)
-        if not hurwitz_margin(T) > HURWITZ_MARGIN:
+        if _unstable(T.diagonal()).any():
             if _pbh_failures(system.A.T, np.hstack(system.B).T, RANK_TOL):
                 raise ValueError("(A, [B_1 ... B_N]) is not stabilizable")
             raise ValueError("profile does not stabilize the closed loop")
@@ -166,19 +163,19 @@ def closed_loop_schur(system: GameSystem, profile: StrategyProfile):
 
 
 def is_stabilizing(system: GameSystem, K) -> bool:
-    """True iff A - sum_i B_i K_i has all eigenvalues in Re < -HURWITZ_MARGIN."""
+    """True iff A - sum_i B_i K_i has no _unstable eigenvalue (is_hurwitz)."""
     return is_hurwitz(closed_loop(system, K))
 
 
 def reduced_system(system: GameSystem, profile: StrategyProfile, i: int):
-    """Player i's view: (A_tilde_i, A_cl) with all other gains frozen."""
+    """Player i's view: (A_tilde_i, A_cl), all other gains frozen in A_tilde_i;
+    A_cl is closed_loop's, bitwise the matrix StrategyProfile.stabilizing certified."""
     _listed_players(system, [i])
     A_tilde = system.A.copy()
     for j, (Bj, Kj) in enumerate(zip(system.B, profile.K)):
         if j != i:
             A_tilde -= Bj @ Kj
-    A_cl = A_tilde - system.B[i] @ profile.K[i]
-    return A_tilde, A_cl
+    return A_tilde, closed_loop(system, profile.K)
 
 
 @dataclass(frozen=True)

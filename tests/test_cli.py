@@ -694,6 +694,13 @@ def _edited(edit):
      "players[0].R_row[0]: has non-finite entries"),
     (_SCALAR, ["--nearest", "{nan_costs}"], "Q[0]: has non-finite entries"),
     (_edited(lambda r: r["players"][0].update(B=[[]])), [], "players[0].B: is empty"),
+    # numpy reads "1.0" and true as floats; JSON strings and booleans are no numbers.
+    (_edited(lambda r: r.update(A=[["1.0"]])), [],
+     "A: not a numeric matrix (JSON strings are not numbers)"),
+    (_edited(lambda r: r["players"][0].update(B=[[True]])), [],
+     "players[0].B: not a numeric matrix (JSON booleans are not numbers)"),
+    (_edited(lambda r: r.update(A=[[10 ** 400]])), [],
+     "A: not a numeric matrix (int too large to convert to float)"),
 ])
 def test_input_errors_name_their_field(tmp_path, capsys, raw, argv, message):
     problem, costs = tmp_path / "problem.json", tmp_path / "costs0.json"

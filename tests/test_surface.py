@@ -34,6 +34,13 @@ workspace query alone, so every Hurwitz test reads _schur's form; one
 function raises "player index ... out of range"; and nearest_params projects
 onto the cones only inside its Douglas-Rachford step, whose y is its answer.
 
+One owner for stability and the closed loop: numerics._unstable is the one
+function that reads HURWITZ_MARGIN, so is_hurwitz, _require_hurwitz,
+StrategyProfile.stabilizing, both PBH tests (_pbh_failures) and
+RankViolation.boundary decide by it; and every player's reduced_system
+returns, bitwise, the closed loop closed_loop sums (the matrix
+StrategyProfile.stabilizing certified), on every tests/data fixture.
+
 README: its Library example runs and prints what its comments state, and
 its tolerance table has one row for each module-level constant.
 """
@@ -42,7 +49,11 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
+
 import nashinduce
+from nashinduce.cli import load_problem
+from nashinduce.realization import closed_loop, reduced_system
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nashinduce"
@@ -269,6 +280,22 @@ def test_nearest_params_projects_onto_the_cones_only_in_its_step():
     projecting = {fn.name for fn in ast.walk(nearest)
                   if isinstance(fn, ast.FunctionDef) and calls_own(fn, "cone_project")}
     assert projecting == {"step"}
+
+
+def test_one_stability_predicate():
+    def reads_margin(fn):
+        return any(isinstance(node, ast.Name) and node.id == "HURWITZ_MARGIN"
+                   for node in own_nodes(fn))
+
+    assert owners(reads_margin) == {"numerics._unstable"}
+
+
+def test_every_player_reads_the_certified_closed_loop():
+    for path in sorted((ROOT / "tests" / "data").glob("*.json")):
+        system, profile, _, _ = load_problem(str(path))
+        Acl = closed_loop(system, profile.K)
+        for i in range(system.num_players):
+            assert np.array_equal(reduced_system(system, profile, i)[1], Acl), (path.name, i)
 
 
 PRODUCTION_API = [
