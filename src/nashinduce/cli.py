@@ -37,10 +37,23 @@ class InputError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Deterministic JSON emission: fixed field order, floats as %.12e, non-finite
-# floats as null (JSON has no inf or nan)
+# floats as null (JSON has no inf or nan).  Report matrices stay arrays until
+# here.  A 2-D float64 array of at least EMIT_KERNEL_MIN entries, all finite,
+# is formatted in one numpy pass (_format_matrix); a row of finite Python
+# floats in one format call (_row_format); anything else value by value.  All
+# three give the text of one "%.12e" call per value, byte for byte.
 # ---------------------------------------------------------------------------
 
+EMIT_KERNEL_MIN = 100    # entries from which a finite float matrix takes _format_matrix
+EMIT_TIE_MARGIN = 2e-3   # distance from a rounding tie at which _format_matrix proves a digit
+
 _FLOAT = {float}
+_POW10 = np.array([float(10 ** k) for k in range(23)])  # exact: 5**22 < 2**53
+# Four-byte pieces of an entry's text, each a uint32 of _format_matrix's slot.
+_HEADS = np.frombuffer(b"".join(b"-%d.\0" % k for k in range(10)), np.uint32)
+_GROUPS = np.frombuffer(b"".join(b"%03d\0" % k for k in range(1000)), np.uint32)
+_EXPONENTS = np.frombuffer(b"".join(b"e%+03d" % k for k in range(-99, 100)), np.uint32)
+_TEXT = 20  # bytes of the longest finite "%.12e": -1.797693134862e+308
 
 
 @functools.cache
@@ -49,7 +62,118 @@ def _row_format(k: int) -> str:
     return "[" + ", ".join(["%.12e"] * k) + "]"
 
 
+@functools.cache
+def _matrix_layout(rows: int, cols: int):
+    """The separators of a rows x cols matrix's entries (", " within a row,
+    "], [" between rows, "]]" at the end, each in four bytes as a uint32)
+    and the keep-mask of their 28-byte slots: seven four-byte pieces, the
+    head "-d." (sign, lead digit, point), four three-digit groups, the
+    exponent "e+dd" and the separator.  The mask drops the fourth byte of
+    the head and of each group and a separator's unused two; _format_matrix
+    sets the sign byte per entry.  Both arrays are read-only."""
+    sep = np.empty((rows, cols, 4), np.uint8)
+    sep[:] = list(b", , ")
+    sep[:, -1] = list(b"], [")
+    sep[-1, -1] = list(b"]]]]")
+    keep = np.ones((rows, cols, 7, 4), bool)
+    keep[:, :, :5, 3] = False
+    keep[:, :, 6, 2:] = False
+    keep[:-1, -1, 6, 2:] = True
+    sep = sep.reshape(-1, 4).view(np.uint32).ravel()
+    keep = keep.reshape(rows * cols, 28)
+    sep.flags.writeable = keep.flags.writeable = False
+    return sep, keep
+
+
+def _mantissas(x):
+    """(proved, d, e) for a finite float64 vector x: where proved, "%.12e"
+    prints x[k] as the 13-digit mantissa d[k] (an int64, 0 for a zero) at
+    exponent e[k], signed by x's sign bit.
+
+    Each entry x != 0 gets e = floor(log10|x|) and s = |x| 10^(12-e), one
+    multiplication or one division by an exact power of ten (10^0 .. 10^22),
+    so s is the exact value correctly rounded: within half an ulp of it, at
+    most 2^-10 below 1e13, and monotone in it.  1e12 <= s < 1e13 then puts
+    the exact value in [1e12 - 2^-14, 1e13), and when s is also more than
+    EMIT_TIE_MARGIN from a half-integer, rint(s) is the exact value rounded
+    to 13 digits, which %.12e prints: a carry to 1e13 prints as 1e12 at
+    e + 1, and an exact value just under 1e12 (e one too high) rounds to the
+    same text.  Zero prints as 0 at e = 0.  Not proved: ties, values next
+    to a power of ten, |x| outside about 1e-10 .. 1e35, subnormals."""
+    a = np.abs(x)
+    zero = a == 0
+    e = np.floor(np.log10(np.where(zero, 1.0, a))).astype(np.int64)
+    k = 12 - e
+    j = np.minimum(np.maximum(k, -22), 22)
+    # One of the two factors is 1, so s takes one rounding and cannot overflow.
+    s = a * _POW10.take(np.maximum(j, 0)) / _POW10.take(np.maximum(-j, 0))
+    proved = zero | ((np.abs(k) <= 22) & (s >= 1e12) & (s < 1e13)
+                     & (np.abs(s - np.floor(s) - 0.5) > EMIT_TIE_MARGIN))
+    d = np.rint(np.where(proved, s, 0.0)).astype(np.int64)
+    carry = d == 10 ** 13
+    d[carry] = 10 ** 12
+    return proved, d, np.where(proved, e + carry, 0)
+
+
+def _format_matrix(M) -> str:
+    """The JSON text of a finite 2-D float64 array, "[[%.12e, ...], ...]",
+    byte-identical to one "%.12e" call per entry, in one numpy pass.  The
+    proved entries (_mantissas) are spelled by divmod by 10^12, 10^9, 10^6
+    and 10^3 and table lookups into the slots _matrix_layout lays out; the
+    rest take one "%" call for all of them, each overwriting its slot's
+    first 20 bytes.  The keep-mask drops the bytes no text uses."""
+    rows, cols = M.shape
+    x = M.ravel()
+    proved, d, e = _mantissas(x)
+    sep, keep = _matrix_layout(rows, cols)
+    keep = keep.copy()
+    keep[:, 0] = np.signbit(x)
+    out = np.empty((x.size, 7), np.uint32)
+    lead, d = np.divmod(d, 10 ** 12)
+    out[:, 0] = _HEADS.take(lead)
+    for col, unit in enumerate((10 ** 9, 10 ** 6, 10 ** 3), start=1):
+        group, d = np.divmod(d, unit)
+        out[:, col] = _GROUPS.take(group)
+    out[:, 4] = _GROUPS.take(d)
+    out[:, 5] = _EXPONENTS.take(e + 99)
+    out[:, 6] = sep
+    text = out.view(np.uint8)
+    slow = np.flatnonzero(~proved)
+    if slow.size:
+        printed = (f"%-{_TEXT}.12e" * slow.size) % tuple(x[slow].tolist())
+        block = np.frombuffer(printed.encode("ascii"), np.uint8).reshape(-1, _TEXT)
+        text[slow, :_TEXT] = block
+        keep[slow, :_TEXT] = block != ord(" ")
+        keep[slow, _TEXT:24] = False
+    return "[[" + text[keep].tobytes().decode("ascii")
+
+
+def _vectorized(M) -> bool:
+    """Whether an array is emitted by _format_matrix rather than as its
+    .tolist() rows (_row_format): a 2-D float64 array of at least
+    EMIT_KERNEL_MIN entries, all finite.  Only the entry count is weighed.
+
+    Time of dumps_report(M) for a symmetric n x n M through _format_matrix
+    over that through M.tolist() and the rows, median of 15 alternating
+    batches (in-process, one BLAS thread; 2-vCPU VM, Python 3.11, numpy 2.4):
+
+        n              4     8    10    11    12    16    24    32
+        entries       16    64   100   121   144   256   576  1024
+        ratio       3.70  1.25  0.94  0.87  0.87  0.50  0.40  0.29
+
+    _format_matrix has a fixed cost of about 60 us (some 40 numpy calls);
+    the rows cost about 0.7 us an entry.  They break even between 64 and
+    100 entries."""
+    return (M.size >= EMIT_KERNEL_MIN and M.ndim == 2 and M.dtype == np.float64
+            and bool(np.isfinite(M).all()))
+
+
 def _emit(obj, parts):
+    if isinstance(obj, np.ndarray):
+        if _vectorized(obj):
+            parts.append(_format_matrix(obj))
+            return
+        obj = obj.tolist()
     if obj is None:
         parts.append("null")
     elif obj is True:
@@ -85,8 +209,6 @@ def _emit(obj, parts):
                 parts.append(", ")
             _emit(item, parts)
         parts.append("]")
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), parts)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -231,8 +353,8 @@ def _player_report(index, pa, kalman):
         "residual": float(kalman.residual),
         "kernel_dim": int(kalman.kernel_dim),
         "psd_ok": bool(kalman.psd_ok),
-        "Q": kalman.Q.tolist(),
-        "R": kalman.R.tolist(),
+        "Q": kalman.Q,
+        "R": kalman.R,
     }
     if isinstance(pa, StageError):
         return {"index": index, **dict.fromkeys(_FREQUENCY_FIELDS),
@@ -318,7 +440,8 @@ def _write_file(path: str, text: str) -> None:
 
 
 def _format_text(report, indent=0, key=None) -> str:
-    """The report as indented text: one line per field, ended by a newline."""
+    """The report as indented text: one line per field, ended by a newline.
+    An array is rendered as its .tolist(), inside a list too."""
     if key is None:
         return "".join(_format_text(v, 0, k) + "\n" for k, v in report.items())
     pad = "  " * indent
@@ -326,7 +449,10 @@ def _format_text(report, indent=0, key=None) -> str:
     if isinstance(report, dict):
         return "\n".join([f"{pad}{key}:"]
                          + [_format_text(v, indent + 1, k) for k, v in report.items()])
+    if isinstance(report, np.ndarray):
+        report = report.tolist()
     if isinstance(report, list):
+        report = [v.tolist() if isinstance(v, np.ndarray) else v for v in report]
         if not report:
             return f"{head}[]"
         if all(isinstance(v, (int, float, str, bool)) or v is None for v in report):
@@ -410,8 +536,8 @@ def cmd_solve(args) -> int:
             "distance": float(res.distance),
             "players": [
                 {"index": i,
-                 "Q": res.costs.Q[i].tolist(),
-                 "R_row": [Rij.tolist() for Rij in res.costs.R[i]]}
+                 "Q": res.costs.Q[i],
+                 "R_row": list(res.costs.R[i])}
                 for i in range(system.num_players)
             ] if res.costs is not None else [],
             "diagnostics": {"nearest_iterations": list(res.iterations),
@@ -453,9 +579,9 @@ def cmd_solve(args) -> int:
         "status": "solved" if ok else "verification_failed",
         "players": [
             {"index": i,
-             "Q": costs.Q[i].tolist(),
-             "R": costs.R[i][i].tolist(),
-             "P": cert.P[i].tolist(),
+             "Q": costs.Q[i],
+             "R": costs.R[i][i],
+             "P": cert.P[i],
              "kalman_residual": float(kalmans[i].residual),
              "are_residual": float(cert.are_residuals[i]),
              "stationarity_residual": float(cert.stationarity_residuals[i])}
@@ -479,7 +605,7 @@ def cmd_verify(args) -> int:
         "hurwitz_margin": float(cert.hurwitz_margin),
         "players": [
             {"index": i,
-             "P": cert.P[i].tolist(),
+             "P": cert.P[i],
              "are_residual": float(cert.are_residuals[i]),
              "stationarity_residual": float(cert.stationarity_residuals[i]),
              "P_psd": bool(cert.psd_ok[i])}

@@ -28,7 +28,7 @@ from .numerics import (
     sym_unpack,
     symmetrize,
 )
-from .realization import GameSystem, StrategyProfile, closed_loop, closed_loop_schur, reduced_system
+from .realization import GameSystem, StrategyProfile, closed_loop, closed_loop_schur, frozen_loop
 
 KLEINMAN_TOL = 1e-12          # relative gain step at which Newton-Kleinman stops
 KLEINMAN_MAX_ITER = 60        # Newton-Kleinman step cap
@@ -142,7 +142,7 @@ def verify_nash(system: GameSystem, profile: StrategyProfile, costs: CostParamet
     are_res, stat_res = [], []
     for i, (Qt, P) in enumerate(zip(Qts, Ps)):
         Bi, Ki = system.B[i], profile.K[i]
-        A_tilde, _ = reduced_system(system, profile, i)
+        A_tilde = frozen_loop(system, profile.K, i)
         Rii = costs.R[i][i]
         stat = _norm(Rii @ Ki - Bi.T @ P)
         Rinv = np.linalg.inv(Rii)
@@ -309,7 +309,7 @@ def solve_coupled_are(system: GameSystem, costs: CostParameters, init: StrategyP
         rolled_back = False
         for i in range(system.num_players):
             current = StrategyProfile(K)
-            A_tilde, _ = reduced_system(system, current, i)
+            A_tilde = frozen_loop(system, K, i)
             Qt = state_weight_with_cross_terms(costs, current, i)
             try:
                 K_new, P_new = newton_kleinman(A_tilde, system.B[i], Qt, costs.R[i][i], K[i])

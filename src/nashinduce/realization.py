@@ -167,15 +167,22 @@ def is_stabilizing(system: GameSystem, K) -> bool:
     return is_hurwitz(closed_loop(system, K))
 
 
-def reduced_system(system: GameSystem, profile: StrategyProfile, i: int):
-    """Player i's view: (A_tilde_i, A_cl), all other gains frozen in A_tilde_i;
-    A_cl is closed_loop's, bitwise the matrix StrategyProfile.stabilizing certified."""
-    _listed_players(system, [i])
+def frozen_loop(system: GameSystem, K, i: int) -> np.ndarray:
+    """A_tilde_i = A - sum_{j != i} B_j K_j: player i's plant with every other
+    gain frozen in, summed in player order."""
     A_tilde = system.A.copy()
-    for j, (Bj, Kj) in enumerate(zip(system.B, profile.K)):
+    for j, (Bj, Kj) in enumerate(zip(system.B, K)):
         if j != i:
             A_tilde -= Bj @ Kj
-    return A_tilde, closed_loop(system, profile.K)
+    return A_tilde
+
+
+def reduced_system(system: GameSystem, profile: StrategyProfile, i: int):
+    """Player i's view: (A_tilde_i, A_cl), all other gains frozen in A_tilde_i
+    (frozen_loop); A_cl is closed_loop's, bitwise the matrix
+    StrategyProfile.stabilizing certified."""
+    _listed_players(system, [i])
+    return frozen_loop(system, profile.K, i), closed_loop(system, profile.K)
 
 
 @dataclass(frozen=True)

@@ -783,17 +783,22 @@ def test_loading_a_stabilizing_profile_runs_no_pbh_test(tmp_path, monkeypatch, r
 def test_cli_corpus_records_exit_code_stderr_and_report_without_timings(
         tmp_path, monkeypatch, capsys):
     # tools/cli_corpus.py puts src/ and perfbench/ on sys.path when imported.
+    # The digest is that of the emitted text with timings_ms's value as null.
     monkeypatch.setattr(sys, "path", [str(TOOLS)] + sys.path)
     import cli_corpus
 
     path = write_example(tmp_path, "scalar_infeasible")
     code, out, _ = run_cli(capsys, "check", path)
     report = json.loads(out)
+    masked = dumps_report({**report, "timings_ms": None})
+    assert masked != out and len(masked.splitlines()) == 1
+    digest = hashlib.sha256(masked.encode()).hexdigest()
     del report["timings_ms"]
     head, _, shown = cli_corpus.record(["check", path]).partition("report:\n")
-    assert (head, json.loads(shown)) == (f"exit: {code}\nstderr:\n", report)
+    assert (head, json.loads(shown)) == (f"exit: {code}\ndigest: {digest}\nstderr:\n", report)
     assert cli_corpus.record(["verify", path]) == (
-        "exit: 2\nstderr:\nerror: players: Q and R_row required for verify\nreport:\n")
+        f"exit: 2\ndigest: {hashlib.sha256(b'').hexdigest()}\n"
+        "stderr:\nerror: players: Q and R_row required for verify\nreport:\n")
 
 
 def test_cli_corpus_compare_allows_float_moves_only(tmp_path, monkeypatch, capsys):
@@ -803,10 +808,11 @@ def test_cli_corpus_compare_allows_float_moves_only(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(sys, "path", [str(TOOLS)] + sys.path)
     import cli_corpus
 
-    def write(root, name, code, report):
+    def write(root, name, code, report, digest="0"):
         path = root / "calls" / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(f"exit: {code}\nstderr:\nreport:\n{json.dumps(report)}\n")
+        path.write_text(f"exit: {code}\ndigest: {digest}\nstderr:\nreport:\n"
+                        f"{json.dumps(report)}\n")
 
     base = {"status": "solved", "players": [{"Q": [[2.0, 0.5], [0.5, 4.0]], "iterations": 3}]}
     moved = {"status": "solved", "players": [{"Q": [[2.0, 0.5], [0.5, 4.0 + 4e-12]],
@@ -826,6 +832,14 @@ def test_cli_corpus_compare_allows_float_moves_only(tmp_path, monkeypatch, capsy
     write(tmp_path / "c", "h.json.verify", 0, base)
     assert cli_corpus.compare(tmp_path / "a", tmp_path / "c") == 1
     assert "DIFFERS only in" in capsys.readouterr().out
+    # Equal values printed otherwise: the digests differ, and nothing else.
+    write(tmp_path / "d", "g.json.solve", 0, base, digest="1")
+    assert cli_corpus.compare(tmp_path / "a", tmp_path / "d") == 1
+    assert ("DIFFERS g.json.solve: report text differs with equal values"
+            in capsys.readouterr().out)
+    # Moved floats change the digest too; they are reported as floats only.
+    write(tmp_path / "b", "g.json.solve", 0, moved, digest="1")
+    assert cli_corpus.compare(tmp_path / "a", tmp_path / "b") == 0
 
 
 @pytest.mark.parametrize("B, K, message", [
@@ -1160,8 +1174,20 @@ def test_emitter_row_path_is_byte_identical_on_full_reports(tmp_path, monkeypatc
         "R": [[[[1.0 if i == j else 0.0]] for j in range(3)] for i in range(3)]}))
     paths = [write_example(tmp_path, name) for name in BUNDLED] + \
         [str(path) for path in sorted(DATA.glob("*.json"))]
+    # Closed-form Nash games at n = 24 and 32 (perfbench/games.py): their
+    # matrices take the vectorized pass.
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import games
+    for n in (24, 32):
+        path = tmp_path / f"closed_n{n}.json"
+        path.write_text(games.closed_form_nash((1, 0, 7), n, 2, 1).problem_json())
+        paths.append(str(path))
     runs = [(cmd, path) for path in paths for cmd in ("check", "solve", "verify")]
     runs.append(("solve", str(DATA / "nearest_r2_n4_N3_m1.json"), "--nearest", str(costs0)))
+    vectorized = []
+    real = cli._format_matrix
+    monkeypatch.setattr(cli, "_format_matrix", lambda M: vectorized.append(M.size) or real(M))
     for argv in runs:
         reports.clear()
         code, out, _ = run_cli(capsys, *argv)
@@ -1171,6 +1197,7 @@ def test_emitter_row_path_is_byte_identical_on_full_reports(tmp_path, monkeypatc
             reference_emit(report, parts)
             assert out == dumps_report(report) == "".join(parts) + "\n", argv
     assert json.loads(out)["status"] == "feasible"
+    assert {24 * 24, 32 * 32} <= set(vectorized)
 
 
 def test_emitter_formats_only_finite_float_rows_in_one_call(monkeypatch):
@@ -1194,6 +1221,134 @@ def test_emitter_formats_only_finite_float_rows_in_one_call(monkeypatch):
             assert bool(formatted) == fast, obj
     assert dumps_report([[-0.0, float("nan")], [-0.0, 2.0]]) == \
         "[[-0.000000000000e+00, null], [-0.000000000000e+00, 2.000000000000e+00]]\n"
+
+
+def assert_kernel_prints(values):
+    """values, tiled to a matrix of 16 columns and at least EMIT_KERNEL_MIN
+    entries, take the vectorized pass and print as one "%.12e" call per
+    value does."""
+    values = np.asarray(values, dtype=float).ravel()
+    size = max(values.size, cli.EMIT_KERNEL_MIN)
+    M = np.resize(values, -(-size // 16) * 16).reshape(-1, 16)
+    assert cli._vectorized(M)
+    parts = []
+    reference_emit(M.tolist(), parts)
+    assert dumps_report(M) == "".join(parts) + "\n"
+    assert dumps_report({"M": M}) == '{"M": ' + "".join(parts) + "}\n"
+
+
+def per_value_text(M):
+    """The report text of a float matrix, one "%.12e" call per entry."""
+    return "[" + ", ".join("[" + ", ".join(["%.12e" % v for v in row]) + "]"
+                           for row in M.tolist()) + "]\n"
+
+
+def test_kernel_is_byte_identical_on_a_million_draws():
+    # Log-uniform magnitudes over the whole range 1e-320 .. 1e308 (subnormals,
+    # and most of them outside the proved range), then over 1e-15 .. 1e15 and
+    # rounded to 1 .. 16 significant digits, where most entries are proved.
+    rng = np.random.default_rng(38)
+    count = 500_000
+    wide = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-320, 308.25, count)
+    mantissa = rng.uniform(1, 10, count)
+    digits = rng.integers(0, 16, count)
+    rounded = np.round(mantissa * 10.0 ** digits) / 10.0 ** digits
+    narrow = rng.choice([-1.0, 1.0], count) * rounded * 10.0 ** rng.integers(-15, 16, count)
+    for values in (wide, narrow):
+        assert np.isfinite(values).all()
+        M = values.reshape(-1, 500)
+        assert dumps_report(M) == per_value_text(M)
+    # Inside 1e-9 .. 1e33 only ties and neighbours of a power of ten fall back.
+    inside = narrow[(np.abs(narrow) >= 1e-9) & (np.abs(narrow) < 1e33)]
+    assert cli._mantissas(inside)[0].mean() > 0.99
+
+
+def test_kernel_on_adversarial_values():
+    rng = np.random.default_rng(7)
+    # Exact 13-digit ties: N / 10^k with N a 14-digit integer ending in 5 and
+    # divisible by 5^k, so x = (N / 5^k) / 2^k is exact; and N 10^k, exact
+    # below 2^53.  %.12e rounds them half to even.
+    ties = [1234567890123.5, 9999999999999.5, 1000000000000.5, 2.5, 0.125]
+    for k in range(14):
+        q = rng.integers(10 ** 13 // 5 ** k, 10 ** 14 // 5 ** k, 8) | 1
+        ties += [int(N) / 10 ** k for N in q * 5 ** k if 10 ** 13 <= N < 10 ** 14]
+    ties += [12345678901235.0 * 10 ** k for k in range(3)]
+    ties += [x * 10.0 ** k for x in (1234567890123.5, 1.2345678901235) for k in range(-12, 12)]
+    assert_kernel_prints(ties + [-x for x in ties])
+    # Each power of ten and its +-1-ulp neighbours, and the 13-digit tie just
+    # under each power, 9.9999999999995e{k}, which carries when rounded up.
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    halves = np.array([float(f"9.9999999999995e{k}") for k in range(-310, 308)])
+    for x in (powers, halves):
+        assert_kernel_prints(np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf)]))
+    # Zeros, subnormals and the extremes of the float range.
+    tiny = np.finfo(float).tiny
+    assert_kernel_prints([0.0, -0.0, 5e-324, -5e-324, tiny, np.nextafter(tiny, 0),
+                          -np.nextafter(tiny, 1), 1.7976931348623157e308,
+                          -1.7976931348623157e308, *(rng.uniform(0, tiny, 40))])
+    # |12 - e| = 22 and 23, the edges of the exact powers of ten.
+    mantissas = rng.uniform(1, 10, 64)
+    assert_kernel_prints(np.concatenate([mantissas * 10.0 ** e for e in (-10, -11, 34, 35)]))
+
+
+@pytest.mark.parametrize("shape", [(1, 300), (300, 1), (128, 1), (1, 128), (11, 13)])
+def test_kernel_prints_every_shape(shape):
+    # One row, one column, and a matrix that is not square.
+    rng = np.random.default_rng(shape[0])
+    M = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+    M.flat[::7] = -0.0
+    parts = []
+    reference_emit(M.tolist(), parts)
+    assert cli._vectorized(M) and dumps_report(M) == "".join(parts) + "\n"
+
+
+def test_kernel_takes_only_large_finite_float_matrices(monkeypatch):
+    # The selection reads the entry count, the rank, the dtype and
+    # finiteness; every array it declines prints as its .tolist().
+    vectorized = []
+    real = cli._format_matrix
+    monkeypatch.setattr(cli, "_format_matrix", lambda M: vectorized.append(M.shape) or real(M))
+    big = np.arange(cli.EMIT_KERNEL_MIN, dtype=float).reshape(1, -1) - 40.5
+    with_nan = big.copy()
+    with_nan[0, 3] = np.nan
+    declined = [big[:, 1:], big.ravel(), big.astype(np.float32), big.astype(int), with_nan,
+                np.where(big > 0, np.inf, big), big[None]]
+    for obj in declined + [big]:
+        vectorized.clear()
+        parts = []
+        reference_emit(obj, parts)
+        assert dumps_report(obj) == "".join(parts) + "\n"
+        assert vectorized == ([big.shape] if obj is big else []), obj.shape
+
+
+def _tolist_fields(report):
+    """The report with every array replaced by its .tolist()."""
+    if isinstance(report, dict):
+        return {key: _tolist_fields(value) for key, value in report.items()}
+    if isinstance(report, list):
+        return [_tolist_fields(value) for value in report]
+    return report.tolist() if isinstance(report, np.ndarray) else report
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_text_format_renders_arrays_as_lists(tmp_path, monkeypatch, capsys, command):
+    # The text reports of verify and solve at n = 32, whose matrices reach
+    # the writer as arrays, are byte-identical to rendering the same report
+    # with .tolist() fields.
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import games
+    problem = tmp_path / "closed.json"
+    problem.write_text(games.closed_form_nash((1, 0, 7), 32, 2, 1).problem_json())
+    reports = []
+    write = cli._write_report
+    monkeypatch.setattr(cli, "_write_report",
+                        lambda report, args: reports.append(report) or write(report, args))
+    code, text, err = run_cli(capsys, command, str(problem), "--format", "text")
+    assert (code, err, len(reports)) == (0, "", 1)
+    assert any(isinstance(p["P"], np.ndarray) for p in reports[0]["players"])
+    assert text == cli._format_text(_tolist_fields(reports[0]))
+    assert "  P: [[" in text
 
 
 @pytest.mark.parametrize("command", ["check", "verify", "example"])

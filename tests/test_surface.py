@@ -40,6 +40,10 @@ StrategyProfile.stabilizing, both PBH tests (_pbh_failures) and
 RankViolation.boundary decide by it; and every player's reduced_system
 returns, bitwise, the closed loop closed_loop sums (the matrix
 StrategyProfile.stabilizing certified), on every tests/data fixture.
+A_tilde_i is summed by one helper, realization.frozen_loop: reduced_system
+returns it, and verify_nash and solve_coupled_are, which read A_tilde_i
+alone, call it instead of reduced_system, so they sum no closed loop they
+drop.
 
 README: its Library example runs and prints what its comments state, and
 its tolerance table has one row for each module-level constant.
@@ -296,6 +300,13 @@ def test_every_player_reads_the_certified_closed_loop():
         Acl = closed_loop(system, profile.K)
         for i in range(system.num_players):
             assert np.array_equal(reduced_system(system, profile, i)[1], Acl), (path.name, i)
+
+
+def test_a_tilde_has_one_helper():
+    assert owners(lambda fn: calls_own(fn, "frozen_loop")) == {
+        "realization.reduced_system", "forward.verify_nash", "forward.solve_coupled_are"}
+    assert not owners(lambda fn: calls_own(fn, "reduced_system")) & {
+        "forward.verify_nash", "forward.solve_coupled_are"}
 
 
 PRODUCTION_API = [

@@ -10,9 +10,10 @@ the bundled examples.  Every problem file is run as ``check``, ``check
 --no-oracle``, ``solve``, ``solve --mode q-only`` and ``verify``, and every
 problem the workloads give reference costs for as ``solve --nearest``.
 Each call runs in-process through ``nashinduce.cli.main`` with one BLAS
-thread, and leaves one file under OUTDIR/calls: its exit code, its stderr
-and its JSON report without ``timings_ms`` (the only field that changes
-from run to run), indented one key per line.
+thread, and leaves one file under OUTDIR/calls: its exit code, the
+SHA-256 digest of its stdout as emitted with the value of ``timings_ms``
+(the only field that changes from run to run) masked, its stderr, and its
+JSON report without ``timings_ms``, indented one key per line.
 
 The package is imported from the ``src/`` of the checkout this script sits
 in.  To compare a change with its parent, run each checkout's copy into its
@@ -25,7 +26,10 @@ own directory and compare the two:
 ``compare`` needs the same calls on both sides, and in each call the same
 exit code, the same stderr and the same report apart from its floats: the
 same keys in the same order, and every string, integer, boolean and null
-equal.  A report that is no JSON must match as text.  It lists each
+equal.  A report that is no JSON must match as text.  When every parsed
+value matches, floats too, the digests must match as well, so a change
+to how the same values are printed ("1.0e+05" for "1.000000000000e+05")
+is a difference: "report text differs with equal values".  It lists each
 difference and exits 1 if it finds any.  Floats may move by round-off, so
 it prints, per field path (list indices dropped), the largest relative
 change of any one field: max |a - b| over the floats the field holds (a
@@ -46,8 +50,10 @@ if __name__ == "__main__":  # before numpy loads, as in perfbench/run.py: one BL
         os.environ[_var] = "1"
 
 import contextlib  # noqa: E402
+import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import re  # noqa: E402
 import shutil  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -62,14 +68,19 @@ ROUNDS = 3
 COMMANDS = {"check": ["check"], "check-no-oracle": ["check", "--no-oracle"],
             "solve": ["solve"], "solve-q-only": ["solve", "--mode", "q-only"],
             "verify": ["verify"]}
+# The value of a report's timings_ms, an object of numbers, as emitted.
+TIMINGS = re.compile(r'"timings_ms": \{[^{}]*\}')
 
 
 def record(argv: list) -> str:
-    """One in-process call as text: its exit code, its stderr, and its JSON
-    report without timings_ms (or its raw stdout when that is no JSON)."""
+    """One in-process call as text: its exit code, the digest of its stdout
+    with timings_ms masked, its stderr, and its JSON report without
+    timings_ms (or its raw stdout when that is no JSON)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
+    masked = TIMINGS.sub('"timings_ms": null', out.getvalue())
+    digest = hashlib.sha256(masked.encode("utf-8")).hexdigest()
     try:
         report = json.loads(out.getvalue())
     except json.JSONDecodeError:
@@ -77,7 +88,7 @@ def record(argv: list) -> str:
     else:
         report.pop("timings_ms", None)
         shown = json.dumps(report, indent=1) + "\n"
-    return f"exit: {code}\nstderr:\n{err.getvalue()}report:\n{shown}"
+    return f"exit: {code}\ndigest: {digest}\nstderr:\n{err.getvalue()}report:\n{shown}"
 
 
 def write_corpus(problems: Path) -> tuple:
@@ -109,13 +120,15 @@ def write_corpus(problems: Path) -> tuple:
 
 
 def _parse(text: str) -> tuple:
-    """(exit line, stderr, report): the report as JSON, or its raw text."""
+    """(exit line, digest line, stderr, report): the report as JSON, or its
+    raw text."""
     head, _, report = text.partition("\nreport:\n")
-    code, _, err = head.partition("\nstderr:\n")
+    lines, _, err = head.partition("\nstderr:\n")
+    code, _, digest = lines.partition("\n")
     try:
-        return code, err, json.loads(report)
+        return code, digest, err, json.loads(report)
     except json.JSONDecodeError:
-        return code, err, report
+        return code, digest, err, report
 
 
 def _fields(node, path=""):
@@ -163,7 +176,7 @@ def compare(parent: Path, change: Path) -> int:
         label = name.rsplit(".", 1)[1]
         calls, same = identical.get(label, (0, 0))
         identical[label] = (calls + 1, same + (texts[0] == texts[1]))
-        (code_a, err_a, rep_a), (code_b, err_b, rep_b) = map(_parse, texts)
+        (code_a, digest_a, err_a, rep_a), (code_b, digest_b, err_b, rep_b) = map(_parse, texts)
         if code_a != code_b:
             problems.append(f"{name}: {code_a} -> {code_b}")
         if err_a != err_b:
@@ -175,6 +188,8 @@ def compare(parent: Path, change: Path) -> int:
         if _shape(rep_a) != _shape(rep_b):
             problems.append(f"{name}: a key, string, integer, boolean or null differs")
             continue
+        if rep_a == rep_b and digest_a != digest_b:
+            problems.append(f"{name}: report text differs with equal values")
         for (path, a), (_, b) in zip(_fields(rep_a), _fields(rep_b)):
             pairs = [(x, y) for x, y in zip(a, b) if type(x) is float]
             if not pairs:
