@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import sys
 import time
 
 import numpy as np
+import orjson
 
 from .forward import CostParameters, verify_nash
 from .feasibility import nearest_params, solve_feasibility_projection
@@ -45,7 +47,6 @@ class InputError(ValueError):
 # ---------------------------------------------------------------------------
 
 EMIT_KERNEL_MIN = 100    # entries from which a finite float matrix takes _format_matrix
-EMIT_TIE_MARGIN = 2e-3   # distance from a rounding tie at which _format_matrix proves a digit
 
 _FLOAT = {float}
 _POW10 = np.array([float(10 ** k) for k in range(23)])  # exact: 5**22 < 2**53
@@ -94,12 +95,14 @@ def _mantissas(x):
     multiplication or one division by an exact power of ten (10^0 .. 10^22),
     so s is the exact value correctly rounded: within half an ulp of it, at
     most 2^-10 below 1e13, and monotone in it.  1e12 <= s < 1e13 then puts
-    the exact value in [1e12 - 2^-14, 1e13), and when s is also more than
-    EMIT_TIE_MARGIN from a half-integer, rint(s) is the exact value rounded
-    to 13 digits, which %.12e prints: a carry to 1e13 prints as 1e12 at
-    e + 1, and an exact value just under 1e12 (e one too high) rounds to the
-    same text.  Zero prints as 0 at e = 0.  Not proved: ties, values next
-    to a power of ten, |x| outside about 1e-10 .. 1e35, subnormals."""
+    the exact value in [1e12 - 2^-14, 1e13).  Every half-integer below 2^52
+    is a float, so when s is none, monotone rounding puts the exact value on
+    the same side of every half-integer as s, and rint(s) is the exact value
+    rounded to 13 digits, which %.12e prints: a carry to 1e13 prints as
+    1e12 at e + 1, and an exact value just under 1e12 (e one too high)
+    rounds to the same text.  Zero prints as 0 at e = 0.  Not proved: ties
+    (s a half-integer), values next to a power of ten, |x| outside about
+    1e-10 .. 1e35, subnormals."""
     a = np.abs(x)
     zero = a == 0
     e = np.floor(np.log10(np.where(zero, 1.0, a))).astype(np.int64)
@@ -108,7 +111,7 @@ def _mantissas(x):
     # One of the two factors is 1, so s takes one rounding and cannot overflow.
     s = a * _POW10.take(np.maximum(j, 0)) / _POW10.take(np.maximum(-j, 0))
     proved = zero | ((np.abs(k) <= 22) & (s >= 1e12) & (s < 1e13)
-                     & (np.abs(s - np.floor(s) - 0.5) > EMIT_TIE_MARGIN))
+                     & (s - np.floor(s) != 0.5))
     d = np.rint(np.where(proved, s, 0.0)).astype(np.int64)
     carry = d == 10 ** 13
     d[carry] = 10 ** 12
@@ -223,6 +226,12 @@ def dumps_report(obj) -> str:
 # Problem ingestion
 # ---------------------------------------------------------------------------
 
+# orjson recurses on the C stack once per nesting level: a list 150 000 deep
+# overflows an 8 MB stack and kills the process.  A file's count of "[" and
+# "{" bytes bounds its depth, so one holding more than this goes to json alone.
+ORJSON_MAX_OPENERS = 10_000
+
+
 def _matrix(node, path, rows=None, cols=None):
     """node, a JSON nested list, as a float matrix.  A string or boolean
     entry is no number, though numpy reads "1.0" and true as floats; a row
@@ -245,19 +254,40 @@ def _matrix(node, path, rows=None, cols=None):
         raise InputError(f"{path}: has {M.shape[0]} rows, expected {rows}")
     if cols is not None and M.shape[1] != cols:
         raise InputError(f"{path}: has {M.shape[1]} columns, expected {cols}")
-    if not np.isfinite(M).all():  # json.load reads NaN, Infinity and -Infinity
+    if not np.isfinite(M).all():  # _read_json reads NaN, Infinity and 1e400
         raise InputError(f"{path}: has non-finite entries")
     return M
 
 
 def _read_json(path: str):
+    """The JSON value of the file at path, the one parse of every input file.
+    Its bytes are read once and parsed by orjson, unless they hold more than
+    ORJSON_MAX_OPENERS "[" and "{".  Text orjson rejects, or does not get, is
+    parsed from the same bytes by the standard library, as
+    open(path, encoding="utf-8") and json.load read it (UTF-8, universal
+    newlines).  That path stays because only it gives these answers: NaN,
+    Infinity and numbers beyond the float range, which orjson refuses, reach
+    _matrix's finite-entry check under their field's name; a syntax error is
+    named by json's line and column; an undecodable byte raises its
+    UnicodeDecodeError.  Nesting too deep for its recursion (about 1000
+    levels, which orjson parses) is an input error naming the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    # "[" | 0x20 is "{", and no other byte maps to it.
+    if np.count_nonzero((np.frombuffer(data, np.uint8) | 0x20) == ord("{")) <= ORJSON_MAX_OPENERS:
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    try:
+        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: nested too deeply to parse") from exc
 
 
 def _per_player(node, path, N):

@@ -2,12 +2,16 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
 import scipy.linalg
 
@@ -23,6 +27,7 @@ from nashinduce.problems import BUNDLED
 DATA = Path(__file__).parent / "data"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -701,12 +706,17 @@ def _edited(edit):
      "players[0].B: not a numeric matrix (JSON booleans are not numbers)"),
     (_edited(lambda r: r.update(A=[[10 ** 400]])), [],
      "A: not a numeric matrix (int too large to convert to float)"),
+    # Nested 3000 deep, past json's recursion (a str row is the file's text).
+    (json.dumps(_SCALAR)[:-1] + ', "A": ' + "[" * 3000 + "]" * 3000 + "}", [],
+     "A: not a numeric matrix (setting an array element with a sequence. The requested "
+     "array would exceed the maximum number of dimension of 64.)"),
+    ("[" * 3000 + "]" * 3000, [], "{problem}: top level must be an object"),
 ])
 def test_input_errors_name_their_field(tmp_path, capsys, raw, argv, message):
     problem, costs = tmp_path / "problem.json", tmp_path / "costs0.json"
     nan_costs = tmp_path / "nan_costs0.json"
     if raw is not None:
-        problem.write_text(json.dumps(raw))
+        problem.write_text(raw if isinstance(raw, str) else json.dumps(raw))
     costs.write_text('{"Q": [[[1.0]]]}')
     nan_costs.write_text('{"Q": [[[NaN]]], "R": [[[[1.0]]]]}')
     fill = {"problem": problem, "costs": costs, "nan_costs": nan_costs}
@@ -723,6 +733,136 @@ def test_nonstabilizing_profile_is_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", str(path))
     assert code == 2
     assert "stabilize" in err
+
+
+def stdlib_read_json(path):
+    """_read_json before orjson: open as UTF-8 text, then json.load."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise cli.InputError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise cli.InputError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+
+
+def test_read_json_gives_the_floats_json_gives(tmp_path):
+    # About a million floats over 1e-304 .. 1e304 in five spellings ("%.12e",
+    # which the package writes, repr, "%.17g", "%.20e", "%.15g"), the edges of
+    # the float range, and integers at and past +-2^63 and 2^64, which orjson
+    # returns as floats and json as ints: read as float arrays, bit for bit.
+    rng = np.random.default_rng(39)
+    x = (rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(-304, 304, 200_000)).tolist()
+    edges = ["0", "-0", "0.0", "-0.0", "5e-324", "-5e-324", "2.4703282292062328e-324",
+             "2.4703282292062327e-324", "1e-400", "2.2250738585072014e-308",
+             "2.2250738585072011e-308", "1.7976931348623157e308", "-1.7976931348623157e308",
+             "1.7976931348623158e308", "9007199254740993", "9007199254740993.0"]
+    edges += [str(sign * (2 ** k + d)) for sign in (1, -1) for k in (63, 64)
+              for d in (-1, 0, 1)]
+    edges += [str(sign * (2 ** k + 1)) for sign in (1, -1) for k in range(65, 1024, 9)]
+    edges += [str(10 ** k + 1) for k in range(17, 300, 13)]
+    for spelling in ("%.12e", "%r", "%.17g", "%.20e", "%.15g"):
+        path = tmp_path / "floats.json"
+        path.write_text("[" + ", ".join([spelling % v for v in x] + edges) + "]")
+        ours, theirs = (np.asarray(read(str(path)), float)
+                        for read in (cli._read_json, stdlib_read_json))
+        assert ours.size == len(x) + len(edges) and np.isfinite(ours).all()
+        assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64)), spelling
+
+
+@pytest.mark.parametrize("depth, message", [
+    (cli.ORJSON_MAX_OPENERS, "{path}: top level must be an object"),
+    (cli.ORJSON_MAX_OPENERS + 1, "{path}: nested too deeply to parse"),
+    (200_000, "{path}: nested too deeply to parse"),
+])
+def test_a_list_nested_at_any_depth_is_an_input_error(tmp_path, depth, message):
+    # orjson gets a file of at most ORJSON_MAX_OPENERS "[" and "{", and json
+    # a deeper one, whose RecursionError is an input error.  In a child
+    # process: a 200 000-deep list handed to orjson overflows an 8 MB C stack.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth)
+    run = subprocess.run([sys.executable, "-m", "nashinduce.cli", "check", str(path)],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (run.returncode, run.stdout, run.stderr) == (
+        2, "", f"error: {message.format(path=path)}\n")
+
+
+def test_files_orjson_accepts_are_not_read_again(tmp_path, monkeypatch):
+    # The bundled examples and the fixtures load without json.load.
+    paths = [write_example(tmp_path, name) for name in BUNDLED]
+    paths += [str(path) for path in sorted(DATA.glob("*.json"))]
+    monkeypatch.setattr(json, "load", None)
+    for path in paths:
+        load_problem(path)
+
+
+_PROBLEM_TEXT = json.dumps({**_SCALAR, "players": [
+    {**_SCALAR["players"][0], "Q": [[1.0]], "R_row": [[[1.0]]]}]}, indent=1)
+_COSTS_TEXT = json.dumps({"Q": [[[1.0]]], "R": [[[[1.0]]]]}, indent=1)
+
+
+def _bad_texts(text, field):
+    """Texts orjson rejects, built from the valid JSON text: syntax errors, a
+    BOM, a byte that is no UTF-8, a lone surrogate, and the non-finite
+    numbers json reads, each in place of the first number after field."""
+    number = re.compile(r"-?\d+\.\d+").search(text, text.index(field))
+    at = lambda literal: text[:number.start()].encode() + literal + text[number.end():].encode()
+    lines = text.encode().split(b"\n")
+    error_on_line_3 = lines[:2] + [lines[2] + b" ,"] + lines[3:]
+    return {
+        "truncated": text[:-4].encode(),
+        "trailing comma": text[:-1].encode() + b", }",
+        "trailing data": text.encode() + b" x",
+        "BOM": b"\xef\xbb\xbf" + text.encode(),
+        "invalid UTF-8": at(b'"\xff"'),
+        "lone surrogate": at(b'"\\ud800"'),
+        "CRLF, error on line 3": b"\r\n".join(error_on_line_3),
+        "CR, error on line 3": b"\r".join(error_on_line_3),
+        "NaN": at(b"NaN"), "Infinity": at(b"Infinity"), "-Infinity": at(b"-Infinity"),
+        "1e400": at(b"1e400"), "10**400": at(b"1" + b"0" * 400),
+    }
+
+
+def test_files_orjson_rejects_give_the_answers_json_gave(tmp_path, capsys, monkeypatch):
+    # Every CLI call gives json's exit code and stderr on a family of texts
+    # orjson rejects, in problem files (in each matrix, and as tol) and in
+    # cost files.
+    problem, costs = tmp_path / "problem.json", tmp_path / "costs.json"
+    family = [("problem", field, name, text)
+              for field in ('"A"', '"B"', '"K_dagger"', '"Q"', '"R_row"')
+              for name, text in _bad_texts(_PROBLEM_TEXT, field).items()]
+    family += [("problem", '"tol"', value, _PROBLEM_TEXT[:-2].encode() + b', "tol": '
+                + value.encode() + b"}") for value in ("NaN", "Infinity", "1e400")]
+    family += [("costs", field, name, text) for field in ('"Q"', '"R"')
+               for name, text in _bad_texts(_COSTS_TEXT, field).items()]
+    seen = {}
+    for kind, field, name, text in family:
+        problem.write_text(_PROBLEM_TEXT)
+        costs.write_text(_COSTS_TEXT)
+        (problem if kind == "problem" else costs).write_bytes(text)
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(text)
+        calls = ([("check", str(problem)), ("solve", str(problem)), ("verify", str(problem))]
+                 if kind == "problem" else [("solve", str(problem), "--nearest", str(costs))])
+        for argv in calls:
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_read_json", stdlib_read_json)
+                parent = run_cli(capsys, *argv)
+            now = run_cli(capsys, *argv)
+            assert now == parent and now[:2] == (2, ""), (kind, field, name, argv)
+            seen[field, name, argv[0]] = now[2]
+    assert seen['"A"', "CRLF, error on line 3", "check"] == \
+        seen['"A"', "CR, error on line 3", "check"] == \
+        f"error: {problem}: invalid JSON at line 3, column 9\n"
+    assert seen['"A"', "BOM", "verify"] == f"error: {problem}: invalid JSON at line 1, column 1\n"
+    assert seen['"K_dagger"', "NaN", "check"] == \
+        "error: players[0].K_dagger: has non-finite entries\n"
+    assert seen['"tol"', "1e400", "solve"] == "error: tol: must be a finite number >= 0\n"
+    assert seen['"R"', "Infinity", "solve"] == "error: R[0][0]: has non-finite entries\n"
+    assert seen['"B"', "invalid UTF-8", "check"].startswith(
+        "error: 'utf-8' codec can't decode byte 0xff in position")
 
 
 @pytest.fixture(scope="module")

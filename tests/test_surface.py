@@ -45,6 +45,9 @@ returns it, and verify_nash and solve_coupled_are, which read A_tilde_i
 alone, call it instead of reduced_system, so they sum no closed loop they
 drop.
 
+One JSON reader: cli._read_json is the one function that calls orjson.loads,
+json.load or json.loads, so one function decides how an input file is parsed.
+
 README: its Library example runs and prints what its comments state, and
 its tolerance table has one row for each module-level constant.
 """
@@ -264,6 +267,18 @@ def owners(predicate) -> set:
 def test_one_gees_call_site():
     assert owners(lambda fn: calls_own(fn, "dgees")) == {"numerics._schur",
                                                          "numerics._schur_lwork"}
+
+
+def test_one_json_reader():
+    parsers = {("orjson", "loads"), ("json", "load"), ("json", "loads")}
+
+    def parses_json(fn):
+        return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and isinstance(node.func.value, ast.Name)
+                   and (node.func.value.id, node.func.attr) in parsers
+                   for node in own_nodes(fn))
+
+    assert owners(parses_json) == {"cli._read_json"}
 
 
 def test_one_player_index_check():
