@@ -38,188 +38,23 @@ class InputError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Deterministic JSON emission: fixed field order, floats as %.12e, non-finite
-# floats as null (JSON has no inf or nan).  Report matrices stay arrays until
-# here.  A 2-D float64 array of at least EMIT_KERNEL_MIN entries, all finite,
-# is formatted in one numpy pass (_format_matrix); a row of finite Python
-# floats in one format call (_row_format); anything else value by value.  All
-# three give the text of one "%.12e" call per value, byte for byte.
+# Report emission
 # ---------------------------------------------------------------------------
 
-EMIT_KERNEL_MIN = 100    # entries from which a finite float matrix takes _format_matrix
-
-_FLOAT = {float}
-_POW10 = np.array([float(10 ** k) for k in range(23)])  # exact: 5**22 < 2**53
-# Four-byte pieces of an entry's text, each a uint32 of _format_matrix's slot.
-_HEADS = np.frombuffer(b"".join(b"-%d.\0" % k for k in range(10)), np.uint32)
-_GROUPS = np.frombuffer(b"".join(b"%03d\0" % k for k in range(1000)), np.uint32)
-_EXPONENTS = np.frombuffer(b"".join(b"e%+03d" % k for k in range(-99, 100)), np.uint32)
-_TEXT = 20  # bytes of the longest finite "%.12e": -1.797693134862e+308
-
-
-@functools.cache
-def _row_format(k: int) -> str:
-    """The %-format of a JSON row of k floats: "[%.12e, ..., %.12e]"."""
-    return "[" + ", ".join(["%.12e"] * k) + "]"
-
-
-@functools.cache
-def _matrix_layout(rows: int, cols: int):
-    """The separators of a rows x cols matrix's entries (", " within a row,
-    "], [" between rows, "]]" at the end, each in four bytes as a uint32)
-    and the keep-mask of their 28-byte slots: seven four-byte pieces, the
-    head "-d." (sign, lead digit, point), four three-digit groups, the
-    exponent "e+dd" and the separator.  The mask drops the fourth byte of
-    the head and of each group and a separator's unused two; _format_matrix
-    sets the sign byte per entry.  Both arrays are read-only."""
-    sep = np.empty((rows, cols, 4), np.uint8)
-    sep[:] = list(b", , ")
-    sep[:, -1] = list(b"], [")
-    sep[-1, -1] = list(b"]]]]")
-    keep = np.ones((rows, cols, 7, 4), bool)
-    keep[:, :, :5, 3] = False
-    keep[:, :, 6, 2:] = False
-    keep[:-1, -1, 6, 2:] = True
-    sep = sep.reshape(-1, 4).view(np.uint32).ravel()
-    keep = keep.reshape(rows * cols, 28)
-    sep.flags.writeable = keep.flags.writeable = False
-    return sep, keep
-
-
-def _mantissas(x):
-    """(proved, d, e) for a finite float64 vector x: where proved, "%.12e"
-    prints x[k] as the 13-digit mantissa d[k] (an int64, 0 for a zero) at
-    exponent e[k], signed by x's sign bit.
-
-    Each entry x != 0 gets e = floor(log10|x|) and s = |x| 10^(12-e), one
-    multiplication or one division by an exact power of ten (10^0 .. 10^22),
-    so s is the exact value correctly rounded: within half an ulp of it, at
-    most 2^-10 below 1e13, and monotone in it.  1e12 <= s < 1e13 then puts
-    the exact value in [1e12 - 2^-14, 1e13).  Every half-integer below 2^52
-    is a float, so when s is none, monotone rounding puts the exact value on
-    the same side of every half-integer as s, and rint(s) is the exact value
-    rounded to 13 digits, which %.12e prints: a carry to 1e13 prints as
-    1e12 at e + 1, and an exact value just under 1e12 (e one too high)
-    rounds to the same text.  Zero prints as 0 at e = 0.  Not proved: ties
-    (s a half-integer), values next to a power of ten, |x| outside about
-    1e-10 .. 1e35, subnormals."""
-    a = np.abs(x)
-    zero = a == 0
-    e = np.floor(np.log10(np.where(zero, 1.0, a))).astype(np.int64)
-    k = 12 - e
-    j = np.minimum(np.maximum(k, -22), 22)
-    # One of the two factors is 1, so s takes one rounding and cannot overflow.
-    s = a * _POW10.take(np.maximum(j, 0)) / _POW10.take(np.maximum(-j, 0))
-    proved = zero | ((np.abs(k) <= 22) & (s >= 1e12) & (s < 1e13)
-                     & (s - np.floor(s) != 0.5))
-    d = np.rint(np.where(proved, s, 0.0)).astype(np.int64)
-    carry = d == 10 ** 13
-    d[carry] = 10 ** 12
-    return proved, d, np.where(proved, e + carry, 0)
-
-
-def _format_matrix(M) -> str:
-    """The JSON text of a finite 2-D float64 array, "[[%.12e, ...], ...]",
-    byte-identical to one "%.12e" call per entry, in one numpy pass.  The
-    proved entries (_mantissas) are spelled by divmod by 10^12, 10^9, 10^6
-    and 10^3 and table lookups into the slots _matrix_layout lays out; the
-    rest take one "%" call for all of them, each overwriting its slot's
-    first 20 bytes.  The keep-mask drops the bytes no text uses."""
-    rows, cols = M.shape
-    x = M.ravel()
-    proved, d, e = _mantissas(x)
-    sep, keep = _matrix_layout(rows, cols)
-    keep = keep.copy()
-    keep[:, 0] = np.signbit(x)
-    out = np.empty((x.size, 7), np.uint32)
-    lead, d = np.divmod(d, 10 ** 12)
-    out[:, 0] = _HEADS.take(lead)
-    for col, unit in enumerate((10 ** 9, 10 ** 6, 10 ** 3), start=1):
-        group, d = np.divmod(d, unit)
-        out[:, col] = _GROUPS.take(group)
-    out[:, 4] = _GROUPS.take(d)
-    out[:, 5] = _EXPONENTS.take(e + 99)
-    out[:, 6] = sep
-    text = out.view(np.uint8)
-    slow = np.flatnonzero(~proved)
-    if slow.size:
-        printed = (f"%-{_TEXT}.12e" * slow.size) % tuple(x[slow].tolist())
-        block = np.frombuffer(printed.encode("ascii"), np.uint8).reshape(-1, _TEXT)
-        text[slow, :_TEXT] = block
-        keep[slow, :_TEXT] = block != ord(" ")
-        keep[slow, _TEXT:24] = False
-    return "[[" + text[keep].tobytes().decode("ascii")
-
-
-def _vectorized(M) -> bool:
-    """Whether an array is emitted by _format_matrix rather than as its
-    .tolist() rows (_row_format): a 2-D float64 array of at least
-    EMIT_KERNEL_MIN entries, all finite.  Only the entry count is weighed.
-
-    Time of dumps_report(M) for a symmetric n x n M through _format_matrix
-    over that through M.tolist() and the rows, median of 15 alternating
-    batches (in-process, one BLAS thread; 2-vCPU VM, Python 3.11, numpy 2.4):
-
-        n              4     8    10    11    12    16    24    32
-        entries       16    64   100   121   144   256   576  1024
-        ratio       3.70  1.25  0.94  0.87  0.87  0.50  0.40  0.29
-
-    _format_matrix has a fixed cost of about 60 us (some 40 numpy calls);
-    the rows cost about 0.7 us an entry.  They break even between 64 and
-    100 entries."""
-    return (M.size >= EMIT_KERNEL_MIN and M.ndim == 2 and M.dtype == np.float64
-            and bool(np.isfinite(M).all()))
-
-
-def _emit(obj, parts):
+def _as_json(obj):
+    """What orjson cannot write itself: an array it refuses (0-d, or not
+    C-contiguous) as its .tolist(); any other type is an error."""
     if isinstance(obj, np.ndarray):
-        if _vectorized(obj):
-            parts.append(_format_matrix(obj))
-            return
-        obj = obj.tolist()
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append("%.12e" % float(obj) if math.isfinite(obj) else "null")
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for k, key in enumerate(obj):
-            if k:
-                parts.append(", ")
-            parts.append(json.dumps(str(key)))
-            parts.append(": ")
-            _emit(obj[key], parts)
-        parts.append("}")
-    elif (isinstance(obj, (list, tuple)) and set(map(type, obj)) == _FLOAT
-          and math.isfinite(sum(obj))):
-        # A row of finite floats, the bulk of a report: one format call for
-        # the whole row.  A finite sum means every entry is finite; a row that
-        # overflows the sum, or holds nan, inf or any other type, is emitted
-        # value by value below, to the same text.
-        parts.append(_row_format(len(obj)) % tuple(obj))
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for k, item in enumerate(obj):
-            if k:
-                parts.append(", ")
-            _emit(item, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_report(obj) -> str:
-    parts = []
-    _emit(obj, parts)
-    return "".join(parts) + "\n"
+    """A report as JSON text, in one orjson call: fields in their order, each
+    float as its shortest round-trip text (it parses back to the value
+    computed), a non-finite one as null (JSON has no inf or nan), report
+    matrices from their arrays, and one final newline."""
+    return orjson.dumps(obj, default=_as_json, option=orjson.OPT_SERIALIZE_NUMPY).decode() + "\n"
 
 
 # ---------------------------------------------------------------------------

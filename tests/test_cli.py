@@ -174,8 +174,11 @@ def test_check_determinism(tmp_path, capsys):
     _, out2, _ = run_cli(capsys, "check", path)
     strip = lambda r: {k: v for k, v in json.loads(r).items() if k != "timings_ms"}
     assert strip(out1) == strip(out2)
-    # fixed float formatting
-    assert "3.000000000000e+00" in out1
+    # Floats print exactly: the Kalman costs parse back to the oracle's own.
+    system, profile, _, _ = load_problem(path)
+    (sol,) = solve_feasibility_projection(system, profile).solutions
+    kalman = json.loads(out1)["players"][0]["kalman"]
+    assert (kalman["Q"], kalman["R"]) == (sol.Q.tolist(), sol.R.tolist())
 
 
 def test_parser_built_once_gives_the_reports_of_a_fresh_one(tmp_path, capsys, monkeypatch):
@@ -560,8 +563,7 @@ def test_verify_report_diagnostics_hold_the_bounds_of_the_check(capsys):
     assert (code, report["verified"], ok) == (0, True, True)
     assert list(report) == ["verified", "hurwitz_margin", "players", "diagnostics"]
     diag = report["diagnostics"]
-    assert diag == {"scale": float("%.12e" % cert.scale),
-                    "residual_bound": float("%.12e" % cert.residual_bound),
+    assert diag == {"scale": cert.scale, "residual_bound": cert.residual_bound,
                     "psd_tol": 1e-6}
     assert diag["scale"] == pytest.approx(max(1.0, max(np.linalg.norm(P) for P in cert.P)))
     assert diag["residual_bound"] == pytest.approx(1e-6 * diag["scale"])
@@ -589,8 +591,8 @@ def test_solve_report_diagnostics_hold_the_bounds_of_the_check(tmp_path, monkeyp
         assert (got, report["status"]) == (code, status)
         cert = certs[-1]
         assert list(report["diagnostics"]) == loops + ["scale", "residual_bound", "psd_tol"]
-        assert report["diagnostics"]["scale"] == float("%.12e" % cert.scale) > 1.0
-        assert report["diagnostics"]["residual_bound"] == float("%.12e" % (1e-6 * cert.scale))
+        assert report["diagnostics"]["scale"] == cert.scale > 1.0
+        assert report["diagnostics"]["residual_bound"] == cert.residual_bound == 1e-6 * cert.scale
         assert report["diagnostics"]["psd_tol"] == 1e-6
     code, out, _ = run_cli(capsys, "solve", write_example(tmp_path, "scalar_infeasible"))
     assert (code, list(json.loads(out)["diagnostics"])) == (1, loops)
@@ -1099,9 +1101,8 @@ def test_reports_carry_loop_iterations(tmp_path, capsys):
     sols = solve_feasibility_projection(system, profile).solutions
     assert all(s.iterations > 0 for s in sols)
     assert all(s.gap <= PROJECTION_TOL for s in sols)
-    # Gaps as the report prints them (12 digits).
     kalman = {"kalman_iterations": [s.iterations for s in sols],
-              "kalman_gaps": [float("%.12e" % s.gap) for s in sols]}
+              "kalman_gaps": [s.gap for s in sols]}
     # Player 0 has p < m (a rank-completed pencil), player 1 p = m.
     probes = [p.probes for p in players]
     assert [(p.p, system.m[p.index]) for p in players] == [(1, 2), (1, 1)]
@@ -1119,7 +1120,7 @@ def test_reports_carry_loop_iterations(tmp_path, capsys):
     (one,) = solve_feasibility_projection(system, profile, [1]).solutions
     _, out, _ = run_cli(capsys, "check", path, "--player", "1")
     assert json.loads(out)["diagnostics"] == {
-        "kalman_iterations": [one.iterations], "kalman_gaps": [float("%.12e" % one.gap)],
+        "kalman_iterations": [one.iterations], "kalman_gaps": [one.gap],
         "circle_probes": probes[1:]}
     path = write_example(tmp_path, "scalar_feasible")
     costs0 = tmp_path / "costs0.json"
@@ -1130,7 +1131,7 @@ def test_reports_carry_loop_iterations(tmp_path, capsys):
     _, out, _ = run_cli(capsys, "solve", path, "--nearest", str(costs0))
     diagnostics = json.loads(out)["diagnostics"]
     assert diagnostics == {"nearest_iterations": list(nearest.iterations),
-                           "nearest_gaps": [float("%.12e" % gap) for gap in nearest.gaps]}
+                           "nearest_gaps": list(nearest.gaps)}
     # A one-dimensional kernel whose ray meets the cones: Douglas-Rachford
     # answers in one iteration.
     assert diagnostics["nearest_iterations"] == [1]
@@ -1227,238 +1228,77 @@ def test_solve_tol_reaches_verify_nash(tmp_path, capsys, monkeypatch):
     assert seen == [1e-5]
 
 
-def reference_emit(obj, parts):
-    """The emitter before its fast path for float rows: one call per value."""
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append("%.12e" % float(obj) if math.isfinite(obj) else "null")
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for k, key in enumerate(obj):
-            if k:
-                parts.append(", ")
-            parts.append(json.dumps(str(key)))
-            parts.append(": ")
-            reference_emit(obj[key], parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for k, item in enumerate(obj):
-            if k:
-                parts.append(", ")
-            reference_emit(item, parts)
-        parts.append("]")
-    elif isinstance(obj, np.ndarray):
-        reference_emit(obj.tolist(), parts)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _first_mismatch(emitted, value, path="report"):
+    """The path of the first field where the parsed report `emitted` differs
+    from the in-process `value`, or None: floats bit for bit (a non-finite one
+    as null), keys in order, every other value equal and of the same type."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, dict):
+        if not isinstance(emitted, dict) or list(emitted) != list(value):
+            return path
+        return next(filter(None, (_first_mismatch(emitted[key], item, f"{path}.{key}")
+                                  for key, item in value.items())), None)
+    if isinstance(value, (list, tuple)):
+        if not isinstance(emitted, list) or len(emitted) != len(value):
+            return path
+        return next(filter(None, (_first_mismatch(e, v, f"{path}[{k}]")
+                                  for k, (e, v) in enumerate(zip(emitted, value)))), None)
+    if type(value) is float and not math.isfinite(value):
+        return None if emitted is None else path
+    if type(value) is float:
+        return None if type(emitted) is float and emitted.hex() == value.hex() else path
+    return None if (type(emitted), emitted) == (type(value), value) else path
 
 
-def _random_report(rng, depth):
-    """Nested dicts, lists, tuples and arrays of every value kind a report
-    holds: floats with nan, +-inf and -0.0, numpy scalars, ints, bools."""
-    specials = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-300, -1e300]
-
-    def leaf():
-        kind = int(rng.integers(9))
-        x = float(rng.standard_normal()) * 10.0 ** int(rng.integers(-20, 20))
-        return [x, specials[int(rng.integers(len(specials)))], np.float64(x),
-                np.float32(x), int(rng.integers(-9, 9)), np.int64(7), bool(kind % 2),
-                None, "s\u00e9\"q"][kind]
-
-    def rows():
-        M = rng.standard_normal((int(rng.integers(0, 4)), int(rng.integers(0, 5))))
-        M.flat[rng.integers(0, max(M.size, 1), size=min(M.size, 2))] = specials[:min(M.size, 2)]
-        return M if rng.random() < 0.5 else M.tolist()
-
-    if depth == 0:
-        return leaf() if rng.random() < 0.5 else rows()
-    kind = int(rng.integers(3))
-    items = [_random_report(rng, depth - 1) for _ in range(int(rng.integers(0, 5)))]
-    if kind == 0:
-        return {f"k{i}": item for i, item in enumerate(items)}
-    return items if kind == 1 else tuple(items)
-
-
-def test_emitter_fast_path_is_byte_identical():
-    rng = np.random.default_rng(9)
-    for _ in range(300):
-        report = _random_report(rng, int(rng.integers(0, 4)))
-        parts = []
-        reference_emit(report, parts)
-        assert dumps_report(report) == "".join(parts) + "\n"
-    assert dumps_report([1.0, -0.0, float("nan"), np.float64(2.0)]) == \
-        "[1.000000000000e+00, -0.000000000000e+00, null, 2.000000000000e+00]\n"
-
-
-def test_emitter_row_path_is_byte_identical_on_full_reports(tmp_path, monkeypatch, capsys):
-    # The check, solve and verify reports of every bundled example and fixture
-    # (ladder_r0_n12_N2_m1's solve report holds 12 x 12 Q and P), and one
-    # --nearest report, emitted as the one-call-per-value reference emits them.
+def test_reports_round_trip_exactly(tmp_path, monkeypatch, capsys):
+    # Every float of a verify, solve and solve --nearest report parses back
+    # to the value the command computed, bit for bit, on each tests/data
+    # fixture and a closed-form Nash game at n = 32.
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import games
+    closed = tmp_path / "closed_n32.json"
+    closed.write_text(games.closed_form_nash((1, 0, 7), 32, 2, 1).problem_json())
     reports = []
     write = cli._write_report
     monkeypatch.setattr(cli, "_write_report",
                         lambda report, args: reports.append(report) or write(report, args))
-    costs0 = tmp_path / "costs0.json"
-    costs0.write_text(json.dumps({
-        "Q": [np.eye(4).tolist()] * 3,
-        "R": [[[[1.0 if i == j else 0.0]] for j in range(3)] for i in range(3)]}))
-    paths = [write_example(tmp_path, name) for name in BUNDLED] + \
-        [str(path) for path in sorted(DATA.glob("*.json"))]
-    # Closed-form Nash games at n = 24 and 32 (perfbench/games.py): their
-    # matrices take the vectorized pass.
-    if str(PERFBENCH) not in sys.path:
-        sys.path.insert(0, str(PERFBENCH))
-    import games
-    for n in (24, 32):
-        path = tmp_path / f"closed_n{n}.json"
-        path.write_text(games.closed_form_nash((1, 0, 7), n, 2, 1).problem_json())
-        paths.append(str(path))
-    runs = [(cmd, path) for path in paths for cmd in ("check", "solve", "verify")]
-    runs.append(("solve", str(DATA / "nearest_r2_n4_N3_m1.json"), "--nearest", str(costs0)))
-    vectorized = []
-    real = cli._format_matrix
-    monkeypatch.setattr(cli, "_format_matrix", lambda M: vectorized.append(M.size) or real(M))
-    for argv in runs:
-        reports.clear()
-        code, out, _ = run_cli(capsys, *argv)
-        assert len(reports) == (code != 2), argv  # verify needs costs: input error
-        for report in reports:
-            parts = []
-            reference_emit(report, parts)
-            assert out == dumps_report(report) == "".join(parts) + "\n", argv
-    assert json.loads(out)["status"] == "feasible"
-    assert {24 * 24, 32 * 32} <= set(vectorized)
-
-
-def test_emitter_formats_only_finite_float_rows_in_one_call(monkeypatch):
-    # A row of Python floats whose sum is finite takes one format call; a row
-    # holding an int, a numpy float, nan or +-inf, or whose sum overflows, is
-    # emitted value by value, and so is an empty row.  -0.0 is finite and
-    # keeps its sign either way.
-    formatted = []
-    row_format = cli._row_format
-    monkeypatch.setattr(cli, "_row_format", lambda k: formatted.append(k) or row_format(k))
-    per_value = [[1, 2.0, 3.0], [np.float64(1.5), 2.0], [2.0, np.float64(-0.0)],
-                 [float("nan"), 1.0], [1.0, float("inf")], [-float("inf"), 0.5],
-                 [float("inf"), -float("inf")], [1e308, 1e308], [True, 1.0]]
-    one_call = [[-0.0, 1.0], [-0.0], [0.25, -1e-300, 1e300]]
-    for row, fast in [(r, False) for r in per_value + [[]]] + [(r, True) for r in one_call]:
-        for obj in (row, tuple(row), [row, row], {"M": [row]}):
-            formatted.clear()
-            parts = []
-            reference_emit(obj, parts)
-            assert dumps_report(obj) == "".join(parts) + "\n", obj
-            assert bool(formatted) == fast, obj
-    assert dumps_report([[-0.0, float("nan")], [-0.0, 2.0]]) == \
-        "[[-0.000000000000e+00, null], [-0.000000000000e+00, 2.000000000000e+00]]\n"
-
-
-def assert_kernel_prints(values):
-    """values, tiled to a matrix of 16 columns and at least EMIT_KERNEL_MIN
-    entries, take the vectorized pass and print as one "%.12e" call per
-    value does."""
-    values = np.asarray(values, dtype=float).ravel()
-    size = max(values.size, cli.EMIT_KERNEL_MIN)
-    M = np.resize(values, -(-size // 16) * 16).reshape(-1, 16)
-    assert cli._vectorized(M)
-    parts = []
-    reference_emit(M.tolist(), parts)
-    assert dumps_report(M) == "".join(parts) + "\n"
-    assert dumps_report({"M": M}) == '{"M": ' + "".join(parts) + "}\n"
-
-
-def per_value_text(M):
-    """The report text of a float matrix, one "%.12e" call per entry."""
-    return "[" + ", ".join("[" + ", ".join(["%.12e" % v for v in row]) + "]"
-                           for row in M.tolist()) + "]\n"
-
-
-def test_kernel_is_byte_identical_on_a_million_draws():
-    # Log-uniform magnitudes over the whole range 1e-320 .. 1e308 (subnormals,
-    # and most of them outside the proved range), then over 1e-15 .. 1e15 and
-    # rounded to 1 .. 16 significant digits, where most entries are proved.
-    rng = np.random.default_rng(38)
-    count = 500_000
-    wide = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-320, 308.25, count)
-    mantissa = rng.uniform(1, 10, count)
-    digits = rng.integers(0, 16, count)
-    rounded = np.round(mantissa * 10.0 ** digits) / 10.0 ** digits
-    narrow = rng.choice([-1.0, 1.0], count) * rounded * 10.0 ** rng.integers(-15, 16, count)
-    for values in (wide, narrow):
-        assert np.isfinite(values).all()
-        M = values.reshape(-1, 500)
-        assert dumps_report(M) == per_value_text(M)
-    # Inside 1e-9 .. 1e33 only ties and neighbours of a power of ten fall back.
-    inside = narrow[(np.abs(narrow) >= 1e-9) & (np.abs(narrow) < 1e33)]
-    assert cli._mantissas(inside)[0].mean() > 0.99
-
-
-def test_kernel_on_adversarial_values():
-    rng = np.random.default_rng(7)
-    # Exact 13-digit ties: N / 10^k with N a 14-digit integer ending in 5 and
-    # divisible by 5^k, so x = (N / 5^k) / 2^k is exact; and N 10^k, exact
-    # below 2^53.  %.12e rounds them half to even.
-    ties = [1234567890123.5, 9999999999999.5, 1000000000000.5, 2.5, 0.125]
-    for k in range(14):
-        q = rng.integers(10 ** 13 // 5 ** k, 10 ** 14 // 5 ** k, 8) | 1
-        ties += [int(N) / 10 ** k for N in q * 5 ** k if 10 ** 13 <= N < 10 ** 14]
-    ties += [12345678901235.0 * 10 ** k for k in range(3)]
-    ties += [x * 10.0 ** k for x in (1234567890123.5, 1.2345678901235) for k in range(-12, 12)]
-    assert_kernel_prints(ties + [-x for x in ties])
-    # Each power of ten and its +-1-ulp neighbours, and the 13-digit tie just
-    # under each power, 9.9999999999995e{k}, which carries when rounded up.
-    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
-    halves = np.array([float(f"9.9999999999995e{k}") for k in range(-310, 308)])
-    for x in (powers, halves):
-        assert_kernel_prints(np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf)]))
-    # Zeros, subnormals and the extremes of the float range.
-    tiny = np.finfo(float).tiny
-    assert_kernel_prints([0.0, -0.0, 5e-324, -5e-324, tiny, np.nextafter(tiny, 0),
-                          -np.nextafter(tiny, 1), 1.7976931348623157e308,
-                          -1.7976931348623157e308, *(rng.uniform(0, tiny, 40))])
-    # |12 - e| = 22 and 23, the edges of the exact powers of ten.
-    mantissas = rng.uniform(1, 10, 64)
-    assert_kernel_prints(np.concatenate([mantissas * 10.0 ** e for e in (-10, -11, 34, 35)]))
-
-
-@pytest.mark.parametrize("shape", [(1, 300), (300, 1), (128, 1), (1, 128), (11, 13)])
-def test_kernel_prints_every_shape(shape):
-    # One row, one column, and a matrix that is not square.
-    rng = np.random.default_rng(shape[0])
-    M = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
-    M.flat[::7] = -0.0
-    parts = []
-    reference_emit(M.tolist(), parts)
-    assert cli._vectorized(M) and dumps_report(M) == "".join(parts) + "\n"
-
-
-def test_kernel_takes_only_large_finite_float_matrices(monkeypatch):
-    # The selection reads the entry count, the rank, the dtype and
-    # finiteness; every array it declines prints as its .tolist().
-    vectorized = []
-    real = cli._format_matrix
-    monkeypatch.setattr(cli, "_format_matrix", lambda M: vectorized.append(M.shape) or real(M))
-    big = np.arange(cli.EMIT_KERNEL_MIN, dtype=float).reshape(1, -1) - 40.5
-    with_nan = big.copy()
-    with_nan[0, 3] = np.nan
-    declined = [big[:, 1:], big.ravel(), big.astype(np.float32), big.astype(int), with_nan,
-                np.where(big > 0, np.inf, big), big[None]]
-    for obj in declined + [big]:
-        vectorized.clear()
-        parts = []
-        reference_emit(obj, parts)
-        assert dumps_report(obj) == "".join(parts) + "\n"
-        assert vectorized == ([big.shape] if obj is big else []), obj.shape
+    written = 0
+    for path in [closed, *sorted(DATA.glob("*.json"))]:
+        system, _, _, _ = load_problem(str(path))
+        N = system.num_players
+        costs0 = tmp_path / f"costs0_{path.name}"
+        costs0.write_text(json.dumps({
+            "Q": [np.eye(system.n).tolist()] * N,
+            "R": [[np.eye(system.m[j]).tolist() if i == j else np.zeros((system.m[j],) * 2).tolist()
+                   for j in range(N)] for i in range(N)]}))
+        for argv in (["verify"], ["solve"], ["solve", "--nearest", str(costs0)]):
+            reports.clear()
+            code, out, _ = run_cli(capsys, argv[0], str(path), *argv[1:])
+            if code == 2:  # verify on a file without costs
+                assert argv == ["verify"] and not reports and out == "", path
+                continue
+            (report,) = reports
+            where = _first_mismatch(json.loads(out), report)
+            assert where is None, (path.name, argv, where)
+            written += 1
+    assert written == 3 * 8 - 2  # allpass and infeasible carry no costs to verify
+    # Non-finite floats are null; numpy scalars, and the arrays orjson does
+    # not write itself (0-d, Fortran-ordered, sliced), are written exactly.
+    nan, inf = float("nan"), float("inf")
+    M = np.arange(12.0).reshape(3, 4) / 7
+    values = {"non_finite": [nan, inf, -inf, np.float64(-inf), np.array([nan, inf, -inf, 0.1])],
+              "scalars": [np.float64(0.1), np.float32(0.5), np.int64(-7), np.bool_(True)],
+              "zero_d": np.array(1 / 3), "fortran": np.asfortranarray(M), "sliced": M[:, ::2],
+              "rows": (M[0].tolist(), -0.0, 1e-320, 1.7976931348623157e308),
+              "text": ["s\u00e9\"q", None, False, 2 ** 53 + 1]}
+    emitted = json.loads(dumps_report(values))
+    assert _first_mismatch(emitted, values) is None
+    assert emitted["non_finite"] == [None, None, None, None, [None, None, None, 0.1]]
+    for unknown in (1j, {1.0}, np.array([1j, 2j])[::2], object()):
+        with pytest.raises(TypeError):
+            dumps_report({"x": unknown})
 
 
 def _tolist_fields(report):
@@ -1655,7 +1495,7 @@ def test_solve_nearest_ladder_n4_game_verifies(tmp_path, capsys):
     report = json.loads(out)
     assert (code, report["status"]) == (0, "feasible")
     nearest = nearest_params(load_costs(str(costs0), system), system, profile)
-    assert report["diagnostics"]["nearest_gaps"] == [float("%.12e" % gap) for gap in nearest.gaps]
+    assert report["diagnostics"]["nearest_gaps"] == list(nearest.gaps)
     assert all(0.0 < gap <= PROJECTION_TOL for gap in nearest.gaps)
     costs = CostParameters([np.array(p["Q"]) for p in report["players"]],
                            [[np.array(Rij) for Rij in p["R_row"]] for p in report["players"]])

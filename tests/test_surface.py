@@ -45,8 +45,10 @@ returns it, and verify_nash and solve_coupled_are, which read A_tilde_i
 alone, call it instead of reduced_system, so they sum no closed loop they
 drop.
 
-One JSON reader: cli._read_json is the one function that calls orjson.loads,
-json.load or json.loads, so one function decides how an input file is parsed.
+One JSON library both ways: cli._read_json is the one function that calls
+orjson.loads, json.load or json.loads, and cli.dumps_report the one that
+calls orjson.dumps; src holds no json.dumps and no "%.12e".  So one function
+decides how an input file is parsed, and one how a report is written.
 
 README: its Library example runs and prints what its comments state, and
 its tolerance table has one row for each module-level constant.
@@ -270,15 +272,18 @@ def test_one_gees_call_site():
 
 
 def test_one_json_reader():
-    parsers = {("orjson", "loads"), ("json", "load"), ("json", "loads")}
+    def calls_any(pairs):
+        return lambda fn: any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                              and isinstance(node.func.value, ast.Name)
+                              and (node.func.value.id, node.func.attr) in pairs
+                              for node in own_nodes(fn))
 
-    def parses_json(fn):
-        return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                   and isinstance(node.func.value, ast.Name)
-                   and (node.func.value.id, node.func.attr) in parsers
-                   for node in own_nodes(fn))
-
-    assert owners(parses_json) == {"cli._read_json"}
+    assert owners(calls_any({("orjson", "loads"), ("json", "load"), ("json", "loads")})) == {
+        "cli._read_json"}
+    assert owners(calls_any({("orjson", "dumps")})) == {"cli.dumps_report"}
+    text = "".join(path.read_text() for path in sorted(SRC.glob("*.py")))
+    assert text.count("orjson.dumps") == 1
+    assert "json.dumps" not in text.replace("orjson.dumps", "") and "%.12e" not in text
 
 
 def test_one_player_index_check():

@@ -12,8 +12,9 @@ problem the workloads give reference costs for as ``solve --nearest``.
 Each call runs in-process through ``nashinduce.cli.main`` with one BLAS
 thread, and leaves one file under OUTDIR/calls: its exit code, the
 SHA-256 digest of its stdout as emitted with the value of ``timings_ms``
-(the only field that changes from run to run) masked, its stderr, and its
-JSON report without ``timings_ms``, indented one key per line.
+(the only field that changes from run to run) masked, the compact
+``"timings_ms":{...}`` written as ``"timings_ms":null``, its stderr, and
+its JSON report without ``timings_ms``, indented one key per line.
 
 The package is imported from the ``src/`` of the checkout this script sits
 in.  To compare a change with its parent, run each checkout's copy into its
@@ -28,7 +29,7 @@ exit code, the same stderr and the same report apart from its floats: the
 same keys in the same order, and every string, integer, boolean and null
 equal.  A report that is no JSON must match as text.  When every parsed
 value matches, floats too, the digests must match as well, so a change
-to how the same values are printed ("1.0e+05" for "1.000000000000e+05")
+to how the same values are printed ("1e5" for "100000.0", or ", " for ",")
 is a difference: "report text differs with equal values".  It lists each
 difference and exits 1 if it finds any.  Floats may move by round-off, so
 it prints, per field path (list indices dropped), the largest relative
@@ -68,8 +69,8 @@ ROUNDS = 3
 COMMANDS = {"check": ["check"], "check-no-oracle": ["check", "--no-oracle"],
             "solve": ["solve"], "solve-q-only": ["solve", "--mode", "q-only"],
             "verify": ["verify"]}
-# The value of a report's timings_ms, an object of numbers, as emitted.
-TIMINGS = re.compile(r'"timings_ms": \{[^{}]*\}')
+# A report's timings_ms and its value, an object of numbers, as emitted.
+TIMINGS = re.compile(r'"timings_ms":\{[^{}]*\}')
 
 
 def record(argv: list) -> str:
@@ -79,7 +80,7 @@ def record(argv: list) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    masked = TIMINGS.sub('"timings_ms": null', out.getvalue())
+    masked = TIMINGS.sub('"timings_ms":null', out.getvalue())
     digest = hashlib.sha256(masked.encode("utf-8")).hexdigest()
     try:
         report = json.loads(out.getvalue())
