@@ -9,7 +9,10 @@ Exit codes: 0 inducible / verified, 1 not inducible / not verified,
 solve decide on one path, _decide; check by the first determinate verdict,
 frequency domain first, reporting a frequency stage's numerical failure as
 frequency_error {player, stage, reason} and exiting 3 only when neither
-method is determinate.  solve exits 3 on any numerical failure.
+method is determinate.  solve takes every player's costs from the Kalman
+equation in closed form (inverse.kalman_riccati) when it answers for all of
+them and they pass the final Nash check; else it answers from the search for
+every player.  solve exits 3 on any numerical failure.
 """
 
 from __future__ import annotations
@@ -26,11 +29,16 @@ import numpy as np
 import orjson
 
 from .forward import CostParameters, verify_nash
-from .feasibility import nearest_params, solve_feasibility_projection
-from .inverse import analyze_player
-from .numerics import NASH_TOL, NumericalFailureError, StageError
+from .feasibility import (
+    FeasibilityResult,
+    KalmanSolution,
+    nearest_params,
+    solve_feasibility_projection,
+)
+from .inverse import analyze_player, kalman_riccati
+from .numerics import NASH_TOL, DimensionError, NumericalFailureError, StageError, _norm
 from .problems import BUNDLED
-from .realization import GameSystem, StrategyProfile
+from .realization import GameSystem, StrategyProfile, _listed_players, closed_loop
 
 
 class InputError(ValueError):
@@ -257,7 +265,7 @@ _ORACLE_VERDICT = {"feasible": "inducible", "infeasible_certified_by_identity": 
                    "indeterminate": "indeterminate"}
 
 
-def _decide(system, profile, players, mode):
+def _decide(system, profile, players, mode, closed_form):
     """Both methods on the listed players, frequency domain first: per player
     its PlayerAnalysis or the StageError its frequency stages raised, the
     oracle's FeasibilityResult in `mode` (None for mode None), (verdict_frequency,
@@ -265,7 +273,14 @@ def _decide(system, profile, players, mode):
     certifies (a failed circle or rank test; a search certified infeasible)
     makes the game not_inducible for it; else a failed stage makes the first
     "error", a search stopped undecided the second "indeterminate".  The
-    oracle's StageError propagates, so its message wins when both fail."""
+    oracle's StageError propagates, so its message wins when both fail.
+
+    With closed_form (solve), once every frequency verdict is inducible,
+    inverse.kalman_riccati is tried for every player; if it answers for all,
+    their costs are the oracle's answer (method "riccati", R_ii = I, 0
+    iterations, gap 0; the residual is read later off verify_nash's P) and
+    no search runs.  If it declines any player, the oracle searches every
+    player, as without closed_form."""
     t0 = time.perf_counter()
     analyses = []
     for i in players:
@@ -275,8 +290,17 @@ def _decide(system, profile, players, mode):
             analyses.append(exc)
     t_freq = time.perf_counter() - t0
     t0 = time.perf_counter()
-    oracle = (None if mode is None
-              else solve_feasibility_projection(system, profile, players, mode))
+    oracle = None
+    if closed_form and all(not isinstance(pa, StageError) and pa.inducible for pa in analyses):
+        A_cl = closed_loop(system, profile.K)
+        closed = [kalman_riccati(A_cl, system.B[i], profile.K[i]) for i in players]
+        if all(costs.declined is None for costs in closed):
+            oracle = FeasibilityResult("feasible", tuple(
+                KalmanSolution(Q=costs.Q, R=np.eye(system.m[i]), residual=math.nan,
+                               kernel_dim=None, status="solved", method="riccati")
+                for i, costs in zip(players, closed)))
+    if oracle is None and mode is not None:
+        oracle = solve_feasibility_projection(system, profile, players, mode)
     seconds = (t_freq, time.perf_counter() - t0)
     passed = [pa.inducible for pa in analyses if not isinstance(pa, StageError)]
     verdicts = ("not_inducible" if not all(passed) else
@@ -345,14 +369,12 @@ def _final_tol(args, file_tol: float) -> float:
 
 def cmd_check(args) -> int:
     system, profile, _, _ = load_problem(args.problem)
-    if args.player is None:
-        indices = list(range(system.num_players))
-    elif 0 <= args.player < system.num_players:
-        indices = [args.player]
-    else:
-        raise InputError(f"--player {args.player}: out of range")
+    try:
+        indices = _listed_players(system, None if args.player is None else [args.player])
+    except DimensionError as exc:
+        raise InputError(f"--player {args.player}: out of range") from exc
     analyses, oracle, (verdict_freq, verdict_oracle), (t_freq, t_oracle) = _decide(
-        system, profile, indices, None if args.no_oracle else "general")
+        system, profile, indices, None if args.no_oracle else "general", closed_form=False)
     error = next((pa for pa in analyses if isinstance(pa, StageError)), None)
     freq_error = None if error is None else {"player": error.player, "stage": error.stage,
                                              "reason": error.reason}
@@ -411,12 +433,21 @@ def cmd_solve(args) -> int:
         _write_report(report, args)
         return 0 if res.status == "feasible" else 1
 
-    analyses, oracle, verdicts, _ = _decide(system, profile, range(system.num_players),
-                                            args.mode)
-    for pa in analyses:
-        if isinstance(pa, StageError):
-            raise pa
-    kalmans = oracle.solutions
+    # The closed form's costs are kept only where they pass the final Nash
+    # check; else the search answers for every player.
+    for closed_form in (True, False):
+        analyses, oracle, verdicts, _ = _decide(system, profile, range(system.num_players),
+                                                args.mode, closed_form)
+        for pa in analyses:
+            if isinstance(pa, StageError):
+                raise pa
+        kalmans = oracle.solutions
+        if verdicts != ("inducible", "inducible"):
+            break
+        costs = CostParameters.diagonal_R([k.Q for k in kalmans], [k.R for k in kalmans])
+        ok, cert = verify_nash(system, profile, costs, tol=tol)
+        if ok or kalmans[0].method == "search":
+            break
     if verdicts != ("inducible", "inducible"):
         # The first player a method certifies, else the first whose search stopped undecided.
         failed = min((pa.inducible and k.status == "indeterminate", i)
@@ -437,9 +468,9 @@ def cmd_solve(args) -> int:
         _write_report(report, args)
         return 1
 
-    N = system.num_players
-    costs = CostParameters.diagonal_R([k.Q for k in kalmans], [k.R for k in kalmans])
-    ok, cert = verify_nash(system, profile, costs, tol=tol)
+    diagnostics = _diagnostics(kalmans, analyses)
+    if ok:
+        diagnostics["kalman_method"] = [k.method for k in kalmans]
     report = {
         "status": "solved" if ok else "verification_failed",
         "players": [
@@ -447,17 +478,27 @@ def cmd_solve(args) -> int:
              "Q": costs.Q[i],
              "R": costs.R[i][i],
              "P": cert.P[i],
-             "kalman_residual": float(kalmans[i].residual),
+             "kalman_residual": _kalman_residual(k, cert.stationarity_residuals[i]),
              "are_residual": float(cert.are_residuals[i]),
              "stationarity_residual": float(cert.stationarity_residuals[i])}
-            for i in range(N)
+            for i, k in enumerate(kalmans)
         ],
         "verify_ok": bool(ok),
-        "diagnostics": {**_diagnostics(kalmans, analyses), "scale": cert.scale,
+        "diagnostics": {**diagnostics, "scale": cert.scale,
                         "residual_bound": cert.residual_bound, "psd_tol": cert.psd_tol},
     }
     _write_report(report, args)
     return 0 if ok else 1
+
+
+def _kalman_residual(kalman, stationarity) -> float:
+    """A player's kalman_residual: the search's |M theta| / max(1, |theta|),
+    or, for a closed-form player, the same quantity |K_i - B_i'P_i| /
+    max(1, |(Q_i, I)|) with P_i verify_nash's Lyapunov solution, whose
+    stationarity residual is its numerator."""
+    if kalman.method == "search":
+        return float(kalman.residual)
+    return float(stationarity) / max(1.0, math.hypot(_norm(kalman.Q), _norm(kalman.R)))
 
 
 def cmd_verify(args) -> int:
@@ -533,17 +574,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser(
         "solve", help="recover Nash-inducing cost matrices",
-        description="Search each player's costs, then check them for Nash. Exit 0 with "
-                    "status \"solved\", else 1: \"verification_failed\", \"infeasible\" "
-                    "where check finds a method not_inducible, or \"indeterminate\" where a "
-                    "search stopped without a verdict (at failing_player).")
+        description="Take each player's costs from the Kalman equation in closed form "
+                    "(one Riccati equation, R_ii = I) where the frequency tests pass and it "
+                    "applies to every player, then check them for Nash; where it does not "
+                    "apply to every player or the check fails, search every player's costs "
+                    "instead. diagnostics.kalman_method names each player's method. Exit 0 with status \"solved\", else 1: \"verification_failed\", "
+                    "\"infeasible\" where check finds a method not_inducible, or "
+                    "\"indeterminate\" where a search stopped without a verdict (at "
+                    "failing_player).")
     ps.add_argument("problem")
     common(ps)
     tol_option(ps, " (--nearest runs no final Nash check and ignores it)")
     ps.add_argument("--mode", choices=("q-only", "general"), default="general",
-                    help="q-only pins each R_ii to I and searches Q_i; general searches "
-                         "Q_i and R_ii together. --nearest always searches R freely, so "
-                         "--nearest with --mode q-only is an input error")
+                    help="how the costs are searched where the closed form is not kept: "
+                         "q-only pins "
+                         "R_ii to I and searches Q_i; general searches Q_i and R_ii together "
+                         "(the closed form's R_ii is I in both). --nearest always searches R "
+                         "freely, so --nearest with --mode q-only is an input error")
     ps.add_argument("--nearest", default=None, metavar="COSTS0_JSON",
                     help="project these reference costs onto the feasible set (R "
                          "searched freely, no final Nash check)")

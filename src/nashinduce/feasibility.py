@@ -20,8 +20,11 @@ projects reference costs onto the feasible set (Douglas-Rachford
 splitting), and folds/unfolds cross-control penalties.  Both loops run through the
 Anderson-mixed fixed-point driver numerics._anderson and accept by one rule,
 numerics.cone_verdict; neither runs where pinned_fails, their one certificate,
-finds the closed-form block B_i' Q_i B_i outside the cones.  The Kronecker
-identities (build_vectorized_system, _player_nullspace) remain as references.
+finds the block B_i' Q_i B_i that K_i pins (pinned_block) outside the cones.
+inverse.kalman_riccati reads the same block for its closed form, which solve
+takes before any search: solve searches every player when it declines
+any, and check searches every listed player.  The Kronecker identities
+(build_vectorized_system, _player_nullspace) remain as references.
 """
 
 from __future__ import annotations
@@ -163,15 +166,23 @@ def _congruent(U, Qh) -> np.ndarray:
     return 0.5 * (Q + Q.T)
 
 
-def pinned_fails(system: GameSystem, profile: StrategyProfile, i: int) -> bool:
-    """Whether player i's pinned block puts Q_i >= 0 out of reach where R_ii
-    is I or a positive scalar: B_i' P_i = R_ii K_i pins B_i' Q_i B_i to R_ii
-    times -(M + M') - L'L, M = K_i Acl B_i and L = K_i B_i, and cross
-    penalties only lower it.  Fails below -POINT_SLACK max(1, |M + M'|, |L|^2)."""
-    Ki, Bi = profile.K[i], system.B[i]
-    M, L = Ki @ closed_loop(system, profile.K) @ Bi, Ki @ Bi
+def pinned_block(A_cl, B, K):
+    """(G, scale): the block B_i' Q_i B_i that B_i' P_i = K_i pins (R_ii = I),
+    G = -(M + M') - L'L with M = K_i A_cl B_i and L = K_i B_i, on the scale
+    max(1, |M + M'|, |L|^2) of its terms.  A positive scalar R_ii multiplies
+    it, and cross penalties only lower it.  Both cone searches read their
+    certificate off it (pinned_fails), and inverse.kalman_riccati its
+    closed form."""
+    M, L = K @ A_cl @ B, K @ B
     scale = max(1.0, float(np.linalg.norm(M + M.T)), float(np.linalg.norm(L)) ** 2)
-    return float(np.linalg.eigvalsh(-(M + M.T) - L.T @ L).min()) < -POINT_SLACK * scale
+    return -(M + M.T) - L.T @ L, scale
+
+
+def pinned_fails(G, scale) -> bool:
+    """Whether a pinned block (pinned_block) puts Q_i >= 0 out of reach where
+    R_ii is I or a positive scalar: its least eigenvalue lies below
+    -POINT_SLACK scale."""
+    return float(np.linalg.eigvalsh(G).min()) < -POINT_SLACK * scale
 
 
 @dataclass(frozen=True)
@@ -179,10 +190,11 @@ class KalmanSolution:
     Q: np.ndarray
     R: np.ndarray
     residual: float
-    kernel_dim: int  # of the linear map (q-only: R_ii pinned), before the trace slice
+    kernel_dim: int | None  # of the linear map (q-only: R_ii pinned), before the trace slice
     status: str  # "solved" | "no_solution" | "infeasible" | "indeterminate"
     iterations: int = 0  # of the projection loop
     gap: float = 0.0  # relative distance of the projection loop's point to the cones at stop
+    method: str = "search"  # "riccati": inverse.kalman_riccati's closed form, no map built
 
     @property
     def psd_ok(self) -> bool:
@@ -230,7 +242,8 @@ def player_feasibility(system: GameSystem, profile: StrategyProfile, i: int, mod
                               residual=miss, kernel_dim=kernel_dim,
                               status="no_solution" if q_only else "infeasible")
     layout = [(n, 0.0), (m, R_FLOOR)]
-    fails = (q_only or m == 1) and pinned_fails(system, profile, i)  # the slice fixes R_ii
+    fails = (q_only or m == 1) and pinned_fails(*pinned_block(  # the slice fixes R_ii
+        closed_loop(system, profile.K), system.B[i], profile.K[i]))
     theta, reason, its, gap = (x_p, "point", 0, 0.0) if fails else project_affine_cone(x_p, Va, layout)
     if q_only:  # the pinned entries exactly, not to round-off
         theta = np.concatenate([theta[:nq], eye])
@@ -311,8 +324,9 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
     Qs, Rrows, iterations, gaps = [], [], (), ()
     dist2 = 0.0
     maps, U = stationarity_maps(system, profile)
+    A_cl = closed_loop(system, profile.K)
     for i, M in enumerate(maps):
-        if system.m[i] == 1 and pinned_fails(system, profile, i):
+        if system.m[i] == 1 and pinned_fails(*pinned_block(A_cl, system.B[i], profile.K[i])):
             return NearestResult("infeasible_certified_by_identity", None, float("inf"),
                                  iterations + (0,), gaps + (0.0,))
         V = row_basis(M)  # the feasible identity directions are span(V)'s complement

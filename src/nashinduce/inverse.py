@@ -12,10 +12,14 @@ gap's null vectors span the states X_N that every feasible Q_i annihilates,
 and an eigenvector of A_tilde_i in X_N with eigenvalue in the closed right
 half-plane violates the rank condition (vacuous when p = m_i).
 analyze_player returns both verdicts as one flat PlayerAnalysis, with the
-gap's lambda_min at the circle witness (Phi's sign there).  Costs are
-recovered by the time-domain search feasibility.solve_feasibility_projection;
-solve_kalman_general and solve_kalman_Q run it for one player.  The
-polynomial route at the end of the module is reference code only.
+gap's lambda_min at the circle witness (Phi's sign there).  Costs come from
+the Kalman equation in closed form where it applies: kalman_riccati pins
+P's B_i columns by K_i and takes the rest from one Riccati equation of size
+n - m_i (R_ii = I), or names the condition that rules it out.  Where it
+declines any player, the time-domain search
+feasibility.solve_feasibility_projection recovers the costs;
+solve_kalman_general and solve_kalman_Q run it for one player.  The polynomial route at the end of the module is reference code
+only.
 """
 
 from __future__ import annotations
@@ -26,14 +30,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polymat
-from .feasibility import KalmanSolution, _stationarity_map, player_feasibility
+from .feasibility import KalmanSolution, _stationarity_map, pinned_block, player_feasibility
 from .numerics import (
+    POINT_SLACK,
+    RANK_TOL,
     NumericalFailureError,
     _rank,
+    _schur,
     _stage,
     _unstable,
     matrix_rank,
     psd_project,  # noqa: F401  (perfbench's tracing test reads inverse.psd_project)
+    symmetrize,
 )
 from .polymat import (
     PolyMatrix,
@@ -187,6 +195,91 @@ def rank_condition(A_tilde, A_cl, B, K, k) -> tuple:
 # ---------------------------------------------------------------------------
 # Kalman-equation solvers
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RiccatiCosts:
+    """kalman_riccati's answer: Q_i and P_i with R_ii = I (both None when it
+    declines), and the condition that failed ("asymmetric", "pinned_block"
+    or "riccati"; None when it answers)."""
+
+    Q: np.ndarray | None
+    P: np.ndarray | None
+    declined: str | None
+
+
+def kalman_riccati(A_cl, B, K) -> RiccatiCosts:
+    """One player's costs with R = I in closed form: Q >= 0 and symmetric P
+    with P B = K' and A_cl'P + P A_cl + Q + K'K = 0, so K = B'P is the
+    Kalman equation's answer (A_cl Hurwitz makes P that Lyapunov solution).
+
+    In an orthonormal basis W = [Bh, V] with B = Bh R_b (one complete QR),
+    P B = K' fixes every column of W'PW but the V'PV block, X, as those of
+    F' with F = R_b^-T K W; its Bh'PBh block is symmetric iff K B is.  Of
+    Q = -(A_cl'P + P A_cl) - K'K in the same basis, the Bh'QBh block is
+    then fixed as well, R_b^-T G R_b^-1 with G the pinned block
+    (feasibility.pinned_block), and when it is positive definite, Q >= 0
+    is, by the Schur complement, the Riccati inequality in Y = -X of size
+    n - m (Ah = W'A_cl W, (Q0, S) = Q's V'QV and V'QBh blocks at X = 0):
+
+        Ah_vv'Y + Y Ah_vv - (Y Ah_vb + S) Q_bb^-1 (Ah_vb'Y + S') + Q0 >= 0.
+
+    Its equality's stabilizing solution is Y = U_2 U_1^-1, [U_1; U_2] the
+    stable invariant subspace of its Hamiltonian: the leading n - m Schur
+    vectors of the ordered real Schur form (Laub 1979, "A Schur method for
+    solving algebraic Riccati equations", IEEE TAC; numerics._schur with
+    stable_first).  The Schur complement is then 0, and Q = D'D with
+    D = [L', L^-1 Q_bv] W', Q_bb = L L', is semidefinite by construction,
+    of rank m.
+
+    Declines, naming the first condition that fails: "asymmetric" when K B
+    is not symmetric within symmetrize's PSD_TOL; "pinned_block" when the
+    pinned block's least eigenvalue is not above POINT_SLACK times its
+    scale; "riccati" when the Hamiltonian has not n - m eigenvalues off the
+    closed right half-plane (_unstable: one on the imaginary axis), its
+    Schur form cannot be ordered, or U_1 is singular under the rank rule
+    (_rank, RANK_TOL)."""
+    n, m = B.shape
+    k = n - m
+    try:
+        symmetrize(K @ B)
+    except ValueError:
+        return RiccatiCosts(None, None, "asymmetric")
+    G, scale = pinned_block(A_cl, B, K)
+    if not float(np.linalg.eigvalsh(G).min()) > POINT_SLACK * scale:
+        return RiccatiCosts(None, None, "pinned_block")
+    W, R_b = np.linalg.qr(B, mode="complete")
+    R_inv = np.linalg.inv(R_b[:m])  # m x m upper triangular, as its inverse
+    Ah, Kh = W.T @ A_cl @ W, K @ W
+    F = R_inv.T @ Kh
+    P = np.zeros((n, n))
+    P[:m], P[m:, :m] = F, F[:, m:].T
+    P[:m, :m] = 0.5 * (F[:, :m] + F[:, :m].T)
+    L = R_inv.T @ np.linalg.cholesky(G)  # L L' = R_b^-T G R_b^-1 = Q_bb
+    L_inv = np.linalg.inv(L)
+    Q_bv = np.zeros((m, k))
+    if k:
+        Q0 = -(Ah[:, m:].T @ P + P[m:] @ Ah) - Kh[:, m:].T @ Kh  # Q's V rows at X = 0
+        Bl, Sl = Ah[m:, :m] @ L_inv.T, Q0[:, :m] @ L_inv.T
+        H = np.empty((2 * k, 2 * k))
+        H[:k, :k] = Ah[m:, m:] - Bl @ Sl.T
+        H[k:, k:] = -H[:k, :k].T
+        H[:k, k:], H[k:, :k] = -(Bl @ Bl.T), Sl @ Sl.T - Q0[:, m:]
+        try:
+            T, U = _schur(H, stable_first=True)
+        except NumericalFailureError:
+            return RiccatiCosts(None, None, "riccati")
+        U_1, U_2 = U[:k, :k], U[k:, :k]
+        if (_unstable(T.diagonal()[:k]).any() or not _unstable(T.diagonal()[k:]).all()
+                or _rank(np.linalg.svd(U_1, compute_uv=False), RANK_TOL) < k):
+            return RiccatiCosts(None, None, "riccati")
+        Y = np.linalg.solve(U_1.T, U_2.T).T
+        Y = 0.5 * (Y + Y.T)
+        P[m:, m:] = -Y
+        Q_bv = Q0[:, :m].T + Ah[m:, :m].T @ Y
+    D = np.hstack([L.T, L_inv @ Q_bv]) @ W.T
+    P = W @ P @ W.T
+    return RiccatiCosts(Q=D.T @ D, P=0.5 * (P + P.T), declined=None)
+
 
 def solve_kalman_Q(system: GameSystem, profile: StrategyProfile, i: int) -> KalmanSolution:
     """Find Q >= 0 with K_i = B_i' P, P the Lyapunov solution for the state

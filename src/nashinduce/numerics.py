@@ -150,6 +150,12 @@ def _no_sort(*_):
     """gees' eigenvalue selector; unsorted Schur forms never call it."""
 
 
+def _left(re, _im) -> bool:
+    """gees' eigenvalue selector of an ordered Schur form: the open left
+    half-plane, which a caller narrows by _unstable on T's diagonal."""
+    return re < 0.0
+
+
 @functools.lru_cache(maxsize=64)
 def _schur_lwork(n: int) -> int:
     """LAPACK's optimal workspace of a real Schur factorization of size n,
@@ -158,15 +164,20 @@ def _schur_lwork(n: int) -> int:
     return int(lapack.dgees(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0])
 
 
-def _schur(M):
+def _schur(M, stable_first=False):
     """Real Schur form M = U T U' (T standardized, unsorted) by one LAPACK
     gees call with the cached workspace: the factorization
     scipy.linalg.schur(M, lwork=_schur_lwork(n)) computes, bitwise, without
     its argument handling.  The one gees call of the package: a command's
-    one factorization, of Acl' (realization.closed_loop_schur), and every
-    other Hurwitz test (is_hurwitz)."""
+    one factorization, of Acl' (realization.closed_loop_schur), every other
+    Hurwitz test (is_hurwitz), and, with stable_first, the ordered form of
+    inverse.kalman_riccati's Hamiltonian, whose eigenvalues in the open left
+    half-plane lead T's diagonal (gees sorts them there, LAPACK trsen)."""
     from scipy.linalg import lapack
-    T, _, _, _, U, _, info = lapack.dgees(_no_sort, M, lwork=_schur_lwork(len(M)))
+    T, _, _, _, U, _, info = lapack.dgees(_left if stable_first else _no_sort, M,
+                                          sort_t=int(stable_first), lwork=_schur_lwork(len(M)))
+    if info > len(M):  # sorting only: the reordering failed or moved an eigenvalue across
+        raise NumericalFailureError(f"Schur form not ordered (gees info {info})")
     if info:  # pragma: no cover - rare: the QR iteration did not converge
         raise NumericalFailureError("Schur factorization failed: "
                                     "Schur form not found. Possibly ill-conditioned.")

@@ -17,7 +17,8 @@ from nashinduce import (
     is_stabilizing,
     solve_coupled_are,
 )
-from nashinduce.feasibility import _kalman_map, _player_nullspace, _stationarity_map
+from nashinduce.feasibility import (_kalman_map, _player_nullspace, _stationarity_map,
+                                     pinned_block, pinned_fails)
 from nashinduce.forward import KLEINMAN_MAX_ITER, KLEINMAN_TOL
 from nashinduce.numerics import (
     HURWITZ_MARGIN,
@@ -94,6 +95,11 @@ def original_map(M, U):
 def original_stationarity_map(system, profile, i):
     """Player i's stationarity map over packed (Q_i, R_i1..R_iN)."""
     return original_map(*_stationarity_map(system, profile, i))
+
+
+def player_pinned_fails(system, profile, i) -> bool:
+    """feasibility.pinned_fails on player i's pinned block (pinned_block)."""
+    return pinned_fails(*pinned_block(closed_loop(system, profile.K), system.B[i], profile.K[i]))
 
 
 # Per-block references of the fused cone kernel in numerics: one sym_unpack,

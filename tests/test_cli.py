@@ -19,9 +19,12 @@ from nashinduce import (CostParameters, GameSystem, StrategyProfile, cli, feasib
                         inverse, numerics, realization, verify_nash)
 from nashinduce.cli import dumps_report, load_costs, load_problem, main
 from nashinduce.feasibility import nearest_params, solve_feasibility_projection
+from nashinduce.inverse import RiccatiCosts
 from nashinduce.numerics import (PROJECTION_CAP, PROJECTION_TOL, NumericalFailureError,
                                  project_affine_cone)
 from nashinduce.problems import BUNDLED
+
+from conftest import player_pinned_fails
 
 
 DATA = Path(__file__).parent / "data"
@@ -40,6 +43,22 @@ def write_example(tmp_path, name):
     path = tmp_path / f"{name}.json"
     path.write_text(BUNDLED[name])
     return str(path)
+
+
+def closed_form_declines(monkeypatch, players, N):
+    """Make solve's inverse.kalman_riccati decline ("riccati") the listed
+    players of an N-player game, whose calls come in player order; declining
+    any, solve searches every player as it does without the closed form.
+    Returns the players it is called for, in order."""
+    kalman_riccati, calls = cli.kalman_riccati, []
+
+    def stub(A_cl, B, K):
+        calls.append(len(calls) % N)
+        return RiccatiCosts(None, None, "riccati") if calls[-1] in players else (
+            kalman_riccati(A_cl, B, K))
+
+    monkeypatch.setattr(cli, "kalman_riccati", stub)
+    return calls
 
 
 def test_example_writes_bundled_files(tmp_path, capsys):
@@ -264,13 +283,25 @@ def boundary_and_scalar_infeasible(tmp_path):
                          [np.hstack([K, [[0.0]]]), np.array([[0.0] * 4 + [1.5]])])
 
 
-def test_solve_says_indeterminate_where_the_search_stops_undecided(tmp_path, capsys):
+def test_solve_says_indeterminate_where_the_search_stops_undecided(tmp_path, monkeypatch, capsys):
     # A search that reached no verdict proves no infeasibility of a game whose
-    # true costs pass the Nash check.
+    # true costs pass the Nash check.  On the boundary game the closed form
+    # answers, with costs that pass it; the search alone stops at its cap, and
+    # solve, with the closed form declining, says indeterminate.
     A, b, K, c = boundary_game()
     path = write_problem(tmp_path / "boundary.json", A, [b], [K])
     system, profile, _, _ = load_problem(path)
     assert verify_nash(system, profile, CostParameters.identity_R([c.T @ c], system.m))[0]
+    code, out, err = run_cli(capsys, "solve", path)
+    report = json.loads(out)
+    assert (code, err, report["status"]) == (0, "", "solved")
+    assert report["diagnostics"]["kalman_method"] == ["riccati"]
+    player = report["players"][0]
+    assert 0.0 < player["kalman_residual"] == player["stationarity_residual"] / max(
+        1.0, math.hypot(np.linalg.norm(player["Q"]), 1.0))
+    costs = CostParameters.identity_R([np.array(player["Q"])], system.m)
+    assert verify_nash(system, profile, costs)[0]
+    assert closed_form_declines(monkeypatch, {0}, 1) == []
     code, out, err = run_cli(capsys, "solve", path)
     report = json.loads(out)
     assert (code, err) == (1, "")
@@ -309,6 +340,7 @@ def test_a_certified_search_decides_before_an_undecided_one(tmp_path, monkeypatc
     system, profile, _, _ = load_problem(path)
     assert solve_feasibility_projection(system, profile).status == (
         "infeasible_certified_by_identity")
+    closed_form_declines(monkeypatch, {0, 1}, 2)  # so solve searches, as check does
     code, out, _ = run_cli(capsys, "check", path)
     report = json.loads(out)
     assert (code, report["verdict_frequency"], report["verdict_oracle"]) == (
@@ -389,9 +421,9 @@ def test_text_format_of_solve(tmp_path, capsys):
     code, lines = _text_report(capsys, "solve", write_example(tmp_path, "scalar_feasible"))
     assert code == 0
     assert lines[:5] == ["status: solved", "players:", "  -:", "    index: 0", "    Q: [[3]]"]
-    assert lines[-7:] == ["diagnostics:", "  kalman_iterations: [0]", "  kalman_gaps: [0]",
-                          "  circle_probes: [1]", "  scale: 3", "  residual_bound: 3e-08",
-                          "  psd_tol: 1e-08"]
+    assert lines[-8:] == ["diagnostics:", "  kalman_iterations: [0]", "  kalman_gaps: [0]",
+                          "  circle_probes: [1]", "  kalman_method: [riccati]", "  scale: 3",
+                          "  residual_bound: 3e-08", "  psd_tol: 1e-08"]
     code, lines = _text_report(capsys, "solve", write_example(tmp_path, "scalar_infeasible"))
     assert code == 1
     assert lines[:9] == ["status: infeasible", "failing_player: 0", "circle_ok: False",
@@ -572,9 +604,11 @@ def test_verify_report_diagnostics_hold_the_bounds_of_the_check(capsys):
 
 
 def test_solve_report_diagnostics_hold_the_bounds_of_the_check(tmp_path, monkeypatch, capsys):
-    # After the loop diagnostics, solve lists the bounds its final Nash check
-    # held the costs to, on "solved" and on "verification_failed" (here forced
-    # by the spy); an "infeasible" answer runs no final check and lists none.
+    # After the loop diagnostics (and, on "solved", each player's method),
+    # solve lists the bounds its final Nash check held the costs to, on
+    # "solved" and on "verification_failed" (here forced by the spy, on the
+    # closed form's costs and then on those the search finds for every
+    # player); an "infeasible" answer runs no final check and lists none.
     loops = ["kalman_iterations", "kalman_gaps", "circle_probes"]
     certs, real = [], cli.verify_nash
 
@@ -590,13 +624,15 @@ def test_solve_report_diagnostics_hold_the_bounds_of_the_check(tmp_path, monkeyp
         report = json.loads(out)
         assert (got, report["status"]) == (code, status)
         cert = certs[-1]
-        assert list(report["diagnostics"]) == loops + ["scale", "residual_bound", "psd_tol"]
+        method = ["kalman_method"] if code == 0 else []
+        assert list(report["diagnostics"]) == loops + method + [
+            "scale", "residual_bound", "psd_tol"]
         assert report["diagnostics"]["scale"] == cert.scale > 1.0
         assert report["diagnostics"]["residual_bound"] == cert.residual_bound == 1e-6 * cert.scale
         assert report["diagnostics"]["psd_tol"] == 1e-6
     code, out, _ = run_cli(capsys, "solve", write_example(tmp_path, "scalar_infeasible"))
     assert (code, list(json.loads(out)["diagnostics"])) == (1, loops)
-    assert len(certs) == 2
+    assert len(certs) == 3
 
 
 def test_verify_non_psd_q_is_input_error(tmp_path, capsys):
@@ -941,6 +977,52 @@ def test_cli_corpus_records_exit_code_stderr_and_report_without_timings(
     assert cli_corpus.record(["verify", path]) == (
         f"exit: 2\ndigest: {hashlib.sha256(b'').hexdigest()}\n"
         "stderr:\nerror: players: Q and R_row required for verify\nreport:\n")
+
+
+def test_cli_corpus_audit_checks_every_answer_with_costs(tmp_path, monkeypatch, capsys):
+    # audit re-checks with perfbench/checker.is_nash each recorded answer
+    # that carries costs (solve "solved", check's oracle "inducible", nearest
+    # "feasible", verify exit 0), skips the others, and fails on costs that
+    # are not Nash; it runs without importing the package.
+    monkeypatch.setattr(sys, "path", [str(TOOLS)] + sys.path)
+    import cli_corpus
+
+    root = tmp_path / "corpus"
+    (root / "problems").mkdir(parents=True)
+    for name in ("two_player_scalar", "scalar_infeasible"):
+        (root / "problems" / f"{name}.json").write_text(BUNDLED[name])
+    costs0 = root / "problems" / "costs0.json"
+    costs0.write_text(json.dumps({"Q": [[[1.0]], [[1.0]]],
+                                  "R": [[[[1.0]], [[0.0]]], [[[0.0]], [[1.0]]]]}))
+    calls = {f"{game}.json.{label}": argv + [str(root / "problems" / f"{game}.json")] + extra
+             for game in ("two_player_scalar", "scalar_infeasible")
+             for label, argv, extra in (("check", ["check"], []), ("solve", ["solve"], []),
+                                        ("solve-q-only", ["solve", "--mode", "q-only"], []),
+                                        ("verify", ["verify"], []),
+                                        ("nearest", ["solve"], ["--nearest", str(costs0)]))}
+    (root / "calls").mkdir()
+    for name, argv in calls.items():
+        (root / "calls" / name).write_text(cli_corpus.record(argv))
+    assert cli_corpus.audit(root) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"{label}: 1 answers with costs checked"
+                                for label in ("check", "nearest", "solve", "solve-q-only", "verify")]
+    assert err == "0 answers with costs that do not check\n"
+    solved = root / "calls" / "two_player_scalar.json.solve"
+    head, _, shown = solved.read_text().partition("report:\n")
+    report = json.loads(shown)
+    report["players"][0]["Q"] = [[4.0]]
+    solved.write_text(f"{head}report:\n{json.dumps(report, indent=1)}\n")
+    script = ("import runpy, sys\n"
+              "sys.argv = sys.argv[1:]\n"
+              "try:\n"
+              "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
+              "except SystemExit as exc:\n"
+              "    print('exit', exc.code, any(m.startswith('nashinduce') for m in sys.modules))\n")
+    result = subprocess.run([sys.executable, "-c", script, str(TOOLS / "cli_corpus.py"), "audit",
+                             str(root)], capture_output=True, text=True, check=True)
+    assert "NOT NASH two_player_scalar.json.solve: stationarity of player 0" in result.stdout
+    assert result.stdout.splitlines()[-1] == "exit 1 False"
 
 
 def test_cli_corpus_compare_allows_float_moves_only(tmp_path, monkeypatch, capsys):
@@ -1378,8 +1460,10 @@ def test_check_searches_once_per_player(monkeypatch, capsys):
 
 
 def test_each_command_runs_one_stack_and_one_search_per_listed_player(monkeypatch, capsys):
-    # check, check --player 1, solve and solve --mode q-only on a 3-player game
-    # each build one adjoint stack and run one cone search per listed player.
+    # check and check --player 1 on a 3-player game each build one adjoint
+    # stack and run one cone search per listed player; solve and solve --mode
+    # q-only, whose closed form answers for every player, build none, and,
+    # with it declining player 1, one stack with one search per player.
     stacks, searches = [], []
     stationarity_maps = feasibility.stationarity_maps
     player_feasibility = feasibility.player_feasibility
@@ -1391,21 +1475,113 @@ def test_each_command_runs_one_stack_and_one_search_per_listed_player(monkeypatc
     path = str(DATA / "ladder_r0_n8_N3_m2.json")
     for argv, expected in ((["check", path], [(0, "general"), (1, "general"), (2, "general")]),
                            (["check", path, "--player", "1"], [(1, "general")]),
-                           (["solve", path], [(0, "general"), (1, "general"), (2, "general")]),
-                           (["solve", path, "--mode", "q-only"],
-                            [(0, "q-only"), (1, "q-only"), (2, "q-only")])):
+                           (["solve", path], []), (["solve", path, "--mode", "q-only"], [])):
         stacks.clear()
         searches.clear()
         code, _, err = run_cli(capsys, *argv)
         assert code in (0, 1), err
-        assert (len(stacks), searches) == (1, expected), argv
+        assert (len(stacks), searches) == (int(bool(expected)), expected), argv
+    closed_form_declines(monkeypatch, {1}, 3)
+    for mode in ("general", "q-only"):
+        stacks.clear()
+        searches.clear()
+        code, out, err = run_cli(capsys, "solve", path, "--mode", mode)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["diagnostics"]["kalman_method"] == ["search"] * 3
+        assert (len(stacks), searches) == (1, [(0, mode), (1, mode), (2, mode)]), mode
+
+
+def test_solve_searches_every_player_where_the_closed_form_declines_one(
+        tmp_path, monkeypatch, capsys):
+    # With the closed form declining player 1 of two_player_scalar, solve
+    # stacks and searches both players, and the costs verify.  Without it
+    # declining, both keep the closed form (R = I, 0 iterations, gap 0, and
+    # as kalman_residual the stationarity residual over max(1, |(Q, I)|)).
+    stacks, searches = [], []
+    stationarity_maps = feasibility.stationarity_maps
+    player_feasibility = feasibility.player_feasibility
+    monkeypatch.setattr(feasibility, "stationarity_maps",
+                        lambda s, p, players: stacks.append(players) or stationarity_maps(
+                            s, p, players))
+    monkeypatch.setattr(feasibility, "player_feasibility",
+                        lambda s, p, i, *a: searches.append(i) or player_feasibility(s, p, i, *a))
+    path = write_example(tmp_path, "two_player_scalar")
+    system, profile, _, _ = load_problem(path)
+    reports = []
+    for declined in (set(), {1}):
+        stacks.clear()
+        searches.clear()
+        with monkeypatch.context() as patch:
+            calls = closed_form_declines(patch, declined, 2)
+            code, out, err = run_cli(capsys, "solve", path)
+        report = json.loads(out)
+        assert (code, err, report["status"], report["verify_ok"]) == (0, "", "solved", True)
+        assert calls == [0, 1]
+        costs = CostParameters.diagonal_R([np.array(p["Q"]) for p in report["players"]],
+                                          [np.array(p["R"]) for p in report["players"]])
+        assert verify_nash(system, profile, costs)[0]
+        reports.append((report, [list(players) for players in stacks], searches[:]))
+    (closed, no_stack, no_search), (searched, stack, search) = reports
+    assert (no_stack, no_search, closed["diagnostics"]["kalman_method"]) == (
+        [], [], ["riccati", "riccati"])
+    assert (stack, search, searched["diagnostics"]["kalman_method"]) == (
+        [[0, 1]], [0, 1], ["search", "search"])
+    assert (closed["diagnostics"]["kalman_iterations"], closed["diagnostics"]["kalman_gaps"]) == (
+        [0, 0], [0.0, 0.0])
+    for player in closed["players"]:
+        assert player["R"] == [[1.0]]
+        assert player["kalman_residual"] == player["stationarity_residual"] / max(
+            1.0, math.hypot(np.linalg.norm(player["Q"]), 1.0))
+
+
+@pytest.mark.parametrize("name", ["remark2", "scalar_infeasible", "boundary_and_scalar",
+                                  "undecided_search"])
+def test_solve_answers_as_the_search_alone_unless_every_player_is_solved(
+        tmp_path, monkeypatch, capsys, name):
+    # solve prints, byte for byte, the report of the cone search for every
+    # player (what it answers with the closed form declining every player)
+    # on games a frequency test rules out (remark2, scalar_infeasible and
+    # boundary_and_scalar_infeasible, where the closed form is never tried),
+    # and where the closed form declines one player only and the search
+    # stops undecided on that one (two_player_scalar, player 1 declined and
+    # its search stubbed to stop undecided): there the search runs once for
+    # both players, as it does without the closed form.
+    if name == "boundary_and_scalar":
+        path = boundary_and_scalar_infeasible(tmp_path)
+    else:
+        path = write_example(tmp_path, "two_player_scalar" if name == "undecided_search" else name)
+    N = load_problem(path)[0].num_players
+    searched = []
+    if name == "undecided_search":
+        player_feasibility = feasibility.player_feasibility
+
+        def undecided(system, profile, i, *args):
+            searched.append(i)
+            solution = player_feasibility(system, profile, i, *args)
+            return dataclasses.replace(solution, status="indeterminate") if i else solution
+
+        monkeypatch.setattr(feasibility, "player_feasibility", undecided)
+    for mode in ("general", "q-only"):
+        with monkeypatch.context() as patch:
+            calls = closed_form_declines(patch, {1} if name == "undecided_search" else set(), N)
+            answer = run_cli(capsys, "solve", path, "--mode", mode)
+        assert calls == ([0, 1] if name == "undecided_search" else []), mode
+        with monkeypatch.context() as patch:
+            closed_form_declines(patch, set(range(N)), N)
+            assert run_cli(capsys, "solve", path, "--mode", mode) == answer, mode
+        assert answer[0] == 1 and answer[2] == ""
+        assert json.loads(answer[1])["status"] == (
+            "indeterminate" if name == "undecided_search" else "infeasible")
+    assert searched == ([0, 1, 0, 1] * 2 if name == "undecided_search" else [])
 
 
 @pytest.mark.parametrize("command", ["check", "solve"])
 def test_search_failure_names_the_player_and_stage(tmp_path, monkeypatch, capsys, command):
     # A failing search names its player; a failing stack names the first
-    # player listed (check --player 1 lists player 1 only).
+    # player listed (check --player 1 lists player 1 only; solve lists the
+    # players its closed form declines, here both).
     path = write_example(tmp_path, "two_player_scalar")
+    closed_form_declines(monkeypatch, {0, 1}, 2)
     player_feasibility = feasibility.player_feasibility
 
     def failing(system, profile, i, *args):
@@ -1508,7 +1684,7 @@ def check_certifies_by_the_pinned_block(capsys, path, player):
     with no loop."""
     system, profile, _, _ = load_problem(path)
     assert [i for i in range(system.num_players)
-            if feasibility.pinned_fails(system, profile, i)] == [player]
+            if player_pinned_fails(system, profile, i)] == [player]
     code, out, _ = run_cli(capsys, "check", path)
     report = json.loads(out)
     assert (code, report["verdict_frequency"], report["verdict_oracle"]) == (

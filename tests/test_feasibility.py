@@ -22,7 +22,6 @@ from nashinduce.feasibility import (
     _player_nullspace,
     _stationarity_map,
     build_vectorized_system,
-    pinned_fails,
     stationarity_maps,
 )
 from nashinduce.numerics import (
@@ -54,6 +53,7 @@ from conftest import (
     least_squares_kalman_Q,
     loop_project_affine_cone,
     original_stationarity_map,
+    player_pinned_fails,
     random_pd,
     random_psd,
     svd_row_basis,
@@ -292,7 +292,7 @@ def test_q_only_slice_keeps_least_squares_statuses(nash_games, tmp_path):
     # reference has no certificate: where the pinned block fails, the search
     # says "infeasible" and the reference never says "solved".
     answers = [((s := inverse.solve_kalman_Q(system, profile, i)).status, s.kernel_dim,
-                least_squares_kalman_Q(system, profile, i), pinned_fails(system, profile, i))
+                least_squares_kalman_Q(system, profile, i), player_pinned_fails(system, profile, i))
                for _, system, profile in oracle_games(nash_games, tmp_path)
                for i in range(system.num_players)]
     for status, dim, (ref, ref_dim), fails in answers:
@@ -330,8 +330,8 @@ def test_pinned_block_matches_the_q_only_slice_and_spares_nash_players(nash_game
             Q = sym_blocks(x_p, [(n, 0.0), (m, R_FLOOR)])[0]
             assert np.linalg.norm(Bi.T @ Q @ Bi - block) <= 1e-9 * scale, (name, i)
             least = float(np.linalg.eigvalsh(block).min())
-            assert pinned_fails(system, profile, i) == (least < -POINT_SLACK * scale), (name, i)
-            if pinned_fails(system, profile, i):
+            assert player_pinned_fails(system, profile, i) == (least < -POINT_SLACK * scale), (name, i)
+            if player_pinned_fails(system, profile, i):
                 failing.append((name, i))
             if (name, i) == ("remark2", 0):
                 assert least == 0.0
@@ -425,9 +425,11 @@ def test_per_game_maps_match_the_one_player_maps(nash_games, tmp_path):
 
 def test_each_command_factors_acl_once_for_the_kalman_stage(tmp_path, monkeypatch, capsys):
     # check (with and without the oracle), solve, solve --nearest and verify
-    # on a 3-player game make one real Schur factorization each, of Acl',
+    # on a 3-player game make one real Schur factorization each of Acl',
     # while the problem loads: the Hurwitz test, every player's Kalman map
-    # and solve's final verify_nash all read it.
+    # and solve's final verify_nash all read it.  The only other ones are
+    # solve's ordered forms of its closed form's Hamiltonians, one per player,
+    # of size 2 (n - m_i).
     path = str(DATA / "ladder_r0_n8_N3_m2.json")
     system, profile, _, _ = load_problem(path)
     costs0 = tmp_path / "costs0.json"
@@ -441,8 +443,11 @@ def test_each_command_factors_acl_once_for_the_kalman_stage(tmp_path, monkeypatc
         factored.clear()
         assert cli.main(argv) == 0
         capsys.readouterr()
-        assert len(factored) == 1, argv
-        assert np.array_equal(factored[0], closed_loop(system, profile.K).T)
+        acl = [a for a in factored if a.shape == (system.n, system.n)]
+        assert len(acl) == 1, argv
+        assert np.array_equal(acl[0], closed_loop(system, profile.K).T)
+        assert [len(a) for a in factored if a.shape != (system.n, system.n)] == (
+            [2 * (system.n - m) for m in system.m] if argv == ["solve", path] else []), argv
 
 
 def found_costs(res):
@@ -772,7 +777,7 @@ def test_one_search_matches_kronecker_reference(nash_games, tmp_path):
         for i in range(system.num_players):
             status = inverse.solve_kalman_general(system, profile, i).status
             ref = kronecker_player_feasibility(system, profile, i)[0]
-            if system.m[i] == 1 and pinned_fails(system, profile, i):
+            if system.m[i] == 1 and player_pinned_fails(system, profile, i):
                 assert status == "infeasible" and ref != "solved", (name, i)
                 certified += 1
             else:

@@ -20,6 +20,7 @@ from nashinduce.inverse import (
     build_phi,
     check_rank_condition,
     circle_criterion,
+    kalman_riccati,
     return_difference_gap,
     solve_kalman_general,
     solve_kalman_Q,
@@ -27,7 +28,12 @@ from nashinduce.inverse import (
 from nashinduce.numerics import NumericalFailureError, nullspace, psd_project
 from nashinduce.polymat import PolyMatrix
 from nashinduce.problems import BUNDLED
-from nashinduce.realization import attach_feedback, reduced_system, right_coprime_factorization
+from nashinduce.realization import (
+    attach_feedback,
+    closed_loop,
+    reduced_system,
+    right_coprime_factorization,
+)
 
 from conftest import original_stationarity_map, poly_kalman_map, psd_sqrt_factor
 
@@ -460,3 +466,64 @@ def test_check_builds_no_polynomial_matrix_when_phi_has_full_rank(monkeypatch, c
     # Nor does remark2's player 0 (p = 1 < m = 2): one route for every player.
     analyze_player(*remark2_game(), 0)
     assert created == []
+
+
+# ---------------------------------------------------------------------------
+# The Kalman equation in closed form (kalman_riccati)
+# ---------------------------------------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+NASH_FIXTURES = ("closed_form_n8_N3_m1", "ladder_r0_n12_N2_m1", "ladder_r0_n8_N3_m2",
+                 "ladder_r2_n8_N2_m1", "nearest_r2_n4_N3_m1")
+
+
+def test_closed_form_costs_are_nash(nash_games):
+    # On every Nash fixture of tests/data, every nash_games game and the
+    # closed-form Nash games at n = 24 and 32, kalman_riccati answers for
+    # every player: P B = K', and Q = D'D has rank m; the costs (Q_i, R_ii =
+    # I) pass verify_nash and perfbench/checker.is_nash.
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import checker
+    import games
+
+    cases = [(name, *load_problem(str(DATA / f"{name}.json"))[:2]) for name in NASH_FIXTURES]
+    cases += [(f"nash_games[{k}]", system, profile)
+              for k, (system, _, profile, _) in enumerate(nash_games)]
+    for n in (24, 32):
+        game = games.closed_form_nash((1, 0, 7), n, 2, 1)
+        system = GameSystem(game.A, game.B)
+        cases.append((f"closed_form_nash n={n}", system,
+                      StrategyProfile.stabilizing(system, game.K)))
+    for name, system, profile in cases:
+        A_cl, Qs = closed_loop(system, profile.K), []
+        for i, (B, K) in enumerate(zip(system.B, profile.K)):
+            costs = kalman_riccati(A_cl, B, K)
+            assert costs.declined is None, (name, i)
+            assert np.linalg.norm(B.T @ costs.P - K) <= 1e-10 * max(1.0, np.linalg.norm(costs.P))
+            assert np.linalg.matrix_rank(costs.Q, tol=1e-9 * np.linalg.norm(costs.Q)) == B.shape[1]
+            Qs.append(costs.Q)
+        assert verify_nash(system, profile, CostParameters.identity_R(Qs, system.m))[0], name
+        R = [[np.eye(mj) if j == i else np.zeros((mj, mj)) for j, mj in enumerate(system.m)]
+             for i in range(system.num_players)]
+        assert checker.is_nash(system.A, system.B, profile.K, Qs, R).ok, name
+
+
+def test_closed_form_declines_naming_why():
+    # allpass_n3_N1_m2: the pinned block B'QB is not positive definite (its
+    # eigenvalues read about -0.115 and +8.5e-10).  A player whose K B is not
+    # symmetric has no symmetric P with P B = K'; symmetrizing K makes it
+    # answer.  With B = e_1, K = [0, 0.5] and A_cl = [[-1, 0.5], [-1.5,
+    # -0.5]], P = [[0, 0.5], [0.5, x]] and Q = [[1.5, 0.75 + 1.5x], [0.75 +
+    # 1.5x, x - 0.75]], and Q >= 0 asks 2.25x^2 + 0.75x + 1.6875 <= 0, which
+    # no real x meets: the Hamiltonian's eigenvalues lie on the axis.
+    system, profile, _, _ = load_problem(str(DATA / "allpass_n3_N1_m2.json"))
+    costs = kalman_riccati(closed_loop(system, profile.K), system.B[0], profile.K[0])
+    assert (costs.Q, costs.P, costs.declined) == (None, None, "pinned_block")
+    A_cl = np.array([[-1.0, 0.0], [0.0, -2.0]])
+    K = np.array([[1.0, 0.5], [0.0, 1.0]])
+    assert kalman_riccati(A_cl, np.eye(2), K).declined == "asymmetric"
+    assert kalman_riccati(A_cl, np.eye(2), 0.5 * (K + K.T)).declined is None
+    costs = kalman_riccati(np.array([[-1.0, 0.5], [-1.5, -0.5]]), np.eye(2)[:, :1],
+                           np.array([[0.0, 0.5]]))
+    assert (costs.Q, costs.P, costs.declined) == (None, None, "riccati")

@@ -88,6 +88,8 @@ ALLOWED = {
     "numerics.as_matrix(name)": "every caller names the block in its error message",
     "numerics.require_square(name)": "every caller names the block in its error message",
     "numerics.symmetrize(name)": "CostParameters names each block in its error message",
+    "numerics._schur(stable_first)": "inverse.kalman_riccati orders its Hamiltonian's stable "
+                                      "eigenvalues first",
     "numerics.psd_project(floor)": "tests/conftest.py's reference loop_cone_project passes "
                                    "each block's floor",
     "polymat.poly_trim(tol)": ITEM_4,
@@ -294,7 +296,7 @@ def test_one_player_index_check():
 
     assert owners(raises_player_index) == {"realization._listed_players"}
     assert owners(lambda fn: calls_own(fn, "_listed_players")) == {
-        "realization.reduced_system", "feasibility.build_vectorized_system",
+        "cli.cmd_check", "realization.reduced_system", "feasibility.build_vectorized_system",
         "feasibility.stationarity_maps", "feasibility.player_feasibility",
         "feasibility.solve_feasibility_projection"}
 
@@ -332,8 +334,9 @@ def test_a_tilde_has_one_helper():
 PRODUCTION_API = [
     "CertificateSet", "CostParameters", "DimensionError", "FeasibilityResult", "GameSystem",
     "KalmanSolution", "NearestResult", "NumericalFailureError", "PlayerAnalysis",
-    "RankViolation", "StrategyProfile", "analyze_player", "closed_loop",
-    "coupled_are_residuals", "fold_cross_penalties", "is_stabilizing", "nearest_params",
+    "RankViolation", "RiccatiCosts", "StrategyProfile", "analyze_player", "closed_loop",
+    "coupled_are_residuals", "fold_cross_penalties", "is_stabilizing", "kalman_riccati",
+    "nearest_params",
     "newton_kleinman", "reduced_system", "solve_coupled_are", "solve_feasibility_projection",
     "unfold_cross_penalties", "verify_nash",
 ]

@@ -2,6 +2,7 @@
 
     python3 tools/cli_corpus.py OUTDIR
     python3 tools/cli_corpus.py compare PARENT CHANGE
+    python3 tools/cli_corpus.py audit OUTDIR
 
 The corpus is rounds 0..ROUNDS-1 of both benchmark workloads at
 perfbench's CORPUS_SEED (written by ``perfbench/workloads.setup_*``, which
@@ -39,6 +40,15 @@ magnitudes on either side, 0/0 read as 0, beside the largest magnitude
 that field path holds anywhere, so that a round-off figure (a residual, a
 stop gap) reads as one.  It also counts the calls whose files are
 byte-identical, per command.
+
+``audit`` re-checks every recorded answer that carries costs, with
+``perfbench/checker.is_nash`` on the game of its problem file and no
+package code (the package is not imported): ``solve``'s Q and R where it
+answers "solved" (both modes; R_ij = 0), ``check``'s Kalman Q and R where
+its oracle answers "inducible", ``solve --nearest``'s Q and R_row where it
+answers "feasible", and the problem file's own Q and R_row where ``verify``
+exits 0.  It prints how many answers of each kind it checked, names each
+that fails with the checker's reason, and exits 1 if any fails.
 """
 
 from __future__ import annotations
@@ -58,11 +68,10 @@ import re  # noqa: E402
 import shutil  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-
-from nashinduce import cli  # noqa: E402
-from nashinduce.problems import BUNDLED  # noqa: E402
 
 ROUNDS = 3
 # The calls every problem file gets, by label: their arguments before the file.
@@ -77,6 +86,8 @@ def record(argv: list) -> str:
     """One in-process call as text: its exit code, the digest of its stdout
     with timings_ms masked, its stderr, and its JSON report without
     timings_ms (or its raw stdout when that is no JSON)."""
+    from nashinduce import cli
+
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -97,6 +108,7 @@ def write_corpus(problems: Path) -> tuple:
     (problem, reference costs) pairs of the nearest calls, as paths relative
     to `problems`."""
     import workloads
+    from nashinduce.problems import BUNDLED
 
     files, nearest = set(), set()
     for name, setup in workloads.WORKLOADS.items():
@@ -212,13 +224,73 @@ def compare(parent: Path, change: Path) -> int:
     return 1 if problems else 0
 
 
+def _array(M) -> np.ndarray:
+    return np.asarray(M, dtype=float)
+
+
+def _claimed_costs(label: str, code: str, report, players: list):
+    """The costs a recorded call answers with, as (Q, R) per player with
+    R[i][j] for every j, or None when it claims none (see audit)."""
+    if not isinstance(report, dict):
+        return None
+    m = [_array(p["B"]).shape[1] for p in players]
+
+    def own(i, Rii):
+        return [_array(Rii) if j == i else np.zeros((mj, mj))
+                for j, mj in enumerate(m)]
+
+    if label in ("solve", "solve-q-only") and report.get("status") == "solved":
+        return ([p["Q"] for p in report["players"]],
+                [own(i, p["R"]) for i, p in enumerate(report["players"])])
+    if label == "check" and report.get("verdict_oracle") == "inducible":
+        return ([p["kalman"]["Q"] for p in report["players"]],
+                [own(i, p["kalman"]["R"]) for i, p in enumerate(report["players"])])
+    if label == "nearest" and report.get("status") == "feasible":
+        return [p["Q"] for p in report["players"]], [p["R_row"] for p in report["players"]]
+    if label == "verify" and code == "exit: 0":
+        return [p["Q"] for p in players], [p["R_row"] for p in players]
+    return None
+
+
+def audit(root: Path) -> int:
+    """Re-check every recorded answer that carries costs (see the module
+    docstring) with checker.is_nash alone."""
+    import checker
+
+    counts, failures = {}, []
+    for path in sorted(p for p in (root / "calls").rglob("*") if p.is_file()):
+        name = str(path.relative_to(root / "calls"))
+        problem, label = name.rsplit(".", 1)
+        code, _, _, report = _parse(path.read_text(encoding="utf-8"))
+        game = json.loads((root / "problems" / problem).read_text(encoding="utf-8"))
+        costs = _claimed_costs(label, code, report, game["players"])
+        if costs is None:
+            continue
+        counts[label] = counts.get(label, 0) + 1
+        verdict = checker.is_nash(_array(game["A"]), [_array(p["B"]) for p in game["players"]],
+                                  [_array(p["K_dagger"]) for p in game["players"]],
+                                  [_array(Q) for Q in costs[0]],
+                                  [[_array(Rij) for Rij in row] for row in costs[1]])
+        if not verdict.ok:
+            failures.append(f"{name}: {verdict.reason}")
+    for label, count in sorted(counts.items()):
+        print(f"{label}: {count} answers with costs checked")
+    for failure in failures:
+        print(f"NOT NASH {failure}")
+    print(f"{len(failures)} answers with costs that do not check", file=sys.stderr)
+    return 1 if failures else 0
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) == 3 and args[0] == "compare":
         return compare(Path(args[1]).resolve(), Path(args[2]).resolve())
+    if len(args) == 2 and args[0] == "audit":
+        return audit(Path(args[1]).resolve())
     if len(args) != 1:
         print("usage: python3 tools/cli_corpus.py OUTDIR\n"
-              "       python3 tools/cli_corpus.py compare PARENT CHANGE", file=sys.stderr)
+              "       python3 tools/cli_corpus.py compare PARENT CHANGE\n"
+              "       python3 tools/cli_corpus.py audit OUTDIR", file=sys.stderr)
         return 2
     out = Path(args[0]).resolve()
     if out.exists():
