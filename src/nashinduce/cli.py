@@ -11,8 +11,8 @@ frequency domain first, reporting a frequency stage's numerical failure as
 frequency_error {player, stage, reason} and exiting 3 only when neither
 method is determinate.  solve takes every player's costs from the Kalman
 equation in closed form (inverse.kalman_riccati) when it answers for all of
-them and they pass the final Nash check; else it answers from the search for
-every player.  solve exits 3 on any numerical failure.
+them, else from the search for every player, and runs its final Nash check
+once, on those costs.  solve exits 3 on any numerical failure.
 """
 
 from __future__ import annotations
@@ -269,18 +269,19 @@ def _decide(system, profile, players, mode, closed_form):
     """Both methods on the listed players, frequency domain first: per player
     its PlayerAnalysis or the StageError its frequency stages raised, the
     oracle's FeasibilityResult in `mode` (None for mode None), (verdict_frequency,
-    verdict_oracle) and each method's seconds.  A player that a method
-    certifies (a failed circle or rank test; a search certified infeasible)
-    makes the game not_inducible for it; else a failed stage makes the first
-    "error", a search stopped undecided the second "indeterminate".  The
-    oracle's StageError propagates, so its message wins when both fail.
+    verdict_oracle), each method's seconds, and why the closed form declined.
+    A player that a method certifies (a failed circle or rank test; a search
+    certified infeasible) makes the game not_inducible for it; else a failed
+    stage makes the first "error", a search stopped undecided the second
+    "indeterminate".  The oracle's StageError propagates, so its message
+    wins when both fail.
 
     With closed_form (solve), once every frequency verdict is inducible,
     inverse.kalman_riccati is tried for every player; if it answers for all,
     their costs are the oracle's answer (method "riccati", R_ii = I, 0
-    iterations, gap 0; the residual is read later off verify_nash's P) and
-    no search runs.  If it declines any player, the oracle searches every
-    player, as without closed_form."""
+    iterations, gap 0) and no search runs.  If it declines any player, the
+    oracle searches every player, as without closed_form, and the last value
+    lists each player's reason (None where it answered); else it is None."""
     t0 = time.perf_counter()
     analyses = []
     for i in players:
@@ -290,12 +291,13 @@ def _decide(system, profile, players, mode, closed_form):
             analyses.append(exc)
     t_freq = time.perf_counter() - t0
     t0 = time.perf_counter()
-    oracle = None
+    oracle = declined = None
     if closed_form and all(not isinstance(pa, StageError) and pa.inducible for pa in analyses):
         A_cl = closed_loop(system, profile.K)
         closed = [kalman_riccati(A_cl, system.B[i], profile.K[i]) for i in players]
-        if all(costs.declined is None for costs in closed):
-            oracle = FeasibilityResult("feasible", tuple(
+        declined = [costs.declined for costs in closed]
+        if not any(declined):
+            declined, oracle = None, FeasibilityResult("feasible", tuple(
                 KalmanSolution(Q=costs.Q, R=np.eye(system.m[i]), residual=math.nan,
                                kernel_dim=None, status="solved", method="riccati")
                 for i, costs in zip(players, closed)))
@@ -306,7 +308,7 @@ def _decide(system, profile, players, mode, closed_form):
     verdicts = ("not_inducible" if not all(passed) else
                 "error" if len(passed) < len(analyses) else "inducible",
                 "skipped" if oracle is None else _ORACLE_VERDICT[oracle.status])
-    return analyses, oracle, verdicts, seconds
+    return analyses, oracle, verdicts, seconds, declined
 
 
 def _write_report(report, args):
@@ -373,7 +375,7 @@ def cmd_check(args) -> int:
         indices = _listed_players(system, None if args.player is None else [args.player])
     except DimensionError as exc:
         raise InputError(f"--player {args.player}: out of range") from exc
-    analyses, oracle, (verdict_freq, verdict_oracle), (t_freq, t_oracle) = _decide(
+    analyses, oracle, (verdict_freq, verdict_oracle), (t_freq, t_oracle), _ = _decide(
         system, profile, indices, None if args.no_oracle else "general", closed_form=False)
     error = next((pa for pa in analyses if isinstance(pa, StageError)), None)
     freq_error = None if error is None else {"player": error.player, "stage": error.stage,
@@ -433,21 +435,15 @@ def cmd_solve(args) -> int:
         _write_report(report, args)
         return 0 if res.status == "feasible" else 1
 
-    # The closed form's costs are kept only where they pass the final Nash
-    # check; else the search answers for every player.
-    for closed_form in (True, False):
-        analyses, oracle, verdicts, _ = _decide(system, profile, range(system.num_players),
-                                                args.mode, closed_form)
-        for pa in analyses:
-            if isinstance(pa, StageError):
-                raise pa
-        kalmans = oracle.solutions
-        if verdicts != ("inducible", "inducible"):
-            break
-        costs = CostParameters.diagonal_R([k.Q for k in kalmans], [k.R for k in kalmans])
-        ok, cert = verify_nash(system, profile, costs, tol=tol)
-        if ok or kalmans[0].method == "search":
-            break
+    analyses, oracle, verdicts, _, declined = _decide(
+        system, profile, range(system.num_players), args.mode, closed_form=True)
+    for pa in analyses:
+        if isinstance(pa, StageError):
+            raise pa
+    kalmans = oracle.solutions
+    diagnostics = _diagnostics(kalmans, analyses)
+    if declined:
+        diagnostics["kalman_declined"] = declined
     if verdicts != ("inducible", "inducible"):
         # The first player a method certifies, else the first whose search stopped undecided.
         failed = min((pa.inducible and k.status == "indeterminate", i)
@@ -463,12 +459,13 @@ def cmd_solve(args) -> int:
             "rank_ok": bool(pa.rank_ok),
             "kalman_status": kalmans[failed].status,
             "players": [_player_report(p.index, p, k) for p, k in zip(analyses, kalmans)],
-            "diagnostics": _diagnostics(kalmans, analyses),
+            "diagnostics": diagnostics,
         }
         _write_report(report, args)
         return 1
 
-    diagnostics = _diagnostics(kalmans, analyses)
+    costs = CostParameters.diagonal_R([k.Q for k in kalmans], [k.R for k in kalmans])
+    ok, cert = verify_nash(system, profile, costs, tol=tol)
     if ok:
         diagnostics["kalman_method"] = [k.method for k in kalmans]
     report = {
@@ -478,10 +475,11 @@ def cmd_solve(args) -> int:
              "Q": costs.Q[i],
              "R": costs.R[i][i],
              "P": cert.P[i],
-             "kalman_residual": _kalman_residual(k, cert.stationarity_residuals[i]),
+             "kalman_residual": float(cert.stationarity_residuals[i]) / max(
+                 1.0, math.hypot(_norm(costs.Q[i]), _norm(costs.R[i][i]))),
              "are_residual": float(cert.are_residuals[i]),
              "stationarity_residual": float(cert.stationarity_residuals[i])}
-            for i, k in enumerate(kalmans)
+            for i in range(system.num_players)
         ],
         "verify_ok": bool(ok),
         "diagnostics": {**diagnostics, "scale": cert.scale,
@@ -489,16 +487,6 @@ def cmd_solve(args) -> int:
     }
     _write_report(report, args)
     return 0 if ok else 1
-
-
-def _kalman_residual(kalman, stationarity) -> float:
-    """A player's kalman_residual: the search's |M theta| / max(1, |theta|),
-    or, for a closed-form player, the same quantity |K_i - B_i'P_i| /
-    max(1, |(Q_i, I)|) with P_i verify_nash's Lyapunov solution, whose
-    stationarity residual is its numerator."""
-    if kalman.method == "search":
-        return float(kalman.residual)
-    return float(stationarity) / max(1.0, math.hypot(_norm(kalman.Q), _norm(kalman.R)))
 
 
 def cmd_verify(args) -> int:
@@ -576,9 +564,10 @@ def build_parser() -> argparse.ArgumentParser:
         "solve", help="recover Nash-inducing cost matrices",
         description="Take each player's costs from the Kalman equation in closed form "
                     "(one Riccati equation, R_ii = I) where the frequency tests pass and it "
-                    "applies to every player, then check them for Nash; where it does not "
-                    "apply to every player or the check fails, search every player's costs "
-                    "instead. diagnostics.kalman_method names each player's method. Exit 0 with status \"solved\", else 1: \"verification_failed\", "
+                    "applies to every player; where it declines any player, search every "
+                    "player's costs instead (diagnostics.kalman_declined says why). Then check "
+                    "the costs for Nash, once. diagnostics.kalman_method names each player's "
+                    "method. Exit 0 with status \"solved\", else 1: \"verification_failed\", "
                     "\"infeasible\" where check finds a method not_inducible, or "
                     "\"indeterminate\" where a search stopped without a verdict (at "
                     "failing_player).")
@@ -586,8 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(ps)
     tol_option(ps, " (--nearest runs no final Nash check and ignores it)")
     ps.add_argument("--mode", choices=("q-only", "general"), default="general",
-                    help="how the costs are searched where the closed form is not kept: "
-                         "q-only pins "
+                    help="how the costs are searched where the closed form declines a "
+                         "player: q-only pins "
                          "R_ii to I and searches Q_i; general searches Q_i and R_ii together "
                          "(the closed form's R_ii is I in both). --nearest always searches R "
                          "freely, so --nearest with --mode q-only is an input error")

@@ -19,10 +19,10 @@ runs it for every listed player of a game on maps from one adjoint stack),
 projects reference costs onto the feasible set (Douglas-Rachford
 splitting), and folds/unfolds cross-control penalties.  Both loops run through the
 Anderson-mixed fixed-point driver numerics._anderson and accept by one rule,
-numerics.cone_verdict; neither runs where pinned_fails, their one certificate,
-finds the block B_i' Q_i B_i that K_i pins (pinned_block) outside the cones.
-inverse.kalman_riccati reads the same block for its closed form, which solve
-takes before any search: solve searches every player when it declines
+numerics.cone_verdict; neither runs where the block B_i' Q_i B_i that K_i
+pins (pinned_block) "fails" by pinned_verdict, their one certificate and the
+one judge of that block: inverse.kalman_riccati answers only where it is
+"definite".  solve searches every player where the closed form declines
 any, and check searches every listed player.  The Kronecker identities
 (build_vectorized_system, _player_nullspace) remain as references.
 """
@@ -170,19 +170,22 @@ def pinned_block(A_cl, B, K):
     """(G, scale): the block B_i' Q_i B_i that B_i' P_i = K_i pins (R_ii = I),
     G = -(M + M') - L'L with M = K_i A_cl B_i and L = K_i B_i, on the scale
     max(1, |M + M'|, |L|^2) of its terms.  A positive scalar R_ii multiplies
-    it, and cross penalties only lower it.  Both cone searches read their
-    certificate off it (pinned_fails), and inverse.kalman_riccati its
-    closed form."""
+    it, and cross penalties only lower it.  pinned_verdict judges it."""
     M, L = K @ A_cl @ B, K @ B
     scale = max(1.0, float(np.linalg.norm(M + M.T)), float(np.linalg.norm(L)) ** 2)
     return -(M + M.T) - L.T @ L, scale
 
 
-def pinned_fails(G, scale) -> bool:
-    """Whether a pinned block (pinned_block) puts Q_i >= 0 out of reach where
-    R_ii is I or a positive scalar: its least eigenvalue lies below
-    -POINT_SLACK scale."""
-    return float(np.linalg.eigvalsh(G).min()) < -POINT_SLACK * scale
+def pinned_verdict(G, scale) -> str:
+    """The one judge of a pinned block (pinned_block), by its least eigenvalue
+    against POINT_SLACK scale: "fails" below -POINT_SLACK scale, which puts
+    Q_i >= 0 out of reach where R_ii is I or a positive scalar (the
+    certificate of both cone searches); "definite" above +POINT_SLACK scale,
+    where inverse.kalman_riccati answers; else "boundary"."""
+    least = float(np.linalg.eigvalsh(G).min())
+    if least < -POINT_SLACK * scale:
+        return "fails"
+    return "definite" if least > POINT_SLACK * scale else "boundary"
 
 
 @dataclass(frozen=True)
@@ -213,7 +216,7 @@ def player_feasibility(system: GameSystem, profile: StrategyProfile, i: int, mod
 
     "infeasible" is certified by the identities alone: every solution has
     trace(R_ii) = 0, or the slice fixes R_ii (q-only, or m_i = 1) and its
-    pinned block fails (pinned_fails: no loop runs, and the slice point is
+    pinned block fails (pinned_verdict: no loop runs, and the slice point is
     reported with 0 iterations and gap 0), or the slice is a single point
     outside the cones.  With R_ii pinned, a slice no solution reaches is
     "no_solution".  Otherwise cone_verdict decides: a capped loop, or a
@@ -242,8 +245,8 @@ def player_feasibility(system: GameSystem, profile: StrategyProfile, i: int, mod
                               residual=miss, kernel_dim=kernel_dim,
                               status="no_solution" if q_only else "infeasible")
     layout = [(n, 0.0), (m, R_FLOOR)]
-    fails = (q_only or m == 1) and pinned_fails(*pinned_block(  # the slice fixes R_ii
-        closed_loop(system, profile.K), system.B[i], profile.K[i]))
+    fails = (q_only or m == 1) and pinned_verdict(*pinned_block(  # the slice fixes R_ii
+        closed_loop(system, profile.K), system.B[i], profile.K[i])) == "fails"
     theta, reason, its, gap = (x_p, "point", 0, 0.0) if fails else project_affine_cone(x_p, Va, layout)
     if q_only:  # the pinned entries exactly, not to round-off
         theta = np.concatenate([theta[:nq], eye])
@@ -309,7 +312,7 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
     the answer's Qh_i maps back as Q_i = U Qh_i U' (the distance is the
     same in either).  V, an orthonormal basis of the map's constraint
     rows, projects onto the kernel as x - V(V'x).  A player with m_i = 1
-    whose pinned block fails (pinned_fails, the oracle's certificate) is
+    whose pinned block fails (pinned_verdict, the oracle's certificate) is
     certified infeasible with no loop (0 iterations, gap 0).  Every other
     runs Douglas-Rachford splitting (step 1) from v = x0 - V(V'x0): u = (v +
     x0) / 2, x = u - V(V'u), y = P_cone(2x - v) and v <- v + y - x, mixed by
@@ -326,7 +329,8 @@ def nearest_params(costs0: CostParameters, system: GameSystem,
     maps, U = stationarity_maps(system, profile)
     A_cl = closed_loop(system, profile.K)
     for i, M in enumerate(maps):
-        if system.m[i] == 1 and pinned_fails(*pinned_block(A_cl, system.B[i], profile.K[i])):
+        if system.m[i] == 1 and pinned_verdict(*pinned_block(A_cl, system.B[i],
+                                                            profile.K[i])) == "fails":
             return NearestResult("infeasible_certified_by_identity", None, float("inf"),
                                  iterations + (0,), gaps + (0.0,))
         V = row_basis(M)  # the feasible identity directions are span(V)'s complement

@@ -18,8 +18,8 @@ P's B_i columns by K_i and takes the rest from one Riccati equation of size
 n - m_i (R_ii = I), or names the condition that rules it out.  Where it
 declines any player, the time-domain search
 feasibility.solve_feasibility_projection recovers the costs;
-solve_kalman_general and solve_kalman_Q run it for one player.  The polynomial route at the end of the module is reference code
-only.
+solve_kalman_general and solve_kalman_Q run it for one player.  The
+polynomial route at the end of the module is reference code only.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polymat
-from .feasibility import KalmanSolution, _stationarity_map, pinned_block, player_feasibility
+from .feasibility import (KalmanSolution, _stationarity_map, pinned_block, pinned_verdict,
+                          player_feasibility)
 from .numerics import (
-    POINT_SLACK,
     RANK_TOL,
     NumericalFailureError,
     _rank,
@@ -233,11 +233,11 @@ def kalman_riccati(A_cl, B, K) -> RiccatiCosts:
 
     Declines, naming the first condition that fails: "asymmetric" when K B
     is not symmetric within symmetrize's PSD_TOL; "pinned_block" when the
-    pinned block's least eigenvalue is not above POINT_SLACK times its
-    scale; "riccati" when the Hamiltonian has not n - m eigenvalues off the
-    closed right half-plane (_unstable: one on the imaginary axis), its
-    Schur form cannot be ordered, or U_1 is singular under the rank rule
-    (_rank, RANK_TOL)."""
+    pinned block is not "definite" (feasibility.pinned_verdict); "riccati"
+    when the Hamiltonian has not n - m eigenvalues off the closed right
+    half-plane (_unstable: one on the imaginary axis), its Schur form
+    cannot be ordered, or U_1 is singular under the rank rule (_rank,
+    RANK_TOL)."""
     n, m = B.shape
     k = n - m
     try:
@@ -245,7 +245,7 @@ def kalman_riccati(A_cl, B, K) -> RiccatiCosts:
     except ValueError:
         return RiccatiCosts(None, None, "asymmetric")
     G, scale = pinned_block(A_cl, B, K)
-    if not float(np.linalg.eigvalsh(G).min()) > POINT_SLACK * scale:
+    if pinned_verdict(G, scale) != "definite":
         return RiccatiCosts(None, None, "pinned_block")
     W, R_b = np.linalg.qr(B, mode="complete")
     R_inv = np.linalg.inv(R_b[:m])  # m x m upper triangular, as its inverse

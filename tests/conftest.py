@@ -18,7 +18,7 @@ from nashinduce import (
     solve_coupled_are,
 )
 from nashinduce.feasibility import (_kalman_map, _player_nullspace, _stationarity_map,
-                                     pinned_block, pinned_fails)
+                                     pinned_block, pinned_verdict)
 from nashinduce.forward import KLEINMAN_MAX_ITER, KLEINMAN_TOL
 from nashinduce.numerics import (
     HURWITZ_MARGIN,
@@ -98,8 +98,10 @@ def original_stationarity_map(system, profile, i):
 
 
 def player_pinned_fails(system, profile, i) -> bool:
-    """feasibility.pinned_fails on player i's pinned block (pinned_block)."""
-    return pinned_fails(*pinned_block(closed_loop(system, profile.K), system.B[i], profile.K[i]))
+    """Whether player i's pinned block (pinned_block) "fails" by
+    feasibility.pinned_verdict."""
+    return pinned_verdict(*pinned_block(closed_loop(system, profile.K), system.B[i],
+                                        profile.K[i])) == "fails"
 
 
 # Per-block references of the fused cone kernel in numerics: one sym_unpack,

@@ -606,9 +606,10 @@ def test_verify_report_diagnostics_hold_the_bounds_of_the_check(capsys):
 def test_solve_report_diagnostics_hold_the_bounds_of_the_check(tmp_path, monkeypatch, capsys):
     # After the loop diagnostics (and, on "solved", each player's method),
     # solve lists the bounds its final Nash check held the costs to, on
-    # "solved" and on "verification_failed" (here forced by the spy, on the
-    # closed form's costs and then on those the search finds for every
-    # player); an "infeasible" answer runs no final check and lists none.
+    # "solved" and on "verification_failed" (here forced by the spy, which
+    # fails the second check: the closed form's costs are still the answer,
+    # checked once); an "infeasible" answer runs no final check and lists
+    # none.
     loops = ["kalman_iterations", "kalman_gaps", "circle_probes"]
     certs, real = [], cli.verify_nash
 
@@ -619,9 +620,11 @@ def test_solve_report_diagnostics_hold_the_bounds_of_the_check(tmp_path, monkeyp
 
     monkeypatch.setattr(cli, "verify_nash", spy)
     path = str(DATA / "closed_form_n8_N3_m1.json")
+    reports = []
     for code, status in ((0, "solved"), (1, "verification_failed")):
         got, out, _ = run_cli(capsys, "solve", path, "--tol", "1e-6")
         report = json.loads(out)
+        reports.append(report)
         assert (got, report["status"]) == (code, status)
         cert = certs[-1]
         method = ["kalman_method"] if code == 0 else []
@@ -630,9 +633,12 @@ def test_solve_report_diagnostics_hold_the_bounds_of_the_check(tmp_path, monkeyp
         assert report["diagnostics"]["scale"] == cert.scale > 1.0
         assert report["diagnostics"]["residual_bound"] == cert.residual_bound == 1e-6 * cert.scale
         assert report["diagnostics"]["psd_tol"] == 1e-6
+    assert [[p["Q"], p["R"]] for p in reports[1]["players"]] == [
+        [p["Q"], p["R"]] for p in reports[0]["players"]]
+    assert reports[0]["diagnostics"]["kalman_method"] == ["riccati"] * 3
     code, out, _ = run_cli(capsys, "solve", write_example(tmp_path, "scalar_infeasible"))
     assert (code, list(json.loads(out)["diagnostics"])) == (1, loops)
-    assert len(certs) == 3
+    assert len(certs) == 2
 
 
 def test_verify_non_psd_q_is_input_error(tmp_path, capsys):
@@ -983,7 +989,13 @@ def test_cli_corpus_audit_checks_every_answer_with_costs(tmp_path, monkeypatch, 
     # audit re-checks with perfbench/checker.is_nash each recorded answer
     # that carries costs (solve "solved", check's oracle "inducible", nearest
     # "feasible", verify exit 0), skips the others, and fails on costs that
-    # are not Nash; it runs without importing the package.
+    # are not Nash.  It re-checks each failed circle probe from the problem
+    # file, I - S*S negative at the witness, and fails on a witness where it
+    # is not: on "band" (A_cl = diag(-1, -10), B = [1; 1], K = [-3, 1]) the
+    # gap is -14.21 at w = 0, where |S| = 3.9, and +9.8e-4 at w = 100.  It
+    # counts the determinate verdicts with no certificate it checks, and
+    # fails on a count above its ceiling.  It runs without importing the
+    # package.
     monkeypatch.setattr(sys, "path", [str(TOOLS)] + sys.path)
     import cli_corpus
 
@@ -991,6 +1003,8 @@ def test_cli_corpus_audit_checks_every_answer_with_costs(tmp_path, monkeypatch, 
     (root / "problems").mkdir(parents=True)
     for name in ("two_player_scalar", "scalar_infeasible"):
         (root / "problems" / f"{name}.json").write_text(BUNDLED[name])
+    write_problem(root / "problems" / "band.json", np.array([[-4.0, 1.0], [-3.0, -9.0]]),
+                  [np.ones((2, 1))], [np.array([[-3.0, 1.0]])])
     costs0 = root / "problems" / "costs0.json"
     costs0.write_text(json.dumps({"Q": [[[1.0]], [[1.0]]],
                                   "R": [[[[1.0]], [[0.0]]], [[[0.0]], [[1.0]]]]}))
@@ -1000,19 +1014,38 @@ def test_cli_corpus_audit_checks_every_answer_with_costs(tmp_path, monkeypatch, 
                                         ("solve-q-only", ["solve", "--mode", "q-only"], []),
                                         ("verify", ["verify"], []),
                                         ("nearest", ["solve"], ["--nearest", str(costs0)]))}
+    calls["band.json.check-no-oracle"] = ["check", "--no-oracle",
+                                          str(root / "problems" / "band.json")]
     (root / "calls").mkdir()
     for name, argv in calls.items():
         (root / "calls" / name).write_text(cli_corpus.record(argv))
+    counts = {"check frequency inducible": 1, "check oracle not_inducible": 1}
+    monkeypatch.setattr(cli_corpus, "UNCERTIFIED_CEILING", counts)
     assert cli_corpus.audit(root) == 0
     out, err = capsys.readouterr()
     assert out.splitlines() == [f"{label}: 1 answers with costs checked"
-                                for label in ("check", "nearest", "solve", "solve-q-only", "verify")]
-    assert err == "0 answers with costs that do not check\n"
+                                for label in ("check", "nearest", "solve", "solve-q-only", "verify")
+                                ] + [
+        "failed circle probes: 4 checked, 4 with an eigenvalue of S(jw) beyond the unit circle",
+        "determinate verdicts with no certificate (ceiling):",
+        "  check frequency inducible: 1 (1)", "  check oracle not_inducible: 1 (1)"]
+    assert err == "0 certificates that do not check, 0 counts above their ceiling\n"
+    monkeypatch.setattr(cli_corpus, "UNCERTIFIED_CEILING",
+                        {**counts, "check oracle not_inducible": 0})
+    assert cli_corpus.audit(root) == 1
+    assert "ABOVE CEILING check oracle not_inducible: 1 > 0" in capsys.readouterr().out
     solved = root / "calls" / "two_player_scalar.json.solve"
     head, _, shown = solved.read_text().partition("report:\n")
     report = json.loads(shown)
     report["players"][0]["Q"] = [[4.0]]
     solved.write_text(f"{head}report:\n{json.dumps(report, indent=1)}\n")
+    band = root / "calls" / "band.json.check-no-oracle"
+    head, _, shown = band.read_text().partition("report:\n")
+    report = json.loads(shown)
+    assert (report["players"][0]["circle_ok"], report["players"][0]["circle_witness"]) == (
+        False, 0.0)
+    report["players"][0]["circle_witness"] = 100.0
+    band.write_text(f"{head}report:\n{json.dumps(report, indent=1)}\n")
     script = ("import runpy, sys\n"
               "sys.argv = sys.argv[1:]\n"
               "try:\n"
@@ -1022,7 +1055,11 @@ def test_cli_corpus_audit_checks_every_answer_with_costs(tmp_path, monkeypatch, 
     result = subprocess.run([sys.executable, "-c", script, str(TOOLS / "cli_corpus.py"), "audit",
                              str(root)], capture_output=True, text=True, check=True)
     assert "NOT NASH two_player_scalar.json.solve: stationarity of player 0" in result.stdout
+    assert re.search(r"^NOT A CIRCLE FAILURE band\.json\.check-no-oracle: player 0 at "
+                     r"w = 100\.0: lambda_min 0\.0009", result.stdout, re.M)
+    assert "failed circle probes: 4 checked, 3 with" in result.stdout
     assert result.stdout.splitlines()[-1] == "exit 1 False"
+    assert result.stderr.startswith("2 certificates that do not check")
 
 
 def test_cli_corpus_compare_allows_float_moves_only(tmp_path, monkeypatch, capsys):
@@ -1494,9 +1531,12 @@ def test_each_command_runs_one_stack_and_one_search_per_listed_player(monkeypatc
 def test_solve_searches_every_player_where_the_closed_form_declines_one(
         tmp_path, monkeypatch, capsys):
     # With the closed form declining player 1 of two_player_scalar, solve
-    # stacks and searches both players, and the costs verify.  Without it
-    # declining, both keep the closed form (R = I, 0 iterations, gap 0, and
-    # as kalman_residual the stationarity residual over max(1, |(Q, I)|)).
+    # stacks and searches both players, the costs verify, and
+    # diagnostics.kalman_declined names the reason of each player (None for
+    # player 0).  Without it declining, both keep the closed form (R = I, 0
+    # iterations, gap 0) and the report has no kalman_declined.  Either way
+    # each kalman_residual is the stationarity residual over
+    # max(1, |(Q_i, R_ii)|).
     stacks, searches = [], []
     stationarity_maps = feasibility.stationarity_maps
     player_feasibility = feasibility.player_feasibility
@@ -1528,10 +1568,53 @@ def test_solve_searches_every_player_where_the_closed_form_declines_one(
         [[0, 1]], [0, 1], ["search", "search"])
     assert (closed["diagnostics"]["kalman_iterations"], closed["diagnostics"]["kalman_gaps"]) == (
         [0, 0], [0.0, 0.0])
-    for player in closed["players"]:
-        assert player["R"] == [[1.0]]
+    assert "kalman_declined" not in closed["diagnostics"]
+    assert searched["diagnostics"]["kalman_declined"] == [None, "riccati"]
+    assert [player["R"] for player in closed["players"]] == [[[1.0]], [[1.0]]]
+    for player in closed["players"] + searched["players"]:
         assert player["kalman_residual"] == player["stationarity_residual"] / max(
-            1.0, math.hypot(np.linalg.norm(player["Q"]), 1.0))
+            1.0, math.hypot(np.linalg.norm(player["Q"]), np.linalg.norm(player["R"])))
+
+
+def test_solve_names_why_the_closed_form_declined(tmp_path, capsys):
+    # B = K = I and A_cl = [[-1, 1], [-1, -0.5]]: Q = -(A_cl'P + P A_cl) - K'K
+    # with P = I is diag(1, 0), so the game is Nash, and it is the pinned
+    # block itself, exactly on the boundary.  The closed form declines it
+    # ("pinned_block"), and the search, in both modes, answers with costs
+    # that verify.
+    path = write_problem(tmp_path / "singular_q.json", np.array([[0.0, 1.0], [-1.0, 0.5]]),
+                         [np.eye(2)], [np.eye(2)])
+    system, profile, _, _ = load_problem(path)
+    for mode in ("general", "q-only"):
+        code, out, err = run_cli(capsys, "solve", path, "--mode", mode)
+        report = json.loads(out)
+        assert (code, err, report["status"]) == (0, "", "solved"), mode
+        assert report["diagnostics"]["kalman_declined"] == ["pinned_block"]
+        assert report["diagnostics"]["kalman_method"] == ["search"]
+        player = report["players"][0]
+        costs = CostParameters.diagonal_R([np.array(player["Q"])], [np.array(player["R"])])
+        assert verify_nash(system, profile, costs)[0]
+
+
+def test_solve_runs_the_frequency_stage_and_the_nash_check_once(monkeypatch, capsys):
+    # Where the final Nash check fails (forced here), the closed form's costs
+    # are the answer, "verification_failed": solve analyzes each player once,
+    # checks once and runs no search.
+    analyzed, checks, searches = [], [], []
+    analyze_player, verify = cli.analyze_player, cli.verify_nash
+    player_feasibility = feasibility.player_feasibility
+    monkeypatch.setattr(cli, "analyze_player",
+                        lambda s, p, i: analyzed.append(i) or analyze_player(s, p, i))
+    monkeypatch.setattr(cli, "verify_nash",
+                        lambda *a, **k: checks.append(1) or (False, verify(*a, **k)[1]))
+    monkeypatch.setattr(feasibility, "player_feasibility",
+                        lambda s, p, i, *a: searches.append(i) or player_feasibility(s, p, i, *a))
+    code, out, err = run_cli(capsys, "solve", str(DATA / "ladder_r0_n8_N3_m2.json"))
+    report = json.loads(out)
+    assert (code, err, report["status"], report["verify_ok"]) == (
+        1, "", "verification_failed", False)
+    assert (analyzed, len(checks), searches) == ([0, 1, 2], 1, [])
+    assert [player["R"] for player in report["players"]] == [np.eye(2).tolist()] * 3
 
 
 @pytest.mark.parametrize("name", ["remark2", "scalar_infeasible", "boundary_and_scalar",
@@ -1545,7 +1628,8 @@ def test_solve_answers_as_the_search_alone_unless_every_player_is_solved(
     # and where the closed form declines one player only and the search
     # stops undecided on that one (two_player_scalar, player 1 declined and
     # its search stubbed to stop undecided): there the search runs once for
-    # both players, as it does without the closed form.
+    # both players, as it does without the closed form, and the reports
+    # differ only in diagnostics.kalman_declined, which names who declined.
     if name == "boundary_and_scalar":
         path = boundary_and_scalar_infeasible(tmp_path)
     else:
@@ -1566,6 +1650,11 @@ def test_solve_answers_as_the_search_alone_unless_every_player_is_solved(
             calls = closed_form_declines(patch, {1} if name == "undecided_search" else set(), N)
             answer = run_cli(capsys, "solve", path, "--mode", mode)
         assert calls == ([0, 1] if name == "undecided_search" else []), mode
+        if name == "undecided_search":
+            declined = '"kalman_declined":[null,"riccati"]'
+            assert answer[1].count(declined) == 1
+            answer = (answer[0], answer[1].replace(
+                declined, '"kalman_declined":["riccati","riccati"]'), answer[2])
         with monkeypatch.context() as patch:
             closed_form_declines(patch, set(range(N)), N)
             assert run_cli(capsys, "solve", path, "--mode", mode) == answer, mode

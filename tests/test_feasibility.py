@@ -22,6 +22,8 @@ from nashinduce.feasibility import (
     _player_nullspace,
     _stationarity_map,
     build_vectorized_system,
+    pinned_block,
+    pinned_verdict,
     stationarity_maps,
 )
 from nashinduce.numerics import (
@@ -309,10 +311,11 @@ def test_pinned_block_matches_the_q_only_slice_and_spares_nash_players(nash_game
     # Guard against a false certificate, on every nash_games player, tests/data
     # fixture and bundled example: B_i' Q_i B_i at the q-only slice point
     # (R_ii = I) equals the closed form -(M + M') - L'L, M = K_i Acl B_i and
-    # L = K_i B_i, to 1e-9 relative to the scale of its terms; pinned_fails
-    # reads that block's least eigenvalue on that scale; no player of a Nash
-    # game fails it; and remark2's player 0, whose block reads exactly 0,
-    # stays on the search (check exits 4 there).
+    # L = K_i B_i, to 1e-9 relative to the scale of its terms; pinned_verdict
+    # judges that block's least eigenvalue against -+POINT_SLACK on that
+    # scale; no player of a Nash game fails it; and remark2's player 0, whose
+    # block reads exactly 0, is on the boundary and stays on the search
+    # (check exits 4 there).
     not_nash = {"allpass_n3_N1_m2", "infeasible_r1_n3_N3_m1", "scalar_infeasible"}
     failing = []
     for name, system, profile in oracle_games(nash_games, tmp_path):
@@ -330,11 +333,14 @@ def test_pinned_block_matches_the_q_only_slice_and_spares_nash_players(nash_game
             Q = sym_blocks(x_p, [(n, 0.0), (m, R_FLOOR)])[0]
             assert np.linalg.norm(Bi.T @ Q @ Bi - block) <= 1e-9 * scale, (name, i)
             least = float(np.linalg.eigvalsh(block).min())
-            assert player_pinned_fails(system, profile, i) == (least < -POINT_SLACK * scale), (name, i)
-            if player_pinned_fails(system, profile, i):
+            verdict = ("fails" if least < -POINT_SLACK * scale else
+                       "definite" if least > POINT_SLACK * scale else "boundary")
+            assert pinned_verdict(*pinned_block(Acl, Bi, Ki)) == verdict, (name, i)
+            assert player_pinned_fails(system, profile, i) == (verdict == "fails"), (name, i)
+            if verdict == "fails":
                 failing.append((name, i))
             if (name, i) == ("remark2", 0):
-                assert least == 0.0
+                assert (least, verdict) == (0.0, "boundary")
     assert failing and {name for name, _ in failing} <= not_nash, failing
 
 

@@ -27,7 +27,8 @@ _identity_columns); sym_pack and sym_unpack go through the first two.
 Certificate: one function of feasibility forms the pinned block B_i'Q_iB_i
 (the one Gram product L'L there), and both cone searches, the oracle's
 player_feasibility and nearest_params, call it; nearest_params cuts no slice
-of its own.
+of its own.  One function of feasibility, pinned_verdict, judges that block
+by its eigenvalues: no other function that forms or judges it takes any.
 
 One owner per check: LAPACK's gees is called by numerics._schur and its
 workspace query alone, so every Hurwitz test reads _schur's form; one
@@ -231,6 +232,19 @@ def test_both_cone_searches_share_one_pinned_block():
     assert len(blocks) == 1, f"more than one pinned block in feasibility: {sorted(blocks)}"
     assert callers("feasibility", *blocks) == {"player_feasibility", "nearest_params"}
     assert "nearest_params" not in callers("feasibility", "affine_slice")
+
+
+EIGEN_CALLS = ("eigvalsh", "eigvals", "eigh", "eig")
+
+
+def test_one_judge_of_the_pinned_block():
+    def reads_block(fn):
+        return calls_own(fn, "pinned_block") or calls_own(fn, "pinned_verdict")
+
+    judges = owners(lambda fn: reads_block(fn) and any(calls_own(fn, e) for e in EIGEN_CALLS))
+    assert judges == set(), f"eigenvalues of the pinned block outside pinned_verdict: {judges}"
+    assert owners(lambda fn: calls_own(fn, "pinned_verdict")) == {
+        "feasibility.player_feasibility", "feasibility.nearest_params", "inverse.kalman_riccati"}
 
 
 def test_stationarity_maps_are_packed_without_kronecker_products():
