@@ -6,18 +6,20 @@ example (write a bundled problem file).
 
 Exit codes: 0 inducible / verified, 1 not inducible / not verified,
 2 input error, 3 numerical failure, 4 the two methods disagree.  check and
-solve decide on one path, _decide; check by the first determinate verdict,
-frequency domain first, reporting a frequency stage's numerical failure as
-frequency_error {player, stage, reason} and exiting 3 only when neither
-method is determinate.  solve takes every player's costs from the Kalman
-equation in closed form (inverse.kalman_riccati) when it answers for all of
-them, else from the search for every player, and runs its final Nash check
-once, on those costs.  solve exits 3 on any numerical failure.
+solve decide on one path, _decide, whose oracle takes every player's costs
+from the Kalman equation in closed form (inverse.kalman_riccati) when it
+answers for all of them, else from the search for every listed player; each
+command checks the answer's costs for Nash once.  check decides by the first
+determinate verdict, frequency domain first, reporting a frequency stage's
+numerical failure as frequency_error {player, stage, reason} and exiting 3
+only when neither method is determinate.  solve exits 3 on any numerical
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import io
 import json
@@ -224,7 +226,7 @@ def _player_report(index, pa, kalman):
     kal = None if kalman is None else {
         "status": kalman.status,
         "residual": float(kalman.residual),
-        "kernel_dim": int(kalman.kernel_dim),
+        "kernel_dim": None if kalman.kernel_dim is None else int(kalman.kernel_dim),
         "psd_ok": bool(kalman.psd_ok),
         "Q": kalman.Q,
         "R": kalman.R,
@@ -250,14 +252,23 @@ def _player_report(index, pa, kalman):
     }
 
 
-def _diagnostics(kalmans, analyses):
-    """Loop iterations and gaps of the Kalman searches (None when none ran)
-    and the circle criterion's probe count per player (None for a player
-    whose frequency stages failed)."""
+def _diagnostics(kalmans, analyses, declined):
+    """Loop iterations and gaps of the Kalman searches (None when the oracle
+    did not run), the circle criterion's probe count per player (None for a
+    player whose frequency stages failed) and, where the closed form declined
+    some player, each player's reason (kalman_declined, absent otherwise)."""
     return {"kalman_iterations": [k.iterations for k in kalmans] if kalmans else None,
             "kalman_gaps": [k.gap for k in kalmans] if kalmans else None,
             "circle_probes": [None if isinstance(pa, StageError) else pa.probes
-                              for pa in analyses]}
+                              for pa in analyses],
+            **({"kalman_declined": declined} if declined else {})}
+
+
+def _kalman_residuals(costs, cert):
+    """Each player's stationarity residual of a Nash check over max(1,
+    |(Q_i, R_ii)|_F): the one residual rule of an answer checked for Nash."""
+    return [float(r) / max(1.0, math.hypot(_norm(costs.Q[i]), _norm(costs.R[i][i])))
+            for i, r in enumerate(cert.stationarity_residuals)]
 
 
 # The time-domain verdict of the oracle's status (solve_feasibility_projection).
@@ -265,7 +276,7 @@ _ORACLE_VERDICT = {"feasible": "inducible", "infeasible_certified_by_identity": 
                    "indeterminate": "indeterminate"}
 
 
-def _decide(system, profile, players, mode, closed_form):
+def _decide(system, profile, players, mode):
     """Both methods on the listed players, frequency domain first: per player
     its PlayerAnalysis or the StageError its frequency stages raised, the
     oracle's FeasibilityResult in `mode` (None for mode None), (verdict_frequency,
@@ -276,12 +287,14 @@ def _decide(system, profile, players, mode, closed_form):
     "indeterminate".  The oracle's StageError propagates, so its message
     wins when both fail.
 
-    With closed_form (solve), once every frequency verdict is inducible,
-    inverse.kalman_riccati is tried for every player; if it answers for all,
-    their costs are the oracle's answer (method "riccati", R_ii = I, 0
-    iterations, gap 0) and no search runs.  If it declines any player, the
-    oracle searches every player, as without closed_form, and the last value
-    lists each player's reason (None where it answered); else it is None."""
+    With the oracle on, every player listed and every frequency verdict
+    inducible, inverse.kalman_riccati is tried for every player; if it
+    answers for all, their costs are the oracle's answer (method "riccati",
+    R_ii = I, 0 iterations, gap 0, not yet checked for Nash: the caller
+    checks them) and no search runs.  If it declines any player, the oracle
+    searches every player, and the last value lists each player's reason
+    (None where it answered); else it is None.  Elsewhere the oracle is the
+    search of every listed player."""
     t0 = time.perf_counter()
     analyses = []
     for i in players:
@@ -292,7 +305,8 @@ def _decide(system, profile, players, mode, closed_form):
     t_freq = time.perf_counter() - t0
     t0 = time.perf_counter()
     oracle = declined = None
-    if closed_form and all(not isinstance(pa, StageError) and pa.inducible for pa in analyses):
+    if (mode is not None and len(players) == system.num_players
+            and all(not isinstance(pa, StageError) and pa.inducible for pa in analyses)):
         A_cl = closed_loop(system, profile.K)
         closed = [kalman_riccati(A_cl, system.B[i], profile.K[i]) for i in players]
         declined = [costs.declined for costs in closed]
@@ -370,13 +384,13 @@ def _final_tol(args, file_tol: float) -> float:
 
 
 def cmd_check(args) -> int:
-    system, profile, _, _ = load_problem(args.problem)
+    system, profile, _, tol = load_problem(args.problem)
     try:
         indices = _listed_players(system, None if args.player is None else [args.player])
     except DimensionError as exc:
         raise InputError(f"--player {args.player}: out of range") from exc
-    analyses, oracle, (verdict_freq, verdict_oracle), (t_freq, t_oracle), _ = _decide(
-        system, profile, indices, None if args.no_oracle else "general", closed_form=False)
+    analyses, oracle, (verdict_freq, verdict_oracle), (t_freq, t_oracle), declined = _decide(
+        system, profile, indices, None if args.no_oracle else "general")
     error = next((pa for pa in analyses if isinstance(pa, StageError)), None)
     freq_error = None if error is None else {"player": error.player, "stage": error.stage,
                                              "reason": error.reason}
@@ -384,6 +398,19 @@ def cmd_check(args) -> int:
                 ([f"frequency domain failed: {pa}"] if isinstance(pa, StageError)
                  else pa.warnings)]
     kalmans = [] if oracle is None else oracle.solutions
+    if kalmans and kalmans[0].method == "riccati":
+        # The closed form's costs are the oracle's answer once they pass the Nash check.
+        t0 = time.perf_counter()
+        costs = CostParameters.diagonal_R([k.Q for k in kalmans], [k.R for k in kalmans])
+        ok, cert = verify_nash(system, profile, costs, tol=tol)
+        kalmans = [dataclasses.replace(k, residual=r, status="solved" if ok else "indeterminate")
+                   for k, r in zip(kalmans, _kalman_residuals(costs, cert))]
+        t_oracle += time.perf_counter() - t0
+        if not ok:
+            verdict_oracle = "indeterminate"
+            warnings.append("closed-form costs failed the Nash check: largest residual "
+                            f"{max(cert.are_residuals + cert.stationarity_residuals):.3g}, "
+                            f"bound {cert.residual_bound:.3g}")
     if verdict_oracle == "indeterminate":
         warnings.append("time-domain oracle did not reach a determinate verdict")
 
@@ -400,8 +427,10 @@ def cmd_check(args) -> int:
         "warnings": warnings,
         "timings_ms": {"frequency": round(1000 * t_freq, 3),
                        "oracle": round(1000 * t_oracle, 3)},
-        "diagnostics": _diagnostics(kalmans, analyses),
+        "diagnostics": _diagnostics(kalmans, analyses, declined),
     }
+    if verdict_oracle == "inducible":
+        report["diagnostics"]["kalman_method"] = [k.method for k in kalmans]
     _write_report(report, args)
     if disagreement:
         return 4
@@ -436,14 +465,12 @@ def cmd_solve(args) -> int:
         return 0 if res.status == "feasible" else 1
 
     analyses, oracle, verdicts, _, declined = _decide(
-        system, profile, range(system.num_players), args.mode, closed_form=True)
+        system, profile, range(system.num_players), args.mode)
     for pa in analyses:
         if isinstance(pa, StageError):
             raise pa
     kalmans = oracle.solutions
-    diagnostics = _diagnostics(kalmans, analyses)
-    if declined:
-        diagnostics["kalman_declined"] = declined
+    diagnostics = _diagnostics(kalmans, analyses, declined)
     if verdicts != ("inducible", "inducible"):
         # The first player a method certifies, else the first whose search stopped undecided.
         failed = min((pa.inducible and k.status == "indeterminate", i)
@@ -475,11 +502,10 @@ def cmd_solve(args) -> int:
              "Q": costs.Q[i],
              "R": costs.R[i][i],
              "P": cert.P[i],
-             "kalman_residual": float(cert.stationarity_residuals[i]) / max(
-                 1.0, math.hypot(_norm(costs.Q[i]), _norm(costs.R[i][i]))),
+             "kalman_residual": residual,
              "are_residual": float(cert.are_residuals[i]),
              "stationarity_residual": float(cert.stationarity_residuals[i])}
-            for i in range(system.num_players)
+            for i, residual in enumerate(_kalman_residuals(costs, cert))
         ],
         "verify_ok": bool(ok),
         "diagnostics": {**diagnostics, "scale": cert.scale,
@@ -547,7 +573,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser(
         "check", help="inducibility verdict with cross-validation",
-        description="Frequency-domain verdict and time-domain oracle side by side. Exit 0 "
+        description="Frequency-domain verdict and time-domain oracle side by side. Where "
+                    "every player is listed and passes the frequency tests, the oracle takes "
+                    "the costs of the Kalman equation's closed form (R_ii = I), checked once "
+                    "for Nash at the problem file's tol (a failed check is indeterminate); "
+                    "where it declines a player (diagnostics.kalman_declined), or a test "
+                    "fails, or --player lists one player of several, the oracle searches "
+                    "every listed player's costs. diagnostics.kalman_method names each "
+                    "player's method. Exit 0 "
                     "inducible, 1 not inducible, 4 the methods disagree, 3 neither is "
                     "determinate. A player failing a test decides its method; else a "
                     "frequency stage that fails numerically makes verdict_frequency \"error\" "
@@ -555,10 +588,11 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("problem")
     common(pc)
     pc.add_argument("--no-oracle", action="store_true",
-                    help="skip the time-domain oracle, the Kalman-equation cone search: "
+                    help="skip the time-domain oracle (the closed form or the cone search): "
                          "each player's kalman and the kalman diagnostics are null")
     pc.add_argument("--player", type=int, default=None,
-                    help="restrict both methods, frequency domain and oracle, to one player")
+                    help="restrict both methods, frequency domain and oracle, to one player "
+                         "(on a game of several players the oracle then searches)")
 
     ps = sub.add_parser(
         "solve", help="recover Nash-inducing cost matrices",

@@ -46,10 +46,10 @@ def write_example(tmp_path, name):
 
 
 def closed_form_declines(monkeypatch, players, N):
-    """Make solve's inverse.kalman_riccati decline ("riccati") the listed
-    players of an N-player game, whose calls come in player order; declining
-    any, solve searches every player as it does without the closed form.
-    Returns the players it is called for, in order."""
+    """Make the inverse.kalman_riccati of check and solve decline
+    ("riccati") the listed players of an N-player game, whose calls come in
+    player order; declining any, the oracle searches every player as it does
+    without the closed form.  Returns the players it is called for, in order."""
     kalman_riccati, calls = cli.kalman_riccati, []
 
     def stub(A_cl, B, K):
@@ -193,11 +193,13 @@ def test_check_determinism(tmp_path, capsys):
     _, out2, _ = run_cli(capsys, "check", path)
     strip = lambda r: {k: v for k, v in json.loads(r).items() if k != "timings_ms"}
     assert strip(out1) == strip(out2)
-    # Floats print exactly: the Kalman costs parse back to the oracle's own.
+    # Floats print exactly: the Kalman costs parse back to the oracle's own,
+    # here the closed form's (R = I).
     system, profile, _, _ = load_problem(path)
-    (sol,) = solve_feasibility_projection(system, profile).solutions
+    costs = inverse.kalman_riccati(realization.closed_loop(system, profile.K), system.B[0],
+                                   profile.K[0])
     kalman = json.loads(out1)["players"][0]["kalman"]
-    assert (kalman["Q"], kalman["R"]) == (sol.Q.tolist(), sol.R.tolist())
+    assert (kalman["Q"], kalman["R"]) == (costs.Q.tolist(), [[1.0]])
 
 
 def test_parser_built_once_gives_the_reports_of_a_fresh_one(tmp_path, capsys, monkeypatch):
@@ -412,9 +414,9 @@ def test_text_format_of_check(tmp_path, capsys):
     k = lines.index("timings_ms:")
     assert [line.split(":")[0] for line in lines[k:]] == [
         "timings_ms", "  frequency", "  oracle", "diagnostics", "  kalman_iterations",
-        "  kalman_gaps", "  circle_probes"]
-    assert lines[-3:] == ["  kalman_iterations: [0]", "  kalman_gaps: [0]",
-                          "  circle_probes: [1]"]
+        "  kalman_gaps", "  circle_probes", "  kalman_method"]
+    assert lines[-4:] == ["  kalman_iterations: [0]", "  kalman_gaps: [0]",
+                          "  circle_probes: [1]", "  kalman_method: [riccati]"]
 
 
 def test_text_format_of_solve(tmp_path, capsys):
@@ -472,8 +474,9 @@ def test_solve_nearest_rejects_q_only_mode(tmp_path, capsys):
 
 
 def test_check_timings_resolve_microseconds(tmp_path, capsys, monkeypatch):
-    # timings_ms are float milliseconds rounded to 1 us, read from perf_counter.
-    ticks = iter([0.0, 0.0001234567, 1.0, 1.0025])
+    # timings_ms are float milliseconds rounded to 1 us, read from perf_counter;
+    # the oracle's are those of the closed form and of its Nash check.
+    ticks = iter([0.0, 0.0001234567, 1.0, 1.002, 7.0, 7.0005])
     monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
     code, out, _ = run_cli(capsys, "check", write_example(tmp_path, "scalar_feasible"))
     assert code == 0
@@ -994,8 +997,11 @@ def test_cli_corpus_audit_checks_every_answer_with_costs(tmp_path, monkeypatch, 
     # is not: on "band" (A_cl = diag(-1, -10), B = [1; 1], K = [-3, 1]) the
     # gap is -14.21 at w = 0, where |S| = 3.9, and +9.8e-4 at w = 100.  It
     # counts the determinate verdicts with no certificate it checks, and
-    # fails on a count above its ceiling.  It runs without importing the
-    # package.
+    # fails on a count above its ceiling.  It splits the answers of check and
+    # solve by where their costs came from: the closed form, or the search
+    # (on "pinned", whose pinned block is on the boundary, the closed form
+    # declines and the search answers both commands).  It runs without
+    # importing the package.
     monkeypatch.setattr(sys, "path", [str(TOOLS)] + sys.path)
     import cli_corpus
 
@@ -1005,6 +1011,8 @@ def test_cli_corpus_audit_checks_every_answer_with_costs(tmp_path, monkeypatch, 
         (root / "problems" / f"{name}.json").write_text(BUNDLED[name])
     write_problem(root / "problems" / "band.json", np.array([[-4.0, 1.0], [-3.0, -9.0]]),
                   [np.ones((2, 1))], [np.array([[-3.0, 1.0]])])
+    write_problem(root / "problems" / "pinned.json", np.array([[0.0, 1.0], [-1.0, 0.5]]),
+                  [np.eye(2)], [np.eye(2)])
     costs0 = root / "problems" / "costs0.json"
     costs0.write_text(json.dumps({"Q": [[[1.0]], [[1.0]]],
                                   "R": [[[[1.0]], [[0.0]]], [[[0.0]], [[1.0]]]]}))
@@ -1016,19 +1024,24 @@ def test_cli_corpus_audit_checks_every_answer_with_costs(tmp_path, monkeypatch, 
                                         ("nearest", ["solve"], ["--nearest", str(costs0)]))}
     calls["band.json.check-no-oracle"] = ["check", "--no-oracle",
                                           str(root / "problems" / "band.json")]
+    calls.update({f"pinned.json.{command}": [command, str(root / "problems" / "pinned.json")]
+                  for command in ("check", "solve")})
     (root / "calls").mkdir()
     for name, argv in calls.items():
         (root / "calls" / name).write_text(cli_corpus.record(argv))
-    counts = {"check frequency inducible": 1, "check oracle not_inducible": 1}
+    counts = {"check frequency inducible": 2, "check oracle not_inducible": 1}
     monkeypatch.setattr(cli_corpus, "UNCERTIFIED_CEILING", counts)
     assert cli_corpus.audit(root) == 0
     out, err = capsys.readouterr()
-    assert out.splitlines() == [f"{label}: 1 answers with costs checked"
-                                for label in ("check", "nearest", "solve", "solve-q-only", "verify")
-                                ] + [
+    assert out.splitlines() == [
+        "check: 2 answers with costs checked (1 closed form, 1 search)",
+        "nearest: 1 answers with costs checked",
+        "solve: 2 answers with costs checked (1 closed form, 1 search)",
+        "solve-q-only: 1 answers with costs checked (1 closed form, 0 search)",
+        "verify: 1 answers with costs checked",
         "failed circle probes: 4 checked, 4 with an eigenvalue of S(jw) beyond the unit circle",
         "determinate verdicts with no certificate (ceiling):",
-        "  check frequency inducible: 1 (1)", "  check oracle not_inducible: 1 (1)"]
+        "  check frequency inducible: 2 (2)", "  check oracle not_inducible: 1 (1)"]
     assert err == "0 certificates that do not check, 0 counts above their ceiling\n"
     monkeypatch.setattr(cli_corpus, "UNCERTIFIED_CEILING",
                         {**counts, "check oracle not_inducible": 0})
@@ -1230,7 +1243,9 @@ def test_reports_carry_loop_iterations(tmp_path, capsys):
     report = json.loads(out)
     assert list(report)[-2:] == ["timings_ms", "diagnostics"]
     assert list(report["timings_ms"]) == ["frequency", "oracle"]
-    assert report["diagnostics"] == {**kalman, "circle_probes": probes}
+    # Its oracle answers inducible (the frequency domain does not): with costs, by the search.
+    assert report["diagnostics"] == {**kalman, "circle_probes": probes,
+                                     "kalman_method": ["search", "search"]}
     _, out, _ = run_cli(capsys, "check", path, "--no-oracle")
     assert json.loads(out)["diagnostics"] == {"kalman_iterations": None, "kalman_gaps": None,
                                               "circle_probes": probes}
@@ -1240,7 +1255,7 @@ def test_reports_carry_loop_iterations(tmp_path, capsys):
     _, out, _ = run_cli(capsys, "check", path, "--player", "1")
     assert json.loads(out)["diagnostics"] == {
         "kalman_iterations": [one.iterations], "kalman_gaps": [one.gap],
-        "circle_probes": probes[1:]}
+        "circle_probes": probes[1:], "kalman_method": ["search"]}
     path = write_example(tmp_path, "scalar_feasible")
     costs0 = tmp_path / "costs0.json"
     costs0.write_text('{"Q": [[[5.0]]], "R": [[[[1.0]]]]}')
@@ -1473,9 +1488,10 @@ def test_check_ladder_n8_game_decided_by_both_methods(capsys):
 
 
 def test_check_searches_once_per_player(monkeypatch, capsys):
-    # Same game: the Kalman-equation search is the oracle, so check runs one
-    # cone search per player, and with P eliminated it converges in tens of
-    # iterations (the (Q, R, P) search took 236 and 203).
+    # Same game: where the closed form declines a player, the Kalman-equation
+    # search is the oracle, so check runs one cone search per player (none
+    # where the closed form answers every player), and with P eliminated it
+    # converges in tens of iterations (the (Q, R, P) search took 236 and 203).
     calls = []
 
     def counting(*args):
@@ -1484,12 +1500,16 @@ def test_check_searches_once_per_player(monkeypatch, capsys):
 
     monkeypatch.setattr(feasibility, "project_affine_cone", counting)
     path = str(DATA / "ladder_r2_n8_N2_m1.json")
-    code, out, _ = run_cli(capsys, "check", path)
-    report = json.loads(out)
-    assert (code, report["verdict_frequency"], report["verdict_oracle"]) == (
-        0, "inducible", "inducible")
     system, profile, _, _ = load_problem(path)
-    assert len(calls) == system.num_players
+    for declined, searches in ((set(), 0), ({0}, system.num_players)):
+        calls.clear()
+        with monkeypatch.context() as patch:
+            closed_form_declines(patch, declined, system.num_players)
+            code, out, _ = run_cli(capsys, "check", path)
+        report = json.loads(out)
+        assert (code, report["verdict_frequency"], report["verdict_oracle"]) == (
+            0, "inducible", "inducible")
+        assert len(calls) == searches, declined
     res = solve_feasibility_projection(system, profile)
     assert res.status == "feasible"
     iterations = [s.iterations for s in res.solutions]
@@ -1497,10 +1517,11 @@ def test_check_searches_once_per_player(monkeypatch, capsys):
 
 
 def test_each_command_runs_one_stack_and_one_search_per_listed_player(monkeypatch, capsys):
-    # check and check --player 1 on a 3-player game each build one adjoint
-    # stack and run one cone search per listed player; solve and solve --mode
-    # q-only, whose closed form answers for every player, build none, and,
-    # with it declining player 1, one stack with one search per player.
+    # check, solve and solve --mode q-only on a 3-player game, whose closed
+    # form answers for every player, build no adjoint stack and run no
+    # search; check --player 1 builds one stack and searches player 1; and
+    # with the closed form declining player 1, check and both solve modes
+    # each build one stack with one search per player.
     stacks, searches = [], []
     stationarity_maps = feasibility.stationarity_maps
     player_feasibility = feasibility.player_feasibility
@@ -1510,7 +1531,7 @@ def test_each_command_runs_one_stack_and_one_search_per_listed_player(monkeypatc
                         lambda s, p, i, *a: searches.append((i,) + a[:1])
                         or player_feasibility(s, p, i, *a))
     path = str(DATA / "ladder_r0_n8_N3_m2.json")
-    for argv, expected in ((["check", path], [(0, "general"), (1, "general"), (2, "general")]),
+    for argv, expected in ((["check", path], []),
                            (["check", path, "--player", "1"], [(1, "general")]),
                            (["solve", path], []), (["solve", path, "--mode", "q-only"], [])):
         stacks.clear()
@@ -1519,13 +1540,14 @@ def test_each_command_runs_one_stack_and_one_search_per_listed_player(monkeypatc
         assert code in (0, 1), err
         assert (len(stacks), searches) == (int(bool(expected)), expected), argv
     closed_form_declines(monkeypatch, {1}, 3)
-    for mode in ("general", "q-only"):
+    for argv, mode in ((["check", path], "general"), (["solve", path, "--mode", "general"],
+                       "general"), (["solve", path, "--mode", "q-only"], "q-only")):
         stacks.clear()
         searches.clear()
-        code, out, err = run_cli(capsys, "solve", path, "--mode", mode)
+        code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         assert json.loads(out)["diagnostics"]["kalman_method"] == ["search"] * 3
-        assert (len(stacks), searches) == (1, [(0, mode), (1, mode), (2, mode)]), mode
+        assert (len(stacks), searches) == (1, [(0, mode), (1, mode), (2, mode)]), argv
 
 
 def test_solve_searches_every_player_where_the_closed_form_declines_one(
@@ -1615,6 +1637,128 @@ def test_solve_runs_the_frequency_stage_and_the_nash_check_once(monkeypatch, cap
         1, "", "verification_failed", False)
     assert (analyzed, len(checks), searches) == ([0, 1, 2], 1, [])
     assert [player["R"] for player in report["players"]] == [np.eye(2).tolist()] * 3
+
+
+def count_oracle_calls(monkeypatch):
+    """Record the players cli.analyze_player analyzes, each verify_nash call's
+    tol, the players of each adjoint stack and of each cone search."""
+    analyzed, checks, stacks, searches = [], [], [], []
+    analyze_player, verify = cli.analyze_player, cli.verify_nash
+    stationarity_maps = feasibility.stationarity_maps
+    player_feasibility = feasibility.player_feasibility
+    monkeypatch.setattr(cli, "analyze_player",
+                        lambda s, p, i: analyzed.append(i) or analyze_player(s, p, i))
+    monkeypatch.setattr(cli, "verify_nash",
+                        lambda *a, tol: checks.append(tol) or verify(*a, tol=tol))
+    monkeypatch.setattr(feasibility, "stationarity_maps",
+                        lambda s, p, players: stacks.append(list(players)) or stationarity_maps(
+                            s, p, players))
+    monkeypatch.setattr(feasibility, "player_feasibility",
+                        lambda s, p, i, *a: searches.append(i) or player_feasibility(s, p, i, *a))
+    return analyzed, checks, stacks, searches
+
+
+def test_check_takes_the_closed_form_with_one_nash_check(tmp_path, monkeypatch, capsys):
+    # Every player passes the frequency tests and the closed form answers
+    # every one: check's oracle takes its costs after one Nash check, at the
+    # problem file's tol, and builds no adjoint stack and runs no search.
+    # Each player's kalman holds the costs solve answers with, the residual
+    # of solve's one rule, kernel_dim null (no map was built) and status
+    # solved; diagnostics.kalman_method says "riccati".
+    raw = json.loads((DATA / "ladder_r0_n8_N3_m2.json").read_text())
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps({**raw, "tol": 1e-7}))
+    analyzed, checks, stacks, searches = count_oracle_calls(monkeypatch)
+    code, out, err = run_cli(capsys, "check", str(path))
+    report = json.loads(out)
+    assert (code, err, report["verdict_frequency"], report["verdict_oracle"]) == (
+        0, "", "inducible", "inducible")
+    assert (analyzed, checks, stacks, searches) == ([0, 1, 2], [1e-7], [], [])
+    assert report["diagnostics"]["kalman_method"] == ["riccati"] * 3
+    assert "kalman_declined" not in report["diagnostics"]
+    solved = json.loads(run_cli(capsys, "solve", str(path))[1])["players"]
+    for player, answer in zip(report["players"], solved):
+        kalman = player["kalman"]
+        assert (kalman["status"], kalman["psd_ok"], kalman["kernel_dim"]) == ("solved", True, None)
+        assert (kalman["Q"], kalman["R"], kalman["residual"]) == (
+            answer["Q"], answer["R"], answer["kalman_residual"])
+
+
+@pytest.mark.parametrize("case", ["declined", "player"])
+def test_check_searches_where_the_closed_form_declines_or_under_player(
+        tmp_path, monkeypatch, capsys, case):
+    # With the closed form declining player 1 of two_player_scalar, check
+    # builds one stack of both players and searches both, and runs no Nash
+    # check; diagnostics.kalman_declined names who declined.  check
+    # --player 1 never tries the closed form: it searches player 1 alone.
+    path = write_example(tmp_path, "two_player_scalar")
+    analyzed, checks, stacks, searches = count_oracle_calls(monkeypatch)
+    calls = closed_form_declines(monkeypatch, {1}, 2)
+    argv = ["check", path] + (["--player", "1"] if case == "player" else [])
+    code, out, err = run_cli(capsys, *argv)
+    report = json.loads(out)
+    assert (code, err, report["verdict_oracle"]) == (0, "", "inducible")
+    listed = [1] if case == "player" else [0, 1]
+    assert (calls, checks, stacks, searches) == (
+        [] if case == "player" else [0, 1], [], [listed], listed)
+    assert report["diagnostics"]["kalman_method"] == ["search"] * len(listed)
+    assert report["diagnostics"].get("kalman_declined") == (
+        None if case == "player" else [None, "riccati"])
+    assert all(isinstance(player["kalman"]["kernel_dim"], int) for player in report["players"])
+
+
+def test_check_oracle_is_indeterminate_where_the_closed_form_fails_the_nash_check(
+        tmp_path, monkeypatch, capsys):
+    # With verify_nash forced to fail, the closed form's costs are no
+    # answer: the oracle is indeterminate, with no search retry, and a
+    # warning names the largest residual and its bound; no player reads
+    # solved.  The frequency domain still decides (exit 0).
+    certs, searches = [], []
+    verify = cli.verify_nash
+    player_feasibility = feasibility.player_feasibility
+    monkeypatch.setattr(cli, "verify_nash",
+                        lambda *a, **k: (False, certs.append(verify(*a, **k)[1]) or certs[-1]))
+    monkeypatch.setattr(feasibility, "player_feasibility",
+                        lambda s, p, i, *a: searches.append(i) or player_feasibility(s, p, i, *a))
+    code, out, err = run_cli(capsys, "check", str(DATA / "ladder_r0_n8_N3_m2.json"))
+    report = json.loads(out)
+    (cert,) = certs
+    assert (code, err, report["verdict_frequency"], report["verdict_oracle"], searches) == (
+        0, "", "inducible", "indeterminate", [])
+    largest = max(cert.are_residuals + cert.stationarity_residuals)
+    assert report["warnings"] == [
+        f"closed-form costs failed the Nash check: largest residual {largest:.3g}, "
+        f"bound {cert.residual_bound:.3g}",
+        "time-domain oracle did not reach a determinate verdict"]
+    assert [(p["kalman"]["status"], p["kalman"]["psd_ok"]) for p in report["players"]] == [
+        ("indeterminate", False)] * 3
+    assert "kalman_method" not in report["diagnostics"]
+
+
+def test_closed_form_oracle_gives_the_verdicts_of_the_search_alone(
+        tmp_path, monkeypatch, capsys, nash_games):
+    # On every tests/data fixture and every nash_games game, check answers as
+    # it does with the closed form declining every player: the same exit
+    # code and verdicts.  The closed form answers every Nash game.
+    paths = sorted(DATA.glob("*.json"))
+    for k, (system, _, profile, _) in enumerate(nash_games):
+        paths.append(Path(write_problem(tmp_path / f"nash{k}.json", system.A, system.B,
+                                        profile.K)))
+    def verdicts(code, out, err):
+        report = json.loads(out)
+        return (code, err, report["verdict_frequency"], report["verdict_oracle"],
+                report["disagreement"]), report["diagnostics"].get("kalman_method")
+
+    methods = []
+    for path in paths:
+        answer, method = verdicts(*run_cli(capsys, "check", str(path)))
+        methods.append(method)
+        N = load_problem(str(path))[0].num_players
+        with monkeypatch.context() as patch:
+            closed_form_declines(patch, set(range(N)), N)
+            assert verdicts(*run_cli(capsys, "check", str(path)))[0] == answer, path.name
+    assert methods[-len(nash_games):] == [["riccati"] * system.num_players
+                                          for system, _, _, _ in nash_games]
 
 
 @pytest.mark.parametrize("name", ["remark2", "scalar_infeasible", "boundary_and_scalar",

@@ -433,9 +433,9 @@ def test_each_command_factors_acl_once_for_the_kalman_stage(tmp_path, monkeypatc
     # check (with and without the oracle), solve, solve --nearest and verify
     # on a 3-player game make one real Schur factorization each of Acl',
     # while the problem loads: the Hurwitz test, every player's Kalman map
-    # and solve's final verify_nash all read it.  The only other ones are
-    # solve's ordered forms of its closed form's Hamiltonians, one per player,
-    # of size 2 (n - m_i).
+    # and the final verify_nash of check and solve all read it.  The only
+    # other ones are the ordered forms of the closed form's Hamiltonians in
+    # check and solve, one per player, of size 2 (n - m_i).
     path = str(DATA / "ladder_r0_n8_N3_m2.json")
     system, profile, _, _ = load_problem(path)
     costs0 = tmp_path / "costs0.json"
@@ -453,7 +453,8 @@ def test_each_command_factors_acl_once_for_the_kalman_stage(tmp_path, monkeypatc
         assert len(acl) == 1, argv
         assert np.array_equal(acl[0], closed_loop(system, profile.K).T)
         assert [len(a) for a in factored if a.shape != (system.n, system.n)] == (
-            [2 * (system.n - m) for m in system.m] if argv == ["solve", path] else []), argv
+            [2 * (system.n - m) for m in system.m] if argv in (["check", path], ["solve", path])
+            else []), argv
 
 
 def found_costs(res):

@@ -57,10 +57,14 @@ code (the package is not imported):
   modulus above 1, which no R_ii can mend.
 
 It prints how many certificates of each kind it checked and names each that
-fails.  It then counts the determinate verdicts that carry no certificate it
-checks: a frequency "inducible" (no costs), an oracle "not_inducible", and a
-frequency "not_inducible" or a ``solve`` "infeasible" with no failed circle
-probe (a rank certificate, or the search's).  It exits 1 if any certificate
+fails; for the answers of ``check`` and ``solve`` it splits that count by
+where the costs came from, read off ``diagnostics.kalman_method``: "closed
+form" where every player's method is "riccati", "search" where every one is
+"search", and "mixed" otherwise (shown only when there are any).  It then
+counts the determinate verdicts that carry no certificate it checks: a
+frequency "inducible" (no costs), an oracle "not_inducible", and a frequency
+"not_inducible" or a ``solve`` "infeasible" with no failed circle probe (a
+rank certificate, or the search's).  It exits 1 if any certificate
 fails or any of these counts exceeds its ceiling in UNCERTIFIED_CEILING.
 """
 
@@ -315,7 +319,7 @@ def audit(root: Path) -> int:
     checker.is_nash alone."""
     import checker
 
-    counts, failures, probes, beyond, uncertified = {}, [], 0, 0, {}
+    counts, sources, failures, probes, beyond, uncertified = {}, {}, [], 0, 0, {}
     for path in sorted(p for p in (root / "calls").rglob("*") if p.is_file()):
         name = str(path.relative_to(root / "calls"))
         problem, label = name.rsplit(".", 1)
@@ -325,6 +329,12 @@ def audit(root: Path) -> int:
         costs = _claimed_costs(label, code, report, game["players"])
         if costs is not None:
             counts[label] = counts.get(label, 0) + 1
+            methods = set(report.get("diagnostics", {}).get("kalman_method") or ())
+            if methods:
+                source = ("closed form" if methods == {"riccati"} else
+                          "search" if methods == {"search"} else "mixed")
+                tally = sources.setdefault(label, {"closed form": 0, "search": 0})
+                tally[source] = tally.get(source, 0) + 1
             verdict = checker.is_nash(
                 _array(game["A"]), [_array(p["B"]) for p in game["players"]],
                 [_array(p["K_dagger"]) for p in game["players"]], [_array(Q) for Q in costs[0]],
@@ -350,7 +360,8 @@ def audit(root: Path) -> int:
             if kind not in certified:
                 uncertified[verdict] = uncertified.get(verdict, 0) + 1
     for label, count in sorted(counts.items()):
-        print(f"{label}: {count} answers with costs checked")
+        split = ", ".join(f"{n} {source}" for source, n in sources.get(label, {}).items())
+        print(f"{label}: {count} answers with costs checked" + (f" ({split})" if split else ""))
     print(f"failed circle probes: {probes} checked, {beyond} with an eigenvalue of S(jw) "
           "beyond the unit circle")
     print("determinate verdicts with no certificate (ceiling):")
