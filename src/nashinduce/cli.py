@@ -6,14 +6,14 @@ example (write a bundled problem file).
 
 Exit codes: 0 inducible / verified, 1 not inducible / not verified,
 2 input error, 3 numerical failure, 4 the two methods disagree.  check and
-solve decide on one path, _decide, whose oracle takes every player's costs
-from the Kalman equation in closed form (inverse.kalman_riccati) when it
-answers for all of them, else from the search for every listed player; each
-command checks the answer's costs for Nash once.  check decides by the first
+solve decide in two steps, _frequency_step (each listed player's circle and
+rank tests) and _oracle_step (the closed form or the search, and the one Nash
+check of a whole game's answer).  check runs both and decides by the first
 determinate verdict, frequency domain first, reporting a frequency stage's
 numerical failure as frequency_error {player, stage, reason} and exiting 3
-only when neither method is determinate.  solve exits 3 on any numerical
-failure.
+only when neither method is determinate.  The tests are necessary and
+sufficient, so solve runs the oracle only where every player passes them,
+and exits 3 on any numerical failure.
 """
 
 from __future__ import annotations
@@ -252,23 +252,20 @@ def _player_report(index, pa, kalman):
     }
 
 
-def _diagnostics(kalmans, analyses, declined):
+def _diagnostics(oracle, analyses, declined):
     """Loop iterations and gaps of the Kalman searches (None when the oracle
     did not run), the circle criterion's probe count per player (None for a
-    player whose frequency stages failed) and, where the closed form declined
-    some player, each player's reason (kalman_declined, absent otherwise)."""
-    return {"kalman_iterations": [k.iterations for k in kalmans] if kalmans else None,
-            "kalman_gaps": [k.gap for k in kalmans] if kalmans else None,
+    player whose frequency stages failed), where the closed form declined
+    some player each player's reason (kalman_declined), and where the oracle
+    answers with costs each player's method (kalman_method)."""
+    kalmans = oracle.solutions if oracle else None
+    return {"kalman_iterations": kalmans and [k.iterations for k in kalmans],
+            "kalman_gaps": kalmans and [k.gap for k in kalmans],
             "circle_probes": [None if isinstance(pa, StageError) else pa.probes
                               for pa in analyses],
-            **({"kalman_declined": declined} if declined else {})}
-
-
-def _kalman_residuals(costs, cert):
-    """Each player's stationarity residual of a Nash check over max(1,
-    |(Q_i, R_ii)|_F): the one residual rule of an answer checked for Nash."""
-    return [float(r) / max(1.0, math.hypot(_norm(costs.Q[i]), _norm(costs.R[i][i])))
-            for i, r in enumerate(cert.stationarity_residuals)]
+            **({"kalman_declined": declined} if declined else {}),
+            **({"kalman_method": [k.method for k in kalmans]}
+               if oracle and oracle.status == "feasible" else {})}
 
 
 # The time-domain verdict of the oracle's status (solve_feasibility_projection).
@@ -276,25 +273,10 @@ _ORACLE_VERDICT = {"feasible": "inducible", "infeasible_certified_by_identity": 
                    "indeterminate": "indeterminate"}
 
 
-def _decide(system, profile, players, mode):
-    """Both methods on the listed players, frequency domain first: per player
-    its PlayerAnalysis or the StageError its frequency stages raised, the
-    oracle's FeasibilityResult in `mode` (None for mode None), (verdict_frequency,
-    verdict_oracle), each method's seconds, and why the closed form declined.
-    A player that a method certifies (a failed circle or rank test; a search
-    certified infeasible) makes the game not_inducible for it; else a failed
-    stage makes the first "error", a search stopped undecided the second
-    "indeterminate".  The oracle's StageError propagates, so its message
-    wins when both fail.
-
-    With the oracle on, every player listed and every frequency verdict
-    inducible, inverse.kalman_riccati is tried for every player; if it
-    answers for all, their costs are the oracle's answer (method "riccati",
-    R_ii = I, 0 iterations, gap 0, not yet checked for Nash: the caller
-    checks them) and no search runs.  If it declines any player, the oracle
-    searches every player, and the last value lists each player's reason
-    (None where it answered); else it is None.  Elsewhere the oracle is the
-    search of every listed player."""
+def _frequency_step(system, profile, players):
+    """Per listed player its PlayerAnalysis or the StageError its stages
+    raised, the verdict (not_inducible where a player fails the circle or
+    rank test, else "error" where a stage failed) and the seconds taken."""
     t0 = time.perf_counter()
     analyses = []
     for i in players:
@@ -302,27 +284,47 @@ def _decide(system, profile, players, mode):
             analyses.append(analyze_player(system, profile, i))
         except StageError as exc:
             analyses.append(exc)
-    t_freq = time.perf_counter() - t0
+    passed = [pa.inducible for pa in analyses if not isinstance(pa, StageError)]
+    verdict = ("not_inducible" if not all(passed) else
+               "error" if len(passed) < len(analyses) else "inducible")
+    return analyses, verdict, time.perf_counter() - t0
+
+
+def _oracle_step(system, profile, players, mode, verdict_frequency, tol):
+    """The oracle's FeasibilityResult on the listed players, each player's
+    reason where the closed form declined one (else None), the CertificateSet
+    of its Nash check (None where none ran) and the seconds taken; its
+    StageError propagates.  Where every player is listed and every frequency
+    verdict is inducible, the costs are inverse.kalman_riccati's (R_ii = I)
+    if it answers every player, else every player's search in `mode`, and
+    they are checked for Nash once, at tol: each player then holds the costs
+    checked, the residual rule stationarity residual / max(1, |(Q_i, R_ii)|_F)
+    and status "solved", or "indeterminate", as the oracle, where it fails.
+    Elsewhere the oracle is the search of every listed player, unchecked."""
     t0 = time.perf_counter()
-    oracle = declined = None
-    if (mode is not None and len(players) == system.num_players
-            and all(not isinstance(pa, StageError) and pa.inducible for pa in analyses)):
+    closed, declined, found = [], None, None
+    if len(players) == system.num_players and verdict_frequency == "inducible":
         A_cl = closed_loop(system, profile.K)
         closed = [kalman_riccati(A_cl, system.B[i], profile.K[i]) for i in players]
-        declined = [costs.declined for costs in closed]
-        if not any(declined):
-            declined, oracle = None, FeasibilityResult("feasible", tuple(
-                KalmanSolution(Q=costs.Q, R=np.eye(system.m[i]), residual=math.nan,
-                               kernel_dim=None, status="solved", method="riccati")
-                for i, costs in zip(players, closed)))
-    if oracle is None and mode is not None:
-        oracle = solve_feasibility_projection(system, profile, players, mode)
-    seconds = (t_freq, time.perf_counter() - t0)
-    passed = [pa.inducible for pa in analyses if not isinstance(pa, StageError)]
-    verdicts = ("not_inducible" if not all(passed) else
-                "error" if len(passed) < len(analyses) else "inducible",
-                "skipped" if oracle is None else _ORACLE_VERDICT[oracle.status])
-    return analyses, oracle, verdicts, seconds, declined
+        declined = [riccati.declined for riccati in closed]
+    if closed and not any(declined):
+        declined, costs = None, CostParameters.identity_R([r.Q for r in closed], system.m)
+    else:
+        found = solve_feasibility_projection(system, profile, players, mode)
+        if not closed or found.status != "feasible":
+            return found, declined, None, time.perf_counter() - t0
+        costs = CostParameters.diagonal_R([k.Q for k in found.solutions],
+                                          [k.R for k in found.solutions])
+    ok, cert = verify_nash(system, profile, costs, tol=tol)
+    solutions = []
+    for i, r in enumerate(cert.stationarity_residuals):
+        Q, R = costs.Q[i], costs.R[i][i]
+        fields = {"Q": Q, "R": R, "residual": float(r) / max(1.0, math.hypot(_norm(Q), _norm(R))),
+                  "status": "solved" if ok else "indeterminate"}
+        solutions.append(KalmanSolution(**fields, kernel_dim=None, method="riccati")
+                         if found is None else dataclasses.replace(found.solutions[i], **fields))
+    oracle = FeasibilityResult("feasible" if ok else "indeterminate", tuple(solutions))
+    return oracle, declined, cert, time.perf_counter() - t0
 
 
 def _write_report(report, args):
@@ -389,30 +391,23 @@ def cmd_check(args) -> int:
         indices = _listed_players(system, None if args.player is None else [args.player])
     except DimensionError as exc:
         raise InputError(f"--player {args.player}: out of range") from exc
-    analyses, oracle, (verdict_freq, verdict_oracle), (t_freq, t_oracle), declined = _decide(
-        system, profile, indices, None if args.no_oracle else "general")
+    analyses, verdict_freq, t_freq = _frequency_step(system, profile, indices)
+    oracle, declined, cert, t_oracle = (None, None, None, 0.0) if args.no_oracle else _oracle_step(
+        system, profile, indices, "general", verdict_freq, max(tol, NASH_TOL))
+    verdict_oracle = "skipped" if oracle is None else _ORACLE_VERDICT[oracle.status]
     error = next((pa for pa in analyses if isinstance(pa, StageError)), None)
     freq_error = None if error is None else {"player": error.player, "stage": error.stage,
                                              "reason": error.reason}
     warnings = [w for pa in analyses for w in
                 ([f"frequency domain failed: {pa}"] if isinstance(pa, StageError)
                  else pa.warnings)]
-    kalmans = [] if oracle is None else oracle.solutions
-    if kalmans and kalmans[0].method == "riccati":
-        # The closed form's costs are the oracle's answer once they pass the Nash check.
-        t0 = time.perf_counter()
-        costs = CostParameters.diagonal_R([k.Q for k in kalmans], [k.R for k in kalmans])
-        ok, cert = verify_nash(system, profile, costs, tol=tol)
-        kalmans = [dataclasses.replace(k, residual=r, status="solved" if ok else "indeterminate")
-                   for k, r in zip(kalmans, _kalman_residuals(costs, cert))]
-        t_oracle += time.perf_counter() - t0
-        if not ok:
-            verdict_oracle = "indeterminate"
-            warnings.append("closed-form costs failed the Nash check: largest residual "
-                            f"{max(cert.are_residuals + cert.stationarity_residuals):.3g}, "
-                            f"bound {cert.residual_bound:.3g}")
+    if cert is not None and verdict_oracle == "indeterminate":
+        warnings.append("the oracle's costs failed the Nash check: largest residual "
+                        f"{max(cert.are_residuals + cert.stationarity_residuals):.3g}, "
+                        f"bound {cert.residual_bound:.3g}")
     if verdict_oracle == "indeterminate":
         warnings.append("time-domain oracle did not reach a determinate verdict")
+    kalmans = oracle.solutions if oracle else [None] * len(indices)
 
     determinate = {"inducible", "not_inducible"}
     disagreement = (verdict_freq in determinate and verdict_oracle in determinate
@@ -422,15 +417,12 @@ def cmd_check(args) -> int:
         "verdict_oracle": verdict_oracle,
         "disagreement": disagreement,
         "frequency_error": freq_error,
-        "players": [_player_report(i, pa, k) for i, pa, k in
-                    zip(indices, analyses, kalmans or [None] * len(indices))],
+        "players": [_player_report(i, pa, k) for i, pa, k in zip(indices, analyses, kalmans)],
         "warnings": warnings,
         "timings_ms": {"frequency": round(1000 * t_freq, 3),
                        "oracle": round(1000 * t_oracle, 3)},
-        "diagnostics": _diagnostics(kalmans, analyses, declined),
+        "diagnostics": _diagnostics(oracle, analyses, declined),
     }
-    if verdict_oracle == "inducible":
-        report["diagnostics"]["kalman_method"] = [k.method for k in kalmans]
     _write_report(report, args)
     if disagreement:
         return 4
@@ -464,48 +456,50 @@ def cmd_solve(args) -> int:
         _write_report(report, args)
         return 0 if res.status == "feasible" else 1
 
-    analyses, oracle, verdicts, _, declined = _decide(
-        system, profile, range(system.num_players), args.mode)
+    players = range(system.num_players)
+    analyses, verdict_freq, _ = _frequency_step(system, profile, players)
     for pa in analyses:
         if isinstance(pa, StageError):
             raise pa
-    kalmans = oracle.solutions
-    diagnostics = _diagnostics(kalmans, analyses, declined)
-    if verdicts != ("inducible", "inducible"):
-        # The first player a method certifies, else the first whose search stopped undecided.
-        failed = min((pa.inducible and k.status == "indeterminate", i)
-                     for i, (pa, k) in enumerate(zip(analyses, kalmans))
-                     if not pa.inducible or k.status != "solved")[1]
-        pa = analyses[failed]
+    oracle = declined = cert = None
+    if verdict_freq == "inducible":
+        oracle, declined, cert, _ = _oracle_step(system, profile, players, args.mode,
+                                                 verdict_freq, tol)
+    kalmans = oracle.solutions if oracle else [None] * len(analyses)
+    diagnostics = _diagnostics(oracle, analyses, declined)
+    if cert is None:
+        # The first player a test fails, else the first a search certifies, else the
+        # first it left undecided.
+        failed = (min((k.status == "indeterminate", i) for i, k in enumerate(kalmans)
+                      if k.status != "solved")[1] if oracle
+                  else next(i for i, pa in enumerate(analyses) if not pa.inducible))
+        pa, status = analyses[failed], oracle and kalmans[failed].status
         report = {
-            "status": "infeasible" if "not_inducible" in verdicts else "indeterminate",
+            "status": "indeterminate" if status == "indeterminate" else "infeasible",
             "failing_player": failed,
             "circle_ok": bool(pa.circle_ok),
             "circle_witness": pa.circle_witness,
             "phi_at_witness": pa.circle_gap,
             "rank_ok": bool(pa.rank_ok),
-            "kalman_status": kalmans[failed].status,
+            "kalman_status": status,
             "players": [_player_report(p.index, p, k) for p, k in zip(analyses, kalmans)],
             "diagnostics": diagnostics,
         }
         _write_report(report, args)
         return 1
 
-    costs = CostParameters.diagonal_R([k.Q for k in kalmans], [k.R for k in kalmans])
-    ok, cert = verify_nash(system, profile, costs, tol=tol)
-    if ok:
-        diagnostics["kalman_method"] = [k.method for k in kalmans]
+    ok = oracle.status == "feasible"
     report = {
         "status": "solved" if ok else "verification_failed",
         "players": [
             {"index": i,
-             "Q": costs.Q[i],
-             "R": costs.R[i][i],
+             "Q": k.Q,
+             "R": k.R,
              "P": cert.P[i],
-             "kalman_residual": residual,
+             "kalman_residual": k.residual,
              "are_residual": float(cert.are_residuals[i]),
              "stationarity_residual": float(cert.stationarity_residuals[i])}
-            for i, residual in enumerate(_kalman_residuals(costs, cert))
+            for i, k in enumerate(kalmans)
         ],
         "verify_ok": bool(ok),
         "diagnostics": {**diagnostics, "scale": cert.scale,
@@ -575,12 +569,12 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="inducibility verdict with cross-validation",
         description="Frequency-domain verdict and time-domain oracle side by side. Where "
                     "every player is listed and passes the frequency tests, the oracle takes "
-                    "the costs of the Kalman equation's closed form (R_ii = I), checked once "
-                    "for Nash at the problem file's tol (a failed check is indeterminate); "
-                    "where it declines a player (diagnostics.kalman_declined), or a test "
-                    "fails, or --player lists one player of several, the oracle searches "
-                    "every listed player's costs. diagnostics.kalman_method names each "
-                    "player's method. Exit 0 "
+                    "the costs of the Kalman equation's closed form (R_ii = I), or where it "
+                    "declines a player (diagnostics.kalman_declined) searches every player's, "
+                    "and checks them for Nash once, at the larger of the problem file's tol "
+                    f"and {NASH_TOL:g} (a failed check is indeterminate); elsewhere it "
+                    "searches every listed player's costs. diagnostics.kalman_method names "
+                    "each player's method. Exit 0 "
                     "inducible, 1 not inducible, 4 the methods disagree, 3 neither is "
                     "determinate. A player failing a test decides its method; else a "
                     "frequency stage that fails numerically makes verdict_frequency \"error\" "
@@ -596,15 +590,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser(
         "solve", help="recover Nash-inducing cost matrices",
-        description="Take each player's costs from the Kalman equation in closed form "
-                    "(one Riccati equation, R_ii = I) where the frequency tests pass and it "
-                    "applies to every player; where it declines any player, search every "
-                    "player's costs instead (diagnostics.kalman_declined says why). Then check "
-                    "the costs for Nash, once. diagnostics.kalman_method names each player's "
-                    "method. Exit 0 with status \"solved\", else 1: \"verification_failed\", "
-                    "\"infeasible\" where check finds a method not_inducible, or "
-                    "\"indeterminate\" where a search stopped without a verdict (at "
-                    "failing_player).")
+        description="Where a frequency test fails, answer \"infeasible\" (the kalman fields "
+                    "null). Else take each player's costs from the Kalman equation in closed "
+                    "form (R_ii = I) where it applies to every player, else search every "
+                    "player's costs (diagnostics.kalman_declined says why), and check them "
+                    "for Nash once. diagnostics.kalman_method names each player's method. "
+                    "Exit 0 with status \"solved\", else 1: \"verification_failed\", "
+                    "\"infeasible\", or \"indeterminate\" where a search stopped without a "
+                    "verdict (at failing_player).")
     ps.add_argument("problem")
     common(ps)
     tol_option(ps, " (--nearest runs no final Nash check and ignores it)")

@@ -22,9 +22,10 @@ Anderson-mixed fixed-point driver numerics._anderson and accept by one rule,
 numerics.cone_verdict; neither runs where the block B_i' Q_i B_i that K_i
 pins (pinned_block) "fails" by pinned_verdict, their one certificate and the
 one judge of that block: inverse.kalman_riccati answers only where it is
-"definite".  check and solve search every listed player where the closed
-form declines any player or is not tried (a frequency test fails, or check
---player lists a player of several).  The Kronecker identities
+"definite".  check searches every listed player where the closed form
+declines a player or is not tried (a frequency test fails, or --player lists
+a player of several); solve only where it declines one, as a failed test
+already answers infeasible.  The Kronecker identities
 (build_vectorized_system, _player_nullspace) remain as references.
 """
 

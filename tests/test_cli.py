@@ -20,8 +20,8 @@ from nashinduce import (CostParameters, GameSystem, StrategyProfile, cli, feasib
 from nashinduce.cli import dumps_report, load_costs, load_problem, main
 from nashinduce.feasibility import nearest_params, solve_feasibility_projection
 from nashinduce.inverse import RiccatiCosts
-from nashinduce.numerics import (PROJECTION_CAP, PROJECTION_TOL, NumericalFailureError,
-                                 project_affine_cone)
+from nashinduce.numerics import (NASH_TOL, PROJECTION_CAP, PROJECTION_TOL,
+                                 NumericalFailureError, project_affine_cone)
 from nashinduce.problems import BUNDLED
 
 from conftest import player_pinned_fails
@@ -206,8 +206,9 @@ def test_parser_built_once_gives_the_reports_of_a_fresh_one(tmp_path, capsys, mo
     # main builds its parser once per process; in-process calls in sequence,
     # options first given and then left out, write byte for byte the reports
     # of a freshly built parser (timings pinned to 0 so reports are comparable).
+    # The closed form declines a player of this game, so --mode changes solve's search.
     monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
-    path = write_example(tmp_path, "remark2")
+    path = pinned_beside_scalar(tmp_path)
     sequence = [("check", path, "--player", "1"), ("check", path),
                 ("solve", path, "--mode", "q-only"), ("solve", path)]
     cached = [run_cli(capsys, *argv) for argv in sequence]
@@ -276,6 +277,17 @@ def write_problem(path, A, Bs, Ks):
     return str(path)
 
 
+def pinned_beside_scalar(tmp_path):
+    """The path of a two-player Nash game: the singular_q game of
+    test_solve_names_why_the_closed_form_declined (player 0, n = 2, its
+    pinned block diag(1, 0) on the boundary, so the closed form declines it)
+    block-diagonal with a decoupled scalar player (a = 0, b = 1, k = 1)."""
+    return write_problem(tmp_path / "pinned_beside_scalar.json",
+                         scipy.linalg.block_diag([[0.0, 1.0], [-1.0, 0.5]], 0.0),
+                         [np.eye(3)[:, :2], np.eye(3)[:, 2:]],
+                         [np.eye(3)[:2], np.array([[0.0, 0.0, 1.0]])])
+
+
 def boundary_and_scalar_infeasible(tmp_path):
     """The path of a two-player game: the boundary game (player 0, n = 4)
     block-diagonal with scalar_infeasible (player 1: a = 1, b = 1, k = 1.5)."""
@@ -317,15 +329,25 @@ def test_a_certified_player_decides_before_an_undecided_one(tmp_path, capsys):
     # Player 1 fails the circle test, and its pinned block b'Qb = -0.75
     # certifies its search infeasible; player 0's search stops undecided at
     # its cap.  Every player's conditions are necessary, so player 1's failure
-    # decides, although player 0 comes first: solve answers infeasible there.
-    code, out, err = run_cli(capsys, "solve", boundary_and_scalar_infeasible(tmp_path))
+    # decides, although player 0 comes first: solve answers infeasible there
+    # by the failed test alone (no search runs), and check's oracle by the
+    # certified search, though player 0's stopped undecided.
+    path = boundary_and_scalar_infeasible(tmp_path)
+    code, out, err = run_cli(capsys, "solve", path)
     report = json.loads(out)
     assert (code, err) == (1, "")
     assert (report["status"], report["failing_player"], report["kalman_status"]) == (
-        "infeasible", 1, "infeasible")
-    assert report["diagnostics"]["kalman_iterations"] == [PROJECTION_CAP, 0]
+        "infeasible", 1, None)
+    assert report["diagnostics"]["kalman_iterations"] is None
     assert (report["circle_ok"], report["circle_witness"]) == (False, 0.0)
     assert report["phi_at_witness"] == pytest.approx(-3.0)
+    code, out, err = run_cli(capsys, "check", path)
+    report = json.loads(out)
+    assert (code, err, report["verdict_frequency"], report["verdict_oracle"]) == (
+        1, "", "not_inducible", "not_inducible")
+    assert [player["kalman"]["status"] for player in report["players"]] == [
+        "indeterminate", "infeasible"]
+    assert report["diagnostics"]["kalman_iterations"] == [PROJECTION_CAP, 0]
 
 
 def test_a_certified_search_decides_before_an_undecided_one(tmp_path, monkeypatch, capsys):
@@ -376,7 +398,7 @@ def test_a_certified_player_decides_before_a_failed_stage(tmp_path, monkeypatch,
     assert [p["circle_ok"] for p in report["players"]] == [None, False]
 
 
-def test_solve_exits_3_on_a_failed_stage_and_the_oracle_message_wins(
+def test_solve_exits_3_on_a_failed_stage_and_check_with_the_oracle_message(
         tmp_path, monkeypatch, capsys):
     def failing(*args):
         raise NumericalFailureError("residual 1e-3 above tolerance")
@@ -385,11 +407,13 @@ def test_solve_exits_3_on_a_failed_stage_and_the_oracle_message_wins(
     monkeypatch.setattr(inverse, "return_difference_circle", failing)
     assert run_cli(capsys, "solve", path) == (
         3, "", "numerical failure: player 0: circle: residual 1e-3 above tolerance\n")
-    # Both methods fail: the oracle's message is the one shown, in solve and check.
+    # Both methods fail: solve runs no oracle and still shows the stage's
+    # message; check's oracle decides in its place, and its message is shown.
     monkeypatch.setattr(feasibility, "player_feasibility", failing)
-    for command in ("solve", "check"):
-        assert run_cli(capsys, command, path) == (
-            3, "", "numerical failure: player 0: kalman: residual 1e-3 above tolerance\n")
+    assert run_cli(capsys, "solve", path) == (
+        3, "", "numerical failure: player 0: circle: residual 1e-3 above tolerance\n")
+    assert run_cli(capsys, "check", path) == (
+        3, "", "numerical failure: player 0: kalman: residual 1e-3 above tolerance\n")
 
 
 def _text_report(capsys, *argv):
@@ -430,9 +454,9 @@ def test_text_format_of_solve(tmp_path, capsys):
     assert code == 1
     assert lines[:9] == ["status: infeasible", "failing_player: 0", "circle_ok: False",
                          "circle_witness: 0", "phi_at_witness: -3", "rank_ok: True",
-                         "kalman_status: infeasible", "players:", "  -:"]
-    assert "    kalman:" in lines and "      status: infeasible" in lines
-    assert lines[-4:] == ["diagnostics:", "  kalman_iterations: [0]", "  kalman_gaps: [0]",
+                         "kalman_status: None", "players:", "  -:"]
+    assert "    kalman: None" in lines
+    assert lines[-4:] == ["diagnostics:", "  kalman_iterations: None", "  kalman_gaps: None",
                           "  circle_probes: [1]"]
 
 
@@ -475,8 +499,8 @@ def test_solve_nearest_rejects_q_only_mode(tmp_path, capsys):
 
 def test_check_timings_resolve_microseconds(tmp_path, capsys, monkeypatch):
     # timings_ms are float milliseconds rounded to 1 us, read from perf_counter;
-    # the oracle's are those of the closed form and of its Nash check.
-    ticks = iter([0.0, 0.0001234567, 1.0, 1.002, 7.0, 7.0005])
+    # the oracle's span the closed form and its Nash check.
+    ticks = iter([0.0, 0.0001234567, 1.0, 1.0025])
     monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
     code, out, _ = run_cli(capsys, "check", write_example(tmp_path, "scalar_feasible"))
     assert code == 0
@@ -996,7 +1020,9 @@ def test_cli_corpus_audit_checks_every_answer_with_costs(tmp_path, monkeypatch, 
     # file, I - S*S negative at the witness, and fails on a witness where it
     # is not: on "band" (A_cl = diag(-1, -10), B = [1; 1], K = [-3, 1]) the
     # gap is -14.21 at w = 0, where |S| = 3.9, and +9.8e-4 at w = 100.  It
-    # counts the determinate verdicts with no certificate it checks, and
+    # re-checks each rank certificate (remark2's) as a unit eigenvector of
+    # A~_i at s0 in the closed right half-plane, and fails on one whose x was
+    # moved.  It counts the determinate verdicts with no certificate it checks, and
     # fails on a count above its ceiling.  It splits the answers of check and
     # solve by where their costs came from: the closed form, or the search
     # (on "pinned", whose pinned block is on the boundary, the closed form
@@ -1007,7 +1033,7 @@ def test_cli_corpus_audit_checks_every_answer_with_costs(tmp_path, monkeypatch, 
 
     root = tmp_path / "corpus"
     (root / "problems").mkdir(parents=True)
-    for name in ("two_player_scalar", "scalar_infeasible"):
+    for name in ("two_player_scalar", "scalar_infeasible", "remark2"):
         (root / "problems" / f"{name}.json").write_text(BUNDLED[name])
     write_problem(root / "problems" / "band.json", np.array([[-4.0, 1.0], [-3.0, -9.0]]),
                   [np.ones((2, 1))], [np.array([[-3.0, 1.0]])])
@@ -1022,14 +1048,16 @@ def test_cli_corpus_audit_checks_every_answer_with_costs(tmp_path, monkeypatch, 
                                         ("solve-q-only", ["solve", "--mode", "q-only"], []),
                                         ("verify", ["verify"], []),
                                         ("nearest", ["solve"], ["--nearest", str(costs0)]))}
-    calls["band.json.check-no-oracle"] = ["check", "--no-oracle",
-                                          str(root / "problems" / "band.json")]
+    calls.update({f"{game}.json.check-no-oracle": ["check", "--no-oracle",
+                                                   str(root / "problems" / f"{game}.json")]
+                  for game in ("band", "remark2")})
     calls.update({f"pinned.json.{command}": [command, str(root / "problems" / "pinned.json")]
                   for command in ("check", "solve")})
     (root / "calls").mkdir()
     for name, argv in calls.items():
         (root / "calls" / name).write_text(cli_corpus.record(argv))
-    counts = {"check frequency inducible": 2, "check oracle not_inducible": 1}
+    counts = {"check frequency inducible": 2, "check oracle not_inducible": 1,
+              "check-no-oracle frequency not_inducible": 1}
     monkeypatch.setattr(cli_corpus, "UNCERTIFIED_CEILING", counts)
     assert cli_corpus.audit(root) == 0
     out, err = capsys.readouterr()
@@ -1040,8 +1068,10 @@ def test_cli_corpus_audit_checks_every_answer_with_costs(tmp_path, monkeypatch, 
         "solve-q-only: 1 answers with costs checked (1 closed form, 0 search)",
         "verify: 1 answers with costs checked",
         "failed circle probes: 4 checked, 4 with an eigenvalue of S(jw) beyond the unit circle",
+        "rank certificates: 1 checked",
         "determinate verdicts with no certificate (ceiling):",
-        "  check frequency inducible: 2 (2)", "  check oracle not_inducible: 1 (1)"]
+        "  check frequency inducible: 2 (2)", "  check oracle not_inducible: 1 (1)",
+        "  check-no-oracle frequency not_inducible: 1 (1)"]
     assert err == "0 certificates that do not check, 0 counts above their ceiling\n"
     monkeypatch.setattr(cli_corpus, "UNCERTIFIED_CEILING",
                         {**counts, "check oracle not_inducible": 0})
@@ -1059,6 +1089,13 @@ def test_cli_corpus_audit_checks_every_answer_with_costs(tmp_path, monkeypatch, 
         False, 0.0)
     report["players"][0]["circle_witness"] = 100.0
     band.write_text(f"{head}report:\n{json.dumps(report, indent=1)}\n")
+    rank = root / "calls" / "remark2.json.check-no-oracle"
+    head, _, shown = rank.read_text().partition("report:\n")
+    report = json.loads(shown)
+    (certificate,) = report["players"][0]["rank_certificates"]
+    # x = (1, 1, 1)/sqrt(3) at s0 = 1; e_1, a unit vector still, is no eigenvector.
+    certificate["x_re"] = [1.0, 0.0, 0.0]
+    rank.write_text(f"{head}report:\n{json.dumps(report, indent=1)}\n")
     script = ("import runpy, sys\n"
               "sys.argv = sys.argv[1:]\n"
               "try:\n"
@@ -1070,9 +1107,11 @@ def test_cli_corpus_audit_checks_every_answer_with_costs(tmp_path, monkeypatch, 
     assert "NOT NASH two_player_scalar.json.solve: stationarity of player 0" in result.stdout
     assert re.search(r"^NOT A CIRCLE FAILURE band\.json\.check-no-oracle: player 0 at "
                      r"w = 100\.0: lambda_min 0\.0009", result.stdout, re.M)
+    assert re.search(r"^NOT A RANK CERTIFICATE remark2\.json\.check-no-oracle: player 0: "
+                     r"\|A~x - s0 x\| / max\(1, \|A~\|\) = ", result.stdout, re.M)
     assert "failed circle probes: 4 checked, 3 with" in result.stdout
     assert result.stdout.splitlines()[-1] == "exit 1 False"
-    assert result.stderr.startswith("2 certificates that do not check")
+    assert result.stderr.startswith("3 certificates that do not check")
 
 
 def test_cli_corpus_compare_allows_float_moves_only(tmp_path, monkeypatch, capsys):
@@ -1229,7 +1268,8 @@ def test_reports_carry_loop_iterations(tmp_path, capsys):
     path = write_example(tmp_path, "remark2")
     system, profile, _, _ = load_problem(path)
     players = [inverse.analyze_player(system, profile, i) for i in range(system.num_players)]
-    # check and solve report the oracle's searches, one per player.
+    # check reports the oracle's searches, one per player; solve, whose
+    # frequency test fails here, runs none.
     sols = solve_feasibility_projection(system, profile).solutions
     assert all(s.iterations > 0 for s in sols)
     assert all(s.gap <= PROJECTION_TOL for s in sols)
@@ -1250,7 +1290,8 @@ def test_reports_carry_loop_iterations(tmp_path, capsys):
     assert json.loads(out)["diagnostics"] == {"kalman_iterations": None, "kalman_gaps": None,
                                               "circle_probes": probes}
     _, out, _ = run_cli(capsys, "solve", path)
-    assert json.loads(out)["diagnostics"] == {**kalman, "circle_probes": probes}
+    assert json.loads(out)["diagnostics"] == {"kalman_iterations": None, "kalman_gaps": None,
+                                              "circle_probes": probes}
     (one,) = solve_feasibility_projection(system, profile, [1]).solutions
     _, out, _ = run_cli(capsys, "check", path, "--player", "1")
     assert json.loads(out)["diagnostics"] == {
@@ -1688,9 +1729,10 @@ def test_check_takes_the_closed_form_with_one_nash_check(tmp_path, monkeypatch, 
 def test_check_searches_where_the_closed_form_declines_or_under_player(
         tmp_path, monkeypatch, capsys, case):
     # With the closed form declining player 1 of two_player_scalar, check
-    # builds one stack of both players and searches both, and runs no Nash
-    # check; diagnostics.kalman_declined names who declined.  check
-    # --player 1 never tries the closed form: it searches player 1 alone.
+    # builds one stack of both players, searches both and checks their costs
+    # for Nash once; diagnostics.kalman_declined names who declined.  check
+    # --player 1 never tries the closed form: it searches player 1 alone, and
+    # makes no Nash check of one player's costs.
     path = write_example(tmp_path, "two_player_scalar")
     analyzed, checks, stacks, searches = count_oracle_calls(monkeypatch)
     calls = closed_form_declines(monkeypatch, {1}, 2)
@@ -1700,7 +1742,8 @@ def test_check_searches_where_the_closed_form_declines_or_under_player(
     assert (code, err, report["verdict_oracle"]) == (0, "", "inducible")
     listed = [1] if case == "player" else [0, 1]
     assert (calls, checks, stacks, searches) == (
-        [] if case == "player" else [0, 1], [], [listed], listed)
+        [] if case == "player" else [0, 1], [] if case == "player" else [NASH_TOL],
+        [listed], listed)
     assert report["diagnostics"]["kalman_method"] == ["search"] * len(listed)
     assert report["diagnostics"].get("kalman_declined") == (
         None if case == "player" else [None, "riccati"])
@@ -1727,12 +1770,79 @@ def test_check_oracle_is_indeterminate_where_the_closed_form_fails_the_nash_chec
         0, "", "inducible", "indeterminate", [])
     largest = max(cert.are_residuals + cert.stationarity_residuals)
     assert report["warnings"] == [
-        f"closed-form costs failed the Nash check: largest residual {largest:.3g}, "
+        f"the oracle's costs failed the Nash check: largest residual {largest:.3g}, "
         f"bound {cert.residual_bound:.3g}",
         "time-domain oracle did not reach a determinate verdict"]
     assert [(p["kalman"]["status"], p["kalman"]["psd_ok"]) for p in report["players"]] == [
         ("indeterminate", False)] * 3
     assert "kalman_method" not in report["diagnostics"]
+
+
+@pytest.mark.parametrize("tol", [0, 1e-15])
+def test_check_makes_its_nash_check_at_least_at_nash_tol(tmp_path, monkeypatch, capsys, tol):
+    # check checks its answer at max(file tol, NASH_TOL), as solve does
+    # without --tol: a file tol of 0 or 1e-15 neither rejects the closed
+    # form's Q as not semidefinite (exit 2) nor leaves the oracle undecided.
+    raw = json.loads((DATA / "ladder_r0_n8_N3_m2.json").read_text())
+    path = tmp_path / "tight.json"
+    path.write_text(json.dumps({**raw, "tol": tol}))
+    _, checks, _, _ = count_oracle_calls(monkeypatch)
+    code, out, err = run_cli(capsys, "check", str(path))
+    report = json.loads(out)
+    assert (code, err, report["verdict_frequency"], report["verdict_oracle"]) == (
+        0, "", "inducible", "inducible")
+    assert checks == [NASH_TOL]
+
+
+def test_check_nash_checks_a_searched_answer_once(tmp_path, monkeypatch, capsys):
+    # A real decline, no stub: the closed form declines player 0 of
+    # pinned_beside_scalar ("pinned_block"), so check searches both players,
+    # and that whole-game answer gets the one Nash check, whose residuals are
+    # each player's, by the one rule.  solve answers with the same Q and R.
+    path = pinned_beside_scalar(tmp_path)
+    system, profile, _, _ = load_problem(path)
+    analyzed, checks, stacks, searches = count_oracle_calls(monkeypatch)
+    code, out, err = run_cli(capsys, "check", path)
+    report = json.loads(out)
+    assert (code, err, report["verdict_frequency"], report["verdict_oracle"]) == (
+        0, "", "inducible", "inducible")
+    assert (analyzed, checks, stacks, searches) == ([0, 1], [NASH_TOL], [[0, 1]], [0, 1])
+    assert report["diagnostics"]["kalman_declined"] == ["pinned_block", None]
+    assert report["diagnostics"]["kalman_method"] == ["search", "search"]
+    kalmans = [player["kalman"] for player in report["players"]]
+    costs = CostParameters.diagonal_R([np.array(k["Q"]) for k in kalmans],
+                                      [np.array(k["R"]) for k in kalmans])
+    ok, cert = verify_nash(system, profile, costs)
+    assert ok and [k["status"] for k in kalmans] == ["solved", "solved"]
+    for k, stationarity in zip(kalmans, cert.stationarity_residuals):
+        assert k["residual"] == stationarity / max(
+            1.0, math.hypot(np.linalg.norm(k["Q"]), np.linalg.norm(k["R"])))
+    code, out, err = run_cli(capsys, "solve", path)
+    solved = json.loads(out)
+    assert (code, err, solved["status"]) == (0, "", "solved")
+    assert [(k["Q"], k["R"], k["residual"]) for k in kalmans] == [
+        (player["Q"], player["R"], player["kalman_residual"]) for player in solved["players"]]
+
+
+@pytest.mark.parametrize("mode", ["general", "q-only"])
+def test_solve_stops_at_a_failed_frequency_test(tmp_path, monkeypatch, capsys, mode):
+    # The circle and rank tests are necessary and sufficient: where one fails
+    # (remark2's rank test), solve answers infeasible at once.  It tries no
+    # closed form, builds no stack, runs no search and no Nash check, and
+    # its oracle fields are null; its frequency fields are check's.
+    path = write_example(tmp_path, "remark2")
+    analyzed, checks, stacks, searches = count_oracle_calls(monkeypatch)
+    calls = closed_form_declines(monkeypatch, set(), 2)
+    code, out, err = run_cli(capsys, "solve", path, "--mode", mode)
+    report = json.loads(out)
+    assert (code, err, report["status"], report["failing_player"]) == (1, "", "infeasible", 0)
+    assert (analyzed, checks, stacks, searches, calls) == ([0, 1], [], [], [], [])
+    assert report["kalman_status"] is None
+    assert [player["kalman"] for player in report["players"]] == [None, None]
+    assert (report["diagnostics"]["kalman_iterations"], report["diagnostics"]["kalman_gaps"]) == (
+        None, None)
+    checked = json.loads(run_cli(capsys, "check", path, "--no-oracle")[1])
+    assert [{**player, "kalman": None} for player in checked["players"]] == report["players"]
 
 
 def test_closed_form_oracle_gives_the_verdicts_of_the_search_alone(
@@ -1968,8 +2078,11 @@ def test_nearest_certifies_an_infeasible_single_input_player_without_a_loop(tmp_
 def test_q_only_certifies_a_multi_input_player_by_its_pinned_block(capsys):
     # The player of allpass_n3_N1_m2 has m_i = 2; q-only pins R_ii = I, so its
     # pinned block decides, where the general-mode search stops at the cap.
+    # solve answers infeasible by the failed frequency test, with no search.
     path = str(DATA / "allpass_n3_N1_m2.json")
+    system, profile, _, _ = load_problem(path)
+    (player,) = solve_feasibility_projection(system, profile, mode="q-only").solutions
+    assert (player.status, player.iterations) == ("infeasible", 0)
     code, out, err = run_cli(capsys, "solve", path, "--mode", "q-only")
     report = json.loads(out)
-    assert (code, err, report["kalman_status"]) == (1, "", "infeasible")
-    assert report["diagnostics"]["kalman_iterations"] == [0]
+    assert (code, err, report["status"], report["kalman_status"]) == (1, "", "infeasible", None)

@@ -16,12 +16,12 @@ holds a tolerance-sized float literal; it is a named constant.
 Exports: nashinduce.__all__ is the production API, the names a command runs
 or a caller needs to build and read a game.
 
-Decision path: one function of cli, _decide, runs both methods, the
-frequency-domain analysis and the oracle, for check and solve alike, with no
-switch between them (no closed_form parameter): it alone tries the closed
-form (kalman_riccati), and the Nash check of an answer's costs is made by the
-commands that print it, cmd_check and cmd_solve (and cmd_verify, of the
-file's own costs).
+Decision path: check and solve decide in two steps of cli, for both alike.
+The frequency step, _frequency_step, is analyze_player's one caller.  The
+oracle step, _oracle_step, is the one caller of kalman_riccati and of
+solve_feasibility_projection, with no switch between them (no closed_form
+parameter), and it makes the one Nash check of an answer's costs: verify_nash
+is called by it and by cmd_verify (of the file's own costs) alone.
 
 Packing: the stationarity maps hold no Kronecker product, and the packing
 layout _sym_layout has one packer (sym_pack_stack), one unpacker
@@ -82,12 +82,12 @@ ALLOWED = {
     "cli.build_parser.tol_option(note)": "the solve parser adds its --nearest note",
     "cli.main(argv)": "tests and perfbench call main(argv) in-process",
     "feasibility.stationarity_maps(players)": "solve_feasibility_projection passes its players",
-    "feasibility.solve_feasibility_projection(players)": "cli._decide passes the players "
+    "feasibility.solve_feasibility_projection(players)": "cli._oracle_step passes the players "
                                                          "check lists (--player)",
-    "feasibility.solve_feasibility_projection(mode)": "cli._decide passes solve's --mode",
+    "feasibility.solve_feasibility_projection(mode)": "cli._oracle_step passes solve's --mode",
     "forward.CostParameters.validate(tol)": "verify_nash passes --tol; nearest_params passes NEAREST_INPUT_TOL",
-    "forward.verify_nash(tol)": "cmd_solve and cmd_verify pass --tol; cmd_check passes the "
-                                "problem file's tol",
+    "forward.verify_nash(tol)": "cli._oracle_step passes solve's --tol, or check's NASH_TOL, "
+                                "raised to the problem file's tol; cmd_verify passes --tol",
     "forward.solve_coupled_are(gain_tol)": "perfbench's ladder generator (LADDER_SOLVER_ARGS)",
     "forward.solve_coupled_are(max_sweeps)": "perfbench's ladder generator (LADDER_SOLVER_ARGS)",
     "inverse.circle_criterion(frequencies)": "analyze_phi passes the probe frequencies it counts",
@@ -218,13 +218,12 @@ def callers(module: str, name: str) -> set:
 
 
 def test_check_and_solve_decide_on_one_path():
-    deciders = callers("cli", "analyze_player")
-    assert len(deciders) == 1, f"more than one decision path in cli: {sorted(deciders)}"
-    assert callers("cli", "solve_feasibility_projection") == deciders
-    assert callers("cli", "kalman_riccati") == deciders == {"_decide"}
-    decide = next(fn for fn in functions("cli") if fn.name == "_decide")
-    assert "closed_form" not in [arg.arg for arg in decide.args.args + decide.args.kwonlyargs]
-    assert callers("cli", "verify_nash") == {"cmd_check", "cmd_solve", "cmd_verify"}
+    assert callers("cli", "analyze_player") == {"_frequency_step"}
+    assert callers("cli", "kalman_riccati") == callers(
+        "cli", "solve_feasibility_projection") == {"_oracle_step"}
+    oracle = next(fn for fn in functions("cli") if fn.name == "_oracle_step")
+    assert "closed_form" not in [arg.arg for arg in oracle.args.args + oracle.args.kwonlyargs]
+    assert callers("cli", "verify_nash") == {"_oracle_step", "cmd_verify"}
 
 
 def gram_products(module: str) -> set:

@@ -54,7 +54,11 @@ code (the package is not imported):
   with ``circle_ok`` false): at its ``circle_witness`` w, the least
   eigenvalue of I - S(jw)^* S(jw), S = I - K_i (jwI - A_cl)^-1 B_i, must be
   negative.  It also counts the probes where S(jw) has an eigenvalue of
-  modulus above 1, which no R_ii can mend.
+  modulus above 1, which no R_ii can mend;
+* every rank certificate a ``check`` or ``solve`` report lists: its x must
+  be a unit eigenvector, at s0 in the closed right half-plane, of the loop
+  the other players close, A~_i = A - sum_{j != i} B_j K_j (see
+  _rank_certificate).  That the feasible Q_i annihilate x is not checked.
 
 It prints how many certificates of each kind it checked and names each that
 fails; for the answers of ``check`` and ``solve`` it splits that count by
@@ -64,7 +68,7 @@ form" where every player's method is "riccati", "search" where every one is
 counts the determinate verdicts that carry no certificate it checks: a
 frequency "inducible" (no costs), an oracle "not_inducible", and a frequency
 "not_inducible" or a ``solve`` "infeasible" with no failed circle probe (a
-rank certificate, or the search's).  It exits 1 if any certificate
+rank certificate, checked only in half, or the search's).  It exits 1 if any certificate
 fails or any of these counts exceeds its ceiling in UNCERTIFIED_CEILING.
 """
 
@@ -101,7 +105,8 @@ TIMINGS = re.compile(r'"timings_ms":\{[^{}]*\}')
 # audit's ceiling on each count of determinate verdicts with no certificate
 # it checks, as counted on the corpus (see audit), 0 for any verdict not
 # named: a count may only fall.  A frequency "not_inducible" with no failed
-# circle probe rests on a rank certificate, which audit does not check yet.
+# circle probe rests on a rank certificate, whose eigenvector audit checks,
+# but not yet that the feasible Q_i annihilate it.
 UNCERTIFIED_CEILING = {
     "check frequency inducible": 271, "check frequency not_inducible": 7,
     "check oracle not_inducible": 16, "check-no-oracle frequency inducible": 271,
@@ -280,18 +285,41 @@ def _claimed_costs(label: str, code: str, report, players: list):
     return None
 
 
+def _loop(game, skip=None):
+    """(A - sum_j B_j K_j over the players j of a problem file but `skip`,
+    B, K): the closed loop, or with skip = i the loop the others close."""
+    B = [_array(p["B"]) for p in game["players"]]
+    K = [_array(p["K_dagger"]) for p in game["players"]]
+    return _array(game["A"]) - sum(B[j] @ K[j] for j in range(len(B)) if j != skip), B, K
+
+
 def _circle_probe(game, i: int, w: float) -> tuple:
     """(lambda_min of I - S(jw)^* S(jw), the largest |eigenvalue| of S(jw))
     for player i of a problem file, S = I - K_i (jwI - A_cl)^-1 B_i and
     A_cl = A - sum_j B_j K_j; the gap is formed as G + G^* - G^* G,
     G = I - S, so that no identity cancels."""
-    B = [_array(p["B"]) for p in game["players"]]
-    K = [_array(p["K_dagger"]) for p in game["players"]]
-    A_cl = _array(game["A"]) - sum(Bj @ Kj for Bj, Kj in zip(B, K))
+    A_cl, B, K = _loop(game)
     G = K[i] @ np.linalg.solve(1j * w * np.eye(len(A_cl)) - A_cl, B[i])
     gap = G + G.conj().T - G.conj().T @ G
     return (float(np.linalg.eigvalsh(gap)[0]),
             float(np.abs(np.linalg.eigvals(np.eye(len(G)) - G)).max()))
+
+
+def _rank_certificate(game, i: int, certificate) -> str | None:
+    """Why a rank certificate of player i of a problem file does not check,
+    or None: |A~_i x - s0 x| <= 1e-6 max(1, |A~_i|_F) with A~_i = A -
+    sum_{j != i} B_j K_j, Re s0 >= -1e-9, and |x| = 1 within 1e-9."""
+    A_i = _loop(game, skip=i)[0]
+    s0 = complex(certificate["s0_re"], certificate["s0_im"])
+    x = _array(certificate["x_re"]) + 1j * _array(certificate["x_im"])
+    residual = float(np.linalg.norm(A_i @ x - s0 * x)) / max(1.0, float(np.linalg.norm(A_i)))
+    if residual > 1e-6:
+        return f"|A~x - s0 x| / max(1, |A~|) = {residual!r}"
+    if s0.real < -1e-9:
+        return f"Re s0 = {s0.real!r}"
+    if abs(float(np.linalg.norm(x)) - 1.0) > 1e-9:
+        return f"|x| = {float(np.linalg.norm(x))!r}"
+    return None
 
 
 def _determinate(label: str, report) -> list:
@@ -319,7 +347,7 @@ def audit(root: Path) -> int:
     checker.is_nash alone."""
     import checker
 
-    counts, sources, failures, probes, beyond, uncertified = {}, {}, [], 0, 0, {}
+    counts, sources, failures, probes, beyond, ranks, uncertified = {}, {}, [], 0, 0, 0, {}
     for path in sorted(p for p in (root / "calls").rglob("*") if p.is_file()):
         name = str(path.relative_to(root / "calls"))
         problem, label = name.rsplit(".", 1)
@@ -345,10 +373,18 @@ def audit(root: Path) -> int:
                 failures.append(f"NOT NASH {name}: {verdict.reason}")
         players = report.get("players", []) if isinstance(report, dict) else []
         for player in players:
-            if not isinstance(player, dict) or player.get("circle_ok") is not False:
+            if not isinstance(player, dict):
+                continue
+            i = player["index"]
+            for certificate in player.get("rank_certificates") or ():
+                ranks += 1
+                reason = _rank_certificate(game, i, certificate)
+                if reason is not None:
+                    failures.append(f"NOT A RANK CERTIFICATE {name}: player {i}: {reason}")
+            if player.get("circle_ok") is not False:
                 continue
             probes += 1
-            i, w = player["index"], player["circle_witness"]
+            w = player["circle_witness"]
             least, largest = _circle_probe(game, i, w) if w is not None else (math.nan, 0.0)
             beyond += largest > 1.0
             if least < 0.0:
@@ -364,6 +400,7 @@ def audit(root: Path) -> int:
         print(f"{label}: {count} answers with costs checked" + (f" ({split})" if split else ""))
     print(f"failed circle probes: {probes} checked, {beyond} with an eigenvalue of S(jw) "
           "beyond the unit circle")
+    print(f"rank certificates: {ranks} checked")
     print("determinate verdicts with no certificate (ceiling):")
     over = []
     for verdict in sorted(uncertified.keys() | UNCERTIFIED_CEILING.keys()):
