@@ -7,8 +7,9 @@ example (write a bundled problem file).
 Exit codes: 0 inducible / verified, 1 not inducible / not verified,
 2 input error, 3 numerical failure, 4 the two methods disagree.  check and
 solve decide in two steps, _frequency_step (each listed player's circle and
-rank tests) and _oracle_step (the closed form or the search, and the one Nash
-check of a whole game's answer).  check runs both and decides by the first
+rank tests, which build the player's Riccati Hamiltonian where its pinned
+block is definite) and _oracle_step (the closed form's costs from those
+Hamiltonians, or the search, and the one Nash check of a whole game's answer).  check runs both and decides by the first
 determinate verdict, frequency domain first, reporting a frequency stage's
 numerical failure as frequency_error {player, stage, reason} and exiting 3
 only when neither method is determinate.  The tests are necessary and
@@ -37,10 +38,10 @@ from .feasibility import (
     nearest_params,
     solve_feasibility_projection,
 )
-from .inverse import analyze_player, kalman_riccati
+from .inverse import analyze_player, riccati_costs
 from .numerics import NASH_TOL, DimensionError, NumericalFailureError, StageError, _norm
 from .problems import BUNDLED
-from .realization import GameSystem, StrategyProfile, _listed_players, closed_loop
+from .realization import GameSystem, StrategyProfile, _listed_players
 
 
 class InputError(ValueError):
@@ -290,12 +291,13 @@ def _frequency_step(system, profile, players):
     return analyses, verdict, time.perf_counter() - t0
 
 
-def _oracle_step(system, profile, players, mode, verdict_frequency, tol):
+def _oracle_step(system, profile, players, analyses, mode, verdict_frequency, tol):
     """The oracle's FeasibilityResult on the listed players, each player's
     reason where the closed form declined one (else None), the CertificateSet
     of its Nash check (None where none ran) and the seconds taken; its
     StageError propagates.  Where every player is listed and every frequency
-    verdict is inducible, the costs are inverse.kalman_riccati's (R_ii = I)
+    verdict is inducible, the costs are the closed form's (R_ii = I),
+    inverse.riccati_costs of the Hamiltonian each player's analysis holds,
     if it answers every player, else every player's search in `mode`, and
     they are checked for Nash once, at tol: each player then holds the costs
     checked, the residual rule stationarity residual / max(1, |(Q_i, R_ii)|_F)
@@ -304,8 +306,7 @@ def _oracle_step(system, profile, players, mode, verdict_frequency, tol):
     t0 = time.perf_counter()
     closed, declined, found = [], None, None
     if len(players) == system.num_players and verdict_frequency == "inducible":
-        A_cl = closed_loop(system, profile.K)
-        closed = [kalman_riccati(A_cl, system.B[i], profile.K[i]) for i in players]
+        closed = [riccati_costs(pa.riccati) for pa in analyses]
         declined = [riccati.declined for riccati in closed]
     if closed and not any(declined):
         declined, costs = None, CostParameters.identity_R([r.Q for r in closed], system.m)
@@ -393,7 +394,7 @@ def cmd_check(args) -> int:
         raise InputError(f"--player {args.player}: out of range") from exc
     analyses, verdict_freq, t_freq = _frequency_step(system, profile, indices)
     oracle, declined, cert, t_oracle = (None, None, None, 0.0) if args.no_oracle else _oracle_step(
-        system, profile, indices, "general", verdict_freq, max(tol, NASH_TOL))
+        system, profile, indices, analyses, "general", verdict_freq, max(tol, NASH_TOL))
     verdict_oracle = "skipped" if oracle is None else _ORACLE_VERDICT[oracle.status]
     error = next((pa for pa in analyses if isinstance(pa, StageError)), None)
     freq_error = None if error is None else {"player": error.player, "stage": error.stage,
@@ -463,7 +464,7 @@ def cmd_solve(args) -> int:
             raise pa
     oracle = declined = cert = None
     if verdict_freq == "inducible":
-        oracle, declined, cert, _ = _oracle_step(system, profile, players, args.mode,
+        oracle, declined, cert, _ = _oracle_step(system, profile, players, analyses, args.mode,
                                                  verdict_freq, tol)
     kalmans = oracle.solutions if oracle else [None] * len(analyses)
     diagnostics = _diagnostics(oracle, analyses, declined)

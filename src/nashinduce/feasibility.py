@@ -40,6 +40,7 @@ from .numerics import (
     POINT_SLACK,
     R_FLOOR,
     _anderson,
+    _norm,
     _stage,
     affine_slice,
     cone_project,
@@ -174,8 +175,8 @@ def pinned_block(A_cl, B, K):
     max(1, |M + M'|, |L|^2) of its terms.  A positive scalar R_ii multiplies
     it, and cross penalties only lower it.  pinned_verdict judges it."""
     M, L = K @ A_cl @ B, K @ B
-    scale = max(1.0, float(np.linalg.norm(M + M.T)), float(np.linalg.norm(L)) ** 2)
-    return -(M + M.T) - L.T @ L, scale
+    S = M + M.T
+    return -S - L.T @ L, max(1.0, _norm(S), _norm(L) ** 2)
 
 
 def pinned_verdict(G, scale) -> str:
@@ -184,7 +185,7 @@ def pinned_verdict(G, scale) -> str:
     Q_i >= 0 out of reach where R_ii is I or a positive scalar (the
     certificate of both cone searches); "definite" above +POINT_SLACK scale,
     where inverse.kalman_riccati answers; else "boundary"."""
-    least = float(np.linalg.eigvalsh(G).min())
+    least = float(np.linalg.eigvalsh(G)[0])
     if least < -POINT_SLACK * scale:
         return "fails"
     return "definite" if least > POINT_SLACK * scale else "boundary"

@@ -4,28 +4,37 @@ Phi_i = D_i'(-s) (T_i'(-s) T_i(s) - I) D_i(s), with
 T_i = I + K_i (sI - A_tilde_i)^-1 B_i the return difference, so by
 congruence Phi_i(jw) >= 0 iff I - S_i(jw)^* S_i(jw) >= 0, where
 S_i = T_i^-1 = I - K_i (sI - Acl)^-1 B_i (Kalman's return-difference
-inequality).  Its normal rank p is read at two fixed frequencies; the
-frequencies where it can change sign are the near-imaginary eigenvalues of
-one Hamiltonian-type pencil (rank-completed when p < m_i), and one
-lambda_min probe per interval decides the whole axis.  When p < m_i the
-gap's null vectors span the states X_N that every feasible Q_i annihilates,
-and an eigenvector of A_tilde_i in X_N with eigenvalue in the closed right
-half-plane violates the rank condition (vacuous when p = m_i).
-analyze_player returns both verdicts as one flat PlayerAnalysis, with the
-gap's lambda_min at the circle witness (Phi's sign there).  Costs come from
-the Kalman equation in closed form where it applies: kalman_riccati pins
-P's B_i columns by K_i and takes the rest from one Riccati equation of size
-n - m_i (R_ii = I), or names the condition that rules it out.  Where it
-declines any player, the time-domain search
-feasibility.solve_feasibility_projection recovers the costs;
-solve_kalman_general and solve_kalman_Q run it for one player.  The
+inequality).  The frequencies where it can change sign are the crossings,
+and one lambda_min probe per interval between them decides the whole axis
+(circle_probes).  Where K_i B_i is symmetric and the pinned block
+B_i'Q_iB_i is definite (feasibility.pinned_verdict), that block is the
+gap's w^-2 coefficient: p = m_i, and the crossings are the near-imaginary
+eigenvalues of the Riccati Hamiltonian of the closed form, whose ordered
+Schur form riccati_hamiltonian makes once per player.  Every other player
+(and one whose Hamiltonian has no ordered Schur form) reaches the pencil:
+its normal rank p is read at two fixed frequencies, and its crossings are
+the near-imaginary eigenvalues of one Hamiltonian-type pencil
+(return_difference_circle; rank-completed when p < m_i).  When p < m_i
+the gap's null vectors span the states X_N that every feasible Q_i
+annihilates, and an eigenvector of A_tilde_i in X_N with eigenvalue in the
+closed right half-plane violates the rank condition (vacuous when
+p = m_i).  analyze_player returns both verdicts as one flat
+PlayerAnalysis, with the gap's lambda_min at the circle witness (Phi's
+sign there) and the closed form's first half.  Costs come from the Kalman
+equation in closed form where it applies: kalman_riccati (riccati_costs
+of riccati_hamiltonian) pins P's B_i columns by K_i and takes the rest
+from one Riccati equation of size n - m_i (R_ii = I), or names the
+condition that rules it out.  Where it declines any player, the
+time-domain search feasibility.solve_feasibility_projection recovers the
+costs; solve_kalman_general and solve_kalman_Q run it for one player.  The
 polynomial route at the end of the module is reference code only.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +48,6 @@ from .numerics import (
     _schur,
     _stage,
     _unstable,
-    matrix_rank,
     psd_project,  # noqa: F401  (perfbench's tracing test reads inverse.psd_project)
     symmetrize,
 )
@@ -100,30 +108,41 @@ def return_difference_rank(A_cl, B, K) -> int:
     """Normal rank of I - S'S (= that of Phi): its numerical rank at
     RANK_FREQUENCIES, the larger of the two."""
     gaps, _, _ = return_difference_gap(A_cl, B, K, RANK_FREQUENCIES)
-    return max(matrix_rank(M) for M in gaps)
+    return max(_rank(s, RANK_TOL) for s in np.linalg.svd(gaps, compute_uv=False))
+
+
+@functools.lru_cache(maxsize=64)
+def _completion(size: int, k: int):
+    """The rank-k completing term's draws for a pencil of this size, from
+    COMPLETION_SEED: orthonormal U and V (size x k) and the unscaled
+    diagonals of D_A and D_B (2 x k), read-only.  They depend on the shape
+    alone, so each shape draws them once."""
+    rng = np.random.default_rng(COMPLETION_SEED)
+    U, V = (np.linalg.qr(rng.standard_normal((size, k)))[0] for _ in range(2))
+    draws = (U, V, rng.standard_normal((2, k)))
+    for a in draws:
+        a.setflags(write=False)
+    return draws
 
 
 def return_difference_circle(A_cl, B, K, k):
     """Test I - S(jw)^* S(jw) >= 0 for all real w (so Phi(jw) >= 0), for a
-    Phi of normal rank m - k.
+    Phi of normal rank m - k, by the crossings of one pencil: the path of a
+    player whose K B is asymmetric or whose pinned block is not "definite"
+    (and of one whose Hamiltonian has no Schur form); analyze_player reads
+    every other player's crossings off its Riccati Hamiltonian.
 
     det(I - S'(-s) S(s)) vanishes exactly at the finite eigenvalues of the
     pencil lambda E - H, H = [[A_cl, 0, B], [K'K, -A_cl', -K'], [K, B', 0]],
-    E = diag(I, I, 0) (one QZ call, LAPACK ggev); the near-imaginary ones
-    give the crossing frequencies |Im lambda|.  When k > 0 that determinant
-    vanishes everywhere and the pencil is singular; a rank-k completing term
-    tau (U D_A V', U D_B V'), with U, V orthonormal and D_A, D_B diagonal
-    from COMPLETION_SEED and tau = max(1, |H|), makes it regular, keeps the
-    eigenvalues of its regular part (the crossings) exactly and adds random
-    ones, which can only add probes (Hochstenbach, Mehl & Plestenjak, SIAM
-    J. Matrix Anal. Appl. 40(3), 2019).  Between consecutive crossings no
-    eigenvalue of the gap changes sign, so it is probed at w = 0, at the
-    midpoints and beyond the last crossing, all in one batched solve.  A
-    probe fails when lambda_min < -CIRCLE_TOL |G| (1 + |G|), a bound that
-    shrinks with the gap's 1/w^2 tail.  Round-off eigenvalues near the axis
-    only add probes.  The gap is even in w (real data), so w >= 0 suffices.
-    Returns (ok, witness, gap, probes): the first failing frequency and the
-    gap's lambda_min there, Phi's sign by congruence (both None if none fails).
+    E = diag(I, I, 0) (one QZ call, LAPACK ggev).  When k > 0 that
+    determinant vanishes everywhere and the pencil is singular; a rank-k
+    completing term tau (U D_A V', U D_B V'), with U, V orthonormal and D_A,
+    D_B diagonal from COMPLETION_SEED and tau = max(1, |H|), makes it
+    regular, keeps the eigenvalues of its regular part (the crossings)
+    exactly and adds random ones, which can only add probes (Hochstenbach,
+    Mehl & Plestenjak, SIAM J. Matrix Anal. Appl. 40(3), 2019).  So can
+    spurious infinite eigenvalues that QZ returns as a finite pair of
+    modulus near eps^-1/2 (K B symmetric).  circle_probes decides.
     """
     from scipy.linalg.lapack import dggev
 
@@ -134,9 +153,8 @@ def return_difference_circle(A_cl, B, K, k):
     H[2 * n:, :n], H[2 * n:, n:2 * n] = K, B.T
     E = np.diag(np.repeat([1.0, 0.0], [2 * n, m]))
     if k:
-        rng = np.random.default_rng(COMPLETION_SEED)
-        U, V = (np.linalg.qr(rng.standard_normal((2 * n + m, k)))[0] for _ in range(2))
-        d_a, d_b = max(1.0, np.linalg.norm(H)) * rng.standard_normal((2, k))
+        U, V, d = _completion(2 * n + m, k)
+        d_a, d_b = max(1.0, np.linalg.norm(H)) * d
         H += (U * d_a) @ V.T
         E += (U * d_b) @ V.T
     alphar, alphai, beta, *_, info = dggev(H, E, compute_vl=0, compute_vr=0,
@@ -144,7 +162,21 @@ def return_difference_circle(A_cl, B, K, k):
     if info != 0:
         raise NumericalFailureError(f"QZ iteration failed (ggev info {info})")
     finite = beta != 0.0
-    lam = (alphar[finite] + 1j * alphai[finite]) / beta[finite]
+    return circle_probes(A_cl, B, K, (alphar[finite] + 1j * alphai[finite]) / beta[finite])
+
+
+def circle_probes(A_cl, B, K, lam):
+    """The circle test of a player, given eigenvalues lam among which are the
+    zeros of det(I - S'(-s) S(s)): those with |Re| <= AXIS_TOL max(1, |lam|)
+    give the crossing frequencies |Im lam|.  Between consecutive crossings no
+    eigenvalue of the gap changes sign, so it is probed at w = 0, at the
+    midpoints and beyond the last crossing, all in one batched solve.  A
+    probe fails when lambda_min < -CIRCLE_TOL |G| (1 + |G|), a bound that
+    shrinks with the gap's 1/w^2 tail.  Round-off eigenvalues near the axis
+    only add probes.  The gap is even in w (real data), so w >= 0 suffices.
+    Returns (ok, witness, gap, probes): the first failing frequency and the
+    gap's lambda_min there, Phi's sign by congruence (both None if none fails).
+    """
     near = np.abs(lam.real) <= AXIS_TOL * np.maximum(1.0, np.abs(lam))
     cross = np.unique(np.abs(lam[near].imag))
     probes = [0.0]
@@ -207,10 +239,108 @@ class RiccatiCosts:
     declined: str | None
 
 
+@dataclass(frozen=True)
+class RiccatiHamiltonian:
+    """kalman_riccati up to the real Schur form of its Hamiltonian, H = U T U'
+    (stable eigenvalues first; T is 0 x 0 when n = m): the basis W = [Bh, V],
+    P's pinned columns in it (its V'PV block still 0), L L' = Q_bb, and, when
+    n > m, L^-1, Q's V'QBh block at X = 0 (Q_vb) and Ah's V'A_cl Bh block
+    (Ah_vb), the rest of what riccati_costs needs.  Its `declined` is always
+    None (a decline is a RiccatiCosts), so either answer reads alike."""
+
+    W: np.ndarray
+    P: np.ndarray
+    L: np.ndarray
+    L_inv: np.ndarray | None
+    Q_vb: np.ndarray | None
+    Ah_vb: np.ndarray | None
+    T: np.ndarray
+    U: np.ndarray | None
+    declined = None
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """The Hamiltonian's eigenvalues, read off T: a standardized 2 x 2
+        block [[a, b], [c, a]] at rows j, j + 1 holds the pair
+        a +- j sqrt(-b c), and T's subdiagonal is 0 off those blocks."""
+        im = np.sqrt(np.abs(self.T.diagonal(-1) * self.T.diagonal(1)))
+        pair = np.zeros(len(self.T))
+        pair[:-1] += im
+        pair[1:] -= im
+        return self.T.diagonal() + 1j * pair
+
+
+def riccati_hamiltonian(A_cl, B, K):
+    """kalman_riccati's first half: its checks, its basis and the ordered real
+    Schur form of its Hamiltonian, as a RiccatiHamiltonian; or, where it
+    declines ("asymmetric", "pinned_block", or "riccati" where that Schur
+    form cannot be ordered), the RiccatiCosts that names why.  When the
+    pinned block is definite, the Hamiltonian's eigenvalues are the zeros of
+    det(I - S'(-s) S(s)) (the block is the w^-2 coefficient of I - S'S), so
+    analyze_player reads the circle test's crossings off them (Boyd,
+    Balakrishnan & Kabamba 1989, on the gap's zero dynamics)."""
+    n, m = B.shape
+    k = n - m
+    try:
+        symmetrize(K @ B)
+    except ValueError:
+        return RiccatiCosts(None, None, "asymmetric")
+    G, scale = pinned_block(A_cl, B, K)
+    if pinned_verdict(G, scale) != "definite":
+        return RiccatiCosts(None, None, "pinned_block")
+    W, R_b = np.linalg.qr(B, mode="complete")
+    R_inv = np.linalg.inv(R_b[:m])  # m x m upper triangular, as its inverse
+    Ah, Kh = W.T @ A_cl @ W, K @ W
+    F = R_inv.T @ Kh
+    P = np.zeros((n, n))
+    P[:m], P[m:, :m] = F, F[:, m:].T
+    P[:m, :m] = 0.5 * (F[:, :m] + F[:, :m].T)
+    L = R_inv.T @ np.linalg.cholesky(G)  # L L' = R_b^-T G R_b^-1 = Q_bb
+    if not k:
+        return RiccatiHamiltonian(W, P, L, None, None, None, np.zeros((0, 0)), None)
+    Q0 = -(Ah[:, m:].T @ P + P[m:] @ Ah) - Kh[:, m:].T @ Kh  # Q's V rows at X = 0
+    L_inv = np.linalg.inv(L)
+    Bl, Sl = Ah[m:, :m] @ L_inv.T, Q0[:, :m] @ L_inv.T
+    H = np.empty((2 * k, 2 * k))
+    H[:k, :k] = Ah[m:, m:] - Bl @ Sl.T
+    H[k:, k:] = -H[:k, :k].T
+    H[:k, k:], H[k:, :k] = -(Bl @ Bl.T), Sl @ Sl.T - Q0[:, m:]
+    try:
+        T, U = _schur(H, stable_first=True)
+    except NumericalFailureError:
+        return RiccatiCosts(None, None, "riccati")
+    return RiccatiHamiltonian(W, P, L, L_inv, Q0[:, :m], Ah[m:, :m], T, U)
+
+
+def riccati_costs(h) -> RiccatiCosts:
+    """kalman_riccati's second half: the costs from h, riccati_hamiltonian's
+    answer, which is passed on where it declined; "riccati" where the
+    Hamiltonian has not n - m eigenvalues off the closed right half-plane
+    or U_1 is singular."""
+    if h.declined:
+        return h
+    m, k = len(h.L), len(h.T) // 2
+    P, D = h.P.copy(), h.L.T
+    if k:
+        U_1, U_2 = h.U[:k, :k], h.U[k:, :k]
+        if (_unstable(h.T.diagonal()[:k]).any() or not _unstable(h.T.diagonal()[k:]).all()
+                or _rank(np.linalg.svd(U_1, compute_uv=False), RANK_TOL) < k):
+            return RiccatiCosts(None, None, "riccati")
+        Y = np.linalg.solve(U_1.T, U_2.T).T
+        Y = 0.5 * (Y + Y.T)
+        P[m:, m:] = -Y
+        D = np.hstack([D, h.L_inv @ (h.Q_vb.T + h.Ah_vb.T @ Y)])
+    D = D @ h.W.T
+    P = h.W @ P @ h.W.T
+    return RiccatiCosts(Q=D.T @ D, P=0.5 * (P + P.T), declined=None)
+
+
 def kalman_riccati(A_cl, B, K) -> RiccatiCosts:
     """One player's costs with R = I in closed form: Q >= 0 and symmetric P
     with P B = K' and A_cl'P + P A_cl + Q + K'K = 0, so K = B'P is the
-    Kalman equation's answer (A_cl Hurwitz makes P that Lyapunov solution).
+    Kalman equation's answer (A_cl Hurwitz makes P that Lyapunov solution);
+    riccati_costs of riccati_hamiltonian, the halves analyze_player and
+    cli's oracle step run apart.
 
     In an orthonormal basis W = [Bh, V] with B = Bh R_b (one complete QR),
     P B = K' fixes every column of W'PW but the V'PV block, X, as those of
@@ -238,47 +368,7 @@ def kalman_riccati(A_cl, B, K) -> RiccatiCosts:
     half-plane (_unstable: one on the imaginary axis), its Schur form
     cannot be ordered, or U_1 is singular under the rank rule (_rank,
     RANK_TOL)."""
-    n, m = B.shape
-    k = n - m
-    try:
-        symmetrize(K @ B)
-    except ValueError:
-        return RiccatiCosts(None, None, "asymmetric")
-    G, scale = pinned_block(A_cl, B, K)
-    if pinned_verdict(G, scale) != "definite":
-        return RiccatiCosts(None, None, "pinned_block")
-    W, R_b = np.linalg.qr(B, mode="complete")
-    R_inv = np.linalg.inv(R_b[:m])  # m x m upper triangular, as its inverse
-    Ah, Kh = W.T @ A_cl @ W, K @ W
-    F = R_inv.T @ Kh
-    P = np.zeros((n, n))
-    P[:m], P[m:, :m] = F, F[:, m:].T
-    P[:m, :m] = 0.5 * (F[:, :m] + F[:, :m].T)
-    L = R_inv.T @ np.linalg.cholesky(G)  # L L' = R_b^-T G R_b^-1 = Q_bb
-    L_inv = np.linalg.inv(L)
-    Q_bv = np.zeros((m, k))
-    if k:
-        Q0 = -(Ah[:, m:].T @ P + P[m:] @ Ah) - Kh[:, m:].T @ Kh  # Q's V rows at X = 0
-        Bl, Sl = Ah[m:, :m] @ L_inv.T, Q0[:, :m] @ L_inv.T
-        H = np.empty((2 * k, 2 * k))
-        H[:k, :k] = Ah[m:, m:] - Bl @ Sl.T
-        H[k:, k:] = -H[:k, :k].T
-        H[:k, k:], H[k:, :k] = -(Bl @ Bl.T), Sl @ Sl.T - Q0[:, m:]
-        try:
-            T, U = _schur(H, stable_first=True)
-        except NumericalFailureError:
-            return RiccatiCosts(None, None, "riccati")
-        U_1, U_2 = U[:k, :k], U[k:, :k]
-        if (_unstable(T.diagonal()[:k]).any() or not _unstable(T.diagonal()[k:]).all()
-                or _rank(np.linalg.svd(U_1, compute_uv=False), RANK_TOL) < k):
-            return RiccatiCosts(None, None, "riccati")
-        Y = np.linalg.solve(U_1.T, U_2.T).T
-        Y = 0.5 * (Y + Y.T)
-        P[m:, m:] = -Y
-        Q_bv = Q0[:, :m].T + Ah[m:, :m].T @ Y
-    D = np.hstack([L.T, L_inv @ Q_bv]) @ W.T
-    P = W @ P @ W.T
-    return RiccatiCosts(Q=D.T @ D, P=0.5 * (P + P.T), declined=None)
+    return riccati_costs(riccati_hamiltonian(A_cl, B, K))
 
 
 def solve_kalman_Q(system: GameSystem, profile: StrategyProfile, i: int) -> KalmanSolution:
@@ -308,7 +398,9 @@ class PlayerAnalysis:
     """One player's frequency-domain verdict: the normal rank p of Phi, the
     circle criterion (its first failing probe frequency and the gap's
     lambda_min there, both None when it holds, and the number of probe
-    frequencies) and the rank condition's violations."""
+    frequencies) and the rank condition's violations; and riccati, the
+    closed form's first half (riccati_hamiltonian's RiccatiHamiltonian, or
+    the RiccatiCosts that declines), which riccati_costs finishes."""
 
     index: int
     controllable: bool
@@ -319,6 +411,7 @@ class PlayerAnalysis:
     probes: int
     violations: tuple
     warnings: tuple
+    riccati: RiccatiHamiltonian | RiccatiCosts = field(repr=False, compare=False)
 
     @property
     def rank_ok(self) -> bool:
@@ -330,17 +423,27 @@ class PlayerAnalysis:
 
 
 def analyze_player(system: GameSystem, profile: StrategyProfile, i: int) -> PlayerAnalysis:
-    """Circle criterion and rank condition of player i, in state space.  A
+    """Circle criterion and rank condition of player i, in state space.
+    Where riccati_hamiltonian answers (K B symmetric, the pinned block
+    definite), p = m, the rank condition is vacuous and the crossings are
+    the Hamiltonian's eigenvalues; elsewhere p is read at RANK_FREQUENCIES
+    and the crossings come from return_difference_circle's pencil.  A
     numerical failure raises numerics.StageError naming the stage, "circle"
     or "rank_condition"."""
     A_tilde, A_cl = reduced_system(system, profile, i)
     B, K = system.B[i], profile.K[i]
+    m = B.shape[1]
     with _stage(i, "circle"):
         controllable = controllable_basis(A_tilde, B).shape[1] == system.n
-        p = return_difference_rank(A_cl, B, K)
-        ok, witness, gap, probes = return_difference_circle(A_cl, B, K, B.shape[1] - p)
+        riccati = riccati_hamiltonian(A_cl, B, K)
+        if riccati.declined:
+            p = return_difference_rank(A_cl, B, K)
+            ok, witness, gap, probes = return_difference_circle(A_cl, B, K, m - p)
+        else:
+            p = m
+            ok, witness, gap, probes = circle_probes(A_cl, B, K, riccati.eigenvalues)
     with _stage(i, "rank_condition"):
-        violations = rank_condition(A_tilde, A_cl, B, K, B.shape[1] - p)
+        violations = rank_condition(A_tilde, A_cl, B, K, m - p)
     warnings = []
     if not controllable:
         warnings.append(f"player {i}: uncontrollable subspace present; "
@@ -349,7 +452,7 @@ def analyze_player(system: GameSystem, profile: StrategyProfile, i: int) -> Play
                  for v in violations if v.boundary]
     return PlayerAnalysis(index=i, controllable=controllable, p=p, circle_ok=ok,
                           circle_witness=witness, circle_gap=gap, probes=probes,
-                          violations=violations, warnings=tuple(warnings))
+                          violations=violations, warnings=tuple(warnings), riccati=riccati)
 
 
 # ---------------------------------------------------------------------------

@@ -628,9 +628,9 @@ def _anderson(step, z):
     round-off) and when the mixed point is non-finite.  Stops when res <=
     tol * scale, scale = max(1, |out|).  Returns (out, reason, iterations,
     res / scale), reason "converged" or "cap" after cap iterations.  A
-    stalled loop returns the cap tuple at once when it can no longer
-    converge in time: plain steps of a nonexpansive map never grow |f|, and
-    res moves by at most 2 |f| a step.
+    stalled loop stops with reason "cap" and the iterations it ran as soon
+    as it can no longer converge in time: plain steps of a nonexpansive map
+    never grow |f|, and res moves by at most 2 |f| a step.
     """
     cap, tol = PROJECTION_CAP, PROJECTION_TOL
     dG, dF = np.empty((2, z.size, ANDERSON_MEMORY))
@@ -644,7 +644,7 @@ def _anderson(step, z):
         f = g - z
         f_norm = float(np.linalg.norm(f))
         if f_norm <= ANDERSON_FLOOR * scale and 2 * (cap - it) * f_norm < res - tol * scale:
-            return out, "cap", cap, res / scale
+            return out, "cap", it, res / scale
         if f_norm > ANDERSON_RESTART * f_prev_norm:
             added = 0
         elif g_prev is not None:

@@ -46,18 +46,18 @@ def write_example(tmp_path, name):
 
 
 def closed_form_declines(monkeypatch, players, N):
-    """Make the inverse.kalman_riccati of check and solve decline
-    ("riccati") the listed players of an N-player game, whose calls come in
-    player order; declining any, the oracle searches every player as it does
+    """Make the inverse.riccati_costs of check and solve decline ("riccati")
+    the listed players of an N-player game, whose calls come in player
+    order; declining any, the oracle searches every player as it does
     without the closed form.  Returns the players it is called for, in order."""
-    kalman_riccati, calls = cli.kalman_riccati, []
+    riccati_costs, calls = cli.riccati_costs, []
 
-    def stub(A_cl, B, K):
+    def stub(hamiltonian):
         calls.append(len(calls) % N)
         return RiccatiCosts(None, None, "riccati") if calls[-1] in players else (
-            kalman_riccati(A_cl, B, K))
+            riccati_costs(hamiltonian))
 
-    monkeypatch.setattr(cli, "kalman_riccati", stub)
+    monkeypatch.setattr(cli, "riccati_costs", stub)
     return calls
 
 
@@ -118,7 +118,7 @@ def test_check_keeps_the_oracle_verdict_when_a_frequency_stage_fails(
     def failing(*args, **kwargs):
         raise NumericalFailureError("residual 1e-3 above tolerance")
 
-    monkeypatch.setattr(inverse, "return_difference_circle", failing)
+    monkeypatch.setattr(inverse, "circle_probes", failing)
     path = write_example(tmp_path, "two_player_scalar")
     code, out, err = run_cli(capsys, "check", path)
     assert code == 0, err
@@ -300,7 +300,7 @@ def boundary_and_scalar_infeasible(tmp_path):
 def test_solve_says_indeterminate_where_the_search_stops_undecided(tmp_path, monkeypatch, capsys):
     # A search that reached no verdict proves no infeasibility of a game whose
     # true costs pass the Nash check.  On the boundary game the closed form
-    # answers, with costs that pass it; the search alone stops at its cap, and
+    # answers, with costs that pass it; the search alone stalls undecided, and
     # solve, with the closed form declining, says indeterminate.
     A, b, K, c = boundary_game()
     path = write_problem(tmp_path / "boundary.json", A, [b], [K])
@@ -322,13 +322,14 @@ def test_solve_says_indeterminate_where_the_search_stops_undecided(tmp_path, mon
     assert (report["status"], report["failing_player"], report["kalman_status"]) == (
         "indeterminate", 0, "indeterminate")
     assert report["circle_ok"] and report["rank_ok"]
-    assert report["diagnostics"]["kalman_iterations"] == [numerics.PROJECTION_CAP]
+    # The search stalls short of its cap and reports the steps it ran.
+    assert 0 < report["diagnostics"]["kalman_iterations"][0] < numerics.PROJECTION_CAP
 
 
 def test_a_certified_player_decides_before_an_undecided_one(tmp_path, capsys):
     # Player 1 fails the circle test, and its pinned block b'Qb = -0.75
-    # certifies its search infeasible; player 0's search stops undecided at
-    # its cap.  Every player's conditions are necessary, so player 1's failure
+    # certifies its search infeasible; player 0's search stalls undecided
+    # short of its cap.  Every player's conditions are necessary, so player 1's failure
     # decides, although player 0 comes first: solve answers infeasible there
     # by the failed test alone (no search runs), and check's oracle by the
     # certified search, though player 0's stopped undecided.
@@ -347,7 +348,8 @@ def test_a_certified_player_decides_before_an_undecided_one(tmp_path, capsys):
         1, "", "not_inducible", "not_inducible")
     assert [player["kalman"]["status"] for player in report["players"]] == [
         "indeterminate", "infeasible"]
-    assert report["diagnostics"]["kalman_iterations"] == [PROJECTION_CAP, 0]
+    its = report["diagnostics"]["kalman_iterations"]
+    assert 0 < its[0] < PROJECTION_CAP and its[1] == 0  # player 0's search stalled
 
 
 def test_a_certified_search_decides_before_an_undecided_one(tmp_path, monkeypatch, capsys):
@@ -378,7 +380,7 @@ def test_a_certified_search_decides_before_an_undecided_one(tmp_path, monkeypatc
 def test_a_certified_player_decides_before_a_failed_stage(tmp_path, monkeypatch, capsys):
     # Player 0's circle stage fails numerically and player 1 fails its circle
     # test: the frequency verdict is not_inducible, with the failure reported.
-    circle = inverse.return_difference_circle
+    circle = inverse.circle_probes
     calls = []
 
     def failing_first(*args):
@@ -387,7 +389,7 @@ def test_a_certified_player_decides_before_a_failed_stage(tmp_path, monkeypatch,
             raise NumericalFailureError("QZ iteration failed (ggev info 1)")
         return circle(*args)
 
-    monkeypatch.setattr(inverse, "return_difference_circle", failing_first)
+    monkeypatch.setattr(inverse, "circle_probes", failing_first)
     code, out, err = run_cli(capsys, "check", boundary_and_scalar_infeasible(tmp_path),
                              "--no-oracle")
     report = json.loads(out)
@@ -404,7 +406,7 @@ def test_solve_exits_3_on_a_failed_stage_and_check_with_the_oracle_message(
         raise NumericalFailureError("residual 1e-3 above tolerance")
 
     path = write_example(tmp_path, "two_player_scalar")
-    monkeypatch.setattr(inverse, "return_difference_circle", failing)
+    monkeypatch.setattr(inverse, "circle_probes", failing)
     assert run_cli(capsys, "solve", path) == (
         3, "", "numerical failure: player 0: circle: residual 1e-3 above tolerance\n")
     # Both methods fail: solve runs no oracle and still shows the stage's
@@ -2077,7 +2079,7 @@ def test_nearest_certifies_an_infeasible_single_input_player_without_a_loop(tmp_
 
 def test_q_only_certifies_a_multi_input_player_by_its_pinned_block(capsys):
     # The player of allpass_n3_N1_m2 has m_i = 2; q-only pins R_ii = I, so its
-    # pinned block decides, where the general-mode search stops at the cap.
+    # pinned block decides, where the general-mode search stops undecided.
     # solve answers infeasible by the failed frequency test, with no search.
     path = str(DATA / "allpass_n3_N1_m2.json")
     system, profile, _, _ = load_problem(path)
@@ -2086,3 +2088,60 @@ def test_q_only_certifies_a_multi_input_player_by_its_pinned_block(capsys):
     code, out, err = run_cli(capsys, "solve", path, "--mode", "q-only")
     report = json.loads(out)
     assert (code, err, report["status"], report["kalman_status"]) == (1, "", "infeasible", None)
+
+
+def test_a_stalled_search_reports_the_steps_it_ran(tmp_path, monkeypatch, capsys):
+    # On "band" (A_cl = diag(-1, -10), B = [1; 1], K = [-3, 1]) the circle
+    # test fails at w = 0 and check's oracle searches.  The search's loop
+    # stalls outside the cones and stops as soon as it can no longer
+    # converge, long before PROJECTION_CAP: kalman_iterations is the number
+    # of steps it ran.
+    steps = []
+    anderson = numerics._anderson
+    monkeypatch.setattr(numerics, "_anderson", lambda step, z: anderson(
+        lambda x: steps.append(1) or step(x), z))
+    path = write_problem(tmp_path / "band.json", np.array([[-4.0, 1.0], [-3.0, -9.0]]),
+                         [np.ones((2, 1))], [np.array([[-3.0, 1.0]])])
+    code, out, err = run_cli(capsys, "check", path)
+    report = json.loads(out)
+    assert (code, err, report["verdict_frequency"], report["verdict_oracle"]) == (
+        1, "", "not_inducible", "indeterminate")
+    assert report["diagnostics"]["kalman_iterations"] == [len(steps)]
+    assert 0 < len(steps) < PROJECTION_CAP
+
+
+def test_each_player_builds_one_hamiltonian_and_finishes_it_once(monkeypatch, capsys):
+    # check and solve build each player's Riccati Hamiltonian once, in the
+    # frequency step, and the oracle step finishes the closed form once per
+    # player from the Hamiltonian that player's analysis holds: no
+    # kalman_riccati call builds another, and one verify_nash call checks the
+    # whole game's answer.  check --no-oracle builds them and finishes none.
+    path = str(DATA / "ladder_r0_n8_N3_m2.json")
+    system, _, _, _ = load_problem(path)
+    built, finished, checks, rebuilt = [], [], [], []
+    hamiltonian, costs = inverse.riccati_hamiltonian, cli.riccati_costs
+    kalman_riccati, verify = inverse.kalman_riccati, cli.verify_nash
+
+    def build(A_cl, B, K):
+        built.append((next(i for i, B_i in enumerate(system.B) if np.array_equal(B_i, B)),
+                      hamiltonian(A_cl, B, K)))
+        return built[-1][1]
+
+    monkeypatch.setattr(inverse, "riccati_hamiltonian", build)
+    monkeypatch.setattr(cli, "riccati_costs", lambda h: finished.append(h) or costs(h))
+    monkeypatch.setattr(inverse, "kalman_riccati", lambda *a: rebuilt.append(1) or kalman_riccati(*a))
+    monkeypatch.setattr(cli, "verify_nash", lambda *a, **k: checks.append(1) or verify(*a, **k))
+    for argv, oracle in ((["check", path], True), (["solve", path], True),
+                         (["solve", "--mode", "q-only", path], True),
+                         (["check", "--no-oracle", path], False)):
+        for calls in (built, finished, checks, rebuilt):
+            calls.clear()
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert [i for i, _ in built] == [0, 1, 2], argv
+        assert all(h.declined is None for _, h in built), argv
+        assert [id(h) for h in finished] == ([id(h) for _, h in built] if oracle else []), argv
+        assert (len(checks), rebuilt) == (int(oracle), []), argv
+        if oracle:
+            report = json.loads(out)
+            assert report["diagnostics"]["kalman_method"] == ["riccati"] * 3, argv

@@ -13,7 +13,7 @@ from nashinduce import (
 )
 from nashinduce.cli import load_problem
 from nashinduce.cli import main as cli_main
-from nashinduce.feasibility import _kalman_map
+from nashinduce.feasibility import _kalman_map, pinned_block, pinned_verdict
 from nashinduce.forward import verify_nash
 from nashinduce.inverse import (
     analyze_phi,
@@ -21,7 +21,9 @@ from nashinduce.inverse import (
     check_rank_condition,
     circle_criterion,
     kalman_riccati,
+    return_difference_circle,
     return_difference_gap,
+    return_difference_rank,
     solve_kalman_general,
     solve_kalman_Q,
 )
@@ -446,6 +448,65 @@ def test_circle_gap_has_the_sign_of_phi():
     # A circle test that holds has no witness and no gap.
     pa = analyze_player(*scalar_game(1.0, 1.0, 3.0), 0)
     assert (pa.circle_ok, pa.circle_witness, pa.circle_gap) == (True, None, None)
+
+
+# The games of the 28 benchmark-corpus files (round, n, N, m) whose pencil
+# probe counts moved between two closed-loop sums 1e-16 apart (FOUND line 131
+# of CHANGES.md): ladder-recipe games, closed-form games (each the game of two
+# files, its true and doubled Q_1) and one fixture.
+ROUND_OFF_LADDER = ((0, 12, 2, 2), (0, 4, 3, 2), (0, 4, 3, 3), (0, 8, 3, 3), (1, 12, 3, 2),
+                    (1, 12, 3, 3), (1, 16, 2, 2), (1, 16, 3, 2), (2, 16, 2, 3), (2, 2, 2, 2),
+                    (2, 2, 3, 2))
+ROUND_OFF_CLOSED = ((0, 24, 2, 2), (0, 32, 3, 2), (0, 8, 2, 3), (0, 8, 3, 1), (1, 16, 2, 3),
+                    (1, 24, 3, 3), (2, 16, 2, 2), (2, 16, 3, 3))
+
+
+def test_circle_probes_do_not_move_with_round_off():
+    # Each player's pinned block is definite, so its crossings are its Riccati
+    # Hamiltonian's eigenvalues, which a perturbation of A_cl at 1e-16
+    # (relative) moves by round-off only.  The pencil's spurious pair near
+    # eps^-1/2 moves in and out of the axis band: read off the pencil, the
+    # probe counts of 45 of these 60 perturbed games move.
+    games = _bench_games()
+    seed = 20220712  # perfbench's CORPUS_SEED
+    drawn = [games.ladder_nash((seed, r, 1), n, N, m) for r, n, N, m in ROUND_OFF_LADDER]
+    drawn += [games.closed_form_nash((seed, r, 2), n, N, m) for r, n, N, m in ROUND_OFF_CLOSED]
+    systems = [(GameSystem(g.A, g.B), g.K) for g in drawn]
+    system, profile, _, _ = load_problem(str(DATA / "closed_form_n8_N3_m1.json"))
+    systems.append((system, profile.K))
+    for system, K in systems:
+        profile = StrategyProfile.stabilizing(system, K)
+        A_cl = closed_loop(system, profile.K)
+        assert all(pinned_verdict(*pinned_block(A_cl, B, K_i)) == "definite"
+                   for B, K_i in zip(system.B, profile.K))
+        players = [analyze_player(system, profile, i) for i in range(system.num_players)]
+        assert all(pa.circle_ok for pa in players)
+        for draw in range(3):
+            E = np.random.default_rng(draw).standard_normal(A_cl.shape)
+            moved = GameSystem(system.A + 1e-16 * np.linalg.norm(A_cl) / np.linalg.norm(E) * E,
+                               system.B)
+            profile_moved = StrategyProfile.stabilizing(moved, K)
+            assert [analyze_player(moved, profile_moved, i).probes
+                    for i in range(system.num_players)] == [pa.probes for pa in players]
+
+
+def test_definite_players_read_full_rank_and_the_pencil_verdict():
+    # On near-boundary Nash games, every player whose pinned block is
+    # definite reads p = m_i, and its circle verdict, read off its Riccati
+    # Hamiltonian, is the one the pencil (return_difference_circle at the
+    # sampled rank) gives.
+    definite = 0
+    for system, profile in near_boundary_games(600):
+        A_cl = closed_loop(system, profile.K)
+        for i, (B, K) in enumerate(zip(system.B, profile.K)):
+            if pinned_verdict(*pinned_block(A_cl, B, K)) != "definite":
+                continue
+            definite += 1
+            pa = analyze_player(system, profile, i)
+            k = B.shape[1] - return_difference_rank(A_cl, B, K)
+            assert (pa.p, pa.riccati.declined) == (B.shape[1], None)
+            assert pa.circle_ok == return_difference_circle(A_cl, B, K, k)[0]
+    assert definite == 890
 
 
 def test_check_builds_no_polynomial_matrix_when_phi_has_full_rank(monkeypatch, capsys):

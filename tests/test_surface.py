@@ -17,11 +17,17 @@ Exports: nashinduce.__all__ is the production API, the names a command runs
 or a caller needs to build and read a game.
 
 Decision path: check and solve decide in two steps of cli, for both alike.
-The frequency step, _frequency_step, is analyze_player's one caller.  The
-oracle step, _oracle_step, is the one caller of kalman_riccati and of
+The frequency step, _frequency_step, is analyze_player's one caller, and
+analyze_player builds each player's Riccati Hamiltonian (riccati_hamiltonian,
+whose other caller is kalman_riccati): the circle test reads its crossings
+off it, and the PlayerAnalysis keeps it, or the condition that declined it.
+The oracle step, _oracle_step, is the one caller of riccati_costs, which
+finishes the closed form from that stored Hamiltonian, and of
 solve_feasibility_projection, with no switch between them (no closed_form
-parameter), and it makes the one Nash check of an answer's costs: verify_nash
-is called by it and by cmd_verify (of the file's own costs) alone.
+parameter); cli never calls kalman_riccati, so no Hamiltonian is built or
+pinned block judged twice.  The oracle step makes the one Nash check of an
+answer's costs: verify_nash is called by it and by cmd_verify (of the file's
+own costs) alone.
 
 Packing: the stationarity maps hold no Kronecker product, and the packing
 layout _sym_layout has one packer (sym_pack_stack), one unpacker
@@ -94,8 +100,8 @@ ALLOWED = {
     "numerics.as_matrix(name)": "every caller names the block in its error message",
     "numerics.require_square(name)": "every caller names the block in its error message",
     "numerics.symmetrize(name)": "CostParameters names each block in its error message",
-    "numerics._schur(stable_first)": "inverse.kalman_riccati orders its Hamiltonian's stable "
-                                      "eigenvalues first",
+    "numerics._schur(stable_first)": "inverse.riccati_hamiltonian orders its Hamiltonian's "
+                                      "stable eigenvalues first",
     "numerics.psd_project(floor)": "tests/conftest.py's reference loop_cone_project passes "
                                    "each block's floor",
     "polymat.poly_trim(tol)": ITEM_4,
@@ -219,8 +225,10 @@ def callers(module: str, name: str) -> set:
 
 def test_check_and_solve_decide_on_one_path():
     assert callers("cli", "analyze_player") == {"_frequency_step"}
-    assert callers("cli", "kalman_riccati") == callers(
+    assert callers("inverse", "riccati_hamiltonian") == {"analyze_player", "kalman_riccati"}
+    assert callers("cli", "riccati_costs") == callers(
         "cli", "solve_feasibility_projection") == {"_oracle_step"}
+    assert callers("cli", "kalman_riccati") == callers("cli", "riccati_hamiltonian") == set()
     oracle = next(fn for fn in functions("cli") if fn.name == "_oracle_step")
     assert "closed_form" not in [arg.arg for arg in oracle.args.args + oracle.args.kwonlyargs]
     assert callers("cli", "verify_nash") == {"_oracle_step", "cmd_verify"}
@@ -252,7 +260,8 @@ def test_one_judge_of_the_pinned_block():
     judges = owners(lambda fn: reads_block(fn) and any(calls_own(fn, e) for e in EIGEN_CALLS))
     assert judges == set(), f"eigenvalues of the pinned block outside pinned_verdict: {judges}"
     assert owners(lambda fn: calls_own(fn, "pinned_verdict")) == {
-        "feasibility.player_feasibility", "feasibility.nearest_params", "inverse.kalman_riccati"}
+        "feasibility.player_feasibility", "feasibility.nearest_params",
+        "inverse.riccati_hamiltonian"}
 
 
 def test_stationarity_maps_are_packed_without_kronecker_products():
