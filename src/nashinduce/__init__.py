@@ -17,9 +17,7 @@ from .realization import (
 from .inverse import (
     PlayerAnalysis,
     RankViolation,
-    RiccatiCosts,
     analyze_player,
-    kalman_riccati,
 )
 from .forward import (
     CertificateSet,
@@ -52,14 +50,12 @@ __all__ = [
     "NumericalFailureError",
     "PlayerAnalysis",
     "RankViolation",
-    "RiccatiCosts",
     "StrategyProfile",
     "analyze_player",
     "closed_loop",
     "coupled_are_residuals",
     "fold_cross_penalties",
     "is_stabilizing",
-    "kalman_riccati",
     "nearest_params",
     "newton_kleinman",
     "reduced_system",

@@ -9,10 +9,11 @@ Exit codes: 0 inducible / verified, 1 not inducible / not verified,
 solve decide in two steps, _frequency_step (each listed player's circle and
 rank tests, which build the player's Riccati Hamiltonian where its pinned
 block is definite) and _oracle_step (the closed form's costs from those
-Hamiltonians, or the search, and the one Nash check of a whole game's answer).  check runs both and decides by the first
-determinate verdict, frequency domain first, reporting a frequency stage's
-numerical failure as frequency_error {player, stage, reason} and exiting 3
-only when neither method is determinate.  The tests are necessary and
+Hamiltonians, or the search, and the one Nash check of a whole game's
+answer).  check runs both and decides by the first determinate verdict,
+frequency domain first, reporting a frequency stage's numerical failure as
+frequency_error {player, stage, reason} and exiting 3 only when neither
+method is determinate.  The tests are necessary and
 sufficient, so solve runs the oracle only where every player passes them,
 and exits 3 on any numerical failure.
 """
@@ -296,23 +297,25 @@ def _oracle_step(system, profile, players, analyses, mode, verdict_frequency, to
     reason where the closed form declined one (else None), the CertificateSet
     of its Nash check (None where none ran) and the seconds taken; its
     StageError propagates.  Where every player is listed and every frequency
-    verdict is inducible, the costs are the closed form's (R_ii = I),
-    inverse.riccati_costs of the Hamiltonian each player's analysis holds,
-    if it answers every player, else every player's search in `mode`, and
-    they are checked for Nash once, at tol: each player then holds the costs
-    checked, the residual rule stationarity residual / max(1, |(Q_i, R_ii)|_F)
-    and status "solved", or "indeterminate", as the oracle, where it fails.
+    verdict is inducible, the costs are the closed form's (R_ii = I) if no
+    player's analysis holds a record that declines, each built by
+    inverse.riccati_costs from that record, else every player's search in
+    `mode` (building none), and they are checked for Nash once, at tol:
+    each player then holds the costs checked, the residual rule
+    stationarity residual / max(1, |(Q_i, R_ii)|_F) and status "solved",
+    or "indeterminate", as the oracle, where it fails.
     Elsewhere the oracle is the search of every listed player, unchecked."""
     t0 = time.perf_counter()
-    closed, declined, found = [], None, None
-    if len(players) == system.num_players and verdict_frequency == "inducible":
-        closed = [riccati_costs(pa.riccati) for pa in analyses]
-        declined = [riccati.declined for riccati in closed]
-    if closed and not any(declined):
-        declined, costs = None, CostParameters.identity_R([r.Q for r in closed], system.m)
+    whole = len(players) == system.num_players and verdict_frequency == "inducible"
+    declined = [pa.riccati.declined for pa in analyses] if whole else None
+    found = None
+    if whole and not any(declined):
+        declined = None
+        costs = CostParameters.identity_R([riccati_costs(pa.riccati)[0] for pa in analyses],
+                                          system.m)
     else:
         found = solve_feasibility_projection(system, profile, players, mode)
-        if not closed or found.status != "feasible":
+        if not whole or found.status != "feasible":
             return found, declined, None, time.perf_counter() - t0
         costs = CostParameters.diagonal_R([k.Q for k in found.solutions],
                                           [k.R for k in found.solutions])

@@ -21,8 +21,8 @@ splitting), and folds/unfolds cross-control penalties.  Both loops run through t
 Anderson-mixed fixed-point driver numerics._anderson and accept by one rule,
 numerics.cone_verdict; neither runs where the block B_i' Q_i B_i that K_i
 pins (pinned_block) "fails" by pinned_verdict, their one certificate and the
-one judge of that block: inverse.kalman_riccati answers only where it is
-"definite".  check searches every listed player where the closed form
+one judge of that block: inverse.riccati_hamiltonian declines wherever it is
+not "definite".  check searches every listed player where the closed form
 declines a player or is not tried (a frequency test fails, or --player lists
 a player of several); solve only where it declines one, as a failed test
 already answers infeasible.  The Kronecker identities
@@ -184,7 +184,8 @@ def pinned_verdict(G, scale) -> str:
     against POINT_SLACK scale: "fails" below -POINT_SLACK scale, which puts
     Q_i >= 0 out of reach where R_ii is I or a positive scalar (the
     certificate of both cone searches); "definite" above +POINT_SLACK scale,
-    where inverse.kalman_riccati answers; else "boundary"."""
+    the only verdict on which inverse.riccati_hamiltonian does not decline;
+    else "boundary"."""
     least = float(np.linalg.eigvalsh(G)[0])
     if least < -POINT_SLACK * scale:
         return "fails"
@@ -200,7 +201,7 @@ class KalmanSolution:
     status: str  # "solved" | "no_solution" | "infeasible" | "indeterminate"
     iterations: int = 0  # of the projection loop
     gap: float = 0.0  # relative distance of the projection loop's point to the cones at stop
-    method: str = "search"  # "riccati": inverse.kalman_riccati's closed form, no map built
+    method: str = "search"  # "riccati": inverse.riccati_costs' closed form, no map built
 
     @property
     def psd_ok(self) -> bool:

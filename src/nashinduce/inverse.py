@@ -20,14 +20,15 @@ annihilates, and an eigenvector of A_tilde_i in X_N with eigenvalue in the
 closed right half-plane violates the rank condition (vacuous when
 p = m_i).  analyze_player returns both verdicts as one flat
 PlayerAnalysis, with the gap's lambda_min at the circle witness (Phi's
-sign there) and the closed form's first half.  Costs come from the Kalman
-equation in closed form where it applies: kalman_riccati (riccati_costs
-of riccati_hamiltonian) pins P's B_i columns by K_i and takes the rest
-from one Riccati equation of size n - m_i (R_ii = I), or names the
-condition that rules it out.  Where it declines any player, the
-time-domain search feasibility.solve_feasibility_projection recovers the
-costs; solve_kalman_general and solve_kalman_Q run it for one player.  The
-polynomial route at the end of the module is reference code only.
+sign there) and the closed form's record.  Costs come from the Kalman
+equation in closed form where it applies: riccati_hamiltonian pins P's
+B_i columns by K_i and orders the Hamiltonian of one Riccati equation of
+size n - m_i (R_ii = I), or names the condition that rules it out, and
+riccati_costs builds the costs from its record.  Where it declines any
+player, the time-domain search feasibility.solve_feasibility_projection
+recovers the costs; solve_kalman_general and solve_kalman_Q run it for one
+player.  The polynomial route at the end of the module is reference code
+only.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .realization import (
     GameSystem,
     StrategyProfile,
     _pbh_failures,
-    controllable_basis,
+    krylov_matrix,
     reduced_system,
 )
 
@@ -229,34 +230,25 @@ def rank_condition(A_tilde, A_cl, B, K, k) -> tuple:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RiccatiCosts:
-    """kalman_riccati's answer: Q_i and P_i with R_ii = I (both None when it
-    declines), and the condition that failed ("asymmetric", "pinned_block"
-    or "riccati"; None when it answers)."""
-
-    Q: np.ndarray | None
-    P: np.ndarray | None
-    declined: str | None
-
-
-@dataclass(frozen=True)
 class RiccatiHamiltonian:
-    """kalman_riccati up to the real Schur form of its Hamiltonian, H = U T U'
-    (stable eigenvalues first; T is 0 x 0 when n = m): the basis W = [Bh, V],
-    P's pinned columns in it (its V'PV block still 0), L L' = Q_bb, and, when
-    n > m, L^-1, Q's V'QBh block at X = 0 (Q_vb) and Ah's V'A_cl Bh block
-    (Ah_vb), the rest of what riccati_costs needs.  Its `declined` is always
-    None (a decline is a RiccatiCosts), so either answer reads alike."""
+    """One player's closed form up to its costs: the real Schur form of its
+    Riccati Hamiltonian, H = U T U' (stable eigenvalues first; T is 0 x 0
+    when n = m), the basis W = [Bh, V], P's pinned columns in it (its V'PV
+    block still 0), L L' = Q_bb, and, when n > m, L^-1, Q's V'QBh block at
+    X = 0 (Q_vb) and Ah's V'A_cl Bh block (Ah_vb), the rest of what
+    riccati_costs needs; and declined, the condition that rules the closed
+    form out (None where riccati_costs may build it).  A decline made
+    before the Schur form leaves every other field None."""
 
-    W: np.ndarray
-    P: np.ndarray
-    L: np.ndarray
+    W: np.ndarray | None
+    P: np.ndarray | None
+    L: np.ndarray | None
     L_inv: np.ndarray | None
     Q_vb: np.ndarray | None
     Ah_vb: np.ndarray | None
-    T: np.ndarray
+    T: np.ndarray | None
     U: np.ndarray | None
-    declined = None
+    declined: str | None
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -270,77 +262,12 @@ class RiccatiHamiltonian:
         return self.T.diagonal() + 1j * pair
 
 
-def riccati_hamiltonian(A_cl, B, K):
-    """kalman_riccati's first half: its checks, its basis and the ordered real
-    Schur form of its Hamiltonian, as a RiccatiHamiltonian; or, where it
-    declines ("asymmetric", "pinned_block", or "riccati" where that Schur
-    form cannot be ordered), the RiccatiCosts that names why.  When the
-    pinned block is definite, the Hamiltonian's eigenvalues are the zeros of
-    det(I - S'(-s) S(s)) (the block is the w^-2 coefficient of I - S'S), so
-    analyze_player reads the circle test's crossings off them (Boyd,
-    Balakrishnan & Kabamba 1989, on the gap's zero dynamics)."""
-    n, m = B.shape
-    k = n - m
-    try:
-        symmetrize(K @ B)
-    except ValueError:
-        return RiccatiCosts(None, None, "asymmetric")
-    G, scale = pinned_block(A_cl, B, K)
-    if pinned_verdict(G, scale) != "definite":
-        return RiccatiCosts(None, None, "pinned_block")
-    W, R_b = np.linalg.qr(B, mode="complete")
-    R_inv = np.linalg.inv(R_b[:m])  # m x m upper triangular, as its inverse
-    Ah, Kh = W.T @ A_cl @ W, K @ W
-    F = R_inv.T @ Kh
-    P = np.zeros((n, n))
-    P[:m], P[m:, :m] = F, F[:, m:].T
-    P[:m, :m] = 0.5 * (F[:, :m] + F[:, :m].T)
-    L = R_inv.T @ np.linalg.cholesky(G)  # L L' = R_b^-T G R_b^-1 = Q_bb
-    if not k:
-        return RiccatiHamiltonian(W, P, L, None, None, None, np.zeros((0, 0)), None)
-    Q0 = -(Ah[:, m:].T @ P + P[m:] @ Ah) - Kh[:, m:].T @ Kh  # Q's V rows at X = 0
-    L_inv = np.linalg.inv(L)
-    Bl, Sl = Ah[m:, :m] @ L_inv.T, Q0[:, :m] @ L_inv.T
-    H = np.empty((2 * k, 2 * k))
-    H[:k, :k] = Ah[m:, m:] - Bl @ Sl.T
-    H[k:, k:] = -H[:k, :k].T
-    H[:k, k:], H[k:, :k] = -(Bl @ Bl.T), Sl @ Sl.T - Q0[:, m:]
-    try:
-        T, U = _schur(H, stable_first=True)
-    except NumericalFailureError:
-        return RiccatiCosts(None, None, "riccati")
-    return RiccatiHamiltonian(W, P, L, L_inv, Q0[:, :m], Ah[m:, :m], T, U)
-
-
-def riccati_costs(h) -> RiccatiCosts:
-    """kalman_riccati's second half: the costs from h, riccati_hamiltonian's
-    answer, which is passed on where it declined; "riccati" where the
-    Hamiltonian has not n - m eigenvalues off the closed right half-plane
-    or U_1 is singular."""
-    if h.declined:
-        return h
-    m, k = len(h.L), len(h.T) // 2
-    P, D = h.P.copy(), h.L.T
-    if k:
-        U_1, U_2 = h.U[:k, :k], h.U[k:, :k]
-        if (_unstable(h.T.diagonal()[:k]).any() or not _unstable(h.T.diagonal()[k:]).all()
-                or _rank(np.linalg.svd(U_1, compute_uv=False), RANK_TOL) < k):
-            return RiccatiCosts(None, None, "riccati")
-        Y = np.linalg.solve(U_1.T, U_2.T).T
-        Y = 0.5 * (Y + Y.T)
-        P[m:, m:] = -Y
-        D = np.hstack([D, h.L_inv @ (h.Q_vb.T + h.Ah_vb.T @ Y)])
-    D = D @ h.W.T
-    P = h.W @ P @ h.W.T
-    return RiccatiCosts(Q=D.T @ D, P=0.5 * (P + P.T), declined=None)
-
-
-def kalman_riccati(A_cl, B, K) -> RiccatiCosts:
-    """One player's costs with R = I in closed form: Q >= 0 and symmetric P
-    with P B = K' and A_cl'P + P A_cl + Q + K'K = 0, so K = B'P is the
-    Kalman equation's answer (A_cl Hurwitz makes P that Lyapunov solution);
-    riccati_costs of riccati_hamiltonian, the halves analyze_player and
-    cli's oracle step run apart.
+def riccati_hamiltonian(A_cl, B, K) -> RiccatiHamiltonian:
+    """One player's closed form with R = I, decided: the checks, the basis
+    and the ordered real Schur form of the Riccati Hamiltonian from which
+    riccati_costs builds Q >= 0 and symmetric P with P B = K' and
+    A_cl'P + P A_cl + Q + K'K = 0, so K = B'P is the Kalman equation's
+    answer (A_cl Hurwitz makes P that Lyapunov solution).
 
     In an orthonormal basis W = [Bh, V] with B = Bh R_b (one complete QR),
     P B = K' fixes every column of W'PW but the V'PV block, X, as those of
@@ -359,16 +286,71 @@ def kalman_riccati(A_cl, B, K) -> RiccatiCosts:
     solving algebraic Riccati equations", IEEE TAC; numerics._schur with
     stable_first).  The Schur complement is then 0, and Q = D'D with
     D = [L', L^-1 Q_bv] W', Q_bb = L L', is semidefinite by construction,
-    of rank m.
+    of rank m.  When the pinned block is definite, the Hamiltonian's
+    eigenvalues are the zeros of det(I - S'(-s) S(s)) (the block is the
+    w^-2 coefficient of I - S'S), so analyze_player reads the circle test's
+    crossings off T wherever it is made (Boyd, Balakrishnan & Kabamba 1989,
+    on the gap's zero dynamics).
 
     Declines, naming the first condition that fails: "asymmetric" when K B
     is not symmetric within symmetrize's PSD_TOL; "pinned_block" when the
     pinned block is not "definite" (feasibility.pinned_verdict); "riccati"
-    when the Hamiltonian has not n - m eigenvalues off the closed right
-    half-plane (_unstable: one on the imaginary axis), its Schur form
-    cannot be ordered, or U_1 is singular under the rank rule (_rank,
-    RANK_TOL)."""
-    return riccati_costs(riccati_hamiltonian(A_cl, B, K))
+    when the Schur form cannot be ordered (no T for these three), or, T
+    kept, when the Hamiltonian has not n - m eigenvalues off the closed
+    right half-plane (_unstable: one on the imaginary axis) or U_1 is
+    singular under the rank rule (_rank, RANK_TOL)."""
+    n, m = B.shape
+    k = n - m
+    none = (None,) * 8
+    try:
+        symmetrize(K @ B)
+    except ValueError:
+        return RiccatiHamiltonian(*none, "asymmetric")
+    G, scale = pinned_block(A_cl, B, K)
+    if pinned_verdict(G, scale) != "definite":
+        return RiccatiHamiltonian(*none, "pinned_block")
+    W, R_b = np.linalg.qr(B, mode="complete")
+    R_inv = np.linalg.inv(R_b[:m])  # m x m upper triangular, as its inverse
+    Ah, Kh = W.T @ A_cl @ W, K @ W
+    F = R_inv.T @ Kh
+    P = np.zeros((n, n))
+    P[:m], P[m:, :m] = F, F[:, m:].T
+    P[:m, :m] = 0.5 * (F[:, :m] + F[:, :m].T)
+    L = R_inv.T @ np.linalg.cholesky(G)  # L L' = R_b^-T G R_b^-1 = Q_bb
+    if not k:
+        return RiccatiHamiltonian(W, P, L, None, None, None, np.zeros((0, 0)), None, None)
+    Q0 = -(Ah[:, m:].T @ P + P[m:] @ Ah) - Kh[:, m:].T @ Kh  # Q's V rows at X = 0
+    L_inv = np.linalg.inv(L)
+    Bl, Sl = Ah[m:, :m] @ L_inv.T, Q0[:, :m] @ L_inv.T
+    H = np.empty((2 * k, 2 * k))
+    H[:k, :k] = Ah[m:, m:] - Bl @ Sl.T
+    H[k:, k:] = -H[:k, :k].T
+    H[:k, k:], H[k:, :k] = -(Bl @ Bl.T), Sl @ Sl.T - Q0[:, m:]
+    try:
+        T, U = _schur(H, stable_first=True)
+    except NumericalFailureError:
+        return RiccatiHamiltonian(*none, "riccati")
+    d = T.diagonal()
+    split = (not _unstable(d[:k]).any() and _unstable(d[k:]).all()
+             and _rank(np.linalg.svd(U[:k, :k], compute_uv=False), RANK_TOL) == k)
+    return RiccatiHamiltonian(W, P, L, L_inv, Q0[:, :m], Ah[m:, :m], T, U,
+                              None if split else "riccati")
+
+
+def riccati_costs(h: RiccatiHamiltonian):
+    """The costs (Q, P) of riccati_hamiltonian's record h, which does not
+    decline: Y = U_2 U_1^-1 from its Schur vectors fills P's V'PV block
+    with -Y, and Q = D'D."""
+    m, k = len(h.L), len(h.T) // 2
+    P, D = h.P.copy(), h.L.T
+    if k:
+        Y = np.linalg.solve(h.U[:k, :k].T, h.U[k:, :k].T).T
+        Y = 0.5 * (Y + Y.T)
+        P[m:, m:] = -Y
+        D = np.hstack([D, h.L_inv @ (h.Q_vb.T + h.Ah_vb.T @ Y)])
+    D = D @ h.W.T
+    P = h.W @ P @ h.W.T
+    return D.T @ D, 0.5 * (P + P.T)
 
 
 def solve_kalman_Q(system: GameSystem, profile: StrategyProfile, i: int) -> KalmanSolution:
@@ -399,8 +381,8 @@ class PlayerAnalysis:
     circle criterion (its first failing probe frequency and the gap's
     lambda_min there, both None when it holds, and the number of probe
     frequencies) and the rank condition's violations; and riccati, the
-    closed form's first half (riccati_hamiltonian's RiccatiHamiltonian, or
-    the RiccatiCosts that declines), which riccati_costs finishes."""
+    closed form's record (riccati_hamiltonian's RiccatiHamiltonian), from
+    which riccati_costs builds the costs where it does not decline."""
 
     index: int
     controllable: bool
@@ -411,7 +393,7 @@ class PlayerAnalysis:
     probes: int
     violations: tuple
     warnings: tuple
-    riccati: RiccatiHamiltonian | RiccatiCosts = field(repr=False, compare=False)
+    riccati: RiccatiHamiltonian = field(repr=False, compare=False)
 
     @property
     def rank_ok(self) -> bool:
@@ -424,19 +406,22 @@ class PlayerAnalysis:
 
 def analyze_player(system: GameSystem, profile: StrategyProfile, i: int) -> PlayerAnalysis:
     """Circle criterion and rank condition of player i, in state space.
-    Where riccati_hamiltonian answers (K B symmetric, the pinned block
-    definite), p = m, the rank condition is vacuous and the crossings are
-    the Hamiltonian's eigenvalues; elsewhere p is read at RANK_FREQUENCIES
-    and the crossings come from return_difference_circle's pencil.  A
+    Where riccati_hamiltonian makes a Schur form T (K B symmetric, the
+    pinned block definite), p = m, the rank condition is vacuous and the
+    crossings are the Hamiltonian's eigenvalues, read off T whether or not
+    the closed form then declines; where it makes none, p is read at
+    RANK_FREQUENCIES and the crossings come from return_difference_circle's
+    pencil.  Controllability is the Krylov matrix's numerical rank.  A
     numerical failure raises numerics.StageError naming the stage, "circle"
     or "rank_condition"."""
     A_tilde, A_cl = reduced_system(system, profile, i)
     B, K = system.B[i], profile.K[i]
     m = B.shape[1]
     with _stage(i, "circle"):
-        controllable = controllable_basis(A_tilde, B).shape[1] == system.n
+        controllable = _rank(np.linalg.svd(krylov_matrix(A_tilde, B), compute_uv=False),
+                             RANK_TOL) == system.n
         riccati = riccati_hamiltonian(A_cl, B, K)
-        if riccati.declined:
+        if riccati.T is None:
             p = return_difference_rank(A_cl, B, K)
             ok, witness, gap, probes = return_difference_circle(A_cl, B, K, m - p)
         else:

@@ -171,8 +171,9 @@ def _schur(M, stable_first=False):
     its argument handling.  The one gees call of the package: a command's
     one factorization, of Acl' (realization.closed_loop_schur), every other
     Hurwitz test (is_hurwitz), and, with stable_first, the ordered form of
-    inverse.kalman_riccati's Hamiltonian, whose eigenvalues in the open left
-    half-plane lead T's diagonal (gees sorts them there, LAPACK trsen)."""
+    the Hamiltonian of inverse.riccati_hamiltonian, whose eigenvalues in the
+    open left half-plane lead T's diagonal (gees sorts them there, LAPACK
+    trsen)."""
     from scipy.linalg import lapack
     T, _, _, _, U, _, info = lapack.dgees(_left if stable_first else _no_sort, M,
                                           sort_t=int(stable_first), lwork=_schur_lwork(len(M)))

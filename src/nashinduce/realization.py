@@ -255,14 +255,18 @@ def _power_basis(sigma) -> PolyMatrix:
     return PolyMatrix(C)
 
 
-def controllable_basis(A, B) -> np.ndarray:
-    """Orthonormal basis (columns) of the controllable subspace of (A, B):
-    the numerical range of [B, AB, ..., A^{n-1} B]."""
+def krylov_matrix(A, B) -> np.ndarray:
+    """The controllability (Krylov) matrix [B, AB, ..., A^{n-1} B] of (A, B)."""
     blocks = [B]
     for _ in range(A.shape[0] - 1):
         blocks.append(A @ blocks[-1])
-    ctrb = np.hstack(blocks)
-    u, sv, _ = np.linalg.svd(ctrb, full_matrices=False)
+    return np.hstack(blocks)
+
+
+def controllable_basis(A, B) -> np.ndarray:
+    """Orthonormal basis (columns) of the controllable subspace of (A, B):
+    the numerical range of krylov_matrix(A, B)."""
+    u, sv, _ = np.linalg.svd(krylov_matrix(A, B), full_matrices=False)
     return u[:, :_rank(sv, RANK_TOL)]
 
 

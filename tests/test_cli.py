@@ -19,7 +19,6 @@ from nashinduce import (CostParameters, GameSystem, StrategyProfile, cli, feasib
                         inverse, numerics, realization, verify_nash)
 from nashinduce.cli import dumps_report, load_costs, load_problem, main
 from nashinduce.feasibility import nearest_params, solve_feasibility_projection
-from nashinduce.inverse import RiccatiCosts
 from nashinduce.numerics import (NASH_TOL, PROJECTION_CAP, PROJECTION_TOL,
                                  NumericalFailureError, project_affine_cone)
 from nashinduce.problems import BUNDLED
@@ -45,20 +44,29 @@ def write_example(tmp_path, name):
     return str(path)
 
 
-def closed_form_declines(monkeypatch, players, N):
-    """Make the inverse.riccati_costs of check and solve decline ("riccati")
-    the listed players of an N-player game, whose calls come in player
-    order; declining any, the oracle searches every player as it does
-    without the closed form.  Returns the players it is called for, in order."""
-    riccati_costs, calls = cli.riccati_costs, []
+def closed_form_declines(monkeypatch, players):
+    """Make the closed form of check and solve decline ("riccati") the listed
+    players: the record each one's analysis holds reads that decline, so the
+    oracle searches every player as it does without the closed form.
+    Returns the players whose costs inverse.riccati_costs builds, in order."""
+    analyze_player, riccati_costs = cli.analyze_player, cli.riccati_costs
+    owners, built = [], []
 
-    def stub(hamiltonian):
-        calls.append(len(calls) % N)
-        return RiccatiCosts(None, None, "riccati") if calls[-1] in players else (
-            riccati_costs(hamiltonian))
+    def analyze(system, profile, i):
+        pa = analyze_player(system, profile, i)
+        if i in players:
+            pa = dataclasses.replace(pa, riccati=dataclasses.replace(pa.riccati,
+                                                                     declined="riccati"))
+        owners.append((pa.riccati, i))
+        return pa
 
-    monkeypatch.setattr(cli, "riccati_costs", stub)
-    return calls
+    def build(h):
+        built.append(next(i for record, i in owners if record is h))
+        return riccati_costs(h)
+
+    monkeypatch.setattr(cli, "analyze_player", analyze)
+    monkeypatch.setattr(cli, "riccati_costs", build)
+    return built
 
 
 def test_example_writes_bundled_files(tmp_path, capsys):
@@ -196,10 +204,10 @@ def test_check_determinism(tmp_path, capsys):
     # Floats print exactly: the Kalman costs parse back to the oracle's own,
     # here the closed form's (R = I).
     system, profile, _, _ = load_problem(path)
-    costs = inverse.kalman_riccati(realization.closed_loop(system, profile.K), system.B[0],
-                                   profile.K[0])
+    Q, _ = inverse.riccati_costs(inverse.riccati_hamiltonian(
+        realization.closed_loop(system, profile.K), system.B[0], profile.K[0]))
     kalman = json.loads(out1)["players"][0]["kalman"]
-    assert (kalman["Q"], kalman["R"]) == (costs.Q.tolist(), [[1.0]])
+    assert (kalman["Q"], kalman["R"]) == (Q.tolist(), [[1.0]])
 
 
 def test_parser_built_once_gives_the_reports_of_a_fresh_one(tmp_path, capsys, monkeypatch):
@@ -315,10 +323,10 @@ def test_solve_says_indeterminate_where_the_search_stops_undecided(tmp_path, mon
         1.0, math.hypot(np.linalg.norm(player["Q"]), 1.0))
     costs = CostParameters.identity_R([np.array(player["Q"])], system.m)
     assert verify_nash(system, profile, costs)[0]
-    assert closed_form_declines(monkeypatch, {0}, 1) == []
+    built = closed_form_declines(monkeypatch, {0})
     code, out, err = run_cli(capsys, "solve", path)
     report = json.loads(out)
-    assert (code, err) == (1, "")
+    assert (code, err, built) == (1, "", [])
     assert (report["status"], report["failing_player"], report["kalman_status"]) == (
         "indeterminate", 0, "indeterminate")
     assert report["circle_ok"] and report["rank_ok"]
@@ -366,7 +374,7 @@ def test_a_certified_search_decides_before_an_undecided_one(tmp_path, monkeypatc
     system, profile, _, _ = load_problem(path)
     assert solve_feasibility_projection(system, profile).status == (
         "infeasible_certified_by_identity")
-    closed_form_declines(monkeypatch, {0, 1}, 2)  # so solve searches, as check does
+    closed_form_declines(monkeypatch, {0, 1})  # so solve searches, as check does
     code, out, _ = run_cli(capsys, "check", path)
     report = json.loads(out)
     assert (code, report["verdict_frequency"], report["verdict_oracle"]) == (
@@ -1547,7 +1555,7 @@ def test_check_searches_once_per_player(monkeypatch, capsys):
     for declined, searches in ((set(), 0), ({0}, system.num_players)):
         calls.clear()
         with monkeypatch.context() as patch:
-            closed_form_declines(patch, declined, system.num_players)
+            closed_form_declines(patch, declined)
             code, out, _ = run_cli(capsys, "check", path)
         report = json.loads(out)
         assert (code, report["verdict_frequency"], report["verdict_oracle"]) == (
@@ -1582,7 +1590,7 @@ def test_each_command_runs_one_stack_and_one_search_per_listed_player(monkeypatc
         code, _, err = run_cli(capsys, *argv)
         assert code in (0, 1), err
         assert (len(stacks), searches) == (int(bool(expected)), expected), argv
-    closed_form_declines(monkeypatch, {1}, 3)
+    closed_form_declines(monkeypatch, {1})
     for argv, mode in ((["check", path], "general"), (["solve", path, "--mode", "general"],
                        "general"), (["solve", path, "--mode", "q-only"], "q-only")):
         stacks.clear()
@@ -1617,11 +1625,11 @@ def test_solve_searches_every_player_where_the_closed_form_declines_one(
         stacks.clear()
         searches.clear()
         with monkeypatch.context() as patch:
-            calls = closed_form_declines(patch, declined, 2)
+            built = closed_form_declines(patch, declined)
             code, out, err = run_cli(capsys, "solve", path)
         report = json.loads(out)
         assert (code, err, report["status"], report["verify_ok"]) == (0, "", "solved", True)
-        assert calls == [0, 1]
+        assert built == ([] if declined else [0, 1])
         costs = CostParameters.diagonal_R([np.array(p["Q"]) for p in report["players"]],
                                           [np.array(p["R"]) for p in report["players"]])
         assert verify_nash(system, profile, costs)[0]
@@ -1737,15 +1745,14 @@ def test_check_searches_where_the_closed_form_declines_or_under_player(
     # makes no Nash check of one player's costs.
     path = write_example(tmp_path, "two_player_scalar")
     analyzed, checks, stacks, searches = count_oracle_calls(monkeypatch)
-    calls = closed_form_declines(monkeypatch, {1}, 2)
+    built = closed_form_declines(monkeypatch, {1})
     argv = ["check", path] + (["--player", "1"] if case == "player" else [])
     code, out, err = run_cli(capsys, *argv)
     report = json.loads(out)
     assert (code, err, report["verdict_oracle"]) == (0, "", "inducible")
     listed = [1] if case == "player" else [0, 1]
-    assert (calls, checks, stacks, searches) == (
-        [] if case == "player" else [0, 1], [] if case == "player" else [NASH_TOL],
-        [listed], listed)
+    assert (built, checks, stacks, searches) == (
+        [], [] if case == "player" else [NASH_TOL], [listed], listed)
     assert report["diagnostics"]["kalman_method"] == ["search"] * len(listed)
     assert report["diagnostics"].get("kalman_declined") == (
         None if case == "player" else [None, "riccati"])
@@ -1826,6 +1833,25 @@ def test_check_nash_checks_a_searched_answer_once(tmp_path, monkeypatch, capsys)
         (player["Q"], player["R"], player["kalman_residual"]) for player in solved["players"]]
 
 
+def test_a_declined_player_builds_no_costs(tmp_path, monkeypatch, capsys):
+    # The oracle step reads every player's record before it builds any
+    # costs: on pinned_beside_scalar the closed form declines player 0, so
+    # check and solve build no closed-form costs, not even the scalar
+    # player's, and search each player once, with one Nash check.
+    path = pinned_beside_scalar(tmp_path)
+    analyzed, checks, stacks, searches = count_oracle_calls(monkeypatch)
+    riccati_costs, built = cli.riccati_costs, []
+    monkeypatch.setattr(cli, "riccati_costs", lambda h: built.append(h) or riccati_costs(h))
+    for argv in (["check", path], ["solve", path]):
+        for calls in (analyzed, checks, stacks, searches, built):
+            calls.clear()
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert (analyzed, len(checks), stacks, searches, built) == (
+            [0, 1], 1, [[0, 1]], [0, 1], []), argv
+        assert json.loads(out)["diagnostics"]["kalman_declined"] == ["pinned_block", None]
+
+
 @pytest.mark.parametrize("mode", ["general", "q-only"])
 def test_solve_stops_at_a_failed_frequency_test(tmp_path, monkeypatch, capsys, mode):
     # The circle and rank tests are necessary and sufficient: where one fails
@@ -1834,7 +1860,7 @@ def test_solve_stops_at_a_failed_frequency_test(tmp_path, monkeypatch, capsys, m
     # its oracle fields are null; its frequency fields are check's.
     path = write_example(tmp_path, "remark2")
     analyzed, checks, stacks, searches = count_oracle_calls(monkeypatch)
-    calls = closed_form_declines(monkeypatch, set(), 2)
+    calls = closed_form_declines(monkeypatch, set())
     code, out, err = run_cli(capsys, "solve", path, "--mode", mode)
     report = json.loads(out)
     assert (code, err, report["status"], report["failing_player"]) == (1, "", "infeasible", 0)
@@ -1867,7 +1893,7 @@ def test_closed_form_oracle_gives_the_verdicts_of_the_search_alone(
         methods.append(method)
         N = load_problem(str(path))[0].num_players
         with monkeypatch.context() as patch:
-            closed_form_declines(patch, set(range(N)), N)
+            closed_form_declines(patch, set(range(N)))
             assert verdicts(*run_cli(capsys, "check", str(path)))[0] == answer, path.name
     assert methods[-len(nash_games):] == [["riccati"] * system.num_players
                                           for system, _, _, _ in nash_games]
@@ -1903,16 +1929,16 @@ def test_solve_answers_as_the_search_alone_unless_every_player_is_solved(
         monkeypatch.setattr(feasibility, "player_feasibility", undecided)
     for mode in ("general", "q-only"):
         with monkeypatch.context() as patch:
-            calls = closed_form_declines(patch, {1} if name == "undecided_search" else set(), N)
+            built = closed_form_declines(patch, {1} if name == "undecided_search" else set())
             answer = run_cli(capsys, "solve", path, "--mode", mode)
-        assert calls == ([0, 1] if name == "undecided_search" else []), mode
+        assert built == [], mode
         if name == "undecided_search":
             declined = '"kalman_declined":[null,"riccati"]'
             assert answer[1].count(declined) == 1
             answer = (answer[0], answer[1].replace(
                 declined, '"kalman_declined":["riccati","riccati"]'), answer[2])
         with monkeypatch.context() as patch:
-            closed_form_declines(patch, set(range(N)), N)
+            closed_form_declines(patch, set(range(N)))
             assert run_cli(capsys, "solve", path, "--mode", mode) == answer, mode
         assert answer[0] == 1 and answer[2] == ""
         assert json.loads(answer[1])["status"] == (
@@ -1926,7 +1952,7 @@ def test_search_failure_names_the_player_and_stage(tmp_path, monkeypatch, capsys
     # player listed (check --player 1 lists player 1 only; solve lists the
     # players its closed form declines, here both).
     path = write_example(tmp_path, "two_player_scalar")
-    closed_form_declines(monkeypatch, {0, 1}, 2)
+    closed_form_declines(monkeypatch, {0, 1})
     player_feasibility = feasibility.player_feasibility
 
     def failing(system, profile, i, *args):
@@ -2114,13 +2140,12 @@ def test_each_player_builds_one_hamiltonian_and_finishes_it_once(monkeypatch, ca
     # check and solve build each player's Riccati Hamiltonian once, in the
     # frequency step, and the oracle step finishes the closed form once per
     # player from the Hamiltonian that player's analysis holds: no
-    # kalman_riccati call builds another, and one verify_nash call checks the
-    # whole game's answer.  check --no-oracle builds them and finishes none.
+    # other call builds another, and one verify_nash call checks the whole
+    # game's answer.  check --no-oracle builds them and finishes none.
     path = str(DATA / "ladder_r0_n8_N3_m2.json")
     system, _, _, _ = load_problem(path)
-    built, finished, checks, rebuilt = [], [], [], []
-    hamiltonian, costs = inverse.riccati_hamiltonian, cli.riccati_costs
-    kalman_riccati, verify = inverse.kalman_riccati, cli.verify_nash
+    built, finished, checks = [], [], []
+    hamiltonian, costs, verify = inverse.riccati_hamiltonian, cli.riccati_costs, cli.verify_nash
 
     def build(A_cl, B, K):
         built.append((next(i for i, B_i in enumerate(system.B) if np.array_equal(B_i, B)),
@@ -2129,19 +2154,18 @@ def test_each_player_builds_one_hamiltonian_and_finishes_it_once(monkeypatch, ca
 
     monkeypatch.setattr(inverse, "riccati_hamiltonian", build)
     monkeypatch.setattr(cli, "riccati_costs", lambda h: finished.append(h) or costs(h))
-    monkeypatch.setattr(inverse, "kalman_riccati", lambda *a: rebuilt.append(1) or kalman_riccati(*a))
     monkeypatch.setattr(cli, "verify_nash", lambda *a, **k: checks.append(1) or verify(*a, **k))
     for argv, oracle in ((["check", path], True), (["solve", path], True),
                          (["solve", "--mode", "q-only", path], True),
                          (["check", "--no-oracle", path], False)):
-        for calls in (built, finished, checks, rebuilt):
+        for calls in (built, finished, checks):
             calls.clear()
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert [i for i, _ in built] == [0, 1, 2], argv
         assert all(h.declined is None for _, h in built), argv
         assert [id(h) for h in finished] == ([id(h) for _, h in built] if oracle else []), argv
-        assert (len(checks), rebuilt) == (int(oracle), []), argv
+        assert len(checks) == int(oracle), argv
         if oracle:
             report = json.loads(out)
             assert report["diagnostics"]["kalman_method"] == ["riccati"] * 3, argv

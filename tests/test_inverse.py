@@ -20,10 +20,11 @@ from nashinduce.inverse import (
     build_phi,
     check_rank_condition,
     circle_criterion,
-    kalman_riccati,
     return_difference_circle,
     return_difference_gap,
     return_difference_rank,
+    riccati_costs,
+    riccati_hamiltonian,
     solve_kalman_general,
     solve_kalman_Q,
 )
@@ -530,7 +531,7 @@ def test_check_builds_no_polynomial_matrix_when_phi_has_full_rank(monkeypatch, c
 
 
 # ---------------------------------------------------------------------------
-# The Kalman equation in closed form (kalman_riccati)
+# The Kalman equation in closed form (riccati_hamiltonian, riccati_costs)
 # ---------------------------------------------------------------------------
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -540,9 +541,9 @@ NASH_FIXTURES = ("closed_form_n8_N3_m1", "ladder_r0_n12_N2_m1", "ladder_r0_n8_N3
 
 def test_closed_form_costs_are_nash(nash_games):
     # On every Nash fixture of tests/data, every nash_games game and the
-    # closed-form Nash games at n = 24 and 32, kalman_riccati answers for
-    # every player: P B = K', and Q = D'D has rank m; the costs (Q_i, R_ii =
-    # I) pass verify_nash and perfbench/checker.is_nash.
+    # closed-form Nash games at n = 24 and 32, riccati_hamiltonian declines
+    # no player, and riccati_costs builds P B = K' and Q = D'D of rank m; the
+    # costs (Q_i, R_ii = I) pass verify_nash and perfbench/checker.is_nash.
     if str(PERFBENCH) not in sys.path:
         sys.path.insert(0, str(PERFBENCH))
     import checker
@@ -559,11 +560,12 @@ def test_closed_form_costs_are_nash(nash_games):
     for name, system, profile in cases:
         A_cl, Qs = closed_loop(system, profile.K), []
         for i, (B, K) in enumerate(zip(system.B, profile.K)):
-            costs = kalman_riccati(A_cl, B, K)
-            assert costs.declined is None, (name, i)
-            assert np.linalg.norm(B.T @ costs.P - K) <= 1e-10 * max(1.0, np.linalg.norm(costs.P))
-            assert np.linalg.matrix_rank(costs.Q, tol=1e-9 * np.linalg.norm(costs.Q)) == B.shape[1]
-            Qs.append(costs.Q)
+            record = riccati_hamiltonian(A_cl, B, K)
+            assert record.declined is None, (name, i)
+            Q, P = riccati_costs(record)
+            assert np.linalg.norm(B.T @ P - K) <= 1e-10 * max(1.0, np.linalg.norm(P))
+            assert np.linalg.matrix_rank(Q, tol=1e-9 * np.linalg.norm(Q)) == B.shape[1]
+            Qs.append(Q)
         assert verify_nash(system, profile, CostParameters.identity_R(Qs, system.m))[0], name
         R = [[np.eye(mj) if j == i else np.zeros((mj, mj)) for j, mj in enumerate(system.m)]
              for i in range(system.num_players)]
@@ -577,17 +579,37 @@ def test_closed_form_declines_naming_why():
     # answer.  With B = e_1, K = [0, 0.5] and A_cl = [[-1, 0.5], [-1.5,
     # -0.5]], P = [[0, 0.5], [0.5, x]] and Q = [[1.5, 0.75 + 1.5x], [0.75 +
     # 1.5x, x - 0.75]], and Q >= 0 asks 2.25x^2 + 0.75x + 1.6875 <= 0, which
-    # no real x meets: the Hamiltonian's eigenvalues lie on the axis.
+    # no real x meets: the Hamiltonian's eigenvalues lie on the axis.  The
+    # first two declines come before the Hamiltonian, so no T is kept; the
+    # last comes after its Schur form, which is kept.
     system, profile, _, _ = load_problem(str(DATA / "allpass_n3_N1_m2.json"))
-    costs = kalman_riccati(closed_loop(system, profile.K), system.B[0], profile.K[0])
-    assert (costs.Q, costs.P, costs.declined) == (None, None, "pinned_block")
+    record = riccati_hamiltonian(closed_loop(system, profile.K), system.B[0], profile.K[0])
+    assert (record.declined, record.T) == ("pinned_block", None)
     A_cl = np.array([[-1.0, 0.0], [0.0, -2.0]])
     K = np.array([[1.0, 0.5], [0.0, 1.0]])
-    assert kalman_riccati(A_cl, np.eye(2), K).declined == "asymmetric"
-    assert kalman_riccati(A_cl, np.eye(2), 0.5 * (K + K.T)).declined is None
-    costs = kalman_riccati(np.array([[-1.0, 0.5], [-1.5, -0.5]]), np.eye(2)[:, :1],
-                           np.array([[0.0, 0.5]]))
-    assert (costs.Q, costs.P, costs.declined) == (None, None, "riccati")
+    record = riccati_hamiltonian(A_cl, np.eye(2), K)
+    assert (record.declined, record.T) == ("asymmetric", None)
+    assert riccati_hamiltonian(A_cl, np.eye(2), 0.5 * (K + K.T)).declined is None
+    record = riccati_hamiltonian(*axis_game())
+    assert record.declined == "riccati" and record.T.shape == (2, 2)
+
+
+def axis_game():
+    """(A_cl, B, K) of test_closed_form_declines_naming_why's 2-state player
+    whose Riccati Hamiltonian has its eigenvalues on the imaginary axis."""
+    return np.array([[-1.0, 0.5], [-1.5, -0.5]]), np.eye(2)[:, :1], np.array([[0.0, 0.5]])
+
+
+def test_an_axis_hamiltonian_declines_in_the_frequency_step():
+    # The axis game as a one-player problem: its pinned block is definite,
+    # so the circle test reads the Hamiltonian's crossings (one, so two
+    # probes), and the decline that the split fails is named in the record
+    # analyze_player keeps, before any costs are built.
+    A_cl, B, K = axis_game()
+    system = GameSystem(A_cl + B @ K, [B])
+    pa = analyze_player(system, StrategyProfile.stabilizing(system, [K]), 0)
+    assert pa.riccati.declined == "riccati"
+    assert (pa.circle_ok, pa.circle_witness, pa.probes, pa.p) == (False, 0.0, 2, 1)
 
 
 def near_boundary_games(count):
@@ -622,7 +644,7 @@ def near_boundary_games(count):
 
 
 def test_closed_form_costs_are_nash_near_the_boundary():
-    # Wherever kalman_riccati answers every player of a near-boundary Nash
+    # Wherever the closed form answers every player of a near-boundary Nash
     # game, its costs pass verify_nash; where it declines one, the pinned
     # block is why (one Q_i within 10^e of singular).  So solve's one Nash
     # check needs no search to fall back on.  Of these 600 draws 581 are
@@ -630,11 +652,11 @@ def test_closed_form_costs_are_nash_near_the_boundary():
     count, answered = 600, 0
     for system, profile in near_boundary_games(count):
         A_cl = closed_loop(system, profile.K)
-        closed = [kalman_riccati(A_cl, B, K) for B, K in zip(system.B, profile.K)]
-        if any(costs.declined for costs in closed):
-            assert {costs.declined for costs in closed} <= {None, "pinned_block"}
+        records = [riccati_hamiltonian(A_cl, B, K) for B, K in zip(system.B, profile.K)]
+        if any(record.declined for record in records):
+            assert {record.declined for record in records} <= {None, "pinned_block"}
             continue
         answered += 1
-        costs = CostParameters.identity_R([c.Q for c in closed], system.m)
+        costs = CostParameters.identity_R([riccati_costs(r)[0] for r in records], system.m)
         assert verify_nash(system, profile, costs)[0]
     assert answered >= 0.9 * count

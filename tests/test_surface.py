@@ -18,16 +18,17 @@ or a caller needs to build and read a game.
 
 Decision path: check and solve decide in two steps of cli, for both alike.
 The frequency step, _frequency_step, is analyze_player's one caller, and
-analyze_player builds each player's Riccati Hamiltonian (riccati_hamiltonian,
-whose other caller is kalman_riccati): the circle test reads its crossings
-off it, and the PlayerAnalysis keeps it, or the condition that declined it.
-The oracle step, _oracle_step, is the one caller of riccati_costs, which
-finishes the closed form from that stored Hamiltonian, and of
+analyze_player is the one caller of riccati_hamiltonian, which builds each
+player's record of the closed form and decides every decline in it: the
+circle test reads its crossings off the record's Schur form, and the
+PlayerAnalysis keeps the record.  The oracle step, _oracle_step, is the one
+caller of riccati_costs, which only builds the costs from a record that
+does not decline (it returns no decline), and of
 solve_feasibility_projection, with no switch between them (no closed_form
-parameter); cli never calls kalman_riccati, so no Hamiltonian is built or
-pinned block judged twice.  The oracle step makes the one Nash check of an
-answer's costs: verify_nash is called by it and by cmd_verify (of the file's
-own costs) alone.
+parameter); so no Hamiltonian is built or pinned block judged twice, and
+src holds no kalman_riccati or RiccatiCosts.  The oracle step makes the one
+Nash check of an answer's costs: verify_nash is called by it and by
+cmd_verify (of the file's own costs) alone.
 
 Packing: the stationarity maps hold no Kronecker product, and the packing
 layout _sym_layout has one packer (sym_pack_stack), one unpacker
@@ -225,10 +226,13 @@ def callers(module: str, name: str) -> set:
 
 def test_check_and_solve_decide_on_one_path():
     assert callers("cli", "analyze_player") == {"_frequency_step"}
-    assert callers("inverse", "riccati_hamiltonian") == {"analyze_player", "kalman_riccati"}
-    assert callers("cli", "riccati_costs") == callers(
-        "cli", "solve_feasibility_projection") == {"_oracle_step"}
-    assert callers("cli", "kalman_riccati") == callers("cli", "riccati_hamiltonian") == set()
+    assert owners(lambda fn: calls_own(fn, "riccati_hamiltonian")) == {"inverse.analyze_player"}
+    assert owners(lambda fn: calls_own(fn, "riccati_costs")) == {"cli._oracle_step"}
+    assert callers("cli", "solve_feasibility_projection") == {"_oracle_step"}
+    for path in SRC.glob("*.py"):
+        assert not re.search(r"\b(kalman_riccati|RiccatiCosts)\b", path.read_text()), path.name
+    costs = next(fn for fn in functions("inverse") if fn.name == "riccati_costs")
+    assert "declined" not in ast.unparse(costs)
     oracle = next(fn for fn in functions("cli") if fn.name == "_oracle_step")
     assert "closed_form" not in [arg.arg for arg in oracle.args.args + oracle.args.kwonlyargs]
     assert callers("cli", "verify_nash") == {"_oracle_step", "cmd_verify"}
@@ -365,9 +369,8 @@ def test_a_tilde_has_one_helper():
 PRODUCTION_API = [
     "CertificateSet", "CostParameters", "DimensionError", "FeasibilityResult", "GameSystem",
     "KalmanSolution", "NearestResult", "NumericalFailureError", "PlayerAnalysis",
-    "RankViolation", "RiccatiCosts", "StrategyProfile", "analyze_player", "closed_loop",
-    "coupled_are_residuals", "fold_cross_penalties", "is_stabilizing", "kalman_riccati",
-    "nearest_params",
+    "RankViolation", "StrategyProfile", "analyze_player", "closed_loop",
+    "coupled_are_residuals", "fold_cross_penalties", "is_stabilizing", "nearest_params",
     "newton_kleinman", "reduced_system", "solve_coupled_are", "solve_feasibility_projection",
     "unfold_cross_penalties", "verify_nash",
 ]
