@@ -311,8 +311,7 @@ def _oracle_step(system, profile, players, analyses, mode, verdict_frequency, to
     found = None
     if whole and not any(declined):
         declined = None
-        costs = CostParameters.identity_R([riccati_costs(pa.riccati)[0] for pa in analyses],
-                                          system.m)
+        costs = CostParameters.identity_R([riccati_costs(pa.riccati) for pa in analyses], system.m)
     else:
         found = solve_feasibility_projection(system, profile, players, mode)
         if not whole or found.status != "feasible":

@@ -237,13 +237,11 @@ def player_feasibility(system: GameSystem, profile: StrategyProfile, i: int, mod
     V = row_basis(M)  # the Kalman equation's independent constraint rows
     nq, eye = sym_dim(n), sym_pack(np.eye(m))
     q_only = mode == "q-only"
-    if q_only:  # one row per packed entry of R_ii
-        pins = np.hstack([np.zeros((eye.size, nq)), np.eye(eye.size)])
-        x_p, Va, miss = affine_slice(V, pins, eye)
-        kernel_dim = M.shape[1] - Va.shape[1]
-    else:
-        x_p, Va, miss = affine_slice(V, [np.concatenate([np.zeros(nq), eye])], [m])  # trace row
-        kernel_dim = M.shape[1] - V.shape[1]
+    # q-only pins each packed entry of R_ii; general, their identity-weighted sum (the trace).
+    pins = np.hstack([np.zeros((eye.size, nq)), np.eye(eye.size)])
+    rows, values = (pins, eye) if q_only else ([eye @ pins], [m])
+    x_p, Va, miss = affine_slice(V, rows, values)
+    kernel_dim = M.shape[1] - (Va if q_only else V).shape[1]
     if x_p is None:
         return KalmanSolution(Q=np.zeros((n, n)), R=np.eye(m) if q_only else np.zeros((m, m)),
                               residual=miss, kernel_dim=kernel_dim,

@@ -24,7 +24,7 @@ sign there) and the closed form's record.  Costs come from the Kalman
 equation in closed form where it applies: riccati_hamiltonian pins P's
 B_i columns by K_i and orders the Hamiltonian of one Riccati equation of
 size n - m_i (R_ii = I), or names the condition that rules it out, and
-riccati_costs builds the costs from its record.  Where it declines any
+riccati_costs builds Q from its record.  Where it declines any
 player, the time-domain search feasibility.solve_feasibility_projection
 recovers the costs; solve_kalman_general and solve_kalman_Q run it for one
 player.  The polynomial route at the end of the module is reference code
@@ -233,15 +233,13 @@ def rank_condition(A_tilde, A_cl, B, K, k) -> tuple:
 class RiccatiHamiltonian:
     """One player's closed form up to its costs: the real Schur form of its
     Riccati Hamiltonian, H = U T U' (stable eigenvalues first; T is 0 x 0
-    when n = m), the basis W = [Bh, V], P's pinned columns in it (its V'PV
-    block still 0), L L' = Q_bb, and, when n > m, L^-1, Q's V'QBh block at
-    X = 0 (Q_vb) and Ah's V'A_cl Bh block (Ah_vb), the rest of what
-    riccati_costs needs; and declined, the condition that rules the closed
-    form out (None where riccati_costs may build it).  A decline made
-    before the Schur form leaves every other field None."""
+    when n = m), the basis W = [Bh, V], L L' = Q_bb, and, when n > m, L^-1,
+    Q's V'QBh block at X = 0 (Q_vb) and Ah's V'A_cl Bh block (Ah_vb), the
+    rest of what riccati_costs needs; and declined, the condition that
+    rules the closed form out (None where riccati_costs may build Q).  A
+    decline made before the Schur form leaves every other field None."""
 
     W: np.ndarray | None
-    P: np.ndarray | None
     L: np.ndarray | None
     L_inv: np.ndarray | None
     Q_vb: np.ndarray | None
@@ -265,9 +263,9 @@ class RiccatiHamiltonian:
 def riccati_hamiltonian(A_cl, B, K) -> RiccatiHamiltonian:
     """One player's closed form with R = I, decided: the checks, the basis
     and the ordered real Schur form of the Riccati Hamiltonian from which
-    riccati_costs builds Q >= 0 and symmetric P with P B = K' and
+    riccati_costs builds Q >= 0 for which some symmetric P has P B = K' and
     A_cl'P + P A_cl + Q + K'K = 0, so K = B'P is the Kalman equation's
-    answer (A_cl Hurwitz makes P that Lyapunov solution).
+    answer (A_cl Hurwitz makes P the Lyapunov solution verify_nash finds).
 
     In an orthonormal basis W = [Bh, V] with B = Bh R_b (one complete QR),
     P B = K' fixes every column of W'PW but the V'PV block, X, as those of
@@ -298,10 +296,15 @@ def riccati_hamiltonian(A_cl, B, K) -> RiccatiHamiltonian:
     when the Schur form cannot be ordered (no T for these three), or, T
     kept, when the Hamiltonian has not n - m eigenvalues off the closed
     right half-plane (_unstable: one on the imaginary axis) or U_1 is
-    singular under the rank rule (_rank, RANK_TOL)."""
+    singular under the rank rule (_rank, RANK_TOL), a guard against
+    round-off only: A_cl Hurwitz makes (A_cl, B) stabilizable, and so,
+    through W, the feedback by Sl and the scaling by L^-T, the Riccati pair
+    (Ah_vv - Bl Sl', Bl); with no imaginary Hamiltonian eigenvalue its
+    equation has a stabilizing solution, so where the split holds U_1 is
+    invertible in exact arithmetic (Willems 1971; Molinari 1977)."""
     n, m = B.shape
     k = n - m
-    none = (None,) * 8
+    none = (None,) * 7
     try:
         symmetrize(K @ B)
     except ValueError:
@@ -318,7 +321,7 @@ def riccati_hamiltonian(A_cl, B, K) -> RiccatiHamiltonian:
     P[:m, :m] = 0.5 * (F[:, :m] + F[:, :m].T)
     L = R_inv.T @ np.linalg.cholesky(G)  # L L' = R_b^-T G R_b^-1 = Q_bb
     if not k:
-        return RiccatiHamiltonian(W, P, L, None, None, None, np.zeros((0, 0)), None, None)
+        return RiccatiHamiltonian(W, L, None, None, None, np.zeros((0, 0)), None, None)
     Q0 = -(Ah[:, m:].T @ P + P[m:] @ Ah) - Kh[:, m:].T @ Kh  # Q's V rows at X = 0
     L_inv = np.linalg.inv(L)
     Bl, Sl = Ah[m:, :m] @ L_inv.T, Q0[:, :m] @ L_inv.T
@@ -333,24 +336,20 @@ def riccati_hamiltonian(A_cl, B, K) -> RiccatiHamiltonian:
     d = T.diagonal()
     split = (not _unstable(d[:k]).any() and _unstable(d[k:]).all()
              and _rank(np.linalg.svd(U[:k, :k], compute_uv=False), RANK_TOL) == k)
-    return RiccatiHamiltonian(W, P, L, L_inv, Q0[:, :m], Ah[m:, :m], T, U,
+    return RiccatiHamiltonian(W, L, L_inv, Q0[:, :m], Ah[m:, :m], T, U,
                               None if split else "riccati")
 
 
-def riccati_costs(h: RiccatiHamiltonian):
-    """The costs (Q, P) of riccati_hamiltonian's record h, which does not
-    decline: Y = U_2 U_1^-1 from its Schur vectors fills P's V'PV block
-    with -Y, and Q = D'D."""
-    m, k = len(h.L), len(h.T) // 2
-    P, D = h.P.copy(), h.L.T
+def riccati_costs(h: RiccatiHamiltonian) -> np.ndarray:
+    """The state weight Q = D'D of riccati_hamiltonian's record h, which
+    does not decline, with Y = U_2 U_1^-1 from its Schur vectors."""
+    k, D = len(h.T) // 2, h.L.T
     if k:
         Y = np.linalg.solve(h.U[:k, :k].T, h.U[k:, :k].T).T
         Y = 0.5 * (Y + Y.T)
-        P[m:, m:] = -Y
         D = np.hstack([D, h.L_inv @ (h.Q_vb.T + h.Ah_vb.T @ Y)])
     D = D @ h.W.T
-    P = h.W @ P @ h.W.T
-    return D.T @ D, 0.5 * (P + P.T)
+    return D.T @ D
 
 
 def solve_kalman_Q(system: GameSystem, profile: StrategyProfile, i: int) -> KalmanSolution:

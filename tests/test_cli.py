@@ -204,7 +204,7 @@ def test_check_determinism(tmp_path, capsys):
     # Floats print exactly: the Kalman costs parse back to the oracle's own,
     # here the closed form's (R = I).
     system, profile, _, _ = load_problem(path)
-    Q, _ = inverse.riccati_costs(inverse.riccati_hamiltonian(
+    Q = inverse.riccati_costs(inverse.riccati_hamiltonian(
         realization.closed_loop(system, profile.K), system.B[0], profile.K[0]))
     kalman = json.loads(out1)["players"][0]["kalman"]
     assert (kalman["Q"], kalman["R"]) == (Q.tolist(), [[1.0]])
@@ -1599,6 +1599,52 @@ def test_each_command_runs_one_stack_and_one_search_per_listed_player(monkeypatc
         assert (code, err) == (0, "")
         assert json.loads(out)["diagnostics"]["kalman_method"] == ["search"] * 3
         assert (len(stacks), searches) == (1, [(0, mode), (1, mode), (2, mode)]), argv
+
+
+def schur_unorderable_once(monkeypatch):
+    """Make the first ordered Schur form inverse asks for fail as LAPACK's
+    reordering can (riccati_hamiltonian's NumericalFailureError branch).
+    Returns the rank deficiency k of each return_difference_circle call, in
+    order: one entry per player whose circle test the pencil decides."""
+    schur, circle, raised, pencils = inverse._schur, inverse.return_difference_circle, [], []
+
+    def ordered(M, stable_first=False):
+        if stable_first and not raised:
+            raised.append(len(M))
+            raise NumericalFailureError("Schur form not ordered (gees info 7)")
+        return schur(M, stable_first=stable_first)
+
+    monkeypatch.setattr(inverse, "_schur", ordered)
+    monkeypatch.setattr(inverse, "return_difference_circle",
+                        lambda A_cl, B, K, k: pencils.append(k) or circle(A_cl, B, K, k))
+    return pencils
+
+
+def test_an_unorderable_hamiltonian_declines_and_the_pencil_decides(monkeypatch, capsys):
+    # No other test and no corpus call reaches the decline of a Hamiltonian
+    # whose Schur form cannot be ordered, and a seeded draw that does loses
+    # it under most 1e-15 perturbations, so _schur fails once here, on player
+    # 0 of ladder_r0_n8_N3_m2.  Its record declines "riccati" with no T, so
+    # the pencil decides its circle test (p = m = 2, one probe), and check
+    # and solve search every player, answering as they do with the closed form.
+    path = str(DATA / "ladder_r0_n8_N3_m2.json")
+    system, profile, _, _ = load_problem(path)
+    with monkeypatch.context() as patch:
+        pencils = schur_unorderable_once(patch)
+        pa = cli.analyze_player(system, profile, 0)
+    assert (pa.riccati.declined, pa.riccati.T) == ("riccati", None)
+    assert (pencils, pa.circle_ok, pa.p, system.m[0], pa.probes) == ([0], True, 2, 2, 1)
+    for argv, answer in ((["check", path], {"verdict_frequency": "inducible",
+                                            "verdict_oracle": "inducible"}),
+                         (["solve", path], {"status": "solved", "verify_ok": True})):
+        with monkeypatch.context() as patch:
+            pencils = schur_unorderable_once(patch)
+            code, out, err = run_cli(capsys, *argv)
+        report = json.loads(out)
+        assert (code, err, pencils) == (0, "", [0]), argv
+        assert {key: report[key] for key in answer} == answer
+        assert report["diagnostics"]["kalman_declined"] == ["riccati", None, None]
+        assert report["diagnostics"]["kalman_method"] == ["search"] * 3
 
 
 def test_solve_searches_every_player_where_the_closed_form_declines_one(

@@ -22,11 +22,12 @@ analyze_player is the one caller of riccati_hamiltonian, which builds each
 player's record of the closed form and decides every decline in it: the
 circle test reads its crossings off the record's Schur form, and the
 PlayerAnalysis keeps the record.  The oracle step, _oracle_step, is the one
-caller of riccati_costs, which only builds the costs from a record that
-does not decline (it returns no decline), and of
+caller of riccati_costs, which only builds Q from a record that does not
+decline (it returns no decline, and the record holds no P: the Nash check
+solves for it), and of
 solve_feasibility_projection, with no switch between them (no closed_form
-parameter); so no Hamiltonian is built or pinned block judged twice, and
-src holds no kalman_riccati or RiccatiCosts.  The oracle step makes the one
+parameter); so no Hamiltonian is built twice, and src holds no
+kalman_riccati or RiccatiCosts.  The oracle step makes the one
 Nash check of an answer's costs: verify_nash is called by it and by
 cmd_verify (of the file's own costs) alone.
 
@@ -37,8 +38,9 @@ _identity_columns); sym_pack and sym_unpack go through the first two.
 
 Certificate: one function of feasibility forms the pinned block B_i'Q_iB_i
 (the one Gram product L'L there), and both cone searches, the oracle's
-player_feasibility and nearest_params, call it; nearest_params cuts no slice
-of its own.  One function of feasibility, pinned_verdict, judges that block
+player_feasibility and nearest_params, call it; player_feasibility cuts its
+slice with one affine_slice call in both modes, and nearest_params cuts no
+slice of its own.  One function of feasibility, pinned_verdict, judges that block
 by its eigenvalues: no other function that forms or judges it takes any.
 
 One owner per check: LAPACK's gees is called by numerics._schur and its
@@ -67,6 +69,7 @@ its tolerance table has one row for each module-level constant.
 """
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -74,6 +77,7 @@ import numpy as np
 
 import nashinduce
 from nashinduce.cli import load_problem
+from nashinduce.inverse import RiccatiHamiltonian
 from nashinduce.realization import closed_loop, reduced_system
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -233,6 +237,7 @@ def test_check_and_solve_decide_on_one_path():
         assert not re.search(r"\b(kalman_riccati|RiccatiCosts)\b", path.read_text()), path.name
     costs = next(fn for fn in functions("inverse") if fn.name == "riccati_costs")
     assert "declined" not in ast.unparse(costs)
+    assert "P" not in [f.name for f in dataclasses.fields(RiccatiHamiltonian)]
     oracle = next(fn for fn in functions("cli") if fn.name == "_oracle_step")
     assert "closed_form" not in [arg.arg for arg in oracle.args.args + oracle.args.kwonlyargs]
     assert callers("cli", "verify_nash") == {"_oracle_step", "cmd_verify"}
@@ -252,6 +257,9 @@ def test_both_cone_searches_share_one_pinned_block():
     assert len(blocks) == 1, f"more than one pinned block in feasibility: {sorted(blocks)}"
     assert callers("feasibility", *blocks) == {"player_feasibility", "nearest_params"}
     assert "nearest_params" not in callers("feasibility", "affine_slice")
+    search = next(fn for fn in functions("feasibility") if fn.name == "player_feasibility")
+    assert [node.func.id for node in ast.walk(search) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)].count("affine_slice") == 1
 
 
 EIGEN_CALLS = ("eigvalsh", "eigvals", "eigh", "eig")
